@@ -75,37 +75,55 @@ class GraphPartition:
     def local_vertices(self):
         return self._dgraph.partitioner.local_vertices(self.machine)
 
-    def _check_local(self, vid):
+    def check_local(self, vid):
+        """Raise :class:`GraphError` unless this machine owns ``vid``."""
         if not self.is_local(vid):
             raise GraphError(
                 f"machine {self.machine} accessed remote vertex {vid} "
                 f"(owner {self._dgraph.owner(vid)})"
             )
 
+    def raw_reads(self):
+        """Unchecked reads for the DFT loop: ``(owner(v), primary label id
+        per vertex, extra-label lookup, (out CSR, in CSR), vertex property
+        read, edge property read, the graph)``.
+
+        None asserts locality: the loop only reads a vertex it knows to be
+        local (a hop compares ``owner(v)`` with its machine, a batch is
+        addressed to the vertex's owner) and, under ``sanitize=True``,
+        re-checks every vertex entering it with :meth:`check_local`.
+        """
+        graph = self.graph
+        return (
+            self._dgraph.partitioner.owner, graph.vertex_label_ids,
+            graph._extra_label_ids.get, (graph.out_csr, graph.in_csr),
+            graph.vprops.get, graph.eprops.get, graph,
+        )
+
     # -- local reads ---------------------------------------------------
     def vertex_has_label(self, vid, label_id):
-        self._check_local(vid)
+        self.check_local(vid)
         return self.graph.vertex_has_label(vid, label_id)
 
     def vertex_property(self, vid, name):
-        self._check_local(vid)
+        self.check_local(vid)
         return self.graph.vprops.get(name, vid)
 
     def vertex_label_name(self, vid):
-        self._check_local(vid)
+        self.check_local(vid)
         return self.graph.vertex_label_name(vid)
 
     def neighbor_runs(self, vid, direction, edge_label_id=None):
-        self._check_local(vid)
+        self.check_local(vid)
         return self.graph.neighbor_runs(vid, direction, edge_label_id)
 
     def degree(self, vid, direction=Direction.OUT):
-        self._check_local(vid)
+        self.check_local(vid)
         return self.graph.degree(vid, direction)
 
     def find_edge(self, src, dst, direction=Direction.OUT, edge_label_id=None):
         """Edge lookup anchored at local vertex ``src`` (dst may be remote)."""
-        self._check_local(src)
+        self.check_local(src)
         return self.graph.find_edge(src, dst, direction, edge_label_id)
 
     def edge_property(self, eid, name):

@@ -25,7 +25,7 @@ Hop kinds (paper Table 1):
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..graph.types import Direction
@@ -188,6 +188,9 @@ class DistributedPlan:
     bootstrap_labels: Tuple[Tuple[int, ...], ...] = ()
     bootstrap_single_vertex: Optional[int] = None  # id(v)=const start
     slot_names: Tuple[str, ...] = ()
+    # The stages resolved for the DFT loop; filled on first execution by
+    # :func:`repro.runtime.steptable.step_table`, never at compile time.
+    step_table: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def num_stages(self):

@@ -19,9 +19,9 @@ The control stage then decides, per the paper:
 * ``depth = max_hop`` stops deeper exploration (``depth > max_hop`` never
   occurs because continuation is cut at the boundary).
 
-All slot writes (depth, rpid, accumulator resets) are recorded in the DFT
-frame's undo log, so backtracking restores the context of the enclosing
-repetition exactly.
+Every slot write that changes a value (depth, rpid, accumulator resets) is
+returned as an undo pair, so backtracking over the control frame restores
+the context of the enclosing repetition exactly.
 """
 
 from .reachability import IndexOutcome
@@ -31,6 +31,13 @@ from .reachability import IndexOutcome
 #: the engine's runtime memory low (paper Section 4.4).
 ACTION_EXIT = "exit"
 ACTION_PATH = "path"
+
+#: The only four action sequences an entry can produce, shared by every
+#: entry instead of a fresh list each.
+NO_ACTIONS = ()
+PATH_ONLY = (ACTION_PATH,)
+EXIT_ONLY = (ACTION_EXIT,)
+EXIT_THEN_PATH = (ACTION_EXIT, ACTION_PATH)
 
 
 #: Base bookkeeping cost of a control-stage entry (no index interaction).
@@ -62,34 +69,40 @@ class RpqController:
             # Bulk-preallocated first level: inserts skip the dynamic
             # allocation (paper Section 4.5 future work).
             insert = cost.index_insert_prealloc if cost is not None else 0.7
-        self._insert_cost = insert
-        self._hit_cost = cost.index_hit if cost is not None else 0.6
+        self._insert_cost = ENTRY_COST + insert
+        self._hit_cost = ENTRY_COST + (cost.index_hit if cost is not None else 0.6)
 
-    def on_entry(self, frame, ctx, entry_mode, rpid_allocator):
-        """Process a control-stage entry; returns ``(actions, cost)``.
+    def on_entry(self, vertex, ctx, init, rpid_allocator):
+        """Process a control-stage entry; returns ``(actions, cost, undo)``.
 
-        ``frame.undo`` receives (slot, old value) pairs for every write so
-        backtracking restores the enclosing repetition's view.  The cost
-        reflects the index interaction: inserts (which dynamically allocate
-        second-level entries — the Figure 3 overhead) cost more than probes
-        that hit existing entries, and skipping the index is cheapest.
+        ``init`` is true for a new source path (depth 0, fresh rpid,
+        accumulators reset) and false when a repetition returns (depth + 1).
+        ``actions`` is one of the four shared action tuples; ``undo`` holds
+        a ``(slot, old value)`` pair for every slot whose value changed, to
+        be replayed when the DFT backtracks over the control frame.  The
+        cost reflects the index interaction: inserts (which dynamically
+        allocate second-level entries — the Figure 3 overhead) cost more
+        than probes that hit existing entries, and skipping the index is
+        cheapest.
         """
         spec = self.spec
-        undo = frame.undo
-        if entry_mode == "init":
-            undo.append((spec.depth_slot, ctx[spec.depth_slot]))
-            ctx[spec.depth_slot] = 0
-            undo.append((spec.rpid_slot, ctx[spec.rpid_slot]))
-            ctx[spec.rpid_slot] = rpid_allocator.allocate()
-            for slot, _kind in spec.accumulator_inits:
-                undo.append((slot, ctx[slot]))
-                ctx[slot] = None
+        depth_slot = spec.depth_slot
+        old = ctx[depth_slot]
+        if init:
             depth = 0
+            undo = [(spec.rpid_slot, ctx[spec.rpid_slot])]
+            ctx[spec.rpid_slot] = rpid_allocator.allocate()
+            if old != 0:
+                undo.append((depth_slot, old))
+                ctx[depth_slot] = 0
+            for slot, _kind in spec.accumulator_inits:
+                if ctx[slot] is not None:
+                    undo.append((slot, ctx[slot]))
+                    ctx[slot] = None
         else:
-            old = ctx[spec.depth_slot]
-            undo.append((spec.depth_slot, old))
             depth = old + 1
-            ctx[spec.depth_slot] = depth
+            undo = ((depth_slot, old),)
+            ctx[depth_slot] = depth
 
         self.stats.record_control_match(spec.rpq_id, depth)
         self.tracker.observe_depth(spec.rpq_id, depth)
@@ -98,32 +111,26 @@ class RpqController:
         if depth < spec.min_hops:
             if self.obs is not None:
                 self._record_entry(depth, "below_min")
-            return ([ACTION_PATH] if can_deepen else []), ENTRY_COST
+            return (PATH_ONLY if can_deepen else NO_ACTIONS), ENTRY_COST, undo
 
         cost = ENTRY_COST
         if self.use_index:
-            outcome = self.index.check_and_update(
-                ctx[spec.rpid_slot], frame.vertex, depth
-            )
+            outcome = self.index.check_and_update(ctx[spec.rpid_slot], vertex, depth)
             if outcome is IndexOutcome.ELIMINATED:
                 self.stats.record_eliminated(spec.rpq_id, depth)
                 if self.obs is not None:
                     self._record_entry(depth, "eliminated")
-                return [], cost + self._hit_cost
+                return NO_ACTIONS, self._hit_cost, undo
             if outcome is IndexOutcome.DUPLICATED:
                 self.stats.record_duplicated(spec.rpq_id, depth)
                 if self.obs is not None:
                     self._record_entry(depth, "duplicated")
-                actions = [ACTION_PATH] if can_deepen else []
-                return actions, cost + self._hit_cost
-            cost += self._insert_cost
+                return (PATH_ONLY if can_deepen else NO_ACTIONS), self._hit_cost, undo
+            cost = self._insert_cost
 
-        actions = [ACTION_EXIT]
-        if can_deepen:
-            actions.append(ACTION_PATH)
         if self.obs is not None:
             self._record_entry(depth, "match")
-        return actions, cost
+        return (EXIT_THEN_PATH if can_deepen else EXIT_ONLY), cost, undo
 
     def _record_entry(self, depth, outcome):
         """Trace one control-stage decision (observability path only).

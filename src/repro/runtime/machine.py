@@ -54,7 +54,10 @@ class Machine:
         )
         self.current_round = 0
 
-        self._inbox = []  # heap of (priority, Batch)
+        # Heap of (priority, Batch).  The worker loop tests it for pending
+        # work directly (and pulls roots from ``bootstrap_roots``) rather
+        # than through a call per step.
+        self.inbox = []
         self._absorbed = 0  # batches absorbed into workers, not yet completed
         self._open = {}  # (dst, stage, depth) -> partially filled Batch
         self._blocked_flush_reported = set()
@@ -66,13 +69,19 @@ class Machine:
         # Reachability index shards and control-stage drivers.
         self.indexes = {}
         self.controllers = {}
-        local_count = sum(1 for _ in self.partition.local_vertices())
+        local_count = None
         for stage in plan.stages:
             if stage.rpq is not None:
+                if config.index_preallocate and local_count is None:
+                    local = self.partition.local_vertices()
+                    local_count = (
+                        len(local) if hasattr(local, "__len__")
+                        else sum(1 for _ in local)
+                    )
                 index = ReachabilityIndex(
                     machine_id,
                     stage.rpq.rpq_id,
-                    preallocate_size=local_count if config.index_preallocate else None,
+                    preallocate_size=local_count,
                     sanitizer=sanitizer,
                     obs=obs,
                     query_id=query_id,
@@ -108,7 +117,7 @@ class Machine:
         # static per-worker split would have pinned to it.
         from collections import deque
 
-        self._bootstrap_queue = deque(roots)
+        self.bootstrap_roots = deque(roots)
         # Each bootstrap root is a stage-0 work unit for termination counting.
         if roots:
             self.tracker.record_bootstrap(len(roots))
@@ -130,12 +139,12 @@ class Machine:
             "tracker": self.tracker.checkpoint_state(),
             "protocol": self.protocol.checkpoint_state(),
             "flow": self.flow.checkpoint_state(),
-            "inbox": [(priority, batch.clone()) for priority, batch in self._inbox],
+            "inbox": [(priority, batch.clone()) for priority, batch in self.inbox],
             "absorbed": self._absorbed,
             "open": {key: batch.clone() for key, batch in self._open.items()},
             "blocked_reported": set(self._blocked_flush_reported),
             "blocked_since": dict(self._blocked_since),
-            "bootstrap": tuple(self._bootstrap_queue),
+            "bootstrap": tuple(self.bootstrap_roots),
             "workers": [worker.checkpoint_state() for worker in self.workers],
             "indexes": {
                 rpq_id: index.checkpoint_state()
@@ -158,17 +167,17 @@ class Machine:
         self.tracker.restore_state(state["tracker"])
         self.protocol.restore_state(state["protocol"])
         self.flow.restore_state(state["flow"])
-        self._inbox = [
+        self.inbox = [
             (priority, batch.clone()) for priority, batch in state["inbox"]
         ]
-        heapq.heapify(self._inbox)
+        heapq.heapify(self.inbox)
         self._absorbed = state["absorbed"]
         self._open = {key: batch.clone() for key, batch in state["open"].items()}
         self._blocked_flush_reported = set(state["blocked_reported"])
         self._blocked_since = dict(state["blocked_since"])
         from collections import deque
 
-        self._bootstrap_queue = deque(state["bootstrap"])
+        self.bootstrap_roots = deque(state["bootstrap"])
         for worker, wstate in zip(self.workers, state["workers"]):
             worker.restore_state(wstate, partition=partition)
         for rpq_id, index in self.indexes.items():
@@ -177,14 +186,8 @@ class Machine:
         self.output_sink.restore_state(state["sink"])
         self.current_round = round_no
 
-    def pop_bootstrap_root(self):
-        """Next unexplored bootstrap root, or ``None`` when exhausted."""
-        if self._bootstrap_queue:
-            return self._bootstrap_queue.popleft()
-        return None
-
     def bootstrap_pending(self):
-        return bool(self._bootstrap_queue)
+        return bool(self.bootstrap_roots)
 
     # ------------------------------------------------------------------
     # Message delivery (called by the scheduler each round)
@@ -202,16 +205,13 @@ class Machine:
                 )
             if isinstance(message, Batch):
                 priority = (0, 0, message.seq) if fifo else message.priority
-                heapq.heappush(self._inbox, (priority, message))
+                heapq.heappush(self.inbox, (priority, message))
             elif isinstance(message, DoneMessage):
                 self.flow.release(message.credit_key)
             elif isinstance(message, StatusMessage):
                 self.protocol.on_status(message)
             else:
                 raise AssertionError(f"unknown message {message!r}")
-
-    def has_inbox(self):
-        return bool(self._inbox)
 
     def pop_batch(self):
         """Dequeue the highest-priority batch and release its buffer.
@@ -225,7 +225,7 @@ class Machine:
         sends — at the cost of not fully bounding RPQ context memory, which
         the paper concedes for RPQs (Section 3.3).
         """
-        batch = heapq.heappop(self._inbox)[1]
+        batch = heapq.heappop(self.inbox)[1]
         self.network.send(
             DoneMessage(
                 src_machine=self.id,
@@ -268,9 +268,10 @@ class Machine:
         no credit to send it — the caller must not advance and should do
         other work (the paper's blocking behaviour).
         """
+        config = self.config
         key = (dst, stage_idx, depth)
         batch = self._open.get(key)
-        if batch is not None and len(batch) >= self.config.batch_size:
+        if batch is not None and len(batch.contexts) >= config.batch_size:
             if not self._flush(key):
                 if key not in self._blocked_flush_reported:
                     self.stats.flow_control_blocks += 1
@@ -291,14 +292,11 @@ class Machine:
             # Counted at creation so partially-filled buffers are visible to
             # the termination protocol.
             self.tracker.record_sent(stage_idx, depth)
-        batch.add(vertex, ctx)
-        if (
-            ctx is not None
-            and depth > self.config.context_prealloc_depth
-            and stage_idx in self._path_stage_set
-        ):
+        contexts = batch.contexts
+        contexts.append((vertex, list(ctx)))  # Batch.add, without the calls
+        if depth > config.context_prealloc_depth and stage_idx in self._path_stage_set:
             self.stats.dynamic_context_allocs += 1
-        if len(batch) >= self.config.batch_size:
+        if len(contexts) >= config.batch_size:
             self._flush(key)  # best effort; retried on next emit or idle
         return True
 
@@ -480,7 +478,7 @@ class Machine:
     # Ground truth (used by the scheduler's safety checks and tests)
     # ------------------------------------------------------------------
     def is_quiescent(self):
-        if self._inbox:
+        if self.inbox:
             return False
         if any(len(b) > 0 for b in self._open.values()):
             return False

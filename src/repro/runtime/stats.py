@@ -74,13 +74,22 @@ class MachineStats:
 
     # -- helpers ---------------------------------------------------------
     def record_control_match(self, rpq_id, depth):
-        self.control_matches.setdefault(rpq_id, Counter())[depth] += 1
+        counter = self.control_matches.get(rpq_id)
+        if counter is None:
+            counter = self.control_matches[rpq_id] = Counter()
+        counter[depth] += 1
 
     def record_eliminated(self, rpq_id, depth):
-        self.eliminated.setdefault(rpq_id, Counter())[depth] += 1
+        counter = self.eliminated.get(rpq_id)
+        if counter is None:
+            counter = self.eliminated[rpq_id] = Counter()
+        counter[depth] += 1
 
     def record_duplicated(self, rpq_id, depth):
-        self.duplicated.setdefault(rpq_id, Counter())[depth] += 1
+        counter = self.duplicated.get(rpq_id)
+        if counter is None:
+            counter = self.duplicated[rpq_id] = Counter()
+        counter[depth] += 1
 
 
 class RunStats:

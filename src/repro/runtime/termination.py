@@ -57,8 +57,8 @@ class TerminationTracker:
     def record_sent(self, stage, depth):
         self.sent[(stage, depth)] += 1
 
-    def record_processed(self, stage, depth):
-        self.processed[(stage, depth)] += 1
+    def record_processed(self, stage, depth, count=1):
+        self.processed[(stage, depth)] += count
 
     def record_bootstrap(self, count):
         """Account ``count`` bootstrap roots as stage-0 work units.

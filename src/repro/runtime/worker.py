@@ -9,20 +9,27 @@ serialize the context into an outgoing batch.  When a hop's send is blocked
 by flow control, the worker starts processing received batches instead
 (paper: messages are picked up "(iii) when flow control prevents message
 sending"), nesting a new job on top of the blocked one.
+
+The traversal is one loop (:meth:`Worker._run_budget`) driven by the plan's
+step table (:mod:`repro.runtime.steptable`).  One iteration is one *step*:
+it charges one cost to the worker's budget, and the budget is checked
+between steps — so which step a quantum ends on, and with it virtual time,
+rounds and every message count, follows from the step costs alone.
 """
 
+from bisect import bisect_left, bisect_right
+
 from ..graph.types import NO_EDGE
-from ..plan.stages import HopKind, StageKind
-from ..rpq.control import ACTION_EXIT, ACTION_PATH
+from ..rpq.control import ACTION_EXIT
 from ..rpq.rpid import RpidAllocator
+from .steptable import (
+    CONTROL_ACTIONS, INSPECT, NBR_MANY, NBR_ONE, OUTPUT, TRANSITION, step_table,
+)
 
 #: Cost charged for bookkeeping steps (frame pops, action dispatch).
 STEP_COST = 0.1
 #: Maximum nesting of jobs while blocked on flow control.
 MAX_NESTED_JOBS = 12
-
-_MATCH = 0
-_ITER = 1
 
 
 class EvalState:
@@ -37,49 +44,43 @@ class EvalState:
 
 
 class Frame:
-    """One DFT stack frame: a stage applied to a vertex."""
+    """One DFT stack frame: a stage applied to a vertex.
 
-    __slots__ = (
-        "stage_idx",
-        "vertex",
-        "phase",
-        "undo",
-        "actions",
-        "action_pos",
-        "runs",
-        "run_idx",
-        "pos",
-        "entry_mode",
-    )
+    ``pos < 0`` is a frame whose stage has not been matched yet (``aux``
+    says whether a control stage is entered by a new source path); the loop
+    keeps such a frame in locals and only stores it when a quantum ends
+    between the hop that produced it and its match.  A matched frame
+    iterates ``pos`` up to ``end``: adjacency slots of ``csr`` for a
+    neighbor hop (``aux``: the runs still to come, last one next), the
+    control stage's action tuple (``aux``), or the single action of any
+    other hop.  ``undo`` holds the ``(slot, old value)`` pairs to write back
+    when the frame is popped, or ``None`` — most stages overwrite no slot.
+    """
 
-    def __init__(self, stage_idx, vertex, entry_mode=None):
+    __slots__ = ("stage_idx", "vertex", "pos", "end", "csr", "aux", "undo")
+
+    def __init__(self, stage_idx, vertex, pos=-1, end=0, csr=None, aux=None,
+                 undo=None):
         self.stage_idx = stage_idx
         self.vertex = vertex
-        self.phase = _MATCH
-        self.undo = []
-        self.actions = None
-        self.action_pos = 0
-        self.runs = None
-        self.run_idx = 0
-        self.pos = 0
-        self.entry_mode = entry_mode
+        self.pos = pos
+        self.end = end
+        self.csr = csr
+        self.aux = aux
+        self.undo = undo
 
     def clone(self):
         """Copy for checkpointing (:mod:`repro.recovery`).
 
-        ``runs`` holds ``(csr, lo, hi)`` tuples referencing the shared
-        immutable CSR arrays — the tuples are copied, the CSRs are not.
+        The CSR, the action tuple and the undo pairs are immutable once the
+        frame exists and stay shared; only the list of pending runs is
+        consumed in place and therefore copied.
         """
-        new = Frame(self.stage_idx, self.vertex, self.entry_mode)
-        new.phase = self.phase
-        new.undo = list(self.undo)
-        actions = self.actions
-        new.actions = list(actions) if isinstance(actions, list) else actions
-        new.action_pos = self.action_pos
-        new.runs = list(self.runs) if self.runs is not None else None
-        new.run_idx = self.run_idx
-        new.pos = self.pos
-        return new
+        aux = self.aux
+        return Frame(
+            self.stage_idx, self.vertex, self.pos, self.end, self.csr,
+            list(aux) if isinstance(aux, list) else aux, self.undo,
+        )
 
 
 class Job:
@@ -113,6 +114,15 @@ class Job:
         return new
 
 
+def _labels_ok(groups, label, extra):
+    """Label test for a vertex that carries extra labels: every OR-group
+    must hold its primary label or one of the extra ones."""
+    for group in groups:
+        if label not in group and group.isdisjoint(extra):
+            return False
+    return True
+
+
 class Worker:
     """One simulated worker thread."""
 
@@ -121,8 +131,6 @@ class Worker:
         self.id = worker_id
         self.plan = machine.plan
         self.config = machine.config
-        self.cost = machine.config.cost
-        self.partition = machine.partition
         self.state = EvalState(machine.partition)
         self.jobs = []
         self.rpid_alloc = RpidAllocator(machine.id, worker_id)
@@ -130,6 +138,21 @@ class Worker:
         self.obs = machine.obs
         self.prof = machine.prof
         self._track = worker_id + 1  # obs thread id (0 is the control track)
+        self._steps = step_table(machine.plan)
+        # Step charges that are sums: the same operands in the same order
+        # as the steps add them, so budgets flip on the same step.
+        cost = machine.config.cost
+        self._costs = (
+            cost.bootstrap, cost.receive_context, cost.context_serialize,
+            cost.output, cost.edge_traverse,
+            cost.edge_traverse + cost.filter_eval, STEP_COST + cost.filter_eval,
+        )
+        self._bind_partition(machine.partition)
+
+    def _bind_partition(self, partition):
+        self.partition = partition
+        self.state.partition = partition
+        self._reads = partition.raw_reads()
 
     # ------------------------------------------------------------------
     # Scheduling entry point
@@ -142,27 +165,6 @@ class Worker:
         prof.enter("worker.dft")
         consumed = self._run_budget(budget)
         prof.exit()
-        return consumed
-
-    def _run_budget(self, budget):
-        consumed = 0.0
-        obs = self.obs
-        if obs is None:
-            while consumed < budget:
-                cost = self._step()
-                if cost <= 0.0:
-                    break
-                consumed += cost
-            return consumed
-        # Observed variant: advance the machine's virtual clock per step so
-        # span timestamps are exact within the round.
-        machine_id = self.machine.id
-        while consumed < budget:
-            cost = self._step()
-            if cost <= 0.0:
-                break
-            consumed += cost
-            obs.advance(machine_id, cost)
         return consumed
 
     # ------------------------------------------------------------------
@@ -181,8 +183,7 @@ class Worker:
         self.blocked = blocked
         self.rpid_alloc.restore_state(rpid_state)
         if partition is not None:
-            self.partition = partition
-            self.state.partition = partition
+            self._bind_partition(partition)
 
     @property
     def idle(self):
@@ -192,55 +193,10 @@ class Worker:
             and not self.blocked
         )
 
-    # ------------------------------------------------------------------
-    # One scheduling step
-    # ------------------------------------------------------------------
-    def _step(self):
-        self.blocked = False
-        if self.jobs:
-            job = self.jobs[-1]
-            if job.stack:
-                cost = self._advance(job)
-                if self.blocked:
-                    # Flow control stopped a send: pick up received work
-                    # instead of spinning (paper Section 3.2, case iii).
-                    if len(self.jobs) < MAX_NESTED_JOBS and self.machine.has_inbox():
-                        self._start_batch_job()
-                        return cost + self.cost.receive_context
-                    self.machine.stats.blocked_rounds += 1
-                    return 0.0
-                return cost
-            return self._continue_job(job)
-        # No active job: received messages first, then bootstrap new work.
-        if self.machine.has_inbox():
-            self._start_batch_job()
-            return self.cost.receive_context
-        return self._bootstrap_step()
-
-    def _continue_job(self, job):
-        if job.kind == "batch":
-            batch = job.batch
-            if job.next_context < len(batch.contexts):
-                vertex, ctx = batch.contexts[job.next_context]
-                job.next_context += 1
-                job.ctx = ctx
-                job.stack.append(Frame(batch.target_stage, vertex))
-                return self.cost.receive_context
-            self.machine.complete_batch(batch)
-            self.jobs.pop()
-            if self.obs is not None:
-                self.obs.end_span(self.machine.id, self._track)
-            return STEP_COST
-        # Root job finished its subtree.
-        self.machine.tracker.record_processed(0, 0)
-        self.jobs.pop()
-        if self.obs is not None:
-            self.obs.end_span(self.machine.id, self._track)
-        return STEP_COST
-
     def _start_batch_job(self):
         batch = self.machine.pop_batch()
-        self.jobs.append(Job("batch", batch=batch))
+        job = Job("batch", batch=batch)
+        self.jobs.append(job)
         if self.obs is not None:
             # The flow finish draws Perfetto's causal arrow from the
             # sender's batch.send to this receive span.
@@ -250,252 +206,298 @@ class Worker:
                       "depth": batch.depth, "contexts": len(batch)},
                 flow_in=batch.flow_id,
             )
-
-    def _bootstrap_step(self):
-        stats = self.machine.stats
-        stage0 = self.plan.stages[0]
-        vertex = self.machine.pop_bootstrap_root()
-        if vertex is None:
-            return 0.0
-        stats.bootstrapped += 1
-        if stage0.label_ids and not self._labels_ok(stage0, vertex):
-            # Fast label pre-check: no frame needed for non-matching
-            # vertices, but the unit must still be accounted.
-            self.machine.tracker.record_processed(0, 0)
-            return self.cost.bootstrap
-        job = Job("root", ctx=[None] * self.plan.num_slots)
-        job.stack.append(Frame(0, vertex))
-        self.jobs.append(job)
-        if self.obs is not None:
-            self.obs.begin_span(
-                self.machine.id, self._track, "dft.root", args={"vertex": vertex}
-            )
-        return self.cost.bootstrap
+        return job
 
     # ------------------------------------------------------------------
-    # Frame execution
+    # The traversal loop
     # ------------------------------------------------------------------
-    def _advance(self, job):
-        frame = job.stack[-1]
-        stage = self.plan.stages[frame.stage_idx]
-        if frame.phase == _MATCH:
-            ok, cost = self._match(job, stage, frame)
-            if not ok:
-                self._pop(job)
-                return cost + STEP_COST
-            self.machine.stats.stage_matches[stage.index] += 1
-            self._init_iter(stage, frame)
-            frame.phase = _ITER
-            return cost
-        if stage.hop is not None and stage.hop.kind is HopKind.NEIGHBOR:
-            return self._advance_neighbor(job, frame, stage.hop)
-        return self._advance_actions(job, frame, stage)
+    def _run_budget(self, budget):
+        consumed = 0.0
+        if not consumed < budget:
+            return consumed
+        self.blocked = False
+        machine = self.machine
+        machine_id = machine.id
+        obs = self.obs
+        # Locality is established where a vertex enters the loop (see
+        # GraphPartition.raw_reads); the sanitizer re-checks it there.
+        guard = self.partition.check_local if machine.sanitizer is not None else None
+        steps = self._steps
+        state = self.state
+        jobs = self.jobs
+        stats = machine.stats
+        matches = [0] * len(steps)
+        inbox = machine.inbox
+        roots = machine.bootstrap_roots
+        try_emit = machine.try_emit
+        owner_of, primary, extra_of, csrs, vprop, eprop, graph = self._reads
+        (c_bootstrap, c_receive, c_serialize, c_output, c_edge, c_edge_filter,
+         c_match_filter) = self._costs
+        c_step = STEP_COST
+        edges = filter_evals = bootstrapped = roots_done = 0
+        job = stack = ctx = None
+        # The (stage, vertex) the last hop led to, matched by the next step.
+        p_stage = -1
+        p_vertex = 0
+        p_init = False
 
-    def _labels_ok(self, stage, vertex):
-        partition = self.partition
-        for group in stage.label_ids:
-            if not any(partition.vertex_has_label(vertex, lid) for lid in group if lid >= 0):
-                return False
-        return True
+        while consumed < budget:
+            if job is None and jobs:
+                job = jobs[-1]
+                stack = job.stack
+                ctx = state.ctx = job.ctx
+                if stack and stack[-1].pos < 0:
+                    frame = stack.pop()
+                    p_stage, p_vertex, p_init = frame.stage_idx, frame.vertex, frame.aux
+                    if guard is not None:
+                        guard(p_vertex)
 
-    def _match(self, job, stage, frame):
-        if stage.kind is StageKind.NOOP:
-            return True, STEP_COST
-        if stage.kind is StageKind.RPQ_CONTROL:
-            controller = self.machine.controllers[stage.index]
-            frame.actions, cost = controller.on_entry(
-                frame, job.ctx, frame.entry_mode, self.rpid_alloc
-            )
-            return True, cost
-        # VERTEX / PATH
-        cost = STEP_COST
-        if stage.label_ids and not self._labels_ok(stage, frame.vertex):
-            return False, cost
-        ctx = job.ctx
-        partition = self.partition
-        vertex = frame.vertex
-        for cap in stage.captures:
-            if cap.kind == "vid":
-                ctx[cap.slot] = vertex
-            elif cap.kind == "prop":
-                ctx[cap.slot] = partition.vertex_property(vertex, cap.prop)
-            else:  # label
-                ctx[cap.slot] = partition.vertex_label_name(vertex)
-        if stage.filter is not None:
-            cost += self.cost.filter_eval
-            self.machine.stats.filter_evals += 1
-            state = self.state
-            state.ctx = ctx
-            state.edge = -1
-            if not stage.filter(state):
-                return False, cost
-        for slot, kind, value_fn in stage.acc_updates:
-            state = self.state
-            state.ctx = ctx
-            state.edge = -1
-            value = value_fn(state)
-            if value is None:
-                return False, cost
-            old = ctx[slot]
-            frame.undo.append((slot, old))
-            if old is None:
-                ctx[slot] = value
-            elif kind == "max":
-                ctx[slot] = old if old >= value else value
-            else:
-                ctx[slot] = old if old <= value else value
-        return True, cost
+            if p_stage >= 0:
+                # -- Match the stage on the vertex the last hop led to.
+                st = steps[p_stage]
+                undo = None
+                if st.op == CONTROL_ACTIONS:
+                    actions, cost, undo = machine.controllers[p_stage].on_entry(
+                        p_vertex, ctx, p_init, self.rpid_alloc
+                    )
+                    end = len(actions)
+                    ok = True
+                else:
+                    actions = None
+                    end = 1
+                    cost = c_step
+                    ok = True
+                    labels = st.label_set
+                    if labels is not None and primary[p_vertex] not in labels:
+                        extra = extra_of(p_vertex)
+                        ok = extra is not None and _labels_ok(
+                            st.label_groups, primary[p_vertex], extra
+                        )
+                    if ok:
+                        for slot in st.cap_vid:
+                            ctx[slot] = p_vertex
+                        for slot, prop in st.cap_prop:
+                            ctx[slot] = vprop(prop, p_vertex)
+                        for slot in st.cap_label:
+                            ctx[slot] = graph.vertex_label_name(p_vertex)
+                        if st.filter is not None:
+                            cost = c_match_filter
+                            filter_evals += 1
+                            ok = st.filter(state)
+                        if ok and st.acc_updates:
+                            undo = []
+                            for slot, acc_kind, value_fn in st.acc_updates:
+                                value = value_fn(state)
+                                if value is None:
+                                    ok = False
+                                    for slot, old in reversed(undo):
+                                        ctx[slot] = old
+                                    break
+                                old = ctx[slot]
+                                undo.append((slot, old))
+                                if old is None:
+                                    ctx[slot] = value
+                                elif acc_kind == "max":
+                                    ctx[slot] = old if old >= value else value
+                                else:
+                                    ctx[slot] = old if old <= value else value
+                if not ok:
+                    cost = cost + c_step  # the failed match and its pop
+                else:
+                    matches[p_stage] += 1
+                    op = st.op
+                    if op == NBR_ONE:
+                        ((direction, label),) = st.runs
+                        csr = csrs[direction]
+                        lo = csr.indptr[p_vertex]
+                        hi = csr.indptr[p_vertex + 1]
+                        if label is not None and lo < hi:
+                            lo = bisect_left(csr.elab, label, lo, hi)
+                            hi = bisect_right(csr.elab, label, lo, hi)
+                        stack.append(Frame(p_stage, p_vertex, lo, hi, csr, None, undo))
+                    elif op == NBR_MANY:
+                        runs = []
+                        for direction, label in st.runs:
+                            lo, hi = csrs[direction].segment(p_vertex, label)
+                            if lo < hi:
+                                runs.append((csrs[direction], lo, hi))
+                        runs.reverse()
+                        csr, lo, hi = runs.pop() if runs else (None, 0, 0)
+                        stack.append(Frame(p_stage, p_vertex, lo, hi, csr, runs, undo))
+                    else:
+                        stack.append(Frame(p_stage, p_vertex, 0, end, None, actions, undo))
+                p_stage = -1
 
-    def _init_iter(self, stage, frame):
-        hop = stage.hop
-        if stage.kind is StageKind.RPQ_CONTROL:
-            return  # actions set by the controller during match
-        kind = hop.kind
-        if kind is HopKind.NEIGHBOR:
-            runs = []
-            labels = hop.edge_label_ids or (None,)
-            for label_id in labels:
-                if label_id is not None and label_id < 0:
-                    continue  # label absent from the graph: matches nothing
-                for csr, lo, hi in self.partition.neighbor_runs(
-                    frame.vertex, hop.direction, label_id
+            elif stack:
+                # -- Iterate the hop of the stage on top of the stack.
+                frame = stack[-1]
+                st = steps[frame.stage_idx]
+                op = st.op
+                pos = frame.pos
+                end = frame.end
+                if pos >= end and op == NBR_MANY and frame.aux:
+                    frame.csr, pos, end = frame.aux.pop()
+                    frame.pos, frame.end = pos, end
+                if pos >= end:
+                    stack.pop()
+                    if frame.undo is not None:
+                        for slot, old in reversed(frame.undo):
+                            ctx[slot] = old
+                    cost = c_step
+                elif op <= INSPECT:
+                    # A hop to another vertex: an adjacency slot, or the
+                    # already-matched vertex an inspection returns to.
+                    if op == INSPECT:
+                        cost = c_step
+                        dest = ctx[st.anchor_slot]
+                    else:
+                        csr = frame.csr
+                        dest = csr.nbr[pos]
+                        edges += 1
+                        cost = c_edge
+                        if st.edge_filter is not None:
+                            cost = c_edge_filter
+                            state.edge = csr.eid[pos]
+                            if not st.edge_filter(state):
+                                dest = None
+                            state.edge = -1
+                        if dest is not None:
+                            for slot, prop in st.edge_captures:
+                                ctx[slot] = eprop(prop, csr.eid[pos])
+                    if dest is None:
+                        frame.pos = pos + 1
+                    else:
+                        owner = owner_of(dest)
+                        if owner == machine_id:
+                            frame.pos = pos + 1
+                            p_stage, p_vertex, p_init = st.target, dest, False
+                        else:
+                            slot = st.target_depth_slot
+                            depth = 0 if slot < 0 or ctx[slot] is None else ctx[slot]
+                            if try_emit(owner, st.target, depth, dest, ctx):
+                                frame.pos = pos + 1
+                                cost = cost + c_serialize
+                            elif len(jobs) < MAX_NESTED_JOBS and inbox:
+                                # Flow control stopped the send: pick up
+                                # received work instead of spinning (paper
+                                # Section 3.2, case iii); the hop is retried
+                                # when the nested job is done.
+                                job = self._start_batch_job()
+                                stack = job.stack
+                                ctx = state.ctx = None
+                                cost = cost + c_receive
+                            else:
+                                stats.blocked_rounds += 1
+                                self.blocked = True
+                                break
+                elif op == CONTROL_ACTIONS:
+                    frame.pos = pos + 1
+                    p_stage = st.exit_stage if frame.aux[pos] is ACTION_EXIT else st.path_entry
+                    p_vertex, p_init = frame.vertex, False
+                    cost = c_step
+                elif op == TRANSITION:
+                    frame.pos = 1
+                    p_stage, p_vertex, p_init = st.target, frame.vertex, st.init
+                    cost = c_step
+                elif op == OUTPUT:
+                    frame.pos = 1
+                    machine.emit_output(ctx)
+                    cost = c_output
+                else:  # EDGE: verify an edge to an already-matched vertex
+                    frame.pos = 1
+                    cost = c_edge
+                    anchor = ctx[st.anchor_slot]
+                    eid = NO_EDGE
+                    if anchor is not None:
+                        for label in st.edge_labels:
+                            eid = graph.find_edge(frame.vertex, anchor, st.direction, label)
+                            if eid != NO_EDGE:
+                                break
+                    if eid != NO_EDGE:
+                        ok = True
+                        if st.edge_filter is not None:
+                            cost = c_edge_filter
+                            state.edge = eid
+                            ok = st.edge_filter(state)
+                            state.edge = -1
+                        if ok:
+                            for slot, prop in st.edge_captures:
+                                ctx[slot] = eprop(prop, eid)
+                            p_stage, p_vertex, p_init = st.target, frame.vertex, False
+
+            elif job is not None:
+                # -- The job's subtree is explored: next context, or done.
+                batch = job.batch
+                if batch is not None and job.next_context < len(batch.contexts):
+                    p_vertex, ctx = batch.contexts[job.next_context]
+                    if guard is not None:
+                        guard(p_vertex)
+                    job.next_context += 1
+                    job.ctx = state.ctx = ctx
+                    p_stage, p_init = batch.target_stage, False
+                    cost = c_receive
+                else:
+                    if batch is not None:
+                        machine.complete_batch(batch)
+                    else:
+                        roots_done += 1
+                    jobs.pop()
+                    job = None
+                    if obs is not None:
+                        obs.end_span(machine_id, self._track)
+                    cost = c_step
+
+            elif inbox:
+                # -- No active job: received messages first ...
+                job = self._start_batch_job()
+                stack = job.stack
+                cost = c_receive
+
+            elif roots:
+                # -- ... then bootstrap new work from the shared root queue.
+                p_vertex = roots.popleft()
+                bootstrapped += 1
+                cost = c_bootstrap
+                st = steps[0]
+                labels = st.label_set
+                if labels is not None and primary[p_vertex] not in labels and not (
+                    (extra := extra_of(p_vertex)) is not None
+                    and _labels_ok(st.label_groups, primary[p_vertex], extra)
                 ):
-                    runs.append((csr, lo, hi))
-            frame.runs = runs
-            frame.run_idx = 0
-            frame.pos = runs[0][1] if runs else 0
-        elif kind is HopKind.EDGE:
-            frame.actions = ("edge",)
-        elif kind is HopKind.TRANSITION:
-            frame.actions = ("transition",)
-        elif kind is HopKind.INSPECT:
-            frame.actions = ("inspect",)
-        elif kind is HopKind.OUTPUT:
-            frame.actions = ("output",)
-        else:
-            raise AssertionError(f"unknown hop kind {kind}")
+                    # Fast label pre-check: no frame needed for non-matching
+                    # vertices, but the unit must still be accounted.
+                    roots_done += 1
+                else:
+                    job = Job("root", ctx=[None] * self.plan.num_slots)
+                    jobs.append(job)
+                    stack = job.stack
+                    ctx = state.ctx = job.ctx
+                    p_stage, p_init = 0, False
+                    if obs is not None:
+                        obs.begin_span(
+                            machine_id, self._track, "dft.root",
+                            args={"vertex": p_vertex},
+                        )
+            else:
+                break
 
-    def _depth_tag(self, target_stage, ctx):
-        slot = target_stage.depth_slot
-        return ctx[slot] if slot >= 0 and ctx[slot] is not None else 0
+            if cost <= 0.0:
+                break
+            consumed += cost
+            if obs is not None:
+                # Advance the machine's virtual clock per step so span
+                # timestamps are exact within the round.
+                obs.advance(machine_id, cost)
 
-    def _advance_neighbor(self, job, frame, hop):
-        runs = frame.runs
-        while frame.run_idx < len(runs):
-            csr, _lo, hi = runs[frame.run_idx]
-            if frame.pos >= hi:
-                frame.run_idx += 1
-                if frame.run_idx < len(runs):
-                    frame.pos = runs[frame.run_idx][1]
-                continue
-            i = frame.pos
-            nbr = csr.nbr[i]
-            eid = csr.eid[i]
-            cost = self.cost.edge_traverse
-            self.machine.stats.edges_traversed += 1
-            ctx = job.ctx
-            if hop.edge_filter is not None:
-                cost += self.cost.filter_eval
-                state = self.state
-                state.ctx = ctx
-                state.edge = eid
-                if not hop.edge_filter(state):
-                    frame.pos = i + 1
-                    return cost
-            for ec in hop.edge_captures:
-                ctx[ec.slot] = self.partition.edge_property(eid, ec.prop)
-            target = self.plan.stages[hop.target]
-            owner = self.partition.owner(nbr)
-            if owner == self.machine.id:
-                frame.pos = i + 1
-                job.stack.append(Frame(hop.target, nbr))
-                return cost
-            depth = self._depth_tag(target, ctx)
-            if self.machine.try_emit(owner, hop.target, depth, nbr, ctx):
-                frame.pos = i + 1
-                return cost + self.cost.context_serialize
-            self.blocked = True
-            return cost
-        self._pop(job)
-        return STEP_COST
-
-    def _advance_actions(self, job, frame, stage):
-        actions = frame.actions
-        if actions is None or frame.action_pos >= len(actions):
-            self._pop(job)
-            return STEP_COST
-        action = actions[frame.action_pos]
-        frame.action_pos += 1
-        hop = stage.hop
-        ctx = job.ctx
-
-        if action == "edge":
-            anchor = ctx[hop.anchor_slot]
-            cost = self.cost.edge_traverse
-            if anchor is None:
-                return cost
-            eid = NO_EDGE
-            for label_id in hop.edge_label_ids or (None,):
-                if label_id is not None and label_id < 0:
-                    continue
-                eid = self.partition.find_edge(
-                    frame.vertex, anchor, hop.direction, label_id
-                )
-                if eid != NO_EDGE:
-                    break
-            if eid == NO_EDGE:
-                return cost
-            if hop.edge_filter is not None:
-                cost += self.cost.filter_eval
-                state = self.state
-                state.ctx = ctx
-                state.edge = eid
-                if not hop.edge_filter(state):
-                    return cost
-            for ec in hop.edge_captures:
-                ctx[ec.slot] = self.partition.edge_property(eid, ec.prop)
-            job.stack.append(Frame(hop.target, frame.vertex))
-            return cost
-
-        if action == "transition":
-            job.stack.append(Frame(hop.target, frame.vertex, entry_mode=hop.control_entry))
-            return STEP_COST
-
-        if action == "inspect":
-            anchor = ctx[hop.anchor_slot]
-            if anchor is None:
-                return STEP_COST
-            owner = self.partition.owner(anchor)
-            if owner == self.machine.id:
-                job.stack.append(Frame(hop.target, anchor))
-                return STEP_COST
-            target = self.plan.stages[hop.target]
-            depth = self._depth_tag(target, ctx)
-            if self.machine.try_emit(owner, hop.target, depth, anchor, ctx):
-                return STEP_COST + self.cost.context_serialize
-            frame.action_pos -= 1  # retry the same action when unblocked
-            self.blocked = True
-            return STEP_COST
-
-        if action == "output":
-            self.machine.emit_output(ctx)
-            return self.cost.output
-
-        if action == ACTION_EXIT:
-            spec = stage.rpq
-            job.stack.append(Frame(spec.exit_stage, frame.vertex))
-            return STEP_COST
-
-        if action == ACTION_PATH:
-            spec = stage.rpq
-            job.stack.append(Frame(spec.path_entry, frame.vertex))
-            return STEP_COST
-
-        raise AssertionError(f"unknown action {action!r}")
-
-    def _pop(self, job):
-        frame = job.stack.pop()
-        if frame.undo:
-            ctx = job.ctx
-            for slot, old in reversed(frame.undo):
-                ctx[slot] = old
+        if p_stage >= 0:
+            stack.append(Frame(p_stage, p_vertex, aux=p_init))
+        # Counters kept in locals while the loop ran.
+        stats.edges_traversed += edges
+        stats.filter_evals += filter_evals
+        stats.bootstrapped += bootstrapped
+        for stage_idx, count in enumerate(matches):
+            if count:
+                stats.stage_matches[stage_idx] += count
+        if roots_done:
+            machine.tracker.record_processed(0, 0, roots_done)
+        return consumed

@@ -1,0 +1,193 @@
+"""Cases, fingerprint and generator for the DFT cost-model golden oracle.
+
+``python tests/dft_golden_cases.py`` rewrites ``tests/dft_golden.json``
+from whatever code is checked out.  The committed file was generated at
+the commit *before* the plan-specialised DFT loop replaced the interpretive
+``Worker._step`` ladder; ``tests/test_dft_equivalence.py`` asserts the
+current loop reproduces it exactly (floats included), i.e. that every step
+boundary and every per-step cost charge is where the old interpreter put
+it.  Regenerate only for a deliberate cost-model or traversal-order change.
+"""
+
+import hashlib
+import json
+import os
+import random
+
+import repro
+from repro import EngineConfig, GraphBuilder
+from repro.datagen import BENCHMARK_QUERIES, mini_ldbc
+from repro.faults import FaultPlan, MachineCrash
+from repro.graph.generators import random_graph
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "dft_golden.json")
+
+#: Config variants every query runs under (solo ``Session.execute``).
+VARIANTS = {
+    "base": {},
+    "workers3": {"workers_per_machine": 3},
+    # Two contexts per batch and a handful of buffers: sends block, blocked
+    # workers nest received batches on top of the blocked job.
+    "tight": {"batch_size": 2, "buffers_per_machine": 12, "workers_per_machine": 2},
+    "noindex": {"use_reachability_index": False},
+    "prealloc": {"index_preallocate": True},
+    "observe": {"observe": True},
+    "seed5": {"schedule_seed": 5, "workers_per_machine": 3},
+}
+
+_MACHINE_COUNTERS = (
+    "cost_units", "edges_traversed", "filter_evals", "bootstrapped", "outputs",
+    "batches_sent", "contexts_sent", "bytes_sent", "done_messages",
+    "status_messages", "flow_control_blocks", "overflow_grants",
+    "peak_inflight_buffers", "peak_absorbed_batches", "blocked_rounds",
+    "busy_rounds", "idle_rounds", "dynamic_context_allocs",
+    "index_inserts", "index_updates", "index_entries",
+)
+
+
+def small_graph():
+    """40 vertices exercising every hop/stage kind the loop specialises."""
+    rng = random.Random(3)
+    b = GraphBuilder()
+    for i in range(40):
+        label = ("P", "Q", "R")[i % 3]
+        extra = ("Tagged",) if i % 4 == 0 else ()
+        b.add_vertex(label, extra_labels=extra, idx=i, age=rng.randrange(10, 60))
+    for _ in range(110):
+        s, d = rng.randrange(40), rng.randrange(40)
+        b.add_edge(s, d, ("X", "Y", "Z")[rng.randrange(3)], w=rng.randrange(10))
+    return b.build()
+
+
+SMALL_QUERIES = {
+    "edge_match": "SELECT COUNT(*) FROM MATCH (a)-[:X]->(b)-[:Y]->(c)-[]->(a)",
+    "inspect": "SELECT COUNT(*) FROM MATCH (a)-[:X]->(b)-[:Y]->(c), MATCH (b)-[:Z]->(d:P)",
+    "cross_acc": (
+        "PATH p AS (pa)-[:X|Y]->(pb) "
+        "SELECT COUNT(*) FROM MATCH (p1:P)-/:p{1,3}/->(p2) WHERE pb.age <= p2.age"
+    ),
+    "cross_inline": (
+        "PATH p AS (pa)-[:X|Z]->(pb) "
+        "SELECT p1.idx, COUNT(*) FROM MATCH (p1)-/:p+/->(p2) "
+        "WHERE p1.age <= pa.age GROUP BY p1.idx"
+    ),
+    "edge_filter_macro": (
+        "PATH heavy AS (x)-[t]->(y:P|Q) WHERE t.w >= 4 "
+        "SELECT COUNT(*) FROM MATCH (a:Tagged)-/:heavy+/->(c)"
+    ),
+    "edge_capture": (
+        "SELECT a.idx, e.w, b.idx FROM MATCH (a:Q)-[e:X|Z]->(b) WHERE e.w > 2"
+    ),
+    "both_any": "SELECT a.idx, COUNT(*) FROM MATCH (a:R)-[]-(b)-[:Y]-(c) GROUP BY a.idx",
+    "multi_absent": (
+        "SELECT COUNT(*) FROM MATCH (a:P|Ghost)-[:X|NOPE]->(b)-[:NOPE]->(c)"
+    ),
+    "label_of": "SELECT label(b), COUNT(*) FROM MATCH (a:Tagged)-[:X|Y|Z]->(b) GROUP BY label(b)",
+    "star0": "SELECT COUNT(*) FROM MATCH (a:Q)-/:X*/->(b)",
+    "range23": "SELECT a.idx, b.idx FROM MATCH (a)-/:Y{2,3}/->(b:R)",
+    "both_rpq": "SELECT COUNT(*) FROM MATCH (a)-/:Z{1,2}/-(b) WHERE id(a) = 7",
+    "two_rpqs": "SELECT COUNT(*) FROM MATCH (a:P)-/:X+/->(b)-/:Y{0,2}/->(c)",
+}
+
+
+#: ``+``/``*`` over the (cyclic) small graph: need the index to terminate.
+SMALL_UNBOUNDED = {"cross_inline", "edge_filter_macro", "star0", "two_rpqs"}
+
+
+def ldbc_queries(info):
+    queries = {name: build(info) for name, build in BENCHMARK_QUERIES.items()}
+    lo = info.start_person
+    for hops, sources in ((4, 8), (5, 4)):
+        queries[f"K1{hops}x{sources}"] = (
+            "SELECT COUNT(*) FROM MATCH "
+            f"(a:Person)-/:KNOWS{{1,{hops}}}/->(b:Person) "
+            f"WHERE id(a) >= {lo} AND id(a) < {lo + sources}"
+        )
+    return queries
+
+
+def fingerprint(result):
+    """Everything the cost model and the traversal order decide."""
+    stats = result.stats
+    rows = sorted(repr(row) for row in result.rows)
+    if len(rows) > 12:
+        digest = hashlib.sha1("\n".join(rows).encode()).hexdigest()
+        rows = [f"{len(rows)} rows sha1 {digest}"]
+    rpq_ids = sorted(
+        set(stats.control_matches) | set(stats.eliminated) | set(stats.duplicated)
+    )
+    return {
+        "virtual_time": stats.virtual_time,
+        "rounds": stats.rounds,
+        # One list per counter (a value per machine); all-zero ones left out.
+        "machines": {
+            name: values
+            for name in _MACHINE_COUNTERS
+            if any(values := [getattr(m, name) for m in stats.per_machine])
+        },
+        "stage_matches": [sorted(m.stage_matches.items()) for m in stats.per_machine],
+        "depth_tables": {str(r): stats.depth_table(r) for r in rpq_ids},
+        "rows": rows,
+    }
+
+
+def _solo(graph, queries, out, prefix):
+    for variant, overrides in VARIANTS.items():
+        config = EngineConfig(num_machines=4, **overrides)
+        with repro.connect(graph, config) as session:
+            for name, text in queries.items():
+                if variant == "noindex" and name in SMALL_UNBOUNDED:
+                    continue  # no index, no cycle guard: would never end
+                out[f"{prefix}/{variant}/{name}"] = fingerprint(session.execute(text))
+
+
+def _concurrent(graph, queries, out, prefix):
+    with repro.connect(graph, num_machines=4, max_concurrent_queries=4) as session:
+        handles = [(name, session.submit(text)) for name, text in queries.items()]
+        for name, handle in handles:
+            out[f"{prefix}/conc4/{name}"] = fingerprint(handle.result())
+        session.drain()
+        out[f"{prefix}/conc4/cluster_rounds"] = session.cluster_rounds
+
+
+def _recovered(out):
+    """One permanent crash mid-DFT.
+
+    A single-vertex start makes stage 0 terminate globally within a few
+    rounds, so the epoch checkpoint of round 8 is cut while every worker
+    holds half-explored jobs; the crash in round 14 rolls back to it and
+    the run continues from cloned frames and jobs.
+    """
+    graph = random_graph(60, 180, seed=11, edge_label="E")
+    config = EngineConfig(
+        num_machines=4, buffers_per_machine=2048, workers_per_machine=2,
+        quantum=10, sanitize=True, recovery=True,
+        faults=FaultPlan(seed=7, crashes=(MachineCrash(machine=2, round=14),)),
+    )
+    with repro.connect(graph, config) as session:
+        result = session.execute(
+            "SELECT b, c FROM MATCH (a)-[:E]->(b)-/:E{1,4}/->(c) WHERE id(a) = 3"
+        )
+    assert result.complete and result.stats.summary()["recovery"]["recoveries"] == 1
+    out["recovery/crash_m2_r14"] = fingerprint(result)
+
+
+def compute():
+    out = {}
+    graph, info = mini_ldbc("s")
+    for prefix, g, queries in (
+        ("ldbc_s", graph, ldbc_queries(info)),
+        ("small", small_graph(), SMALL_QUERIES),
+    ):
+        _solo(g, queries, out, prefix)
+        _concurrent(g, queries, out, prefix)
+    _recovered(out)
+    # Through JSON so tuples and int dict keys compare as the file stores them.
+    return json.loads(json.dumps(out))
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w") as fh:
+        json.dump(compute(), fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+    print(f"wrote {GOLDEN}")

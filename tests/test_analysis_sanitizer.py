@@ -307,7 +307,7 @@ class TestEndToEnd:
         """A deliberately broken credit release trips credit conservation."""
 
         def broken_pop_batch(self):
-            batch = heapq.heappop(self._inbox)[1]  # absorb without DONE
+            batch = heapq.heappop(self.inbox)[1]  # absorb without DONE
             self._absorbed += 1
             return batch
 

@@ -76,12 +76,6 @@ class TestReachabilityIndex:
         assert idx.modelled_bytes == 120  # 12 bytes/entry, paper Section 4.4
 
 
-class _Frame:
-    def __init__(self, vertex):
-        self.vertex = vertex
-        self.undo = []
-
-
 def make_controller(min_hops, max_hops, use_index=True):
     spec = RpqSpec(
         rpq_id=0,
@@ -105,66 +99,65 @@ class TestController:
     def test_init_entry_sets_depth_rpid_and_resets_accumulators(self):
         controller, stats, tracker, _ = make_controller(1, None)
         ctx = [99, None, 42]
-        frame = _Frame(vertex=7)
-        actions, _cost = controller.on_entry(frame, ctx, "init", RpidAllocator(0, 0))
+        actions, _cost, undo = controller.on_entry(7, ctx, True, RpidAllocator(0, 0))
         assert ctx[0] == 0  # depth
         assert ctx[1] is not None  # rpid allocated
         assert ctx[2] is None  # accumulator reset
-        assert actions == [ACTION_PATH]  # depth 0 < min 1: path only
+        assert actions == (ACTION_PATH,)  # depth 0 < min 1: path only
         assert stats.control_matches[0][0] == 1
         assert tracker.max_depths[0] == 0
         # Undo restores the pre-entry view.
-        for slot, old in reversed(frame.undo):
+        for slot, old in reversed(undo):
             ctx[slot] = old
         assert ctx == [99, None, 42]
 
     def test_advance_increments_depth(self):
         controller, stats, _, _ = make_controller(1, None)
         ctx = [0, 1234, None]
-        actions, _cost = controller.on_entry(_Frame(5), ctx, "advance", RpidAllocator(0, 0))
+        actions, _cost, _undo = controller.on_entry(5, ctx, False, RpidAllocator(0, 0))
         assert ctx[0] == 1
-        assert actions == [ACTION_EXIT, ACTION_PATH]
+        assert actions == (ACTION_EXIT, ACTION_PATH)
 
     def test_max_hop_stops_deepening(self):
         controller, _, _, _ = make_controller(1, 2)
         ctx = [1, 77, None]
-        actions, _cost = controller.on_entry(_Frame(5), ctx, "advance", RpidAllocator(0, 0))
+        actions, _cost, _undo = controller.on_entry(5, ctx, False, RpidAllocator(0, 0))
         assert ctx[0] == 2
-        assert actions == [ACTION_EXIT]  # at max: no path continuation
+        assert actions == (ACTION_EXIT,)  # at max: no path continuation
 
     def test_eliminated_backtracks(self):
         controller, stats, _, index = make_controller(1, None)
         index.check_and_update(77, 5, 1)
         ctx = [0, 77, None]
-        actions, _cost = controller.on_entry(_Frame(5), ctx, "advance", RpidAllocator(0, 0))
-        assert actions == []
+        actions, _cost, _undo = controller.on_entry(5, ctx, False, RpidAllocator(0, 0))
+        assert actions == ()
         assert stats.eliminated[0][1] == 1
 
     def test_duplicated_continues_without_emitting(self):
         controller, stats, _, index = make_controller(1, 5)
         index.check_and_update(77, 5, 4)
         ctx = [0, 77, None]
-        actions, _cost = controller.on_entry(_Frame(5), ctx, "advance", RpidAllocator(0, 0))
-        assert actions == [ACTION_PATH]
+        actions, _cost, _undo = controller.on_entry(5, ctx, False, RpidAllocator(0, 0))
+        assert actions == (ACTION_PATH,)
         assert stats.duplicated[0][1] == 1
 
     def test_zero_hop_inserts_self_entry(self):
         # Paper Figure 3: {0,0} inserts a {v, v} entry per source vertex.
         controller, _, _, index = make_controller(0, 0)
         ctx = [None, None, None]
-        actions, _cost = controller.on_entry(_Frame(9), ctx, "init", RpidAllocator(0, 0))
-        assert actions == [ACTION_EXIT]
+        actions, _cost, _undo = controller.on_entry(9, ctx, True, RpidAllocator(0, 0))
+        assert actions == (ACTION_EXIT,)
         assert index.entries == 1
 
     def test_no_index_mode_always_exits(self):
         controller, stats, _, index = make_controller(1, None, use_index=False)
         ctx = [0, 77, None]
-        actions, _cost = controller.on_entry(_Frame(5), ctx, "advance", RpidAllocator(0, 0))
-        assert actions == [ACTION_EXIT, ACTION_PATH]
+        actions, _cost, _undo = controller.on_entry(5, ctx, False, RpidAllocator(0, 0))
+        assert actions == (ACTION_EXIT, ACTION_PATH)
         assert index.entries == 0
 
     def test_below_min_never_touches_index(self):
         controller, _, _, index = make_controller(3, None)
         ctx = [0, 77, None]
-        controller.on_entry(_Frame(5), ctx, "advance", RpidAllocator(0, 0))
+        controller.on_entry(5, ctx, False, RpidAllocator(0, 0))
         assert index.entries == 0

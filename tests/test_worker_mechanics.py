@@ -1,11 +1,13 @@
-"""White-box tests for worker/machine mechanics: frames, undo logs,
-bootstrap sharing, nested blocked jobs, and batch accounting."""
+"""Tests for worker/machine mechanics: frames, undo on backtracking, the
+locality guard, bootstrap sharing, nested blocked jobs, batch accounting."""
 
 import pytest
 
 from repro import EngineConfig, GraphBuilder, RPQdEngine
-from repro.engine.result import MachineSink
-from repro.graph.generators import chain_graph, star_graph
+from repro.engine.result import MachineSink, assemble_results
+from repro.errors import GraphError
+from repro.graph.generators import chain_graph, random_graph, star_graph
+from repro.graph.types import Direction
 from repro.runtime.scheduler import QueryExecution
 from repro.runtime.worker import Frame, Job, MAX_NESTED_JOBS, Worker
 
@@ -22,35 +24,114 @@ def make_execution(graph, query, config):
 
 
 class TestFrame:
-    def test_initial_state(self):
+    def test_new_frame_awaits_its_match(self):
         f = Frame(3, 17)
-        assert f.stage_idx == 3
-        assert f.vertex == 17
-        assert f.phase == 0
-        assert f.undo == []
-        assert f.entry_mode is None
+        assert (f.stage_idx, f.vertex) == (3, 17)
+        assert f.pos < 0  # not matched yet
+        assert f.undo is None  # nothing to restore until a stage writes
 
-    def test_entry_mode(self):
-        f = Frame(1, 0, entry_mode="advance")
-        assert f.entry_mode == "advance"
+    def test_clone_does_not_share_pending_runs(self):
+        runs = [("in-csr", 4, 6)]
+        f = Frame(1, 0, pos=2, end=3, csr="out-csr", aux=runs)
+        c = f.clone()
+        assert (c.stage_idx, c.vertex, c.pos, c.end, c.csr) == (1, 0, 2, 3, "out-csr")
+        f.aux.pop()  # the live frame moves on to its next run
+        assert c.aux == [("in-csr", 4, 6)]
+
+    def test_stack_survives_checkpoint_mid_traversal(self):
+        """Stop after every step, swap the job stack for its clone, go on:
+        the result must not notice (recovery restores exactly such clones,
+        including a frame whose match is still pending)."""
+        g = random_graph(12, 30, seed=4, edge_label="E")
+        query = "SELECT a, c FROM MATCH (a)-[:E]->(b)-/:E{1,2}/-(c)"
+        config = EngineConfig(num_machines=1)
+        expected = RPQdEngine(g, config).execute(query).rows
+        ex, sinks, plan = make_execution(g, query, config)
+        worker = ex.machines[0].workers[0]
+        while not worker.idle:
+            worker.run(0.05)  # one step per call
+            worker.restore_state(worker.checkpoint_state())
+        rows = assemble_results(plan, sinks).rows
+        assert sorted(rows) == sorted(expected)
 
 
 class TestUndoLog:
-    def test_pop_restores_slots_in_reverse_order(self):
+    QUERY = (
+        "PATH p AS (pa)-[:NEXT]->(pb) "
+        "SELECT COUNT(*) FROM MATCH (p1)-/:p{1,3}/->(p2) WHERE pb.idx <= p2.idx"
+    )
+
+    def test_backtracking_restores_control_and_accumulator_slots(self):
+        """Control frames write depth and rpid, the path stage folds the
+        deferred cross filter into an accumulator; once the DFT has
+        backtracked out of a root, all of them read as before it."""
+        g = chain_graph(6)
+        config = EngineConfig(num_machines=1)
+        ex, _sinks, plan = make_execution(g, self.QUERY, config)
+        spec = plan.rpq_specs()[0]
+        restored = [spec.depth_slot, spec.rpid_slot]
+        restored += [slot for slot, _kind in spec.accumulator_inits]
+        assert len(restored) == 3
+        worker = ex.machines[0].workers[0]
+        seen_depths = set()
+        ctx = None
+        while not worker.idle:
+            worker.run(0.05)  # one step per call
+            if worker.jobs:
+                ctx = worker.jobs[0].ctx
+                seen_depths.add(ctx[spec.depth_slot])
+            elif ctx is not None:
+                # The root's subtree is fully explored and popped.
+                assert [ctx[slot] for slot in restored] == [None, None, None]
+                ctx = None
+        assert {0, 1, 2, 3} <= seen_depths
+
+    def test_pop_restores_in_reverse_order(self):
+        """Two saved values of one slot: the oldest must win."""
         g = chain_graph(3)
         config = EngineConfig(num_machines=1)
-        ex, _sinks, plan = make_execution(
+        ex, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b)", config
         )
-        worker = ex.machines[0].workers[0]
-        job = Job("root", ctx=[0, 0, 0])
-        frame = Frame(0, 0)
-        frame.undo.append((0, "first"))
-        frame.undo.append((0, "second"))  # later write of the same slot
-        job.stack.append(frame)
-        worker._pop(job)
-        # Reverse replay: the oldest saved value wins.
+        machine = ex.machines[0]
+        worker = machine.workers[0]
+        machine.bootstrap_roots.clear()
+        job = Job("root", ctx=["current", 0])
+        # A frame whose hop is exhausted: the next step pops it.
+        job.stack.append(
+            Frame(0, 0, pos=0, end=0, undo=[(0, "first"), (0, "second")])
+        )
+        worker.jobs.append(job)
+        worker.run(0.05)
+        assert not job.stack
         assert job.ctx[0] == "first"
+
+
+class TestLocalityGuard:
+    QUERY = "SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b)"
+
+    def forge(self, sanitize):
+        g = chain_graph(8)
+        config = EngineConfig(num_machines=2, sanitize=sanitize)
+        ex, _sinks, plan = make_execution(g, self.QUERY, config)
+        machine = ex.machines[0]
+        remote = next(v for v in range(8) if not machine.partition.is_local(v))
+        job = Job("root", ctx=[None] * plan.num_slots)
+        job.stack.append(Frame(0, remote))
+        machine.workers[0].jobs.append(job)
+        return machine, remote
+
+    def test_forged_remote_frame_fails_loudly_under_sanitizer(self):
+        machine, remote = self.forge(sanitize=True)
+        with pytest.raises(GraphError, match=f"remote vertex {remote}"):
+            machine.workers[0].run(10.0)
+
+    def test_public_readers_still_refuse_remote_vertices(self):
+        machine, remote = self.forge(sanitize=False)
+        with pytest.raises(GraphError):
+            machine.partition.vertex_has_label(remote, 0)
+        with pytest.raises(GraphError):
+            list(machine.partition.neighbor_runs(remote, Direction.OUT))
 
 
 class TestBootstrapSharing:
