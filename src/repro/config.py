@@ -204,12 +204,10 @@ class EngineConfig:
             default from ``net_delay_rounds`` (no spurious retransmits on
             a healthy link).
         status_interval: rounds between STATUS broadcasts (termination
-            protocol heartbeat; previously the hard-coded scheduler
-            constant ``STATUS_INTERVAL``).
+            protocol heartbeat).
         stall_limit: rounds of zero progress tolerated before the
-            scheduler diagnoses a stall (previously hard-coded
-            ``STALL_LIMIT``).  Fault runs with long machine outages
-            legitimately need more headroom.
+            scheduler diagnoses a stall.  Fault runs with long machine
+            outages legitimately need more headroom.
         recovery: enable crash recovery (:mod:`repro.recovery`): epoch
             checkpoints of all recoverable query state ride the
             termination protocol, and a *permanent* machine crash triggers

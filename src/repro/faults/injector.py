@@ -145,9 +145,9 @@ class FaultInjector:
                 "src": message.src_machine,
                 "dst": message.dst_machine,
                 "kind": message_kind(message),
-                # Which query's traffic the fault hit (0 = the solo path):
-                # in the multi-query runtime the injector is shared, so
-                # the timeline needs the namespace to attribute chaos.
+                # Which query's traffic the fault hit: the injector is
+                # shared by every query on the cluster, so the timeline
+                # needs the namespace to attribute chaos.
                 "query": getattr(message, "query_id", 0),
             }
             if extra is not None:

@@ -14,9 +14,8 @@ partial-results downgrade, and crash-recovery failover.
   partition-minority view can never evict the majority (no split-brain
   double execution).
 
-* :class:`ProgressWatchdog` / :func:`resolve_stall` — the one shared
-  progress-tracking path for the solo scheduler's stall diagnosis and
-  the concurrent scheduler's per-query watchdogs: unconfirmed suspicions
+* :class:`ProgressWatchdog` / :func:`resolve_stall` — the scheduler's
+  per-query progress clock and stall classification: unconfirmed suspicions
   buy time, confirmed-down hosts resolve to failover or partial results,
   quorum-blocked suspicions resolve to an honest "partition suspected"
   error after a bounded wait.

@@ -1,12 +1,10 @@
-"""Shared progress tracking and stall resolution for the schedulers.
+"""Per-query progress tracking and stall resolution for the scheduler.
 
-Both the solo :class:`~repro.runtime.scheduler.QueryExecution` loop and
-the concurrent :class:`~repro.runtime.multi.ClusterScheduler`'s per-query
-tasks need the same judgement call: *no work happened for a while — is
-that a failure, and whose?*  Before the membership subsystem each had its
-own copy of the branch (and each peeked at the fault injector's ground
-truth).  This module is the single shared path, and it only consults
-**detected** state:
+Every query task of the :class:`~repro.runtime.multi.ClusterScheduler`
+(one task for a solo ``execute``, several under ``submit``) needs the
+same judgement call: *no work happened for a while — is that a failure,
+and whose?*  This module makes it, and it only consults **detected**
+state, never the fault injector's ground truth:
 
 * Progress (cost units consumed) resets the clock.
 * An *unconfirmed* suspicion resets the clock too: the detector is still
@@ -25,7 +23,7 @@ from ..errors import ExecutionError
 
 
 class ProgressWatchdog:
-    """Progress clock for one execution (or one query of many)."""
+    """Progress clock for one query task."""
 
     def __init__(self, stall_limit, start_round=0):
         self.stall_limit = stall_limit

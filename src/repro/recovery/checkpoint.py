@@ -26,8 +26,7 @@ class ClusterCheckpoint:
     ``query_id`` namespaces checkpoints in the multi-query runtime: every
     admitted query cuts its own epochs at its own termination-protocol
     boundaries, so snapshots from co-resident queries can never be
-    confused even if they land in a shared durable store.  Solo runs use
-    query 0.
+    confused even if they land in a shared durable store.
     """
 
     __slots__ = (

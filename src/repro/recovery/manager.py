@@ -64,19 +64,15 @@ class HostMap:
     Failover is a property of the *cluster*, not of any one query: when a
     physical host dies permanently, every logical machine it ran moves to
     a survivor, and every query — present and future — must agree on the
-    new placement.  The solo path owns a private ``HostMap`` inside its
-    :class:`RecoveryManager`; the multi-query :class:`~repro.runtime.
-    multi.ClusterScheduler` owns one shared instance that all per-query
-    recovery managers (and the per-query network channels, via the
-    aliased ``hosts`` list) consult.
+    new placement.  The :class:`~repro.runtime.multi.ClusterScheduler`
+    owns one shared instance that all per-query recovery managers (and
+    the per-query network channels, via the aliased ``hosts`` list)
+    consult.
     """
 
     def __init__(self, num_machines):
         self.hosts = list(range(num_machines))  # logical -> physical
         self.failed_over = set()  # physical hosts permanently lost
-
-    def host_of(self, logical):
-        return self.hosts[logical]
 
     def hosted_on(self, physical):
         """Logical machines currently running on physical host ``physical``."""
@@ -126,17 +122,17 @@ class HostMap:
 class RecoveryManager:
     """Checkpoint/failover/replay coordinator for one query execution.
 
-    In the multi-query runtime each admitted query gets its *own*
-    manager — its own checkpoint store, recovery epoch, and rollback —
-    while the host mapping is shared across queries via ``host_map``
+    Each admitted query gets its *own* manager — its own checkpoint
+    store, recovery epoch, and rollback — while the host mapping is the
+    scheduler's, shared across queries via ``host_map``
     (failover moves a machine for everyone; rollback only rewinds the
     queries that lost state).  ``query_id`` tags recovery events on the
     observability timeline.
     """
 
     def __init__(
-        self, machines, network, dgraph, injector, sanitizer=None, obs=None,
-        prof=None, host_map=None, query_id=0, membership=None,
+        self, machines, network, dgraph, injector, host_map, sanitizer=None,
+        obs=None, prof=None, query_id=0, membership=None,
     ):
         self.machines = machines
         self.network = network
@@ -148,7 +144,7 @@ class RecoveryManager:
         self.prof = prof
         self.query_id = query_id
         self.epoch = 0
-        self.host_map = host_map if host_map is not None else HostMap(len(machines))
+        self.host_map = host_map
         self.store = CheckpointStore()
         self.checkpoints_taken = 0
         self.recoveries = 0
@@ -161,7 +157,7 @@ class RecoveryManager:
         network.rehosted.update(self.host_map.rehosted_logicals())
 
     # ------------------------------------------------------------------
-    # Host mapping (delegated to the — possibly shared — HostMap)
+    # Host mapping (the scheduler's shared HostMap)
     # ------------------------------------------------------------------
     @property
     def hosts(self):
@@ -170,18 +166,6 @@ class RecoveryManager:
     @property
     def failed_over(self):
         return self.host_map.failed_over
-
-    def host_of(self, logical):
-        return self.host_map.host_of(logical)
-
-    def hosted_on(self, physical):
-        """Logical machines currently running on physical host ``physical``."""
-        return self.host_map.hosted_on(physical)
-
-    def budget_scale(self, logical):
-        """Compute-budget share for ``logical``: a host running ``k``
-        logical machines gives each ``1/k`` of its per-round quantum."""
-        return 1.0 / len(self.hosted_on(self.hosts[logical]))
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -248,24 +232,6 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # Failover + rollback + replay
     # ------------------------------------------------------------------
-    def recover(self, dead_physicals, round_no):
-        """Handle the permanent loss of ``dead_physicals`` (solo path).
-
-        Re-hosts their logical machines onto the least-loaded survivors,
-        bumps the recovery epoch (fencing all in-flight traffic), rolls
-        every machine back to the latest checkpoint, and arms the ARQ
-        replay.  Returns the restored checkpoint, or ``None`` when every
-        dead host was already failed over.
-
-        The multi-query scheduler does *not* call this: it runs the
-        shared :meth:`HostMap.fail_over` once per crash and then
-        :meth:`rollback` on each query that actually lost state.
-        """
-        dead, orphaned = self.host_map.fail_over(dead_physicals)
-        if dead is None:
-            return None
-        return self.rollback(orphaned, round_no, dead=dead)
-
     @profiled("ckpt.restore")
     def rollback(self, orphaned, round_no, dead=()):
         """Roll *this query* back to its latest checkpoint and arm replay.

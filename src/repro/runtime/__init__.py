@@ -6,7 +6,6 @@ from .machine import Machine
 from .message import Batch, DoneMessage, StatusMessage
 from .multi import ClusterScheduler, QueryTask
 from .network import ClusterNetwork, SimulatedNetwork
-from .scheduler import QueryExecution, STATUS_INTERVAL
 from .stats import MachineStats, RunStats
 from .termination import TerminationEvaluator, TerminationProtocol, TerminationTracker
 from .worker import EvalState, Frame, Job, Worker
@@ -22,11 +21,9 @@ __all__ = [
     "Job",
     "Machine",
     "MachineStats",
-    "QueryExecution",
     "QueryTask",
     "RunStats",
     "SHARED",
-    "STATUS_INTERVAL",
     "SimulatedNetwork",
     "StatusMessage",
     "TerminationEvaluator",

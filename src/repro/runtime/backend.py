@@ -3,12 +3,11 @@
 :class:`~repro.session.Session` no longer constructs the discrete-time
 scheduler directly; it dispatches through an :class:`ExecutionBackend`:
 
-* :class:`SimBackend` — the existing deterministic discrete-time
-  simulator (:class:`~repro.runtime.scheduler.QueryExecution` solo,
-  :class:`~repro.runtime.multi.ClusterScheduler` concurrent), semantics
-  unchanged.  It remains the verification oracle: virtual rounds,
-  faults, recovery, membership, tracing, and the race detector all live
-  here.
+* :class:`SimBackend` — the deterministic discrete-time simulator: one
+  :class:`~repro.runtime.multi.ClusterScheduler` round loop, private to
+  the call for ``run`` and shared by the session for ``submit``.  It is
+  the verification oracle: virtual rounds, faults, recovery, membership,
+  tracing, and the race detector all live here.
 * :class:`ProcessBackend` — real parallelism.  Each partition's
   :class:`~repro.runtime.machine.Machine` loop runs in a forked OS
   process; ``Batch``/``Done``/``Status`` frames are pickled onto
@@ -60,7 +59,7 @@ from ..errors import ConfigError, ExecutionError
 from ..graph.shm import SharedGraphStore, csr_nbytes, install_shared_csrs
 from .machine import Machine
 from .message import _seq
-from .scheduler import QueryExecution
+from .multi import ClusterScheduler
 from .stats import RunStats
 
 #: Coordinator's stop sentinel on worker inboxes (a plain string cannot be
@@ -91,7 +90,8 @@ class ExecutionBackend:
         """Execute ``plan`` and fill ``sinks``.
 
         Returns ``(stats, partial, timed_out)`` where ``stats`` is a
-        :class:`~repro.runtime.stats.RunStats`.
+        :class:`~repro.runtime.stats.RunStats`; raises the query's own
+        error.  A caller-supplied ``prof`` is the profiler used.
         """
         raise NotImplementedError
 
@@ -113,16 +113,18 @@ class SimBackend(ExecutionBackend):
 
     def run(self, dgraph, plan, config, sinks, trace=None, recorder=None,
             prof=None):
-        execution = QueryExecution(
-            dgraph, plan, config, sink_factory=lambda m: sinks[m],
-            trace=trace, recorder=recorder, prof=prof,
+        # Exclusive ownership is a private one-task cluster: the same
+        # round loop ``submit`` shares, with nobody else admitted.
+        cluster = ClusterScheduler(dgraph, config, prof=prof, obs=recorder)
+        task = cluster.submit(
+            plan, lambda m: sinks[m], obs=recorder, trace=trace
         )
-        stats = execution.run()
-        return stats, execution.partial, execution.timed_out
+        cluster.run()
+        if task.error is not None:
+            raise task.error
+        return task.stats, task.partial, task.timed_out
 
     def open_cluster(self, dgraph, config):
-        from .multi import ClusterScheduler  # deferred: multi imports machine
-
         return ClusterScheduler(dgraph, config)
 
 

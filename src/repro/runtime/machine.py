@@ -33,12 +33,12 @@ class Machine:
         self.sanitizer = sanitizer
         self.obs = obs
         self.prof = prof
-        # Multi-query runtime (:mod:`repro.runtime.multi`): this object is
-        # one query's execution state on one simulated machine.  Solo runs
-        # use query 0; under the concurrent scheduler a machine hosts one
-        # such slice per active query, and every namespaced structure below
-        # (flow-control credits, termination counters, index shards) and
-        # every outgoing message carries this id.
+        # This object is one query's execution state on one simulated
+        # machine: under the scheduler (:mod:`repro.runtime.multi`) a
+        # machine hosts one such slice per active query, and every
+        # namespaced structure below (flow-control credits, termination
+        # counters, index shards) and every outgoing message carries this
+        # id.  The process backend's workers run one query and keep 0.
         self.query_id = query_id
         self.stats = MachineStats()
         self.tracker = TerminationTracker(
@@ -396,29 +396,16 @@ class Machine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_round(self, round_no, rng=None, budget_scale=1.0):
-        """Run one scheduler round; returns cost units consumed.
-
-        With ``rng`` set (race-detector mode, ``config.schedule_seed``) the
-        worker service order is permuted — the cooperative-scheduler
-        analogue of thread-interleaving perturbation.  ``budget_scale``
-        shrinks the quantum when a physical host runs more than one
-        logical machine after partition failover (:mod:`repro.recovery`).
-        """
-        consumed = self.run_slice(
-            round_no, self.config.quantum * budget_scale, rng=rng
-        )
-        self.account_round(consumed)
-        return consumed
-
     def run_slice(self, round_no, budget, rng=None):
         """Spend up to ``budget`` cost units of worker time this round.
 
-        The multi-query scheduler (:mod:`repro.runtime.multi`) calls this
-        directly — possibly several times per round per query slice when
-        redistributing quantum left idle by other queries — so busy/idle
-        round accounting is split out into :meth:`account_round`, charged
-        exactly once per round.
+        The scheduler (:mod:`repro.runtime.multi`) may call this several
+        times per round per query slice when redistributing quantum left
+        idle by other queries, so busy/idle round accounting is split out
+        into :meth:`account_round`, charged exactly once per round.  With
+        ``rng`` set (race-detector mode, ``config.schedule_seed``) the
+        worker service order is permuted — the cooperative-scheduler
+        analogue of thread-interleaving perturbation.
         """
         self.current_round = round_no
         workers = self.workers

@@ -37,9 +37,9 @@ class Batch:
     dst_machine: int
     target_stage: int
     depth: int  # 0 for non-RPQ stages
-    # Multi-query runtime (:mod:`repro.runtime.multi`): the id of the query
-    # this batch belongs to.  Message channels, flow-control credits, and
-    # termination counters are all namespaced by it; solo runs use 0.
+    # The id of the query this batch belongs to (:mod:`repro.runtime.
+    # multi`).  Message channels, flow-control credits, and termination
+    # counters are all namespaced by it; process-backend workers keep 0.
     query_id: int = 0
     credit_key: object = None  # flow-control bucket that backed this send
     contexts: list = field(default_factory=list)  # [(vertex, ctx_list)]

@@ -1,22 +1,36 @@
-"""The concurrent multi-query runtime.
+"""The cluster scheduler: one round loop for every simulated execution.
 
-:class:`ClusterScheduler` interleaves several queries on the *same*
-simulated machines under one global round clock.  Each admitted query gets
-one :class:`~repro.runtime.machine.Machine` slice per machine id, a private
+:class:`ClusterScheduler` interleaves queries on the *same* simulated
+machines under one global round clock.  Each admitted query gets one
+:class:`~repro.runtime.machine.Machine` slice per machine id, a private
 message channel on the shared :class:`~repro.runtime.network.
 ClusterNetwork`, its own sanitizer/recorder, and its own termination
 protocol — everything namespaced by ``query_id``, so flow-control credits,
 work counters, and reachability facts can never leak between queries.
+A query running alone (``Session.execute``) is this scheduler with one
+query admitted: :class:`~repro.runtime.backend.SimBackend` builds a
+private instance per call, so there is no second loop.
+
+Virtual time
+    In each round every machine receives its deliverable messages and
+    then spends up to ``config.quantum`` cost units of work across its
+    workers.  Messages sent in round ``r`` are deliverable in round
+    ``r + net_delay_rounds``.  The **virtual makespan** — rounds until a
+    query's work is done everywhere — is the latency metric the
+    benchmarks report: it preserves the paper's relative shapes without
+    depending on Python wall-clock behaviour.
 
 Fair quantum sharing
-    A machine still spends at most ``config.quantum`` cost units per global
-    round, but that budget is now split across the machine's active query
-    slices with a work-conserving multi-pass redistribution: every runnable
-    slice first gets an equal share, and budget left idle by queries with
-    little to do is re-offered to the ones still hungry.  Throughput beats
+    A machine spends at most ``config.quantum`` cost units per global
+    round, split across the machine's active query slices with a
+    work-conserving multi-pass redistribution: every runnable slice first
+    gets an equal share, and budget left idle by queries with little to
+    do is re-offered to the ones still hungry.  Throughput beats
     back-to-back sequential execution exactly when queries leave quantum
     idle (message-latency bubbles, narrow frontiers) that other queries can
-    soak up.
+    soak up.  The unit is the *logical* machine: a host that took over a
+    dead peer's partition gives each logical machine it now runs an equal
+    part of its quantum.
 
 Admission control
     At most ``config.max_concurrent_queries`` queries run at once; up to
@@ -39,9 +53,13 @@ Chaos, reliability, and recovery (docs/faults.md, docs/recovery.md)
     and only a confirmed verdict triggers the cluster-level partition
     failover (the shared :class:`~repro.recovery.HostMap`), which then
     rolls back **only the queries that lost state on that machine** —
-    co-resident queries without recovery degrade to partial results
-    exactly like the solo path, and queries admitted later simply
-    inherit the new placement.
+    co-resident queries without recovery degrade to partial results, and
+    queries admitted later simply inherit the new placement.  When a
+    query's :class:`~repro.membership.ProgressWatchdog` expires,
+    :func:`~repro.membership.resolve_stall` distinguishes a confirmed-down
+    peer (partial results), a suspected partition minority (quorum-lost
+    error), a flow-control deadlock, and a termination-protocol failure —
+    the last two would be bugs, and tests assert they never happen.
     The invariant (asserted in tests/test_concurrency_chaos.py): every
     admitted query's result set is bit-identical to its fault-free solo
     run.
@@ -52,13 +70,13 @@ Determinism
     always produces the same interleaving.  Result *sets* are additionally
     identical to solo execution of the same query: concurrency only
     perturbs the schedule, and the engine's result assembly is
-    schedule-invariant (the property the race detector checks).
-
-Not supported concurrently (use the solo path): the race-detector
-``schedule_seed``, which perturbs and fingerprints the *whole* cluster's
-service order and is only meaningful with exclusive cluster ownership.
+    schedule-invariant (the property the race detector checks).  The race
+    detector's ``schedule_seed`` is cluster-level like the fault plan: it
+    permutes the host service order and every slice's worker order each
+    round, and fingerprints the orders drawn.
 """
 
+import random
 import time
 
 from ..analysis.sanitizer import sanitizer_from_config
@@ -81,33 +99,46 @@ _SHARE_EPSILON = 1e-6
 _MAX_PASSES = 4
 
 
-def _check_concurrent_config(config, cluster=None):
-    """The concurrent supported-feature matrix.
+def _check_query_config(config, cluster):
+    """What a submitted query's config may say about the cluster.
 
-    Fault injection, reliable transport, and crash recovery are all
-    supported concurrently; the fault *plan* is cluster-level (one
-    interconnect, one set of machines — chaos cannot be private to a
-    query), so a submitted query may omit it or restate the cluster's own
-    plan, but not bring a different one.  The race-detector
-    ``schedule_seed`` remains solo-only.
+    The cluster shape (machine count, network delay), the fault *plan*
+    and the race-detector ``schedule_seed`` are cluster-level — one set
+    of machines, one interconnect, one service order — so a submitted
+    query may restate the cluster's own value (or leave the fault plan /
+    seed unset) but not bring a different one.
     """
-    if config.schedule_seed is not None:
+    if config.num_machines != cluster.num_machines:
         raise ConfigError(
-            "schedule_seed (race-detector mode) is not supported by the "
-            "concurrent scheduler: the detector permutes and fingerprints "
-            "the whole cluster's service order, which is only meaningful "
-            "when one query owns the cluster clock; perturb solo runs "
-            "via Session.execute instead"
+            f"query config requests {config.num_machines} machines but "
+            f"the cluster has {cluster.num_machines}"
         )
-    if cluster is not None and config.faults is not None:
-        if config.faults != cluster.faults:
-            raise ConfigError(
-                "per-query fault plans are not supported: faults live on "
-                "the shared interconnect and machines, so the plan is "
-                "cluster-level — pass it in the session/cluster base "
-                "config (a submitted query may restate that same plan "
-                "or leave faults unset)"
-            )
+    if config.net_delay_rounds != cluster.net_delay_rounds:
+        raise ConfigError(
+            "query config net_delay_rounds="
+            f"{config.net_delay_rounds} differs from the cluster's "
+            f"{cluster.net_delay_rounds} (the interconnect is shared)"
+        )
+    if config.faults is not None and config.faults != cluster.faults:
+        raise ConfigError(
+            "per-query fault plans are not supported: faults live on "
+            "the shared interconnect and machines, so the plan is "
+            "cluster-level — pass it in the session/cluster base "
+            "config (a submitted query may restate that same plan "
+            "or leave faults unset)"
+        )
+    if (
+        config.schedule_seed is not None
+        and config.schedule_seed != cluster.schedule_seed
+    ):
+        raise ConfigError(
+            f"per-query schedule_seed={config.schedule_seed} differs from "
+            f"the cluster's {cluster.schedule_seed!r}: the race detector "
+            "permutes the whole cluster's service order, so the seed is "
+            "cluster-level — pass it in the session/cluster base config "
+            "(a submitted query may restate that same seed or leave it "
+            "unset)"
+        )
 
 
 class QueryTask:
@@ -115,7 +146,7 @@ class QueryTask:
 
     def __init__(
         self, query_id, dgraph, plan, config, sink_factory, channel,
-        sanitizer=None, obs=None, prof=None,
+        sanitizer=None, obs=None, trace=None, prof=None,
     ):
         self.query_id = query_id
         self.plan = plan
@@ -123,10 +154,7 @@ class QueryTask:
         self.channel = channel
         self.sanitizer = sanitizer
         self.obs = obs
-        # Cluster-wide profiler shared by every task (the phases measure
-        # the shared round loop, not one query); each task's RunStats gets
-        # a cumulative snapshot at its finish time.
-        self.prof = prof
+        self.trace = trace
         self.sinks = [sink_factory(m) for m in range(config.num_machines)]
         self.slices = [
             Machine(
@@ -139,12 +167,10 @@ class QueryTask:
         # repro: allow[RPQ103] wall-clock reporting only (RunStats.wall_seconds); never feeds protocol state
         self.started = time.perf_counter()
         self.concluded = [False] * config.num_machines
-        # Shared progress-tracking path (same class the solo scheduler
-        # uses): reset at admission and after every rollback.
+        # Cost units each logical machine consumed in the current round.
+        self.consumed = [0.0] * config.num_machines
+        # Progress clock: reset at admission and after every rollback.
         self.watchdog = ProgressWatchdog(config.stall_limit)
-        # Cluster-level membership detector (set by the scheduler at
-        # submit time; None on a fault-free cluster).
-        self.membership = None
         self.quiescent_round = None  # local rounds (relative to admission)
         # Per-query crash recovery (set by the scheduler at submit time
         # when the query asked for it and the cluster can crash at all).
@@ -174,12 +200,27 @@ class QueryTask:
         return self.recovery.hosts[logical]
 
     def is_quiescent(self):
-        """No query work anywhere: slices idle, channel without batches."""
+        """No query work anywhere (ignoring STATUS heartbeats).
+
+        Under reliable transport, *undelivered* Batch/Done frames count as
+        work (a dropped frame awaiting retransmission is nowhere in the
+        queues); delivered-but-unacked frames do not — which keeps the
+        quiescent round, and hence the virtual makespan, identical to an
+        unreliable run when no faults actually fire.
+        """
         if self.channel.has_protocol_work():
             return False
         return all(s.is_quiescent() for s in self.slices)
 
-    def _diagnose_stall(self, round_no):
+    def instant(self, name, local, **args):
+        """Stamp a scheduler event on this query's recorder, if any."""
+        if self.obs is not None:
+            args["round"] = local
+            self.obs.cluster_instant(name, args=args, round_no=local)
+
+    def diagnose_stall(self, round_no):
+        """No detected failure explains the stall: name the bug."""
+        self.instant("scheduler.stall", self.local_round(round_no))
         if self.is_quiescent():
             raise ExecutionError(
                 f"termination protocol for query {self.query_id} failed to "
@@ -195,17 +236,21 @@ class QueryTask:
             "Increase buffers_per_machine / rpq_overflow_per_depth."
         )
 
-    def _settle_and_audit(self, round_no):
+    def settle_and_audit(self, round_no):
         """Sanitizer epilogue on the query's *private* channel.
 
-        The channel carries no other query's traffic and is closed right
-        after, so draining it ahead of the global clock is safe: deliver
-        the in-flight DONE credit returns, then audit credit conservation
-        and final counter equality exactly like the solo scheduler.  Under
-        reliable transport a dropped frame may be nowhere in the queues
-        yet (awaiting its retransmit timer): settling mode bypasses fault
-        verdicts and fast-retransmits so the audit drains
-        deterministically, then the transport itself is audited.
+        At the instant the termination protocol concludes, the last DONE
+        messages (credit returns) may still be in the network — that is
+        legal.  The channel carries no other query's traffic and is closed
+        right after, so draining it ahead of the global clock is safe:
+        deliver them, then check credit conservation (every machine's
+        in-flight total back to zero) and that global sent == processed on
+        every channel.  Under reliable transport a dropped frame may be
+        nowhere in the queues yet (awaiting its retransmit timer):
+        settling mode bypasses fault verdicts and fast-retransmits so the
+        audit drains deterministically, then the transport itself is
+        audited.  Downtime windows are ignored — the settle phase is the
+        audit epilogue, not measured time.
         """
         channel = self.channel
         settle_limit = round_no + 16 + 4 * self.config.net_delay_rounds
@@ -238,69 +283,33 @@ class QueryTask:
         if self.recovery is not None:
             self.recovery.release()
 
-    def finalize(self, round_no):
-        """Build this query's :class:`RunStats`; rounds are query-local."""
-        local = self.local_round(round_no)
-        if self.sanitizer is not None and not self.partial:
-            # The settle drain runs on a private clock continuing from the
-            # global round; only the extra rounds count toward the tail.
-            local += self._settle_and_audit(round_no) - round_no
-        for s in self.slices:
-            s.finalize_stats()
-        self.stats = RunStats(
-            [s.stats for s in self.slices],
-            local,
-            # repro: allow[RPQ103] wall-clock reporting only; never feeds protocol state
-            time.perf_counter() - self.started,
-            self.config,
-            quiescent_round=self.quiescent_round,
-            timed_out=self.timed_out,
-            partial=self.partial,
-            down_machines=self.down_machines,
-            transport=(
-                self.channel.transport_summary()
-                if self.channel.reliable
-                else None
-            ),
-            recovery=(
-                self.recovery.summary() if self.recovery is not None else None
-            ),
-            # Cumulative cluster-wide phase aggregates as of this query's
-            # finish (the shared round loop is not attributable per query).
-            profile=self.prof.summary() if self.prof is not None else None,
-            membership=(
-                self.membership.summary()
-                if self.membership is not None
-                else None
-            ),
-        )
-        self.finished = True
-        self.release_resources()
-        return self.stats
-
 
 class ClusterScheduler:
-    """Runs many queries concurrently on one simulated cluster.
+    """Runs queries on one simulated cluster, one global round at a time.
 
     The scheduler owns the cluster shape (machine count, quantum, network
-    delay) via ``base_config`` — including the fault plan, when there is
-    one; each submitted query brings its own
-    :class:`~repro.config.EngineConfig` whose cluster-shape fields must
-    match.  Call :meth:`submit` any number of times, then :meth:`run`
-    (or :meth:`step` round by round); finished tasks carry their
-    :class:`RunStats` and filled sinks.
+    delay) via ``base_config`` — including the fault plan and the
+    race-detector ``schedule_seed``, when there are any; each submitted
+    query brings its own :class:`~repro.config.EngineConfig` whose
+    cluster-level fields must match.  Call :meth:`submit` any number of
+    times, then :meth:`run` (or :meth:`step` round by round); finished
+    tasks carry their :class:`RunStats` and filled sinks.
+
+    ``prof`` overrides the profiler ``base_config.profile`` would create;
+    ``obs`` is the recorder the cluster-level injector and membership
+    detector stamp their events on (a solo run passes its query's own).
     """
 
-    def __init__(self, dgraph, base_config):
-        _check_concurrent_config(base_config)
+    def __init__(self, dgraph, base_config, prof=None, obs=None):
         self.dgraph = dgraph
         self.config = base_config
-        if base_config.profile:
+        # The profiler only reads the wall clock, so virtual-time results
+        # are bit-identical with or without it.
+        if prof is None and base_config.profile:
             from ..obs.prof import PhaseProfiler  # deferred: obs is optional
 
-            self.prof = PhaseProfiler()
-        else:
-            self.prof = None
+            prof = PhaseProfiler()
+        self.prof = prof
         if dgraph.num_machines != base_config.num_machines:
             raise ExecutionError(
                 f"graph partitioned for {dgraph.num_machines} machines but "
@@ -313,19 +322,23 @@ class ClusterScheduler:
             from ..faults import FaultInjector  # deferred: avoids import cycle
 
             self.injector = FaultInjector(
-                base_config.faults, base_config.num_machines
+                base_config.faults, base_config.num_machines, obs=obs
             )
         else:
             self.injector = None
         # One cluster-level failure detector (like the injector, failure
         # is a property of the machines, not of any one query): every
         # query's failover / partial / abandonment decisions ride the
-        # same quorum-confirmed verdicts.
+        # same quorum-confirmed verdicts.  Only meaningful under fault
+        # injection — on a perfect cluster nothing can fail, and skipping
+        # the detector keeps fault-free runs bit-identical to a build
+        # without the subsystem.
         if self.injector is not None and base_config.membership_enabled:
             from ..membership import MembershipService
 
             self.membership = MembershipService.from_config(
-                base_config, injector=self.injector
+                base_config, injector=self.injector, obs=obs,
+                sanitizer=sanitizer_from_config(base_config, obs=obs),
             )
         else:
             self.membership = None
@@ -336,6 +349,15 @@ class ClusterScheduler:
             retransmit_timeout_rounds=base_config.retransmit_timeout_rounds,
             membership=self.membership,
         )
+        # Race-detector mode: one RNG permutes the host service order and
+        # every slice's worker order; the fingerprint hashes the host
+        # orders drawn so far.
+        self._sched_rng = (
+            random.Random(base_config.schedule_seed)
+            if base_config.schedule_seed is not None
+            else None
+        )
+        self.schedule_fingerprint = None
         # Cluster-level failover state, created lazily with the first
         # recovery-enabled query: logical->physical placement is shared
         # (a machine moves for everyone consulting the map), rollback is
@@ -348,32 +370,24 @@ class ClusterScheduler:
         self.round_no = 0
         self.active = []  # admission order
         self.pending = []  # bounded FIFO of not-yet-admitted QueryTasks
-        self._next_query_id = 1  # 0 is the solo path's id
+        self._next_query_id = 1
         self.admitted = 0
         self.rejected = 0
 
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def submit(self, plan, sink_factory, config=None, obs=None):
+    def submit(self, plan, sink_factory, config=None, obs=None, trace=None):
         """Queue one query; returns its :class:`QueryTask`.
 
-        Raises :class:`AdmissionError` when the concurrency limit *and*
-        the pending queue are both full.
+        ``obs`` (a :class:`~repro.obs.Recorder`) and ``trace`` (an
+        :class:`~repro.runtime.trace.ExecutionTrace`) are driven on the
+        query's own clock — rounds since its admission.  Raises
+        :class:`AdmissionError` when the concurrency limit *and* the
+        pending queue are both full.
         """
         config = self.config if config is None else config
-        _check_concurrent_config(config, cluster=self.config)
-        if config.num_machines != self.config.num_machines:
-            raise ConfigError(
-                f"query config requests {config.num_machines} machines but "
-                f"the cluster has {self.config.num_machines}"
-            )
-        if config.net_delay_rounds != self.config.net_delay_rounds:
-            raise ConfigError(
-                "query config net_delay_rounds="
-                f"{config.net_delay_rounds} differs from the cluster's "
-                f"{self.config.net_delay_rounds} (the interconnect is shared)"
-            )
+        _check_query_config(config, self.config)
         if (
             len(self.active) >= self.config.max_concurrent_queries
             and len(self.pending) >= self.config.admission_queue_limit
@@ -403,23 +417,23 @@ class ClusterScheduler:
         )
         if obs is not None:
             obs.configure(config.num_machines, config.quantum)
+        if trace is not None:
+            trace.configure(config.num_machines, config.quantum)
         task = QueryTask(
             query_id, self.dgraph, plan, config, sink_factory, channel,
-            sanitizer=sanitizer, obs=obs, prof=self.prof,
+            sanitizer=sanitizer, obs=obs, trace=trace, prof=self.prof,
         )
         # Recovery is only meaningful when something can crash: without an
-        # injector the manager (and its checkpoints) is skipped, exactly
-        # like the solo path.
+        # injector the manager (and its checkpoints) is skipped.
         if config.recovery and self.injector is not None:
             from ..recovery import RecoveryManager  # deferred: import cycle
 
             task.recovery = RecoveryManager(
                 task.slices, channel, self.dgraph, self.injector,
-                sanitizer=sanitizer, obs=obs, prof=self.prof,
-                host_map=self._ensure_host_map(), query_id=query_id,
+                self._ensure_host_map(), sanitizer=sanitizer, obs=obs,
+                prof=self.prof, query_id=query_id,
                 membership=self.membership,
             )
-        task.membership = self.membership
         self.pending.append(task)
         self._admit()
         return task
@@ -495,6 +509,68 @@ class ClusterScheduler:
         self.network.close_channel(task.query_id)
         return True
 
+    def _finish(self, task, round_no, error=None):
+        """Retire ``task``: audit, build its :class:`RunStats`, free its slot.
+
+        Rounds are query-local.  An ``error`` belongs to one query, not
+        the cluster: it is parked on the task (re-raised by
+        ``QueryHandle.result`` / ``SimBackend.run``) and the other queries
+        keep running.
+        """
+        if error is not None:
+            task.error = error
+            task.partial = True
+        local = task.local_round(round_no)
+        if task.sanitizer is not None and not task.partial:
+            # The settle drain runs on a private clock continuing from the
+            # global round; only the extra rounds count toward the tail.
+            local += task.settle_and_audit(round_no) - round_no
+        for s in task.slices:
+            s.finalize_stats()
+        channel = task.channel
+        task.stats = RunStats(
+            [s.stats for s in task.slices],
+            local,
+            # repro: allow[RPQ103] wall-clock reporting only; never feeds protocol state
+            time.perf_counter() - task.started,
+            task.config,
+            quiescent_round=task.quiescent_round,
+            schedule_fingerprint=self.schedule_fingerprint,
+            partial=task.partial,
+            down_machines=task.down_machines,
+            transport=channel.transport_summary() if channel.reliable else None,
+            # Cluster-wide counts as of this query's finish: the injector,
+            # the detector and the round loop's phases are shared, not
+            # attributable per query.
+            fault_events=(
+                self.injector.summary() if self.injector is not None else None
+            ),
+            recovery=(
+                task.recovery.summary() if task.recovery is not None else None
+            ),
+            timed_out=task.timed_out,
+            profile=self.prof.summary() if self.prof is not None else None,
+            membership=(
+                self.membership.summary()
+                if self.membership is not None
+                else None
+            ),
+        )
+        task.finished = True
+        task.release_resources()
+        self.active.remove(task)
+        self.network.close_channel(task.query_id)
+        if task.obs is not None:
+            task.obs.cluster_instant(
+                "query.end",
+                args={
+                    "query": task.query_id,
+                    "rounds": local,
+                    "quiescent_round": task.quiescent_round,
+                },
+                round_no=local,
+            )
+
     # ------------------------------------------------------------------
     # Fault handling (shared cluster clock)
     # ------------------------------------------------------------------
@@ -510,7 +586,7 @@ class ClusterScheduler:
             return self.host_map.hosted_on(host)
         return (host,)
 
-    def _apply_crashes(self, crashed, round_no):
+    def _apply_crashes(self, crashed):
         """Crash instants: lose the crashed hosts' RX queues — nothing
         else.
 
@@ -570,21 +646,28 @@ class ClusterScheduler:
         """Run one global round; returns the tasks that finished in it."""
         self.round_no += 1
         round_no = self.round_no
-        finished = []
         prof = self.prof
         injector = self.injector
+        membership = self.membership
+        num_machines = self.config.num_machines
+        running = list(self.active)
+
+        # Per-query prologue, on the query's own clock (rounds since
+        # admission): the round cap and the deadline end a query *before*
+        # the round's work, then the recorder's clock moves to this round.
+        for task in running:
+            self._begin_round(task, round_no)
 
         # Fault prologue: crashes fire on the shared cluster clock and
         # hit every co-resident query at once.
         if injector is not None:
             crashed = injector.begin_round(round_no)
             if crashed:
-                self._apply_crashes(crashed, round_no)
+                self._apply_crashes(crashed)
 
         # Failure-detection phase: one detector round on the shared
         # clock; newly confirmed hosts trigger the (cluster-level)
         # failover for every recovery-enabled query.
-        membership = self.membership
         if membership is not None:
             confirmed = membership.tick(round_no)
             if confirmed:
@@ -595,10 +678,11 @@ class ClusterScheduler:
         if prof is not None:
             prof.enter("sched.deliver")
         for task in self.active:
+            drain = task.channel.drain
             for s in task.slices:
                 if not self._slice_up(task, s.id, round_no):
                     continue
-                delivered = self.network.drain(s.id, task.query_id, round_no)
+                delivered = drain(s.id, round_no)
                 if membership is not None and delivered:
                     # Piggybacked liveness: every delivered message is
                     # evidence its sender's host was alive.
@@ -611,28 +695,33 @@ class ClusterScheduler:
         if prof is not None:
             prof.exit()
 
-        # Execution phase: split each physical host's quantum fairly
-        # across the query slices it currently runs (after a failover one
-        # host may run several logical machines of the same query).
+        # Execution phase: every logical machine, in service order,
+        # splits its quantum fairly across the query slices it runs.  A
+        # host running ``k`` logical machines after a failover gives each
+        # ``1/k`` of its per-round quantum.
         if prof is not None:
             prof.enter("sched.compute")
-        consumed_by_task = {task.query_id: 0.0 for task in self.active}
-        for host in range(self.config.num_machines):
-            slices = []
+        order = range(num_machines)
+        if self._sched_rng is not None:
+            order = self._sched_rng.sample(order, num_machines)
+            self.schedule_fingerprint = hash(
+                (self.schedule_fingerprint, tuple(order))
+            )
+        for task in self.active:
+            task.consumed = [0.0] * num_machines
+        host_map = self.host_map
+        for logical in order:
+            budget = self.config.quantum
+            if host_map is not None:
+                budget /= len(host_map.hosted_on(host_map.hosts[logical]))
+            runnable = []
             for task in self.active:
-                for logical in self._hosted_logicals(task, host):
-                    slices.append((task, task.slices[logical]))
-            if not slices:
-                continue
-            if injector is not None and not injector.machine_up(host, round_no):
-                for _task, s in slices:
+                s = task.slices[logical]
+                if self._slice_up(task, logical, round_no):
+                    runnable.append((task, s))
+                else:
                     s.stats.stalled_rounds += 1
-                continue
-            used_total = self._run_machine_round(host, round_no, slices)
-            for task, s in slices:
-                consumed_by_task[task.query_id] += used_total[
-                    (task.query_id, s.id)
-                ]
+            self._run_machine_round(round_no, budget, runnable)
         if prof is not None:
             prof.exit()
 
@@ -640,72 +729,71 @@ class ClusterScheduler:
         # timer (each query's ARQ state is private to its channel).
         self.network.tick(round_no)
 
-        # Per-query protocol phase: heartbeats, termination, watchdogs —
-        # all on the query's own clock (rounds since admission).
+        # Per-query protocol phase: round records, heartbeats,
+        # termination, watchdogs.
         if prof is not None:
             prof.enter("sched.protocol")
-        for task in list(self.active):
-            if consumed_by_task[task.query_id] > 0.0:
-                task.watchdog.observe(round_no, True)
-                task.quiescent_round = None
-            else:
-                if task.quiescent_round is None and task.is_quiescent():
-                    task.quiescent_round = task.local_round(round_no)
-                # An outage under deliberation is not a stall: the
-                # detector's unconfirmed suspicions reset the progress
-                # clock (hosts may come back, retransmissions pending).
-                task.watchdog.observe(round_no, False, membership)
+        done = []
+        for task in self.active:
             try:
                 if self._drive_protocol(task, round_no):
-                    finished.append(task)
+                    done.append((task, None))
             except ExecutionError as error:
-                # The failure belongs to one query, not the cluster: park
-                # it on the task (re-raised by QueryHandle.result) and let
-                # the other queries keep running.
-                task.error = error
-                task.partial = True
-                task.finalize(round_no)
-                finished.append(task)
+                done.append((task, error))
         if prof is not None:
             prof.exit()
 
-        for task in finished:
-            self.active.remove(task)
-            self.network.close_channel(task.query_id)
-            if task.obs is not None:
-                task.obs.cluster_instant(
-                    "query.end",
-                    args={
-                        "query": task.query_id,
-                        "rounds": task.stats.rounds if task.stats else None,
-                    },
-                    round_no=task.local_round(round_no),
-                )
+        for task, error in done:
+            self._finish(task, round_no, error)
+        finished = [task for task in running if task.finished]
         if finished:
             self._admit()
         return finished
 
-    def _run_machine_round(self, host, round_no, slices):
-        """Fair work-conserving quantum split on physical host ``host``.
+    def _begin_round(self, task, round_no):
+        """Round cap, deadline and recorder clock for one task's round."""
+        local = task.local_round(round_no)
+        config = task.config
+        if local > config.max_rounds:
+            self._finish(task, round_no, ExecutionError(
+                f"query {task.query_id} exceeded max_rounds="
+                f"{config.max_rounds} (runaway query or configuration "
+                "too tight)"
+            ))
+        elif config.deadline is not None and local > config.deadline:
+            # Virtual-clock deadline: abort cleanly with whatever the
+            # machines produced so far, flagged incomplete + timed out.
+            task.partial = True
+            task.timed_out = True
+            if self.membership is not None:
+                # The *detected* dead, not ground truth: a crash the
+                # detector had not confirmed by the deadline is
+                # indistinguishable from slowness.
+                task.down_machines = self.membership.confirmed_down()
+            task.instant("scheduler.deadline", local, deadline=config.deadline)
+            self._finish(task, round_no)
+        elif task.obs is not None:
+            task.obs.begin_round(local)
 
-        Pass 1 offers every slice an equal share of the quantum; slices
-        that consume (almost) their whole share are *hungry* and split
-        whatever the others left idle in further passes.  Busy/idle round
-        accounting is charged once per slice at the end, on its total.
-        Keys are ``(query_id, slice.id)``: after a failover one host can
-        legitimately run two slices of the same query.
+    def _run_machine_round(self, round_no, budget, slices):
+        """Fair work-conserving split of one logical machine's ``budget``.
+
+        Pass 1 offers every slice an equal share; slices that consume
+        (almost) their whole share are *hungry* and split whatever the
+        others left idle in further passes.  Busy/idle round accounting is
+        charged once per slice at the end, on its total.
         """
-        remaining = self.config.quantum
-        used_total = {(task.query_id, s.id): 0.0 for task, s in slices}
-        hungry = list(slices)
+        rng = self._sched_rng
+        remaining = budget
+        hungry = slices
         passes = 0
-        while hungry and remaining > self.config.quantum * _SHARE_EPSILON:
+        while hungry and remaining > budget * _SHARE_EPSILON:
             share = remaining / len(hungry)
             spent_this_pass = 0.0
             still_hungry = []
             for task, s in hungry:
-                used = s.run_slice(round_no, share)
-                used_total[(task.query_id, s.id)] += used
+                used = s.run_slice(round_no, share, rng=rng)
+                task.consumed[s.id] += used
                 spent_this_pass += used
                 if used >= share * (1.0 - _SHARE_EPSILON):
                     still_hungry.append((task, s))
@@ -715,35 +803,22 @@ class ClusterScheduler:
             if passes >= _MAX_PASSES:
                 break
         for task, s in slices:
-            s.account_round(used_total[(task.query_id, s.id)])
-        return used_total
+            s.account_round(task.consumed[s.id])
 
     def _drive_protocol(self, task, round_no):
-        """Heartbeats / termination / watchdogs for one task.
+        """Round record / heartbeats / termination / watchdog for one task.
 
-        Returns True when the task finished this round (concluded,
-        deadline-expired, or degraded to partial results on a permanent
-        unrecovered crash); raises on stall or round-cap breach.
+        Returns True when the task finished this round (concluded, or
+        degraded to partial results on a permanent unrecovered crash);
+        raises on a stall nobody can explain.
         """
         local = task.local_round(round_no)
         config = task.config
         membership = self.membership
-        if local > config.max_rounds:
-            raise ExecutionError(
-                f"query {task.query_id} exceeded max_rounds="
-                f"{config.max_rounds} (runaway query or configuration "
-                "too tight)"
-            )
-        if config.deadline is not None and local > config.deadline:
-            task.partial = True
-            task.timed_out = True
-            if membership is not None:
-                # The *detected* dead, not ground truth: a crash the
-                # detector had not confirmed by the deadline is
-                # indistinguishable from slowness.
-                task.down_machines = membership.confirmed_down()
-            task.finalize(round_no)
-            return True
+        if task.trace is not None:
+            task.trace.record_round(local, task.consumed)
+        if task.obs is not None:
+            task.obs.record_round(local, task.consumed)
         if local % config.status_interval == 0:
             for s in task.slices:
                 if not self._slice_up(task, s.id, round_no):
@@ -762,13 +837,30 @@ class ClusterScheduler:
                     task.concluded[s.id] = s.check_termination()
                 done = done and task.concluded[s.id]
             if done:
-                task.finalize(round_no)
+                if task.trace is not None:
+                    task.trace.record_event(
+                        local, "termination protocol concluded"
+                    )
+                task.instant("termination.concluded", local)
                 return True
             if task.recovery is not None:
                 # Checkpoint cadence rides this query's own termination
                 # protocol: cut one whenever new channels terminated
                 # globally for *this* query.
                 task.recovery.maybe_checkpoint(round_no)
+        if any(task.consumed):
+            task.watchdog.observe(round_no, True)
+            task.quiescent_round = None
+            return False
+        # Record when all query work (not protocol heartbeats) is done:
+        # this is the latency metric; the termination protocol still
+        # decides when machines actually stop.
+        if task.quiescent_round is None and task.is_quiescent():
+            task.quiescent_round = local
+        # An outage under deliberation is not a stall: the detector's
+        # unconfirmed suspicions reset the progress clock (hosts may come
+        # back, retransmissions pending).
+        task.watchdog.observe(round_no, False, membership)
         if task.watchdog.expired(round_no):
             failed_over = (
                 task.recovery.failed_over if task.recovery is not None else ()
@@ -780,11 +872,11 @@ class ClusterScheduler:
                 # survivors produced, flagged incomplete.
                 task.partial = True
                 task.down_machines = hosts
-                task.finalize(round_no)
+                task.instant("scheduler.partial", local, down=list(hosts))
                 return True
             if verdict == "quorum":
                 raise quorum_lost_error(hosts, round_no, config.stall_limit)
-            task._diagnose_stall(round_no)
+            task.diagnose_stall(round_no)
         return False
 
     def run(self):

@@ -111,9 +111,10 @@ class SimulatedNetwork:
         # Current recovery epoch: every wire copy is stamped with the
         # epoch at push time, and the receive path discards copies from
         # older epochs (fencing stale in-flight traffic after a global
-        # rollback).  ``hosts`` is the logical->physical machine map
-        # maintained by the RecoveryManager (None = identity); machine
-        # ids in messages and queues stay *logical* across failover.
+        # rollback).  ``hosts`` aliases the cluster's logical->physical
+        # machine map once a RecoveryManager attaches (None = identity);
+        # machine ids in messages and queues stay *logical* across
+        # failover.
         self.epoch = 0
         self.hosts = None
         # Logical machines moved to a surviving host: frames addressed to
@@ -524,14 +525,14 @@ class SimulatedNetwork:
 
 
 class ClusterNetwork:
-    """The shared interconnect of the multi-query runtime.
+    """The shared interconnect of the cluster scheduler.
 
     Message channels are namespaced by query id: each admitted query gets
     its own :class:`SimulatedNetwork` channel (queues, transport state,
     sanitizer hooks), opened at admission and closed when the query
-    finishes.  Cross-query isolation is structural — a query's batches,
-    credit returns, and heartbeats can only ever reach its own slices —
-    while the cluster still observes aggregate traffic for reports.
+    finishes.  Cross-query isolation is structural — a query's machines
+    hold its channel directly, so its batches, credit returns, and
+    heartbeats can only ever reach its own slices.
 
     Chaos is *shared*: one cluster-level :class:`~repro.faults.injector.
     FaultInjector` (when the scheduler's base config carries a fault
@@ -558,26 +559,17 @@ class ClusterNetwork:
         self.membership = membership
         self.retransmit_timeout_rounds = retransmit_timeout_rounds
         self._channels = {}  # query_id -> SimulatedNetwork, admission order
-        # Traffic of already-closed channels, kept so cluster totals are
-        # monotone across the whole scheduler lifetime.
-        self._closed_messages = 0
-        self._closed_bytes = 0
-        self._closed_transport = {}  # summed transport counters
 
     def open_channel(
         self, query_id, num_slots, sanitizer=None, obs=None, prof=None,
-        reliable=False, hosts=None, rehosted=(),
-        retransmit_timeout_rounds=None,
+        reliable=False, retransmit_timeout_rounds=None,
     ):
         """Create the per-query channel; returns the SimulatedNetwork.
 
         ``reliable`` arms the per-link ARQ on this query's channel (its
         sequence numbers, dedup ledger, and retransmit queue are private
         to the query — as is ``retransmit_timeout_rounds``, which falls
-        back to the cluster's value when unset).  ``hosts`` aliases the
-        cluster's logical→physical map for recovery-enabled queries, and
-        ``rehosted`` seeds the never-abandon set with failovers that
-        happened before admission.
+        back to the cluster's value when unset).
         """
         if query_id in self._channels:
             raise AssertionError(f"channel for query {query_id} already open")
@@ -594,8 +586,6 @@ class ClusterNetwork:
             sanitizer=sanitizer,
             prof=prof,
         )
-        channel.hosts = hosts
-        channel.rehosted.update(rehosted)
         channel.membership = self.membership
         self._channels[query_id] = channel
         return channel
@@ -607,16 +597,7 @@ class ClusterNetwork:
         namespace — RX queues, ARQ retransmit buffers, dedup ledger —
         without touching any co-resident query's channel.
         """
-        channel = self._channels.pop(query_id, None)
-        if channel is not None:
-            self._closed_messages += channel.total_messages
-            self._closed_bytes += channel.total_bytes
-            for key, value in channel.transport_summary().items():
-                if isinstance(value, bool):
-                    continue
-                self._closed_transport[key] = (
-                    self._closed_transport.get(key, 0) + value
-                )
+        self._channels.pop(query_id, None)
 
     def tick(self, now_round):
         """Drive every reliable channel's retransmit timer (one global
@@ -627,23 +608,3 @@ class ClusterNetwork:
 
     def channel(self, query_id):
         return self._channels[query_id]
-
-    def send(self, message, now_round):
-        """Route a message onto its query's channel."""
-        self._channels[message.query_id].send(message, now_round)
-
-    def drain(self, machine_id, query_id, now_round):
-        """Pop one machine's deliverable messages on one query's channel."""
-        return self._channels[query_id].drain(machine_id, now_round)
-
-    @property
-    def total_messages(self):
-        return self._closed_messages + sum(
-            c.total_messages for c in self._channels.values()
-        )
-
-    @property
-    def total_bytes(self):
-        return self._closed_bytes + sum(
-            c.total_bytes for c in self._channels.values()
-        )

@@ -1,11 +1,12 @@
 """Execution tracing: per-round, per-machine activity timelines.
 
-A :class:`ExecutionTrace` passed to :class:`~repro.runtime.scheduler.
-QueryExecution` records how much work every machine performed in every
-round, plus protocol events.  Its ASCII timeline makes load imbalance
-visible at a glance — e.g. the single-machine bottleneck of a
-narrow-start query (paper Section 4.3) shows up as one dense row and
-N-1 sparse ones.
+A :class:`ExecutionTrace` passed to :meth:`~repro.runtime.multi.
+ClusterScheduler.submit` (``Session.execute(trace=True)`` does so)
+records how much work every machine performed for that query in every
+round of the query's own clock, plus protocol events.  Its ASCII
+timeline makes load imbalance visible at a glance — e.g. the
+single-machine bottleneck of a narrow-start query (paper Section 4.3)
+shows up as one dense row and N-1 sparse ones.
 """
 
 

@@ -17,20 +17,22 @@ Typical use::
 
 ``execute`` runs one query with exclusive ownership of the cluster,
 dispatched through the session's :class:`~repro.runtime.backend.
-ExecutionBackend` — the deterministic simulator by default (the solo
-:class:`~repro.runtime.scheduler.QueryExecution` path, the only one
-supporting the race detector's ``schedule_seed``), or real OS processes
-with ``repro.connect(graph, backend="process")`` (docs/backends.md).
-``submit`` hands the query to the shared :class:`~repro.runtime.multi.
-ClusterScheduler`, where it interleaves with every other in-flight
+ExecutionBackend` — the deterministic simulator by default (a private
+:class:`~repro.runtime.multi.ClusterScheduler` with that one query
+admitted, never the session's shared one), or real OS processes with
+``repro.connect(graph, backend="process")`` (docs/backends.md).
+``submit`` hands the query to the session's shared scheduler — the same
+round loop — where it interleaves with every other in-flight
 submission under fair per-machine quantum sharing; the returned
 :class:`QueryHandle` drives the cluster forward on demand.  Both paths
-support fault injection, reliable transport, and crash recovery: on the
-concurrent path the fault plan lives in the *session* config (chaos is
-cluster-level — one interconnect, shared machines), while ARQ state,
-epoch checkpoints, and rollback stay per query, so a permanent machine
-crash rolls back only the queries that lost state on it
-(``Session.cluster_blast_radius`` records exactly which).
+support fault injection, reliable transport, crash recovery, span
+traces, and the race detector's ``schedule_seed``: on the shared
+cluster the fault plan and the seed live in the *session* config (they
+are cluster-level — one interconnect, shared machines, one service
+order), while ARQ state, epoch checkpoints, and rollback stay per
+query, so a permanent machine crash rolls back only the queries that
+lost state on it (``Session.cluster_blast_radius`` records exactly
+which).
 
 Both paths share one :class:`~repro.plan.cache.PlanCache`, so repeated
 query text (modulo whitespace) compiles once per session.
@@ -306,11 +308,11 @@ class Session:
         ``timed_out`` with whatever rows were produced.  Raises
         :class:`~repro.errors.AdmissionError` when both the concurrency
         limit and the bounded pending queue are full, and
-        :class:`~repro.errors.ConfigError` for the per-query options the
-        concurrent scheduler does not support: ``schedule_seed`` (the race
-        detector owns the whole cluster clock — use :meth:`execute`), and
-        a per-query fault plan differing from the session's (chaos is
-        cluster-level).  ``recovery=True`` in the query or session config
+        :class:`~repro.errors.ConfigError` for a per-query fault plan or
+        ``schedule_seed`` differing from the session's (both are
+        cluster-level: restate the session's value or leave it unset).
+        ``observe`` records the query on its own clock (rounds since
+        admission).  ``recovery=True`` in the query or session config
         arms per-query checkpoints/rollback; cancelling or
         deadline-expiring the handle releases them without perturbing
         co-resident queries.
@@ -328,9 +330,9 @@ class Session:
         else:
             recorder = None
         if self._scheduler is None:
-            # Backend dispatch: the simulator returns its shared
-            # ClusterScheduler; the process backend rejects submit() with
-            # an explanatory ConfigError (simulator-only for now).
+            # Backend dispatch: the simulator returns a ClusterScheduler
+            # for the session to share; the process backend rejects
+            # submit() with an explanatory ConfigError.
             self._scheduler = self._backend.open_cluster(
                 self.dgraph, self.config
             )

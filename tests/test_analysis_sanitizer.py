@@ -16,7 +16,6 @@ from repro.analysis.sanitizer import (
     sanitizer_enabled,
     sanitizer_from_config,
 )
-from repro.engine.result import MachineSink
 from repro.errors import SanitizerViolation
 from repro.graph.generators import random_graph
 from repro.pgql import parse
@@ -24,9 +23,10 @@ from repro.plan import compile_query
 from repro.rpq.reachability import IndexOutcome, ReachabilityIndex
 from repro.runtime.buffers import FlowControl
 from repro.runtime.machine import Machine
-from repro.runtime.scheduler import QueryExecution
 from repro.runtime.stats import MachineStats
 from repro.runtime.termination import TerminationProtocol, TerminationTracker
+
+from .onetask import make_execution, run
 
 
 @pytest.fixture(scope="module")
@@ -275,14 +275,8 @@ class TestReachabilityInvariants:
 
 class TestEndToEnd:
     def run_query(self, graph, query, config):
-        engine = RPQdEngine(graph, config)
-        plan = engine.compile(query)
-        sinks = [MachineSink(plan) for _ in range(config.num_machines)]
-        execution = QueryExecution(
-            engine.dgraph, plan, config, sink_factory=lambda m: sinks[m]
-        )
-        stats = execution.run()
-        return execution, stats
+        cluster, task, _sinks, _plan = make_execution(graph, query, config)
+        return task, run(cluster, task)
 
     def test_tier1_workload_clean_under_sanitizer(self, graph):
         config = CONFIG.with_(sanitize=True)
@@ -291,9 +285,9 @@ class TestEndToEnd:
             "SELECT COUNT(*) FROM MATCH (a)-/:E{1,3}/->(b)",
             "SELECT COUNT(*) FROM MATCH (a)-[:E]->(b)",
         ):
-            execution, _stats = self.run_query(graph, query, config)
-            assert execution.sanitizer is not None
-            assert execution.sanitizer.checks > 0
+            task, _stats = self.run_query(graph, query, config)
+            assert task.sanitizer is not None
+            assert task.sanitizer.checks > 0
 
     def test_sanitized_result_matches_unsanitized(self, graph):
         query = "SELECT COUNT(*) FROM MATCH (a)-/:E{1,4}/->(b)"

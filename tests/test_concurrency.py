@@ -125,6 +125,37 @@ class TestAdmissionControl:
         assert replacement.result().complete
 
 
+class TestSeededSchedules:
+    def test_four_queries_under_three_seeds_match_the_unseeded_run(self):
+        """``schedule_seed`` permutes the shared loop's service order: it
+        must change the schedule (distinct fingerprints) and nothing else."""
+        graph = _graph()
+
+        def batch(seed):
+            config = EngineConfig(
+                num_machines=4, workers_per_machine=3, schedule_seed=seed,
+                max_concurrent_queries=4,
+            )
+            with connect(graph, config) as session:
+                handles = [session.submit(q) for q in QUERIES]
+                session.drain()
+                results = [h.result() for h in handles]
+            rows = [sorted(tuple(r) for r in result.rows) for result in results]
+            return rows, results[-1].stats.schedule_fingerprint
+
+        baseline, unseeded_fingerprint = batch(None)
+        assert unseeded_fingerprint is None
+        fingerprints = set()
+        for seed in (1, 2, 3):
+            rows, fingerprint = batch(seed)
+            assert rows == baseline
+            assert fingerprint is not None
+            fingerprints.add(fingerprint)
+        assert len(fingerprints) == 3
+        # Same seed, same submissions: same schedule.
+        assert batch(2)[1] == batch(2)[1]
+
+
 class TestIsolation:
     def test_channels_are_private_per_query(self):
         network = ClusterNetwork(2, net_delay_rounds=1)
@@ -149,16 +180,25 @@ class TestIsolation:
                 config=session.config.with_(net_delay_rounds=3),
             )
 
-    def test_solo_only_options_rejected(self):
+    def test_per_query_schedule_seed_must_match_cluster(self):
+        """The race detector's seed is cluster-level, like the fault plan:
+        a differing per-query seed is rejected, restating or omitting the
+        session's own is fine."""
+        query = "SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b)"
+        unseeded = connect(chain_graph(8), num_machines=2)
+        with pytest.raises(ConfigError, match="schedule_seed=1 differs"):
+            unseeded.submit(query, config=unseeded.config.with_(schedule_seed=1))
+        seeded = connect(chain_graph(8), num_machines=2, schedule_seed=1)
+        with pytest.raises(ConfigError, match="schedule_seed=2 differs"):
+            seeded.submit(query, config=seeded.config.with_(schedule_seed=2))
+        restated = seeded.submit(query, config=seeded.config.with_(deadline=500))
+        omitted = seeded.submit(query, config=seeded.config.with_(schedule_seed=None))
+        seeded.drain()
+        assert restated.result().complete and omitted.result().complete
+
+    def test_recovery_and_transport_ride_the_concurrent_path(self):
         session = connect(chain_graph(8), num_machines=2)
         base = session.config
-        with pytest.raises(ConfigError, match="schedule_seed"):
-            session.submit(
-                "SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b)",
-                config=base.with_(schedule_seed=1),
-            )
-        # recovery / reliable_transport used to be solo-only; now they ride
-        # the concurrent path too.
         handle = session.submit(
             "SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b)",
             config=base.with_(recovery=True, reliable_transport=True),

@@ -56,7 +56,24 @@ class TestConcurrentChaosInvariance:
         assert report.total_faults > 0  # the chaos actually fired
         for run in report.runs:
             assert run.identical
+            assert run.fault_counts
             assert all(q["complete"] for q in run.queries)
+
+    def test_every_query_reports_the_shared_fault_counts(self):
+        """``fault_events`` is the shared injector's count as of each
+        query's finish: never empty under a plan that fires, and the last
+        query to finish has seen every fault."""
+        plan = FaultPlan(seed=1, drop_prob=0.05, dup_prob=0.05)
+        session = connect(_graph(), CONFIG.with_(faults=plan))
+        handles = [session.submit(q) for q in QUERIES]
+        finished = session._scheduler.run()
+        counts = [h.result().stats.fault_events for h in handles]
+        assert all(counts)
+        assert all(sum(c.values()) > 0 for c in counts)
+        assert finished[-1].stats.fault_events == dict(
+            session._scheduler.injector.counts
+        )
+        assert "fault_events" in handles[0].result().stats.summary()
 
     def test_two_sequential_permanent_crashes(self):
         plan = FaultPlan(

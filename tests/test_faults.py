@@ -136,12 +136,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EngineConfig(retransmit_timeout_rounds=0)
 
-    def test_scheduler_constants_still_exported(self):
-        from repro.runtime import STATUS_INTERVAL
-        from repro.runtime.scheduler import STALL_LIMIT
-
-        assert EngineConfig().status_interval == STATUS_INTERVAL
-        assert EngineConfig().stall_limit == STALL_LIMIT
+    def test_heartbeat_and_stall_defaults(self):
+        assert EngineConfig().status_interval == 4
+        assert EngineConfig().stall_limit == 400
 
     def test_configurable_heartbeat_changes_behaviour(self, graph):
         fast = RPQdEngine(graph, CONFIG.with_(status_interval=2)).execute(QUERY)

@@ -8,9 +8,11 @@ derivable from the trace alone.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
+import repro
 from repro.config import EngineConfig
 from repro.engine import RPQdEngine
 from repro.errors import SanitizerViolation
@@ -153,6 +155,45 @@ class TestRecorderClock:
         rec.counter(0, "inflight", 3)  # unchanged -> no event
         rec.counter(0, "inflight", 4)
         assert sum(1 for e in rec.events if e["ph"] == "C") == 2
+
+
+class TestSubmittedTraceClock:
+    """``submit()`` and ``execute()`` drive the recorder from one loop."""
+
+    def test_submitted_trace_matches_solo_trace(self):
+        graph = random_graph(60, 200, seed=3)
+        with repro.connect(graph, num_machines=4) as session:
+            solo = session.execute(CYCLIC_UNBOUNDED, observe=True)
+            submitted = session.submit(CYCLIC_UNBOUNDED, observe=True).result()
+
+        def stamped(result):
+            return Counter((e["name"], e["ts"]) for e in result.obs.events)
+
+        assert stamped(submitted) == stamped(solo)
+        assert submitted.obs.count_events("work_units") > 0
+
+    def test_trace_subcommand_validates_concurrency_4(self, tmp_path, capsys):
+        from repro.cli import main
+
+        graph = random_graph(60, 200, seed=3)
+        queries = [
+            CYCLIC_UNBOUNDED,
+            "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,3}/->(b)",
+            "SELECT COUNT(*) FROM MATCH (a)-[:LINK]->(b)",
+            "SELECT COUNT(*) FROM MATCH (a)-/:LINK{2,4}/->(b)",
+        ]
+        with repro.connect(
+            graph, num_machines=4, max_concurrent_queries=4
+        ) as session:
+            handles = [session.submit(q, observe=True) for q in queries]
+            session.drain()
+            results = [h.result() for h in handles]
+        for index, result in enumerate(results):
+            assert result.obs.count_events("work_units") > 0
+            path = tmp_path / f"q{index}.json"
+            write_chrome_trace(result.obs, path, workers_per_machine=2)
+            assert main(["trace", str(path)]) == 0
+            assert "validation: ok" in capsys.readouterr().out
 
 
 class TestTraceExportRoundTrip:

@@ -3,46 +3,43 @@
 import pytest
 
 from repro import EngineConfig, ExecutionError, RPQdEngine
-from repro.engine.result import MachineSink
 from repro.graph import DistributedGraph
 from repro.graph.generators import chain_graph, random_graph, star_graph
 from repro.runtime.message import Batch, DoneMessage, StatusMessage
-from repro.runtime.scheduler import QueryExecution
+from repro.runtime.multi import ClusterScheduler
 
-
-def make_execution(graph, query, config):
-    engine = RPQdEngine(graph, config)
-    plan = engine.compile(query)
-    sinks = [MachineSink(plan) for _ in range(config.num_machines)]
-    return QueryExecution(engine.dgraph, plan, config, lambda m: sinks[m]), sinks, plan
+from .onetask import make_execution, run
 
 
 class TestSchedulerGuards:
     def test_max_rounds_exceeded_raises(self):
         g = random_graph(30, 90, seed=1)
         config = EngineConfig(num_machines=2, max_rounds=3)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,3}/->(b)", config
         )
-        with pytest.raises(ExecutionError):
-            ex.run()
+        with pytest.raises(ExecutionError, match="max_rounds=3"):
+            run(cluster, task)
+        # The cap ends the query before round 4 does any work.
+        assert task.stats.rounds == 4
+        assert all(
+            m.busy_rounds + m.idle_rounds == 3 for m in task.stats.per_machine
+        )
 
     def test_machine_count_mismatch_raises(self):
         g = chain_graph(5)
-        engine = RPQdEngine(g, EngineConfig(num_machines=2))
-        plan = engine.compile("SELECT COUNT(*) FROM MATCH (a)->(b)")
         other = DistributedGraph(g, 3)
         with pytest.raises(ExecutionError):
-            QueryExecution(other, plan, EngineConfig(num_machines=2), lambda m: None)
+            ClusterScheduler(other, EngineConfig(num_machines=2))
 
     def test_ground_truth_quiescent_after_run(self):
         g = chain_graph(8)
         config = EngineConfig(num_machines=2)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", config
         )
-        ex.run()
-        assert ex.ground_truth_quiescent()
+        run(cluster, task)
+        assert task.is_quiescent()
 
 
 class TestFailureInjection:
@@ -54,10 +51,10 @@ class TestFailureInjection:
     def run_with_hooks(self, extra_delay_fn=None, duplicate_fn=None, machines=3):
         g = random_graph(25, 70, seed=9)
         config = EngineConfig(num_machines=machines)
-        ex, sinks, plan = make_execution(g, self.QUERY, config)
-        ex.network.extra_delay_fn = extra_delay_fn
-        ex.network.duplicate_fn = duplicate_fn
-        stats = ex.run()
+        cluster, task, sinks, plan = make_execution(g, self.QUERY, config)
+        task.channel.extra_delay_fn = extra_delay_fn
+        task.channel.duplicate_fn = duplicate_fn
+        stats = run(cluster, task)
         from repro.engine.result import assemble_results
 
         return assemble_results(plan, sinks).scalar(), stats

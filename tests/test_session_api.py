@@ -64,6 +64,27 @@ class TestExecute:
         assert result.scalar() == 28
         assert result.stats.num_machines == 5
 
+    def test_execute_owns_a_private_scheduler(self, session):
+        """``execute`` never runs on (or advances) the session's shared
+        scheduler, takes its own profiler, and raises its own error."""
+        from repro.errors import ExecutionError
+        from repro.obs.prof import PhaseProfiler
+
+        pending = session.submit(RPQ_Q)
+        shared, rounds = session._scheduler, session.cluster_rounds
+        prof = PhaseProfiler()
+        result = session.execute(RPQ_Q, profile=prof)
+        assert result.scalar() == 28
+        assert session._scheduler is shared
+        assert session.cluster_rounds == rounds and not pending.done()
+        assert result.stats.profile == prof.summary()
+        assert {"sched.deliver", "sched.compute", "sched.protocol"} <= set(
+            result.stats.profile
+        )
+        with pytest.raises(ExecutionError, match="max_rounds=1"):
+            session.execute(RPQ_Q, config=session.config.with_(max_rounds=1))
+        assert pending.result().scalar() == 28
+
 
 class TestSubmit:
     def test_handle_result_matches_execute(self):
@@ -116,16 +137,16 @@ class TestSubmit:
         assert result.timed_out
         assert result.complete is False
 
-    def test_submit_rejects_solo_only_options(self):
+    def test_submit_rejects_differing_cluster_level_options(self):
         session = connect(chain_graph(8), num_machines=2)
-        # A per-query fault plan on a fault-free session differs from the
-        # cluster's (None) plan: chaos is cluster-level, so it's rejected.
+        # A per-query fault plan or schedule_seed on a session without one
+        # differs from the cluster's (None): both are cluster-level.
         faulty = session.config.with_(faults=FaultPlan(seed=1, drop_prob=0.1))
         with pytest.raises(ConfigError):
             session.submit(COUNT_Q, config=faulty)
         with pytest.raises(ConfigError):
             session.submit(COUNT_Q, config=session.config.with_(schedule_seed=3))
-        # recovery is no longer solo-only: it arms per-query checkpoints.
+        # recovery is per query: it arms that query's own checkpoints.
         handle = session.submit(
             COUNT_Q, config=session.config.with_(recovery=True)
         )

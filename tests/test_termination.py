@@ -13,6 +13,8 @@ from repro.runtime.termination import (
     TerminationTracker,
 )
 
+from .onetask import make_execution, run
+
 
 def two_stage_plan():
     b = GraphBuilder()
@@ -191,32 +193,27 @@ class TestProtocolEndToEnd:
         assert r.scalar() > 0
 
     def test_protocol_with_delayed_status_messages(self):
-        from repro.engine.result import MachineSink
-        from repro.runtime.scheduler import QueryExecution
-
-        g = chain_graph(12)
-        eng = RPQdEngine(g, EngineConfig(num_machines=3))
-        plan = eng.compile("SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)")
-        sinks = [MachineSink(plan) for _ in range(3)]
-        ex = QueryExecution(eng.dgraph, plan, eng.config, lambda m: sinks[m])
         from repro.runtime.message import StatusMessage
 
-        ex.network.extra_delay_fn = (
+        cluster, task, _sinks, _plan = make_execution(
+            chain_graph(12),
+            "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)",
+            EngineConfig(num_machines=3),
+        )
+        task.channel.extra_delay_fn = (
             lambda m: 7 if isinstance(m, StatusMessage) and m.seq % 3 == 0 else 0
         )
-        stats = ex.run()
+        stats = run(cluster, task)
         assert stats.outputs == 66  # 45 pairs... depends; see below
 
     def test_duplicated_status_messages_are_harmless(self):
-        from repro.engine.result import MachineSink
-        from repro.runtime.scheduler import QueryExecution
         from repro.runtime.message import StatusMessage
 
-        g = chain_graph(12)
-        eng = RPQdEngine(g, EngineConfig(num_machines=3))
-        plan = eng.compile("SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)")
-        sinks = [MachineSink(plan) for _ in range(3)]
-        ex = QueryExecution(eng.dgraph, plan, eng.config, lambda m: sinks[m])
-        ex.network.duplicate_fn = lambda m: isinstance(m, StatusMessage)
-        stats = ex.run()
+        cluster, task, _sinks, _plan = make_execution(
+            chain_graph(12),
+            "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)",
+            EngineConfig(num_machines=3),
+        )
+        task.channel.duplicate_fn = lambda m: isinstance(m, StatusMessage)
+        stats = run(cluster, task)
         assert stats.outputs == 66

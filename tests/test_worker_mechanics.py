@@ -4,23 +4,13 @@ locality guard, bootstrap sharing, nested blocked jobs, batch accounting."""
 import pytest
 
 from repro import EngineConfig, GraphBuilder, RPQdEngine
-from repro.engine.result import MachineSink, assemble_results
+from repro.engine.result import assemble_results
 from repro.errors import GraphError
 from repro.graph.generators import chain_graph, random_graph, star_graph
 from repro.graph.types import Direction
-from repro.runtime.scheduler import QueryExecution
 from repro.runtime.worker import Frame, Job, MAX_NESTED_JOBS, Worker
 
-
-def make_execution(graph, query, config):
-    engine = RPQdEngine(graph, config)
-    plan = engine.compile(query)
-    sinks = [MachineSink(plan) for _ in range(config.num_machines)]
-    return (
-        QueryExecution(engine.dgraph, plan, config, lambda m: sinks[m]),
-        sinks,
-        plan,
-    )
+from .onetask import make_execution, run
 
 
 class TestFrame:
@@ -46,8 +36,8 @@ class TestFrame:
         query = "SELECT a, c FROM MATCH (a)-[:E]->(b)-/:E{1,2}/-(c)"
         config = EngineConfig(num_machines=1)
         expected = RPQdEngine(g, config).execute(query).rows
-        ex, sinks, plan = make_execution(g, query, config)
-        worker = ex.machines[0].workers[0]
+        cluster, task, sinks, plan = make_execution(g, query, config)
+        worker = task.slices[0].workers[0]
         while not worker.idle:
             worker.run(0.05)  # one step per call
             worker.restore_state(worker.checkpoint_state())
@@ -67,12 +57,12 @@ class TestUndoLog:
         backtracked out of a root, all of them read as before it."""
         g = chain_graph(6)
         config = EngineConfig(num_machines=1)
-        ex, _sinks, plan = make_execution(g, self.QUERY, config)
+        cluster, task, _sinks, plan = make_execution(g, self.QUERY, config)
         spec = plan.rpq_specs()[0]
         restored = [spec.depth_slot, spec.rpid_slot]
         restored += [slot for slot, _kind in spec.accumulator_inits]
         assert len(restored) == 3
-        worker = ex.machines[0].workers[0]
+        worker = task.slices[0].workers[0]
         seen_depths = set()
         ctx = None
         while not worker.idle:
@@ -90,10 +80,10 @@ class TestUndoLog:
         """Two saved values of one slot: the oldest must win."""
         g = chain_graph(3)
         config = EngineConfig(num_machines=1)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b)", config
         )
-        machine = ex.machines[0]
+        machine = task.slices[0]
         worker = machine.workers[0]
         machine.bootstrap_roots.clear()
         job = Job("root", ctx=["current", 0])
@@ -113,8 +103,8 @@ class TestLocalityGuard:
     def forge(self, sanitize):
         g = chain_graph(8)
         config = EngineConfig(num_machines=2, sanitize=sanitize)
-        ex, _sinks, plan = make_execution(g, self.QUERY, config)
-        machine = ex.machines[0]
+        cluster, task, _sinks, plan = make_execution(g, self.QUERY, config)
+        machine = task.slices[0]
         remote = next(v for v in range(8) if not machine.partition.is_local(v))
         job = Job("root", ctx=[None] * plan.num_slots)
         job.stack.append(Frame(0, remote))
@@ -140,11 +130,11 @@ class TestBootstrapSharing:
         # worker can contribute; all roots get processed exactly once.
         g = star_graph(30)
         config = EngineConfig(num_machines=1, workers_per_machine=4)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-[:LINK]->(b)", config
         )
-        stats = ex.run()
-        m = ex.machines[0]
+        stats = run(cluster, task)
+        m = task.slices[0]
         assert not m.bootstrap_pending()
         assert m.stats.bootstrapped == 31
         assert stats.outputs == 30
@@ -152,14 +142,14 @@ class TestBootstrapSharing:
     def test_single_vertex_bootstrap_only_on_owner(self):
         g = chain_graph(10)
         config = EngineConfig(num_machines=2)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)->(b) WHERE id(a) = 3", config
         )
-        owner = ex.machines[3 % 2]
-        other = ex.machines[(3 + 1) % 2]
+        owner = task.slices[3 % 2]
+        other = task.slices[(3 + 1) % 2]
         assert owner.bootstrap_pending()
         assert not other.bootstrap_pending()
-        ex.run()
+        run(cluster, task)
         assert owner.stats.bootstrapped == 1
         assert other.stats.bootstrapped == 0
 
@@ -168,36 +158,36 @@ class TestBatchAccounting:
     def test_done_sent_at_absorption_and_processed_at_completion(self):
         g = chain_graph(20)
         config = EngineConfig(num_machines=2, batch_size=4)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", config
         )
-        ex.run()
-        for m in ex.machines:
+        run(cluster, task)
+        for m in task.slices:
             # Every absorbed batch was eventually completed.
             assert m._absorbed == 0
             # DONEs match the batches this machine received and absorbed.
             received = sum(
                 other.tracker.sent[key]
-                for other in ex.machines
+                for other in task.slices
                 if other is not m
                 for key in other.tracker.sent
             )
-        total_sent = sum(m.stats.batches_sent for m in ex.machines)
-        total_done = sum(m.stats.done_messages for m in ex.machines)
+        total_sent = sum(m.stats.batches_sent for m in task.slices)
+        total_done = sum(m.stats.done_messages for m in task.slices)
         assert total_done == total_sent
 
     def test_sent_equals_processed_after_run(self):
         g = chain_graph(15)
         config = EngineConfig(num_machines=3)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-/:NEXT{1,4}/->(b)", config
         )
-        ex.run()
+        run(cluster, task)
         from collections import Counter
 
         sent = Counter()
         processed = Counter()
-        for m in ex.machines:
+        for m in task.slices:
             sent.update(m.tracker.sent)
             processed.update(m.tracker.processed)
         assert sent == processed
@@ -205,11 +195,11 @@ class TestBatchAccounting:
     def test_credits_all_returned(self):
         g = chain_graph(25)
         config = EngineConfig(num_machines=4, batch_size=2)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", config
         )
-        ex.run()
-        for m in ex.machines:
+        run(cluster, task)
+        for m in task.slices:
             assert m.flow.in_flight == 0
 
 
@@ -220,10 +210,10 @@ class TestNestedJobs:
     def test_worker_idle_semantics(self):
         g = chain_graph(4)
         config = EngineConfig(num_machines=1)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)->(b)", config
         )
-        worker = ex.machines[0].workers[0]
+        worker = task.slices[0].workers[0]
         assert not worker.idle  # bootstrap pending
-        ex.run()
+        run(cluster, task)
         assert worker.idle
