@@ -124,7 +124,6 @@ class BackendConfig:
 
     backend: str = "sim"
     workers: Optional[int] = None
-    channel_capacity: int = 0
     shm_threshold_bytes: int = 64 * 1024
 
 
@@ -204,7 +203,8 @@ class EngineConfig:
             default from ``net_delay_rounds`` (no spurious retransmits on
             a healthy link).
         status_interval: rounds between STATUS broadcasts (termination
-            protocol heartbeat).
+            protocol heartbeat) on the simulator; ``backend="process"``
+            has no rounds and broadcasts when a worker goes idle.
         stall_limit: rounds of zero progress tolerated before the
             scheduler diagnoses a stall.  Fault runs with long machine
             outages legitimately need more headroom.
@@ -246,18 +246,14 @@ class EngineConfig:
             simulator — the verification oracle, and the only backend
             supporting faults, recovery, membership, tracing, and the
             race detector; ``"process"`` runs each partition's machine
-            loop in a real OS process with pickled message frames and a
-            shared-memory CSR (``docs/backends.md``).  Result sets are
-            bit-identical across backends.
+            loop in a persistent OS process with marshalled message
+            frames and a shared-memory CSR (``docs/backends.md``).
+            Result sets are bit-identical across backends.
         workers: worker *processes* for ``backend="process"`` (distinct
             from the simulated ``workers_per_machine`` DFT threads).
             ``None`` defaults to ``num_machines`` — one partition per
             process, the paper's deployment shape; fewer workers host
             several machines each.
-        channel_capacity: bound on each worker's inbound frame queue for
-            ``backend="process"``; ``0`` (default) is unbounded —
-            flow-control credits already bound data-plane frames in
-            flight.
         shm_threshold_bytes: adjacency smaller than this skips the
             shared-memory CSR export for ``backend="process"`` (fork
             inheritance is cheaper than export+attach for tiny graphs).
@@ -327,10 +323,9 @@ class EngineConfig:
     max_concurrent_queries: int = 4
     admission_queue_limit: int = 16
     # Execution backend (:mod:`repro.runtime.backend`): "sim" or "process",
-    # plus the process backend's worker/channel/shared-memory knobs.
+    # plus the process backend's worker-count and shared-memory knobs.
     backend: str = "sim"
     workers: Optional[int] = None
-    channel_capacity: int = 0
     shm_threshold_bytes: int = 64 * 1024
     # Grouped construction sugar: each accepts a sub-config object whose
     # fields expand into the flat fields of the same names (so old flat
@@ -524,11 +519,6 @@ class EngineConfig:
             raise ConfigError(
                 "workers must be None (one process per machine) or a "
                 f"positive int (got {self.workers!r})"
-            )
-        if self.channel_capacity < 0:
-            raise ConfigError(
-                "channel_capacity must be >= 0, with 0 meaning unbounded "
-                f"(got {self.channel_capacity})"
             )
         if self.shm_threshold_bytes < 0:
             raise ConfigError(

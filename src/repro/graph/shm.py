@@ -1,11 +1,12 @@
 """Shared-memory CSR lifecycle for the process-parallel backend.
 
 The :class:`~repro.runtime.backend.ProcessBackend` runs each partition's
-machine loop in a real OS process.  The read-only CSR adjacency is the
-one piece of state every worker needs in full, so instead of shipping it
-through pickles the coordinator *exports* it once into
-``multiprocessing.shared_memory`` segments and each worker *attaches*
-them read-only.
+machine loop in a real OS process that serves many queries.  The
+read-only CSR adjacency is the one piece of state every worker needs in
+full, so instead of shipping it through pickles the coordinator
+*exports* it once per graph into ``multiprocessing.shared_memory``
+segments and each worker *attaches* them once, when its generation of
+the pool is forked.
 
 Lifecycle (owner = the coordinator process that called :meth:`
 SharedGraphStore.export`):
@@ -64,8 +65,8 @@ class SharedGraphStore:
 
     Create with :meth:`export`; hand :meth:`spec` (plain data) to
     workers; call :meth:`close` exactly when no worker can still be
-    attaching — the process backend does this from ``finally`` blocks
-    after every worker has been joined or terminated.
+    attaching — the process backend retires (kills and reaps) its
+    worker generation before it releases the store.
     """
 
     def __init__(self):
@@ -155,8 +156,9 @@ def install_shared_csrs(graph, spec):
     """Attach a store spec and swap the CSRs onto ``graph`` (worker side).
 
     Rebinding adjacency is sanctioned only here in the graph layer
-    (RPQ105); the runtime's worker loop calls this once right after
-    fork, before any machine touches the partition.
+    (RPQ105); a pool worker calls this once, right after its generation
+    is forked and before it serves its first run, so no machine ever
+    touches the partition earlier.
     """
     out_csr, in_csr = attach_csrs(spec)
     graph.out_csr = out_csr

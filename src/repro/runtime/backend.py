@@ -10,37 +10,58 @@ scheduler directly; it dispatches through an :class:`ExecutionBackend`:
   tracing, and the race detector all live here.
 * :class:`ProcessBackend` — real parallelism.  Each partition's
   :class:`~repro.runtime.machine.Machine` loop runs in a forked OS
-  process; ``Batch``/``Done``/``Status`` frames are pickled onto
-  ``multiprocessing.Queue`` channels between workers; the CSR adjacency
-  is placed in ``multiprocessing.shared_memory`` and attached read-only
-  per worker (:mod:`repro.graph.shm`); this coordinator process owns
-  admission, termination, and result assembly.
+  process that outlives the query; the CSR adjacency is placed in
+  ``multiprocessing.shared_memory`` and attached once per worker
+  (:mod:`repro.graph.shm`); this coordinator process owns admission,
+  termination, and result assembly.
 
 Topology: ``workers`` processes (default ``num_machines``) each host the
-machines ``m`` with ``m % workers == worker_id``.  One inbound queue per
-worker carries data/control frames from peers plus the coordinator's
-stop sentinel; one shared result queue carries conclusion notices and
-final per-machine payloads back.
+machines ``m`` with ``m % workers == worker_id``.  Every worker has one
+duplex pipe to the coordinator (commands down, notices and the final
+payload up) and one inbound ``multiprocessing.Queue`` that only its peers
+write to.
+
+Generations: plans are closures and cannot be pickled, so a worker knows
+a plan because it was forked after the backend registered it.  The
+backend keeps a bounded registry of plans and one live *generation* of
+workers forked with that registry, the ``dgraph`` and the ``config``
+inherited.  A run whose plan the generation holds is the two integers
+``(run id, plan id)`` on each command pipe; a first-sight plan, another
+``dgraph`` object, an unequal config or worker count retires the
+generation and forks the next one.  A generation whose run did not end
+cleanly is never reused.
+
+Run fencing: channels outlive a run, so each run's machines are built
+with ``query_id = run id``; the id rides every frame, and a received
+frame that carries another run's id (a late credit return, a stale
+STATUS) is dropped before it can reach ``Machine.deliver``.
+
+Frames: a machine's remote sends are collected per destination worker
+and leave once per loop iteration as one ``marshal`` blob of plain
+tuples (:func:`repro.runtime.message.to_wire`); the receiver rebuilds
+the dataclasses, which also draws their receive-priority ``seq`` from
+its own counter (raw sender seqs never order a remote inbox — see the
+note in :mod:`repro.runtime.message`), so every inbox heap stays
+totally ordered.
 
 Termination: each machine runs the paper's double-confirmation protocol
-(Section 3.4) exactly as under the simulator — STATUS snapshots are
-broadcast every ``status_interval`` loop iterations.  A machine may only
-conclude after confirming, twice, with strictly newer information, that
-global sent == processed on every channel; that property is
-schedule-independent, so the *first* conclusion anywhere proves all
-data-plane work is globally done and every sink is complete.  The
-coordinator then broadcasts the stop sentinel; in-flight frames past
-that point can only be credit returns or stale STATUS traffic.
+(Section 3.4) exactly as under the simulator, but a loop iteration is
+not a unit of time on real processes, so STATUS is not sent on an
+iteration count.  A worker broadcasts when it goes idle and has
+something to say: its counters moved since its last broadcast, or it
+holds a confirmation candidate and has heard from a peer since.  A
+machine may only conclude after confirming, twice, with strictly newer
+information, that global sent == processed on every channel; that
+property is schedule-independent, so any cadence is safe and the
+*first* conclusion anywhere proves all data-plane work is globally done
+and every sink is complete.  The coordinator then tells every worker to
+stop the run.
 
-Message ordering: receive-priority seq tiebreakers are process-local.
-Frames are re-stamped from the receiving process's own counter at the
-channel boundary (raw sender seqs never order a remote inbox — see the
-note in :mod:`repro.runtime.message`), which keeps every inbox heap
-totally ordered.  Arrival interleaving still varies run to run, so the
-backend relies on the engine's schedule-invariant result assembly (the
-property the race detector and the RPQ102 static rule certify) — the
-cross-backend oracle in ``tests/test_backend.py`` holds result sets
-bit-identical to the simulator's.
+Arrival interleaving varies run to run, so the backend relies on the
+engine's schedule-invariant result assembly (the property the race
+detector and the RPQ102 static rule certify) — the cross-backend oracle
+in ``tests/test_backend.py`` holds result sets bit-identical to the
+simulator's.
 
 The feature matrix (what each backend supports) is documented in
 ``docs/backends.md`` and enforced by :class:`~repro.config.EngineConfig`
@@ -48,9 +69,13 @@ validation plus the explicit checks here — simulator-only options raise
 :class:`~repro.errors.ConfigError` instead of being silently ignored.
 """
 
+import itertools
+import marshal
 import multiprocessing
 import time
 import traceback
+from collections import OrderedDict
+from multiprocessing.connection import wait
 from queue import Empty
 
 from ..analysis.sanitizer import sanitizer_from_config
@@ -58,19 +83,19 @@ from ..engine.result import MachineSink
 from ..errors import ConfigError, ExecutionError
 from ..graph.shm import SharedGraphStore, csr_nbytes, install_shared_csrs
 from .machine import Machine
-from .message import _seq
+from .message import WIRE_QUERY_ID, StatusMessage, from_wire, to_wire
 from .multi import ClusterScheduler
 from .stats import RunStats
 
-#: Coordinator's stop sentinel on worker inboxes (a plain string cannot be
-#: confused with a message dataclass after pickling).
-_STOP = "__repro_stop__"
 #: Hard ceiling on one process-backend run; a healthy run signals long
 #: before this, so hitting it means workers live-locked or lost frames.
 _RUN_TIMEOUT_S = 600.0
-#: Idle worker block on the inbox (seconds) before re-polling; long
-#: enough not to spin a core, short enough to keep STATUS cadence tight.
+#: Idle worker block on its inbox and command pipe (seconds) before it
+#: looks at its machines again.
 _IDLE_WAIT_S = 0.002
+#: Plans the backend keeps registered (least recently run evicted first),
+#: so a stream of one-off plans does not pin every plan for ever.
+_MAX_PLANS = 64
 
 
 class ExecutionBackend:
@@ -135,14 +160,17 @@ def backend_from_config(config):
     return SimBackend()
 
 
+# ----------------------------------------------------------------------
+# Worker side
+# ----------------------------------------------------------------------
 class _ProcessNetwork:
-    """Send-side channel fabric inside one worker process.
+    """Send-side channel fabric inside one worker process, for one run.
 
     :class:`~repro.runtime.machine.Machine` talks to the network only
-    through ``send`` (delivery is push-based via ``Machine.deliver``),
-    so this is the whole surface.  Frames for machines hosted by this
-    worker short-circuit through a local pending list; remote frames are
-    pickled onto the owning worker's inbox queue.
+    through ``send`` (delivery is push-based via ``Machine.deliver``).
+    Frames for machines hosted by this worker short-circuit through a
+    local pending list; remote frames are kept as wire records per
+    owning worker until the loop's once-per-iteration :meth:`flush`.
     """
 
     def __init__(self, worker_id, num_workers, inboxes):
@@ -150,13 +178,14 @@ class _ProcessNetwork:
         self._num_workers = num_workers
         self._inboxes = inboxes
         self._local_pending = []
+        self._outgoing = [[] for _ in range(num_workers)]
 
     def send(self, message, now_round):
         owner = message.dst_machine % self._num_workers
         if owner == self._worker_id:
             self._local_pending.append(message)
         else:
-            self._inboxes[owner].put(message)
+            self._outgoing[owner].append(to_wire(message))
 
     def take_local(self):
         """Drain frames addressed to this worker's own machines."""
@@ -164,119 +193,311 @@ class _ProcessNetwork:
         self._local_pending = []
         return pending
 
+    @property
+    def has_local(self):
+        return bool(self._local_pending)
 
-def _worker_main(worker_id, num_workers, dgraph, plan, config, shm_spec,
-                 inboxes, results):
-    """One worker process: host machines ``m % num_workers == worker_id``.
+    def flush(self):
+        """One blob per destination worker that has records waiting."""
+        for owner, records in enumerate(self._outgoing):
+            if records:
+                self._inboxes[owner].put(marshal.dumps(records))
+                self._outgoing[owner] = []
 
-    Runs under the fork start method — ``dgraph``/``plan``/``config``
-    are inherited, never pickled.  Exits when the coordinator's stop
-    sentinel arrives, posting each hosted machine's sink payload and
-    counters on the result queue.
+
+def _fenced(records, run_id):
+    """The frames of one received blob that belong to run ``run_id``.
+
+    The run fence: a record stamped with another run's id is dropped here,
+    before it is rebuilt, so it can never reach ``Machine.deliver``.
     """
+    return [
+        from_wire(record)
+        for record in records
+        if record[WIRE_QUERY_ID] == run_id
+    ]
+
+
+def _counters(machine):
+    """What a STATUS broadcast of ``machine`` would say, as plain values."""
+    tracker = machine.tracker
+    return (
+        dict(tracker.sent), dict(tracker.processed), dict(tracker.max_depths)
+    )
+
+
+def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
+               inboxes):
+    """One run in this worker: returns the payload for the coordinator.
+
+    Leaves when the coordinator's stop for ``run_id`` arrives on ``conn``;
+    raises ``EOFError`` if the coordinator went away instead.
+    """
+    prof = None
+    if config.profile:
+        from ..obs.prof import PhaseProfiler
+
+        prof = PhaseProfiler()
+    sanitizer = sanitizer_from_config(config)
+    network = _ProcessNetwork(worker_id, num_workers, inboxes)
+    inbox = inboxes[worker_id]
+    # The queue's read end, to sleep on it and the command pipe together
+    # (the stdlib's own process pool waits on ``Queue._reader`` this way).
+    wakeups = [inbox._reader, conn]
+    sinks = {}
+    machines = {}
+    for m in range(worker_id, config.num_machines, num_workers):
+        sinks[m] = MachineSink(plan)
+        machines[m] = Machine(
+            m, dgraph, plan, config, network, sinks[m],
+            sanitizer=sanitizer, query_id=run_id, prof=prof,
+        )
+    hosted = list(machines.values())
+
+    announced = None  # the hosted machines' counters at the last broadcast
+    heard = False  # a peer's blob arrived since the last broadcast
+    reported = False
+    loop_no = 0
+    while True:
+        frames = network.take_local()
+        while True:
+            try:
+                blob = inbox.get_nowait()
+            except Empty:
+                break
+            heard = True
+            frames.extend(_fenced(marshal.loads(blob), run_id))
+        data = 0  # batches and credit returns: STATUS is nothing to work on
+        for frame in frames:
+            machines[frame.dst_machine].deliver([frame])
+            if not isinstance(frame, StatusMessage):
+                data += 1
+        worked = 0.0
+        for machine in hosted:
+            consumed = machine.run_slice(loop_no, config.quantum)
+            machine.account_round(consumed)
+            worked += consumed
+        loop_no += 1
+        idle = worked == 0.0 and data == 0
+        if idle:
+            for machine in hosted:
+                if not machine.protocol.concluded:
+                    machine.check_termination()
+            if not reported and any(m.protocol.concluded for m in hosted):
+                reported = True
+                conn.send(("concluded", run_id))
+            # Going idle is when a broadcast can tell a peer something:
+            # counters it has not seen, or — once an evaluation here found
+            # everything terminated — the newer generation its second
+            # confirmation needs.  A confirming worker answers only what
+            # it heard since it last spoke, so idle workers waiting on a
+            # busy one do not echo STATUS at each other.
+            counters = [_counters(machine) for machine in hosted]
+            if counters != announced or (
+                heard and any(m.protocol.confirming for m in hosted)
+            ):
+                heard = False
+                announced = counters
+                for machine in hosted:
+                    machine.broadcast_status(loop_no)
+        network.flush()
+        if idle:
+            # Nothing to do until a frame or the stop arrives; frames a
+            # broadcast just addressed to co-hosted machines are handled
+            # first.
+            timeout = 0 if network.has_local else _IDLE_WAIT_S
+            ready = wait(wakeups, timeout)
+            if conn in ready and conn.recv() == (run_id, None):
+                break
+            if not ready and timeout:
+                # A full wait of silence counts as having heard: a
+                # confirming worker then speaks again, so termination
+                # never hangs on who answered whom.
+                heard = True
+
+    for machine in hosted:
+        machine.finalize_stats()
+    return {
+        "machines": {
+            m: {
+                "rows": sinks[m].rows,
+                "groups": sinks[m].groups,
+                "stats": machines[m].stats,
+            }
+            for m in sorted(machines)
+        },
+        "iterations": loop_no,
+        "profile": None if prof is None else prof.summary(),
+    }
+
+
+def _worker_main(worker_id, pipes, inboxes, dgraph, plans, config, shm_spec):
+    """One worker process: host machines ``m % len(pipes) == worker_id``.
+
+    Runs under the fork start method — ``dgraph``/``plans``/``config``
+    are inherited, never pickled.  Serves ``(run id, plan id)`` commands
+    until its command pipe reaches EOF, which is how a retired generation
+    and a coordinator that died both look from here.
+    """
+    conn = pipes[worker_id][1]
+    # Drop every inherited pipe end but our own: EOF reaches a worker only
+    # when the coordinator holds the last open copy of the other end.
+    for w, (coordinator_end, worker_end) in enumerate(pipes):
+        coordinator_end.close()
+        if w != worker_id:
+            worker_end.close()
+    for inbox in inboxes:
+        # A worker exits only when nobody wants its frames any more; never
+        # let exit wait for a peer that may be gone to drain a queue.
+        inbox.cancel_join_thread()
     try:
         if shm_spec is not None:
             install_shared_csrs(dgraph.graph, shm_spec)
-        prof = None
-        if config.profile:
-            from ..obs.prof import PhaseProfiler
-
-            prof = PhaseProfiler()
-        sanitizer = sanitizer_from_config(config)
-        network = _ProcessNetwork(worker_id, num_workers, inboxes)
-        inbox = inboxes[worker_id]
-        sinks = {}
-        machines = []
-        for m in range(worker_id, config.num_machines, num_workers):
-            sinks[m] = MachineSink(plan)
-            machines.append(
-                Machine(m, dgraph, plan, config, network, sinks[m],
-                        sanitizer=sanitizer, prof=prof)
+        while True:
+            run_id, plan_id = conn.recv()
+            payload = _run_query(
+                worker_id, len(pipes), dgraph, plans[plan_id], config,
+                run_id, conn, inboxes,
             )
-        local = {machine.id: machine for machine in machines}
-
-        loop_no = 0
-        reported = False
-        running = True
-        while running:
-            frames = network.take_local()
-            while True:
-                try:
-                    frames.append(inbox.get_nowait())
-                except Empty:
-                    break
-            delivered = 0
-            for frame in frames:
-                if frame == _STOP:
-                    running = False
-                    continue
-                # Re-stamp the receive-priority tiebreaker from this
-                # process's counter: sender seqs are only unique per
-                # process, and a tie would make the inbox heap compare
-                # unorderable Batch objects.
-                frame.seq = next(_seq)
-                local[frame.dst_machine].deliver([frame])
-                delivered += 1
-            if not running:
-                break
-            worked = 0.0
-            for machine in machines:
-                consumed = machine.run_slice(loop_no, config.quantum)
-                machine.account_round(consumed)
-                worked += consumed
-            loop_no += 1
-            if loop_no % config.status_interval == 0:
-                for machine in machines:
-                    machine.broadcast_status(loop_no)
-                for machine in machines:
-                    if not machine.protocol.concluded:
-                        machine.check_termination()
-                if not reported and any(
-                    machine.protocol.concluded for machine in machines
-                ):
-                    reported = True
-                    results.put(("concluded", worker_id))
-            if worked == 0.0 and delivered == 0:
-                # Fully idle: block briefly on the inbox instead of
-                # spinning; whatever arrives is handled next iteration.
-                try:
-                    frame = inbox.get(timeout=_IDLE_WAIT_S)
-                except Empty:
-                    continue  # poll timeout: re-check local work and inbox
-                network._local_pending.append(frame)
-
-        for machine in machines:
-            machine.finalize_stats()
-        payload = {
-            "machines": {
-                m: {
-                    "rows": sinks[m].rows,
-                    "groups": sinks[m].groups,
-                    "stats": local[m].stats,
-                }
-                for m in sorted(local)
-            },
-            "iterations": loop_no,
-            "profile": None if prof is None else prof.summary(),
-        }
-        results.put(("result", worker_id, payload))
+            conn.send(("result", payload))
+    except (EOFError, ConnectionError):
+        return  # the coordinator closed the channel or is gone
     except BaseException:
         # Worker boundary: ship the traceback across the process gap so
         # the coordinator can re-raise it as ExecutionError, then crash
         # this worker loudly too.
-        results.put(("error", worker_id, traceback.format_exc()))
+        conn.send(("error", traceback.format_exc()))
         raise
 
 
+# ----------------------------------------------------------------------
+# Coordinator side
+# ----------------------------------------------------------------------
+class _Generation:
+    """One fork of the worker pool: processes, command pipes, inboxes.
+
+    The coordinator never writes to an inbox, so it never starts a
+    ``Queue`` feeder thread and the next generation is always forked from
+    a single-threaded process.
+    """
+
+    def __init__(self, dgraph, config, num_workers, plans, shm_spec):
+        self.dgraph = dgraph
+        self.config = config
+        ctx = multiprocessing.get_context("fork")
+        pipes = [ctx.Pipe() for _ in range(num_workers)]
+        inboxes = [ctx.Queue() for _ in range(num_workers)]
+        self.conns = [coordinator_end for coordinator_end, _ in pipes]
+        self.procs = []
+        try:
+            for w in range(num_workers):
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(w, pipes, inboxes, dgraph, plans, config, shm_spec),
+                    daemon=True,
+                )
+                proc.start()
+                self.procs.append(proc)
+        except BaseException:
+            self.retire()
+            raise
+        finally:
+            for _, worker_end in pipes:
+                worker_end.close()
+
+    def serves(self, dgraph, config, num_workers):
+        return (
+            self.dgraph is dgraph
+            and self.config == config
+            and len(self.procs) == num_workers
+        )
+
+    def retire(self):
+        """Stop every worker and reap it (idempotent)."""
+        for conn in self.conns:
+            conn.close()
+        # Workers hold nothing that needs an orderly exit (segments are
+        # the coordinator's; attach mappings are already closed), and one
+        # busy in a long slice would not see EOF for a while.
+        for proc in self.procs:
+            proc.kill()
+        for proc in self.procs:
+            proc.join()
+            proc.close()
+        self.conns = []
+        self.procs = []
+
+    def _lost(self, worker):
+        proc = self.procs[worker]
+        proc.join(timeout=1.0)
+        return ExecutionError(
+            f"process backend worker {worker} exited (code {proc.exitcode}) "
+            "before posting its result"
+        )
+
+    def _tell(self, worker, command):
+        try:
+            self.conns[worker].send(command)
+        except OSError:
+            raise self._lost(worker) from None
+
+    def execute(self, run_id, plan_id, deadline):
+        """Drive one run: stop on first conclusion, collect all payloads."""
+        workers = range(len(self.procs))
+        for w in workers:
+            self._tell(w, (run_id, plan_id))
+        by_handle = {self.conns[w]: w for w in workers}
+        by_handle.update((self.procs[w].sentinel, w) for w in workers)
+        payloads = {}
+        stopped = False
+        while len(payloads) < len(self.procs):
+            # repro: allow[RPQ103] wall-clock watchdog only; never feeds protocol state
+            ready = wait(list(by_handle), deadline - time.perf_counter())
+            if not ready:
+                raise ExecutionError(
+                    "process backend run exceeded "
+                    f"{_RUN_TIMEOUT_S:.0f}s without concluding"
+                )
+            # Pipes before sentinels: a worker that failed posts its
+            # traceback and then dies, which makes both ready at once.
+            ready.sort(key=lambda handle: isinstance(handle, int))
+            for handle in ready:
+                w = by_handle[handle]
+                if isinstance(handle, int):
+                    raise self._lost(w)
+                try:
+                    msg = handle.recv()
+                except (EOFError, OSError):
+                    # EOF, or a reset when the worker died with a command
+                    # still unread in its end of the pipe.
+                    raise self._lost(w) from None
+                kind = msg[0]
+                if kind == "concluded":
+                    # Double-confirmation makes any machine's conclusion
+                    # a proof that global sent == processed: all sinks
+                    # are complete, so stop every worker.
+                    if msg[1] == run_id and not stopped:
+                        stopped = True
+                        for peer in workers:
+                            self._tell(peer, (run_id, None))
+                elif kind == "error":
+                    raise ExecutionError(
+                        f"process backend worker {w} failed:\n{msg[1]}"
+                    )
+                else:  # ("result", payload)
+                    payloads[w] = msg[1]
+        return payloads
+
+
 class ProcessBackend(ExecutionBackend):
-    """Real-parallel execution: one forked OS process per worker.
+    """Real-parallel execution on a persistent pool of forked workers.
 
     The backend caches the shared-memory CSR export across runs on the
-    same graph (benchmarks re-run queries back to back); ``close`` — or
-    the owning Session's context-manager exit — unlinks it.  Worker
-    processes are per-run: spawned after the sinks are known, joined or
-    terminated before ``run`` returns, so a crash can never leak
-    children past the call.
+    same graph and keeps one generation of workers alive between runs
+    (see the module docstring); ``close`` — or the owning Session's
+    context-manager exit — retires the workers and unlinks the export.
+    What persists pays off for executions whose plan the live generation
+    already holds; the first execution of each plan forks.
     """
 
     name = "process"
@@ -284,6 +505,10 @@ class ProcessBackend(ExecutionBackend):
     def __init__(self):
         self._store = None
         self._store_graph = None  # graph the cached export belongs to
+        self._plans = OrderedDict()  # plan id -> plan, least recent first
+        self._plan_ids = itertools.count()
+        self._generation = None
+        self._run_ids = itertools.count(1)
 
     # -- shared-memory lifecycle ---------------------------------------
     def _shm_spec(self, graph, config):
@@ -310,7 +535,48 @@ class ProcessBackend(ExecutionBackend):
         """Live shared-memory segment names (leak-check surface for tests)."""
         return [] if self._store is None else self._store.segment_names
 
+    # -- worker lifecycle -----------------------------------------------
+    @property
+    def worker_pids(self):
+        """Pids of the live generation's workers (empty before the first
+        run and after ``close``)."""
+        generation = self._generation
+        return [] if generation is None else [p.pid for p in generation.procs]
+
+    def _retire_generation(self):
+        if self._generation is not None:
+            self._generation.retire()
+            self._generation = None
+
+    def _generation_for(self, dgraph, plan, config, num_workers):
+        """The generation to run ``plan`` on and the plan's id in it,
+        forking a generation if need be."""
+        plan_id = next(
+            (key for key, known in self._plans.items() if known is plan), None
+        )
+        if plan_id is not None:
+            self._plans.move_to_end(plan_id)
+        else:
+            plan_id = next(self._plan_ids)
+            self._plans[plan_id] = plan
+            if len(self._plans) > _MAX_PLANS:
+                self._plans.popitem(last=False)
+            self._retire_generation()  # forked before this plan existed
+        generation = self._generation
+        if generation is None or not generation.serves(
+            dgraph, config, num_workers
+        ):
+            # Retire first: workers attach the export asynchronously
+            # after fork, and a new graph unlinks the old one's segments.
+            self._retire_generation()
+            shm_spec = self._shm_spec(dgraph.graph, config)
+            self._generation = _Generation(
+                dgraph, config, num_workers, self._plans, shm_spec
+            )
+        return self._generation, plan_id
+
     def close(self):
+        self._retire_generation()
         self._release_store()
 
     # -- execution ------------------------------------------------------
@@ -347,43 +613,24 @@ class ProcessBackend(ExecutionBackend):
         started = time.perf_counter()
         num_workers = config.workers or config.num_machines
         num_workers = min(num_workers, config.num_machines)
-        if prof is not None:
-            prof.enter("backend.spawn")
-        shm_spec = self._shm_spec(dgraph.graph, config)
-        ctx = multiprocessing.get_context("fork")
-        inboxes = [
-            ctx.Queue(config.channel_capacity) for _ in range(num_workers)
-        ]
-        results = ctx.Queue()
-        procs = []
         try:
-            for w in range(num_workers):
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(w, num_workers, dgraph, plan, config, shm_spec,
-                          inboxes, results),
-                    daemon=True,
-                )
-                proc.start()
-                procs.append(proc)
+            if prof is not None:
+                prof.enter("backend.spawn")
+            generation, plan_id = self._generation_for(
+                dgraph, plan, config, num_workers
+            )
             if prof is not None:
                 prof.exit()
                 prof.enter("backend.coordinate")
-            payloads = self._coordinate(procs, inboxes, results, started)
+            payloads = generation.execute(
+                next(self._run_ids), plan_id, started + _RUN_TIMEOUT_S
+            )
         except BaseException:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
+            # Frames of the broken run may be anywhere; a generation whose
+            # run did not end cleanly is never reused.
+            self._retire_generation()
             raise
         finally:
-            for proc in procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            for chan in inboxes:
-                chan.close()
-            results.close()
             if prof is not None:
                 prof.unwind()
         if prof is not None:
@@ -400,44 +647,6 @@ class ProcessBackend(ExecutionBackend):
             machine_stats, iterations, wall, config, profile=profile,
         )
         return stats, False, False
-
-    def _coordinate(self, procs, inboxes, results, started):
-        """Drive one run: stop on first conclusion, collect all payloads."""
-        payloads = {}
-        stopped = False
-        while len(payloads) < len(procs):
-            try:
-                msg = results.get(timeout=0.05)
-            except Empty:
-                for w, proc in enumerate(procs):
-                    if w not in payloads and not proc.is_alive():
-                        raise ExecutionError(
-                            f"process backend worker {w} exited (code "
-                            f"{proc.exitcode}) before posting its result"
-                        )
-                # repro: allow[RPQ103] wall-clock watchdog only; never feeds protocol state
-                if time.perf_counter() - started > _RUN_TIMEOUT_S:
-                    raise ExecutionError(
-                        "process backend run exceeded "
-                        f"{_RUN_TIMEOUT_S:.0f}s without concluding"
-                    )
-                continue
-            kind = msg[0]
-            if kind == "concluded":
-                # Double-confirmation makes any machine's conclusion a
-                # proof that global sent == processed: all sinks are
-                # complete, so stop every worker.
-                if not stopped:
-                    stopped = True
-                    for chan in inboxes:
-                        chan.put(_STOP)
-            elif kind == "error":
-                raise ExecutionError(
-                    f"process backend worker {msg[1]} failed:\n{msg[2]}"
-                )
-            else:  # ("result", worker_id, payload)
-                payloads[msg[1]] = msg[2]
-        return payloads
 
     def _merge(self, payloads, sinks, config, prof):
         """Fold worker payloads into the caller's sinks and stats."""

@@ -38,7 +38,8 @@ class Machine:
         # machine hosts one such slice per active query, and every
         # namespaced structure below (flow-control credits, termination
         # counters, index shards) and every outgoing message carries this
-        # id.  The process backend's workers run one query and keep 0.
+        # id.  The process backend builds each run's machines with its
+        # run id, which is what fences one run's frames from the next.
         self.query_id = query_id
         self.stats = MachineStats()
         self.tracker = TerminationTracker(

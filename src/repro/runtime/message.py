@@ -10,9 +10,10 @@ Section 3.4).
 import itertools
 from dataclasses import dataclass, field
 
-# Simulator-wide monotonic tiebreaker for FIFO receive priority.  The
-# parallel backend must not ship raw seq values between processes: the
-# transport re-stamps per-link tseq at the network boundary (ROADMAP-1).
+# Process-wide monotonic tiebreaker for FIFO receive priority.  The
+# parallel backend does not ship seq values between processes: a frame
+# rebuilt from its wire record (``from_wire`` below) draws a fresh one
+# from the receiving process's counter.
 # repro: allow[RPQ101] per-process counter is a priority tiebreaker only; transport tseq orders the wire
 _seq = itertools.count()
 
@@ -39,7 +40,8 @@ class Batch:
     depth: int  # 0 for non-RPQ stages
     # The id of the query this batch belongs to (:mod:`repro.runtime.
     # multi`).  Message channels, flow-control credits, and termination
-    # counters are all namespaced by it; process-backend workers keep 0.
+    # counters are all namespaced by it; on the process backend it is the
+    # run id that fences one run's frames from the next.
     query_id: int = 0
     credit_key: object = None  # flow-control bucket that backed this send
     contexts: list = field(default_factory=list)  # [(vertex, ctx_list)]
@@ -144,6 +146,72 @@ class StatusMessage:
         new.tseq = self.tseq
         new.epoch = self.epoch
         return new
+
+
+# ----------------------------------------------------------------------
+# Wire records (:class:`~repro.runtime.backend.ProcessBackend`)
+# ----------------------------------------------------------------------
+# Between worker processes a frame travels as a plain tuple
+# ``(kind, query_id, ...)`` so that a whole list of them is one
+# ``marshal`` blob.  Every payload value is a marshal primitive: contexts
+# hold ints, ``None`` and ``str``/``float`` property captures; credit
+# keys are (nested) tuples of ints and strings.  The query id sits at a
+# fixed index so the receiver can fence a record before rebuilding it.
+# ``seq`` does not travel: the rebuilt message draws a fresh one from the
+# receiving process's counter, which is what orders a remote inbox.
+# ``flow_id`` / ``tseq`` / ``epoch`` (tracing, ARQ, recovery) are
+# simulator-only and keep their defaults.
+WIRE_BATCH, WIRE_DONE, WIRE_STATUS = 0, 1, 2
+#: Index of the query id in every wire record.
+WIRE_QUERY_ID = 1
+
+
+def to_wire(message):
+    """The wire record of a ``Batch`` / ``DoneMessage`` / ``StatusMessage``."""
+    if isinstance(message, Batch):
+        return (
+            WIRE_BATCH, message.query_id, message.src_machine,
+            message.dst_machine, message.target_stage, message.depth,
+            message.credit_key, message.contexts,
+        )
+    if isinstance(message, DoneMessage):
+        return (
+            WIRE_DONE, message.query_id, message.src_machine,
+            message.dst_machine, message.credit_key,
+        )
+    if isinstance(message, StatusMessage):
+        return (
+            WIRE_STATUS, message.query_id, message.src_machine,
+            message.dst_machine, message.generation, message.sent,
+            message.processed, message.max_depths,
+        )
+    raise TypeError(f"no wire record for {message!r}")
+
+
+def from_wire(record):
+    """Rebuild the message a wire record stands for (fresh local ``seq``)."""
+    kind = record[0]
+    if kind == WIRE_BATCH:
+        _, query_id, src, dst, stage, depth, credit_key, contexts = record
+        return Batch(
+            src_machine=src, dst_machine=dst, target_stage=stage,
+            depth=depth, query_id=query_id, credit_key=credit_key,
+            contexts=list(contexts),
+        )
+    if kind == WIRE_DONE:
+        _, query_id, src, dst, credit_key = record
+        return DoneMessage(
+            src_machine=src, dst_machine=dst, query_id=query_id,
+            credit_key=credit_key,
+        )
+    if kind == WIRE_STATUS:
+        _, query_id, src, dst, generation, sent, processed, max_depths = record
+        return StatusMessage(
+            src_machine=src, dst_machine=dst, query_id=query_id,
+            generation=generation, sent=dict(sent),
+            processed=dict(processed), max_depths=dict(max_depths),
+        )
+    raise ValueError(f"unknown wire record kind {kind!r}")
 
 
 @dataclass

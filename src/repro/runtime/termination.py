@@ -320,6 +320,13 @@ class TerminationProtocol:
             self._set_candidate(gen_vector, signature)
         return False
 
+    @property
+    def confirming(self):
+        """True once an evaluation found everything terminated: a candidate
+        is held (or was confirmed) and only strictly newer snapshots from
+        every machine can move this machine further."""
+        return self._candidate is not None
+
     def _set_candidate(self, gen_vector, signature):
         self._candidate = (gen_vector, signature)
         if self._obs is not None:
