@@ -8,7 +8,7 @@ costs), huge batches delay delivery until the end-of-round timeout flush.
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.bench import format_table
 from repro.datagen import BENCHMARK_QUERIES
 
@@ -22,7 +22,7 @@ def batching(ldbc):
     out = {}
     for size in BATCH_SIZES:
         config = EngineConfig(num_machines=4, quantum=400.0, batch_size=size)
-        out[size] = RPQdEngine(graph, config).execute(query)
+        out[size] = Session(graph, config).execute(query)
     return out
 
 
@@ -67,6 +67,6 @@ def test_tiny_batches_cost_latency_or_messages(batching):
 
 def test_wall_clock_batch_16(benchmark, ldbc):
     graph, info = ldbc
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4, quantum=400.0, batch_size=16))
+    engine = Session(graph, EngineConfig(num_machines=4, quantum=400.0, batch_size=16))
     query = BENCHMARK_QUERIES["Q09"](info)
     benchmark.pedantic(lambda: engine.execute(query), rounds=3, iterations=1)

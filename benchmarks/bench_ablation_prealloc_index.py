@@ -9,7 +9,7 @@ allocation overhead.
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.bench import format_table
 from repro.datagen import reply_depth_query
 
@@ -27,7 +27,7 @@ def prealloc_runs(ldbc):
         ("no index", dict(use_reachability_index=False)),
     ):
         config = EngineConfig(num_machines=4, quantum=400.0, **knobs)
-        out[mode] = RPQdEngine(graph, config).execute(query)
+        out[mode] = Session(graph, config).execute(query)
     return out
 
 
@@ -82,6 +82,6 @@ def test_no_index_remains_fastest_on_trees(prealloc_runs):
 def test_wall_clock_prealloc(benchmark, ldbc):
     graph, _info = ldbc
     config = EngineConfig(num_machines=4, quantum=400.0, index_preallocate=True)
-    engine = RPQdEngine(graph, config)
+    engine = Session(graph, config)
     query = reply_depth_query(*QUERY_HOPS)
     benchmark.pedantic(lambda: engine.execute(query), rounds=3, iterations=1)

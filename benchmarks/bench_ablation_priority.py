@@ -9,7 +9,7 @@ against plain FIFO delivery on a fan-out-heavy query.
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.bench import format_table
 from repro.datagen import BENCHMARK_QUERIES
 
@@ -27,7 +27,7 @@ def priority_runs(ldbc):
             buffers_per_machine=64,
             batch_size=8,
         )
-        out[mode] = RPQdEngine(graph, config).execute(query)
+        out[mode] = Session(graph, config).execute(query)
     return out
 
 
@@ -67,6 +67,6 @@ def test_depth_priority_completes(priority_runs):
 def test_wall_clock_depth_priority(benchmark, ldbc):
     graph, info = ldbc
     config = EngineConfig(num_machines=8, quantum=400.0)
-    engine = RPQdEngine(graph, config)
+    engine = Session(graph, config)
     query = BENCHMARK_QUERIES["Q09"](info)
     benchmark.pedantic(lambda: engine.execute(query), rounds=3, iterations=1)

@@ -10,7 +10,7 @@ satisfied by almost nobody.
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.bench import format_table
 
 # z.age > 76 is rare (ages are 18..77); a.age >= 18 matches everyone.
@@ -27,7 +27,7 @@ def scouting_runs(ldbc):
     out = {}
     for mode, knobs in (("static", dict()), ("scouting", dict(scouting=True))):
         config = EngineConfig(num_machines=4, quantum=400.0, **knobs)
-        out[mode] = RPQdEngine(graph, config).execute(QUERY)
+        out[mode] = Session(graph, config).execute(QUERY)
     return out
 
 
@@ -67,5 +67,5 @@ def test_scouting_reduces_work(scouting_runs):
 
 def test_wall_clock_scouted(benchmark, ldbc):
     graph, _info = ldbc
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4, quantum=400.0, scouting=True))
+    engine = Session(graph, EngineConfig(num_machines=4, quantum=400.0, scouting=True))
     benchmark.pedantic(lambda: engine.execute(QUERY), rounds=3, iterations=1)

@@ -156,7 +156,7 @@ def test_wall_clock_one_chaos_run(benchmark, ldbc_small):
     graph, info = ldbc_small
     query = BENCHMARK_QUERIES["Q09"](info)
     (plan,) = seeded_sweep(1, base_seed=BASE_SEED)
-    from repro import RPQdEngine
+    from repro import Session
 
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4, quantum=400.0, faults=plan))
+    engine = Session(graph, EngineConfig(num_machines=4, quantum=400.0, faults=plan))
     benchmark.pedantic(lambda: engine.execute(query), rounds=3, iterations=1)

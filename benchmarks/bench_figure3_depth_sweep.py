@@ -16,7 +16,7 @@ Paper findings to reproduce (Section 4.5):
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.bench import format_table
 from repro.datagen import FIGURE3_HOPS, reply_depth_query
 
@@ -26,7 +26,7 @@ def sweep(ldbc):
     graph, _info = ldbc
     results = {}
     for use_index in (True, False):
-        engine = RPQdEngine(
+        engine = Session(
             graph,
             EngineConfig(
                 num_machines=4, quantum=400.0, use_reachability_index=use_index
@@ -108,6 +108,6 @@ def test_larger_min_hop_improves_index_on_latency(sweep):
 
 def test_wall_clock_reply_depth_sweep(benchmark, ldbc):
     graph, _info = ldbc
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4, quantum=400.0))
+    engine = Session(graph, EngineConfig(num_machines=4, quantum=400.0))
     query = reply_depth_query(1, 3)
     benchmark.pedantic(lambda: engine.execute(query), rounds=3, iterations=1)

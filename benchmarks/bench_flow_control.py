@@ -11,7 +11,7 @@ disappear.
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.bench import format_table
 from repro.datagen import BENCHMARK_QUERIES
 
@@ -32,7 +32,7 @@ def pressure(ldbc):
     results = {}
     for name, knobs in (("tight", TIGHT), ("generous", GENEROUS)):
         config = EngineConfig(num_machines=4, quantum=400.0, **knobs)
-        results[name] = RPQdEngine(graph, config).execute(query)
+        results[name] = Session(graph, config).execute(query)
     return results
 
 
@@ -101,6 +101,6 @@ def test_blocking_costs_latency(pressure):
 def test_wall_clock_tight_budget(benchmark, ldbc):
     graph, info = ldbc
     config = EngineConfig(num_machines=4, quantum=400.0, **TIGHT)
-    engine = RPQdEngine(graph, config)
+    engine = Session(graph, config)
     query = BENCHMARK_QUERIES["Q09"](info)
     benchmark.pedantic(lambda: engine.execute(query), rounds=3, iterations=1)

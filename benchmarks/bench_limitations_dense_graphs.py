@@ -15,7 +15,7 @@ frontier/visited set; on reply trees, RPQd wins with low memory.
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.baselines import DistributedBftEngine
 from repro.bench import format_table
 from repro.graph.generators import complete_graph, reply_forest
@@ -24,7 +24,7 @@ QUANTUM = 400.0
 
 
 def rpqd(graph, machines=4):
-    return RPQdEngine(graph, EngineConfig(num_machines=machines, quantum=QUANTUM))
+    return Session(graph, EngineConfig(num_machines=machines, quantum=QUANTUM))
 
 
 def dbft(graph, machines=4):

@@ -10,7 +10,7 @@ at mini scale.
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.bench import format_table
 from repro.datagen import BENCHMARK_QUERIES
 
@@ -19,7 +19,7 @@ from repro.datagen import BENCHMARK_QUERIES
 def footprints(ldbc):
     graph, info = ldbc
     config = EngineConfig(num_machines=8, quantum=400.0)
-    engine = RPQdEngine(graph, config)
+    engine = Session(graph, config)
     out = {}
     for name in ("Q09", "Q10"):
         out[name] = engine.execute(BENCHMARK_QUERIES[name](info))
@@ -93,6 +93,6 @@ def test_entry_size_model(footprints):
 
 def test_wall_clock_q10_memory_run(benchmark, ldbc):
     graph, info = ldbc
-    engine = RPQdEngine(graph, EngineConfig(num_machines=8, quantum=400.0))
+    engine = Session(graph, EngineConfig(num_machines=8, quantum=400.0))
     query = BENCHMARK_QUERIES["Q10"](info)
     benchmark.pedantic(lambda: engine.execute(query), rounds=3, iterations=1)

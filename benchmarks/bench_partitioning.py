@@ -9,7 +9,7 @@ keep whole threads on one machine and slash cross-machine messages.
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.bench import format_table
 from repro.datagen import BENCHMARK_QUERIES
 
@@ -22,7 +22,7 @@ def partition_runs(ldbc):
     query = BENCHMARK_QUERIES["Q09"](info)
     out = {}
     for strategy in STRATEGIES:
-        engine = RPQdEngine(
+        engine = Session(
             graph,
             EngineConfig(num_machines=4, quantum=400.0),
             partitioner=strategy,
@@ -68,7 +68,7 @@ def test_locality_reduces_messages(partition_runs):
 
 def test_wall_clock_cluster_partitioner(benchmark, ldbc):
     graph, info = ldbc
-    engine = RPQdEngine(
+    engine = Session(
         graph, EngineConfig(num_machines=4, quantum=400.0), partitioner="cluster"
     )
     query = BENCHMARK_QUERIES["Q09"](info)

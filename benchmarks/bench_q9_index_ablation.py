@@ -9,7 +9,7 @@ exactly this workload.
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.bench import format_table
 from repro.datagen import BENCHMARK_QUERIES
 
@@ -23,7 +23,7 @@ def ablation(ldbc):
         config = EngineConfig(
             num_machines=8, quantum=400.0, use_reachability_index=use_index
         )
-        results[use_index] = RPQdEngine(graph, config).execute(query)
+        results[use_index] = Session(graph, config).execute(query)
     return results
 
 
@@ -66,6 +66,6 @@ def test_index_is_pure_overhead_on_trees(ablation):
 def test_wall_clock_index_off(benchmark, ldbc):
     graph, info = ldbc
     config = EngineConfig(num_machines=8, quantum=400.0, use_reachability_index=False)
-    engine = RPQdEngine(graph, config)
+    engine = Session(graph, config)
     query = BENCHMARK_QUERIES["Q09"](info)
     benchmark.pedantic(lambda: engine.execute(query), rounds=3, iterations=1)

@@ -9,7 +9,7 @@ regenerates the histogram and asserts that shape.
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.bench import format_table
 from repro.datagen import BENCHMARK_QUERIES
 
@@ -17,7 +17,7 @@ from repro.datagen import BENCHMARK_QUERIES
 @pytest.fixture(scope="module")
 def q9_stats(ldbc):
     graph, info = ldbc
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4, quantum=400.0))
+    engine = Session(graph, EngineConfig(num_machines=4, quantum=400.0))
     result = engine.execute(BENCHMARK_QUERIES["Q09"](info))
     return result.stats
 
@@ -64,6 +64,6 @@ def test_tree_traversal_has_no_eliminations(q9_stats):
 
 def test_wall_clock_q9(benchmark, ldbc):
     graph, info = ldbc
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4, quantum=400.0))
+    engine = Session(graph, EngineConfig(num_machines=4, quantum=400.0))
     query = BENCHMARK_QUERIES["Q09"](info)
     benchmark.pedantic(lambda: engine.execute(query), rounds=3, iterations=1)

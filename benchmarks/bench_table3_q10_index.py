@@ -12,7 +12,7 @@ depth-2 neighbors), and DFT-induced duplication at depth 2.
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.bench import format_table
 from repro.datagen import BENCHMARK_QUERIES
 
@@ -20,7 +20,7 @@ from repro.datagen import BENCHMARK_QUERIES
 @pytest.fixture(scope="module")
 def q10_stats(ldbc):
     graph, info = ldbc
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4, quantum=400.0))
+    engine = Session(graph, EngineConfig(num_machines=4, quantum=400.0))
     result = engine.execute(BENCHMARK_QUERIES["Q10"](info))
     return result.stats
 
@@ -87,6 +87,6 @@ def test_index_entry_accounting(q10_stats):
 
 def test_wall_clock_q10(benchmark, ldbc):
     graph, info = ldbc
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4, quantum=400.0))
+    engine = Session(graph, EngineConfig(num_machines=4, quantum=400.0))
     query = BENCHMARK_QUERIES["Q10"](info)
     benchmark.pedantic(lambda: engine.execute(query), rounds=3, iterations=1)

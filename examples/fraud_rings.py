@@ -16,7 +16,7 @@ Run:  python examples/fraud_rings.py
 
 import random
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.baselines import BftEngine, UnsupportedQueryError
 
 
@@ -49,7 +49,7 @@ def build_payment_network(num_accounts=400, num_transfers=1600, seed=11):
 def main():
     graph = build_payment_network()
     print(f"payment network: {graph}")
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4))
+    engine = Session(graph, EngineConfig(num_machines=4))
 
     # 1. Layering chains: 2..4 hops of transfers over 8k each.
     layering = engine.execute(

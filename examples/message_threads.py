@@ -4,7 +4,7 @@ reachability-index ablation on tree-shaped traversals (paper Section 4.4).
 Run:  python examples/message_threads.py
 """
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.datagen import mini_ldbc
 
 
@@ -12,7 +12,7 @@ def main():
     graph, info = mini_ldbc("s")
     print(f"graph: {info.counts}")
 
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4))
+    engine = Session(graph, EngineConfig(num_machines=4))
 
     # Total thread sizes per originating post (deep RPQ down reply trees).
     threads = engine.execute(
@@ -38,7 +38,7 @@ def main():
     # Reply trees are trees: the reachability index never eliminates
     # anything, so disabling it is safe and strictly faster (Section 4.4).
     with_index = result
-    without_index = RPQdEngine(
+    without_index = Session(
         graph,
         EngineConfig(num_machines=4, use_reachability_index=False),
     ).execute("SELECT COUNT(*) FROM MATCH (post:Post)<-/:REPLY_OF+/-(reply:Comment)")

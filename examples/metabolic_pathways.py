@@ -14,7 +14,7 @@ Run:  python examples/metabolic_pathways.py
 
 import random
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 
 
 def build_metabolic_network(num_metabolites=300, num_reactions=420, seed=23):
@@ -49,7 +49,7 @@ def main():
     glucose = metabolites[0]
     print(f"metabolic network: {graph}")
 
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4))
+    engine = Session(graph, EngineConfig(num_machines=4))
 
     # One pathway step: metabolite -> (reaction consuming it) -> product.
     step_macro = (

@@ -3,7 +3,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 
 
 def build_graph():
@@ -37,7 +37,7 @@ def main():
     print(f"graph: {graph}")
 
     # A simulated 4-machine cluster; results are identical for any count.
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4))
+    engine = Session(graph, EngineConfig(num_machines=4))
 
     # Fixed pattern: who knows whom directly.
     result = engine.execute(

@@ -6,7 +6,7 @@ Run:  python examples/social_recommendations.py
 
 import time
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.baselines import BftEngine, RecursiveEngine
 from repro.datagen import mini_ldbc
 
@@ -16,7 +16,7 @@ def main():
     print(f"LDBC-like graph: {info.counts}")
     start = info.start_person
 
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4))
+    engine = Session(graph, EngineConfig(num_machines=4))
 
     # Friends-of-friends: candidates exactly two undirected KNOWS hops away.
     foaf = engine.execute(

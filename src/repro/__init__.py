@@ -10,25 +10,14 @@ Public API highlights:
 * :class:`repro.graph.GraphBuilder` / :class:`repro.graph.PropertyGraph` —
   build labelled property graphs;
 * :class:`repro.EngineConfig` — cluster/flow-control configuration;
-* :class:`repro.RPQdEngine` — the pre-session engine facade (deprecated,
-  delegates to a Session);
 * :mod:`repro.baselines` — Neo4j-like BFT and PostgreSQL-like recursive
   baselines over the same PGQL front end;
 * :mod:`repro.datagen` — LDBC-SNB-like synthetic graphs and the paper's
   benchmark queries.
 """
 
-from .config import (
-    BackendConfig,
-    CostModel,
-    EngineConfig,
-    FaultConfig,
-    FlowConfig,
-    MembershipConfig,
-    ObsConfig,
-    RecoveryConfig,
-)
-from .engine import QueryResult, RPQdEngine, ResultSet, witness_path
+from .config import CostModel, EngineConfig
+from .engine import QueryResult, ResultSet, witness_path
 from .errors import (
     AdmissionError,
     ConfigError,
@@ -44,31 +33,24 @@ from .errors import (
 from .graph import Direction, GraphBuilder, PropertyGraph
 from .session import QueryHandle, Session, connect
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AdmissionError",
-    "BackendConfig",
     "ConfigError",
     "CostModel",
     "Direction",
     "EngineConfig",
     "ExecutionError",
-    "FaultConfig",
-    "FlowConfig",
     "FlowControlDeadlock",
     "GraphBuilder",
     "GraphError",
-    "MembershipConfig",
-    "ObsConfig",
     "PgqlSyntaxError",
     "PlanningError",
     "PropertyGraph",
     "QueryCancelledError",
     "QueryHandle",
     "QueryResult",
-    "RPQdEngine",
-    "RecoveryConfig",
     "ReproError",
     "ResultSet",
     "Session",

@@ -61,6 +61,7 @@ import sys
 from .baselines import BftEngine, RecursiveEngine
 from .bench.reporting import format_table
 from .config import EngineConfig
+from .errors import ConfigError
 from .graph.loader import load_graph, save_graph
 from .session import Session, connect
 
@@ -94,35 +95,40 @@ def _add_backend_arg(parser):
     )
 
 
+def _engine_config(args, **extra):
+    """The :class:`EngineConfig` behind the flags ``query`` and ``workload``
+    share: ``--machines``, ``--backend``, ``--faults``, ``--recover`` and
+    ``--deadline``; ``extra`` carries what only one caller sets."""
+    if args.faults:
+        from .faults import FaultPlan
+
+        extra["faults"] = FaultPlan.from_file(args.faults)
+    if args.recover:
+        extra["recovery"] = True
+    if args.deadline:
+        extra["deadline"] = args.deadline
+    return EngineConfig(
+        num_machines=args.machines, backend=args.backend, **extra
+    )
+
+
 def _make_engine(args, graph):
     if args.engine == "bft":
         return BftEngine(graph)
     if args.engine == "recursive":
         return RecursiveEngine(graph)
-    overrides = {"backend": getattr(args, "backend", "sim")}
-    faults_file = getattr(args, "faults", None)
-    if faults_file:
-        from .faults import FaultPlan
-
-        overrides["faults"] = FaultPlan.from_file(faults_file)
-    if getattr(args, "unreliable", False):
-        overrides["reliable_transport"] = False
-        plan = overrides.get("faults")
-        if plan is not None and plan.drop_prob > 0.0:
-            print(
-                "warning: --unreliable with a lossy fault plan gives no "
-                "delivery guarantee; results may be wrong or hang",
-                file=sys.stderr,
-            )
-    if getattr(args, "recover", False):
-        overrides["recovery"] = True
-    if getattr(args, "deadline", None):
-        overrides["deadline"] = args.deadline
-    config = EngineConfig(
-        num_machines=args.machines,
+    config = _engine_config(
+        args,
         use_reachability_index=not args.no_index,
-        **overrides,
+        reliable_transport=False if args.unreliable else None,
     )
+    plan = config.faults
+    if args.unreliable and plan is not None and plan.drop_prob > 0.0:
+        print(
+            "warning: --unreliable with a lossy fault plan gives no "
+            "delivery guarantee; results may be wrong or hang",
+            file=sys.stderr,
+        )
     return Session(graph, config)
 
 
@@ -142,19 +148,13 @@ def cmd_generate(args):
 
 
 def cmd_query(args):
-    from .errors import ConfigError
-
     graph = load_graph(args.graph)
-    try:
-        engine = _make_engine(args, graph)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    engine = _make_engine(args, graph)
     query = args.query
     if query == "-":
         query = sys.stdin.read()
     observe = bool(args.trace_out or args.metrics_out)
-    explain_analyze = getattr(args, "explain_analyze", False)
+    explain_analyze = args.explain_analyze
     if (observe or args.timeline or explain_analyze) and args.engine != "rpqd":
         print(
             "error: --trace-out/--metrics-out/--timeline/--explain-analyze "
@@ -162,8 +162,7 @@ def cmd_query(args):
             file=sys.stderr,
         )
         return 2
-    if getattr(args, "backend", "sim") == "process" and (
-            observe or args.timeline):
+    if args.backend == "process" and (observe or args.timeline):
         print(
             "error: --trace-out/--metrics-out/--timeline require "
             "--backend sim (the process backend has no virtual-time "
@@ -372,9 +371,9 @@ def cmd_analyze(args):
 def cmd_workload(args):
     from .datagen import BENCHMARK_QUERIES, mini_ldbc
 
-    backend = getattr(args, "backend", "sim")
+    backend = args.backend
     graph, info = mini_ldbc(args.scale, seed=args.seed)
-    if getattr(args, "concurrency", 0) and args.concurrency > 1:
+    if args.concurrency > 1:
         if backend == "process":
             print(
                 "error: --concurrency requires --backend sim (the process "
@@ -383,15 +382,6 @@ def cmd_workload(args):
             )
             return 2
         return _workload_concurrent(args, graph, info, BENCHMARK_QUERIES)
-    overrides = {"backend": backend}
-    if getattr(args, "faults", None):
-        from .faults import FaultPlan
-
-        overrides["faults"] = FaultPlan.from_file(args.faults)
-    if getattr(args, "recover", False):
-        overrides["recovery"] = True
-    if getattr(args, "deadline", None):
-        overrides["deadline"] = args.deadline
     if backend == "process" and args.timeline:
         print(
             "error: --timeline requires --backend sim (the process backend "
@@ -399,15 +389,8 @@ def cmd_workload(args):
             file=sys.stderr,
         )
         return 2
-    from .errors import ConfigError
-
-    try:
-        rpqd_config = EngineConfig(num_machines=args.machines, **overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     engines = {
-        "rpqd": Session(graph, rpqd_config),
+        "rpqd": Session(graph, _engine_config(args)),
         "bft": BftEngine(graph),
         "recursive": RecursiveEngine(graph),
     }
@@ -508,30 +491,18 @@ def _workload_concurrent(args, graph, info, benchmark_queries):
     the JSON report carries per-query ``complete``/``recoveries``/
     ``down_machines`` plus the cross-query ``blast_radius``.
     """
-    overrides = {}
-    if getattr(args, "faults", None):
-        from .faults import FaultPlan
-
-        overrides["faults"] = FaultPlan.from_file(args.faults)
-    if getattr(args, "recover", False):
-        overrides["recovery"] = True
-    if getattr(args, "deadline", None):
-        overrides["deadline"] = args.deadline
-    chaos = bool(overrides.get("faults") or overrides.get("recovery"))
-    session = connect(
-        graph,
-        num_machines=args.machines,
-        max_concurrent_queries=args.concurrency,
-        sanitize=getattr(args, "sanitize", False),
-        **overrides,
+    config = _engine_config(
+        args, max_concurrent_queries=args.concurrency, sanitize=args.sanitize
     )
+    chaos = config.faults is not None or config.recovery
+    session = Session(graph, config)
     if chaos:
         # Baselines must be fault-free (solo, transport held on) or the
         # oracle would compare chaos against chaos.
         baseline_session = connect(
             graph,
             num_machines=args.machines,
-            sanitize=getattr(args, "sanitize", False),
+            sanitize=args.sanitize,
             reliable_transport=True,
         )
     else:
@@ -646,7 +617,7 @@ def cmd_chaos(args):
         )
         return 2
     queries = [BENCHMARK_QUERIES[n](info) for n in names]
-    recover = getattr(args, "recover", False)
+    recover = args.recover
     plans = seeded_sweep(
         args.plans,
         base_seed=args.base_seed,
@@ -656,13 +627,13 @@ def cmd_chaos(args):
         delay_prob=args.delay,
         reorder_prob=args.reorder,
         permanent=recover,
-        partitions=getattr(args, "partition", False),
-        corrupt_prob=getattr(args, "corrupt", 0.0),
+        partitions=args.partition,
+        corrupt_prob=args.corrupt,
     )
     config = EngineConfig(
         num_machines=args.machines, sanitize=args.sanitize, recovery=recover
     )
-    if getattr(args, "concurrency", 1) and args.concurrency > 1:
+    if args.concurrency > 1:
         return _cmd_chaos_concurrent(args, graph, names, queries, plans, config)
     reports = run_chaos_sweep(graph, queries, plans, config=config)
     records = []
@@ -832,7 +803,7 @@ def cmd_bench(args):
                     profile=not args.no_profile,
                     seed=args.seed,
                     only=only,
-                    backend=getattr(args, "backend", "sim"),
+                    backend=args.backend,
                 )
             except KeyError:
                 print(
@@ -1258,7 +1229,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

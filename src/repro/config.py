@@ -8,7 +8,7 @@ depth, and preallocate contexts up to depth three.  We keep the same knobs
 but size them for mini graphs so that flow control actually engages.
 """
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError
@@ -40,91 +40,6 @@ class CostModel:
     index_hit: float = 2.5  # probe finding an existing entry
     output: float = 1.0
     termination_status: float = 2.0
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    """Flow-control knobs as one group (paper Section 3.3).
-
-    Pass as ``EngineConfig(flow=FlowConfig(...))``; each field expands to
-    the flat ``EngineConfig`` field of the same name.  The group view of an
-    existing config is ``config.flow_config``.
-    """
-
-    batch_size: int = 32
-    buffers_per_machine: int = 512
-    buffer_bytes: int = 256 * 1024
-    rpq_flow_depth: int = 4
-    rpq_shared_credits: int = 5
-    rpq_overflow_per_depth: int = 1
-    context_prealloc_depth: int = 3
-
-
-@dataclass(frozen=True)
-class ObsConfig:
-    """Observability/analysis instrumentation as one group.
-
-    Pass as ``EngineConfig(obs=ObsConfig(...))``; regrouped view:
-    ``config.obs_config``.
-    """
-
-    observe: bool = False
-    sanitize: bool = False
-    schedule_seed: Optional[int] = None
-    profile: bool = False
-
-
-@dataclass(frozen=True)
-class FaultConfig:
-    """Fault injection and reliable transport as one group.
-
-    Pass as ``EngineConfig(fault=FaultConfig(...))``; regrouped view:
-    ``config.fault_config``.
-    """
-
-    faults: Optional[object] = None
-    reliable_transport: Optional[bool] = None
-    retransmit_timeout_rounds: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Crash recovery and the virtual-clock deadline as one group.
-
-    Pass as ``EngineConfig(resilience=RecoveryConfig(...))``; regrouped
-    view: ``config.recovery_config``.
-    """
-
-    recovery: bool = False
-    deadline: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class MembershipConfig:
-    """Failure-detection knobs as one group (:mod:`repro.membership`).
-
-    Pass as ``EngineConfig(detection=MembershipConfig(...))``; regrouped
-    view: ``config.membership_config``.
-    """
-
-    membership: Optional[bool] = None
-    heartbeat_interval: int = 2
-    suspect_after: int = 6
-    confirm_after: int = 24
-
-
-@dataclass(frozen=True)
-class BackendConfig:
-    """Execution-backend selection and process-backend knobs as one group.
-
-    Pass as ``EngineConfig(execution=BackendConfig(...))``; regrouped
-    view: ``config.backend_config``.  See ``docs/backends.md`` for the
-    backend feature matrix.
-    """
-
-    backend: str = "sim"
-    workers: Optional[int] = None
-    shm_threshold_bytes: int = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -257,15 +172,7 @@ class EngineConfig:
         shm_threshold_bytes: adjacency smaller than this skips the
             shared-memory CSR export for ``backend="process"`` (fork
             inheritance is cheaper than export+attach for tiny graphs).
-        flow / obs / fault / resilience / detection / execution: optional
-            grouped construction — :class:`FlowConfig`, :class:`ObsConfig`,
-            :class:`FaultConfig`, :class:`RecoveryConfig`,
-            :class:`MembershipConfig`, :class:`BackendConfig` objects
-            whose fields expand into the
-            flat fields of the same names (flat kwargs keep working; a
-            disagreeing flat kwarg is a :class:`~repro.errors.ConfigError`).
         cost: the virtual-time cost model.
-        seed: seed for any randomized tie-breaking (kept deterministic).
     """
 
     num_machines: int = 4
@@ -327,59 +234,10 @@ class EngineConfig:
     backend: str = "sim"
     workers: Optional[int] = None
     shm_threshold_bytes: int = 64 * 1024
-    # Grouped construction sugar: each accepts a sub-config object whose
-    # fields expand into the flat fields of the same names (so old flat
-    # kwargs keep working unchanged).  A flat kwarg that *conflicts* with
-    # its group's value is a ConfigError; the group attributes themselves
-    # are reset to None after expansion (the flat fields stay the source
-    # of truth — regroup via flow_config / obs_config / fault_config /
-    # recovery_config).
-    flow: Optional[FlowConfig] = None
-    obs: Optional[ObsConfig] = None
-    fault: Optional[FaultConfig] = None
-    resilience: Optional[RecoveryConfig] = None
-    detection: Optional[MembershipConfig] = None
-    execution: Optional[BackendConfig] = None
     max_rounds: int = 2_000_000
     cost: CostModel = field(default_factory=CostModel)
-    seed: int = 42
-
-    def _expand_group(self, group_name, group_cls):
-        """Fold one sub-config's fields into the flat fields, then drop it.
-
-        A flat kwarg set to a non-default value that *disagrees* with the
-        group is ambiguous and rejected, naming both values.
-        """
-        group = getattr(self, group_name)
-        if group is None:
-            return
-        if not isinstance(group, group_cls):
-            raise ConfigError(
-                f"{group_name} must be a {group_cls.__name__} or None "
-                f"(got {group!r})"
-            )
-        for f in dataclass_fields(group):
-            value = getattr(group, f.name)
-            current = getattr(self, f.name)
-            flat_default = type(self).__dataclass_fields__[f.name].default
-            if current != flat_default and current != value:
-                raise ConfigError(
-                    f"conflicting values for {f.name!r}: flat kwarg "
-                    f"{current!r} vs {group_name}="
-                    f"{group_cls.__name__}(... {f.name}={value!r})"
-                )
-            object.__setattr__(self, f.name, value)
-        # Reset so dataclasses.replace / with_ never re-applies a stale
-        # group over fresh flat overrides.
-        object.__setattr__(self, group_name, None)
 
     def __post_init__(self):
-        self._expand_group("flow", FlowConfig)
-        self._expand_group("obs", ObsConfig)
-        self._expand_group("fault", FaultConfig)
-        self._expand_group("resilience", RecoveryConfig)
-        self._expand_group("detection", MembershipConfig)
-        self._expand_group("execution", BackendConfig)
         if self.num_machines < 1:
             raise ConfigError(
                 f"num_machines must be >= 1 (got {self.num_machines})"
@@ -584,44 +442,6 @@ class EngineConfig:
             # chaos without the safety net is a legitimate experiment —
             # but then nothing guarantees delivery; the CLI warns.
 
-    def _regroup(self, group_cls):
-        """Rebuild a sub-config view from the flat fields."""
-        return group_cls(
-            **{f.name: getattr(self, f.name) for f in dataclass_fields(group_cls)}
-        )
-
-    @property
-    def flow_config(self):
-        """The flow-control fields regrouped as a :class:`FlowConfig`."""
-        return self._regroup(FlowConfig)
-
-    @property
-    def obs_config(self):
-        """The instrumentation fields regrouped as an :class:`ObsConfig`."""
-        return self._regroup(ObsConfig)
-
-    @property
-    def fault_config(self):
-        """The fault/transport fields regrouped as a :class:`FaultConfig`."""
-        return self._regroup(FaultConfig)
-
-    @property
-    def recovery_config(self):
-        """The recovery/deadline fields regrouped as a :class:`RecoveryConfig`."""
-        return self._regroup(RecoveryConfig)
-
-    @property
-    def membership_config(self):
-        """The failure-detection fields regrouped as a
-        :class:`MembershipConfig`."""
-        return self._regroup(MembershipConfig)
-
-    @property
-    def backend_config(self):
-        """The execution-backend fields regrouped as a
-        :class:`BackendConfig`."""
-        return self._regroup(BackendConfig)
-
     @property
     def membership_enabled(self):
         """Failure-detector resolution: explicit flag, else auto-on
@@ -630,14 +450,6 @@ class EngineConfig:
         if self.membership is not None:
             return self.membership
         return self.faults is not None
-
-    @property
-    def transport_enabled(self):
-        """Reliable transport resolution: explicit flag, else auto-on with
-        faults or recovery (both need the ARQ layer)."""
-        if self.reliable_transport is not None:
-            return self.reliable_transport
-        return self.faults is not None or self.recovery
 
     def with_(self, **overrides):
         """Return a copy of this config with the given fields replaced."""

@@ -1,13 +1,11 @@
-"""Engine facade: compile + execute PGQL over the simulated cluster."""
+"""Query results: per-machine sinks, result assembly, witness paths."""
 
-from .engine import QueryResult, RPQdEngine
 from .paths import witness_path
-from .result import MachineSink, ResultSet, assemble_results
+from .result import MachineSink, QueryResult, ResultSet, assemble_results
 
 __all__ = [
     "MachineSink",
     "QueryResult",
-    "RPQdEngine",
     "ResultSet",
     "assemble_results",
     "witness_path",

@@ -5,14 +5,13 @@ from .buffers import FlowControl, SHARED, remote_target_stages
 from .machine import Machine
 from .message import Batch, DoneMessage, StatusMessage
 from .multi import ClusterScheduler, QueryTask
-from .network import ClusterNetwork, SimulatedNetwork
+from .network import SimulatedNetwork
 from .stats import MachineStats, RunStats
 from .termination import TerminationEvaluator, TerminationProtocol, TerminationTracker
 from .worker import EvalState, Frame, Job, Worker
 
 __all__ = [
     "Batch",
-    "ClusterNetwork",
     "ClusterScheduler",
     "DoneMessage",
     "EvalState",

@@ -3,8 +3,8 @@
 :class:`ClusterScheduler` interleaves queries on the *same* simulated
 machines under one global round clock.  Each admitted query gets one
 :class:`~repro.runtime.machine.Machine` slice per machine id, a private
-message channel on the shared :class:`~repro.runtime.network.
-ClusterNetwork`, its own sanitizer/recorder, and its own termination
+message channel (its own :class:`~repro.runtime.network.
+SimulatedNetwork`), its own sanitizer/recorder, and its own termination
 protocol — everything namespaced by ``query_id``, so flow-control credits,
 work counters, and reachability facts can never leak between queries.
 A query running alone (``Session.execute``) is this scheduler with one
@@ -88,7 +88,7 @@ from ..errors import (
 )
 from ..membership import ProgressWatchdog, quorum_lost_error, resolve_stall
 from .machine import Machine
-from .network import ClusterNetwork
+from .network import SimulatedNetwork
 from .stats import RunStats
 
 #: Budget below this fraction of a quantum is not worth another
@@ -241,7 +241,7 @@ class QueryTask:
 
         At the instant the termination protocol concludes, the last DONE
         messages (credit returns) may still be in the network — that is
-        legal.  The channel carries no other query's traffic and is closed
+        legal.  The channel carries no other query's traffic and is dropped
         right after, so draining it ahead of the global clock is safe:
         deliver them, then check credit conservation (every machine's
         in-flight total back to zero) and that global sent == processed on
@@ -277,8 +277,8 @@ class QueryTask:
         Idempotent; called on finish, cancel, and deadline expiry —
         including mid-rollback — so a departed query never holds
         checkpoint storage.  The transport namespace (RX queues, ARQ
-        buffers, dedup ledger) dies with the channel when the scheduler
-        closes it; co-resident queries' channels are untouched.
+        buffers, dedup ledger) lives on ``self.channel`` and goes with the
+        task; co-resident queries' channels are untouched.
         """
         if self.recovery is not None:
             self.recovery.release()
@@ -342,13 +342,6 @@ class ClusterScheduler:
             )
         else:
             self.membership = None
-        self.network = ClusterNetwork(
-            base_config.num_machines,
-            base_config.net_delay_rounds,
-            faults=self.injector,
-            retransmit_timeout_rounds=base_config.retransmit_timeout_rounds,
-            membership=self.membership,
-        )
         # Race-detector mode: one RNG permutes the host service order and
         # every slice's worker order; the fingerprint hashes the host
         # orders drawn so far.
@@ -410,10 +403,23 @@ class ClusterScheduler:
             reliable = config.reliable_transport
         else:
             reliable = self.injector is not None or config.recovery
-        channel = self.network.open_channel(
-            query_id, plan.num_slots, sanitizer=sanitizer, obs=obs,
-            prof=self.prof, reliable=reliable,
-            retransmit_timeout_rounds=config.retransmit_timeout_rounds,
+        # The query's private channel: its queues and ARQ state (sequence
+        # numbers, dedup ledger, retransmit queue) are its own, the
+        # injector and the membership detector are the cluster's.
+        retransmit_timeout_rounds = config.retransmit_timeout_rounds
+        if retransmit_timeout_rounds is None:
+            retransmit_timeout_rounds = self.config.retransmit_timeout_rounds
+        channel = SimulatedNetwork(
+            self.config.num_machines,
+            self.config.net_delay_rounds,
+            plan.num_slots,
+            reliable=reliable,
+            faults=self.injector,
+            retransmit_timeout_rounds=retransmit_timeout_rounds,
+            obs=obs,
+            sanitizer=sanitizer,
+            prof=self.prof,
+            membership=self.membership,
         )
         if obs is not None:
             obs.configure(config.num_machines, config.quantum)
@@ -506,7 +512,6 @@ class ClusterScheduler:
             self.active.remove(task)
             self._admit()
         task.release_resources()
-        self.network.close_channel(task.query_id)
         return True
 
     def _finish(self, task, round_no, error=None):
@@ -559,7 +564,6 @@ class ClusterScheduler:
         task.finished = True
         task.release_resources()
         self.active.remove(task)
-        self.network.close_channel(task.query_id)
         if task.obs is not None:
             task.obs.cluster_instant(
                 "query.end",
@@ -727,7 +731,9 @@ class ClusterScheduler:
 
         # One global tick drives every reliable channel's retransmit
         # timer (each query's ARQ state is private to its channel).
-        self.network.tick(round_no)
+        for task in self.active:
+            if task.channel.reliable:
+                task.channel.tick(round_no)
 
         # Per-query protocol phase: round records, heartbeats,
         # termination, watchdogs.

@@ -74,6 +74,7 @@ class SimulatedNetwork:
         obs=None,
         sanitizer=None,
         prof=None,
+        membership=None,
     ):
         self.num_machines = num_machines
         self.delay = net_delay_rounds
@@ -124,7 +125,7 @@ class SimulatedNetwork:
         # only source of "that peer is gone" — retransmit abandonment is
         # gated on a *detected* confirmed-down verdict, never on the
         # fault injector's ground truth.  None = never abandon.
-        self.membership = None
+        self.membership = membership
         # Wire checksums are modelled only when the fault plan can
         # actually corrupt frames; otherwise every copy carries None and
         # the receive path skips verification entirely.
@@ -523,88 +524,3 @@ class SimulatedNetwork:
             "frames_replayed": self.frames_replayed,
         }
 
-
-class ClusterNetwork:
-    """The shared interconnect of the cluster scheduler.
-
-    Message channels are namespaced by query id: each admitted query gets
-    its own :class:`SimulatedNetwork` channel (queues, transport state,
-    sanitizer hooks), opened at admission and closed when the query
-    finishes.  Cross-query isolation is structural — a query's machines
-    hold its channel directly, so its batches, credit returns, and
-    heartbeats can only ever reach its own slices.
-
-    Chaos is *shared*: one cluster-level :class:`~repro.faults.injector.
-    FaultInjector` (when the scheduler's base config carries a fault
-    plan) hands verdicts to every channel, so the same lossy interconnect
-    and the same machine outages hit all co-resident queries — as they
-    would in reality.  Reliability stays *per query*: each channel runs
-    its own ARQ endpoints (tseq counters, dedup ledgers, retransmit
-    queues), which is exactly the query-namespaced exactly-once state
-    the per-query rollback needs to restore independently.
-    """
-
-    def __init__(
-        self, num_machines, net_delay_rounds=1, faults=None,
-        retransmit_timeout_rounds=None, membership=None,
-    ):
-        self.num_machines = num_machines
-        self.delay = net_delay_rounds
-        # Shared fault injector (None = perfect interconnect): every
-        # channel consults the same seeded verdict stream.
-        self.faults = faults
-        # Shared membership detector: one failure detector serves the
-        # whole cluster, so every query's channel abandons retransmits on
-        # the same confirmed-down verdicts.
-        self.membership = membership
-        self.retransmit_timeout_rounds = retransmit_timeout_rounds
-        self._channels = {}  # query_id -> SimulatedNetwork, admission order
-
-    def open_channel(
-        self, query_id, num_slots, sanitizer=None, obs=None, prof=None,
-        reliable=False, retransmit_timeout_rounds=None,
-    ):
-        """Create the per-query channel; returns the SimulatedNetwork.
-
-        ``reliable`` arms the per-link ARQ on this query's channel (its
-        sequence numbers, dedup ledger, and retransmit queue are private
-        to the query — as is ``retransmit_timeout_rounds``, which falls
-        back to the cluster's value when unset).
-        """
-        if query_id in self._channels:
-            raise AssertionError(f"channel for query {query_id} already open")
-        if retransmit_timeout_rounds is None:
-            retransmit_timeout_rounds = self.retransmit_timeout_rounds
-        channel = SimulatedNetwork(
-            self.num_machines,
-            self.delay,
-            num_slots,
-            reliable=reliable,
-            faults=self.faults,
-            retransmit_timeout_rounds=retransmit_timeout_rounds,
-            obs=obs,
-            sanitizer=sanitizer,
-            prof=prof,
-        )
-        channel.membership = self.membership
-        self._channels[query_id] = channel
-        return channel
-
-    def close_channel(self, query_id):
-        """Tear down a finished/cancelled query's channel.
-
-        Dropping the channel releases the query's entire transport
-        namespace — RX queues, ARQ retransmit buffers, dedup ledger —
-        without touching any co-resident query's channel.
-        """
-        self._channels.pop(query_id, None)
-
-    def tick(self, now_round):
-        """Drive every reliable channel's retransmit timer (one global
-        round tick; channels without ARQ state are a no-op)."""
-        for channel in self._channels.values():
-            if channel.reliable:
-                channel.tick(now_round)
-
-    def channel(self, query_id):
-        return self._channels[query_id]

@@ -8,7 +8,7 @@ and per-machine worker order and compares canonical result rows.
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.analysis.races import RaceReport, run_schedule_sweep
 from repro.errors import ConfigError
 from repro.graph.generators import random_graph
@@ -33,7 +33,7 @@ class TestScheduleSeedConfig:
             EngineConfig(schedule_seed=-1)
 
     def test_fingerprint_absent_without_seed(self, graph):
-        result = RPQdEngine(graph, CONFIG).execute(
+        result = Session(graph, CONFIG).execute(
             "SELECT COUNT(*) FROM MATCH (a)-[:E]->(b)"
         )
         assert result.stats.schedule_fingerprint is None
@@ -43,7 +43,7 @@ class TestSeededScheduling:
     QUERY = "SELECT COUNT(*) FROM MATCH (a)-/:E{1,3}/->(b)"
 
     def test_same_seed_is_deterministic(self, graph):
-        engine = RPQdEngine(graph, CONFIG)
+        engine = Session(graph, CONFIG)
         runs = [
             engine.execute(self.QUERY, config=CONFIG.with_(schedule_seed=3))
             for _ in range(2)
@@ -54,7 +54,7 @@ class TestSeededScheduling:
         assert runs[0].scalar() == runs[1].scalar()
 
     def test_different_seeds_differ(self, graph):
-        engine = RPQdEngine(graph, CONFIG)
+        engine = Session(graph, CONFIG)
         fingerprints = {
             engine.execute(
                 self.QUERY, config=CONFIG.with_(schedule_seed=seed)
@@ -64,7 +64,7 @@ class TestSeededScheduling:
         assert len(fingerprints) == 4
 
     def test_seeded_result_matches_unseeded(self, graph):
-        engine = RPQdEngine(graph, CONFIG)
+        engine = Session(graph, CONFIG)
         baseline = engine.execute(self.QUERY).scalar()
         perturbed = engine.execute(
             self.QUERY, config=CONFIG.with_(schedule_seed=99)

@@ -10,7 +10,7 @@ import heapq
 
 import pytest
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.analysis.sanitizer import (
     RuntimeSanitizer,
     sanitizer_enabled,
@@ -291,9 +291,9 @@ class TestEndToEnd:
 
     def test_sanitized_result_matches_unsanitized(self, graph):
         query = "SELECT COUNT(*) FROM MATCH (a)-/:E{1,4}/->(b)"
-        plain = RPQdEngine(graph, CONFIG).execute(query).scalar()
+        plain = Session(graph, CONFIG).execute(query).scalar()
         sanitized = (
-            RPQdEngine(graph, CONFIG.with_(sanitize=True)).execute(query).scalar()
+            Session(graph, CONFIG.with_(sanitize=True)).execute(query).scalar()
         )
         assert plain == sanitized
 
@@ -306,7 +306,7 @@ class TestEndToEnd:
             return batch
 
         monkeypatch.setattr(Machine, "pop_batch", broken_pop_batch)
-        engine = RPQdEngine(graph, CONFIG.with_(sanitize=True))
+        engine = Session(graph, CONFIG.with_(sanitize=True))
         with pytest.raises(SanitizerViolation):
             engine.execute("SELECT COUNT(*) FROM MATCH (a)-/:E{1,3}/->(b)")
 

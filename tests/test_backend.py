@@ -14,14 +14,12 @@ import random
 import signal
 import threading
 import time
-import warnings
 from multiprocessing import shared_memory
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine, connect
+from repro import EngineConfig, connect
 from repro.bench.harness import host_info
-from repro.config import BackendConfig
 from repro.datagen import BENCHMARK_QUERIES, mini_ldbc
 from repro.errors import ConfigError, ExecutionError
 from repro.faults import FaultPlan
@@ -56,34 +54,11 @@ def _assert_unlinked(names):
 
 
 # ---------------------------------------------------------------------------
-# BackendConfig group + validation
+# Backend field validation
 # ---------------------------------------------------------------------------
 
 
-class TestBackendConfig:
-    def test_group_expands_to_flat_fields(self):
-        config = EngineConfig(
-            execution=BackendConfig(
-                backend="process", workers=2, shm_threshold_bytes=0,
-            )
-        )
-        assert config.backend == "process"
-        assert config.workers == 2
-        assert config.shm_threshold_bytes == 0
-        assert config.execution is None  # consumed during expansion
-
-    def test_regroup_view_roundtrips(self):
-        config = EngineConfig(backend="process", workers=3)
-        view = config.backend_config
-        assert isinstance(view, BackendConfig)
-        assert view.backend == "process"
-        assert view.workers == 3
-        assert EngineConfig(execution=view).workers == 3
-
-    def test_conflicting_flat_kwarg_names_both_values(self):
-        with pytest.raises(ConfigError, match=r"workers.*2.*workers=4"):
-            EngineConfig(workers=2, execution=BackendConfig(workers=4))
-
+class TestBackendFields:
     def test_unknown_backend_names_value(self):
         with pytest.raises(ConfigError, match=r"backend.*'threads'"):
             EngineConfig(backend="threads")
@@ -593,33 +568,11 @@ class TestWire:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: deprecated shim routing, host_info, bench document fields
+# Satellites: host_info, bench document fields
 # ---------------------------------------------------------------------------
 
 
 class TestSatellites:
-    def test_rpqd_engine_warns_with_removal_version(self):
-        graph = random_graph(30, 60)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine = RPQdEngine(graph)
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro 2.0" in str(w.message)
-            for w in caught
-        )
-        assert engine.execute(COUNT_Q).scalar() is not None
-
-    def test_rpqd_engine_accepts_backend(self):
-        graph = random_graph(30, 60)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = RPQdEngine(graph, backend="process")
-        with connect(graph, num_machines=4) as sim:
-            assert shim.execute(COUNT_Q).rows == sim.execute(COUNT_Q).rows
-        assert shim.config.backend == "process"
-        shim._session.close()
-
     def test_host_info_records_backend(self):
         assert host_info()["backend"] == "sim"
         assert host_info(backend="process")["backend"] == "process"

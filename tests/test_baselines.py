@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.baselines import (
     BftEngine,
     DistributedBftEngine,
@@ -82,7 +82,7 @@ class TestBaselineBasics:
             "SELECT COUNT(*) FROM MATCH (a:Account)-/:big+/->(c:Account)"
         )
         got = engine_cls(g).execute(q).scalar()
-        rpqd = RPQdEngine(g, EngineConfig(num_machines=2)).execute(q).scalar()
+        rpqd = Session(g, EngineConfig(num_machines=2)).execute(q).scalar()
         assert got == rpqd == 3  # (0,1), (0,3), (1,3)
 
     def test_deferred_cross_filter_rejected(self, engine_cls):
@@ -124,7 +124,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("query", QUERIES)
     def test_three_way_equivalence(self, query):
         g = random_graph(22, 60, seed=33)
-        rpqd = RPQdEngine(g, EngineConfig(num_machines=3)).execute(query).scalar()
+        rpqd = Session(g, EngineConfig(num_machines=3)).execute(query).scalar()
         bft = BftEngine(g).execute(query).scalar()
         rec = RecursiveEngine(g).execute(query).scalar()
         assert rpqd == bft == rec

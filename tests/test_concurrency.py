@@ -8,10 +8,10 @@ bit-identical to the same query executed solo, sanitizers included.
 import pytest
 
 from repro import AdmissionError, EngineConfig, connect
+from repro.engine.result import MachineSink
 from repro.errors import ConfigError
 from repro.graph.generators import chain_graph, random_graph
 from repro.runtime.multi import ClusterScheduler
-from repro.runtime.network import ClusterNetwork
 
 QUERIES = [
     "SELECT COUNT(*) FROM MATCH (a)-[:LINK]->(b)",
@@ -157,13 +157,48 @@ class TestSeededSchedules:
 
 
 class TestIsolation:
-    def test_channels_are_private_per_query(self):
-        network = ClusterNetwork(2, net_delay_rounds=1)
-        network.open_channel(1, num_slots=1)
-        with pytest.raises(AssertionError):
-            network.open_channel(1, num_slots=1)
-        network.open_channel(2, num_slots=1)
-        assert network.channel(1) is not network.channel(2)
+    def test_channels_are_private_and_leave_with_their_task(self):
+        """Each task owns its channel, and the round loop ticks exactly
+        the channels of the tasks still running."""
+        session = connect(chain_graph(8), num_machines=2, reliable_transport=True)
+        scheduler = ClusterScheduler(session.dgraph, session.config)
+        one_hop = session.compile("SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b)")
+        rpq = session.compile("SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)")
+        cancelled, short, long = (
+            scheduler.submit(plan, lambda m, plan=plan: MachineSink(plan))
+            for plan in (rpq, one_hop, rpq)
+        )
+        assert len({id(t.channel) for t in (cancelled, short, long)}) == 3
+        ticked = []
+        for task in (cancelled, short, long):
+            def tick(now_round, task=task, real=task.channel.tick):
+                ticked.append(task.query_id)
+                real(now_round)
+            task.channel.tick = tick
+        scheduler.step()
+        assert ticked == [1, 2, 3]
+        scheduler.cancel(cancelled)
+        while not short.finished:
+            scheduler.step()
+        assert not long.finished
+        ticked.clear()
+        scheduler.step()
+        assert ticked == [3]
+
+    def test_per_query_retransmit_timeout_overrides_the_clusters(self):
+        session = connect(
+            chain_graph(8), num_machines=2, reliable_transport=True,
+            retransmit_timeout_rounds=9,
+        )
+        scheduler = ClusterScheduler(session.dgraph, session.config)
+        plan = session.compile("SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b)")
+        inherited = scheduler.submit(plan, lambda m: MachineSink(plan))
+        own = scheduler.submit(
+            plan, lambda m: MachineSink(plan),
+            config=session.config.with_(retransmit_timeout_rounds=3),
+        )
+        assert inherited.channel._base_rto == 9
+        assert own.channel._base_rto == 3
 
     def test_scheduler_rejects_mismatched_cluster_shape(self):
         session = connect(chain_graph(8), num_machines=2)

@@ -2,7 +2,7 @@
 
 The tentpole invariant: every admitted query's result set must be
 bit-identical to its fault-free *solo* run, at concurrency >= 4, under
-seeded fault plans injected at the shared ClusterNetwork — including
+seeded fault plans injected on the shared interconnect — including
 permanent machine crashes, which may roll back only the queries that
 actually lost state (bounded blast radius).
 """

@@ -43,6 +43,12 @@ class TestValidation:
         assert tuned.batch_size == 64
         assert base.num_machines == 4  # original unchanged (frozen)
 
+    def test_flat_kwargs_still_work_unchanged(self):
+        config = EngineConfig(batch_size=16, sanitize=True, deadline=100)
+        assert (config.batch_size, config.sanitize, config.deadline) == (
+            16, True, 100,
+        )
+
     def test_config_is_frozen(self):
         config = EngineConfig()
         with pytest.raises(Exception):
@@ -52,3 +58,40 @@ class TestValidation:
         cost = CostModel()
         assert cost.edge_traverse == 1.0
         assert cost.index_insert > cost.index_hit > 0
+
+
+class TestValidationMessages:
+    @pytest.mark.parametrize(
+        ("kwargs", "fragment"),
+        [
+            ({"num_machines": 0}, "num_machines must be >= 1 (got 0)"),
+            ({"quantum": -1}, "quantum must be positive (got -1)"),
+            ({"batch_size": 0}, "batch_size must be >= 1 (got 0)"),
+            ({"net_delay_rounds": -2}, "net_delay_rounds must be >= 0 (got -2)"),
+            (
+                {"receive_priority": "lifo"},
+                "receive_priority must be 'depth' or 'fifo' (got 'lifo')",
+            ),
+            (
+                {"max_concurrent_queries": 0},
+                "max_concurrent_queries must be >= 1 (got 0)",
+            ),
+            (
+                {"admission_queue_limit": -1},
+                "admission_queue_limit must be >= 0 (got -1)",
+            ),
+            ({"deadline": 0}, "deadline must be None or a positive int"),
+            (
+                {"status_interval": 0},
+                "status_interval must be >= 1 (got 0)",
+            ),
+        ],
+    )
+    def test_errors_name_field_and_value(self, kwargs, fragment):
+        with pytest.raises(ConfigError) as excinfo:
+            EngineConfig(**kwargs)
+        assert fragment in str(excinfo.value)
+
+    def test_stall_limit_names_both_values(self):
+        with pytest.raises(ConfigError, match="stall_limit.*status_interval"):
+            EngineConfig(status_interval=10, stall_limit=5)

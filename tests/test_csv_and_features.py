@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.baselines import BftEngine
 from repro.errors import GraphError, PlanningError
 from repro.graph import load_csv_graph
@@ -52,7 +52,7 @@ class TestCsvLoader:
 
     def test_queryable(self, csv_graph):
         graph, _ = csv_graph
-        engine = RPQdEngine(graph, EngineConfig(num_machines=2))
+        engine = Session(graph, EngineConfig(num_machines=2))
         r = engine.execute(
             "SELECT a.name FROM MATCH (a:Person)-[:KNOWS]->(b:Person)"
         )
@@ -95,7 +95,7 @@ def triangle_graph():
 
 class TestAllDifferent:
     def test_excludes_repeated_vertices(self, triangle_graph):
-        engine = RPQdEngine(triangle_graph, EngineConfig(num_machines=2))
+        engine = Session(triangle_graph, EngineConfig(num_machines=2))
         plain = engine.execute("SELECT COUNT(*) FROM MATCH (a)-[:E]->(b)-[:E]->(c)")
         distinct = engine.execute(
             "SELECT COUNT(*) FROM MATCH (a)-[:E]->(b)-[:E]->(c) "
@@ -110,11 +110,11 @@ class TestAllDifferent:
             "SELECT COUNT(*) FROM MATCH (a)-[:E]->(b)-[:E]->(c) "
             "WHERE all_different(a, b, c)"
         )
-        rpqd = RPQdEngine(triangle_graph, EngineConfig(num_machines=2)).execute(q)
+        rpqd = Session(triangle_graph, EngineConfig(num_machines=2)).execute(q)
         assert BftEngine(triangle_graph).execute(q).scalar() == rpqd.scalar()
 
     def test_requires_variables(self, triangle_graph):
-        engine = RPQdEngine(triangle_graph, EngineConfig(num_machines=1))
+        engine = Session(triangle_graph, EngineConfig(num_machines=1))
         with pytest.raises(PlanningError):
             engine.execute(
                 "SELECT COUNT(*) FROM MATCH (a)-[:E]->(b) WHERE all_different(a.idx, b)"
@@ -129,7 +129,7 @@ class TestLimitOffset:
             b.add_vertex("N", idx=i)
         for i in range(5):
             b.add_edge(i, i + 1, "E")
-        return RPQdEngine(b.build(), EngineConfig(num_machines=2))
+        return Session(b.build(), EngineConfig(num_machines=2))
 
     def test_offset_parses_and_round_trips(self):
         q = parse("SELECT a.idx FROM MATCH (a) ORDER BY a.idx LIMIT 2 OFFSET 3")

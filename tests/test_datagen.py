@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.baselines import BftEngine, RecursiveEngine
 from repro.datagen import (
     BENCHMARK_QUERIES,
@@ -97,7 +97,7 @@ class TestGenerator:
 
     def test_reply_depth_histogram_decays(self):
         g, info = mini_ldbc("s")
-        eng = RPQdEngine(g, EngineConfig(num_machines=2))
+        eng = Session(g, EngineConfig(num_machines=2))
         r = eng.execute(BENCHMARK_QUERIES["Q09"](info))
         table = r.stats.depth_table(0)
         matches = [row[1] for row in table]
@@ -116,7 +116,7 @@ class TestWorkloads:
     def test_query_parses_and_runs_everywhere(self, xs, name):
         g, info = xs
         query = BENCHMARK_QUERIES[name](info)
-        rpqd = RPQdEngine(g, EngineConfig(num_machines=2)).execute(query)
+        rpqd = Session(g, EngineConfig(num_machines=2)).execute(query)
         bft = BftEngine(g).execute(query)
         rec = RecursiveEngine(g).execute(query)
         assert rpqd.rows == bft.rows == rec.rows
@@ -132,7 +132,7 @@ class TestWorkloads:
 
     def test_q10_results_nonempty(self, xs):
         g, info = xs
-        r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
+        r = Session(g, EngineConfig(num_machines=2)).execute(
             BENCHMARK_QUERIES["Q10"](info)
         )
         assert r.scalar() > 0

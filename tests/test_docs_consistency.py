@@ -1,6 +1,7 @@
 """Guard rails keeping the documentation honest: every artefact the docs
 promise (bench targets, examples, docs pages, workload queries) exists."""
 
+import ast
 import pathlib
 import re
 
@@ -32,6 +33,22 @@ class TestDesignPromises:
             assert (ROOT / "src" / "repro" / package).exists() or (
                 ROOT / "src" / "repro" / f"{package}.py"
             ).exists(), package
+
+    def test_inventory_identifiers_are_defined(self):
+        """Every backticked CamelCase identifier in the §2 inventory table
+        names a class or function that exists under ``src/repro``."""
+        design = read("DESIGN.md")
+        table = design[
+            design.index("## 2. What we build"):design.index("### Non-goals")
+        ]
+        named = set(re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)`", table))
+        assert named, "DESIGN.md §2 lost its inventory table"
+        defined = set()
+        for path in (ROOT / "src" / "repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    defined.add(node.name)
+        assert named <= defined, sorted(named - defined)
 
 
 class TestReadmePromises:

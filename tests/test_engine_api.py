@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.bench import (
     BenchHarness,
     baseline_executor,
@@ -19,7 +19,7 @@ from repro.pgql import parse
 class TestEngineFacade:
     @pytest.fixture
     def engine(self):
-        return RPQdEngine(chain_graph(8), EngineConfig(num_machines=2))
+        return Session(chain_graph(8), EngineConfig(num_machines=2))
 
     def test_plan_cache_reuses_compiled_plan(self, engine):
         q = "SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b)"
@@ -59,8 +59,8 @@ class TestEngineFacade:
     def test_index_preallocate_flag(self):
         g = chain_graph(12)
         q = "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)"
-        dynamic = RPQdEngine(g, EngineConfig(num_machines=2)).execute(q)
-        prealloc = RPQdEngine(
+        dynamic = Session(g, EngineConfig(num_machines=2)).execute(q)
+        prealloc = Session(
             g, EngineConfig(num_machines=2, index_preallocate=True)
         ).execute(q)
         assert dynamic.scalar() == prealloc.scalar()
@@ -70,8 +70,8 @@ class TestEngineFacade:
     def test_block_partitioner_option(self):
         g = random_graph(30, 90, seed=4)
         q = "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)"
-        hash_r = RPQdEngine(g, EngineConfig(num_machines=3)).execute(q)
-        block_r = RPQdEngine(
+        hash_r = Session(g, EngineConfig(num_machines=3)).execute(q)
+        block_r = Session(
             g, EngineConfig(num_machines=3), partitioner="block"
         ).execute(q)
         assert hash_r.scalar() == block_r.scalar()

@@ -8,7 +8,7 @@ from collections import deque
 
 import pytest
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.graph import Direction
 from repro.graph.generators import (
     chain_graph,
@@ -84,12 +84,12 @@ def machines(request):
 class TestFixedPatterns:
     def test_edge_count(self, machines):
         g = random_graph(30, 80, seed=1)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         assert eng.execute("SELECT COUNT(*) FROM MATCH (a)-[:LINK]->(b)").scalar() == 80
 
     def test_two_hop(self, machines):
         g = star_graph(6)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         # star: 0 -> leaves; two-hop paths: none except via 0: (0,leaf) only
         assert eng.execute("SELECT COUNT(*) FROM MATCH (a)->(b)->(c)").scalar() == 0
 
@@ -100,7 +100,7 @@ class TestFixedPatterns:
         for s, d in [(0, 1), (1, 2), (2, 0), (1, 3)]:
             b.add_edge(s, d, "E")
         g = b.build()
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         assert (
             eng.execute("SELECT COUNT(*) FROM MATCH (a)->(b)->(c)->(a)").scalar() == 3
         )
@@ -113,7 +113,7 @@ class TestFixedPatterns:
         for s, d in [(0, 1), (1, 2), (1, 3)]:
             b.add_edge(s, d, "E")
         g = b.build()
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         # b=1: c in {2,3}, d in {2,3} -> 4 combos
         assert (
             eng.execute(
@@ -124,12 +124,12 @@ class TestFixedPatterns:
 
     def test_undirected_edge(self, machines):
         g = chain_graph(5)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         assert eng.execute("SELECT COUNT(*) FROM MATCH (a)-[:NEXT]-(b)").scalar() == 8
 
     def test_filters_on_properties(self, machines):
         g = two_label_graph(40, seed=6)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         expected = 0
         for e in range(g.num_edges):
             src, dst = g.edge_src[e], g.edge_dst[e]
@@ -151,7 +151,7 @@ class TestRpqAgainstReference:
     )
     def test_random_graph_counts(self, machines, min_hops, max_hops, quant):
         g = random_graph(25, 70, seed=42)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         got = eng.execute(
             f"SELECT COUNT(*) FROM MATCH (a)-/:LINK{quant}/->(b)"
         ).scalar()
@@ -160,14 +160,14 @@ class TestRpqAgainstReference:
 
     def test_reverse_direction(self, machines):
         g = random_graph(20, 50, seed=11)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         got = eng.execute("SELECT COUNT(*) FROM MATCH (a)<-/:LINK{1,2}/-(b)").scalar()
         expected = reference_pair_count(g, "LINK", Direction.IN, 1, 2)
         assert got == expected
 
     def test_undirected_rpq(self, machines):
         g = chain_graph(7)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         got = eng.execute(
             "SELECT COUNT(*) FROM MATCH (a)-/:NEXT{2,3}/-(b) WHERE id(a)=0"
         ).scalar()
@@ -176,18 +176,18 @@ class TestRpqAgainstReference:
 
     def test_complete_graph_cycles(self, machines):
         g = complete_graph(5)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         # Within 2 hops every vertex reaches all 5 (itself via a 2-cycle).
         assert eng.execute("SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)").scalar() == 25
 
     def test_unbounded_on_cycle_terminates(self, machines):
         g = cycle_graph(8)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         assert eng.execute("SELECT COUNT(*) FROM MATCH (a)-/:NEXT*/->(b)").scalar() == 64
 
     def test_single_source(self, machines):
         g = random_graph(30, 90, seed=5)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         got = eng.execute(
             "SELECT COUNT(*) FROM MATCH (a)-/:LINK+/->(b) WHERE id(a) = 7"
         ).scalar()
@@ -197,7 +197,7 @@ class TestRpqAgainstReference:
     def test_multi_hop_macro(self, machines):
         # PATH of two hops: each repetition advances two edges.
         g = chain_graph(9)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         got = eng.execute(
             "PATH two AS (x)-[:NEXT]->(m)-[:NEXT]->(y) "
             "SELECT COUNT(*) FROM MATCH (a)-/:two+/->(b)"
@@ -207,7 +207,7 @@ class TestRpqAgainstReference:
 
     def test_two_rpq_segments(self, machines):
         g = chain_graph(6)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         got = eng.execute(
             "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)-/:NEXT+/->(c)"
         ).scalar()
@@ -215,7 +215,7 @@ class TestRpqAgainstReference:
 
     def test_rpq_then_fixed_edge(self, machines):
         g = chain_graph(6)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         got = eng.execute(
             "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)-[:NEXT]->(c)"
         ).scalar()
@@ -236,21 +236,21 @@ class TestProjectionsAndAggregates:
         return b.build()
 
     def test_projection_rows(self, people, machines):
-        eng = RPQdEngine(people, EngineConfig(num_machines=machines))
+        eng = Session(people, EngineConfig(num_machines=machines))
         r = eng.execute(
             "SELECT a.name, b.name FROM MATCH (a)-[:KNOWS]->(b) WHERE a.city = 'Oslo'"
         )
         assert sorted(r.rows) == [("p0", "p1"), ("p0", "p2"), ("p1", "p2")]
 
     def test_group_by_count(self, people, machines):
-        eng = RPQdEngine(people, EngineConfig(num_machines=machines))
+        eng = Session(people, EngineConfig(num_machines=machines))
         r = eng.execute(
             "SELECT a.city, COUNT(*) FROM MATCH (a)-[:KNOWS]->(b) GROUP BY a.city"
         )
         assert dict(r.rows) == {"Oslo": 3, "Rome": 2}
 
     def test_sum_min_max_avg(self, people, machines):
-        eng = RPQdEngine(people, EngineConfig(num_machines=machines))
+        eng = Session(people, EngineConfig(num_machines=machines))
         r = eng.execute(
             "SELECT SUM(b.age), MIN(b.age), MAX(b.age), AVG(b.age) "
             "FROM MATCH (a)-[:KNOWS]->(b) WHERE a.name = 'p0'"
@@ -259,31 +259,31 @@ class TestProjectionsAndAggregates:
         assert r.rows[0] == (55, 25, 30, 27.5)
 
     def test_count_distinct(self, people, machines):
-        eng = RPQdEngine(people, EngineConfig(num_machines=machines))
+        eng = Session(people, EngineConfig(num_machines=machines))
         r = eng.execute(
             "SELECT COUNT(DISTINCT b.city) FROM MATCH (a)-[:KNOWS]->(b)"
         )
         assert r.scalar() == 2
 
     def test_distinct_rows(self, people, machines):
-        eng = RPQdEngine(people, EngineConfig(num_machines=machines))
+        eng = Session(people, EngineConfig(num_machines=machines))
         r = eng.execute("SELECT DISTINCT b.city FROM MATCH (a)-[:KNOWS]->(b)")
         assert sorted(v[0] for v in r.rows) == ["Oslo", "Rome"]
 
     def test_order_by_limit(self, people, machines):
-        eng = RPQdEngine(people, EngineConfig(num_machines=machines))
+        eng = Session(people, EngineConfig(num_machines=machines))
         r = eng.execute(
             "SELECT b.age AS age FROM MATCH (a)-[:KNOWS]->(b) ORDER BY age DESC LIMIT 2"
         )
         assert r.column("age") == [40, 35]
 
     def test_empty_match_aggregate(self, people, machines):
-        eng = RPQdEngine(people, EngineConfig(num_machines=machines))
+        eng = Session(people, EngineConfig(num_machines=machines))
         r = eng.execute("SELECT COUNT(*) FROM MATCH (a:Robot)")
         assert r.scalar() == 0
 
     def test_empty_match_sum_is_null(self, people, machines):
-        eng = RPQdEngine(people, EngineConfig(num_machines=machines))
+        eng = Session(people, EngineConfig(num_machines=machines))
         r = eng.execute("SELECT SUM(a.age) FROM MATCH (a:Robot)")
         assert r.rows[0][0] is None
 
@@ -291,7 +291,7 @@ class TestProjectionsAndAggregates:
 class TestStatsSurface:
     def test_depth_table_shape(self):
         g = reply_forest(30, 3, 5, seed=3)
-        eng = RPQdEngine(g, EngineConfig(num_machines=4))
+        eng = Session(g, EngineConfig(num_machines=4))
         r = eng.execute(
             "SELECT COUNT(*) FROM MATCH (c:Comment)-/:REPLY_OF+/->(p:Post)"
         )
@@ -304,7 +304,7 @@ class TestStatsSurface:
         g = random_graph(40, 150, seed=21)
         q = "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,3}/->(b)"
         results = {
-            m: RPQdEngine(g, EngineConfig(num_machines=m)).execute(q).scalar()
+            m: Session(g, EngineConfig(num_machines=m)).execute(q).scalar()
             for m in (1, 2, 4, 8)
         }
         assert len(set(results.values())) == 1
@@ -312,15 +312,15 @@ class TestStatsSurface:
     def test_messages_only_flow_with_multiple_machines(self):
         g = random_graph(30, 90, seed=2)
         q = "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)"
-        r1 = RPQdEngine(g, EngineConfig(num_machines=1)).execute(q)
-        r4 = RPQdEngine(g, EngineConfig(num_machines=4)).execute(q)
+        r1 = Session(g, EngineConfig(num_machines=1)).execute(q)
+        r4 = Session(g, EngineConfig(num_machines=4)).execute(q)
         assert r1.stats.batches_sent == 0
         assert r4.stats.batches_sent > 0
         assert r1.scalar() == r4.scalar()
 
     def test_index_entries_accounted(self):
         g = chain_graph(10)
-        eng = RPQdEngine(g, EngineConfig(num_machines=2))
+        eng = Session(g, EngineConfig(num_machines=2))
         r = eng.execute("SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)")
         assert r.stats.index_entries == 45
         assert r.stats.index_bytes == 45 * 12

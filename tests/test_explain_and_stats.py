@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.config import EngineConfig as Config
 from repro.graph.generators import chain_graph, random_graph, two_label_graph
 from repro.plan import explain
@@ -11,7 +11,7 @@ from repro.runtime.stats import MachineStats, RunStats
 
 @pytest.fixture(scope="module")
 def engine():
-    return RPQdEngine(two_label_graph(20, seed=2), EngineConfig(num_machines=2))
+    return Session(two_label_graph(20, seed=2), EngineConfig(num_machines=2))
 
 
 class TestExplain:
@@ -53,7 +53,7 @@ class TestExplain:
 class TestExplainAnalyze:
     def test_annotates_stage_match_counts(self):
         g = chain_graph(10)
-        r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
+        r = Session(g, EngineConfig(num_machines=2)).execute(
             "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)"
         )
         text = r.explain_analyze()
@@ -65,7 +65,7 @@ class TestExplainAnalyze:
 
     def test_control_stage_counts_all_entries(self):
         g = chain_graph(5)
-        r = RPQdEngine(g, EngineConfig(num_machines=1)).execute(
+        r = Session(g, EngineConfig(num_machines=1)).execute(
             "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)"
         )
         control = next(s for s in r.plan.stages if s.rpq is not None)
@@ -74,7 +74,7 @@ class TestExplainAnalyze:
 
     def test_plain_explain_has_no_annotations(self):
         g = chain_graph(5)
-        engine = RPQdEngine(g, EngineConfig(num_machines=1))
+        engine = Session(g, EngineConfig(num_machines=1))
         text = engine.explain("SELECT COUNT(*) FROM MATCH (a)->(b)")
         assert "act=" not in text
         assert "analyze:" not in text
@@ -134,14 +134,14 @@ class TestRunStats:
 class TestStatsFromRealRuns:
     def test_filter_evals_counted(self):
         g = chain_graph(10)
-        r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
+        r = Session(g, EngineConfig(num_machines=2)).execute(
             "SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b) WHERE a.idx > 2"
         )
         assert r.stats._sum("filter_evals") > 0
 
     def test_edges_traversed_matches_structure(self):
         g = chain_graph(10)
-        r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
+        r = Session(g, EngineConfig(num_machines=2)).execute(
             "SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b)"
         )
         # A single forward hop traverses each edge exactly once.
@@ -149,7 +149,7 @@ class TestStatsFromRealRuns:
 
     def test_bootstrap_counts_local_vertices(self):
         g = random_graph(21, 40, seed=5)
-        r = RPQdEngine(g, EngineConfig(num_machines=3)).execute(
+        r = Session(g, EngineConfig(num_machines=3)).execute(
             "SELECT COUNT(*) FROM MATCH (a)-[:LINK]->(b)"
         )
         assert r.stats._sum("bootstrapped") == 21

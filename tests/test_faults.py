@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.errors import ConfigError, SanitizerViolation
 from repro.faults import (
     FaultInjector,
@@ -105,15 +105,18 @@ class TestConfig:
         config = EngineConfig()
         assert config.faults is None
         assert config.reliable_transport is None
-        assert config.transport_enabled is False
         assert config.status_interval == 4
         assert config.stall_limit == 400
 
-    def test_transport_auto_on_with_faults(self):
-        config = EngineConfig(faults=FaultPlan(drop_prob=0.1))
-        assert config.transport_enabled is True
-        assert EngineConfig(faults=FaultPlan(), reliable_transport=False).transport_enabled is False
-        assert EngineConfig(reliable_transport=True).transport_enabled is True
+    def test_transport_auto_on_with_faults(self, graph):
+        def transport(**overrides):
+            session = Session(graph, CONFIG.with_(**overrides))
+            return session.execute(QUERY).stats.transport
+
+        assert transport() is None
+        assert transport(faults=FaultPlan(drop_prob=0.1)) is not None
+        assert transport(faults=FaultPlan(), reliable_transport=False) is None
+        assert transport(reliable_transport=True) is not None
 
     def test_rejects_non_plan_faults(self):
         with pytest.raises(ConfigError):
@@ -141,8 +144,8 @@ class TestConfig:
         assert EngineConfig().stall_limit == 400
 
     def test_configurable_heartbeat_changes_behaviour(self, graph):
-        fast = RPQdEngine(graph, CONFIG.with_(status_interval=2)).execute(QUERY)
-        slow = RPQdEngine(graph, CONFIG.with_(status_interval=8)).execute(QUERY)
+        fast = Session(graph, CONFIG.with_(status_interval=2)).execute(QUERY)
+        slow = Session(graph, CONFIG.with_(status_interval=8)).execute(QUERY)
         assert fast.scalar() == slow.scalar()
         # More frequent heartbeats conclude sooner (rounds include the
         # detection tail), never later.
@@ -279,7 +282,7 @@ class TestInjector:
 # ----------------------------------------------------------------------
 class TestFaultFreeUnchanged:
     def test_no_transport_state_without_faults(self, graph):
-        result = RPQdEngine(graph, CONFIG).execute(QUERY)
+        result = Session(graph, CONFIG).execute(QUERY)
         assert result.complete
         assert result.stats.transport is None
         assert result.stats.fault_events is None
@@ -288,7 +291,7 @@ class TestFaultFreeUnchanged:
 
     def test_reliable_no_fault_run_is_equivalent(self, graph):
         """Transport on + zero faults: same rows, same virtual makespan."""
-        engine = RPQdEngine(graph, CONFIG)
+        engine = Session(graph, CONFIG)
         base = engine.execute(QUERY)
         reliable = engine.execute(QUERY, config=CONFIG.with_(reliable_transport=True))
         assert reliable.scalar() == base.scalar()
@@ -303,7 +306,7 @@ class TestFaultFreeUnchanged:
 
         blobs = []
         for i in range(2):
-            engine = RPQdEngine(graph, CONFIG.with_(faults=None, observe=True))
+            engine = Session(graph, CONFIG.with_(faults=None, observe=True))
             result = engine.execute(QUERY)
             blobs.append("\n".join(jsonl_lines(result.obs)))
         assert blobs[0] == blobs[1]
@@ -353,7 +356,7 @@ class TestChaosInvariance:
 
     def test_chaos_run_is_deterministic(self, graph):
         plan = FaultPlan(seed=13, drop_prob=0.1, dup_prob=0.1, delay_prob=0.1)
-        engine = RPQdEngine(graph, CONFIG)
+        engine = Session(graph, CONFIG)
         runs = [engine.execute(QUERY, config=CONFIG.with_(faults=plan)) for _ in range(2)]
         assert runs[0].scalar() == runs[1].scalar()
         assert runs[0].stats.rounds == runs[1].stats.rounds
@@ -363,7 +366,7 @@ class TestChaosInvariance:
     def test_sanitized_chaos_run(self, graph):
         """The protocol sanitizer holds under loss + dedup + retransmit."""
         plan = FaultPlan(seed=5, drop_prob=0.15, dup_prob=0.1, delay_prob=0.1)
-        result = RPQdEngine(graph, CONFIG.with_(sanitize=True, faults=plan)).execute(QUERY)
+        result = Session(graph, CONFIG.with_(sanitize=True, faults=plan)).execute(QUERY)
         assert result.complete
         assert result.stats.transport["retransmits"] > 0
 
@@ -374,7 +377,7 @@ class TestChaosInvariance:
             stalls=(MachineStall(machine=1, start_round=3, duration=8),),
             crashes=(MachineCrash(machine=2, round=6, recover_round=14),),
         )
-        engine = RPQdEngine(graph, CONFIG)
+        engine = Session(graph, CONFIG)
         base = engine.execute(QUERY)
         chaos = engine.execute(QUERY, config=CONFIG.with_(faults=plan))
         assert chaos.scalar() == base.scalar()
@@ -391,7 +394,7 @@ class TestPartialResults:
     def test_permanent_crash_flags_incomplete(self, graph):
         plan = FaultPlan(seed=2, crashes=(MachineCrash(machine=1, round=4),))
         config = CONFIG.with_(faults=plan, stall_limit=30)
-        engine = RPQdEngine(graph, config)
+        engine = Session(graph, config)
         base = engine.execute(QUERY, config=CONFIG)
         partial = engine.execute(QUERY, config=config)
         assert partial.complete is False
@@ -409,7 +412,7 @@ class TestPartialResults:
         plan = FaultPlan(
             seed=2, crashes=(MachineCrash(machine=1, round=4, recover_round=40),)
         )
-        result = RPQdEngine(graph, CONFIG.with_(faults=plan, stall_limit=30)).execute(QUERY)
+        result = Session(graph, CONFIG.with_(faults=plan, stall_limit=30)).execute(QUERY)
         assert result.complete
 
 
@@ -419,7 +422,7 @@ class TestPartialResults:
 class TestObsIntegration:
     def test_fault_and_retx_events_recorded(self, graph):
         plan = FaultPlan(seed=4, drop_prob=0.15, dup_prob=0.1)
-        result = RPQdEngine(
+        result = Session(
             graph, CONFIG.with_(faults=plan, observe=True)
         ).execute(QUERY)
         result.obs.finish()
@@ -434,7 +437,7 @@ class TestObsIntegration:
         from repro.obs import summarize_trace, to_chrome_trace, validate_chrome_trace
 
         plan = FaultPlan(seed=4, drop_prob=0.1)
-        result = RPQdEngine(
+        result = Session(
             graph, CONFIG.with_(faults=plan, observe=True)
         ).execute(QUERY)
         trace = to_chrome_trace(result.obs)

@@ -4,7 +4,7 @@ aggregation pipelines, and configuration extremes."""
 
 import pytest
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.baselines import BftEngine, RecursiveEngine
 from repro.datagen import mini_ldbc
 from repro.graph.generators import chain_graph, random_graph
@@ -14,8 +14,8 @@ def agree(graph, query, machines=(1, 3)):
     values = set()
     for m in machines:
         values.add(
-            RPQdEngine(graph, EngineConfig(num_machines=m)).execute(query).rows and
-            tuple(RPQdEngine(graph, EngineConfig(num_machines=m)).execute(query).rows[0])
+            Session(graph, EngineConfig(num_machines=m)).execute(query).rows and
+            tuple(Session(graph, EngineConfig(num_machines=m)).execute(query).rows[0])
         )
     bft = BftEngine(graph).execute(query).rows
     rec = RecursiveEngine(graph).execute(query).rows
@@ -112,7 +112,7 @@ class TestAggregationPipelines:
             "GROUP BY p.firstName HAVING COUNT(*) >= 2 "
             "ORDER BY COUNT(*) DESC, name LIMIT 5 OFFSET 2"
         )
-        rpqd = RPQdEngine(graph, EngineConfig(num_machines=3)).execute(q)
+        rpqd = Session(graph, EngineConfig(num_machines=3)).execute(q)
         bft = BftEngine(graph).execute(q)
         assert rpqd.rows == bft.rows
         assert len(rpqd.rows) == 5
@@ -126,7 +126,7 @@ class TestAggregationPipelines:
             "FROM MATCH (p:Person)-/:KNOWS{1,2}/-(expert:Person) "
             f"WHERE id(p) = {info.start_person}"
         )
-        rpqd = RPQdEngine(graph, EngineConfig(num_machines=2)).execute(q)
+        rpqd = Session(graph, EngineConfig(num_machines=2)).execute(q)
         assert rpqd.scalar() == BftEngine(graph).execute(q).scalar()
 
 
@@ -142,39 +142,39 @@ class TestConfigurationExtremes:
         return BftEngine(graph).execute(self.QUERY).scalar()
 
     def test_single_worker_per_machine(self, graph, expected):
-        r = RPQdEngine(
+        r = Session(
             graph, EngineConfig(num_machines=4, workers_per_machine=1)
         ).execute(self.QUERY)
         assert r.scalar() == expected
 
     def test_many_workers(self, graph, expected):
-        r = RPQdEngine(
+        r = Session(
             graph, EngineConfig(num_machines=2, workers_per_machine=16)
         ).execute(self.QUERY)
         assert r.scalar() == expected
 
     def test_zero_network_delay(self, graph, expected):
-        r = RPQdEngine(
+        r = Session(
             graph, EngineConfig(num_machines=4, net_delay_rounds=0)
         ).execute(self.QUERY)
         assert r.scalar() == expected
 
     def test_slow_network(self, graph, expected):
-        fast = RPQdEngine(
+        fast = Session(
             graph, EngineConfig(num_machines=4, net_delay_rounds=0)
         ).execute(self.QUERY)
-        slow = RPQdEngine(
+        slow = Session(
             graph, EngineConfig(num_machines=4, net_delay_rounds=8)
         ).execute(self.QUERY)
         assert slow.scalar() == expected
         assert slow.virtual_time > fast.virtual_time
 
     def test_tiny_quantum(self, graph, expected):
-        r = RPQdEngine(
+        r = Session(
             graph, EngineConfig(num_machines=2, quantum=10.0)
         ).execute(self.QUERY)
         assert r.scalar() == expected
 
     def test_sixteen_machines(self, graph, expected):
-        r = RPQdEngine(graph, EngineConfig(num_machines=16)).execute(self.QUERY)
+        r = Session(graph, EngineConfig(num_machines=16)).execute(self.QUERY)
         assert r.scalar() == expected

@@ -505,16 +505,6 @@ class TestConfigPlumbing:
         EngineConfig(faults=plan, net_delay_rounds=8, membership=False)
         EngineConfig(faults=plan, net_delay_rounds=8, suspect_after=10)
 
-    def test_detection_group_kwarg_expands(self):
-        from repro import MembershipConfig
-
-        config = EngineConfig(
-            detection=MembershipConfig(suspect_after=9, confirm_after=33)
-        )
-        assert config.suspect_after == 9
-        assert config.confirm_after == 33
-        assert config.membership_config.confirm_after == 33
-
 
 # ----------------------------------------------------------------------
 # The oracle ban, enforced

@@ -4,7 +4,7 @@ queries, and undirected fixed patterns."""
 
 import pytest
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.baselines import BftEngine
 from repro.pgql import parse
 from repro.plan import compile_query
@@ -27,14 +27,14 @@ def social():
 
 class TestLabelCaptures:
     def test_label_projection_distributed(self, social):
-        engine = RPQdEngine(social, EngineConfig(num_machines=2))
+        engine = Session(social, EngineConfig(num_machines=2))
         r = engine.execute(
             "SELECT label(m), COUNT(*) FROM MATCH (m:Message) GROUP BY label(m)"
         )
         assert dict(r.rows) == {"Post": 1, "Comment": 1}
 
     def test_label_in_where(self, social):
-        engine = RPQdEngine(social, EngineConfig(num_machines=2))
+        engine = Session(social, EngineConfig(num_machines=2))
         r = engine.execute(
             "SELECT COUNT(*) FROM MATCH (m:Message) WHERE label(m) = 'Post'"
         )
@@ -43,14 +43,14 @@ class TestLabelCaptures:
 
 class TestEdgeFiltersOnHops:
     def test_neighbor_hop_edge_filter(self, social):
-        engine = RPQdEngine(social, EngineConfig(num_machines=2))
+        engine = Session(social, EngineConfig(num_machines=2))
         r = engine.execute(
             "SELECT COUNT(*) FROM MATCH (a)-[e:HAS_CREATOR]->(b) WHERE e.weight >= 2"
         )
         assert r.scalar() == 1
 
     def test_edge_property_projection(self, social):
-        engine = RPQdEngine(social, EngineConfig(num_machines=2))
+        engine = Session(social, EngineConfig(num_machines=2))
         r = engine.execute(
             "SELECT e.weight FROM MATCH (a:Comment)-[e]->(b) ORDER BY e.weight"
         )
@@ -65,7 +65,7 @@ class TestEdgeFiltersOnHops:
         b.add_edge(2, 0, "E", w=7)  # closing edge, heavy
         b.add_edge(1, 0, "E", w=1)  # closing edge for the 2-cycle, light
         g = b.build()
-        engine = RPQdEngine(g, EngineConfig(num_machines=2))
+        engine = Session(g, EngineConfig(num_machines=2))
         r = engine.execute(
             "SELECT COUNT(*) FROM MATCH (a)-[:E]->(b)-[:E]->(c)-[x:E]->(a) "
             "WHERE x.w > 5"
@@ -103,7 +103,7 @@ class TestRemoteTargets:
 
 class TestScalarFunctionsDistributed:
     def test_functions_in_projection(self, social):
-        engine = RPQdEngine(social, EngineConfig(num_machines=2))
+        engine = Session(social, EngineConfig(num_machines=2))
         r = engine.execute(
             "SELECT upper(a.name), length(a.name), coalesce(a.missing, 0) "
             "FROM MATCH (a:Person) ORDER BY upper(a.name)"
@@ -111,7 +111,7 @@ class TestScalarFunctionsDistributed:
         assert r.rows == [("ANN", 3, 0), ("BOB", 3, 0)]
 
     def test_arithmetic_in_filters(self, social):
-        engine = RPQdEngine(social, EngineConfig(num_machines=2))
+        engine = Session(social, EngineConfig(num_machines=2))
         r = engine.execute(
             "SELECT COUNT(*) FROM MATCH (a)-[e]->(b) WHERE e.weight % 2 = 1"
         )
@@ -120,14 +120,14 @@ class TestScalarFunctionsDistributed:
 
 class TestUndirectedFixedPatterns:
     def test_both_direction_two_hop(self, social):
-        engine = RPQdEngine(social, EngineConfig(num_machines=2))
+        engine = Session(social, EngineConfig(num_machines=2))
         got = engine.execute(
             "SELECT COUNT(*) FROM MATCH (a:Person)-[:KNOWS]-(b:Person)"
         ).scalar()
         assert got == 2  # each direction of the single KNOWS edge
 
     def test_mixed_directions_chain(self, social):
-        engine = RPQdEngine(social, EngineConfig(num_machines=2))
+        engine = Session(social, EngineConfig(num_machines=2))
         got = engine.execute(
             "SELECT COUNT(*) FROM MATCH (c:Comment)-[:REPLY_OF]->(p:Post)"
             "-[:HAS_CREATOR]->(who:Person)"
@@ -143,7 +143,7 @@ class TestDistinctWithRpq:
         for s, d in [(0, 2), (1, 2), (2, 3), (2, 4)]:
             b.add_edge(s, d, "E")
         g = b.build()
-        engine = RPQdEngine(g, EngineConfig(num_machines=2))
+        engine = Session(g, EngineConfig(num_machines=2))
         r = engine.execute(
             "SELECT DISTINCT b.group FROM MATCH (a)-/:E+/->(b)"
         )

@@ -4,7 +4,7 @@ reachability algorithms."""
 import networkx as nx
 import pytest
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.graph import from_networkx, to_networkx
 from repro.graph.generators import random_graph
 
@@ -56,7 +56,7 @@ class TestImport:
     def test_import_then_query(self):
         g = nx.gnp_random_graph(20, 0.15, seed=3, directed=True)
         graph, id_map = from_networkx(g, default_edge_label="E")
-        engine = RPQdEngine(graph, EngineConfig(num_machines=2))
+        engine = Session(graph, EngineConfig(num_machines=2))
         got = engine.execute("SELECT COUNT(*) FROM MATCH (a)-/:E+/->(b)").scalar()
         # descendants() excludes the source; add self-reach for nodes on
         # cycles (walk semantics count the (n, n) pair then).
@@ -69,7 +69,7 @@ class TestImport:
     def test_self_reach_via_cycles_matches_networkx(self):
         g = nx.DiGraph([(0, 1), (1, 0), (1, 2)])
         graph, _ = from_networkx(g, default_edge_label="E")
-        engine = RPQdEngine(graph, EngineConfig(num_machines=1))
+        engine = Session(graph, EngineConfig(num_machines=1))
         got = engine.execute("SELECT COUNT(*) FROM MATCH (a)-/:E+/->(b)").scalar()
         # descendants() excludes the node itself even on cycles; add those.
         expected = 0

@@ -14,7 +14,6 @@ import pytest
 
 import repro
 from repro.config import EngineConfig
-from repro.engine import RPQdEngine
 from repro.errors import SanitizerViolation
 from repro.graph.generators import chain_graph, random_graph
 from repro.obs import (
@@ -29,6 +28,7 @@ from repro.obs import (
     write_jsonl,
     write_prometheus,
 )
+from repro.session import Session
 
 CYCLIC_UNBOUNDED = "SELECT COUNT(*) FROM MATCH (a)-/:LINK+/->(b)"
 
@@ -38,7 +38,7 @@ def observed_run():
     """One observed execution of a cyclic unbounded RPQ (worst-case shape:
     revisits, eliminations, duplicates, deep depth mix)."""
     graph = random_graph(60, 200, seed=3)
-    engine = RPQdEngine(graph, EngineConfig(num_machines=4))
+    engine = Session(graph, EngineConfig(num_machines=4))
     result = engine.execute(CYCLIC_UNBOUNDED, observe=True)
     return result
 
@@ -293,7 +293,7 @@ class TestTraceExportRoundTrip:
 class TestZeroOverhead:
     def test_virtual_time_unchanged_by_observation(self):
         graph = random_graph(40, 130, seed=5)
-        engine = RPQdEngine(graph, EngineConfig(num_machines=3))
+        engine = Session(graph, EngineConfig(num_machines=3))
         plain = engine.execute(CYCLIC_UNBOUNDED)
         observed = engine.execute(CYCLIC_UNBOUNDED, observe=True)
         assert plain.virtual_time == observed.virtual_time
@@ -304,7 +304,7 @@ class TestZeroOverhead:
 
     def test_observe_config_flag(self):
         graph = chain_graph(12)
-        engine = RPQdEngine(
+        engine = Session(
             graph, EngineConfig(num_machines=2, observe=True)
         )
         result = engine.execute(
@@ -315,7 +315,7 @@ class TestZeroOverhead:
 
     def test_caller_supplied_recorder(self):
         graph = chain_graph(10)
-        engine = RPQdEngine(graph, EngineConfig(num_machines=2))
+        engine = Session(graph, EngineConfig(num_machines=2))
         rec = Recorder()
         result = engine.execute(
             "SELECT COUNT(*) FROM MATCH (a)-/:NEXT{1,2}/->(b)", observe=rec
@@ -334,7 +334,7 @@ class TestMultiSegmentDepthTable:
 
     def test_two_segment_depth_tables_pinned(self):
         graph = chain_graph(16)
-        engine = RPQdEngine(graph, EngineConfig(num_machines=4))
+        engine = Session(graph, EngineConfig(num_machines=4))
         stats = engine.execute(self.QUERY).stats
         assert sorted(stats.control_matches) == [0, 1]
         # Segment 0 inits from all 16 vertices (depth 0), then a chain of 16
@@ -374,7 +374,7 @@ class TestMultiSegmentDepthTable:
 
     def test_observed_two_segment_trace_reconciles(self):
         graph = chain_graph(16)
-        engine = RPQdEngine(graph, EngineConfig(num_machines=4))
+        engine = Session(graph, EngineConfig(num_machines=4))
         result = engine.execute(self.QUERY, observe=True)
         per_rpq = {}
         for event in result.obs.events:
@@ -407,7 +407,7 @@ class TestSanitizerOnEventBus:
 
     def test_sanitized_observed_run_is_clean(self):
         graph = chain_graph(12)
-        engine = RPQdEngine(
+        engine = Session(
             graph, EngineConfig(num_machines=2, sanitize=True)
         )
         result = engine.execute(

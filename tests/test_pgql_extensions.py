@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EngineConfig, GraphBuilder, PlanningError, RPQdEngine
+from repro import EngineConfig, GraphBuilder, PlanningError, Session
 from repro.baselines import BftEngine, RecursiveEngine
 from repro.pgql import parse, parse_expression
 from repro.pgql.ast import Binary, InList, IsNull, Unary
@@ -26,7 +26,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def engine(graph):
-    return RPQdEngine(graph, EngineConfig(num_machines=2))
+    return Session(graph, EngineConfig(num_machines=2))
 
 
 class TestInList:

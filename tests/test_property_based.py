@@ -10,7 +10,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.baselines import BftEngine, RecursiveEngine
 from repro.graph import Direction
 from repro.graph.partition import BlockPartitioner, HashPartitioner
@@ -64,7 +64,7 @@ class TestEngineAgreement:
         query = f"SELECT COUNT(*) FROM MATCH (a){segment}(b)"
 
         expected = reference_pair_count(graph, "E", ref_dir, min_hops, max_hops)
-        rpqd = RPQdEngine(graph, EngineConfig(num_machines=machines)).execute(query)
+        rpqd = Session(graph, EngineConfig(num_machines=machines)).execute(query)
         assert rpqd.scalar() == expected
         assert BftEngine(graph).execute(query).scalar() == expected
         assert RecursiveEngine(graph).execute(query).scalar() == expected
@@ -79,8 +79,8 @@ class TestEngineAgreement:
     def test_runtime_knobs_never_change_results(self, seed, machines, batch, quantum):
         graph = build_random_graph(14, 40, ["E"], seed)
         query = "SELECT COUNT(*) FROM MATCH (a)-/:E{1,3}/->(b)"
-        baseline = RPQdEngine(graph, EngineConfig(num_machines=1)).execute(query).scalar()
-        tuned = RPQdEngine(
+        baseline = Session(graph, EngineConfig(num_machines=1)).execute(query).scalar()
+        tuned = Session(
             graph,
             EngineConfig(num_machines=machines, batch_size=batch, quantum=quantum),
         ).execute(query)

@@ -13,7 +13,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.baselines import BftEngine, RecursiveEngine
 
 
@@ -75,7 +75,7 @@ class TestQueryFuzzer:
     @given(seed=st.integers(0, 500), query=query_shapes())
     def test_three_engines_agree_on_random_queries(self, seed, query):
         graph = build_graph(seed)
-        rpqd = RPQdEngine(graph, EngineConfig(num_machines=2)).execute(query).scalar()
+        rpqd = Session(graph, EngineConfig(num_machines=2)).execute(query).scalar()
         bft = BftEngine(graph).execute(query).scalar()
         rec = RecursiveEngine(graph).execute(query).scalar()
         assert rpqd == bft == rec, query
@@ -88,6 +88,6 @@ class TestQueryFuzzer:
     @given(seed=st.integers(0, 500), query=query_shapes())
     def test_machine_count_invariance_on_random_queries(self, seed, query):
         graph = build_graph(seed)
-        one = RPQdEngine(graph, EngineConfig(num_machines=1)).execute(query).scalar()
-        four = RPQdEngine(graph, EngineConfig(num_machines=4)).execute(query).scalar()
+        one = Session(graph, EngineConfig(num_machines=1)).execute(query).scalar()
+        four = Session(graph, EngineConfig(num_machines=4)).execute(query).scalar()
         assert one == four, query

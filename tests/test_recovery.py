@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.faults import (
@@ -40,7 +40,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def engine(graph):
-    return RPQdEngine(graph, CONFIG)
+    return Session(graph, CONFIG)
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +62,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EngineConfig(recovery=True, reliable_transport=False)
 
-    def test_recovery_auto_enables_transport(self):
-        assert EngineConfig(recovery=True).transport_enabled
-        assert not EngineConfig().transport_enabled
+    def test_recovery_auto_enables_transport(self, engine):
+        armed = engine.execute(AGG_QUERY, config=CONFIG.with_(recovery=True))
+        assert armed.stats.transport is not None
+        assert engine.execute(AGG_QUERY).stats.transport is None
 
     @pytest.mark.parametrize("bad", [0, -5, 1.5])
     def test_deadline_validation(self, bad):
@@ -278,7 +279,7 @@ class TestRetxExhaustion:
     def test_engine_counts_exhaustion_and_notes(self, graph):
         plan = FaultPlan(seed=3, crashes=(MachineCrash(machine=2, round=4),))
         config = CONFIG.with_(sanitize=False, faults=plan, stall_limit=500)
-        result = RPQdEngine(graph, config).execute(ROWS_QUERY)
+        result = Session(graph, config).execute(ROWS_QUERY)
         assert result.complete is False
         assert result.stats.transport["retx_exhausted"] > 0
 

@@ -8,7 +8,7 @@ bipartite alternation, grids, and mixed-label alternation.
 
 import pytest
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.baselines import BftEngine, RecursiveEngine
 
 
@@ -18,7 +18,7 @@ def run_everywhere(graph, query):
     values = set()
     for machines in (1, 2, 4):
         values.add(
-            RPQdEngine(graph, EngineConfig(num_machines=machines))
+            Session(graph, EngineConfig(num_machines=machines))
             .execute(query)
             .scalar()
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EngineConfig, ExecutionError, RPQdEngine
+from repro import EngineConfig, ExecutionError, Session
 from repro.graph import DistributedGraph
 from repro.graph.generators import chain_graph, random_graph, star_graph
 from repro.runtime.message import Batch, DoneMessage, StatusMessage
@@ -61,7 +61,7 @@ class TestFailureInjection:
 
     def expected(self):
         g = random_graph(25, 70, seed=9)
-        return RPQdEngine(g, EngineConfig(num_machines=1)).execute(self.QUERY).scalar()
+        return Session(g, EngineConfig(num_machines=1)).execute(self.QUERY).scalar()
 
     def test_delayed_done_messages(self):
         value, _ = self.run_with_hooks(
@@ -99,7 +99,7 @@ class TestFailureInjection:
 class TestVirtualTimeModel:
     def test_quiescent_round_precedes_protocol_end(self):
         g = chain_graph(10)
-        r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
+        r = Session(g, EngineConfig(num_machines=2)).execute(
             "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)"
         )
         assert r.stats.quiescent_round is not None
@@ -108,14 +108,14 @@ class TestVirtualTimeModel:
     def test_smaller_quantum_means_more_rounds(self):
         g = random_graph(40, 120, seed=3)
         q = "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)"
-        fine = RPQdEngine(g, EngineConfig(num_machines=2, quantum=100.0)).execute(q)
-        coarse = RPQdEngine(g, EngineConfig(num_machines=2, quantum=5000.0)).execute(q)
+        fine = Session(g, EngineConfig(num_machines=2, quantum=100.0)).execute(q)
+        coarse = Session(g, EngineConfig(num_machines=2, quantum=5000.0)).execute(q)
         assert fine.virtual_time > coarse.virtual_time
         assert fine.scalar() == coarse.scalar()
 
     def test_busy_and_idle_rounds_accounted(self):
         g = star_graph(20)
-        r = RPQdEngine(g, EngineConfig(num_machines=4)).execute(
+        r = Session(g, EngineConfig(num_machines=4)).execute(
             "SELECT COUNT(*) FROM MATCH (a)-[:LINK]->(b)"
         )
         for m in r.stats.per_machine:
@@ -148,7 +148,7 @@ class TestWorkerInternals:
             "SELECT COUNT(*) FROM MATCH (s:N)-/:hop{2,2}/->(sink:N) "
             f"WHERE id(s) = {src} AND pb.score <= sink.score"
         )
-        r = RPQdEngine(g, EngineConfig(num_machines=1)).execute(q)
+        r = Session(g, EngineConfig(num_machines=1)).execute(q)
         assert r.scalar() == 1
 
     def test_blocked_worker_processes_inbox(self):
@@ -164,7 +164,7 @@ class TestWorkerInternals:
             rpq_shared_credits=1,
             rpq_overflow_per_depth=1,
         )
-        tight = RPQdEngine(g, config).execute(q)
-        loose = RPQdEngine(g, EngineConfig(num_machines=4)).execute(q)
+        tight = Session(g, config).execute(q)
+        loose = Session(g, EngineConfig(num_machines=4)).execute(q)
         assert tight.scalar() == loose.scalar()
         assert tight.stats.flow_control_blocks > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.pgql import parse
 from repro.plan.compiler import PlanCompiler
 from repro.plan.planner import Planner
@@ -75,8 +75,8 @@ class TestScoutedPlans:
         assert compiler.logical.ops[0].var == "z"
 
     def test_scouted_plan_does_less_work(self, skewed_graph):
-        static = RPQdEngine(skewed_graph, EngineConfig(num_machines=2)).execute(QUERY)
-        scouted = RPQdEngine(
+        static = Session(skewed_graph, EngineConfig(num_machines=2)).execute(QUERY)
+        scouted = Session(
             skewed_graph, EngineConfig(num_machines=2, scouting=True)
         ).execute(QUERY)
         assert static.scalar() == scouted.scalar()

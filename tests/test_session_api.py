@@ -1,7 +1,9 @@
-"""Tests for the Session/QueryHandle API, the plan cache, and the
-deprecated RPQdEngine shim."""
+"""Tests for the Session/QueryHandle API, the plan cache, and the public
+export surface."""
 
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,6 @@ import repro
 from repro import (
     EngineConfig,
     QueryCancelledError,
-    RPQdEngine,
     Session,
     SessionClosedError,
     connect,
@@ -187,37 +188,33 @@ class TestPlanCache:
         assert session.plan_cache.misses == 1
 
 
-class TestDeprecatedShim:
-    def test_engine_warns_and_delegates(self):
+class TestPublicSurface:
+    def test_session_runs_without_deprecation_warnings(self):
         g = chain_graph(8)
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            engine = RPQdEngine(g, EngineConfig(num_machines=2))
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no further warnings after init
-            assert engine.execute(COUNT_Q).scalar() == 7
-            assert engine.compile(COUNT_Q) is engine.compile(COUNT_Q)
-            assert "rpq_control" in engine.explain(RPQ_Q)
-            assert engine.config.num_machines == 2
-            assert engine.dgraph.num_machines == 2
-
-    def test_shim_equivalent_to_session(self):
-        g = random_graph(30, 90, seed=9)
-        with pytest.warns(DeprecationWarning):
-            engine = RPQdEngine(g, EngineConfig(num_machines=2))
-        session = Session(g, EngineConfig(num_machines=2))
-        for q in (
-            "SELECT COUNT(*) FROM MATCH (a)-[:LINK]->(b)",
-            "SELECT COUNT(*) FROM MATCH (a)-/:LINK+/->(b)",
-        ):
-            legacy = engine.execute(q)
-            new = session.execute(q)
-            assert legacy.rows == new.rows
-            assert legacy.stats.rounds == new.stats.rounds
+            warnings.simplefilter("error", DeprecationWarning)
+            session = Session(g, EngineConfig(num_machines=2))
+            assert session.execute(COUNT_Q).scalar() == 7
+            assert session.compile(COUNT_Q) is session.compile(COUNT_Q)
+            assert "rpq_control" in session.explain(RPQ_Q)
+            assert session.config.num_machines == 2
+            assert session.dgraph.num_machines == 2
 
     def test_public_exports(self):
-        for name in ("connect", "Session", "QueryHandle", "FlowConfig",
-                     "ObsConfig", "FaultConfig", "RecoveryConfig",
-                     "AdmissionError", "QueryCancelledError",
-                     "SessionClosedError"):
+        assert sorted(repro.__all__) == sorted([
+            "AdmissionError", "ConfigError", "CostModel", "Direction",
+            "EngineConfig", "ExecutionError", "FlowControlDeadlock",
+            "GraphBuilder", "GraphError", "PgqlSyntaxError", "PlanningError",
+            "PropertyGraph", "QueryCancelledError", "QueryHandle",
+            "QueryResult", "ReproError", "ResultSet", "Session",
+            "SessionClosedError", "__version__", "connect", "witness_path",
+        ])
+        for name in repro.__all__:
             assert hasattr(repro, name), name
-            assert name in repro.__all__
+
+    def test_version_matches_pyproject(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        (declared,) = re.findall(
+            r'^version = "([^"]+)"$', pyproject.read_text(), flags=re.M
+        )
+        assert declared == repro.__version__

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.graph import GraphBuilder
 from repro.graph.generators import chain_graph, random_graph
 from repro.pgql import parse
@@ -188,7 +188,7 @@ class TestProtocolEndToEnd:
         # The scheduler raises if the protocol concludes while ground truth
         # says work remains; a clean run implies soundness held throughout.
         g = random_graph(40, 120, seed=13)
-        eng = RPQdEngine(g, EngineConfig(num_machines=machines))
+        eng = Session(g, EngineConfig(num_machines=machines))
         r = eng.execute("SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,3}/->(b)")
         assert r.scalar() > 0
 

@@ -1,6 +1,6 @@
 """Tests for the execution tracer and its timeline rendering."""
 
-from repro import EngineConfig, RPQdEngine
+from repro import EngineConfig, Session
 from repro.datagen import mini_ldbc
 from repro.graph.generators import chain_graph, random_graph
 from repro.runtime.trace import ExecutionTrace
@@ -9,7 +9,7 @@ from repro.runtime.trace import ExecutionTrace
 class TestRecorder:
     def test_records_rounds(self):
         g = chain_graph(10)
-        r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
+        r = Session(g, EngineConfig(num_machines=2)).execute(
             "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", trace=True
         )
         assert r.trace is not None
@@ -18,7 +18,7 @@ class TestRecorder:
 
     def test_trace_off_by_default(self):
         g = chain_graph(5)
-        r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
+        r = Session(g, EngineConfig(num_machines=2)).execute(
             "SELECT COUNT(*) FROM MATCH (a)->(b)"
         )
         assert r.trace is None
@@ -26,7 +26,7 @@ class TestRecorder:
     def test_pass_trace_instance(self):
         g = chain_graph(5)
         trace = ExecutionTrace()
-        r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
+        r = Session(g, EngineConfig(num_machines=2)).execute(
             "SELECT COUNT(*) FROM MATCH (a)->(b)", trace=trace
         )
         assert r.trace is trace
@@ -34,7 +34,7 @@ class TestRecorder:
 
     def test_termination_event_recorded(self):
         g = chain_graph(5)
-        r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
+        r = Session(g, EngineConfig(num_machines=2)).execute(
             "SELECT COUNT(*) FROM MATCH (a)->(b)", trace=True
         )
         assert any("termination" in text for _r, text in r.trace.events)
@@ -43,7 +43,7 @@ class TestRecorder:
 class TestAnalysis:
     def test_utilization_bounds(self):
         g = random_graph(40, 120, seed=3)
-        r = RPQdEngine(g, EngineConfig(num_machines=4)).execute(
+        r = Session(g, EngineConfig(num_machines=4)).execute(
             "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)", trace=True
         )
         for u in r.trace.utilization():
@@ -69,7 +69,7 @@ class TestAnalysis:
 
     def test_summary_shape(self):
         g = chain_graph(6)
-        r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
+        r = Session(g, EngineConfig(num_machines=2)).execute(
             "SELECT COUNT(*) FROM MATCH (a)->(b)", trace=True
         )
         s = r.trace.summary()
@@ -79,7 +79,7 @@ class TestAnalysis:
 class TestRendering:
     def test_timeline_renders_one_row_per_machine(self):
         g = random_graph(30, 90, seed=4)
-        r = RPQdEngine(g, EngineConfig(num_machines=3)).execute(
+        r = Session(g, EngineConfig(num_machines=3)).execute(
             "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)", trace=True
         )
         text = r.trace.render_timeline(width=40)

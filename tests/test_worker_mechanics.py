@@ -3,7 +3,7 @@ locality guard, bootstrap sharing, nested blocked jobs, batch accounting."""
 
 import pytest
 
-from repro import EngineConfig, GraphBuilder, RPQdEngine
+from repro import EngineConfig, GraphBuilder, Session
 from repro.engine.result import assemble_results
 from repro.errors import GraphError
 from repro.graph.generators import chain_graph, random_graph, star_graph
@@ -35,7 +35,7 @@ class TestFrame:
         g = random_graph(12, 30, seed=4, edge_label="E")
         query = "SELECT a, c FROM MATCH (a)-[:E]->(b)-/:E{1,2}/-(c)"
         config = EngineConfig(num_machines=1)
-        expected = RPQdEngine(g, config).execute(query).rows
+        expected = Session(g, config).execute(query).rows
         cluster, task, sinks, plan = make_execution(g, query, config)
         worker = task.slices[0].workers[0]
         while not worker.idle:
