@@ -24,6 +24,11 @@ class DistributedGraph:
             partitioner = make_partitioner(
                 partitioner, graph.num_vertices, num_machines, graph=graph
             )
+        elif partitioner.num_machines != num_machines:
+            raise GraphError(
+                f"partitioner built for {partitioner.num_machines} machines "
+                f"cannot partition for {num_machines}"
+            )
         self.partitioner = partitioner
         self.partitions = [GraphPartition(self, m) for m in range(num_machines)]
 

@@ -7,9 +7,12 @@ plus optional extra labels (used, e.g., for the LDBC ``Message`` supertype of
 key-value properties.
 """
 
+from functools import cached_property
+
 from .csr import Csr
 from .labels import LabelTable
 from .properties import DensePropertyStore, SparsePropertyStore
+from .statistics import GraphStatistics
 from .types import NO_EDGE, Direction
 
 
@@ -143,6 +146,13 @@ class PropertyGraph:
     # ------------------------------------------------------------------
     # Stats / debugging
     # ------------------------------------------------------------------
+    @cached_property
+    def statistics(self):
+        """The graph's :class:`GraphStatistics`, scanned on first use."""
+        return GraphStatistics(
+            self.vertex_label_ids, self._extra_label_ids, self.edge_label_ids
+        )
+
     def label_histogram(self):
         """Return ``{label name: vertex count}`` over primary labels."""
         hist = {}

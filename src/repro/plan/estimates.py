@@ -3,11 +3,13 @@
 :func:`annotate_estimates` walks a compiled :class:`~repro.plan.stages.
 DistributedPlan` and fills ``Stage.estimated_matches`` with the planner's
 expected number of successful matches per stage, from the same crude
-statistics the planner's heuristics use: label histograms, average degree,
-and per-conjunct selectivities (recorded on ``Stage.filter_selectivity``
-at compile time).  EXPLAIN renders these next to the execution's *actual*
-``stage_matches`` counters, the per-operator actual-vs-estimated
-convention of EXPLAIN ANALYZE.
+statistics the planner's heuristics use: the graph's cached label
+histograms and average degree (:class:`~repro.graph.statistics.
+GraphStatistics`, scanned once per graph — a compile never touches
+per-vertex or per-edge data), and per-conjunct selectivities (recorded on
+``Stage.filter_selectivity`` at compile time).  EXPLAIN renders these next
+to the execution's *actual* ``stage_matches`` counters with their q-error,
+the per-operator actual-vs-estimated convention of EXPLAIN ANALYZE.
 
 The model is deliberately simple — these are order-of-magnitude numbers
 for spotting misestimates, not a cost model:
@@ -43,21 +45,12 @@ def annotate_estimates(plan, graph):
     Mutates the plan in place and returns it.  Estimates are floats; the
     cap keeps pathological geometric gains finite.
     """
-    n = max(1, graph.num_vertices)
-    avg_degree = graph.num_edges / n
+    stats = graph.statistics
+    n = max(1, stats.num_vertices)
+    avg_degree = stats.num_edges / n
     cap = TOTAL_CAP_FACTOR * n
-
-    vertex_label_counts = {}
-
-    def label_count(label_id):
-        count = vertex_label_counts.get(label_id)
-        if count is None:
-            count = sum(
-                1 for v in range(graph.num_vertices)
-                if graph.vertex_has_label(v, label_id)
-            )
-            vertex_label_counts[label_id] = count
-        return count
+    label_count = stats.vertices_per_label.get
+    edge_label_count = stats.edges_per_label.get
 
     def label_selectivity(groups):
         """AND of OR-groups of vertex label ids -> fraction of vertices."""
@@ -65,22 +58,15 @@ def annotate_estimates(plan, graph):
         for group in groups:
             if any(lid == ANY_LABEL for lid in group):
                 continue
-            frac = min(1.0, sum(label_count(lid) for lid in group) / n)
+            frac = min(1.0, sum(label_count(lid, 0) for lid in group) / n)
             sel *= frac
         return sel
 
-    edge_label_counts = None
-
     def edge_fanout(hop):
         """Expected out-neighbors per vertex through ``hop``."""
-        nonlocal edge_label_counts
         if hop.edge_label_ids:
-            if edge_label_counts is None:
-                from collections import Counter
-
-                edge_label_counts = Counter(graph.edge_label_ids)
             fanout = sum(
-                edge_label_counts.get(lid, 0) for lid in hop.edge_label_ids
+                edge_label_count(lid, 0) for lid in hop.edge_label_ids
             ) / n
         else:
             fanout = avg_degree

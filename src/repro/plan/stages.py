@@ -191,6 +191,9 @@ class DistributedPlan:
     # The stages resolved for the DFT loop; filled on first execution by
     # :func:`repro.runtime.steptable.step_table`, never at compile time.
     step_table: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # Likewise the termination evaluator's view of the stages
+    # (:func:`repro.runtime.termination.termination_table`).
+    termination_table: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def num_stages(self):
@@ -198,7 +201,3 @@ class DistributedPlan:
 
     def rpq_specs(self):
         return [s.rpq for s in self.stages if s.rpq is not None]
-
-    def stage_depth_aware(self, stage_index):
-        """RPQ stages are tracked per depth by flow control/termination."""
-        return self.stages[stage_index].is_rpq_stage

@@ -7,14 +7,16 @@ reachability index, and the termination-protocol state.
 """
 
 import heapq
+from collections import deque
 
 from ..rpq.control import RpqController
 from ..rpq.reachability import ReachabilityIndex
 from .buffers import FlowControl
 from .message import Batch, DoneMessage, StatusMessage
 from .stats import MachineStats
+from .steptable import step_table
 from .termination import TerminationProtocol, TerminationTracker
-from .worker import Worker
+from .worker import Worker, step_costs
 
 
 class Machine:
@@ -101,6 +103,10 @@ class Machine:
                     obs=obs,
                 )
 
+        # What every worker's loop reads, built once per machine.
+        self.steps = step_table(plan)
+        self.step_costs = step_costs(config.cost)
+        self.reads = self.partition.raw_reads()
         # Workers and bootstrap work assignment.
         self.workers = [Worker(self, w) for w in range(config.workers_per_machine)]
         self._assign_bootstrap_roots(plan)
@@ -116,8 +122,6 @@ class Machine:
         # Shared machine-level queue: idle workers pull the next root, so
         # one worker hitting a huge subtree doesn't strand the roots that a
         # static per-worker split would have pinned to it.
-        from collections import deque
-
         self.bootstrap_roots = deque(roots)
         # Each bootstrap root is a stage-0 work unit for termination counting.
         if roots:
@@ -165,6 +169,7 @@ class Machine:
         """
         if partition is not None:
             self.partition = partition
+            self.reads = partition.raw_reads()
         self.tracker.restore_state(state["tracker"])
         self.protocol.restore_state(state["protocol"])
         self.flow.restore_state(state["flow"])
@@ -176,11 +181,9 @@ class Machine:
         self._open = {key: batch.clone() for key, batch in state["open"].items()}
         self._blocked_flush_reported = set(state["blocked_reported"])
         self._blocked_since = dict(state["blocked_since"])
-        from collections import deque
-
         self.bootstrap_roots = deque(state["bootstrap"])
         for worker, wstate in zip(self.workers, state["workers"]):
-            worker.restore_state(wstate, partition=partition)
+            worker.restore_state(wstate)
         for rpq_id, index in self.indexes.items():
             index.restore_state(state["indexes"][rpq_id])
         self.stats.restore(state["stats"])
@@ -414,8 +417,12 @@ class Machine:
             workers = rng.sample(workers, len(workers))
         budget_each = budget / len(self.workers)
         consumed = 0.0
+        inbox, roots = self.inbox, self.bootstrap_roots
         for worker in workers:
-            consumed += worker.run(budget_each)
+            # A worker with no job, no received batch and no root to pull
+            # has nothing to do: it costs nothing, not a call.
+            if worker.jobs or inbox or roots:
+                consumed += worker.run(budget_each)
         if self._open:
             # End-of-round timeout flush: buffers that did not fill during
             # the round are sent anyway so sparse stages are not
@@ -448,9 +455,14 @@ class Machine:
     # ------------------------------------------------------------------
     def broadcast_status(self, round_no):
         self.tracker.generation += 1
+        message = None
         for dst in range(self.config.num_machines):
             if dst != self.id:
-                self.network.send(self.tracker.snapshot(dst), round_no)
+                message = (
+                    self.tracker.snapshot(dst) if message is None
+                    else message.readdressed(dst)
+                )
+                self.network.send(message, round_no)
                 self.stats.status_messages += 1
         if self.obs is not None:
             self.obs.metrics.counter(

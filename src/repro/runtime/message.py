@@ -147,6 +147,16 @@ class StatusMessage:
         new.epoch = self.epoch
         return new
 
+    def readdressed(self, dst_machine):
+        """This snapshot for another destination of the same broadcast: own
+        ``seq``, shared counter dicts (receivers only read them, and
+        :meth:`clone` copies) — one broadcast copies the counters once."""
+        new = StatusMessage.__new__(StatusMessage)
+        new.__dict__.update(self.__dict__)
+        new.dst_machine = dst_machine
+        new.seq = next(_seq)
+        return new
+
 
 # ----------------------------------------------------------------------
 # Wire records (:class:`~repro.runtime.backend.ProcessBackend`)

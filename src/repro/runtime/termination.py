@@ -103,115 +103,123 @@ class TerminationTracker:
         )
 
 
+# Depth relations of ``Stage.producers``; the evaluator's table holds a
+# relation as its index here.
+_RELATIONS = ("same", "zero", "plus_one", "any")
+_SAME, _ZERO, _PLUS_ONE, _ANY = range(4)
+
+
+def termination_table(plan):
+    """What the evaluator reads of ``plan``, resolved once and cached on it
+    (like the step table: every machine and execution of the plan shares it).
+
+    ``(rpq_ids, stages)``: the plan's RPQ segment ids, and per stage
+    ``(index, segment, producers)`` with each producer as ``(stage index,
+    relation, its segment)`` — a stage's *segment* is the rpq id of a
+    depth-tracked (control or path) stage and ``None`` for any other.
+    """
+    table = plan.termination_table
+    if table is None:
+        segment = {}
+        for stage in plan.stages:
+            if stage.rpq is not None:
+                for index in (stage.index, *stage.rpq.path_stages):
+                    segment[index] = stage.rpq.rpq_id
+        stages = tuple(
+            (stage.index, segment.get(stage.index), tuple(
+                (producer, _RELATIONS.index(rel), segment.get(producer))
+                for producer, rel in stage.producers
+            ))
+            for stage in plan.stages
+        )
+        rpq_ids = tuple(spec.rpq_id for spec in plan.rpq_specs())
+        table = plan.termination_table = (rpq_ids, stages)
+    return table
+
+
+def counter_totals(snapshots):
+    """Global ``(sent, processed)`` per channel over ``snapshots``."""
+    sent, processed = {}, {}
+    for snap in snapshots:
+        for key, count in snap.sent.items():
+            sent[key] = sent.get(key, 0) + count
+        for key, count in snap.processed.items():
+            processed[key] = processed.get(key, 0) + count
+    return sent, processed
+
+
 class TerminationEvaluator:
-    """Evaluates the incremental conditions over a set of snapshots."""
+    """Evaluates the incremental conditions over a set of snapshots: any
+    objects with ``sent`` / ``processed`` / ``max_depths`` mappings
+    (:class:`StatusMessage`, or a live :class:`TerminationTracker`)."""
 
     def __init__(self, plan):
-        self.plan = plan
-        self._segment_cache = {}
-        for s in plan.stages:
-            if s.rpq is not None:
-                self._segment_cache[s.index] = s.rpq.rpq_id
-                for idx in s.rpq.path_stages:
-                    self._segment_cache[idx] = s.rpq.rpq_id
+        self.rpq_ids, self.stages = termination_table(plan)
 
-    def totals(self, snapshots):
-        sent = Counter()
-        processed = Counter()
-        for snap in snapshots:
-            sent.update(snap.sent)
-            processed.update(snap.processed)
-        return sent, processed
-
-    def consensus_max_depths(self, snapshots):
-        """{rpq_id: depth} where all machines agree; absent = no consensus."""
-        consensus = {}
-        rpq_ids = {s.rpq.rpq_id for s in self.plan.stages if s.rpq is not None}
-        for rpq_id in rpq_ids:
-            values = {snap.max_depths.get(rpq_id, -1) for snap in snapshots}
-            if len(values) == 1:
-                consensus[rpq_id] = values.pop()
-        return consensus
-
-    def known_max_depths(self, snapshots):
-        known = {}
-        for snap in snapshots:
-            for rpq_id, depth in snap.max_depths.items():
-                if depth > known.get(rpq_id, -1):
-                    known[rpq_id] = depth
-        return known
-
-    def evaluate(self, snapshots):
+    def evaluate(self, snapshots, totals=None):
         """Return ``(terminated_keys, all_done)``.
 
         ``terminated_keys`` is the set of ``(stage_index, depth)`` channels
-        whose incremental conditions hold under these snapshots.
+        whose incremental conditions hold under these snapshots; ``totals``
+        is ``counter_totals(snapshots)`` when the caller already has it.
         """
-        plan = self.plan
-        sent, processed = self.totals(snapshots)
-        consensus = self.consensus_max_depths(snapshots)
-        known = self.known_max_depths(snapshots)
+        sent, processed = totals or counter_totals(snapshots)
+        # Per segment: the depth all machines agree on (absent = no
+        # consensus) and the largest depth any machine has seen.
+        consensus, known = {}, {}
+        for rpq_id in self.rpq_ids:
+            depths = [snap.max_depths.get(rpq_id, -1) for snap in snapshots]
+            known[rpq_id] = top = max(depths)
+            if min(depths) == top:
+                consensus[rpq_id] = top
 
+        # Only a channel whose counts balance can terminate; whether it does
+        # is up to its producers.
+        waiting = []
+        for index, rpq_id, producers in self.stages:
+            for d in range(known[rpq_id] + 1) if rpq_id is not None else (0,):
+                key = (index, d)
+                if sent.get(key, 0) == processed.get(key, 0):
+                    waiting.append((key, d, producers))
+
+        # Fixpoint iteration: keys become terminated in dependency order.
         terminated = set()
-
-        def counts_ok(key):
-            return sent.get(key, 0) == processed.get(key, 0)
-
-        def producer_depth(producer_stage, d):
-            return d if plan.stages[producer_stage].is_rpq_stage else 0
-
-        def producers_ok(stage, d):
-            for producer, rel in stage.producers:
-                if rel == "zero":
-                    if d == 0 and (producer, 0) not in terminated:
-                        return False
-                elif rel == "plus_one":
-                    if d > 0 and (producer, d - 1) not in terminated:
-                        return False
-                elif rel == "any":
-                    rpq_id = self._segment_cache[producer]
-                    if rpq_id not in consensus:
-                        return False
-                    for dd in range(consensus[rpq_id] + 1):
-                        if (producer, dd) not in terminated:
-                            return False
-                else:  # "same"
-                    if (producer, producer_depth(producer, d)) not in terminated:
-                        return False
-            return True
-
-    # fixpoint iteration: keys become terminated in dependency order
         changed = True
-        while changed:
+        while changed and waiting:
             changed = False
-            for stage in plan.stages:
-                if stage.is_rpq_stage:
-                    rpq_id = self._segment_cache[stage.index]
-                    depths = range(known.get(rpq_id, -1) + 1)
+            blocked = []
+            for item in waiting:
+                key, d, producers = item
+                for producer, rel, segment in producers:
+                    if rel == _SAME:
+                        ok = (producer, 0 if segment is None else d) in terminated
+                    elif rel == _ZERO:
+                        ok = d != 0 or (producer, 0) in terminated
+                    elif rel == _PLUS_ONE:
+                        ok = d == 0 or (producer, d - 1) in terminated
+                    else:  # _ANY: every depth up to the agreed maximum
+                        top = consensus.get(segment)
+                        ok = top is not None and all(
+                            (producer, dd) in terminated for dd in range(top + 1)
+                        )
+                    if not ok:
+                        blocked.append(item)
+                        break
                 else:
-                    depths = (0,)
-                for d in depths:
-                    key = (stage.index, d)
-                    if key in terminated:
-                        continue
-                    if producers_ok(stage, d) and counts_ok(key):
-                        terminated.add(key)
-                        changed = True
+                    terminated.add(key)
+                    changed = True
+            waiting = blocked
 
-        all_done = True
-        for stage in plan.stages:
-            if stage.is_rpq_stage:
-                rpq_id = self._segment_cache[stage.index]
-                if rpq_id not in consensus:
-                    all_done = False
-                    break
+        for index, rpq_id, _producers in self.stages:
+            if rpq_id is None:
+                depths = (0,)
+            elif rpq_id in consensus:
                 depths = range(consensus[rpq_id] + 1)
             else:
-                depths = (0,)
-            if any((stage.index, d) not in terminated for d in depths):
-                all_done = False
-                break
-        return terminated, all_done
+                return terminated, False
+            if any((index, d) not in terminated for d in depths):
+                return terminated, False
+        return terminated, True
 
 
 class TerminationProtocol:
@@ -274,25 +282,19 @@ class TerminationProtocol:
         for rpq_id, depth in message.max_depths.items():
             self.tracker.observe_depth(rpq_id, depth)
 
-    def _snapshots(self):
-        """Latest remote snapshots plus a live view of our own counters."""
-        if len(self.views) < self.num_machines - 1:
-            return None
-        own = self.tracker.snapshot(dst_machine=self.machine_id)
-        snaps = [own]
-        for mid, snap in self.views.items():
-            if mid != self.machine_id:
-                snaps.append(snap)
-        return snaps
-
     def check(self):
         """Re-evaluate; returns True once termination is *confirmed*."""
         if self.concluded:
             return True
-        snapshots = self._snapshots()
-        if snapshots is None:
+        if len(self.views) < self.num_machines - 1:
             return False
-        terminated, all_done = self.evaluator.evaluate(snapshots)
+        # Latest remote snapshots plus a live view of our own counters.
+        own = self.tracker
+        if self._san is not None:
+            self._san.on_snapshot(self.machine_id, own.sent, own.processed)
+        snapshots = [own, *(s for m, s in self.views.items() if m != self.machine_id)]
+        signature = counter_totals(snapshots)
+        terminated, all_done = self.evaluator.evaluate(snapshots, signature)
         self.last_terminated_keys = terminated
         if self._obs is not None:
             self._obs.metrics.gauge(
@@ -304,11 +306,10 @@ class TerminationProtocol:
         if not all_done:
             self._candidate = None
             return False
-        gen_vector = tuple(
-            sorted((snap.src_machine, snap.generation) for snap in snapshots)
-        )
-        sent, processed = self.evaluator.totals(snapshots)
-        signature = (dict(sent), dict(processed))
+        gen_vector = tuple(sorted(
+            [(self.machine_id, own.generation)]
+            + [(snap.src_machine, snap.generation) for snap in snapshots[1:]]
+        ))
         if self._candidate is None:
             self._set_candidate(gen_vector, signature)
             return False

@@ -23,7 +23,7 @@ from ..graph.types import NO_EDGE
 from ..rpq.control import ACTION_EXIT
 from ..rpq.rpid import RpidAllocator
 from .steptable import (
-    CONTROL_ACTIONS, INSPECT, NBR_MANY, NBR_ONE, OUTPUT, TRANSITION, step_table,
+    CONTROL_ACTIONS, INSPECT, NBR_MANY, NBR_ONE, OUTPUT, TRANSITION,
 )
 
 #: Cost charged for bookkeeping steps (frame pops, action dispatch).
@@ -114,6 +114,16 @@ class Job:
         return new
 
 
+def step_costs(cost):
+    """The loop's step charges under ``cost``; the sums add the same operands
+    in the same order as the steps would, so budgets flip on the same step."""
+    return (
+        cost.bootstrap, cost.receive_context, cost.context_serialize,
+        cost.output, cost.edge_traverse,
+        cost.edge_traverse + cost.filter_eval, STEP_COST + cost.filter_eval,
+    )
+
+
 def _labels_ok(groups, label, extra):
     """Label test for a vertex that carries extra labels: every OR-group
     must hold its primary label or one of the extra ones."""
@@ -124,42 +134,25 @@ def _labels_ok(groups, label, extra):
 
 
 class Worker:
-    """One simulated worker thread."""
+    """One simulated worker thread: its job stack, rpid allocator and
+    expression state.  What all workers of a machine share (step table,
+    step charges, graph reads, obs/prof hooks) is read off the machine."""
 
     def __init__(self, machine, worker_id):
         self.machine = machine
         self.id = worker_id
-        self.plan = machine.plan
-        self.config = machine.config
         self.state = EvalState(machine.partition)
         self.jobs = []
         self.rpid_alloc = RpidAllocator(machine.id, worker_id)
         self.blocked = False
-        self.obs = machine.obs
-        self.prof = machine.prof
         self._track = worker_id + 1  # obs thread id (0 is the control track)
-        self._steps = step_table(machine.plan)
-        # Step charges that are sums: the same operands in the same order
-        # as the steps add them, so budgets flip on the same step.
-        cost = machine.config.cost
-        self._costs = (
-            cost.bootstrap, cost.receive_context, cost.context_serialize,
-            cost.output, cost.edge_traverse,
-            cost.edge_traverse + cost.filter_eval, STEP_COST + cost.filter_eval,
-        )
-        self._bind_partition(machine.partition)
-
-    def _bind_partition(self, partition):
-        self.partition = partition
-        self.state.partition = partition
-        self._reads = partition.raw_reads()
 
     # ------------------------------------------------------------------
     # Scheduling entry point
     # ------------------------------------------------------------------
     def run(self, budget):
         """Execute up to ``budget`` cost units; returns units consumed."""
-        prof = self.prof
+        prof = self.machine.prof
         if prof is None:
             return self._run_budget(budget)
         prof.enter("worker.dft")
@@ -177,13 +170,12 @@ class Worker:
             self.rpid_alloc.checkpoint_state(),
         )
 
-    def restore_state(self, state, partition=None):
+    def restore_state(self, state):
         jobs, blocked, rpid_state = state
         self.jobs = [job.clone() for job in jobs]
         self.blocked = blocked
         self.rpid_alloc.restore_state(rpid_state)
-        if partition is not None:
-            self._bind_partition(partition)
+        self.state.partition = self.machine.partition  # re-hosted, maybe
 
     @property
     def idle(self):
@@ -197,10 +189,11 @@ class Worker:
         batch = self.machine.pop_batch()
         job = Job("batch", batch=batch)
         self.jobs.append(job)
-        if self.obs is not None:
+        obs = self.machine.obs
+        if obs is not None:
             # The flow finish draws Perfetto's causal arrow from the
             # sender's batch.send to this receive span.
-            self.obs.begin_span(
+            obs.begin_span(
                 self.machine.id, self._track, "dft.batch",
                 args={"src": batch.src_machine, "stage": batch.target_stage,
                       "depth": batch.depth, "contexts": len(batch)},
@@ -218,11 +211,11 @@ class Worker:
         self.blocked = False
         machine = self.machine
         machine_id = machine.id
-        obs = self.obs
+        obs = machine.obs
         # Locality is established where a vertex enters the loop (see
         # GraphPartition.raw_reads); the sanitizer re-checks it there.
-        guard = self.partition.check_local if machine.sanitizer is not None else None
-        steps = self._steps
+        guard = machine.partition.check_local if machine.sanitizer is not None else None
+        steps = machine.steps
         state = self.state
         jobs = self.jobs
         stats = machine.stats
@@ -230,9 +223,9 @@ class Worker:
         inbox = machine.inbox
         roots = machine.bootstrap_roots
         try_emit = machine.try_emit
-        owner_of, primary, extra_of, csrs, vprop, eprop, graph = self._reads
+        owner_of, primary, extra_of, csrs, vprop, eprop, graph = machine.reads
         (c_bootstrap, c_receive, c_serialize, c_output, c_edge, c_edge_filter,
-         c_match_filter) = self._costs
+         c_match_filter) = machine.step_costs
         c_step = STEP_COST
         edges = filter_evals = bootstrapped = roots_done = 0
         job = stack = ctx = None
@@ -468,7 +461,7 @@ class Worker:
                     # vertices, but the unit must still be accounted.
                     roots_done += 1
                 else:
-                    job = Job("root", ctx=[None] * self.plan.num_slots)
+                    job = Job("root", ctx=[None] * machine.plan.num_slots)
                     jobs.append(job)
                     stack = job.stack
                     ctx = state.ctx = job.ctx

@@ -146,9 +146,10 @@ class Session:
         self.graph = graph
         self.config = config or EngineConfig()
         self.partitioner = partitioner
-        self.dgraph = DistributedGraph(
-            graph, self.config.num_machines, partitioner
-        )
+        # One partitioning per machine count a run asks for, each built
+        # once and by the session's partitioner (see :meth:`execute`).
+        self._dgraphs = {}
+        self.dgraph = self._dgraph_for(self.config.num_machines)
         self.plan_cache = PlanCache()
         self._backend = backend_from_config(self.config)
         self._scheduler = None
@@ -185,6 +186,14 @@ class Session:
     @property
     def closed(self):
         return self._closed
+
+    def _dgraph_for(self, num_machines):
+        dgraph = self._dgraphs.get(num_machines)
+        if dgraph is None:
+            dgraph = self._dgraphs[num_machines] = DistributedGraph(
+                self.graph, num_machines, self.partitioner
+            )
+        return dgraph
 
     def _check_open(self):
         if self._closed:
@@ -227,7 +236,8 @@ class Session:
 
         ``config`` overrides the session's configuration for this run (used
         by benchmarks to sweep machine counts etc.); a differing
-        ``num_machines`` triggers a re-partition here.  With ``trace=True``
+        ``num_machines`` runs on the session's partitioning for that count
+        (built on first use, by the session's partitioner).  With ``trace=True``
         (or an :class:`~repro.runtime.trace.ExecutionTrace` instance) the
         result carries a per-round activity timeline in ``result.trace``.
 
@@ -245,9 +255,7 @@ class Session:
         """
         self._check_open()
         run_config = config or self.config
-        dgraph = self.dgraph
-        if run_config.num_machines != dgraph.num_machines:
-            dgraph = DistributedGraph(self.graph, run_config.num_machines)
+        dgraph = self._dgraph_for(run_config.num_machines)
         plan = self.compile(query)
         sinks = [MachineSink(plan) for _ in range(run_config.num_machines)]
         if trace is True:

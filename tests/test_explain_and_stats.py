@@ -57,11 +57,26 @@ class TestExplainAnalyze:
             "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)"
         )
         text = r.explain_analyze()
-        assert "act=10]" in text  # stage 0 matches every vertex
-        assert "act=45]" in text  # the exit stage: one per result
+        assert "act=10 q=1.0]" in text  # stage 0 matches every vertex
+        assert "act=45 q=1.1]" in text  # the exit stage: one per result
         assert "est~" in text  # planner estimates rendered beside actuals
+        # Every stage line carries its q-error; the footer names the worst
+        # stage and the median.
+        stage_lines = [l for l in text.splitlines() if "[est~" in l]
+        assert all(" q=" in line for line in stage_lines)
+        footer = next(l for l in text.splitlines() if "estimates:" in l)
+        assert "worst q=1.2 at S2 (path)" in footer
+        assert f"median q=1.1 over {len(stage_lines)} stages" in footer
         assert "virtual rounds" in text  # analyze footer: timing
         assert "s wall" in text
+
+    def test_q_error_is_symmetric_and_floored_at_one(self):
+        from repro.plan.explain import q_error
+
+        assert q_error(10.0, 40) == q_error(40.0, 10) == 4.0
+        assert q_error(240.0, 0) == 240.0  # the smaller side floored at 1
+        assert q_error(0.3, 0) == 1.0  # both below one match: exact
+        assert q_error(7.0, 7) == 1.0
 
     def test_control_stage_counts_all_entries(self):
         g = chain_graph(5)

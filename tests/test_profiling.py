@@ -200,6 +200,7 @@ class TestExplainAnalyzeReconciliation:
         text = result.explain_analyze()
         assert "est~" in text
         assert "act=" in text
+        assert " q=" in text and "estimates: worst q=" in text
         assert "virtual rounds" in text
         assert "profile (wall-clock phases)" in text
         assert "worker.dft" in text

@@ -188,6 +188,110 @@ class TestPlanCache:
         assert session.plan_cache.misses == 1
 
 
+class TestPlanCacheLiterals:
+    """Whitespace inside a string literal is part of the query."""
+
+    TWO = "SELECT id(a) FROM MATCH (a:Person) WHERE a.name = 'John  Smith'"
+    ONE = "SELECT id(a) FROM MATCH (a:Person) WHERE a.name = 'John Smith'"
+
+    @pytest.fixture
+    def smiths(self):
+        b = repro.GraphBuilder()
+        b.add_vertex("Person", name="John  Smith")  # id 0: two spaces
+        b.add_vertex("Person", name="John Smith")  # id 1: one space
+        return b.build()
+
+    @pytest.mark.parametrize("order", [("TWO", "ONE"), ("ONE", "TWO")])
+    def test_literals_differing_in_whitespace_get_their_own_plans(
+        self, smiths, order
+    ):
+        expected = {"TWO": [(0,)], "ONE": [(1,)]}
+        with connect(smiths, num_machines=2) as session:
+            for name in order + order:
+                assert session.execute(getattr(self, name)).rows == expected[name]
+            assert (session.plan_cache.misses, session.plan_cache.hits) == (2, 2)
+
+    def test_reformatted_repeats_still_hit(self, smiths):
+        with connect(smiths, num_machines=2) as session:
+            plan = session.compile(self.TWO)
+            reformatted = self.TWO.replace(" FROM ", "\n  FROM   ") + "  "
+            assert session.compile(reformatted) is plan
+            assert session.plan_cache.misses == 1
+
+    def test_normalization_keeps_what_the_lexer_reads(self):
+        assert normalize_query_text("a  =  'x  ''  y'  ") == "a = 'x  ''  y'"
+        # A line comment ends at its newline; a quote inside a comment
+        # opens no literal.
+        assert (
+            normalize_query_text("SELECT 1 -- it's  a\n  FROM  'p  q'")
+            == "SELECT 1 -- it's  a\n FROM 'p  q'"
+        )
+        assert (
+            normalize_query_text("SELECT /* it's  a */  1  FROM 'p  q'")
+            == "SELECT /* it's  a */ 1 FROM 'p  q'"
+        )
+
+
+class TestMachineCountOverride:
+    """A per-run ``num_machines`` override runs on the session's own
+    partitioning for that count, built once."""
+
+    def test_override_honours_the_session_partitioner_and_is_built_once(
+        self, monkeypatch
+    ):
+        import repro.session as session_module
+
+        built = []
+        real = session_module.DistributedGraph
+
+        def counting(graph, num_machines, partitioner="hash"):
+            built.append((num_machines, partitioner))
+            return real(graph, num_machines, partitioner)
+
+        monkeypatch.setattr(session_module, "DistributedGraph", counting)
+        session = connect(random_graph(30, 90, seed=4), num_machines=4,
+                          partitioner="block")
+        two = session.config.with_(num_machines=2)
+        dgraphs = []
+        real_run = session.backend.run
+        monkeypatch.setattr(
+            session.backend, "run",
+            lambda dgraph, *a, **k: dgraphs.append(dgraph) or real_run(dgraph, *a, **k),
+        )
+        q = "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)"
+        expected = session.execute(q).scalar()
+        assert session.execute(q, config=two).scalar() == expected
+        assert session.execute(q, config=two).scalar() == expected
+        assert built == [(4, "block"), (2, "block")]
+        assert dgraphs[0] is session.dgraph
+        assert dgraphs[1] is dgraphs[2] and dgraphs[1].num_machines == 2
+        assert type(dgraphs[1].partitioner).__name__ == "BlockPartitioner"
+
+    def test_override_on_the_process_backend_forks_once(self):
+        graph = random_graph(30, 90, seed=4)
+        q = "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)"
+        with connect(graph, num_machines=4, backend="process") as session:
+            two = session.config.with_(num_machines=2)
+            first = session.execute(q, config=two).scalar()
+            pids = session.backend.worker_pids
+            assert len(pids) == 2
+            assert session.execute(q, config=two).scalar() == first
+            assert session.backend.worker_pids == pids  # nothing re-forked
+
+    def test_partitioner_instance_is_bound_to_its_machine_count(self):
+        from repro.errors import GraphError
+        from repro.graph import HashPartitioner
+
+        graph = chain_graph(8)
+        session = Session(
+            graph, EngineConfig(num_machines=4),
+            partitioner=HashPartitioner(graph.num_vertices, 4),
+        )
+        assert session.execute(COUNT_Q).scalar() == 7
+        with pytest.raises(GraphError, match="built for 4 machines"):
+            session.execute(COUNT_Q, config=session.config.with_(num_machines=2))
+
+
 class TestPublicSurface:
     def test_session_runs_without_deprecation_warnings(self):
         g = chain_graph(8)

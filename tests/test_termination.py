@@ -1,6 +1,7 @@
 """Tests for the incremental termination protocol (paper Section 3.4)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import EngineConfig, Session
 from repro.graph import GraphBuilder
@@ -217,3 +218,160 @@ class TestProtocolEndToEnd:
         task.channel.duplicate_fn = lambda m: isinstance(m, StatusMessage)
         stats = run(cluster, task)
         assert stats.outputs == 66
+
+
+# ---------------------------------------------------------------------------
+# Evaluator equivalence: the table-driven evaluator against a straight-line
+# reading of the incremental conditions, over every golden-oracle plan.
+# ---------------------------------------------------------------------------
+
+
+def reference_evaluate(plan, snaps):
+    """The conditions of the module docstring, written for clarity only."""
+    keys = set().union(*(s.sent for s in snaps), *(s.processed for s in snaps))
+    balanced = {
+        k for k in keys
+        if sum(s.sent.get(k, 0) for s in snaps) == sum(s.processed.get(k, 0) for s in snaps)
+    }
+    segment = {}
+    for stage in plan.stages:
+        if stage.rpq is not None:
+            for index in (stage.index, *stage.rpq.path_stages):
+                segment[index] = stage.rpq.rpq_id
+    seen = {r: [s.max_depths.get(r, -1) for s in snaps] for r in set(segment.values())}
+    consensus = {r: d[0] for r, d in seen.items() if len(set(d)) == 1}
+
+    def depths(index, upto):
+        if index not in segment:
+            return [0]
+        return list(range(upto[segment[index]] + 1)) if segment[index] in upto else None
+
+    def producer_done(producer, rel, d, done):
+        if rel == "zero":
+            return d != 0 or (producer, 0) in done
+        if rel == "plus_one":
+            return d == 0 or (producer, d - 1) in done
+        if rel == "any":
+            needed = depths(producer, consensus)
+            return needed is not None and all((producer, dd) in done for dd in needed)
+        return (producer, d if producer in segment else 0) in done
+
+    done, grew = set(), True
+    while grew:
+        grew = False
+        for stage in plan.stages:
+            for d in depths(stage.index, {r: max(d) for r, d in seen.items()}):
+                key = (stage.index, d)
+                if key not in done and (key in balanced or key not in keys) and all(
+                    producer_done(p, rel, d, done) for p, rel in stage.producers
+                ):
+                    done.add(key)
+                    grew = True
+    all_done = all(
+        (needed := depths(stage.index, consensus)) is not None
+        and all((stage.index, d) in done for d in needed)
+        for stage in plan.stages
+    )
+    return done, all_done
+
+
+def _golden_plans():
+    from repro.datagen import mini_ldbc
+
+    from .dft_golden_cases import SMALL_QUERIES, ldbc_queries, small_graph
+
+    graph, info = mini_ldbc("s")
+    plans = [compile_query(parse(q), graph) for q in ldbc_queries(info).values()]
+    small = small_graph()
+    plans += [compile_query(parse(q), small) for q in SMALL_QUERIES.values()]
+    return plans
+
+
+GOLDEN_PLANS = _golden_plans()
+
+
+@st.composite
+def snapshot_sets(draw):
+    """Counter states of 1-4 machines over one golden plan: units are sent
+    by one machine and (mostly) processed by another, max depths (mostly)
+    agree — so terminated channels, candidates and near misses all occur."""
+    plan = draw(st.sampled_from(GOLDEN_PLANS))
+    trackers = [TerminationTracker(m) for m in range(draw(st.integers(1, 4)))]
+    machine = st.sampled_from(trackers)
+    top = draw(st.integers(0, 3))
+    for stage in plan.stages:
+        for depth in range(top + 1 if stage.is_rpq_stage else 1):
+            for _ in range(draw(st.integers(0, 2))):
+                draw(machine).record_sent(stage.index, depth)
+                if draw(st.integers(0, 7)):
+                    draw(machine).record_processed(stage.index, depth)
+    for spec in plan.rpq_specs():
+        agreed = draw(st.integers(-1, top))
+        for tracker in trackers:
+            depth = agreed if draw(st.integers(0, 7)) else draw(st.integers(-1, top))
+            if depth >= 0:
+                tracker.observe_depth(spec.rpq_id, depth)
+    return plan, snapshots(trackers)
+
+
+class TestEvaluatorEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(snapshot_sets())
+    def test_same_verdicts_as_the_reference(self, case):
+        plan, snaps = case
+        assert TerminationEvaluator(plan).evaluate(snaps) == reference_evaluate(
+            plan, snaps
+        )
+
+    def test_scripted_check_sequence_forms_and_confirms_on_the_same_calls(self):
+        """Machine 0's protocol while a two-machine RPQ runs.  Each entry
+        is ``(what happened, check() result, candidate held?, terminated
+        channels)`` — recorded from the protocol before its evaluation was
+        made cheap, and unchanged by that."""
+        plan = rpq_plan()  # S0 -> control S1 (path S2, S3) -> exit S4
+        t0, t1 = TerminationTracker(0), TerminationTracker(1)
+        protocol = TerminationProtocol(0, plan, 2, t0)
+        trace = []
+
+        def step(label, remote=True):
+            t0.generation += 1
+            t1.generation += 1
+            if remote:
+                protocol.on_status(t1.snapshot(0))
+            trace.append((
+                label, protocol.check(), protocol.confirming,
+                sorted(protocol.last_terminated_keys),
+            ))
+
+        assert protocol.check() is False  # no view of machine 1 yet
+        t0.record_bootstrap(1)
+        step("root in progress")
+        t0.record_processed(0, 0)
+        t0.record_sent(1, 0)
+        t0.observe_depth(0, 0)
+        step("batch in flight to machine 1")
+        t1.record_processed(1, 0)
+        step("balanced, but machine 1 has not seen depth 0")
+        t1.observe_depth(0, 0)
+        step("consensus: candidate")
+        step("no newer remote snapshot", remote=False)
+        t1.record_sent(1, 1)
+        t1.observe_depth(0, 1)
+        step("deeper work shows up: candidate dropped")
+        t0.record_processed(1, 1)
+        step("balanced at depth 1: new candidate")
+        step("newer snapshots, same totals: confirmed")
+        step("concluded stays concluded")
+        depth0 = [(0, 0), (1, 0), (2, 0), (3, 0)]
+        depth1 = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0)]
+        assert trace == [
+            ("root in progress", False, False, [(4, 0)]),
+            ("batch in flight to machine 1", False, False, [(0, 0)]),
+            ("balanced, but machine 1 has not seen depth 0", False, False, depth0),
+            ("consensus: candidate", False, True, depth0 + [(4, 0)]),
+            ("no newer remote snapshot", False, True, depth0 + [(4, 0)]),
+            ("deeper work shows up: candidate dropped", False, False, depth0),
+            ("balanced at depth 1: new candidate", False, True, depth1),
+            ("newer snapshots, same totals: confirmed", True, True, depth1),
+            ("concluded stays concluded", True, True, depth1),
+        ]

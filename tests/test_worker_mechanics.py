@@ -217,3 +217,51 @@ class TestNestedJobs:
         assert not worker.idle  # bootstrap pending
         run(cluster, task)
         assert worker.idle
+
+
+class TestIdleSlice:
+    """A machine with no job, no received batch and no root does nothing —
+    and under ``schedule_seed`` still draws its worker order, so a seeded
+    schedule is the same stream of draws as ever."""
+
+    def _finished_machine(self):
+        config = EngineConfig(num_machines=2, workers_per_machine=3)
+        cluster, task, _sinks, _plan = make_execution(
+            chain_graph(6), "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", config
+        )
+        run(cluster, task)
+        return task.slices[0]
+
+    def test_idle_slice_costs_nothing_and_moves_no_stat(self, monkeypatch):
+        machine = self._finished_machine()
+        before = vars(machine.stats.clone())
+        calls = []
+        monkeypatch.setattr(Worker, "run", lambda self, budget: calls.append(self))
+        assert machine.run_slice(99, 100.0) == 0.0
+        assert calls == []  # not even a call per worker
+        assert vars(machine.stats) == before
+        assert all(not w.blocked and w.idle for w in machine.workers)
+
+    def test_idle_slice_draws_the_same_rng_stream(self):
+        import random
+
+        machine = self._finished_machine()
+        rng, reference = random.Random(5), random.Random(5)
+        assert machine.run_slice(99, 100.0, rng=rng) == 0.0
+        reference.sample(machine.workers, len(machine.workers))
+        assert rng.getstate() == reference.getstate()
+
+    def test_slice_with_a_received_batch_runs_its_workers(self):
+        from repro.runtime.message import Batch
+
+        machine = self._finished_machine()
+        plan = machine.plan
+        batch = Batch(src_machine=1, dst_machine=0,
+                      target_stage=plan.num_stages - 1, depth=0,
+                      query_id=machine.query_id)
+        batch.add(0, [None] * plan.num_slots)  # vertex 0 lives on machine 0
+        machine.deliver([batch])
+        outputs = machine.stats.outputs
+        assert machine.run_slice(99, 100.0) > 0.0
+        assert machine.stats.outputs == outputs + 1
+        assert not machine.inbox
