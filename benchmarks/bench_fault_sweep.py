@@ -14,20 +14,44 @@ import pytest
 from repro import EngineConfig
 from repro.bench import format_table
 from repro.datagen import BENCHMARK_QUERIES
-from repro.faults import run_chaos_sweep, seeded_sweep
+from repro.faults import seeded_sweep
+from repro.sweep import Variant, run_sweep
 
 NUM_PLANS = 5
 BASE_SEED = 101
 
 
+def sweep_q09(ldbc_small, plans, **config):
+    """Q09 under ``plans`` against its fault-free baseline (transport held
+    on, depth tables compared): a :class:`repro.sweep.SweepReport`."""
+    graph, info = ldbc_small
+    return run_sweep(
+        graph,
+        [BENCHMARK_QUERIES["Q09"](info)],
+        [Variant(plan.seed, {"faults": plan}) for plan in plans],
+        config=EngineConfig(num_machines=4, quantum=400.0, **config),
+        baseline_overrides={"faults": None, "reliable_transport": True},
+        compare_depths=True,
+    )
+
+
+def runs_of(report):
+    """``[(plan seed, RunStats, makespan ratio vs. fault-free, exact)]``."""
+    baseline = report.baselines[0].stats.virtual_time
+    return [
+        (
+            run.label,
+            run.results[0].stats,
+            run.results[0].stats.virtual_time / baseline,
+            not report.variant_mismatches(run.label),
+        )
+        for run in report.runs
+    ]
+
+
 @pytest.fixture(scope="module")
 def chaos(ldbc_small):
-    graph, info = ldbc_small
-    query = BENCHMARK_QUERIES["Q09"](info)
-    plans = seeded_sweep(NUM_PLANS, base_seed=BASE_SEED)
-    config = EngineConfig(num_machines=4, quantum=400.0)
-    (rep,) = run_chaos_sweep(graph, [query], plans, config=config)
-    return rep
+    return sweep_q09(ldbc_small, seeded_sweep(NUM_PLANS, base_seed=BASE_SEED))
 
 
 @pytest.fixture(scope="module")
@@ -35,29 +59,25 @@ def recovery_chaos(ldbc_small):
     """Same sweep but with *permanent* crashes and crash recovery on
     (repro.recovery): the dead machine never returns, its partition fails
     over to a survivor, and the run must still match fault-free exactly."""
-    graph, info = ldbc_small
-    query = BENCHMARK_QUERIES["Q09"](info)
     plans = seeded_sweep(NUM_PLANS, base_seed=BASE_SEED, permanent=True)
-    config = EngineConfig(num_machines=4, quantum=400.0, recovery=True)
-    (rep,) = run_chaos_sweep(graph, [query], plans, config=config)
-    return rep
+    return sweep_q09(ldbc_small, plans, recovery=True)
 
 
 def test_fault_sweep_report(chaos, report):
     rows = []
-    for run, (seed, ratio) in zip(chaos.runs, chaos.makespan_inflation()):
-        faults = run.fault_counts
+    for seed, stats, ratio, exact in runs_of(chaos):
+        faults = stats.fault_events
         rows.append(
             [
                 seed,
-                run.makespan,
+                stats.virtual_time,
                 f"x{ratio:.2f}",
-                run.retransmits,
+                stats.transport["retransmits"],
                 faults.get("drop", 0),
                 faults.get("dup", 0),
                 faults.get("delay", 0),
                 faults.get("stall", 0) + faults.get("crash", 0),
-                "yes" if run.rows_match and run.depths_match else "NO",
+                "yes" if exact else "NO",
             ]
         )
     text = format_table(
@@ -75,7 +95,8 @@ def test_fault_sweep_report(chaos, report):
         rows,
         title=(
             "Fault sweep: makespan inflation vs. fault-free "
-            f"(Q09, 4 machines, baseline {chaos.baseline_makespan} rounds)"
+            "(Q09, 4 machines, baseline "
+            f"{chaos.baselines[0].stats.virtual_time} rounds)"
         ),
     )
     report("fault sweep", text)
@@ -85,19 +106,17 @@ def test_recovery_sweep_report(chaos, recovery_chaos, report):
     """Recovery-mode makespan inflation (checkpoint + rollback + replay
     cost) side by side with the transient-crash degrade-mode numbers."""
     rows = []
-    degrade = dict(chaos.makespan_inflation())
-    for run, (seed, ratio) in zip(
-        recovery_chaos.runs, recovery_chaos.makespan_inflation()
-    ):
+    degrade = {seed: ratio for seed, _stats, ratio, _exact in runs_of(chaos)}
+    for seed, stats, ratio, exact in runs_of(recovery_chaos):
         rows.append(
             [
                 seed,
-                run.makespan,
+                stats.virtual_time,
                 f"x{degrade.get(seed, 0.0):.2f}",
                 f"x{ratio:.2f}",
-                run.recoveries,
-                run.retransmits,
-                "yes" if run.rows_match and run.depths_match else "NO",
+                stats.recovery["recoveries"],
+                stats.transport["retransmits"],
+                "yes" if exact else "NO",
             ]
         )
     text = format_table(
@@ -114,7 +133,7 @@ def test_recovery_sweep_report(chaos, recovery_chaos, report):
         title=(
             "Recovery sweep: makespan inflation, transient crash vs. "
             "permanent crash with failover (Q09, 4 machines, baseline "
-            f"{recovery_chaos.baseline_makespan} rounds)"
+            f"{recovery_chaos.baselines[0].stats.virtual_time} rounds)"
         ),
     )
     report("recovery sweep", text)
@@ -124,31 +143,33 @@ def test_recovery_runs_reproduce_fault_free_results(recovery_chaos):
     # The crash-recovery contract: checkpoint/failover/replay makes every
     # permanent-crash run complete with the fault-free rows + depth table.
     assert recovery_chaos.ok, recovery_chaos.mismatches
-    assert all(run.complete for run in recovery_chaos.runs)
 
 
 def test_recovery_failovers_actually_fired(recovery_chaos):
     # Vacuous unless at least one plan's permanent crash hit mid-query.
-    assert sum(run.recoveries for run in recovery_chaos.runs) > 0
+    assert sum(
+        result.stats.recovery["recoveries"]
+        for result in recovery_chaos.query_results(0)
+    ) > 0
 
 
 def test_chaos_runs_reproduce_fault_free_results(chaos):
     # The reliable-transport contract: exactly-once delivery makes every
     # seeded chaos run produce the fault-free rows and depth table.
     assert chaos.ok, chaos.mismatches
-    assert all(run.complete for run in chaos.runs)
 
 
 def test_faults_actually_fired(chaos):
     # The sweep is vacuous unless the plans genuinely perturbed the run.
-    assert chaos.total_faults > 0
-    assert sum(run.retransmits for run in chaos.runs) > 0
+    runs = chaos.query_results(0)
+    assert sum(sum(r.stats.fault_events.values()) for r in runs) > 0
+    assert sum(r.stats.transport["retransmits"] for r in runs) > 0
 
 
 def test_chaos_costs_latency_not_correctness(chaos):
     # Recovering from loss takes retransmission round trips: makespan may
     # only inflate (never beat a perfect network by a meaningful margin).
-    for _seed, ratio in chaos.makespan_inflation():
+    for _seed, _stats, ratio, _exact in runs_of(chaos):
         assert ratio >= 0.95
 
 

@@ -19,6 +19,7 @@ from repro import EngineConfig, Session
 from repro.bench import format_table
 from repro.datagen import BENCHMARK_QUERIES
 from repro.faults import seeded_sweep
+from repro.sweep import Variant, run_sweep
 
 NUM_PLANS = 5
 BASE_SEED = 211
@@ -33,24 +34,24 @@ SETTINGS = [
 
 
 def _sweep(graph, query, plans, **detection):
-    """Run ``query`` under every plan; return (runs, baseline_rows)."""
-    config = EngineConfig(
-        num_machines=4, quantum=400.0, recovery=True, **detection
+    """Run ``query`` under every plan (:func:`repro.sweep.run_sweep`
+    against the fault-free run); one dict per plan."""
+    report = run_sweep(
+        graph,
+        [query],
+        [Variant(plan.seed, {"faults": plan}) for plan in plans],
+        config=EngineConfig(
+            num_machines=4, quantum=400.0, recovery=True, **detection
+        ),
+        baseline_overrides={"faults": None},
     )
-    session = Session(graph, config.with_(faults=None))
-    baseline = sorted(map(tuple, session.execute(query).rows))
-    runs = []
-    for plan in plans:
-        result = session.execute(query, config=config.with_(faults=plan))
-        runs.append(
-            {
-                "rows_ok": sorted(map(tuple, result.rows)) == baseline,
-                "complete": result.complete,
-                "makespan": result.stats.virtual_time,
-                "membership": result.stats.membership or {},
-            }
-        )
-    return runs
+    return [
+        {
+            "exact": not report.variant_mismatches(run.label),
+            "membership": run.results[0].stats.membership or {},
+        }
+        for run in report.runs
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +112,7 @@ def test_detection_latency_vs_false_positive_table(detection_sweep, report):
                 suspicions,
                 false_pos,
                 f"{fp_rate:.0%}",
-                "yes" if all(r["rows_ok"] and r["complete"] for r in runs)
-                else "NO",
+                "yes" if all(r["exact"] for r in runs) else "NO",
             ]
         )
     text = format_table(
@@ -138,7 +138,7 @@ def test_detection_latency_vs_false_positive_table(detection_sweep, report):
 def test_every_setting_reproduces_fault_free(detection_sweep):
     # Detection tuning is a latency knob, never a correctness knob.
     for label, runs in detection_sweep.items():
-        assert all(r["rows_ok"] and r["complete"] for r in runs), label
+        assert all(r["exact"] for r in runs), label
 
 
 def test_detection_actually_fired(detection_sweep):
@@ -171,7 +171,7 @@ def test_partitions_reproduce_fault_free(partition_sweep):
     # Quorum safety under partitions: the majority side may fail over the
     # isolated machine, a healing split may only raise (free) false
     # suspicions — either way the rows match fault-free exactly.
-    assert all(r["rows_ok"] and r["complete"] for r in partition_sweep)
+    assert all(r["exact"] for r in partition_sweep)
 
 
 def test_wall_clock_one_detected_failover(benchmark, ldbc_small):

@@ -1,6 +1,6 @@
 """Static and dynamic correctness tooling for the RPQd runtime.
 
-Four layers, all centred on the distributed-protocol invariants the paper
+Three layers, all centred on the distributed-protocol invariants the paper
 states in prose but the code cannot express in types:
 
 * :mod:`repro.analysis.linter` — a small AST lint framework with
@@ -13,11 +13,10 @@ states in prose but the code cannot express in types:
   :mod:`repro.analysis.suppress`);
 * :mod:`repro.analysis.sanitizer` — a config-gated runtime sanitizer whose
   assertion hooks are wired into flow control, termination detection, and
-  the reachability index (zero work when disabled);
-* :mod:`repro.analysis.races` — a schedule race detector that re-runs query
-  workloads under permuted scheduler interleavings and asserts result-set
-  invariance (run-based RPQ semantics make the result set schedule-
-  independent, so any divergence is a hidden order dependence).
+  the reachability index (zero work when disabled).
+
+The schedule race detector (``repro analyze --races N``) is
+:func:`repro.sweep.run_sweep` with ``{"schedule_seed": s}`` variants.
 
 See ``docs/analysis.md`` for the rule catalogue and invariant list.
 """
@@ -29,7 +28,6 @@ from .parallel import (
     lint_package_with_suppressions,
     run_static_analysis,
 )
-from .races import RaceReport, run_schedule_sweep
 from .rules import ALL_RULES
 from .sanitizer import RuntimeSanitizer, sanitizer_from_config
 from .suppress import Suppression, find_suppressions, split_suppressed
@@ -40,14 +38,12 @@ __all__ = [
     "LintViolation",
     "Linter",
     "ProjectSource",
-    "RaceReport",
     "RuntimeSanitizer",
     "StaticAnalysisReport",
     "Suppression",
     "find_suppressions",
     "lint_package",
     "lint_package_with_suppressions",
-    "run_schedule_sweep",
     "run_static_analysis",
     "sanitizer_from_config",
     "split_suppressed",

@@ -1,38 +1,21 @@
-"""Benchmark harness, suites, trajectory comparison, and reporting."""
+"""The paper's measurement methodology (Section 4.1) for the figure
+scripts under ``benchmarks/``: round-robin median harness, executor
+factories, table rendering.  The perf gate is ``benchmarks/perf/``."""
 
-from .compare import (
-    DEFAULT_THRESHOLDS,
-    CompareError,
-    compare_bench,
-    format_compare,
-    load_bench,
-)
 from .harness import (
     BenchHarness,
     BenchResult,
     baseline_executor,
-    host_info,
     rpqd_executor,
     total_virtual_time,
 )
-from .reporting import format_table, speedup
-from .suites import SCHEMA_VERSION, SUITES, run_suite
+from .reporting import format_table
 
 __all__ = [
     "BenchHarness",
     "BenchResult",
-    "CompareError",
-    "DEFAULT_THRESHOLDS",
-    "SCHEMA_VERSION",
-    "SUITES",
     "baseline_executor",
-    "compare_bench",
-    "format_compare",
     "format_table",
-    "host_info",
-    "load_bench",
     "rpqd_executor",
-    "run_suite",
-    "speedup",
     "total_virtual_time",
 ]

@@ -8,11 +8,9 @@ transparency.  Virtual time is deterministic, so shapes are stable across
 runs and machines.  Wall-clock medians exclude ``warmup`` leading
 round-robin passes (import caches, plan caches, and allocator warm-up
 otherwise skew the first pass) and are only meaningful relative to the
-recorded host (:func:`host_info`).
+host they were taken on.
 """
 
-import os
-import platform
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -50,25 +48,6 @@ class BenchResult:
     # {metric_name: {label_key: summary_dict}}.  Empty unless the executor
     # attached a recorder (``rpqd_executor(observe=True)``).
     metric_summaries: dict = field(default_factory=dict)
-
-
-def host_info(backend="sim"):
-    """The machine identity wall-clock numbers are relative to.
-
-    Virtual-time results are host-independent; wall seconds are not, so
-    every ``BENCH_*.json`` embeds this dict and :mod:`repro.bench.compare`
-    warns when baselines cross hosts.  ``backend`` records which
-    execution substrate (:mod:`repro.runtime.backend`) produced the wall
-    numbers — process-backend seconds are not comparable to simulator
-    seconds.
-    """
-    return {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "cpu_count": os.cpu_count(),
-        "backend": backend,
-    }
 
 
 class BenchHarness:

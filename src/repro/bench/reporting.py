@@ -32,9 +32,3 @@ def format_table(headers, rows, title=None):
         out.append(line(row))
     return "\n".join(out)
 
-
-def speedup(base, other):
-    """``base / other`` guarding against zero (returns float('inf'))."""
-    if other <= 0:
-        return float("inf")
-    return base / other

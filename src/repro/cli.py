@@ -1,57 +1,37 @@
-"""Command-line interface: ``python -m repro <subcommand>``.
-
-Subcommands:
+"""Command-line interface: ``python -m repro <subcommand>``; every flag is
+described by ``<subcommand> --help``.
 
 * ``generate`` — write an LDBC-SNB-like graph to a JSON-lines file;
 * ``query`` — run a PGQL query over a JSON-lines graph with a chosen
-  engine (``rpqd``, ``bft``, ``recursive``); ``--backend process`` runs
-  the rpqd engine on the process-parallel execution backend
-  (:mod:`repro.runtime.backend`) instead of the deterministic simulator;
+  engine (``rpqd``, ``bft``, ``recursive``) and, for rpqd, a chosen
+  backend (deterministic simulator or real OS processes,
+  :mod:`repro.runtime.backend`); ``--faults PLAN.json`` attaches a
+  :class:`repro.faults.FaultPlan`, ``--trace-out`` / ``--metrics-out`` /
+  ``--timeline`` export what :mod:`repro.obs` recorded, and
+  ``--explain-analyze`` prints actual cardinalities beside the planner's
+  estimates with the wall-clock phase breakdown (:mod:`repro.obs.prof`);
 * ``explain`` — print the distributed plan for a query;
-* ``workload`` — run the paper's nine benchmark queries on a generated
-  graph and print a latency table (``--json`` for machine-readable rows,
-  ``--timeline`` for per-query ASCII utilization timelines;
-  ``--concurrency N`` interleaves all nine on one shared cluster through
-  the multi-query scheduler and verifies result sets match sequential
-  execution, reporting the aggregate makespan of both);
-* ``bench`` — run a named benchmark suite (``smoke``, ``standard``,
-  ``depth``, ``index``) through :mod:`repro.bench` and write a
-  schema-versioned ``BENCH_<suite>.json`` trajectory document;
-  ``--compare BASELINE.json`` gates against a committed baseline with
-  configurable thresholds (exit 0 ok / 1 regression / 2 usage-IO error);
-  ``--backend process`` benchmarks the process-parallel backend and adds
-  per-query sim-oracle columns (``sim_wall_seconds``,
-  ``wall_speedup_vs_sim``, ``identical_to_sim``) to the document;
-* ``trace`` — validate and pretty-print a trace file produced by
-  ``query --trace-out`` (Chrome trace JSON or JSONL event log);
-* ``analyze`` — static analysis: the repo-specific protocol lint rules
-  (RPQ001..RPQ006) plus ruff/mypy when installed, and optionally the
-  schedule race detector (``--races N``); ``--static`` instead runs the
-  parallel-readiness pass (RPQ101..RPQ105) against the committed
-  ``analysis-baseline.json`` with inline ``# repro: allow[RPQnnn] reason``
-  suppressions honored by both families; ``--json`` (either mode) emits a
-  machine-readable violation list and exits 1 iff unsuppressed violations
-  exist;
-* ``chaos`` — fault-injection sweep (:mod:`repro.faults`): run benchmark
-  queries under seeded lossy fault plans with reliable transport and
-  verify every run reproduces the fault-free result set and depth table;
-  ``--concurrency N`` submits the batch through the multi-query scheduler
-  instead, checking every query against its fault-free *solo* baseline
-  and reporting the cross-query blast radius of permanent crashes.
+* ``workload`` — the paper's nine benchmark queries on a generated graph:
+  a three-engine latency table, or with ``--concurrency N`` all nine
+  interleaved on one shared cluster and checked against solo execution;
+* ``trace`` — validate and pretty-print a trace file from ``query
+  --trace-out``;
+* ``analyze`` — the protocol lint rules (RPQ001..RPQ006) plus ruff/mypy
+  when installed, ``--static`` for the parallel-readiness pass
+  (RPQ101..RPQ105) against ``analysis-baseline.json``, ``--races N`` for
+  the schedule race detector;
+* ``chaos`` — benchmark queries under seeded fault plans, every run
+  checked against its fault-free solo baseline; ``--concurrency N`` runs
+  each plan against the whole batch on one shared cluster.
 
-Fault injection: ``query --faults PLAN.json`` attaches a
-:class:`repro.faults.FaultPlan` (reliable transport switches on
-automatically; ``--unreliable`` disables it for
-chaos-without-the-safety-net experiments).
+``analyze --races``, ``chaos`` and ``workload --concurrency`` are one loop,
+:func:`repro.sweep.run_sweep`, with different config variants.  Wall-clock
+benchmarking is not a subcommand: ``benchmarks/perf/run.py`` is the perf
+gate (``BENCHMARK.json``), ``pytest benchmarks/`` reproduces the paper's
+figures.
 
-Observability (``repro.obs``): ``query --trace-out FILE`` records a
-span-level execution trace (``.jsonl`` extension selects the JSONL event
-log, anything else the Perfetto-loadable Chrome trace JSON) and
-``--metrics-out FILE`` writes the metrics registry in Prometheus text
-format.  ``--timeline`` prints the per-round ASCII utilization timeline.
-``query --explain-analyze`` prints the EXPLAIN ANALYZE report (actual
-cardinalities beside planner estimates, wall-clock phase breakdown from
-:mod:`repro.obs.prof`) instead of result rows.
+Exit codes: 0 ok, 1 a check failed (violations, result divergence, invalid
+trace), 2 usage, configuration or I/O error.
 """
 
 import argparse
@@ -95,17 +75,59 @@ def _add_backend_arg(parser):
     )
 
 
+def _add_fault_args(parser):
+    parser.add_argument(
+        "--faults",
+        metavar="PLAN.json",
+        help="inject faults from a repro.faults.FaultPlan JSON file "
+        "(rpqd only; enables reliable transport automatically)",
+    )
+    parser.add_argument(
+        "--recover",
+        action="store_true",
+        help="enable crash recovery: checkpoint/failover/replay survives "
+        "permanent machine crashes in the fault plan (rpqd only)",
+    )
+    parser.add_argument(
+        "--deadline",
+        type=int,
+        metavar="ROUNDS",
+        help="abort each rpqd query cleanly after this many virtual rounds "
+        "(partial results)",
+    )
+
+
+def _add_shared_cluster_args(parser):
+    parser.add_argument(
+        "--concurrency", type=int, default=1, metavar="N",
+        help="submit the queries N at a time onto one shared cluster (the "
+        "multi-query scheduler); every result set must match the query's "
+        "fault-free solo run",
+    )
+    parser.add_argument(
+        "--sanitize", action="store_true",
+        help="run every execution under the protocol sanitizer",
+    )
+
+
+def _add_graph_args(parser, scale):
+    """The generated mini-LDBC graph and the cluster size it runs on."""
+    parser.add_argument("--scale", choices=["xs", "s", "m", "l"], default=scale)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--machines", type=int, default=4)
+
+
 def _engine_config(args, **extra):
     """The :class:`EngineConfig` behind the flags ``query`` and ``workload``
-    share: ``--machines``, ``--backend``, ``--faults``, ``--recover`` and
-    ``--deadline``; ``extra`` carries what only one caller sets."""
+    share: ``--machines``, ``--backend`` and :func:`_add_fault_args`;
+    ``extra`` carries what only one caller sets."""
     if args.faults:
         from .faults import FaultPlan
 
         extra["faults"] = FaultPlan.from_file(args.faults)
     if args.recover:
         extra["recovery"] = True
-    if args.deadline:
+    if args.deadline is not None:
         extra["deadline"] = args.deadline
     return EngineConfig(
         num_machines=args.machines, backend=args.backend, **extra
@@ -298,7 +320,7 @@ def _cmd_analyze_static(args):
 
 
 def cmd_analyze(args):
-    from .analysis import ALL_RULES, PARALLEL_RULES, run_schedule_sweep
+    from .analysis import ALL_RULES, PARALLEL_RULES
     from .analysis.external import run_external_linters
     from .analysis.parallel import lint_package_with_suppressions
 
@@ -350,22 +372,54 @@ def cmd_analyze(args):
 
     if args.races:
         from .datagen import BENCHMARK_QUERIES, mini_ldbc
+        from .sweep import Variant, run_sweep
 
         graph, info = mini_ldbc(args.scale, seed=args.seed)
-        config = EngineConfig(num_machines=args.machines)
-        queries = [build(info) for build in BENCHMARK_QUERIES.values()]
-        reports = run_schedule_sweep(
-            graph, queries, num_schedules=args.races, config=config
+        report = run_sweep(
+            graph,
+            [build(info) for build in BENCHMARK_QUERIES.values()],
+            [Variant(s, {"schedule_seed": s}) for s in range(1, args.races + 1)],
+            config=EngineConfig(num_machines=args.machines),
+            baseline_overrides={"schedule_seed": None},
         )
-        for report in reports:
-            print(f"-- races: {report.summary()}")
-        if any(not r.ok for r in reports):
+        for index, query in enumerate(report.queries):
+            fingerprints = {
+                result.stats.schedule_fingerprint
+                for result in report.query_results(index)
+            }
+            # + 1: the baseline ran the canonical (unseeded) schedule.
+            print(
+                f"-- races: {query!r}: {args.races} seeded schedules, "
+                f"{len(fingerprints) + 1} distinct interleavings, "
+                f"{_verdict(report.query_mismatches(index))}"
+            )
+        if not report.ok:
             print("-- race detector: RESULT-SET DIVERGENCE (order dependence)")
             rc = 1
         else:
-            print(f"-- race detector: ok ({len(reports)} queries x "
+            print(f"-- race detector: ok ({len(report.queries)} queries x "
                   f"{args.races} schedules)")
     return rc
+
+
+def _verdict(mismatches):
+    return f"{len(mismatches)} MISMATCHES" if mismatches else "ok"
+
+
+def _recoveries(result):
+    return (result.stats.recovery or {}).get("recoveries", 0)
+
+
+def _fate(result):
+    """Completeness propagation: a run cut short by a permanent machine
+    loss (recovery off) or a deadline is flagged in every report, so its
+    latency is never mistaken for that of a full answer."""
+    return {
+        "complete": result.complete,
+        "timed_out": result.timed_out,
+        "recoveries": _recoveries(result),
+        "down_machines": list(result.stats.down_machines),
+    }
 
 
 def cmd_workload(args):
@@ -373,15 +427,18 @@ def cmd_workload(args):
 
     backend = args.backend
     graph, info = mini_ldbc(args.scale, seed=args.seed)
+    queries = {name: build(info) for name, build in BENCHMARK_QUERIES.items()}
     if args.concurrency > 1:
-        if backend == "process":
+        if backend == "process" or args.timeline:
             print(
-                "error: --concurrency requires --backend sim (the process "
-                "backend has no concurrent multi-query scheduler yet)",
+                "error: --concurrency requires --backend sim and excludes "
+                "--timeline (the process backend has no multi-query "
+                "scheduler yet; the shared cluster has no per-query "
+                "ExecutionTrace)",
                 file=sys.stderr,
             )
             return 2
-        return _workload_concurrent(args, graph, info, BENCHMARK_QUERIES)
+        return _workload_concurrent(args, graph, queries)
     if backend == "process" and args.timeline:
         print(
             "error: --timeline requires --backend sim (the process backend "
@@ -389,61 +446,33 @@ def cmd_workload(args):
             file=sys.stderr,
         )
         return 2
-    engines = {
-        "rpqd": Session(graph, _engine_config(args)),
-        "bft": BftEngine(graph),
-        "recursive": RecursiveEngine(graph),
-    }
-    rows = []
     records = []
     timelines = []
-    any_partial = False
-    try:
-        for name, build in BENCHMARK_QUERIES.items():
-            query = build(info)
-            row = [name]
+    # The rpqd session may own process-backend resources (worker pool,
+    # shared-memory CSR segments): released even when a query raises.
+    with Session(graph, _engine_config(args)) as session:
+        engines = {
+            "rpqd": session,
+            "bft": BftEngine(graph),
+            "recursive": RecursiveEngine(graph),
+        }
+        for name, query in queries.items():
             record = {"query": name}
             for ename, engine in engines.items():
-                if ename == "rpqd" and args.timeline:
-                    result = engine.execute(query, trace=True)
-                    timelines.append((name, result.trace))
+                if engine is session:
+                    result = session.execute(query, trace=args.timeline)
+                    record.update(_fate(result))
+                    if result.trace is not None:
+                        timelines.append((name, result.trace))
                 else:
                     result = engine.execute(query)
-                latency = round(result.virtual_time, 1)
-                if ename == "rpqd":
-                    # Completeness propagation: a run cut short by a permanent
-                    # machine loss (recovery off) or a deadline is flagged so
-                    # its latency is never mistaken for a full answer.
-                    complete = getattr(result, "complete", True)
-                    record["complete"] = complete
-                    record["timed_out"] = getattr(result, "timed_out", False)
-                    record["down_machines"] = list(
-                        getattr(result.stats, "down_machines", ())
-                    )
-                    recovery = getattr(result.stats, "recovery", None)
-                    if recovery is not None:
-                        record["recoveries"] = recovery.get("recoveries", 0)
-                    if not complete:
-                        any_partial = True
-                        row.append(f"{latency}*")
-                    else:
-                        row.append(latency)
-                else:
-                    row.append(latency)
-                record[ename] = latency
+                record[ename] = round(result.virtual_time, 1)
                 # Wall-clock is reporting-only (host-relative,
-                # nondeterministic) but rides along for bench trajectories:
-                # virtual rounds stay the primary latency metric.
+                # nondeterministic): virtual rounds stay the latency metric.
                 record[f"{ename}_wall_seconds"] = getattr(
                     result.stats, "wall_seconds", None
                 )
-            rows.append(row)
             records.append(record)
-    finally:
-        # The rpqd session may own process-backend resources (worker pool
-        # bookkeeping, shared-memory CSR segments): release them even when
-        # a query raises.
-        engines["rpqd"].close()
     if args.json:
         print(json.dumps({
             "scale": args.scale,
@@ -458,13 +487,19 @@ def cmd_workload(args):
         print(
             format_table(
                 ["query"] + list(engines),
-                rows,
+                [
+                    [r["query"]] + [
+                        r[e] if e != "rpqd" or r["complete"] else f"{r[e]}*"
+                        for e in engines
+                    ]
+                    for r in records
+                ],
                 title=f"paper workload at scale {args.scale!r} "
                 f"(virtual latency, rpqd on {args.machines} machines, "
                 f"{backend} backend)",
             )
         )
-        if any_partial:
+        if not all(r["complete"] for r in records):
             print("* PARTIAL results (incomplete run); latency is a lower bound")
     # With --json the timelines go to stderr so stdout stays parseable.
     out = sys.stderr if args.json else sys.stdout
@@ -474,91 +509,45 @@ def cmd_workload(args):
     return 0
 
 
-def _workload_concurrent(args, graph, info, benchmark_queries):
-    """``workload --concurrency N``: the nine queries through the shared
-    cluster scheduler, checked row-for-row against sequential execution.
+def _workload_concurrent(args, graph, queries):
+    """``workload --concurrency N``: the nine queries on one shared
+    cluster, checked row-for-row against solo execution — whose makespans
+    *sum*, since sequential queries own the cluster back to back.  Under
+    ``--faults`` / ``--recover`` the baselines stay fault-free with the
+    transport held on, and the JSON adds each query's fate and the
+    cross-query ``blast_radius``.  Exit 1 on divergence."""
+    from .sweep import Variant, run_sweep
 
-    Runs every query solo first (the baseline: their makespans *sum*,
-    since sequential queries own the cluster back to back), then submits
-    them all onto one :class:`~repro.runtime.multi.ClusterScheduler` with
-    ``max_concurrent_queries=N`` and compares result sets.  Any divergence
-    is a determinism bug and exits 1.
-
-    With ``--faults`` (and optionally ``--recover``) the concurrent batch
-    runs under the cluster-level fault plan while the baselines stay
-    fault-free solo runs with reliable transport held on — the
-    chaos-hardened invariant: every query's rows must still match, and
-    the JSON report carries per-query ``complete``/``recoveries``/
-    ``down_machines`` plus the cross-query ``blast_radius``.
-    """
-    config = _engine_config(
-        args, max_concurrent_queries=args.concurrency, sanitize=args.sanitize
-    )
+    config = _engine_config(args, sanitize=args.sanitize)
     chaos = config.faults is not None or config.recovery
-    session = Session(graph, config)
-    if chaos:
-        # Baselines must be fault-free (solo, transport held on) or the
-        # oracle would compare chaos against chaos.
-        baseline_session = connect(
-            graph,
-            num_machines=args.machines,
-            sanitize=args.sanitize,
-            reliable_transport=True,
-        )
-    else:
-        baseline_session = session
-    queries = [
-        (name, build(info)) for name, build in benchmark_queries.items()
-    ]
-    sequential = {}
-    sequential_makespan = 0
-    for name, query in queries:
-        result = baseline_session.execute(query)
-        sequential[name] = result
-        sequential_makespan += result.stats.rounds
-    handles = [(name, session.submit(query)) for name, query in queries]
-    session.drain()
-    concurrent_makespan = session.cluster_rounds
-    speedup = (
-        sequential_makespan / concurrent_makespan if concurrent_makespan else 0.0
+    report = run_sweep(
+        graph,
+        list(queries.values()),
+        [Variant("concurrent", concurrency=args.concurrency)],
+        config=config,
+        baseline_overrides=(
+            {"faults": None, "reliable_transport": True} if chaos else None
+        ),
+        # Chaos legitimately perturbs emission order (delays, replay): the
+        # invariant is then the *set* of rows, as in ``repro chaos``.
+        ordered=not chaos,
     )
-    rows = []
+    (run,) = report.runs
+    diverged = {i for _label, i, what in report.mismatches if what == "rows"}
+    sequential = sum(base.stats.rounds for base in report.baselines)
+    speedup = sequential / run.cluster_rounds if run.cluster_rounds else 0.0
     records = []
-    identical = True
-    for name, handle in handles:
-        result = handle.result()
-        if chaos:
-            # Chaos legitimately perturbs emission order (delays, replay):
-            # the invariant is the *set* of rows, like the chaos sweeps.
-            match = sorted(result.rows) == sorted(sequential[name].rows)
-        else:
-            match = result.rows == sequential[name].rows
-        identical = identical and match
-        rows.append(
-            [
-                name,
-                round(sequential[name].stats.rounds, 1),
-                round(result.stats.rounds, 1),
-                "yes" if match else "NO",
-            ]
-        )
-        record = {
+    for index, (name, base, result) in enumerate(
+        zip(queries, report.baselines, run.results)
+    ):
+        records.append({
             "query": name,
-            "solo_rounds": sequential[name].stats.rounds,
+            "solo_rounds": base.stats.rounds,
             "concurrent_rounds": result.stats.rounds,
             "rows": len(result.rows),
-            "identical": match,
-        }
-        if chaos:
-            recovery = getattr(result.stats, "recovery", None) or {}
-            record["complete"] = result.complete
-            record["timed_out"] = getattr(result, "timed_out", False)
-            record["recoveries"] = recovery.get("recoveries", 0)
-            record["down_machines"] = list(
-                getattr(result.stats, "down_machines", ())
-            )
-        records.append(record)
-    doc = None
+            "identical": index not in diverged,
+            **(_fate(result) if chaos else {}),
+        })
     if args.json:
         doc = {
             "scale": args.scale,
@@ -566,20 +555,21 @@ def _workload_concurrent(args, graph, info, benchmark_queries):
             "machines": args.machines,
             "concurrency": args.concurrency,
             "latency_unit": "virtual rounds",
-            "sequential_makespan": sequential_makespan,
-            "concurrent_makespan": concurrent_makespan,
+            "sequential_makespan": sequential,
+            "concurrent_makespan": run.cluster_rounds,
             "speedup": round(speedup, 3),
-            "identical": identical,
-            "plan_cache": {
-                "hits": session.plan_cache.hits,
-                "misses": session.plan_cache.misses,
-            },
+            "identical": not diverged,
             "results": records,
         }
         if chaos:
-            doc["blast_radius"] = session.cluster_blast_radius
+            doc["blast_radius"] = run.blast_radius
         print(json.dumps(doc, indent=2))
     else:
+        rows = [
+            [r["query"], r["solo_rounds"], r["concurrent_rounds"],
+             "yes" if r["identical"] else "NO"]
+            for r in records
+        ]
         print(
             format_table(
                 ["query", "solo rounds", "concurrent rounds", "identical"],
@@ -589,10 +579,10 @@ def _workload_concurrent(args, graph, info, benchmark_queries):
             )
         )
         print(
-            f"-- makespan: {concurrent_makespan} rounds concurrent vs "
-            f"{sequential_makespan} sequential ({speedup:.2f}x)"
+            f"-- makespan: {run.cluster_rounds} rounds concurrent vs "
+            f"{sequential} sequential ({speedup:.2f}x)"
         )
-    if not identical:
+    if diverged:
         print(
             "-- CONCURRENCY DIVERGENCE: concurrent result sets differ from "
             "sequential execution (determinism bug)",
@@ -603,8 +593,18 @@ def _workload_concurrent(args, graph, info, benchmark_queries):
 
 
 def cmd_chaos(args):
+    """``repro chaos``: benchmark queries under seeded fault plans, every
+    run checked against its fault-free solo baseline; exit 1 on divergence.
+
+    One sweep, two reports: per query what the plans cost (solo, where the
+    per-depth work table is held to the baseline's too), or with
+    ``--concurrency N`` per plan what happened on the shared cluster —
+    makespan, fault mix, each query's fate, and the ``blast_radius``
+    (queries rolled back per permanent crash).
+    """
     from .datagen import BENCHMARK_QUERIES, mini_ldbc
-    from .faults import run_chaos_sweep, seeded_sweep
+    from .faults import seeded_sweep
+    from .sweep import Variant, run_sweep
 
     graph, info = mini_ldbc(args.scale, seed=args.seed)
     names = [n.strip() for n in args.queries.split(",") if n.strip()]
@@ -616,281 +616,118 @@ def cmd_chaos(args):
             file=sys.stderr,
         )
         return 2
-    queries = [BENCHMARK_QUERIES[n](info) for n in names]
-    recover = args.recover
     plans = seeded_sweep(
-        args.plans,
-        base_seed=args.base_seed,
-        num_machines=args.machines,
-        drop_prob=args.drop,
-        dup_prob=args.dup,
-        delay_prob=args.delay,
-        reorder_prob=args.reorder,
-        permanent=recover,
-        partitions=args.partition,
-        corrupt_prob=args.corrupt,
+        args.plans, base_seed=args.base_seed, num_machines=args.machines,
+        drop_prob=args.drop, dup_prob=args.dup, delay_prob=args.delay,
+        reorder_prob=args.reorder, corrupt_prob=args.corrupt,
+        permanent=args.recover, partitions=args.partition,
     )
-    config = EngineConfig(
-        num_machines=args.machines, sanitize=args.sanitize, recovery=recover
+    shared = args.concurrency > 1
+    report = run_sweep(
+        graph,
+        [BENCHMARK_QUERIES[n](info) for n in names],
+        [Variant(plan.seed, {"faults": plan}, args.concurrency) for plan in plans],
+        config=EngineConfig(
+            num_machines=args.machines, sanitize=args.sanitize,
+            recovery=args.recover,
+        ),
+        baseline_overrides={"faults": None, "reliable_transport": True},
+        compare_depths=not shared,
     )
-    if args.concurrency > 1:
-        return _cmd_chaos_concurrent(args, graph, names, queries, plans, config)
-    reports = run_chaos_sweep(graph, queries, plans, config=config)
-    records = []
-    for name, report in zip(names, reports):
-        records.append(
-            {
-                "query": name,
-                "plans": len(report.runs),
-                "faults_injected": report.total_faults,
-                "baseline_makespan": report.baseline_makespan,
-                "makespan_inflation": [
-                    {"seed": seed, "ratio": round(ratio, 3)}
-                    for seed, ratio in report.makespan_inflation()
-                ],
-                "retransmits": sum(r.retransmits for r in report.runs),
-                "recoveries": sum(r.recoveries for r in report.runs),
-                "ok": report.ok,
-                "mismatches": report.mismatches,
-            }
+    recoveries = sum(_recoveries(r) for run in report.runs for r in run.results)
+    results = []
+    lines = []
+    if shared:
+        faults = sum(sum(run.fault_counts.values()) for run in report.runs)
+        lines.append(
+            f"-- chaos --concurrency {args.concurrency}: {len(names)} queries "
+            f"at concurrency {args.concurrency}: {len(plans)} fault plans, "
+            f"{faults} faults injected, {recoveries} query rollbacks, "
+            f"{_verdict(report.mismatches)}"
         )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "scale": args.scale,
-                    "seed": args.seed,
-                    "machines": args.machines,
-                    "plans": args.plans,
-                    "base_seed": args.base_seed,
-                    "results": records,
-                },
-                indent=2,
-            )
-        )
-    else:
-        for name, report in zip(names, reports):
-            print(f"-- chaos {name}: {report.summary()}")
-    if any(not r.ok for r in reports):
-        print(
-            "-- chaos sweep: RESULT DIVERGENCE under faults "
-            "(reliable transport failed its exactly-once contract)",
-            file=sys.stderr,
-        )
-        return 1
-    total = sum(r.total_faults for r in reports)
-    extra = ""
-    if recover:
-        failovers = sum(
-            run.recoveries for report in reports for run in report.runs
-        )
-        extra = f", {failovers} crash failovers recovered"
-    print(
-        f"-- chaos sweep: ok ({len(reports)} queries x {args.plans} plans, "
-        f"{total} faults injected, results identical to fault-free{extra})"
-    )
-    return 0
-
-
-def _cmd_chaos_concurrent(args, graph, names, queries, plans, config):
-    """``repro chaos --concurrency N``: the seeded sweep through the
-    multi-query Session submit path.
-
-    Every query in the batch must reproduce its fault-free *solo* result
-    set while co-resident queries share the faulted cluster; ``--json``
-    reports per-query ``complete``/``recoveries``/``down_machines`` plus
-    the cross-query ``blast_radius`` (queries rolled back per permanent
-    crash).  Exit 1 on any divergence.
-    """
-    from .faults import run_concurrent_chaos_sweep
-
-    report = run_concurrent_chaos_sweep(
-        graph, queries, plans, config=config, concurrency=args.concurrency
-    )
-    if args.json:
-        runs = []
         for run in report.runs:
-            runs.append(
-                {
-                    "seed": run.seed,
-                    "identical": run.identical,
-                    "makespan": run.makespan,
-                    "fault_counts": run.fault_counts,
-                    "blast_radius": run.blast_radius,
-                    "queries": [
-                        {"query": names[q["index"]], **{
-                            k: v for k, v in q.items() if k != "index"
-                        }}
-                        for q in run.queries
-                    ],
-                }
-            )
-        print(
-            json.dumps(
-                {
-                    "scale": args.scale,
-                    "seed": args.seed,
-                    "machines": args.machines,
-                    "concurrency": args.concurrency,
-                    "plans": args.plans,
-                    "base_seed": args.base_seed,
-                    "identical": report.ok,
-                    "recoveries": report.total_recoveries,
-                    "results": runs,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"-- chaos --concurrency {args.concurrency}: {report.summary()}")
-        for run in report.runs:
-            crashes = sum(len(e["rolled_back"]) for e in run.blast_radius)
-            print(
-                f"--   seed {run.seed}: makespan {run.makespan}, "
+            bad = report.variant_mismatches(run.label)
+            fates = [
+                {"query": n, "rows_match": (i, "rows") not in bad, **_fate(r)}
+                for i, (n, r) in enumerate(zip(names, run.results))
+            ]
+            results.append({
+                "seed": run.label,
+                "identical": not bad,
+                "makespan": run.cluster_rounds,
+                "fault_counts": run.fault_counts,
+                "blast_radius": run.blast_radius,
+                "queries": fates,
+            })
+            lines.append(
+                f"--   seed {run.label}: makespan {run.cluster_rounds}, "
                 f"faults {sum(run.fault_counts.values())}, "
                 f"{len(run.blast_radius)} permanent crash(es), "
-                f"{crashes} query rollback(s), "
-                f"{'identical' if run.identical else 'DIVERGED'}"
+                f"{sum(len(e['rolled_back']) for e in run.blast_radius)} "
+                f"query rollback(s), {'DIVERGED' if bad else 'identical'}"
             )
+    else:
+        faults = 0
+        for index, (name, base) in enumerate(zip(names, report.baselines)):
+            runs = report.query_results(index)
+            mismatches = report.query_mismatches(index)
+            injected = sum(sum(r.stats.fault_events.values()) for r in runs)
+            faults += injected
+            baseline = base.stats.virtual_time
+            ratios = [
+                r.stats.virtual_time / baseline if baseline else 1.0 for r in runs
+            ]
+            results.append({
+                "query": name,
+                "plans": len(runs),
+                "faults_injected": injected,
+                "baseline_makespan": baseline,
+                "makespan_inflation": [
+                    {"seed": plan.seed, "ratio": round(ratio, 3)}
+                    for plan, ratio in zip(plans, ratios)
+                ],
+                "retransmits": sum(r.stats.transport["retransmits"] for r in runs),
+                "recoveries": sum(_recoveries(r) for r in runs),
+                "ok": not mismatches,
+                "mismatches": mismatches,
+            })
+            lines.append(
+                f"-- chaos {name}: {report.queries[index]!r}: {len(runs)} "
+                f"fault plans, {injected} faults injected, worst makespan "
+                f"x{max(ratios, default=1.0):.2f}, {_verdict(mismatches)}"
+            )
+    if args.json:
+        doc = {
+            "scale": args.scale,
+            "seed": args.seed,
+            "machines": args.machines,
+            "plans": args.plans,
+            "base_seed": args.base_seed,
+            "results": results,
+        }
+        if shared:
+            doc.update(
+                concurrency=args.concurrency, identical=report.ok,
+                recoveries=recoveries,
+            )
+        print(json.dumps(doc, indent=2))
+    else:
+        print("\n".join(lines))
     if not report.ok:
         print(
-            "-- chaos sweep: RESULT DIVERGENCE under concurrent faults "
-            "(per-query isolation or exactly-once replay failed)",
+            "-- chaos sweep: RESULT DIVERGENCE under faults (exactly-once "
+            "delivery, replay or per-query isolation failed)",
             file=sys.stderr,
         )
         return 1
-    return 0
-
-
-def cmd_bench(args):
-    """``repro bench``: run a named suite, write ``BENCH_<suite>.json``,
-    optionally compare against a baseline document.
-
-    Exit codes are stable for CI: 0 no regressions (or no compare), 1
-    regressions found, 2 usage/IO/schema errors.
-    """
-    from .bench.compare import (
-        CompareError,
-        compare_bench,
-        format_compare,
-        load_bench,
-    )
-    from .bench.suites import SUITES, run_suite
-
-    thresholds = {
-        "max_wall_ratio": args.max_wall_ratio,
-        "max_rounds_ratio": args.max_rounds_ratio,
-        "max_messages_ratio": args.max_messages_ratio,
-        "min_wall_seconds": args.min_wall_seconds,
-    }
-    try:
-        if args.current:
-            # File-vs-file mode: no run, just the comparison gate.
-            if not args.compare:
-                print("error: --current requires --compare", file=sys.stderr)
-                return 2
-            current = load_bench(args.current)
-        else:
-            only = None
-            if args.queries:
-                only = [q.strip() for q in args.queries.split(",") if q.strip()]
-            try:
-                current = run_suite(
-                    args.suite,
-                    scale=args.scale,
-                    machines=args.machines,
-                    repetitions=args.repetitions,
-                    profile=not args.no_profile,
-                    seed=args.seed,
-                    only=only,
-                    backend=args.backend,
-                )
-            except KeyError:
-                print(
-                    f"error: unknown suite {args.suite!r} "
-                    f"(available: {', '.join(sorted(SUITES))})",
-                    file=sys.stderr,
-                )
-                return 2
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            out = args.out or f"BENCH_{args.suite}.json"
-            try:
-                with open(out, "w") as fh:
-                    json.dump(current, fh, indent=2)
-                    fh.write("\n")
-            except OSError as exc:
-                print(f"error: {out}: {exc}", file=sys.stderr)
-                return 2
-            if args.json:
-                print(json.dumps(current, indent=2))
-            else:
-                _print_bench_table(current)
-                print(f"-- bench written to {out}")
-        if args.compare:
-            baseline = load_bench(args.compare)
-            report = compare_bench(current, baseline, **thresholds)
-            if args.json:
-                print(json.dumps(report, indent=2))
-            else:
-                print(format_compare(report))
-            return 0 if report["ok"] else 1
-    except CompareError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _print_bench_table(doc):
-    """The human-readable ``repro bench`` summary table.
-
-    Process-backend documents grow three columns: the simulator oracle's
-    wall time, the wall-clock speedup over it, and whether the result
-    sets were bit-identical.
-    """
-    process = doc.get("backend") == "process"
-    rows = []
-    for qname, q in doc["queries"].items():
-        row = [
-            qname + ("" if q.get("complete", True) else "*"),
-            round(q["virtual_rounds"], 1),
-            f"{q['median_wall_seconds'] * 1000:.2f}",
-            q["messages"],
-            q["bytes"],
-        ]
-        if process:
-            speedup = q.get("wall_speedup_vs_sim")
-            row.extend([
-                f"{q.get('sim_wall_seconds', 0.0) * 1000:.2f}",
-                f"{speedup:.2f}x" if speedup is not None else "-",
-                "yes" if q.get("identical_to_sim") else "NO",
-            ])
-        rows.append(row)
-    headers = ["query", "rounds", "wall ms", "messages", "bytes"]
-    if process:
-        headers += ["sim ms", "speedup", "identical"]
-    cache = doc["plan_cache"]
-    rate = cache["hit_rate"]
-    backend = doc.get("backend", "sim")
-    print(
-        format_table(
-            headers,
-            rows,
-            title=f"suite {doc['suite']!r} scale {doc['scale']!r} "
-            f"({doc['machines']} machines, {doc['repetitions']} reps + "
-            f"{doc['warmup']} warmup, {backend} backend)",
+    if not shared:  # with --concurrency, stdout is the JSON document alone
+        print(
+            f"-- chaos sweep: ok ({len(names)} queries x {args.plans} plans, "
+            f"{faults} faults injected, results identical to fault-free"
+            + (f", {recoveries} crash failovers recovered" if args.recover else "")
+            + ")"
         )
-    )
-    total = doc["total"]
-    rss = doc.get("peak_rss_bytes")
-    print(
-        f"-- total: {total['virtual_rounds']:.0f} virtual rounds, "
-        f"{total['wall_seconds']:.3f}s wall; plan cache "
-        f"{cache['hits']}/{cache['hits'] + cache['misses']} hits"
-        + (f" ({rate:.0%})" if rate is not None else "")
-        + (f"; peak RSS {rss / 1e6:.0f} MB" if rss else "")
-    )
+    return 0
 
 
 def cmd_trace(args):
@@ -951,29 +788,12 @@ def build_parser():
         help="write runtime metrics in Prometheus text format (rpqd only)",
     )
     p.add_argument(
-        "--faults",
-        metavar="PLAN.json",
-        help="inject faults from a repro.faults.FaultPlan JSON file "
-        "(rpqd only; enables reliable transport automatically)",
-    )
-    p.add_argument(
         "--unreliable",
         action="store_true",
         help="disable the reliable transport layer even with --faults "
         "(chaos without the safety net)",
     )
-    p.add_argument(
-        "--recover",
-        action="store_true",
-        help="enable crash recovery: checkpoint/failover/replay survives "
-        "permanent machine crashes in the fault plan (rpqd only)",
-    )
-    p.add_argument(
-        "--deadline",
-        type=int,
-        metavar="ROUNDS",
-        help="abort cleanly after this many virtual rounds (partial results)",
-    )
+    _add_fault_args(p)
     _add_engine_args(p)
     p.set_defaults(func=cmd_query)
 
@@ -984,9 +804,7 @@ def build_parser():
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("workload", help="run the paper's nine queries")
-    p.add_argument("--scale", choices=["xs", "s", "m", "l"], default="s")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--machines", type=int, default=4)
+    _add_graph_args(p, "s")
     p.add_argument(
         "--json", action="store_true",
         help="emit machine-readable JSON instead of the text table",
@@ -996,103 +814,10 @@ def build_parser():
         action="store_true",
         help="print the rpqd ASCII utilization timeline per query",
     )
-    p.add_argument(
-        "--faults",
-        metavar="PLAN.json",
-        help="run the rpqd engine under a repro.faults.FaultPlan JSON file",
-    )
-    p.add_argument(
-        "--recover",
-        action="store_true",
-        help="enable crash recovery for the rpqd engine (with --faults)",
-    )
-    p.add_argument(
-        "--deadline",
-        type=int,
-        metavar="ROUNDS",
-        help="abort each rpqd query after this many virtual rounds",
-    )
-    p.add_argument(
-        "--concurrency",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run all nine queries concurrently (N at a time) on one "
-        "shared cluster and verify result sets match sequential execution",
-    )
-    p.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run under the protocol sanitizer (with --concurrency, every "
-        "interleaved query gets its own sanitizer)",
-    )
+    _add_fault_args(p)
+    _add_shared_cluster_args(p)
     _add_backend_arg(p)
     p.set_defaults(func=cmd_workload)
-
-    p = sub.add_parser(
-        "bench",
-        help="run a named benchmark suite, write schema-versioned "
-        "BENCH_<suite>.json, optionally gate against a baseline "
-        "(exit 0 ok / 1 regression / 2 usage-IO error)",
-    )
-    p.add_argument(
-        "--suite",
-        default="smoke",
-        help="suite name: smoke, standard, depth, index (default: smoke)",
-    )
-    p.add_argument("--scale", choices=["xs", "s", "m", "l"], default=None,
-                   help="override the suite's graph scale")
-    p.add_argument("--machines", type=int, default=None,
-                   help="override the suite's machine count")
-    p.add_argument("--repetitions", type=int, default=None,
-                   help="override the suite's measured repetitions")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--queries", metavar="Q1,Q2",
-        help="restrict to a comma-separated subset of the suite's queries",
-    )
-    p.add_argument(
-        "--no-profile", action="store_true",
-        help="skip the wall-clock phase profiler (drops the per-phase "
-        "breakdown from the document)",
-    )
-    p.add_argument(
-        "--out", metavar="FILE",
-        help="output path (default: BENCH_<suite>.json)",
-    )
-    p.add_argument(
-        "--compare", metavar="BASELINE.json",
-        help="diff the produced (or --current) document against this "
-        "baseline; exit 1 on regressions",
-    )
-    p.add_argument(
-        "--current", metavar="FILE",
-        help="with --compare: diff this existing document instead of "
-        "running the suite",
-    )
-    p.add_argument(
-        "--max-wall-ratio", type=float, default=None, metavar="R",
-        help="wall-clock regression threshold (default: 2.0)",
-    )
-    p.add_argument(
-        "--max-rounds-ratio", type=float, default=None, metavar="R",
-        help="virtual-rounds regression threshold (default: 1.05)",
-    )
-    p.add_argument(
-        "--max-messages-ratio", type=float, default=None, metavar="R",
-        help="message-count regression threshold (default: 1.10)",
-    )
-    p.add_argument(
-        "--min-wall-seconds", type=float, default=None, metavar="S",
-        help="ignore wall regressions when both sides are under this "
-        "floor (default: 0.005)",
-    )
-    p.add_argument(
-        "--json", action="store_true",
-        help="emit the document (and compare report) as JSON on stdout",
-    )
-    _add_backend_arg(p)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "trace",
@@ -1106,9 +831,7 @@ def build_parser():
         help="fault-injection sweep: seeded lossy plans must reproduce "
         "the fault-free results under reliable transport",
     )
-    p.add_argument("--scale", choices=["xs", "s", "m", "l"], default="xs")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--machines", type=int, default=4)
+    _add_graph_args(p, "xs")
     p.add_argument(
         "--plans", type=int, default=5, metavar="N",
         help="number of seeded fault plans to sweep (default: 5)",
@@ -1125,10 +848,6 @@ def build_parser():
     p.add_argument("--dup", type=float, default=0.05, help="duplication probability")
     p.add_argument("--delay", type=float, default=0.1, help="extra-delay probability")
     p.add_argument("--reorder", type=float, default=0.1, help="reorder probability")
-    p.add_argument(
-        "--sanitize", action="store_true",
-        help="run every execution under the protocol sanitizer",
-    )
     p.add_argument(
         "--recover",
         action="store_true",
@@ -1151,20 +870,11 @@ def build_parser():
         "must catch every corrupted frame and recover it as a loss "
         "(default: 0.0)",
     )
-    p.add_argument(
-        "--concurrency",
-        type=int,
-        default=1,
-        metavar="N",
-        help="submit the queries concurrently (N at a time) through the "
-        "multi-query scheduler under the cluster-level fault plan; every "
-        "query must still match its fault-free solo result set, and the "
-        "JSON report carries per-query recoveries plus the cross-query "
-        "blast radius",
-    )
+    _add_shared_cluster_args(p)
     p.add_argument(
         "--json", action="store_true",
-        help="emit machine-readable JSON instead of the text summary",
+        help="emit machine-readable JSON instead of the text summary (with "
+        "--concurrency: per-query recoveries and the cross-query blast radius)",
     )
     p.set_defaults(func=cmd_chaos)
 
@@ -1219,9 +929,7 @@ def build_parser():
         metavar="N",
         help="also run the workload under N permuted scheduler interleavings",
     )
-    p.add_argument("--scale", choices=["xs", "s", "m", "l"], default="xs")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--machines", type=int, default=4)
+    _add_graph_args(p, "xs")
     p.set_defaults(func=cmd_analyze)
     return parser
 

@@ -92,14 +92,14 @@ class EngineConfig:
         schedule_seed: when set, permutes the scheduler's machine service
             order and each machine's worker service order per round with a
             deterministic RNG — the race-detector's interleaving knob
-            (:mod:`repro.analysis.races`).  ``None`` keeps the canonical
+            (``repro analyze --races``).  ``None`` keeps the canonical
             deterministic order.
         profile: attach the wall-clock phase profiler
             (:mod:`repro.obs.prof`): per-phase aggregate wall time for
             worker DFT expansion, network delivery/retransmit,
             reachability-index probes, checkpoint cut/restore, and
             scheduler accounting, surfaced as ``RunStats.profile`` /
-            ``QueryResult.profile`` and in ``repro bench`` JSON.  Reads
+            ``QueryResult.profile`` and in EXPLAIN ANALYZE.  Reads
             only the wall clock — virtual-time results are bit-identical
             either way, and disabled every hook is a single
             ``prof is not None`` branch.

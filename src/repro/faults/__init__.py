@@ -6,7 +6,10 @@ correct — under message loss, duplication, reordering, extra delay,
 machine stalls, and transient crashes.  Faults come from a seeded
 :class:`FaultPlan` (pure data, JSON round-trippable), applied by a
 :class:`FaultInjector` during one execution, and survived by the reliable
-transport layer in :mod:`repro.runtime.network`.  See ``docs/faults.md``.
+transport layer in :mod:`repro.runtime.network`.  The chaos oracle —
+seeded plans must reproduce the fault-free results — is
+:func:`repro.sweep.run_sweep` with ``{"faults": plan}`` variants.  See
+``docs/faults.md``.
 """
 
 from .injector import FaultInjector, message_kind
@@ -19,21 +22,9 @@ from .plan import (
     NetworkPartition,
     seeded_sweep,
 )
-from .sweep import (
-    ChaosReport,
-    ChaosRun,
-    ConcurrentChaosReport,
-    ConcurrentChaosRun,
-    run_chaos_sweep,
-    run_concurrent_chaos_sweep,
-)
 
 __all__ = [
     "ALL_KINDS",
-    "ChaosReport",
-    "ChaosRun",
-    "ConcurrentChaosReport",
-    "ConcurrentChaosRun",
     "FaultInjector",
     "FaultPlan",
     "MachineCrash",
@@ -41,7 +32,5 @@ __all__ = [
     "NetworkPartition",
     "PARTITION_MODES",
     "message_kind",
-    "run_chaos_sweep",
-    "run_concurrent_chaos_sweep",
     "seeded_sweep",
 ]

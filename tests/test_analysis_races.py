@@ -1,4 +1,5 @@
-"""Tests for the schedule race detector (repro.analysis.races).
+"""Tests for the schedule race detector: ``schedule_seed`` and the
+differential sweep (``repro.sweep``) over ``{"schedule_seed": s}`` variants.
 
 The oracle: RPQ semantics are run-based, so the result set must be
 invariant under any scheduler interleaving.  The sweep re-runs tier-1
@@ -9,9 +10,9 @@ and per-machine worker order and compares canonical result rows.
 import pytest
 
 from repro import EngineConfig, Session
-from repro.analysis.races import RaceReport, run_schedule_sweep
 from repro.errors import ConfigError
 from repro.graph.generators import random_graph
+from repro.sweep import SweepReport, Variant, run_sweep
 
 CONFIG = EngineConfig(num_machines=4, buffers_per_machine=2048)
 
@@ -72,45 +73,52 @@ class TestSeededScheduling:
         assert baseline == perturbed
 
 
+def schedule_sweep(graph, queries, num_schedules):
+    return run_sweep(
+        graph,
+        queries,
+        [Variant(s, {"schedule_seed": s}) for s in range(1, num_schedules + 1)],
+        config=CONFIG,
+        baseline_overrides={"schedule_seed": None},
+    )
+
+
 class TestSweep:
     def test_sweep_meets_acceptance_bar(self, graph):
         """>= 20 distinct interleavings, result sets all identical."""
-        reports = run_schedule_sweep(
-            graph,
-            ["SELECT a, b FROM MATCH (a)-/:E{1,2}/->(b)"],
-            num_schedules=20,
-            config=CONFIG,
+        report = schedule_sweep(
+            graph, ["SELECT a, b FROM MATCH (a)-/:E{1,2}/->(b)"], 20
         )
-        assert len(reports) == 1
-        report = reports[0]
-        assert report.ok, report.summary()
+        assert report.ok, report.mismatches
         assert report.mismatches == []
-        assert report.distinct_interleavings >= 20
-        assert len(report.seeds) == 20
-        assert "ok" in report.summary()
+        results = report.query_results(0)
+        assert len(results) == 20
+        fingerprints = {r.stats.schedule_fingerprint for r in results}
+        # The baseline ran the canonical schedule: no fingerprint, so it
+        # is one more interleaving and is counted once.
+        assert report.baselines[0].stats.schedule_fingerprint is None
+        assert None not in fingerprints
+        assert len(fingerprints) + 1 >= 20
 
     def test_sweep_runs_multiple_queries(self, graph):
-        reports = run_schedule_sweep(
+        report = schedule_sweep(
             graph,
             [
                 "SELECT COUNT(*) FROM MATCH (a)-[:E]->(b)",
                 "SELECT COUNT(*) FROM MATCH (a)-/:E+/->(b)",
             ],
-            num_schedules=3,
-            config=CONFIG,
+            3,
         )
-        assert [r.ok for r in reports] == [True, True]
-        for report in reports:
-            assert report.query in report.summary()
+        assert report.ok, report.mismatches
+        assert [run.label for run in report.runs] == [1, 2, 3]
+        assert all(len(run.results) == 2 for run in report.runs)
+        assert len(report.baselines) == 2
 
     def test_mismatch_detection_logic(self):
         """A divergent run is reported, independent of the engine."""
-        report = RaceReport(
-            query="q",
-            baseline_rows=((1,),),
-            seeds=[0, 1],
-            fingerprints=[101, 202],
-            mismatches=[(1, ((1,), (2,)))],
+        report = SweepReport(
+            queries=["q", "r"], mismatches=[(1, 0, "rows"), (2, 1, "incomplete")]
         )
         assert not report.ok
-        assert "MISMATCH" in report.summary().upper() or "1 mismatch" in report.summary()
+        assert report.query_mismatches(0) == [(1, "rows")]
+        assert report.query_mismatches(1) == [(2, "incomplete")]

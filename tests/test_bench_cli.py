@@ -1,19 +1,10 @@
-"""Coverage for the unified bench harness: warmup exclusion, suite
-documents, the compare gate's threshold/exit-code matrix, and the
-wall-clock satellites on existing CLI surfaces."""
+"""Coverage for the round-robin median harness the figure scripts use
+(warmup exclusion, message volume) and the wall-clock fields on
+``workload --json``."""
 
 import json
 
-import pytest
-
-from repro.bench.compare import (
-    CompareError,
-    compare_bench,
-    format_compare,
-    load_bench,
-)
-from repro.bench.harness import BenchHarness, host_info
-from repro.bench.suites import SCHEMA_VERSION, SUITES, run_suite
+from repro.bench.harness import BenchHarness
 from repro.cli import main
 
 
@@ -60,234 +51,6 @@ class TestHarnessWarmup:
         )[("e", "q")]
         assert cell.messages == 7
         assert cell.bytes_sent == 99
-
-    def test_host_info_shape(self):
-        info = host_info()
-        assert set(info) == {
-            "platform", "python", "implementation", "cpu_count", "backend"
-        }
-        assert info["backend"] == "sim"
-
-
-REQUIRED_QUERY_FIELDS = {
-    "median_wall_seconds", "virtual_rounds", "messages", "bytes",
-    "peak_rss_bytes", "plan_cache", "profile", "complete", "samples",
-}
-
-
-class TestRunSuite:
-    @pytest.fixture(scope="class")
-    def doc(self):
-        return run_suite("smoke", repetitions=1, only=["Q03", "Q03R"])
-
-    def test_document_schema(self, doc):
-        assert doc["schema_version"] == SCHEMA_VERSION
-        assert doc["suite"] == "smoke"
-        assert doc["latency_unit"] == "virtual rounds"
-        assert set(doc["queries"]) == {"Q03", "Q03R"}
-        for q in doc["queries"].values():
-            assert REQUIRED_QUERY_FIELDS <= set(q)
-            assert q["complete"] is True
-            assert q["virtual_rounds"] > 0
-        assert doc["total"]["virtual_rounds"] > 0
-
-    def test_profile_breakdown_present_by_default(self, doc):
-        assert doc["profile_enabled"] is True
-        for q in doc["queries"].values():
-            assert "worker.dft" in q["profile"]
-
-    def test_plan_cache_hit_rate(self, doc):
-        cache = doc["plan_cache"]
-        # Warmup compiles (miss), the measured pass hits.
-        assert cache["misses"] == 2
-        assert cache["hits"] == 2
-        assert cache["hit_rate"] == 0.5
-
-    def test_no_profile_drops_breakdown(self):
-        doc = run_suite("smoke", repetitions=1, only=["Q03"], profile=False)
-        assert doc["profile_enabled"] is False
-        assert doc["queries"]["Q03"]["profile"] is None
-
-    def test_index_suite_splits_engines(self):
-        doc = run_suite("index", repetitions=1, only=["Q10"])
-        assert set(doc["queries"]) == {"Q10[rpqd]", "Q10[rpqd-noindex]"}
-
-    def test_unknown_query_rejected(self):
-        with pytest.raises(ValueError):
-            run_suite("smoke", only=["nope"])
-
-    def test_every_suite_is_well_formed(self):
-        for name, suite in SUITES.items():
-            assert suite.name == name
-            assert suite.repetitions >= 1
-
-
-def _doc(queries, **top):
-    base = {"schema_version": SCHEMA_VERSION, "queries": queries}
-    base.update(top)
-    return base
-
-
-def _cell(rounds=10, wall=0.1, messages=50):
-    return {
-        "virtual_rounds": rounds,
-        "median_wall_seconds": wall,
-        "messages": messages,
-    }
-
-
-class TestCompare:
-    def test_self_compare_ok(self):
-        doc = _doc({"q": _cell()})
-        report = compare_bench(doc, doc)
-        assert report["ok"] is True
-        assert report["checked"] == 1
-
-    def test_rounds_regression_flagged(self):
-        report = compare_bench(
-            _doc({"q": _cell(rounds=12)}), _doc({"q": _cell(rounds=10)})
-        )
-        assert report["ok"] is False
-        assert report["regressions"][0]["metric"] == "virtual_rounds"
-
-    def test_custom_threshold_admits_growth(self):
-        report = compare_bench(
-            _doc({"q": _cell(rounds=12)}), _doc({"q": _cell(rounds=10)}),
-            max_rounds_ratio=1.5,
-        )
-        assert report["ok"] is True
-
-    def test_wall_regression_above_floor_flagged(self):
-        report = compare_bench(
-            _doc({"q": _cell(wall=0.5)}), _doc({"q": _cell(wall=0.1)})
-        )
-        assert [r["metric"] for r in report["regressions"]] == [
-            "median_wall_seconds"
-        ]
-
-    def test_wall_jitter_below_floor_ignored(self):
-        report = compare_bench(
-            _doc({"q": _cell(wall=0.004)}), _doc({"q": _cell(wall=0.0001)})
-        )
-        assert report["ok"] is True
-
-    def test_messages_regression_flagged(self):
-        report = compare_bench(
-            _doc({"q": _cell(messages=60)}), _doc({"q": _cell(messages=50)})
-        )
-        assert report["ok"] is False
-
-    def test_missing_query_is_a_regression(self):
-        report = compare_bench(_doc({}), _doc({"q": _cell()}))
-        assert report["ok"] is False
-        assert report["regressions"][0]["metric"] == "presence"
-
-    def test_extra_query_only_noted(self):
-        report = compare_bench(
-            _doc({"q": _cell(), "new": _cell()}), _doc({"q": _cell()})
-        )
-        assert report["ok"] is True
-        assert any("new" in n for n in report["notes"])
-
-    def test_host_mismatch_noted(self):
-        report = compare_bench(
-            _doc({"q": _cell()}, host={"platform": "A"}),
-            _doc({"q": _cell()}, host={"platform": "B"}),
-        )
-        assert report["ok"] is True
-        assert any("hosts differ" in n for n in report["notes"])
-
-    def test_unknown_threshold_rejected(self):
-        with pytest.raises(CompareError):
-            compare_bench(_doc({}), _doc({}), max_bogus_ratio=1.0)
-
-    def test_format_compare_mentions_regressions(self):
-        report = compare_bench(
-            _doc({"q": _cell(rounds=99)}), _doc({"q": _cell(rounds=10)})
-        )
-        text = format_compare(report)
-        assert "REGRESSION q" in text
-        assert "1 regression(s)" in text
-
-
-class TestLoadBench:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps(_doc({"q": _cell()})))
-        assert load_bench(str(path))["queries"]["q"]["virtual_rounds"] == 10
-
-    @pytest.mark.parametrize("payload", [
-        "garbage",
-        json.dumps([1, 2]),
-        json.dumps({"queries": {}}),  # no schema_version
-        json.dumps({"schema_version": 999, "queries": {}}),
-        json.dumps({"schema_version": SCHEMA_VERSION}),  # no queries
-    ])
-    def test_invalid_documents_rejected(self, tmp_path, payload):
-        path = tmp_path / "b.json"
-        path.write_text(payload)
-        with pytest.raises(CompareError):
-            load_bench(str(path))
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(CompareError):
-            load_bench(str(tmp_path / "absent.json"))
-
-
-class TestBenchCli:
-    def _bench(self, tmp_path, *extra):
-        out = tmp_path / "BENCH_smoke.json"
-        rc = main([
-            "bench", "--suite", "smoke", "--repetitions", "1",
-            "--queries", "Q03", "--out", str(out), *extra,
-        ])
-        return rc, out
-
-    def test_writes_document(self, tmp_path, capsys):
-        rc, out = self._bench(tmp_path)
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema_version"] == SCHEMA_VERSION
-        assert REQUIRED_QUERY_FIELDS <= set(doc["queries"]["Q03"])
-        assert "bench written to" in capsys.readouterr().out
-
-    def test_self_compare_exits_zero(self, tmp_path, capsys):
-        rc, out = self._bench(tmp_path)
-        assert rc == 0
-        rc = main([
-            "bench", "--current", str(out), "--compare", str(out),
-        ])
-        assert rc == 0
-        assert "bench compare: ok" in capsys.readouterr().out
-
-    def test_injected_regression_exits_one(self, tmp_path, capsys):
-        _rc, out = self._bench(tmp_path)
-        doc = json.loads(out.read_text())
-        doc["queries"]["Q03"]["virtual_rounds"] *= 2
-        worse = tmp_path / "worse.json"
-        worse.write_text(json.dumps(doc))
-        rc = main([
-            "bench", "--current", str(worse), "--compare", str(out),
-        ])
-        assert rc == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_malformed_baseline_exits_two(self, tmp_path, capsys):
-        _rc, out = self._bench(tmp_path)
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json")
-        rc = main(["bench", "--current", str(out), "--compare", str(bad)])
-        assert rc == 2
-
-    def test_current_without_compare_exits_two(self, tmp_path):
-        _rc, out = self._bench(tmp_path)
-        assert main(["bench", "--current", str(out)]) == 2
-
-    def test_unknown_suite_exits_two(self, tmp_path):
-        assert main([
-            "bench", "--suite", "bogus",
-            "--out", str(tmp_path / "x.json"),
-        ]) == 2
 
 
 class TestWorkloadWallClock:

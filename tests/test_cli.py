@@ -149,3 +149,125 @@ class TestWorkload:
         out = capsys.readouterr().out
         assert "Q03*" in out and "Q10R" in out
         assert "rpqd" in out and "recursive" in out
+
+
+class TestDeadlineFlag:
+    """``--deadline`` reaches ``EngineConfig`` whenever it was given, so 0
+    is rejected by the same validation as a negative value."""
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_query_rejects_a_non_positive_deadline(self, graph_file, capsys, value):
+        rc = main(
+            [
+                "query",
+                str(graph_file),
+                "SELECT COUNT(*) FROM MATCH (p:Person)",
+                "--deadline",
+                value,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert (
+            "error: deadline must be None or a positive int in rounds "
+            f"(got {value})" in captured.err
+        )
+
+    def test_workload_rejects_deadline_zero(self, capsys):
+        rc = main(["workload", "--scale", "xs", "--deadline", "0"])
+        assert rc == 2
+        assert "(got 0)" in capsys.readouterr().err
+
+
+@pytest.fixture
+def tamper_first_result(monkeypatch):
+    """Make the first submitted query's result wrong (a lost row)."""
+    from repro.session import QueryHandle
+
+    real = QueryHandle.result
+
+    def result(self):
+        out = real(self)
+        if self.query_id == 1:
+            out.result_set._rows = []
+        return out
+
+    monkeypatch.setattr(QueryHandle, "result", result)
+
+
+class TestWorkloadConcurrency:
+    def test_json_report_at_concurrency_4(self, capsys):
+        rc = main(["workload", "--scale", "xs", "--concurrency", "4", "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["identical"] is True
+        assert doc["concurrency"] == 4
+        assert doc["sequential_makespan"] == 136
+        assert doc["concurrent_makespan"] == 40
+        assert doc["speedup"] == 3.4 > 1
+        assert len(doc["results"]) == 9
+        assert all(r["identical"] for r in doc["results"])
+        assert sum(r["solo_rounds"] for r in doc["results"]) == 136
+
+    def test_text_report_carries_the_makespan_verdict(self, capsys):
+        rc = main(["workload", "--scale", "xs", "--concurrency", "4"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "-- makespan: 40 rounds concurrent vs 136 sequential (3.40x)" in out
+
+    def test_injected_divergence_exits_one(self, capsys, tamper_first_result):
+        rc = main(["workload", "--scale", "xs", "--concurrency", "4", "--json"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        doc = json.loads(captured.out)
+        assert doc["identical"] is False
+        assert [r["identical"] for r in doc["results"]] == [False] + [True] * 8
+        assert "CONCURRENCY DIVERGENCE" in captured.err
+
+    def test_process_backend_is_rejected(self, capsys):
+        rc = main(
+            ["workload", "--scale", "xs", "--backend", "process",
+             "--concurrency", "2"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--backend sim" in captured.err
+
+    def test_timeline_is_rejected_not_dropped(self, capsys):
+        rc = main(["workload", "--scale", "xs", "--concurrency", "2", "--timeline"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert "--concurrency" in line and "--timeline" in line
+
+
+class TestChaosConcurrency:
+    ARGS = ["chaos", "--scale", "xs", "--concurrency", "2", "--plans", "1", "--json"]
+
+    def test_json_report_at_concurrency_2(self, capsys):
+        rc = main(self.ARGS)
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)  # stdout is the document alone
+        assert doc["identical"] is True
+        assert doc["concurrency"] == 2
+        (run,) = doc["results"]
+        assert run["identical"] is True
+        assert run["makespan"] > 0
+        assert sum(run["fault_counts"].values()) > 0
+        assert [q["query"] for q in run["queries"]] == ["Q09", "Q03"]
+        assert all(q["complete"] and q["rows_match"] for q in run["queries"])
+
+    def test_injected_divergence_exits_one(self, capsys, tamper_first_result):
+        rc = main(self.ARGS)
+        captured = capsys.readouterr()
+        assert rc == 1
+        doc = json.loads(captured.out)
+        assert doc["identical"] is False
+        assert [q["rows_match"] for q in doc["results"][0]["queries"]] == [
+            False, True,
+        ]
+        assert "RESULT DIVERGENCE" in captured.err

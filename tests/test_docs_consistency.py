@@ -100,3 +100,46 @@ class TestWorkloadDocumentation:
         for hops in [(0, 0), (1, 3), (3, 3)]:
             assert hops in FIGURE3_HOPS
             assert f"{{{hops[0]},{hops[1]}}}" in experiments
+
+
+class TestCommandsAndArtefactsExist:
+    """The user-facing docs name only subcommands the parser defines and no
+    artefact of the deleted ``repro bench`` harness."""
+
+    DOCS = [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+        *sorted(f"docs/{p.name}" for p in (ROOT / "docs").glob("*.md")),
+    ]
+
+    @staticmethod
+    def subcommands():
+        import argparse
+
+        from repro.cli import build_parser
+
+        (action,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        return set(action.choices)
+
+    def test_there_are_seven_subcommands(self):
+        assert self.subcommands() == {
+            "generate", "query", "explain", "workload", "trace", "chaos",
+            "analyze",
+        }
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_every_named_subcommand_is_defined(self, doc):
+        named = set(
+            re.findall(r"python3? -m repro (\w+)", read(doc))
+            + re.findall(r"`repro (\w+)", read(doc))
+        )
+        assert named <= self.subcommands(), (doc, named - self.subcommands())
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_no_doc_mentions_the_deleted_bench_baseline(self, doc):
+        assert "BENCH_smoke_baseline" not in read(doc)

@@ -8,7 +8,6 @@ from repro.bench import (
     baseline_executor,
     format_table,
     rpqd_executor,
-    speedup,
     total_virtual_time,
 )
 from repro.baselines import BftEngine
@@ -121,7 +120,3 @@ class TestReporting:
     def test_format_table_floats(self):
         text = format_table(["x"], [[1.23456]])
         assert "1.23" in text
-
-    def test_speedup_guard(self):
-        assert speedup(10, 2) == 5
-        assert speedup(10, 0) == float("inf")

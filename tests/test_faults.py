@@ -18,12 +18,12 @@ from repro.faults import (
     FaultPlan,
     MachineCrash,
     MachineStall,
-    run_chaos_sweep,
     seeded_sweep,
 )
 from repro.graph.generators import random_graph, reply_forest
 from repro.runtime.message import AckMessage, Batch, DoneMessage
 from repro.runtime.network import SimulatedNetwork
+from repro.sweep import Variant, run_sweep
 
 CONFIG = EngineConfig(num_machines=4, buffers_per_machine=2048)
 QUERY = "SELECT COUNT(*) FROM MATCH (a)-/:E{1,3}/->(b)"
@@ -317,6 +317,19 @@ class TestFaultFreeUnchanged:
 # ----------------------------------------------------------------------
 # Chaos invariance sweep (tentpole acceptance)
 # ----------------------------------------------------------------------
+def chaos_sweep(graph, queries, plans, compare_depths=True):
+    """The chaos oracle: every plan against the fault-free baseline, with
+    the transport layer held on across the comparison."""
+    return run_sweep(
+        graph,
+        queries,
+        [Variant(plan.seed, {"faults": plan}) for plan in plans],
+        config=CONFIG,
+        baseline_overrides={"faults": None, "reliable_transport": True},
+        compare_depths=compare_depths,
+    )
+
+
 class TestChaosInvariance:
     def test_sweep_reproduces_fault_free_results_and_depths(self):
         """Full depth_table invariance on a tree-shaped expansion (Q09's
@@ -324,18 +337,20 @@ class TestChaosInvariance:
         eliminations, and duplications are identical under any plan."""
         forest = reply_forest(num_roots=8, branching=3, depth=4, seed=5)
         plans = seeded_sweep(5, base_seed=21, horizon=80)
-        reports = run_chaos_sweep(
-            forest,
-            ["SELECT COUNT(*) FROM MATCH (a)-/:REPLY_OF+/->(b)"],
-            plans,
-            config=CONFIG,
+        report = chaos_sweep(
+            forest, ["SELECT COUNT(*) FROM MATCH (a)-/:REPLY_OF+/->(b)"], plans
         )
-        (report,) = reports
         assert report.ok, report.mismatches
-        assert report.total_faults > 0
-        assert all(run.complete for run in report.runs)
-        assert all(run.rows_match and run.depths_match for run in report.runs)
-        assert "ok" in report.summary()
+        runs = report.query_results(0)
+        assert [run.label for run in report.runs] == [p.seed for p in plans]
+        assert sum(sum(r.stats.fault_events.values()) for r in runs) > 0
+        assert all(r.complete for r in runs)
+        (base,) = report.baselines
+        assert base.stats.fault_events is None
+        assert base.stats.depth_table()
+        assert all(
+            r.stats.depth_table() == base.stats.depth_table() for r in runs
+        )
 
     def test_sweep_rows_invariant_on_cyclic_graph(self, graph):
         """On cyclic graphs the *rows* are still exactly invariant; the
@@ -343,16 +358,15 @@ class TestChaosInvariance:
         order (same-depth index races), so depth comparison is opt-out —
         exactly like the schedule race sweep, which also compares rows."""
         plans = seeded_sweep(4, base_seed=21, horizon=80)
-        reports = run_chaos_sweep(
+        report = chaos_sweep(
             graph,
             [QUERY, "SELECT COUNT(*) FROM MATCH (a)-[:E]->(b)"],
             plans,
-            config=CONFIG,
             compare_depths=False,
         )
-        for report in reports:
-            assert report.ok, report.mismatches
-            assert all(run.rows_match for run in report.runs)
+        assert report.ok, report.mismatches
+        assert len(report.runs) == 4
+        assert all(len(run.results) == 2 for run in report.runs)
 
     def test_chaos_run_is_deterministic(self, graph):
         plan = FaultPlan(seed=13, drop_prob=0.1, dup_prob=0.1, delay_prob=0.1)

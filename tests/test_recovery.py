@@ -19,7 +19,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     MachineCrash,
-    run_chaos_sweep,
     seeded_sweep,
 )
 from repro.graph.generators import random_graph, reply_forest
@@ -27,6 +26,7 @@ from repro.membership import MembershipService
 from repro.recovery import CheckpointStore, ClusterCheckpoint
 from repro.runtime.message import Batch
 from repro.runtime.network import MAX_RETX_ATTEMPTS, SimulatedNetwork
+from repro.sweep import Variant, run_sweep
 
 CONFIG = EngineConfig(num_machines=4, buffers_per_machine=2048, sanitize=True)
 ROWS_QUERY = "SELECT a, b FROM MATCH (a)-/:E{1,3}/->(b)"
@@ -158,6 +158,19 @@ class TestCrashRecoveryEquivalence:
 # ----------------------------------------------------------------------
 # Seeded sweeps (the acceptance oracle)
 # ----------------------------------------------------------------------
+def recovery_sweep(graph, queries, plans, compare_depths=True):
+    """Permanent-crash plans with recovery on, against the fault-free
+    baseline (transport held on)."""
+    return run_sweep(
+        graph,
+        queries,
+        [Variant(plan.seed, {"faults": plan}) for plan in plans],
+        config=CONFIG.with_(recovery=True),
+        baseline_overrides={"faults": None, "reliable_transport": True},
+        compare_depths=compare_depths,
+    )
+
+
 class TestRecoverySweeps:
     def test_tree_sweep_depth_table_invariant(self):
         """On a tree-shaped expansion even the per-depth work accounting
@@ -165,33 +178,26 @@ class TestRecoverySweeps:
         sweep in test_faults.py)."""
         forest = reply_forest(num_roots=8, branching=3, depth=4, seed=5)
         plans = seeded_sweep(3, base_seed=21, horizon=80, permanent=True)
-        config = CONFIG.with_(recovery=True)
-        (report,) = run_chaos_sweep(
-            forest,
-            ["SELECT COUNT(*) FROM MATCH (a)-/:REPLY_OF+/->(b)"],
-            plans,
-            config=config,
+        report = recovery_sweep(
+            forest, ["SELECT COUNT(*) FROM MATCH (a)-/:REPLY_OF+/->(b)"], plans
         )
         assert report.ok, report.mismatches
-        assert all(run.complete for run in report.runs)
+        assert len(report.runs) == 3
+        assert all(r.complete for r in report.query_results(0))
 
     def test_cyclic_sweep_rows_invariant(self, graph):
         """On cyclic graphs rows are exactly invariant (depth accounting
         is order-dependent there, as in the transient sweep)."""
         plans = seeded_sweep(4, base_seed=42, horizon=40, permanent=True)
-        config = CONFIG.with_(recovery=True)
-        reports = run_chaos_sweep(
-            graph,
-            [ROWS_QUERY, AGG_QUERY],
-            plans,
-            config=config,
-            compare_depths=False,
+        report = recovery_sweep(
+            graph, [ROWS_QUERY, AGG_QUERY], plans, compare_depths=False
         )
-        for report in reports:
-            assert report.ok, report.mismatches
+        assert report.ok, report.mismatches
         # The sweep is vacuous unless failovers actually fired.
         assert any(
-            run.recoveries for report in reports for run in report.runs
+            result.stats.recovery["recoveries"]
+            for run in report.runs
+            for result in run.results
         )
 
     def test_permanent_seeded_plans_never_recover(self):
