@@ -9,6 +9,7 @@ but size them for mini graphs so that flow control actually engages.
 """
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Optional
 
 from .errors import ConfigError
@@ -40,6 +41,12 @@ class CostModel:
     index_hit: float = 2.5  # probe finding an existing entry
     output: float = 1.0
     termination_status: float = 2.0
+
+    def __post_init__(self):
+        # Zero is legal (a zero-cost step ends the quantum); NaN, inf or < 0 is not.
+        for name, value in vars(self).items():
+            if not (isinstance(value, (int, float)) and isfinite(value) and value >= 0):
+                raise ConfigError(f"cost.{name} must be a finite number >= 0 (got {value!r})")
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,10 @@ class MachineSink:
 
     For aggregate queries it keeps machine-local partial aggregates (the
     distributed engine only ships small per-group states at the end); for
-    plain queries it buffers projected rows.
+    plain queries it buffers projected rows.  ``add(ctx)`` takes one row; it
+    is resolved from the plan's shape when the sink is made or restored: a
+    row appender, a group-key function plus an updater per projection, or
+    one counter bump for a ``COUNT(*)`` without ``GROUP BY``.
     """
 
     def __init__(self, plan):
@@ -113,6 +116,53 @@ class MachineSink:
         self._state = _ProjState()
         self.rows = []
         self.groups = {}  # group key -> (plain values, [accumulators])
+        self.add = self._adder()
+
+    def _new_group(self):
+        projections = self.plan.projections
+        return ([None] * len(projections), [
+            _AggAccumulator(p.aggregate, p.distinct) if p.aggregate else None for p in projections
+        ])
+
+    def _adder(self):
+        """``add`` for this plan's shape, bound to this sink's current rows,
+        groups and accumulators."""
+        plan, state, groups = self.plan, self._state, self.groups
+        projections = plan.projections
+        if not plan.has_aggregates:
+            append, fns = self.rows.append, tuple(p.compiled for p in projections)
+
+            def add_row(ctx):
+                state.ctx = ctx
+                append(tuple([fn(state) for fn in fns]))
+
+            return add_row
+        key_fns = plan.group_by
+        if not key_fns:
+            # One group from the start: with no row at all it assembles the
+            # same 0 / NULL row as no group would.
+            accumulators = groups.setdefault((), self._new_group())[1]
+            if len(projections) == 1 and projections[0].compiled is None:  # COUNT(*)
+                counter = accumulators[0]
+
+                def count_row(ctx):
+                    counter.count += 1
+
+                return count_row
+        plain = tuple((i, p.compiled) for i, p in enumerate(projections) if not p.aggregate)
+        aggregates = tuple((i, p.compiled) for i, p in enumerate(projections) if p.aggregate)
+        new_group = self._new_group
+
+        def add_grouped(ctx):
+            state.ctx = ctx
+            key = tuple([fn(state) for fn in key_fns])
+            values, accumulators = groups.get(key) or groups.setdefault(key, new_group())
+            for i, fn in plain:
+                values[i] = fn(state)
+            for i, fn in aggregates:
+                accumulators[i].update(None if fn is None else fn(state), fn is None)
+
+        return add_grouped
 
     # -- crash recovery (:mod:`repro.recovery`) -------------------------
     def checkpoint_state(self):
@@ -121,54 +171,24 @@ class MachineSink:
         ``rows`` is append-only, so the checkpoint records only its length
         (the watermark); aggregate groups are value-copied.
         """
-        return {
-            "watermark": len(self.rows),
-            "groups": {
-                key: (
-                    list(plain),
-                    [acc.clone() if acc is not None else None for acc in accs],
-                )
-                for key, (plain, accs) in self.groups.items()
-            },
-        }
+        return {"watermark": len(self.rows), "groups": _copy_groups(self.groups)}
 
     def restore_state(self, state):
         """Roll back to the checkpoint: truncate rows past the watermark
         (output dedup — replayed work re-emits them exactly once) and
         restore the aggregate accumulators."""
         del self.rows[state["watermark"]:]
-        self.groups = {
-            key: (
-                list(plain),
-                [acc.clone() if acc is not None else None for acc in accs],
-            )
-            for key, (plain, accs) in state["groups"].items()
-        }
+        self.groups.clear()
+        self.groups.update(_copy_groups(state["groups"]))
+        self.add = self._adder()  # bound to the restored accumulators
 
-    def add(self, ctx):
-        plan = self.plan
-        state = self._state
-        state.ctx = ctx
-        if not plan.has_aggregates:
-            self.rows.append(tuple(p.compiled(state) for p in plan.projections))
-            return
-        key = tuple(fn(state) for fn in plan.group_by)
-        entry = self.groups.get(key)
-        if entry is None:
-            accumulators = [
-                _AggAccumulator(p.aggregate, p.distinct) if p.aggregate else None
-                for p in plan.projections
-            ]
-            plain = [None] * len(plan.projections)
-            entry = (plain, accumulators)
-            self.groups[key] = entry
-        plain, accumulators = entry
-        for i, proj in enumerate(plan.projections):
-            if proj.aggregate is None:
-                plain[i] = proj.compiled(state)
-            else:
-                value = proj.compiled(state) if proj.compiled is not None else None
-                accumulators[i].update(value, is_star=proj.compiled is None)
+
+def _copy_groups(groups):
+    """Value copy of ``{group key: (plain values, [accumulators])}``."""
+    return {
+        key: (list(plain), [None if acc is None else acc.clone() for acc in accs])
+        for key, (plain, accs) in groups.items()
+    }
 
 
 class ResultSet:
@@ -344,25 +364,12 @@ def assemble_results(plan, sinks, complete=True, timed_out=False):
                                 m_plain[i] = plain[i]
                         else:
                             m_accs[i].merge(acc)
-        if not merged and not plan.group_by:
-            # Aggregates over an empty match: SQL returns one row (0/NULL).
-            row = tuple(
-                _AggAccumulator(p.aggregate, p.distinct).result()
-                if p.aggregate
-                else None
-                for p in plan.projections
-            )
-            rows = [row]
-        else:
-            rows = []
-            for key in sorted(merged.keys(), key=lambda k: tuple(_sort_key(v) for v in k)):
-                plain, accumulators = merged[key]
-                rows.append(
-                    tuple(
-                        plain[i] if acc is None else acc.result()
-                        for i, acc in enumerate(accumulators)
-                    )
-                )
+        # Without GROUP BY every sink holds its one group from the start, so
+        # an empty match still assembles SQL's one 0 / NULL row.
+        rows = []
+        for key in sorted(merged.keys(), key=lambda k: tuple(_sort_key(v) for v in k)):
+            plain, accs = merged[key]
+            rows.append(tuple(v if acc is None else acc.result() for v, acc in zip(plain, accs)))
     else:
         rows = []
         for sink in sinks:

@@ -89,9 +89,9 @@ class GraphPartition:
             )
 
     def raw_reads(self):
-        """Unchecked reads for the DFT loop: ``(owner(v), primary label id
-        per vertex, extra-label lookup, (out CSR, in CSR), vertex property
-        read, edge property read, the graph)``.
+        """Unchecked reads for the DFT loop: ``(owner(v), label bitmask per
+        vertex, (out CSR, in CSR), vertex property read, edge property
+        read, the graph)``.
 
         None asserts locality: the loop only reads a vertex it knows to be
         local (a hop compares ``owner(v)`` with its machine, a batch is
@@ -100,8 +100,8 @@ class GraphPartition:
         """
         graph = self.graph
         return (
-            self._dgraph.partitioner.owner, graph.vertex_label_ids,
-            graph._extra_label_ids.get, (graph.out_csr, graph.in_csr),
+            self._dgraph.partitioner.owner, graph.label_masks,
+            (graph.out_csr, graph.in_csr),
             graph.vprops.get, graph.eprops.get, graph,
         )
 

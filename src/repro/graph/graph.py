@@ -69,6 +69,15 @@ class PropertyGraph:
         extra = self._extra_label_ids.get(v)
         return extra is not None and label_id in extra
 
+    @cached_property
+    def label_masks(self):
+        """Per vertex, bit ``l`` set for its primary and extra label ids: the
+        DFT loop's label test is one AND with a stage's group mask."""
+        masks = [1 << label for label in self.vertex_label_ids]
+        for v, extra in self._extra_label_ids.items():
+            masks[v] |= sum(1 << label for label in extra)  # a frozenset
+        return masks
+
     def vertex_label_name(self, v):
         return self.vertex_labels.name_of(self.vertex_label_ids[v])
 

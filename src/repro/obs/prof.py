@@ -113,7 +113,7 @@ class PhaseProfiler:
 
         ``{name: {calls, total_s, self_s, avg_s, min_s, max_s}}`` — the
         shape embedded in ``RunStats.profile``, EXPLAIN ANALYZE output,
-        and ``BENCH_*.json`` (see docs/profiling.md).
+        and the benchmark's span file (see docs/profiling.md).
         """
         out = {}
         ranked = sorted(self._agg.items(), key=lambda kv: (-kv[1][1], kv[0]))

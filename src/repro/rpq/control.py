@@ -26,6 +26,8 @@ the context of the enclosing repetition exactly.
 
 from .reachability import IndexOutcome
 
+_ELIMINATED, _DUPLICATED = IndexOutcome.ELIMINATED, IndexOutcome.DUPLICATED
+
 #: Control-stage actions, iterated in order by the worker's DFT frame.  The
 #: exit transition comes first: materializing results early is what keeps
 #: the engine's runtime memory low (paper Section 4.4).
@@ -50,12 +52,16 @@ class RpqController:
     def __init__(self, spec, index, stats, tracker, use_index=True, cost=None,
                  machine_id=0, stage_index=-1, obs=None):
         self.spec = spec
+        # What every entry reads of the spec, as plain attributes.
+        self.depth_slot, self.rpid_slot = spec.depth_slot, spec.rpid_slot
+        self.min_hops, self.max_hops = spec.min_hops, spec.max_hops
         self.index = index  # this machine's ReachabilityIndex shard (or None)
         self.stats = stats
         self.tracker = tracker
         self.machine_id = machine_id
         self.stage_index = stage_index
         self.obs = obs
+        self._depths = {}  # entries per depth since the last flush()
         self._entries = None
         if obs is not None:
             self._entries = obs.metrics.counter(
@@ -85,17 +91,16 @@ class RpqController:
         than probes that hit existing entries, and skipping the index is
         cheapest.
         """
-        spec = self.spec
-        depth_slot = spec.depth_slot
+        depth_slot = self.depth_slot
         old = ctx[depth_slot]
         if init:
             depth = 0
-            undo = [(spec.rpid_slot, ctx[spec.rpid_slot])]
-            ctx[spec.rpid_slot] = rpid_allocator.allocate()
+            undo = [(self.rpid_slot, ctx[self.rpid_slot])]
+            ctx[self.rpid_slot] = rpid_allocator.allocate()
             if old != 0:
                 undo.append((depth_slot, old))
                 ctx[depth_slot] = 0
-            for slot, _kind in spec.accumulator_inits:
+            for slot, _kind in self.spec.accumulator_inits:
                 if ctx[slot] is not None:
                     undo.append((slot, ctx[slot]))
                     ctx[slot] = None
@@ -104,25 +109,25 @@ class RpqController:
             undo = ((depth_slot, old),)
             ctx[depth_slot] = depth
 
-        self.stats.record_control_match(spec.rpq_id, depth)
-        self.tracker.observe_depth(spec.rpq_id, depth)
+        depths = self._depths
+        depths[depth] = depths.get(depth, 0) + 1
 
-        can_deepen = spec.max_hops is None or depth < spec.max_hops
-        if depth < spec.min_hops:
+        can_deepen = self.max_hops is None or depth < self.max_hops
+        if depth < self.min_hops:
             if self.obs is not None:
                 self._record_entry(depth, "below_min")
             return (PATH_ONLY if can_deepen else NO_ACTIONS), ENTRY_COST, undo
 
         cost = ENTRY_COST
         if self.use_index:
-            outcome = self.index.check_and_update(ctx[spec.rpid_slot], vertex, depth)
-            if outcome is IndexOutcome.ELIMINATED:
-                self.stats.record_eliminated(spec.rpq_id, depth)
+            outcome = self.index.check_and_update(ctx[self.rpid_slot], vertex, depth)
+            if outcome is _ELIMINATED:
+                self.stats.record_eliminated(self.spec.rpq_id, depth)
                 if self.obs is not None:
                     self._record_entry(depth, "eliminated")
                 return NO_ACTIONS, self._hit_cost, undo
-            if outcome is IndexOutcome.DUPLICATED:
-                self.stats.record_duplicated(spec.rpq_id, depth)
+            if outcome is _DUPLICATED:
+                self.stats.record_duplicated(self.spec.rpq_id, depth)
                 if self.obs is not None:
                     self._record_entry(depth, "duplicated")
                 return (PATH_ONLY if can_deepen else NO_ACTIONS), self._hit_cost, undo
@@ -131,6 +136,17 @@ class RpqController:
         if self.obs is not None:
             self._record_entry(depth, "match")
         return (EXIT_THEN_PATH if can_deepen else EXIT_ONLY), cost, undo
+
+    def flush(self):
+        """Hand the entries counted since the last flush to the per-depth
+        matches and the tracker's maximum depth; the worker calls this when
+        its slice ends, as nothing reads either while a slice runs."""
+        depths = self._depths
+        if depths:
+            rpq_id = self.spec.rpq_id
+            self.stats.record_control_matches(rpq_id, depths)
+            self.tracker.observe_depth(rpq_id, max(depths))
+            depths.clear()
 
     def _record_entry(self, depth, outcome):
         """Trace one control-stage decision (observability path only).

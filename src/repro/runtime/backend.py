@@ -570,6 +570,7 @@ class ProcessBackend(ExecutionBackend):
             # after fork, and a new graph unlinks the old one's segments.
             self._retire_generation()
             shm_spec = self._shm_spec(dgraph.graph, config)
+            _ = dgraph.graph.label_masks  # built before the fork: every worker inherits it
             self._generation = _Generation(
                 dgraph, config, num_workers, self._plans, shm_spec
             )

@@ -446,10 +446,6 @@ class Machine:
         else:
             self.stats.idle_rounds += 1
 
-    def emit_output(self, ctx):
-        self.stats.outputs += 1
-        self.output_sink.add(ctx)
-
     # ------------------------------------------------------------------
     # Termination protocol
     # ------------------------------------------------------------------

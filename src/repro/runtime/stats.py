@@ -73,11 +73,9 @@ class MachineStats:
         self.__dict__.update(fresh.__dict__)
 
     # -- helpers ---------------------------------------------------------
-    def record_control_match(self, rpq_id, depth):
-        counter = self.control_matches.get(rpq_id)
-        if counter is None:
-            counter = self.control_matches[rpq_id] = Counter()
-        counter[depth] += 1
+    def record_control_matches(self, rpq_id, depths):
+        """Add ``{depth: entries}`` of one RPQ segment's control stage."""
+        self.control_matches.setdefault(rpq_id, Counter()).update(depths)
 
     def record_eliminated(self, rpq_id, depth):
         counter = self.eliminated.get(rpq_id)

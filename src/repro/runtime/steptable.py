@@ -5,12 +5,16 @@ dataclasses, enums and tuples of label ids — convenient to compile and
 explain, slow to interpret once per traversed vertex.  The first execution
 of a plan resolves every stage, once, into one flat :class:`Step` the loop
 in :mod:`repro.runtime.worker` indexes by ``stage_idx``: a small-int hop
-opcode, a ``frozenset`` label test, captures split by kind, the adjacency
-runs a neighbor hop iterates, the hop target and the target's depth slot.
-The table is a pure function of the plan — nothing of the graph, the
-partition or the cost model is in it — so it is cached on the plan and
-shared by every machine, worker and (concurrent) query that executes it.
+opcode, label-group bitmasks, captures by kind, a neighbor hop's adjacency
+runs, the hop target and its depth slot, and on a transition into an RPQ
+control stage the fused chain.  The table is a pure function of the plan —
+nothing of the graph, the partition or the cost model is in it — so it is
+cached on the plan and shared by every machine, worker and (concurrent)
+query that executes it.
 """
+
+from functools import reduce
+from operator import or_
 
 from ..graph.types import Direction
 from ..plan.stages import HopKind, StageKind
@@ -25,26 +29,24 @@ class Step:
     """One stage of the plan, resolved for the DFT loop."""
 
     __slots__ = (
-        "label_set", "label_groups", "cap_vid", "cap_prop", "cap_label",
+        "label_mask", "label_rest", "cap_vid", "cap_prop", "cap_label",
         "filter", "acc_updates", "op", "target", "target_depth_slot", "init",
         "runs", "edge_labels", "direction", "anchor_slot", "edge_filter",
-        "edge_captures", "exit_stage", "path_entry",
+        "edge_captures", "exit_stage", "path_entry", "chain",
     )
 
     def __init__(self, plan, stage):
         # Only VERTEX / PATH stages test and capture anything: a NOOP re-match
         # and a control entry leave every match field empty.
         matches = stage.kind in (StageKind.VERTEX, StageKind.PATH)
-        # AND of OR-groups; a label the graph lacks (negative id) matches
-        # nothing.  A vertex whose primary label is in ``label_set`` (the
-        # groups' intersection) passes outright; any other passes only if
-        # its extra labels complete every group.
-        groups = [
-            frozenset(l for l in group if l >= 0)
+        # AND of OR-groups as bitmasks (an absent label's negative id sets no
+        # bit): a vertex's label mask must meet ``label_mask`` and the rare rest.
+        masks = [
+            reduce(or_, (1 << l for l in group if l >= 0), 0)
             for group in (stage.label_ids if matches else ())
         ]
-        self.label_groups = tuple(groups)
-        self.label_set = frozenset.intersection(*groups) if groups else None
+        self.label_mask = masks[0] if masks else None
+        self.label_rest = tuple(masks[1:])
         captures = stage.captures if matches else ()
         self.cap_vid = tuple(c.slot for c in captures if c.kind == "vid")
         self.cap_prop = tuple((c.slot, c.prop) for c in captures if c.kind == "prop")
@@ -55,7 +57,7 @@ class Step:
         self.exit_stage = self.path_entry = -1
         self.init = False
         self.runs = self.edge_labels = self.edge_captures = ()
-        self.direction = self.edge_filter = None
+        self.direction = self.edge_filter = self.chain = None
         if stage.kind is StageKind.RPQ_CONTROL:
             self.op = CONTROL_ACTIONS
             self.exit_stage = stage.rpq.exit_stage
@@ -93,9 +95,40 @@ class Step:
             }[hop.kind]
 
 
+def _bare(step):
+    """A match of ``step`` captures the vertex id only: no filter or accumulator."""
+    return step.filter is None and not (step.cap_prop or step.cap_label or step.acc_updates)
+
+
+def _chain(steps, control):
+    """The fused chain of a transition into ``control``, or ``None``.
+
+    The RPQ's path must be one neighbor hop, without edge filter or edge
+    captures, between two unlabelled :func:`_bare` path stages.  The chain
+    is ``(control, exit stage, exit step, path entry, path entry's step)``;
+    the exit step is ``None`` — the chain then stops at the exit action —
+    unless the exit stage emits the row after a bare match of one group.
+    """
+    entry, exit_stage = steps[control].path_entry, steps[control].exit_stage
+    path, exit_step, last = steps[entry], steps[exit_stage], steps[steps[entry].target]
+    if not (
+        path.op in (NBR_ONE, NBR_MANY) and path.edge_filter is None and not path.edge_captures
+        and last.op == TRANSITION and last.target == control
+        and all(s.label_mask is None and _bare(s) for s in (path, last))
+    ):
+        return None
+    if exit_step.op != OUTPUT or exit_step.label_rest or not _bare(exit_step):
+        exit_step = None
+    return (control, exit_stage, exit_step, entry, path)
+
+
 def step_table(plan):
     """The plan's step table, built on first use and cached on the plan."""
     table = plan.step_table
     if table is None:
-        table = plan.step_table = tuple(Step(plan, stage) for stage in plan.stages)
+        table = tuple(Step(plan, stage) for stage in plan.stages)
+        for step in table:
+            if step.op == TRANSITION and table[step.target].op == CONTROL_ACTIONS:
+                step.chain = _chain(table, step.target)
+        plan.step_table = table
     return table

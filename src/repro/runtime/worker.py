@@ -11,16 +11,22 @@ by flow control, the worker starts processing received batches instead
 sending"), nesting a new job on top of the blocked one.
 
 The traversal is one loop (:meth:`Worker._run_budget`) driven by the plan's
-step table (:mod:`repro.runtime.steptable`).  One iteration is one *step*:
-it charges one cost to the worker's budget, and the budget is checked
-between steps — so which step a quantum ends on, and with it virtual time,
-rounds and every message count, follows from the step costs alone.
+step table (:mod:`repro.runtime.steptable`).  A *step* charges one cost to
+the worker's budget, and the budget is checked between steps — so which
+step a quantum ends on, and with it virtual time, rounds and every message
+count, follows from the step costs alone.  An iteration is one step, except
+consecutive frame pops and rejected roots (the budget re-tested per step)
+and a *fused RPQ chain*: a context entering an RPQ repetition, from the
+transition stage's match to the path entry's adjacency set-up, which runs
+only when its worst-case charge (:func:`step_costs`) fits in the budget
+(docs/architecture.md §3); with ``obs`` attached every step is its own.
 """
 
 from bisect import bisect_left, bisect_right
+from math import inf
 
 from ..graph.types import NO_EDGE
-from ..rpq.control import ACTION_EXIT
+from ..rpq.control import ACTION_EXIT, ACTION_PATH, ENTRY_COST
 from ..rpq.rpid import RpidAllocator
 from .steptable import (
     CONTROL_ACTIONS, INSPECT, NBR_MANY, NBR_ONE, OUTPUT, TRANSITION,
@@ -55,6 +61,8 @@ class Frame:
     control stage's action tuple (``aux``), or the single action of any
     other hop.  ``undo`` holds the ``(slot, old value)`` pairs to write back
     when the frame is popped, or ``None`` — most stages overwrite no slot.
+    A fused RPQ chain leaves exactly these frames, except that an emitting
+    exit stage's, pushed and popped within the chain, is never built.
     """
 
     __slots__ = ("stage_idx", "vertex", "pos", "end", "csr", "aux", "undo")
@@ -115,22 +123,23 @@ class Job:
 
 
 def step_costs(cost):
-    """The loop's step charges under ``cost``; the sums add the same operands
-    in the same order as the steps would, so budgets flip on the same step."""
+    """The loop's step charges under ``cost`` — the sums add the same operands
+    in the same order as the steps would, so budgets flip on the same step —
+    and last the worst-case charge of a fused RPQ chain: its steps' charges
+    with the dearest control entry, infinite when one is not positive (a
+    zero charge ends the quantum on its step, so such a machine never fuses).
+    """
+    c_match_filter = STEP_COST + cost.filter_eval
+    entry = ENTRY_COST + max(cost.index_insert, cost.index_insert_prealloc, cost.index_hit)
+    # transition match (filtered), transition, control entry, exit action,
+    # exit match, row, exit pop, path action, path entry match
+    chain = (c_match_filter, STEP_COST, entry, STEP_COST, STEP_COST, cost.output,
+             STEP_COST, STEP_COST, STEP_COST)
     return (
         cost.bootstrap, cost.receive_context, cost.context_serialize,
-        cost.output, cost.edge_traverse,
-        cost.edge_traverse + cost.filter_eval, STEP_COST + cost.filter_eval,
+        cost.output, cost.edge_traverse, cost.edge_traverse + cost.filter_eval,
+        c_match_filter, sum(chain) if min(chain) > 0.0 else inf,
     )
-
-
-def _labels_ok(groups, label, extra):
-    """Label test for a vertex that carries extra labels: every OR-group
-    must hold its primary label or one of the extra ones."""
-    for group in groups:
-        if label not in group and group.isdisjoint(extra):
-            return False
-    return True
 
 
 class Worker:
@@ -216,18 +225,30 @@ class Worker:
         # GraphPartition.raw_reads); the sanitizer re-checks it there.
         guard = machine.partition.check_local if machine.sanitizer is not None else None
         steps = machine.steps
+        controllers = machine.controllers
         state = self.state
+        rpid_alloc = self.rpid_alloc
         jobs = self.jobs
         stats = machine.stats
         matches = [0] * len(steps)
         inbox = machine.inbox
         roots = machine.bootstrap_roots
         try_emit = machine.try_emit
-        owner_of, primary, extra_of, csrs, vprop, eprop, graph = machine.reads
+        add = machine.output_sink.add
+        owner_of, vmask, csrs, vprop, eprop, graph = machine.reads
         (c_bootstrap, c_receive, c_serialize, c_output, c_edge, c_edge_filter,
-         c_match_filter) = machine.step_costs
+         c_match_filter, chain_worst) = machine.step_costs
         c_step = STEP_COST
-        edges = filter_evals = bootstrapped = roots_done = 0
+        # A chain commits while ``consumed < fuse_below``: its worst case then
+        # fits with a margin far above the rounding of its ~10 additions.
+        if obs is None:
+            fuse_below = budget * (1.0 - 1e-9) - chain_worst
+            loop_below = budget
+        else:
+            fuse_below = loop_below = -inf
+        root_below = loop_below if c_bootstrap > 0.0 else -inf
+        root_mask, root_rest = steps[0].label_mask, steps[0].label_rest
+        edges = filter_evals = bootstrapped = roots_done = outputs = 0
         job = stack = ctx = None
         # The (stage, vertex) the last hop led to, matched by the next step.
         p_stage = -1
@@ -247,11 +268,13 @@ class Worker:
 
             if p_stage >= 0:
                 # -- Match the stage on the vertex the last hop led to.
-                st = steps[p_stage]
+                stage = p_stage
+                p_stage = -1
+                st = steps[stage]
                 undo = None
                 if st.op == CONTROL_ACTIONS:
-                    actions, cost, undo = machine.controllers[p_stage].on_entry(
-                        p_vertex, ctx, p_init, self.rpid_alloc
+                    actions, cost, undo = controllers[stage].on_entry(
+                        p_vertex, ctx, p_init, rpid_alloc
                     )
                     end = len(actions)
                     ok = True
@@ -259,13 +282,10 @@ class Worker:
                     actions = None
                     end = 1
                     cost = c_step
-                    ok = True
-                    labels = st.label_set
-                    if labels is not None and primary[p_vertex] not in labels:
-                        extra = extra_of(p_vertex)
-                        ok = extra is not None and _labels_ok(
-                            st.label_groups, primary[p_vertex], extra
-                        )
+                    mask = st.label_mask
+                    ok = mask is None or vmask[p_vertex] & mask and (
+                        not st.label_rest or all(vmask[p_vertex] & m for m in st.label_rest)
+                    )
                     if ok:
                         for slot in st.cap_vid:
                             ctx[slot] = p_vertex
@@ -297,8 +317,57 @@ class Worker:
                 if not ok:
                     cost = cost + c_step  # the failed match and its pop
                 else:
-                    matches[p_stage] += 1
+                    matches[stage] += 1
                     op = st.op
+                    if st.chain is not None and consumed < fuse_below:
+                        # -- A fused RPQ chain: each step adds the pending charge.
+                        control, exit_stage, exit_step, entry, path = st.chain
+                        stack.append(Frame(stage, p_vertex, 1, 1, None, None, undo))
+                        consumed += cost
+                        cost = c_step  # the transition into the control stage
+                        actions, charge, undo = controllers[control].on_entry(
+                            p_vertex, ctx, st.init, rpid_alloc
+                        )
+                        consumed += cost
+                        cost = charge  # the control entry
+                        matches[control] += 1
+                        frame = Frame(control, p_vertex, 0, len(actions), None, actions, undo)
+                        stack.append(frame)
+                        op = -1  # no further frame unless the path action runs
+                        if actions:
+                            consumed += cost
+                            cost = c_step  # the first action's dispatch
+                            frame.pos = 1
+                            to_path = actions[-1] is ACTION_PATH
+                            if actions[0] is ACTION_EXIT and exit_step is None:
+                                # The exit stage hops on: the next step matches
+                                # it, and its subtree comes before the path.
+                                p_stage, p_init, to_path = exit_stage, False, False
+                            elif actions[0] is ACTION_EXIT:
+                                consumed += cost
+                                mask = exit_step.label_mask
+                                if mask is None or vmask[p_vertex] & mask:
+                                    for slot in exit_step.cap_vid:
+                                        ctx[slot] = p_vertex
+                                    matches[exit_stage] += 1
+                                    outputs += 1
+                                    add(ctx)
+                                    consumed += c_step  # the exit match
+                                    consumed += c_output  # its row
+                                    cost = c_step  # the exit frame's pop
+                                else:
+                                    cost = c_step + c_step  # the failed match and its pop
+                                if to_path:
+                                    consumed += cost
+                                    cost = c_step  # the path action's dispatch
+                                    frame.pos = 2
+                            if to_path:
+                                for slot in path.cap_vid:
+                                    ctx[slot] = p_vertex
+                                matches[entry] += 1
+                                consumed += cost
+                                cost = c_step  # the path entry's match, set up below
+                                stage, st, undo, op = entry, path, None, path.op
                     if op == NBR_ONE:
                         ((direction, label),) = st.runs
                         csr = csrs[direction]
@@ -307,7 +376,7 @@ class Worker:
                         if label is not None and lo < hi:
                             lo = bisect_left(csr.elab, label, lo, hi)
                             hi = bisect_right(csr.elab, label, lo, hi)
-                        stack.append(Frame(p_stage, p_vertex, lo, hi, csr, None, undo))
+                        stack.append(Frame(stage, p_vertex, lo, hi, csr, None, undo))
                     elif op == NBR_MANY:
                         runs = []
                         for direction, label in st.runs:
@@ -316,10 +385,9 @@ class Worker:
                                 runs.append((csrs[direction], lo, hi))
                         runs.reverse()
                         csr, lo, hi = runs.pop() if runs else (None, 0, 0)
-                        stack.append(Frame(p_stage, p_vertex, lo, hi, csr, runs, undo))
-                    else:
-                        stack.append(Frame(p_stage, p_vertex, 0, end, None, actions, undo))
-                p_stage = -1
+                        stack.append(Frame(stage, p_vertex, lo, hi, csr, runs, undo))
+                    elif op >= 0:
+                        stack.append(Frame(stage, p_vertex, 0, end, None, actions, undo))
 
             elif stack:
                 # -- Iterate the hop of the stage on top of the stack.
@@ -332,10 +400,18 @@ class Worker:
                     frame.csr, pos, end = frame.aux.pop()
                     frame.pos, frame.end = pos, end
                 if pos >= end:
-                    stack.pop()
-                    if frame.undo is not None:
-                        for slot, old in reversed(frame.undo):
-                            ctx[slot] = old
+                    # Pop it and the frames exhausted with it, a step each.
+                    while True:
+                        stack.pop()
+                        if frame.undo is not None:
+                            for slot, old in reversed(frame.undo):
+                                ctx[slot] = old
+                        if not stack or not consumed + c_step < loop_below:
+                            break
+                        frame = stack[-1]
+                        if frame.pos < frame.end or frame.aux.__class__ is list and frame.aux:
+                            break  # more to iterate, or runs still to come
+                        consumed += c_step
                     cost = c_step
                 elif op <= INSPECT:
                     # A hop to another vertex: an adjacency slot, or the
@@ -394,7 +470,8 @@ class Worker:
                     cost = c_step
                 elif op == OUTPUT:
                     frame.pos = 1
-                    machine.emit_output(ctx)
+                    outputs += 1
+                    add(ctx)
                     cost = c_output
                 else:  # EDGE: verify an edge to an already-matched vertex
                     frame.pos = 1
@@ -448,18 +525,21 @@ class Worker:
 
             elif roots:
                 # -- ... then bootstrap new work from the shared root queue.
+                # A root failing stage 0's labels costs its step but needs no
+                # job; rejected roots in a row are taken a step each.
                 p_vertex = roots.popleft()
                 bootstrapped += 1
                 cost = c_bootstrap
-                st = steps[0]
-                labels = st.label_set
-                if labels is not None and primary[p_vertex] not in labels and not (
-                    (extra := extra_of(p_vertex)) is not None
-                    and _labels_ok(st.label_groups, primary[p_vertex], extra)
+                while root_mask is not None and not (
+                    vmask[p_vertex] & root_mask
+                    and (not root_rest or all(vmask[p_vertex] & m for m in root_rest))
                 ):
-                    # Fast label pre-check: no frame needed for non-matching
-                    # vertices, but the unit must still be accounted.
                     roots_done += 1
+                    if not roots or not consumed + cost < root_below:
+                        break
+                    consumed += cost
+                    p_vertex = roots.popleft()
+                    bootstrapped += 1
                 else:
                     job = Job("root", ctx=[None] * machine.plan.num_slots)
                     jobs.append(job)
@@ -488,9 +568,12 @@ class Worker:
         stats.edges_traversed += edges
         stats.filter_evals += filter_evals
         stats.bootstrapped += bootstrapped
+        stats.outputs += outputs
         for stage_idx, count in enumerate(matches):
             if count:
                 stats.stage_matches[stage_idx] += count
+        for controller in controllers.values():
+            controller.flush()
         if roots_done:
             machine.tracker.record_processed(0, 0, roots_done)
         return consumed

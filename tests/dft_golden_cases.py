@@ -6,7 +6,10 @@ the commit *before* the plan-specialised DFT loop replaced the interpretive
 ``Worker._step`` ladder; ``tests/test_dft_equivalence.py`` asserts the
 current loop reproduces it exactly (floats included), i.e. that every step
 boundary and every per-step cost charge is where the old interpreter put
-it.  Regenerate only for a deliberate cost-model or traversal-order change.
+it.  The ``straddle`` and ``free_output`` variants were recorded at the
+commit before the fused RPQ chain (several steps in one loop iteration)
+existed, so they hold that chain to the one-step-per-iteration loop.
+Regenerate only for a deliberate cost-model or traversal-order change.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ import random
 
 import repro
 from repro import EngineConfig, GraphBuilder
+from repro.config import CostModel
 from repro.datagen import BENCHMARK_QUERIES, mini_ldbc
 from repro.faults import FaultPlan, MachineCrash
 from repro.graph.generators import random_graph
@@ -33,6 +37,17 @@ VARIANTS = {
     "prealloc": {"index_preallocate": True},
     "observe": {"observe": True},
     "seed5": {"schedule_seed": 5, "workers_per_machine": 3},
+    # 12 units per worker and round against a ~9-unit RPQ chain (receipt,
+    # control entry, exit, output, path set-up): most chains straddle the
+    # end of a quantum, so a slice ends inside one on every query.
+    "straddle": {"quantum": 48},
+}
+
+#: Variants only the small graph runs under.
+SMALL_VARIANTS = {
+    # A zero charge ends the quantum on the step that costs it, here the
+    # output step inside every RPQ chain whose exit stage emits a row.
+    "free_output": {"cost": CostModel(output=0.0)},
 }
 
 _MACHINE_COUNTERS = (
@@ -131,8 +146,8 @@ def fingerprint(result):
     }
 
 
-def _solo(graph, queries, out, prefix):
-    for variant, overrides in VARIANTS.items():
+def _solo(graph, queries, out, prefix, variants):
+    for variant, overrides in variants.items():
         config = EngineConfig(num_machines=4, **overrides)
         with repro.connect(graph, config) as session:
             for name, text in queries.items():
@@ -175,11 +190,11 @@ def _recovered(out):
 def compute():
     out = {}
     graph, info = mini_ldbc("s")
-    for prefix, g, queries in (
-        ("ldbc_s", graph, ldbc_queries(info)),
-        ("small", small_graph(), SMALL_QUERIES),
+    for prefix, g, queries, variants in (
+        ("ldbc_s", graph, ldbc_queries(info), VARIANTS),
+        ("small", small_graph(), SMALL_QUERIES, {**VARIANTS, **SMALL_VARIANTS}),
     ):
-        _solo(g, queries, out, prefix)
+        _solo(g, queries, out, prefix, variants)
         _concurrent(g, queries, out, prefix)
     _recovered(out)
     # Through JSON so tuples and int dict keys compare as the file stores them.

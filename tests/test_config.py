@@ -59,6 +59,30 @@ class TestValidation:
         assert cost.edge_traverse == 1.0
         assert cost.index_insert > cost.index_hit > 0
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("edge_traverse", float("nan")),
+            ("message_fixed", -50),
+            ("receive_context", float("inf")),
+            ("output", -0.5),
+            ("index_hit", float("-inf")),
+        ],
+    )
+    def test_cost_model_rejects_prices_that_corrupt_virtual_time(self, field, value):
+        """A NaN, infinite or negative price made ``cost_units`` NaN,
+        infinite or negative and moved the round count while the rows
+        stayed right; every price must now be finite and >= 0."""
+        with pytest.raises(ConfigError) as excinfo:
+            EngineConfig(cost=CostModel(**{field: value}))
+        assert f"cost.{field} must be a finite number >= 0 (got {value!r})" in str(
+            excinfo.value
+        )
+
+    def test_cost_model_zero_price_stays_legal(self):
+        # A zero-cost step ends the quantum on that step (golden semantics).
+        assert CostModel(output=0.0, filter_eval=0).output == 0.0
+
 
 class TestValidationMessages:
     @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 ``GraphStatistics`` is checked against a brute-force scan; the estimates
 against ``tests/estimates_golden.json``, recorded before the statistics
 replaced the per-compile graph scans (see ``estimates_golden_cases.py``).
+The per-vertex label bitmasks the DFT loop tests labels with are checked
+against ``vertex_has_label`` the same way.
 """
 
 import json
@@ -12,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro import GraphBuilder
 from repro.graph.graph import PropertyGraph
+from repro.plan.stages import Hop, HopKind, Stage, StageKind
+from repro.runtime.steptable import Step
 
 from . import estimates_golden_cases as cases
 
@@ -69,6 +73,43 @@ class TestGraphStatistics:
     def test_scanned_once_per_graph(self):
         graph = GraphBuilder().build()
         assert graph.statistics is graph.statistics
+
+
+class TestLabelMasks:
+    @settings(max_examples=60, deadline=None)
+    @given(labelled_graphs())
+    def test_masks_equal_vertex_has_label(self, graph):
+        masks = graph.label_masks
+        assert graph.label_masks is masks  # built once per graph
+        # Two ids past the interned ones: labels the graph lacks entirely.
+        for label_id in range(len(graph.vertex_labels) + 2):
+            for v in graph.vertices():
+                assert bool(masks[v] >> label_id & 1) == graph.vertex_has_label(v, label_id)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        labelled_graphs(),
+        st.lists(st.lists(st.integers(-2, 5), min_size=1, max_size=3), max_size=3),
+    )
+    def test_stage_masks_test_and_of_or_groups(self, graph, groups):
+        """A stage's AND of OR-groups — negative ids are labels the query
+        names but the graph lacks — passes a vertex exactly when every group
+        holds one of its labels, as the loop tests it (one AND per group)."""
+        stage = Stage(
+            index=0, kind=StageKind.VERTEX,
+            label_ids=tuple(tuple(g) for g in groups), hop=Hop(kind=HopKind.OUTPUT),
+        )
+        step = Step(None, stage)
+        for v in graph.vertices():
+            want = all(
+                any(l >= 0 and graph.vertex_has_label(v, l) for l in group)
+                for group in groups
+            )
+            vmask = graph.label_masks[v]
+            got = step.label_mask is None or bool(vmask & step.label_mask) and all(
+                vmask & mask for mask in step.label_rest
+            )
+            assert got == want
 
 
 class TestEstimatesGolden:

@@ -111,9 +111,8 @@ class TestRunStats:
 
     def test_depth_counters_merge(self):
         machines, stats = self.make()
-        machines[0].record_control_match(0, 1)
-        machines[1].record_control_match(0, 1)
-        machines[1].record_control_match(0, 2)
+        machines[0].record_control_matches(0, {1: 1})
+        machines[1].record_control_matches(0, {1: 1, 2: 1})
         machines[0].record_eliminated(0, 2)
         machines[1].record_duplicated(0, 1)
         assert stats.control_matches[0] == {1: 2, 2: 1}

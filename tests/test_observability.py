@@ -356,10 +356,10 @@ class TestMultiSegmentDepthTable:
         a = MachineStats()
         b = MachineStats()
         c = MachineStats()
-        a.record_control_match(0, 1)
-        a.record_control_match(1, 1)  # rpq 1 appears on machine 0 only
-        b.record_control_match(0, 1)
-        b.record_control_match(0, 2)
+        a.record_control_matches(0, {1: 1})
+        a.record_control_matches(1, {1: 1})  # rpq 1 appears on machine 0 only
+        b.record_control_matches(0, {1: 1})
+        b.record_control_matches(0, {2: 1})
         # machine 2 never saw rpq 0 or 1
         from repro.runtime.stats import RunStats
 

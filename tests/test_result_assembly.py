@@ -1,11 +1,15 @@
 """Unit tests for result sinks, aggregation merging, and final assembly."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.result import (
     MachineSink,
     ResultSet,
     _AggAccumulator,
+    _ProjState,
     assemble_results,
 )
 from repro.errors import ExecutionError
@@ -207,3 +211,130 @@ class TestGroupedAssembly:
             sink.add([key, 1])
         rs = assemble_results(plan, [sink])
         assert rs.column("key") == ["a", "m", "z"]
+
+
+def _shaped_plan(projections, group_by=(), distinct=False):
+    class Plan:
+        pass
+
+    plan = Plan()
+    plan.projections = tuple(projections)
+    plan.has_aggregates = any(p.aggregate for p in projections)
+    plan.group_by = tuple(group_by)
+    plan.order_by = ()
+    plan.limit = None
+    plan.distinct = distinct
+    return plan
+
+
+def _slot(i):
+    return lambda s: s.ctx[i]
+
+
+def _agg(func, distinct=False):
+    return ProjectionSpec(name=func, compiled=_slot(1), aggregate=func, distinct=distinct)
+
+
+#: Every projection shape a plan can hand the sink: ``ctx`` is ``[key, value]``.
+SINK_SHAPES = {
+    "rows": _shaped_plan([ProjectionSpec("k", _slot(0)), ProjectionSpec("v", _slot(1))]),
+    "distinct_rows": _shaped_plan([ProjectionSpec("k", _slot(0))], distinct=True),
+    "count_star": _shaped_plan([ProjectionSpec("n", None, aggregate="count")]),
+    "two_count_stars": _shaped_plan(
+        [ProjectionSpec("n", None, aggregate="count"), ProjectionSpec("m", None, aggregate="count")]
+    ),
+    "count_x": _shaped_plan([_agg("count")]),
+    "count_distinct_x": _shaped_plan([_agg("count", distinct=True)]),
+    "sum": _shaped_plan([_agg("sum")]),
+    "sum_distinct": _shaped_plan([_agg("sum", distinct=True)]),
+    "avg": _shaped_plan([_agg("avg")]),
+    "min": _shaped_plan([_agg("min")]),
+    "max": _shaped_plan([_agg("max")]),
+    "group_count": _shaped_plan(
+        [ProjectionSpec("k", _slot(0)), ProjectionSpec("n", None, aggregate="count")],
+        group_by=[_slot(0)],
+    ),
+    "group_mixed": _shaped_plan(
+        [ProjectionSpec("k", _slot(0)), ProjectionSpec("n", None, aggregate="count"),
+         _agg("sum"), _agg("max"), _agg("count", distinct=True)],
+        group_by=[_slot(0)],
+    ),
+}
+
+
+class _GenericSink:
+    """The shape-blind sink the per-plan adders must agree with: every row
+    evaluates every projection through one loop."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.rows = []
+        self.groups = {}
+        if plan.has_aggregates and not plan.group_by:
+            self._group(())  # SQL's one row, even over an empty match
+
+    def add(self, ctx):
+        plan = self.plan
+        state = _ProjState()
+        state.ctx = ctx
+        if not plan.has_aggregates:
+            self.rows.append(tuple(p.compiled(state) for p in plan.projections))
+            return
+        plain, accumulators = self._group(tuple(fn(state) for fn in plan.group_by))
+        for i, proj in enumerate(plan.projections):
+            if proj.aggregate is None:
+                plain[i] = proj.compiled(state)
+            else:
+                value = proj.compiled(state) if proj.compiled is not None else None
+                accumulators[i].update(value, is_star=proj.compiled is None)
+
+    def _group(self, key):
+        if key not in self.groups:
+            self.groups[key] = (
+                [None] * len(self.plan.projections),
+                [_AggAccumulator(p.aggregate, p.distinct) if p.aggregate else None
+                 for p in self.plan.projections],
+            )
+        return self.groups[key]
+
+
+def _groups_view(groups):
+    return {
+        key: (list(plain), [
+            None if acc is None else (acc.count, acc.total, acc.min, acc.max, acc.values)
+            for acc in accs
+        ])
+        for key, (plain, accs) in groups.items()
+    }
+
+
+_contexts = st.lists(
+    st.tuples(st.sampled_from("abc"), st.one_of(st.none(), st.integers(-5, 5))).map(list),
+    max_size=12,
+)
+
+
+class TestPerPlanAdders:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(SINK_SHAPES)), _contexts, _contexts, _contexts)
+    def test_adders_equal_the_generic_path(self, shape, before, dropped, after):
+        """Rows go in, a checkpoint is cut, more rows go in and are rolled
+        back by a restore, then the rest: the resolved adder and the
+        generic path end up with the same rows, groups and result."""
+        plan = SINK_SHAPES[shape]
+        sink, generic = MachineSink(plan), _GenericSink(plan)
+        for ctx in before:
+            sink.add(ctx)
+            generic.add(ctx)
+        checkpoint = sink.checkpoint_state()
+        saved = (list(generic.rows), copy.deepcopy(generic.groups))
+        for ctx in dropped:
+            sink.add(ctx)
+        sink.restore_state(checkpoint)
+        generic.rows, generic.groups = saved
+        for ctx in after:
+            sink.add(ctx)
+            generic.add(ctx)
+        assert sink.rows == generic.rows
+        assert _groups_view(sink.groups) == _groups_view(generic.groups)
+        assert assemble_results(plan, [sink]).rows == assemble_results(plan, [generic]).rows

@@ -104,6 +104,9 @@ class TestController:
         assert ctx[1] is not None  # rpid allocated
         assert ctx[2] is None  # accumulator reset
         assert actions == (ACTION_PATH,)  # depth 0 < min 1: path only
+        # Entries are counted per depth and handed over when the slice ends.
+        assert stats.control_matches == {} and tracker.max_depths == {}
+        controller.flush()
         assert stats.control_matches[0][0] == 1
         assert tracker.max_depths[0] == 0
         # Undo restores the pre-entry view.

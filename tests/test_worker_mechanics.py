@@ -1,15 +1,24 @@
 """Tests for worker/machine mechanics: frames, undo on backtracking, the
-locality guard, bootstrap sharing, nested blocked jobs, batch accounting."""
+locality guard, bootstrap sharing, nested blocked jobs, batch accounting,
+and the fused RPQ chain."""
+
+import math
 
 import pytest
 
+import repro
 from repro import EngineConfig, GraphBuilder, Session
+from repro.datagen import BENCHMARK_QUERIES, mini_ldbc
 from repro.engine.result import assemble_results
 from repro.errors import GraphError
 from repro.graph.generators import chain_graph, random_graph, star_graph
 from repro.graph.types import Direction
+from repro.runtime import machine as machine_module
+from repro.runtime import worker as worker_module
+from repro.runtime.steptable import step_table
 from repro.runtime.worker import Frame, Job, MAX_NESTED_JOBS, Worker
 
+from . import dft_golden_cases as golden
 from .onetask import make_execution, run
 
 
@@ -265,3 +274,168 @@ class TestIdleSlice:
         assert machine.run_slice(99, 100.0) > 0.0
         assert machine.stats.outputs == outputs + 1
         assert not machine.inbox
+
+
+def _rpq_queries(info):
+    """Every RPQ template the benchmark runs: the nine paper queries, the two
+    cyclic ``KNOWS`` closures and the two RPQ point-query templates."""
+    lo, person = info.start_person, info.start_person
+    queries = {name: build(info) for name, build in BENCHMARK_QUERIES.items()}
+    for name, hops, sources in (("K15x16", 5, 16), ("K16x8", 6, 8)):
+        queries[name] = (
+            f"SELECT COUNT(*) FROM MATCH (a:Person)-/:KNOWS{{1,{hops}}}/->(b:Person) "
+            f"WHERE id(a) >= {lo} AND id(a) < {lo + sources}"
+        )
+    queries["Pknows"] = (
+        "SELECT COUNT(*) FROM MATCH (a:Person)-/:KNOWS{1,2}/->(b:Person) "
+        f"WHERE id(a) = {person}"
+    )
+    queries["Preplies"] = (
+        "SELECT COUNT(*) FROM MATCH (a:Person)<-[:HAS_CREATOR]-(p:Post)"
+        f"<-/:REPLY_OF{{1,2}}/-(c:Comment) WHERE id(a) = {person}"
+    )
+    return queries
+
+
+@pytest.fixture(scope="module")
+def ldbc_xs():
+    return mini_ldbc("xs", 7)
+
+
+def _chains(session, text):
+    """``{control stage: [marked transition stages]}`` of the query's plan."""
+    plan = session.compile(text)
+    table = step_table(plan)
+    marked = {stage.index: [] for stage in plan.stages if stage.rpq is not None}
+    for index, step in enumerate(table):
+        if step.chain is not None:
+            marked[step.chain[0]].append(index)
+    return plan, marked
+
+
+class TestFusedChainMarking:
+    """The step table marks the fused chain once per plan; a planner change
+    that drops the fast path fails here, not only in a benchmark."""
+
+    def test_every_benchmark_rpq_fuses_both_transitions(self, ldbc_xs):
+        graph, info = ldbc_xs
+        with repro.connect(graph) as session:
+            for name, text in _rpq_queries(info).items():
+                plan, marked = _chains(session, text)
+                assert marked, name
+                for control, transitions in marked.items():
+                    # The init transition (a new source path) and the path's
+                    # advance transition back into the control stage.
+                    inits = [plan.stages[t].hop.control_entry for t in transitions]
+                    assert sorted(inits) == ["advance", "init"], name
+
+    def test_emitting_exits_run_inside_the_chain(self, ldbc_xs):
+        graph, info = ldbc_xs
+        queries = _rpq_queries(info)
+        with repro.connect(graph) as session:
+            for name, text in queries.items():
+                plan, _marked = _chains(session, text)
+                exits = {step.chain[2] is not None for step in step_table(plan) if step.chain}
+                # Q09* inspects and Q10* hops on from the exit stage: their
+                # chains stop once the exit action is dispatched.
+                assert exits == {name not in ("Q09*", "Q10*")}, name
+
+    @pytest.mark.parametrize("name", ["cross_acc", "cross_inline", "edge_filter_macro"])
+    def test_filtered_paths_keep_the_per_stage_chain(self, name):
+        with repro.connect(golden.small_graph()) as session:
+            _plan, marked = _chains(session, golden.SMALL_QUERIES[name])
+        assert marked and not any(marked.values())
+
+    def test_two_segments_fuse_each_and_hand_the_first_exit_on(self):
+        """``two_rpqs``: both paths are one plain hop, so both segments fuse;
+        the first segment's exit stage is the second's init transition, so
+        its chain stops at the exit and the next step matches it."""
+        with repro.connect(golden.small_graph()) as session:
+            plan, marked = _chains(session, golden.SMALL_QUERIES["two_rpqs"])
+        assert [len(t) for t in marked.values()] == [2, 2]
+        first, second = sorted(marked)
+        table = step_table(plan)
+        assert {table[t].chain[2] for t in marked[first]} == {None}
+        assert None not in {table[t].chain[2] for t in marked[second]}
+
+    def test_a_zero_charge_disables_fusing_on_the_machine(self):
+        config = EngineConfig(num_machines=1, cost=repro.config.CostModel(output=0.0))
+        _cluster, task, _sinks, _plan = make_execution(
+            chain_graph(4), "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", config
+        )
+        assert task.slices[0].step_costs[-1] == math.inf
+        _cluster, task, _sinks, _plan = make_execution(
+            chain_graph(4), "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)",
+            EngineConfig(num_machines=1),
+        )
+        assert 0 < task.slices[0].step_costs[-1] < 20
+
+
+def _frame_view(frame):
+    aux = frame.aux
+    if isinstance(aux, list):
+        aux = [(id(csr), lo, hi) for csr, lo, hi in aux]
+    return (frame.stage_idx, frame.vertex, frame.pos, frame.end,
+            None if frame.csr is None else id(frame.csr), aux, frame.undo)
+
+
+def _stacks_per_round(graph, query, config):
+    """Every worker's cloned job stacks after every round, the rows, the
+    run's statistics and how many frames were built."""
+    built = []
+
+    class CountedFrame(Frame):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    cluster, task, sinks, plan = make_execution(graph, query, config)
+    views = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(worker_module, "Frame", CountedFrame)
+        while cluster.active:
+            cluster.step()
+            views.append([
+                [
+                    (job.kind, job.next_context, job.ctx,
+                     [_frame_view(f) for f in job.stack])
+                    for job in worker.checkpoint_state()[0]
+                ]
+                for machine in task.slices
+                for worker in machine.workers
+            ])
+    assert task.error is None
+    rows = assemble_results(plan, sinks).rows
+    return views, rows, task.stats, len(built)
+
+
+class TestFusedChainEquivalence:
+    """At every round boundary the fused run's stacks are the per-stage
+    run's: a committed chain leaves exactly the frames its steps would."""
+
+    @pytest.mark.parametrize("quantum", [13, 48, 2000])
+    @pytest.mark.parametrize("name", ["Q09R", "K15x16"])
+    def test_stacks_equal_the_per_stage_run(self, ldbc_xs, monkeypatch, name, quantum):
+        graph, info = ldbc_xs
+        query = _rpq_queries(info)[name]
+        config = EngineConfig(num_machines=4, quantum=quantum)
+        fused = _stacks_per_round(graph, query, config)
+        monkeypatch.setattr(
+            machine_module, "step_costs",
+            lambda cost: worker_module.step_costs(cost)[:-1] + (math.inf,),
+        )
+        reference = _stacks_per_round(graph, query, config)
+        assert fused[0] == reference[0]  # stacks, round by round
+        assert fused[1] == reference[1]  # rows
+        summary = [dict(run[2].summary(), wall_seconds=0) for run in (fused, reference)]
+        assert summary[0] == summary[1]
+        assert fused[2].depth_table() == reference[2].depth_table()
+        assert fused[2].cost_units_total() == reference[2].cost_units_total()
+        if quantum > 13:
+            # 12 and 500 units per worker hold a whole chain: it fused, and
+            # an emitting exit stage's frame was never built.
+            assert fused[3] < reference[3]
+        else:
+            assert fused[3] == reference[3]  # 3.25 units never fit a chain
