@@ -17,9 +17,7 @@ described by ``<subcommand> --help``.
 * ``trace`` — validate and pretty-print a trace file from ``query
   --trace-out``;
 * ``analyze`` — the protocol lint rules (RPQ001..RPQ006) plus ruff/mypy
-  when installed, ``--static`` for the parallel-readiness pass
-  (RPQ101..RPQ105) against ``analysis-baseline.json``, ``--races N`` for
-  the schedule race detector;
+  when installed, ``--races N`` for the schedule race detector;
 * ``chaos`` — benchmark queries under seeded fault plans, every run
   checked against its fault-free solo baseline; ``--concurrency N`` runs
   each plan against the whole batch on one shared cluster.
@@ -274,81 +272,33 @@ def cmd_explain(args):
     return 0
 
 
-def _violation_rows(violations):
-    return [
-        {"rule": v.rule_id, "path": v.path, "line": v.line, "message": v.message}
-        for v in violations
-    ]
-
-
-def _cmd_analyze_static(args):
-    """``repro analyze --static``: the parallel-readiness (RPQ100) gate.
-
-    Exit codes are stable for CI: 0 clean (suppressed/baselined findings
-    allowed), 1 when unbaselined violations exist, 2 on usage/IO errors.
-    """
-    from .analysis import run_static_analysis
-
-    try:
-        report = run_static_analysis(
-            package_root=args.path,
-            baseline_path=args.baseline,
-            update_baseline=args.update_baseline,
-        )
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
-        return 2
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
-        return 0 if report.ok else 1
-    for violation in report.new:
-        print(violation.format())
-    summary = (
-        f"-- parallel-readiness: {len(report.new)} violation(s), "
-        f"{len(report.suppressed)} suppressed, "
-        f"{len(report.baselined)} baselined"
-    )
-    print(summary)
-    for entry in report.stale_baseline:
-        print(
-            f"-- stale baseline entry (prune it): {entry['rule']} "
-            f"{entry['path']}: {entry['message']}"
-        )
-    if report.ok:
-        print("-- parallel-readiness: ok (RPQ101..RPQ105 + RPQ100 waivers)")
-    return 0 if report.ok else 1
-
-
 def cmd_analyze(args):
-    from .analysis import ALL_RULES, PARALLEL_RULES
+    from .analysis import ALL_RULES, lint_package
     from .analysis.external import run_external_linters
-    from .analysis.parallel import lint_package_with_suppressions
 
     if args.list_rules:
-        for rule_cls in ALL_RULES + PARALLEL_RULES:
+        for rule_cls in ALL_RULES:
             print(f"{rule_cls.rule_id}  {rule_cls.title}")
             print(f"        {rule_cls.rationale}")
         return 0
 
-    if args.static:
-        return _cmd_analyze_static(args)
-
     rc = 0
     try:
-        violations, suppressed = lint_package_with_suppressions(args.path)
+        violations = lint_package(args.path)
     except FileNotFoundError as exc:
         print(f"error: {exc}")
         return 2
     if args.json:
-        # Machine-readable contract shared with --static --json: a
-        # violation list plus exit 1 iff unsuppressed violations exist.
         print(
             json.dumps(
                 {
                     "ok": not violations,
                     "rules": [r.rule_id for r in ALL_RULES],
-                    "violations": _violation_rows(violations),
-                    "suppressed": _violation_rows(suppressed),
+                    "violations": [
+                        {"rule": v.rule_id, "path": v.path, "line": v.line,
+                         "message": v.message}
+                        for v in violations
+                    ],
                 },
                 indent=2,
             )
@@ -357,15 +307,11 @@ def cmd_analyze(args):
     for violation in violations:
         print(violation.format())
     if violations:
-        print(
-            f"-- protocol lint: {len(violations)} violation(s), "
-            f"{len(suppressed)} suppressed"
-        )
+        print(f"-- protocol lint: {len(violations)} violation(s)")
         rc = 1
     else:
         print("-- protocol lint: ok "
-              f"({len(ALL_RULES)} rules: RPQ001..RPQ00{len(ALL_RULES)}, "
-              f"{len(suppressed)} suppressed)")
+              f"({len(ALL_RULES)} rules: RPQ001..RPQ00{len(ALL_RULES)})")
 
     if not args.no_external:
         rc = max(rc, run_external_linters())
@@ -880,8 +826,7 @@ def build_parser():
 
     p = sub.add_parser(
         "analyze",
-        help="protocol lint rules + ruff/mypy + optional race detector; "
-        "--static runs the parallel-readiness (RPQ100-series) gate",
+        help="protocol lint rules + ruff/mypy + optional race detector",
     )
     p.add_argument(
         "path",
@@ -893,29 +838,10 @@ def build_parser():
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
     p.add_argument(
-        "--static",
-        action="store_true",
-        help="run the parallel-readiness pass (RPQ101..RPQ105) against the "
-        "committed baseline; exit 1 iff unbaselined violations exist",
-    )
-    p.add_argument(
         "--json",
         action="store_true",
         help="emit a machine-readable violation list (exit 1 iff "
-        "unsuppressed violations exist)",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline file for --static (default: analysis-baseline.json "
-        "at the repo root)",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="with --static: rewrite the baseline from current findings "
-        "(keeps documented reasons for unchanged entries)",
+        "violations exist)",
     )
     p.add_argument(
         "--no-external",

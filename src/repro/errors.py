@@ -38,9 +38,9 @@ class ExecutionError(ReproError):
 class FlowControlDeadlock(ExecutionError):
     """Raised when the simulated cluster makes no progress for too long.
 
-    This indicates a flow-control configuration with too few buffers (and no
-    overflow allowance) or a protocol bug; the paper's overflow buffers exist
-    precisely to avoid this situation (Section 3.3).
+    A worker whose send is refused absorbs received batches instead, and
+    absorbing returns the sender's credit, so a stall with credits in flight
+    is a protocol bug, not a budget too small (Section 3.3).
     """
 
 

@@ -28,10 +28,9 @@ SharedGraphStore.export`):
    ``FileNotFoundError``.
 
 The CSR *swap-in* (:func:`install_shared_csrs` rebinding
-``graph.out_csr`` / ``graph.in_csr``) lives here in the graph layer by
-design: the RPQ105 aliasing rule bans runtime-layer code from mutating
-graph state, and builders/installers in ``repro/graph`` are the one
-sanctioned place adjacency may be (re)bound.
+``graph.out_csr`` / ``graph.in_csr``) lives here in the graph layer:
+runtime code never mutates graph state, and builders/installers in
+``repro/graph`` are the one place adjacency may be (re)bound.
 """
 
 from multiprocessing import shared_memory
@@ -155,10 +154,10 @@ def attach_csrs(spec):
 def install_shared_csrs(graph, spec):
     """Attach a store spec and swap the CSRs onto ``graph`` (worker side).
 
-    Rebinding adjacency is sanctioned only here in the graph layer
-    (RPQ105); a pool worker calls this once, right after its generation
-    is forked and before it serves its first run, so no machine ever
-    touches the partition earlier.
+    Rebinding adjacency happens only here in the graph layer; a pool
+    worker calls this once, right after its generation is forked and
+    before it serves its first run, so no machine ever touches the
+    partition earlier.
     """
     out_csr, in_csr = attach_csrs(spec)
     graph.out_csr = out_csr

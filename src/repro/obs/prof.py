@@ -12,11 +12,10 @@ Design constraints, mirroring the recorder/sanitizer conventions:
 * **Near-zero cost when off.**  Hot paths hold a ``prof`` reference that is
   ``None`` unless ``EngineConfig(profile=True)``; every instrumentation
   point is a single ``if prof is not None`` branch with no allocation.
-* **Certified-layer clean.**  The RPQ103 static rule bans wall-clock reads
-  inside the parallel-certified layers (``repro/runtime``, ``repro/rpq``,
-  ``repro/recovery``, ...).  All ``perf_counter_ns`` calls live *here*, in
-  the uncertified observability layer; certified code only calls
-  :meth:`PhaseProfiler.enter` / :meth:`PhaseProfiler.exit`.
+* **Clock reads in one place.**  All ``perf_counter_ns`` calls live
+  *here*, in the observability layer; runtime code only calls
+  :meth:`PhaseProfiler.enter` / :meth:`PhaseProfiler.exit`, so no wall
+  clock can reach protocol state through the profiler.
 * **Virtual time untouched.**  The profiler reads the wall clock and
   nothing else; enabling it cannot perturb rounds, schedules, or results.
 

@@ -59,9 +59,9 @@ stop the run.
 
 Arrival interleaving varies run to run, so the backend relies on the
 engine's schedule-invariant result assembly (the property the race
-detector and the RPQ102 static rule certify) — the cross-backend oracle
-in ``tests/test_backend.py`` holds result sets bit-identical to the
-simulator's.
+detector holds) — the cross-backend oracle in ``tests/test_backend.py``
+and the hash-seed differential in ``tests/test_hash_seed.py`` hold result
+sets bit-identical to the simulator's.
 
 The feature matrix (what each backend supports) is documented in
 ``docs/backends.md`` and enforced by :class:`~repro.config.EngineConfig`
@@ -451,7 +451,6 @@ class _Generation:
         payloads = {}
         stopped = False
         while len(payloads) < len(self.procs):
-            # repro: allow[RPQ103] wall-clock watchdog only; never feeds protocol state
             ready = wait(list(by_handle), deadline - time.perf_counter())
             if not ready:
                 raise ExecutionError(
@@ -610,7 +609,6 @@ class ProcessBackend(ExecutionBackend):
                 "(workers inherit the graph and plan); this platform "
                 "offers none — run backend='sim'"
             )
-        # repro: allow[RPQ103] wall-clock reporting only; never feeds protocol state
         started = time.perf_counter()
         num_workers = config.workers or config.num_machines
         num_workers = min(num_workers, config.num_machines)
@@ -642,7 +640,6 @@ class ProcessBackend(ExecutionBackend):
         if prof is not None:
             prof.exit()
             profile = _merged_profile([profile, prof.summary()])
-        # repro: allow[RPQ103] wall-clock reporting only; never feeds protocol state
         wall = time.perf_counter() - started
         stats = RunStats(
             machine_stats, iterations, wall, config, profile=profile,

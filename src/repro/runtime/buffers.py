@@ -60,7 +60,6 @@ class FlowControl:
         for dst in range(config.num_machines):
             if dst == machine_id:
                 continue
-            # repro: allow[RPQ102] remote_target_stages() returns sorted(...) — a list, not a set
             for stage_idx in targets:
                 stage = plan.stages[stage_idx]
                 if stage.kind is StageKind.PATH:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 # parallel backend does not ship seq values between processes: a frame
 # rebuilt from its wire record (``from_wire`` below) draws a fresh one
 # from the receiving process's counter.
-# repro: allow[RPQ101] per-process counter is a priority tiebreaker only; transport tseq orders the wire
 _seq = itertools.count()
 
 #: Modelled wire overhead per message, bytes.

@@ -164,7 +164,6 @@ class QueryTask:
             for m in range(config.num_machines)
         ]
         self.admitted_round = None  # global round of admission
-        # repro: allow[RPQ103] wall-clock reporting only (RunStats.wall_seconds); never feeds protocol state
         self.started = time.perf_counter()
         self.concluded = [False] * config.num_machines
         # Cost units each logical machine consumed in the current round.
@@ -228,12 +227,18 @@ class QueryTask:
                 "(protocol bug)"
             )
         blocked = sum(s.stats.flow_control_blocks for s in self.slices)
-        in_flight = [s.flow.in_flight for s in self.slices]
+        machines = "; ".join(
+            f"machine {s.id}: inbox {len(s.inbox)}, absorbed {s._absorbed}, "
+            f"in-flight credits {s.flow.in_flight}"
+            for s in self.slices
+        )
+        # A blocked worker always absorbs what it received, so a credit that
+        # never comes back was lost by the protocol, not by a small budget.
         raise FlowControlDeadlock(
             f"query {self.query_id} made no progress for "
             f"{self.config.stall_limit} rounds at round {round_no}: "
-            f"{blocked} flow-control blocks, in-flight credits {in_flight}. "
-            "Increase buffers_per_machine / rpq_overflow_per_depth."
+            f"{blocked} flow-control blocks ({machines}); credits in flight "
+            "that never return are a flow-control bug"
         )
 
     def settle_and_audit(self, round_no):
@@ -536,7 +541,6 @@ class ClusterScheduler:
         task.stats = RunStats(
             [s.stats for s in task.slices],
             local,
-            # repro: allow[RPQ103] wall-clock reporting only; never feeds protocol state
             time.perf_counter() - task.started,
             task.config,
             quiescent_round=task.quiescent_round,

@@ -8,7 +8,12 @@ transitions, inspections); local hops recurse by pushing frames, remote hops
 serialize the context into an outgoing batch.  When a hop's send is blocked
 by flow control, the worker starts processing received batches instead
 (paper: messages are picked up "(iii) when flow control prevents message
-sending"), nesting a new job on top of the blocked one.
+sending"), nesting a new job on top of the blocked one.  There is no cap
+on that nesting: absorbing a batch returns its sender's credit, so as long
+as absorption is never refused every credit a blocked send waits on can
+come back.  Only a worker with an empty inbox waits out the round with
+its send still blocked (``blocked_rounds``); the absorbed-batch high-water
+mark is ``peak_absorbed_batches``.
 
 The traversal is one loop (:meth:`Worker._run_budget`) driven by the plan's
 step table (:mod:`repro.runtime.steptable`).  A *step* charges one cost to
@@ -34,8 +39,6 @@ from .steptable import (
 
 #: Cost charged for bookkeeping steps (frame pops, action dispatch).
 STEP_COST = 0.1
-#: Maximum nesting of jobs while blocked on flow control.
-MAX_NESTED_JOBS = 12
 
 
 class EvalState:
@@ -153,7 +156,6 @@ class Worker:
         self.state = EvalState(machine.partition)
         self.jobs = []
         self.rpid_alloc = RpidAllocator(machine.id, worker_id)
-        self.blocked = False
         self._track = worker_id + 1  # obs thread id (0 is the control track)
 
     # ------------------------------------------------------------------
@@ -173,26 +175,17 @@ class Worker:
     # Crash recovery (:mod:`repro.recovery`)
     # ------------------------------------------------------------------
     def checkpoint_state(self):
-        return (
-            [job.clone() for job in self.jobs],
-            self.blocked,
-            self.rpid_alloc.checkpoint_state(),
-        )
+        return [job.clone() for job in self.jobs], self.rpid_alloc.checkpoint_state()
 
     def restore_state(self, state):
-        jobs, blocked, rpid_state = state
+        jobs, rpid_state = state
         self.jobs = [job.clone() for job in jobs]
-        self.blocked = blocked
         self.rpid_alloc.restore_state(rpid_state)
         self.state.partition = self.machine.partition  # re-hosted, maybe
 
     @property
     def idle(self):
-        return (
-            not self.jobs
-            and not self.machine.bootstrap_pending()
-            and not self.blocked
-        )
+        return not self.jobs and not self.machine.bootstrap_pending()
 
     def _start_batch_job(self):
         batch = self.machine.pop_batch()
@@ -217,7 +210,6 @@ class Worker:
         consumed = 0.0
         if not consumed < budget:
             return consumed
-        self.blocked = False
         machine = self.machine
         machine_id = machine.id
         obs = machine.obs
@@ -446,18 +438,18 @@ class Worker:
                             if try_emit(owner, st.target, depth, dest, ctx):
                                 frame.pos = pos + 1
                                 cost = cost + c_serialize
-                            elif len(jobs) < MAX_NESTED_JOBS and inbox:
+                            elif inbox:
                                 # Flow control stopped the send: pick up
                                 # received work instead of spinning (paper
                                 # Section 3.2, case iii); the hop is retried
-                                # when the nested job is done.
+                                # when the nested job is done (never refused:
+                                # see the module docstring).
                                 job = self._start_batch_job()
                                 stack = job.stack
                                 ctx = state.ctx = None
                                 cost = cost + c_receive
                             else:
                                 stats.blocked_rounds += 1
-                                self.blocked = True
                                 break
                 elif op == CONTROL_ACTIONS:
                     frame.pos = pos + 1

@@ -9,6 +9,13 @@ boundary and every per-step cost charge is where the old interpreter put
 it.  The ``straddle`` and ``free_output`` variants were recorded at the
 commit before the fused RPQ chain (several steps in one loop iteration)
 existed, so they hold that chain to the one-step-per-iteration loop.
+Four ``ldbc_s/tight`` entries (``K14x8``, ``Q09``, ``Q09*``, ``Q10*``) were
+re-recorded when the 12-deep cap on nested jobs was deleted: a worker whose
+send is blocked now always absorbs a received batch, so where the cap used
+to stop it the nesting order changes which duplicate of a ``(source path,
+destination)`` pair arrives first.  Their rows and stage matches are the
+same; rounds, costs, message counts and the eliminated / duplicated columns
+moved.  Every other entry is unchanged.
 Regenerate only for a deliberate cost-model or traversal-order change.
 """
 
@@ -31,7 +38,8 @@ VARIANTS = {
     "base": {},
     "workers3": {"workers_per_machine": 3},
     # Two contexts per batch and a handful of buffers: sends block, blocked
-    # workers nest received batches on top of the blocked job.
+    # workers nest received batches on top of the blocked job (and a worker
+    # with an empty inbox waits out the round: blocked_rounds > 0).
     "tight": {"batch_size": 2, "buffers_per_machine": 12, "workers_per_machine": 2},
     "noindex": {"use_reachability_index": False},
     "prealloc": {"index_preallocate": True},

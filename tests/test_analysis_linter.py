@@ -6,6 +6,7 @@ the real package — ``python -m repro analyze`` must exit 0 on a clean
 tree, so any rule regression shows up here first.
 """
 
+import json
 import pathlib
 
 import pytest
@@ -366,3 +367,21 @@ class TestFrameworkAndRepo:
 
         assert main(["analyze", "--no-external", str(pkg)]) == 1
         assert "RPQ005" in capsys.readouterr().out
+
+    def test_cli_analyze_json_contract(self, capsys):
+        from repro.cli import main
+
+        rc = main(["analyze", "--no-external", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert set(report) == {"ok", "rules", "violations"}
+        assert report["ok"] is True
+        assert report["rules"][0] == "RPQ001"
+
+    @pytest.mark.parametrize("flag", ["--static", "--update-baseline"])
+    def test_cli_analyze_has_no_static_pass(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", flag])
+        assert exc.value.code == 2

@@ -16,7 +16,7 @@ from repro.graph.types import Direction
 from repro.runtime import machine as machine_module
 from repro.runtime import worker as worker_module
 from repro.runtime.steptable import step_table
-from repro.runtime.worker import Frame, Job, MAX_NESTED_JOBS, Worker
+from repro.runtime.worker import Frame, Job, Worker
 
 from . import dft_golden_cases as golden
 from .onetask import make_execution, run
@@ -213,9 +213,6 @@ class TestBatchAccounting:
 
 
 class TestNestedJobs:
-    def test_nesting_cap_constant_is_sane(self):
-        assert 2 <= MAX_NESTED_JOBS <= 64
-
     def test_worker_idle_semantics(self):
         g = chain_graph(4)
         config = EngineConfig(num_machines=1)
@@ -249,7 +246,7 @@ class TestIdleSlice:
         assert machine.run_slice(99, 100.0) == 0.0
         assert calls == []  # not even a call per worker
         assert vars(machine.stats) == before
-        assert all(not w.blocked and w.idle for w in machine.workers)
+        assert all(w.idle for w in machine.workers)
 
     def test_idle_slice_draws_the_same_rng_stream(self):
         import random
