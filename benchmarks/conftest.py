@@ -17,7 +17,8 @@ _REPORTS = []
 _RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Scale used by the heavier comparison/scalability benches; override with
-#: REPRO_BENCH_SCALE=s for a quicker pass.
+#: REPRO_BENCH_SCALE=s for a quicker pass (a shape threshold calibrated at
+#: ``m`` then skips, naming what it measured).
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "m")
 
 
@@ -25,6 +26,12 @@ SCALE = os.environ.get("REPRO_BENCH_SCALE", "m")
 def ldbc():
     """The benchmark graph at the configured scale: ``(graph, info)``."""
     return mini_ldbc(SCALE)
+
+
+@pytest.fixture(scope="session")
+def bench_scale():
+    """The scale ``ldbc`` was generated at."""
+    return SCALE
 
 
 @pytest.fixture(scope="session")

@@ -30,10 +30,13 @@ class DistributedGraph:
                 f"cannot partition for {num_machines}"
             )
         self.partitioner = partitioner
+        # The owner of every vertex, read per hop by the DFT loop; static under
+        # failover, and built before the process backend forks its workers.
+        self.owners = [partitioner.owner(v) for v in range(graph.num_vertices)]
         self.partitions = [GraphPartition(self, m) for m in range(num_machines)]
 
     def owner(self, vid):
-        return self.partitioner.owner(vid)
+        return self.owners[vid]
 
     def partition(self, machine):
         return self.partitions[machine]
@@ -89,18 +92,18 @@ class GraphPartition:
             )
 
     def raw_reads(self):
-        """Unchecked reads for the DFT loop: ``(owner(v), label bitmask per
-        vertex, (out CSR, in CSR), vertex property read, edge property
-        read, the graph)``.
+        """Unchecked reads for the DFT loop: ``(owner machine per vertex, label
+        bitmask per vertex, (out CSR, in CSR), vertex property read, edge
+        property read, the graph)``.
 
         None asserts locality: the loop only reads a vertex it knows to be
-        local (a hop compares ``owner(v)`` with its machine, a batch is
+        local (a hop compares ``owners[v]`` with its machine, a batch is
         addressed to the vertex's owner) and, under ``sanitize=True``,
         re-checks every vertex entering it with :meth:`check_local`.
         """
         graph = self.graph
         return (
-            self._dgraph.partitioner.owner, graph.label_masks,
+            self._dgraph.owners, graph.label_masks,
             (graph.out_csr, graph.in_csr),
             graph.vprops.get, graph.eprops.get, graph,
         )

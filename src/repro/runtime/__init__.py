@@ -8,7 +8,7 @@ from .multi import ClusterScheduler, QueryTask
 from .network import SimulatedNetwork
 from .stats import MachineStats, RunStats
 from .termination import TerminationEvaluator, TerminationProtocol, TerminationTracker
-from .worker import EvalState, Frame, Job, Worker
+from .worker import EvalState, Job, Worker
 
 __all__ = [
     "Batch",
@@ -16,7 +16,6 @@ __all__ = [
     "DoneMessage",
     "EvalState",
     "FlowControl",
-    "Frame",
     "Job",
     "Machine",
     "MachineStats",

@@ -161,3 +161,10 @@ class FlowControl:
         for key, is_overflow in self._key_candidates(dst, stage_idx, depth, is_path_stage):
             total += self._overflow_capacity if is_overflow else self._capacity.get(key, 0)
         return total
+
+    def in_flight_of(self, dst, stage_idx, depth, is_path_stage):
+        """Credits in flight from the bucket(s) covering this destination."""
+        return sum(
+            self._in_flight.get(key, 0)
+            for key, _overflow in self._key_candidates(dst, stage_idx, depth, is_path_stage)
+        )

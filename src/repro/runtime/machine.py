@@ -14,7 +14,7 @@ from ..rpq.reachability import ReachabilityIndex
 from .buffers import FlowControl
 from .message import Batch, DoneMessage, StatusMessage
 from .stats import MachineStats
-from .steptable import step_table
+from .steptable import NBR_MANY, step_table
 from .termination import TerminationProtocol, TerminationTracker
 from .worker import Worker, step_costs
 
@@ -63,6 +63,9 @@ class Machine:
         self.inbox = []
         self._absorbed = 0  # batches absorbed into workers, not yet completed
         self._open = {}  # (dst, stage, depth) -> partially filled Batch
+        # Read per shipped context.
+        self.batch_size = config.batch_size
+        self.prealloc_depth = config.context_prealloc_depth
         self._blocked_flush_reported = set()
         self._blocked_since = {}  # key -> round the block started (obs only)
         self._path_stage_set = set()
@@ -193,6 +196,33 @@ class Machine:
     def bootstrap_pending(self):
         return bool(self.bootstrap_roots)
 
+    @property
+    def absorbed(self):
+        """Batches absorbed into worker contexts and not yet fully explored."""
+        return self._absorbed
+
+    def refused_send(self, worker):
+        """The send ``worker``'s top frame is stuck on — a neighbor hop to a
+        vertex whose open batch is full, the one state in which a send
+        refuses — as the ``dst``, ``stage`` and ``depth`` of that batch and
+        the ``in_flight`` credits and ``capacity`` of its bucket; or ``None``."""
+        job = worker.jobs[-1] if worker.jobs else None
+        if job is None or not job.stack:
+            return None
+        stage, _vertex, pos, end, csr = job.stack[-1][:5]
+        step = self.steps[stage]
+        if step.op > NBR_MANY or not 0 <= pos < end:
+            return None
+        dst, slot = self.reads[0][csr.nbr[pos]], step.target_depth_slot
+        depth = 0 if slot < 0 or job.ctx[slot] is None else job.ctx[slot]
+        batch = self._open.get((dst, step.target, depth))
+        if batch is None or len(batch.contexts) < self.batch_size:
+            return None
+        bucket = (dst, step.target, depth, step.target in self._path_stage_set)
+        return {"dst": dst, "stage": step.target, "depth": depth,
+                "in_flight": self.flow.in_flight_of(*bucket),
+                "capacity": self.flow.capacity_of(*bucket)}
+
     # ------------------------------------------------------------------
     # Message delivery (called by the scheduler each round)
     # ------------------------------------------------------------------
@@ -265,44 +295,47 @@ class Machine:
     # ------------------------------------------------------------------
     # Outgoing batches under flow control
     # ------------------------------------------------------------------
-    def try_emit(self, dst, stage_idx, depth, vertex, ctx):
-        """Append a context to the open batch for ``(dst, stage, depth)``.
-
-        Returns ``False`` when the open batch is full and flow control has
-        no credit to send it — the caller must not advance and should do
-        other work (the paper's blocking behaviour).
-        """
-        config = self.config
+    def emit(self, dst, stage_idx, depth, vertex, ctx):
+        """Append a context to the open batch for ``(dst, stage, depth)``,
+        opening one if there is none.  Returns ``False``, doing nothing, when
+        that batch is full — it could not be flushed when it filled, and only
+        :meth:`try_emit` retries — the one state in which a send refuses."""
         key = (dst, stage_idx, depth)
         batch = self._open.get(key)
-        if batch is not None and len(batch.contexts) >= config.batch_size:
-            if not self._flush(key):
-                if key not in self._blocked_flush_reported:
-                    self.stats.flow_control_blocks += 1
-                    self._blocked_flush_reported.add(key)
-                    if self.obs is not None:
-                        self._record_block(key)
-                return False
-            batch = None
         if batch is None:
-            batch = Batch(
-                src_machine=self.id,
-                dst_machine=dst,
-                target_stage=stage_idx,
-                depth=depth,
+            batch = self._open[key] = Batch(
+                src_machine=self.id, dst_machine=dst, target_stage=stage_idx, depth=depth,
                 query_id=self.query_id,
             )
-            self._open[key] = batch
             # Counted at creation so partially-filled buffers are visible to
             # the termination protocol.
             self.tracker.record_sent(stage_idx, depth)
-        contexts = batch.contexts
+            contexts = batch.contexts
+        else:
+            contexts = batch.contexts
+            if len(contexts) >= self.batch_size:
+                return False
         contexts.append((vertex, list(ctx)))  # Batch.add, without the calls
-        if depth > config.context_prealloc_depth and stage_idx in self._path_stage_set:
+        if depth > self.prealloc_depth and stage_idx in self._path_stage_set:
             self.stats.dynamic_context_allocs += 1
-        if len(contexts) >= config.batch_size:
+        if len(contexts) >= self.batch_size:
             self._flush(key)  # best effort; retried on next emit or idle
         return True
+
+    def try_emit(self, dst, stage_idx, depth, vertex, ctx):
+        """:meth:`emit`, flushing a full open batch first.  Returns ``False``
+        when flow control has no credit to send it — the caller must not
+        advance and should do other work (the paper's blocking behaviour)."""
+        key = (dst, stage_idx, depth)
+        batch = self._open.get(key)
+        if batch is not None and len(batch.contexts) >= self.batch_size and not self._flush(key):
+            if key not in self._blocked_flush_reported:
+                self.stats.flow_control_blocks += 1
+                self._blocked_flush_reported.add(key)
+                if self.obs is not None:
+                    self._record_block(key)
+            return False
+        return self.emit(dst, stage_idx, depth, vertex, ctx)
 
     def _flush(self, key):
         batch = self._open.get(key)

@@ -218,8 +218,12 @@ class QueryTask:
             self.obs.cluster_instant(name, args=args, round_no=local)
 
     def diagnose_stall(self, round_no):
-        """No detected failure explains the stall: name the bug."""
-        self.instant("scheduler.stall", self.local_round(round_no))
+        """No detected failure explains the stall: name the bug, with the
+        wait-for graph (per machine its inbox, absorbed batches and credits
+        in flight; per worker its jobs and the send it is stuck on) in the
+        exception text and one ``flow.deadlock`` obs instant."""
+        local = self.local_round(round_no)
+        self.instant("scheduler.stall", local)
         if self.is_quiescent():
             raise ExecutionError(
                 f"termination protocol for query {self.query_id} failed to "
@@ -227,18 +231,36 @@ class QueryTask:
                 "(protocol bug)"
             )
         blocked = sum(s.stats.flow_control_blocks for s in self.slices)
-        machines = "; ".join(
-            f"machine {s.id}: inbox {len(s.inbox)}, absorbed {s._absorbed}, "
-            f"in-flight credits {s.flow.in_flight}"
+        machines = [
+            {"machine": s.id, "inbox": len(s.inbox), "absorbed": s.absorbed,
+             "in_flight": s.flow.in_flight}
             for s in self.slices
-        )
+        ]
+        workers = [
+            {"machine": s.id, "worker": w.id, "jobs": len(w.jobs),
+             "waits_on": s.refused_send(w)}
+            for s in self.slices
+            for w in s.workers
+        ]
+        self.instant("flow.deadlock", local, blocks=blocked, machines=machines, workers=workers)
+        lines = [
+            "machine {machine}: inbox {inbox}, absorbed {absorbed}, "
+            "in-flight credits {in_flight}".format(**m)
+            for m in machines
+        ]
+        for w in workers:
+            wait = w["waits_on"]
+            lines.append(f"machine {w['machine']} worker {w['worker']}: {w['jobs']} jobs" + (
+                "" if wait is None else ", send refused to (dst {dst}, stage {stage}, "
+                "depth {depth}): {in_flight} of {capacity} credits in flight".format(**wait)
+            ))
         # A blocked worker always absorbs what it received, so a credit that
         # never comes back was lost by the protocol, not by a small budget.
         raise FlowControlDeadlock(
             f"query {self.query_id} made no progress for "
             f"{self.config.stall_limit} rounds at round {round_no}: "
-            f"{blocked} flow-control blocks ({machines}); credits in flight "
-            "that never return are a flow-control bug"
+            f"{blocked} flow-control blocks ({'; '.join(lines)}); credits in "
+            "flight that never return are a flow-control bug"
         )
 
     def settle_and_audit(self, round_no):

@@ -6,8 +6,9 @@ explain, slow to interpret once per traversed vertex.  The first execution
 of a plan resolves every stage, once, into one flat :class:`Step` the loop
 in :mod:`repro.runtime.worker` indexes by ``stage_idx``: a small-int hop
 opcode, label-group bitmasks, captures by kind, a neighbor hop's adjacency
-runs, the hop target and its depth slot, and on a transition into an RPQ
-control stage the fused chain.  The table is a pure function of the plan —
+runs, the hop target and its depth slot, whether a match is bare (vid
+captures only), and on a transition into an RPQ control stage the fused
+chain.  The table is a pure function of the plan —
 nothing of the graph, the partition or the cost model is in it — so it is
 cached on the plan and shared by every machine, worker and (concurrent)
 query that executes it.
@@ -32,7 +33,7 @@ class Step:
         "label_mask", "label_rest", "cap_vid", "cap_prop", "cap_label",
         "filter", "acc_updates", "op", "target", "target_depth_slot", "init",
         "runs", "edge_labels", "direction", "anchor_slot", "edge_filter",
-        "edge_captures", "exit_stage", "path_entry", "chain",
+        "edge_captures", "exit_stage", "path_entry", "chain", "bare",
     )
 
     def __init__(self, plan, stage):
@@ -53,6 +54,11 @@ class Step:
         self.cap_label = tuple(c.slot for c in captures if c.kind == "label")
         self.filter = stage.filter if matches else None
         self.acc_updates = stage.acc_updates if matches else ()
+        # A bare stage's match is its vid captures: no label test, filter or
+        # accumulator (a fused chain's path stages and advance transition).
+        self.bare = (
+            stage.kind is not StageKind.RPQ_CONTROL and self.label_mask is None and _bare(self)
+        )
         self.target = self.target_depth_slot = self.anchor_slot = -1
         self.exit_stage = self.path_entry = -1
         self.init = False

@@ -15,6 +15,17 @@ come back.  Only a worker with an empty inbox waits out the round with
 its send still blocked (``blocked_rounds``); the absorbed-batch high-water
 mark is ``peak_absorbed_batches``.
 
+A frame is a plain list ``[stage, vertex, pos, end, csr, aux, undo]``: a
+stage applied to a vertex.  ``pos < 0`` is a frame whose stage has not been
+matched yet (``aux`` says whether a control stage is entered by a new
+source path); the loop keeps such a frame in locals and only stores it
+when a quantum ends between the hop that produced it and its match.  A
+matched frame iterates ``pos`` up to ``end``: adjacency slots of ``csr``
+for a neighbor hop (``aux``: the runs still to come, last one next), the
+control stage's action tuple (``aux``), or the single action of any other
+hop.  ``undo`` holds the ``(slot, old value)`` pairs to write back when the
+frame is popped, or ``None`` — most stages overwrite no slot.
+
 The traversal is one loop (:meth:`Worker._run_budget`) driven by the plan's
 step table (:mod:`repro.runtime.steptable`).  A *step* charges one cost to
 the worker's budget, and the budget is checked between steps — so which
@@ -22,9 +33,15 @@ step a quantum ends on, and with it virtual time, rounds and every message
 count, follows from the step costs alone.  An iteration is one step, except
 consecutive frame pops and rejected roots (the budget re-tested per step)
 and a *fused RPQ chain*: a context entering an RPQ repetition, from the
-transition stage's match to the path entry's adjacency set-up, which runs
-only when its worst-case charge (:func:`step_costs`) fits in the budget
-(docs/architecture.md §3); with ``obs`` attached every step is its own.
+transition stage's match to the path entry's adjacency set-up, which starts
+only when its worst-case charge (:func:`step_costs`) fits in the budget.
+When the path is one adjacency run the chain carries on, re-testing the
+budget before every step: the run's remote sends, the pops of the path
+entry's, control and transition frames and, in a batch job, the next
+context's receipt and match.  Those frames live in locals and are built
+only where the chain stops — at a local neighbor, a full open batch, the
+end of the quantum — exactly as the per-stage steps would have left them
+(docs/architecture.md §3).  With ``obs`` attached every step is its own.
 """
 
 from bisect import bisect_left, bisect_right
@@ -52,48 +69,6 @@ class EvalState:
         self.partition = partition
 
 
-class Frame:
-    """One DFT stack frame: a stage applied to a vertex.
-
-    ``pos < 0`` is a frame whose stage has not been matched yet (``aux``
-    says whether a control stage is entered by a new source path); the loop
-    keeps such a frame in locals and only stores it when a quantum ends
-    between the hop that produced it and its match.  A matched frame
-    iterates ``pos`` up to ``end``: adjacency slots of ``csr`` for a
-    neighbor hop (``aux``: the runs still to come, last one next), the
-    control stage's action tuple (``aux``), or the single action of any
-    other hop.  ``undo`` holds the ``(slot, old value)`` pairs to write back
-    when the frame is popped, or ``None`` — most stages overwrite no slot.
-    A fused RPQ chain leaves exactly these frames, except that an emitting
-    exit stage's, pushed and popped within the chain, is never built.
-    """
-
-    __slots__ = ("stage_idx", "vertex", "pos", "end", "csr", "aux", "undo")
-
-    def __init__(self, stage_idx, vertex, pos=-1, end=0, csr=None, aux=None,
-                 undo=None):
-        self.stage_idx = stage_idx
-        self.vertex = vertex
-        self.pos = pos
-        self.end = end
-        self.csr = csr
-        self.aux = aux
-        self.undo = undo
-
-    def clone(self):
-        """Copy for checkpointing (:mod:`repro.recovery`).
-
-        The CSR, the action tuple and the undo pairs are immutable once the
-        frame exists and stay shared; only the list of pending runs is
-        consumed in place and therefore copied.
-        """
-        aux = self.aux
-        return Frame(
-            self.stage_idx, self.vertex, self.pos, self.end, self.csr,
-            list(aux) if isinstance(aux, list) else aux, self.undo,
-        )
-
-
 class Job:
     """A unit of work: a bootstrap root or a received batch."""
 
@@ -109,13 +84,20 @@ class Job:
     def clone(self):
         """Copy for checkpointing (:mod:`repro.recovery`).
 
+        Every frame is copied.  The CSR, the action tuple and the undo pairs
+        in it are immutable once the frame exists and stay shared; only the
+        list of pending runs is consumed in place and therefore copied too.
         For batch jobs ``ctx`` aliases the current entry of
         ``batch.contexts`` (mutated in place by the DFT), so the clone's
         ``ctx`` must alias the *cloned* batch's entry, not a fresh list.
         """
         new = Job(self.kind)
         new.next_context = self.next_context
-        new.stack = [frame.clone() for frame in self.stack]
+        for frame in self.stack:
+            frame = frame[:]
+            if frame[5].__class__ is list:
+                frame[5] = list(frame[5])
+            new.stack.append(frame)
         if self.kind == "batch":
             new.batch = self.batch.clone()
             if self.ctx is not None and 0 < self.next_context <= len(new.batch.contexts):
@@ -128,11 +110,13 @@ class Job:
 def step_costs(cost):
     """The loop's step charges under ``cost`` — the sums add the same operands
     in the same order as the steps would, so budgets flip on the same step —
-    and last the worst-case charge of a fused RPQ chain: its steps' charges
-    with the dearest control entry, infinite when one is not positive (a
-    zero charge ends the quantum on its step, so such a machine never fuses).
+    and last the worst-case charge of a fused RPQ chain up to its path
+    set-up: its steps' charges with the dearest control entry, infinite when
+    one of them or a send or receipt it carries on into is not positive (a
+    zero charge ends the quantum on its step: such a machine never fuses).
     """
     c_match_filter = STEP_COST + cost.filter_eval
+    c_send = cost.edge_traverse + cost.context_serialize
     entry = ENTRY_COST + max(cost.index_insert, cost.index_insert_prealloc, cost.index_hit)
     # transition match (filtered), transition, control entry, exit action,
     # exit match, row, exit pop, path action, path entry match
@@ -141,7 +125,8 @@ def step_costs(cost):
     return (
         cost.bootstrap, cost.receive_context, cost.context_serialize,
         cost.output, cost.edge_traverse, cost.edge_traverse + cost.filter_eval,
-        c_match_filter, sum(chain) if min(chain) > 0.0 else inf,
+        c_match_filter, c_send,
+        sum(chain) if min(chain + (c_send, cost.receive_context)) > 0.0 else inf,
     )
 
 
@@ -225,13 +210,14 @@ class Worker:
         matches = [0] * len(steps)
         inbox = machine.inbox
         roots = machine.bootstrap_roots
+        emit = machine.emit
         try_emit = machine.try_emit
         add = machine.output_sink.add
-        owner_of, vmask, csrs, vprop, eprop, graph = machine.reads
+        owners, vmask, csrs, vprop, eprop, graph = machine.reads
         (c_bootstrap, c_receive, c_serialize, c_output, c_edge, c_edge_filter,
-         c_match_filter, chain_worst) = machine.step_costs
+         c_match_filter, c_send, chain_worst) = machine.step_costs
         c_step = STEP_COST
-        # A chain commits while ``consumed < fuse_below``: its worst case then
+        # A chain starts while ``consumed < fuse_below``: its worst case then
         # fits with a margin far above the rounding of its ~10 additions.
         if obs is None:
             fuse_below = budget * (1.0 - 1e-9) - chain_worst
@@ -252,9 +238,9 @@ class Worker:
                 job = jobs[-1]
                 stack = job.stack
                 ctx = state.ctx = job.ctx
-                if stack and stack[-1].pos < 0:
+                if stack and stack[-1][2] < 0:
                     frame = stack.pop()
-                    p_stage, p_vertex, p_init = frame.stage_idx, frame.vertex, frame.aux
+                    p_stage, p_vertex, p_init = frame[0], frame[1], frame[5]
                     if guard is not None:
                         guard(p_vertex)
 
@@ -263,17 +249,20 @@ class Worker:
                 stage = p_stage
                 p_stage = -1
                 st = steps[stage]
-                undo = None
-                if st.op == CONTROL_ACTIONS:
+                undo = actions = None
+                end = 1
+                cost = c_step
+                if st.bare:
+                    for slot in st.cap_vid:
+                        ctx[slot] = p_vertex
+                    ok = True
+                elif st.op == CONTROL_ACTIONS:
                     actions, cost, undo = controllers[stage].on_entry(
                         p_vertex, ctx, p_init, rpid_alloc
                     )
                     end = len(actions)
                     ok = True
                 else:
-                    actions = None
-                    end = 1
-                    cost = c_step
                     mask = st.label_mask
                     ok = mask is None or vmask[p_vertex] & mask and (
                         not st.label_rest or all(vmask[p_vertex] & m for m in st.label_rest)
@@ -312,54 +301,133 @@ class Worker:
                     matches[stage] += 1
                     op = st.op
                     if st.chain is not None and consumed < fuse_below:
-                        # -- A fused RPQ chain: each step adds the pending charge.
+                        # -- A fused RPQ chain: each step adds the pending
+                        # charge.  ``live`` frames (transition, control, path
+                        # entry) are held in locals; what a batch's contexts
+                        # share is resolved here, once.
                         control, exit_stage, exit_step, entry, path = st.chain
-                        stack.append(Frame(stage, p_vertex, 1, 1, None, None, undo))
-                        consumed += cost
-                        cost = c_step  # the transition into the control stage
-                        actions, charge, undo = controllers[control].on_entry(
-                            p_vertex, ctx, st.init, rpid_alloc
-                        )
-                        consumed += cost
-                        cost = charge  # the control entry
-                        matches[control] += 1
-                        frame = Frame(control, p_vertex, 0, len(actions), None, actions, undo)
-                        stack.append(frame)
-                        op = -1  # no further frame unless the path action runs
-                        if actions:
+                        on_entry = controllers[control].on_entry
+                        init, t_undo, op = st.init, undo, -1
+                        scan = path.op == NBR_ONE
+                        if scan:
+                            ((direction, label),) = path.runs
+                            csr = csrs[direction]
+                            indptr, elab, nbr, target = csr.indptr, csr.elab, csr.nbr, path.target
+                            depth_slot = path.target_depth_slot
+                        batch = job.batch
+                        contexts = batch.contexts if batch is not None and st.bare else ()
+                        while True:
                             consumed += cost
-                            cost = c_step  # the first action's dispatch
-                            frame.pos = 1
-                            to_path = actions[-1] is ACTION_PATH
-                            if actions[0] is ACTION_EXIT and exit_step is None:
-                                # The exit stage hops on: the next step matches
-                                # it, and its subtree comes before the path.
-                                p_stage, p_init, to_path = exit_stage, False, False
-                            elif actions[0] is ACTION_EXIT:
+                            cost = c_step  # the transition into the control stage
+                            actions, charge, c_undo = on_entry(p_vertex, ctx, init, rpid_alloc)
+                            consumed += cost
+                            cost = charge  # the control entry
+                            matches[control] += 1
+                            live = 2
+                            if actions:
                                 consumed += cost
-                                mask = exit_step.label_mask
-                                if mask is None or vmask[p_vertex] & mask:
-                                    for slot in exit_step.cap_vid:
-                                        ctx[slot] = p_vertex
-                                    matches[exit_stage] += 1
-                                    outputs += 1
-                                    add(ctx)
-                                    consumed += c_step  # the exit match
-                                    consumed += c_output  # its row
-                                    cost = c_step  # the exit frame's pop
-                                else:
-                                    cost = c_step + c_step  # the failed match and its pop
-                                if to_path:
+                                cost = c_step  # the first action's dispatch
+                                to_path = actions[-1] is ACTION_PATH
+                                if actions[0] is ACTION_EXIT:
+                                    if exit_step is None:
+                                        # The exit stage hops on: the next step
+                                        # matches it, its subtree before the path.
+                                        p_stage, p_init = exit_stage, False
+                                        break
                                     consumed += cost
-                                    cost = c_step  # the path action's dispatch
-                                    frame.pos = 2
-                            if to_path:
-                                for slot in path.cap_vid:
-                                    ctx[slot] = p_vertex
-                                matches[entry] += 1
+                                    mask = exit_step.label_mask
+                                    if mask is None or vmask[p_vertex] & mask:
+                                        for slot in exit_step.cap_vid:
+                                            ctx[slot] = p_vertex
+                                        matches[exit_stage] += 1
+                                        outputs += 1
+                                        add(ctx)
+                                        consumed += c_step  # the exit match
+                                        consumed += c_output  # its row
+                                        cost = c_step  # the exit frame's pop
+                                    else:
+                                        cost = c_step + c_step  # the failed match and its pop
+                                    if to_path:
+                                        consumed += cost
+                                        cost = c_step  # the path action's dispatch
+                                if to_path:
+                                    for slot in path.cap_vid:
+                                        ctx[slot] = p_vertex
+                                    matches[entry] += 1
+                                    consumed += cost
+                                    cost = c_step  # the path entry's match
+                                    if not scan:
+                                        op = NBR_MANY  # its runs are set up below
+                                        break
+                                    live = 3
+                                    pos = indptr[p_vertex]
+                                    hi = indptr[p_vertex + 1]
+                                    if label is not None and pos < hi:
+                                        pos = bisect_left(elab, label, pos, hi)
+                                        hi = bisect_right(elab, label, pos, hi)
+                                    depth = ctx[depth_slot]  # the control entry set it
+                                    # The run's remote sends; a local neighbor or a
+                                    # full open batch is left to the per-stage step.
+                                    while pos < hi and consumed + cost < budget:
+                                        dest = nbr[pos]
+                                        owner = owners[dest]
+                                        if owner == machine_id or not emit(
+                                            owner, target, depth, dest, ctx
+                                        ):
+                                            break
+                                        consumed += cost
+                                        cost = c_send  # the edge and its send
+                                        edges += 1
+                                        pos += 1
+                                    if pos < hi:
+                                        break
+                            # The pops, a step each: the path entry's frame (no
+                            # undo), the control stage's (its last action has
+                            # run) and the transition's.
+                            for pairs in (None, c_undo, t_undo)[3 - live:]:
+                                if not consumed + cost < budget:
+                                    break
                                 consumed += cost
-                                cost = c_step  # the path entry's match, set up below
-                                stage, st, undo, op = entry, path, None, path.op
+                                cost = c_step
+                                live -= 1
+                                if pairs is not None:
+                                    for slot, old in reversed(pairs):
+                                        ctx[slot] = old
+                            if live or stack or job.next_context >= len(contexts) or not (
+                                consumed + cost < budget
+                            ):
+                                break
+                            # The batch's next context: its receipt and match.
+                            consumed += cost
+                            p_vertex, ctx = contexts[job.next_context]
+                            if guard is not None:
+                                guard(p_vertex)
+                            job.next_context += 1
+                            job.ctx = state.ctx = ctx
+                            cost = c_receive
+                            if not consumed + cost < budget:
+                                p_stage, p_init = stage, False
+                                break
+                            consumed += cost
+                            for slot in st.cap_vid:
+                                ctx[slot] = p_vertex
+                            matches[stage] += 1
+                            cost = c_step  # its match
+                            if not consumed < fuse_below:
+                                op, actions = st.op, None  # its frame is pushed below
+                                break
+                        # Where the chain stopped: the frames the steps would hold
+                        # (every action dispatched, unless the exit stage is next).
+                        if live:
+                            stack.append([stage, p_vertex, 1, 1, None, None, t_undo])
+                            if live > 1:
+                                end = len(actions)
+                                stack.append([control, p_vertex, 1 if p_stage >= 0 else end,
+                                              end, None, actions, c_undo])
+                                if live > 2:
+                                    stack.append([entry, p_vertex, pos, hi, csr, None, None])
+                        if op == NBR_MANY:
+                            stage, st, undo = entry, path, None
                     if op == NBR_ONE:
                         ((direction, label),) = st.runs
                         csr = csrs[direction]
@@ -368,7 +436,7 @@ class Worker:
                         if label is not None and lo < hi:
                             lo = bisect_left(csr.elab, label, lo, hi)
                             hi = bisect_right(csr.elab, label, lo, hi)
-                        stack.append(Frame(stage, p_vertex, lo, hi, csr, None, undo))
+                        stack.append([stage, p_vertex, lo, hi, csr, None, undo])
                     elif op == NBR_MANY:
                         runs = []
                         for direction, label in st.runs:
@@ -377,31 +445,32 @@ class Worker:
                                 runs.append((csrs[direction], lo, hi))
                         runs.reverse()
                         csr, lo, hi = runs.pop() if runs else (None, 0, 0)
-                        stack.append(Frame(stage, p_vertex, lo, hi, csr, runs, undo))
+                        stack.append([stage, p_vertex, lo, hi, csr, runs, undo])
                     elif op >= 0:
-                        stack.append(Frame(stage, p_vertex, 0, end, None, actions, undo))
+                        stack.append([stage, p_vertex, 0, end, None, actions, undo])
 
             elif stack:
                 # -- Iterate the hop of the stage on top of the stack.
                 frame = stack[-1]
-                st = steps[frame.stage_idx]
+                st = steps[frame[0]]
                 op = st.op
-                pos = frame.pos
-                end = frame.end
-                if pos >= end and op == NBR_MANY and frame.aux:
-                    frame.csr, pos, end = frame.aux.pop()
-                    frame.pos, frame.end = pos, end
+                pos = frame[2]
+                end = frame[3]
+                if pos >= end and op == NBR_MANY and frame[5]:
+                    frame[4], pos, end = frame[5].pop()
+                    frame[2] = pos
+                    frame[3] = end
                 if pos >= end:
                     # Pop it and the frames exhausted with it, a step each.
                     while True:
                         stack.pop()
-                        if frame.undo is not None:
-                            for slot, old in reversed(frame.undo):
+                        if frame[6] is not None:
+                            for slot, old in reversed(frame[6]):
                                 ctx[slot] = old
                         if not stack or not consumed + c_step < loop_below:
                             break
                         frame = stack[-1]
-                        if frame.pos < frame.end or frame.aux.__class__ is list and frame.aux:
+                        if frame[2] < frame[3] or frame[5].__class__ is list and frame[5]:
                             break  # more to iterate, or runs still to come
                         consumed += c_step
                     cost = c_step
@@ -412,7 +481,7 @@ class Worker:
                         cost = c_step
                         dest = ctx[st.anchor_slot]
                     else:
-                        csr = frame.csr
+                        csr = frame[4]
                         dest = csr.nbr[pos]
                         edges += 1
                         cost = c_edge
@@ -426,17 +495,19 @@ class Worker:
                             for slot, prop in st.edge_captures:
                                 ctx[slot] = eprop(prop, csr.eid[pos])
                     if dest is None:
-                        frame.pos = pos + 1
+                        frame[2] = pos + 1
                     else:
-                        owner = owner_of(dest)
+                        owner = owners[dest]
                         if owner == machine_id:
-                            frame.pos = pos + 1
+                            frame[2] = pos + 1
                             p_stage, p_vertex, p_init = st.target, dest, False
                         else:
                             slot = st.target_depth_slot
                             depth = 0 if slot < 0 or ctx[slot] is None else ctx[slot]
-                            if try_emit(owner, st.target, depth, dest, ctx):
-                                frame.pos = pos + 1
+                            if emit(owner, st.target, depth, dest, ctx) or try_emit(
+                                owner, st.target, depth, dest, ctx
+                            ):
+                                frame[2] = pos + 1
                                 cost = cost + c_serialize
                             elif inbox:
                                 # Flow control stopped the send: pick up
@@ -452,27 +523,27 @@ class Worker:
                                 stats.blocked_rounds += 1
                                 break
                 elif op == CONTROL_ACTIONS:
-                    frame.pos = pos + 1
-                    p_stage = st.exit_stage if frame.aux[pos] is ACTION_EXIT else st.path_entry
-                    p_vertex, p_init = frame.vertex, False
+                    frame[2] = pos + 1
+                    p_stage = st.exit_stage if frame[5][pos] is ACTION_EXIT else st.path_entry
+                    p_vertex, p_init = frame[1], False
                     cost = c_step
                 elif op == TRANSITION:
-                    frame.pos = 1
-                    p_stage, p_vertex, p_init = st.target, frame.vertex, st.init
+                    frame[2] = 1
+                    p_stage, p_vertex, p_init = st.target, frame[1], st.init
                     cost = c_step
                 elif op == OUTPUT:
-                    frame.pos = 1
+                    frame[2] = 1
                     outputs += 1
                     add(ctx)
                     cost = c_output
                 else:  # EDGE: verify an edge to an already-matched vertex
-                    frame.pos = 1
+                    frame[2] = 1
                     cost = c_edge
                     anchor = ctx[st.anchor_slot]
                     eid = NO_EDGE
                     if anchor is not None:
                         for label in st.edge_labels:
-                            eid = graph.find_edge(frame.vertex, anchor, st.direction, label)
+                            eid = graph.find_edge(frame[1], anchor, st.direction, label)
                             if eid != NO_EDGE:
                                 break
                     if eid != NO_EDGE:
@@ -485,7 +556,7 @@ class Worker:
                         if ok:
                             for slot, prop in st.edge_captures:
                                 ctx[slot] = eprop(prop, eid)
-                            p_stage, p_vertex, p_init = st.target, frame.vertex, False
+                            p_stage, p_vertex, p_init = st.target, frame[1], False
 
             elif job is not None:
                 # -- The job's subtree is explored: next context, or done.
@@ -555,7 +626,7 @@ class Worker:
                 obs.advance(machine_id, cost)
 
         if p_stage >= 0:
-            stack.append(Frame(p_stage, p_vertex, aux=p_init))
+            stack.append([p_stage, p_vertex, -1, 0, None, p_init, None])
         # Counters kept in locals while the loop ran.
         stats.edges_traversed += edges
         stats.filter_evals += filter_evals

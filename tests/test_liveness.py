@@ -72,19 +72,46 @@ def test_lost_credits_are_diagnosed_as_a_flow_control_bug():
     # round on every run.
     from repro.errors import FlowControlDeadlock
     from repro.graph.generators import chain_graph
+    from repro.obs import Recorder
 
     plan = FaultPlan(seed=1, drop_prob=1.0, kinds=("done",))
-    for _ in range(3):
+    texts = []
+    for observe in (None, None, Recorder()):
         with repro.connect(
             chain_graph(30), num_machines=2, faults=plan,
             reliable_transport=False, batch_size=1, buffers_per_machine=4,
             stall_limit=200,
         ) as session:
             with pytest.raises(FlowControlDeadlock) as exc:
-                session.execute("SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)")
+                session.execute(
+                    "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", observe=observe
+                )
         text = str(exc.value)
+        texts.append(text)
         assert "made no progress for 200 rounds at round 231:" in text
         assert "machine 0: inbox 0, absorbed 0, in-flight credits" in text
         assert "machine 1: inbox" in text
         assert "flow-control bug" in text
         assert "Increase" not in text
+        # The wait-for graph: every worker names the bucket its refused send
+        # waits on, whose one credit is the one that never came back.
+        assert "machine 0 worker 0: 1 jobs, send refused to (dst 1, stage " in text
+    assert texts[0] == texts[1] == texts[2]  # observing changes nothing
+    (event,) = [e for e in observe.events if e["name"] == "flow.deadlock"]
+    payload = event["args"]
+    assert payload["round"] == 231 and f"{payload['blocks']} flow-control blocks" in text
+    for m in payload["machines"]:
+        assert (
+            f"machine {m['machine']}: inbox {m['inbox']}, absorbed {m['absorbed']}, "
+            f"in-flight credits {m['in_flight']}"
+        ) in text
+    assert len(payload["workers"]) == 8
+    for w in payload["workers"]:
+        wait = w["waits_on"]
+        assert wait is not None and wait["in_flight"] == wait["capacity"]
+        assert (
+            f"machine {w['machine']} worker {w['worker']}: {w['jobs']} jobs, send "
+            f"refused to (dst {wait['dst']}, stage {wait['stage']}, depth "
+            f"{wait['depth']}): {wait['in_flight']} of {wait['capacity']} credits "
+            "in flight"
+        ) in text

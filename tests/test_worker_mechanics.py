@@ -1,8 +1,10 @@
-"""Tests for worker/machine mechanics: frames, undo on backtracking, the
-locality guard, bootstrap sharing, nested blocked jobs, batch accounting,
-and the fused RPQ chain."""
+"""Tests for worker/machine mechanics: list frames and their checkpoint
+copies, undo on backtracking, the locality guard, bootstrap sharing, nested
+blocked jobs, batch accounting, and the fused RPQ chain."""
 
+import inspect
 import math
+import sys
 
 import pytest
 
@@ -11,31 +13,99 @@ from repro import EngineConfig, GraphBuilder, Session
 from repro.datagen import BENCHMARK_QUERIES, mini_ldbc
 from repro.engine.result import assemble_results
 from repro.errors import GraphError
+from repro.faults import FaultPlan, MachineCrash
 from repro.graph.generators import chain_graph, random_graph, star_graph
 from repro.graph.types import Direction
 from repro.runtime import machine as machine_module
 from repro.runtime import worker as worker_module
 from repro.runtime.steptable import step_table
-from repro.runtime.worker import Frame, Job, Worker
+from repro.runtime.worker import Job, Worker
 
 from . import dft_golden_cases as golden
 from .onetask import make_execution, run
 
 
+class _LoopTrace:
+    """Line events of ``Worker._run_budget`` while active (``lines``), and
+    every frame list the fused chain built where it stopped (``built``).
+
+    The chain's frames are read at the first statement after the block that
+    builds them — ``if op == NBR_MANY:``, with ``live`` of them on top of the
+    stack — so the lists kept here are the very objects the loop pushed.
+    """
+
+    def __init__(self):
+        code = Worker._run_budget.__code__
+        source, first = inspect.getsourcelines(Worker._run_budget)
+        after = [first + i for i, line in enumerate(source)
+                 if line.strip() == "if op == NBR_MANY:"]
+        assert len(after) == 1, "the chain's frame-building block moved"
+        self._code, self._after = code, after[0]
+        self.lines = 0
+        self.built = []
+
+    def _line(self, frame, event, arg):
+        if event == "line":
+            self.lines += 1
+            if frame.f_lineno == self._after:
+                live = frame.f_locals["live"]
+                if live:
+                    self.built.extend(frame.f_locals["stack"][-live:])
+        return self._line
+
+    def _call(self, frame, event, arg):
+        return self._line if frame.f_code is self._code else None
+
+    def __enter__(self):
+        self._previous = sys.gettrace()
+        sys.settrace(self._call)
+        return self
+
+    def __exit__(self, *exc):
+        sys.settrace(self._previous)
+        return False
+
+
+def _unfused(patch):
+    """Disable the fused chain on every machine built from now on: its
+    worst-case charge becomes infinite, so it never fits a budget."""
+    patch.setattr(
+        machine_module, "step_costs",
+        lambda cost: worker_module.step_costs(cost)[:-1] + (math.inf,),
+    )
+
+
 class TestFrame:
     def test_new_frame_awaits_its_match(self):
-        f = Frame(3, 17)
-        assert (f.stage_idx, f.vertex) == (3, 17)
-        assert f.pos < 0  # not matched yet
-        assert f.undo is None  # nothing to restore until a stage writes
+        """A quantum ending between a hop and its match stores the pending
+        ``(stage, vertex)`` as a frame with ``pos < 0`` and no undo."""
+        g = chain_graph(3)
+        config = EngineConfig(num_machines=1, workers_per_machine=1)
+        _cluster, task, _sinks, _plan = make_execution(
+            g, "SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b)", config
+        )
+        worker = task.slices[0].workers[0]
+        worker.run(0.5)  # the bootstrap of the first root, not its match
+        (job,) = worker.jobs
+        assert job.stack == [[0, 0, -1, 0, None, False, None]]
 
     def test_clone_does_not_share_pending_runs(self):
+        """Nor any frame: a clone's frames are its own lists."""
         runs = [("in-csr", 4, 6)]
-        f = Frame(1, 0, pos=2, end=3, csr="out-csr", aux=runs)
-        c = f.clone()
-        assert (c.stage_idx, c.vertex, c.pos, c.end, c.csr) == (1, 0, 2, 3, "out-csr")
-        f.aux.pop()  # the live frame moves on to its next run
-        assert c.aux == [("in-csr", 4, 6)]
+        job = Job("root", ctx=[None])
+        job.stack.append([1, 0, 2, 3, "out-csr", runs, None])
+        job.stack.append([2, 5, 0, 2, None, ("exit", "path"), [(0, "old")]])
+        clone = job.clone()
+        assert clone.stack == job.stack
+        for mine, theirs in zip(job.stack, clone.stack):
+            assert mine is not theirs
+        assert clone.stack[0][5] is not runs
+        runs.pop()  # the live frame moves on to its next run
+        job.stack[0][2] = 3
+        assert clone.stack[0] == [1, 0, 2, 3, "out-csr", [("in-csr", 4, 6)], None]
+        # The action tuple and the undo pairs are immutable and stay shared.
+        assert clone.stack[1][5] is job.stack[1][5]
+        assert clone.stack[1][6] is job.stack[1][6]
 
     def test_stack_survives_checkpoint_mid_traversal(self):
         """Stop after every step, swap the job stack for its clone, go on:
@@ -52,6 +122,40 @@ class TestFrame:
             worker.restore_state(worker.checkpoint_state())
         rows = assemble_results(plan, sinks).rows
         assert sorted(rows) == sorted(expected)
+
+    def test_crash_restores_frames_the_chain_built_bit_identically(self, monkeypatch):
+        """A crash rolls back to a checkpoint cut while a frame the fused
+        chain built where it stopped sits on a job stack: the recovered run
+        is field for field the run with the chain disabled."""
+        graph = random_graph(60, 180, seed=11, edge_label="E")
+        config = EngineConfig(
+            num_machines=4, buffers_per_machine=2048, workers_per_machine=1,
+            quantum=10, sanitize=True, recovery=True,
+            faults=FaultPlan(seed=7, crashes=(MachineCrash(machine=2, round=14),)),
+        )
+        query = "SELECT b, c FROM MATCH (a)-[:E]->(b)-/:E{1,4}/->(c) WHERE id(a) = 3"
+        cut = []  # per checkpoint: the frames on every live job stack
+        checkpoint_state = machine_module.Machine.checkpoint_state
+
+        def recording(machine):
+            cut.append([f for w in machine.workers for j in w.jobs for f in j.stack])
+            return checkpoint_state(machine)
+
+        def fingerprint():
+            with repro.connect(graph, config) as session:
+                result = session.execute(query)
+            assert result.complete
+            assert result.stats.summary()["recovery"]["recoveries"] == 1
+            return golden.fingerprint(result)
+
+        monkeypatch.setattr(machine_module.Machine, "checkpoint_state", recording)
+        with _LoopTrace() as trace:
+            fused = fingerprint()
+        kept = {id(f) for f in trace.built}
+        assert any(id(f) in kept for frames in cut for f in frames)
+        with pytest.MonkeyPatch.context() as patch:
+            _unfused(patch)
+            assert fingerprint() == fused
 
 
 class TestUndoLog:
@@ -97,9 +201,7 @@ class TestUndoLog:
         machine.bootstrap_roots.clear()
         job = Job("root", ctx=["current", 0])
         # A frame whose hop is exhausted: the next step pops it.
-        job.stack.append(
-            Frame(0, 0, pos=0, end=0, undo=[(0, "first"), (0, "second")])
-        )
+        job.stack.append([0, 0, 0, 0, None, None, [(0, "first"), (0, "second")]])
         worker.jobs.append(job)
         worker.run(0.05)
         assert not job.stack
@@ -116,7 +218,7 @@ class TestLocalityGuard:
         machine = task.slices[0]
         remote = next(v for v in range(8) if not machine.partition.is_local(v))
         job = Job("root", ctx=[None] * plan.num_slots)
-        job.stack.append(Frame(0, remote))
+        job.stack.append([0, remote, -1, 0, None, False, None])
         machine.workers[0].jobs.append(job)
         return machine, remote
 
@@ -124,6 +226,31 @@ class TestLocalityGuard:
         machine, remote = self.forge(sanitize=True)
         with pytest.raises(GraphError, match=f"remote vertex {remote}"):
             machine.workers[0].run(10.0)
+
+    def test_forged_remote_context_fails_loudly_inside_a_chain(self):
+        """The fused chain takes a batch's next context itself, so it runs
+        the locality guard there too: a remote vertex behind a local one in
+        a batch addressed to an RPQ's advance transition is caught."""
+        from repro.runtime.message import Batch
+
+        config = EngineConfig(num_machines=2, sanitize=True)
+        _cluster, task, _sinks, plan = make_execution(
+            chain_graph(8), "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", config
+        )
+        machine = task.slices[0]
+        machine.bootstrap_roots.clear()
+        spec = plan.rpq_specs()[0]
+        (advance,) = [i for i, step in enumerate(machine.steps)
+                      if step.chain is not None and not step.init]
+        batch = Batch(src_machine=1, dst_machine=0, target_stage=advance, depth=0,
+                      query_id=machine.query_id)
+        for vertex in (0, 1):  # vertex 1 lives on machine 1
+            ctx = [None] * plan.num_slots
+            ctx[spec.depth_slot], ctx[spec.rpid_slot] = 0, 7
+            batch.add(vertex, ctx)
+        machine.deliver([batch])
+        with pytest.raises(GraphError, match="remote vertex 1"):
+            machine.workers[0].run(100.0)
 
     def test_public_readers_still_refuse_remote_vertices(self):
         machine, remote = self.forge(sanitize=False)
@@ -173,7 +300,7 @@ class TestBatchAccounting:
         run(cluster, task)
         for m in task.slices:
             # Every absorbed batch was eventually completed.
-            assert m._absorbed == 0
+            assert m.absorbed == 0
             # DONEs match the batches this machine received and absorbed.
             received = sum(
                 other.tracker.sent[key]
@@ -369,29 +496,18 @@ class TestFusedChainMarking:
 
 
 def _frame_view(frame):
-    aux = frame.aux
+    stage, vertex, pos, end, csr, aux, undo = frame
     if isinstance(aux, list):
-        aux = [(id(csr), lo, hi) for csr, lo, hi in aux]
-    return (frame.stage_idx, frame.vertex, frame.pos, frame.end,
-            None if frame.csr is None else id(frame.csr), aux, frame.undo)
+        aux = [(id(run_csr), lo, hi) for run_csr, lo, hi in aux]
+    return (stage, vertex, pos, end, None if csr is None else id(csr), aux, undo)
 
 
 def _stacks_per_round(graph, query, config):
     """Every worker's cloned job stacks after every round, the rows, the
-    run's statistics and how many frames were built."""
-    built = []
-
-    class CountedFrame(Frame):
-        __slots__ = ()
-
-        def __init__(self, *args, **kwargs):
-            built.append(None)
-            super().__init__(*args, **kwargs)
-
+    run's statistics and the loop's line events."""
     cluster, task, sinks, plan = make_execution(graph, query, config)
     views = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(worker_module, "Frame", CountedFrame)
+    with _LoopTrace() as trace:
         while cluster.active:
             cluster.step()
             views.append([
@@ -405,34 +521,54 @@ def _stacks_per_round(graph, query, config):
             ])
     assert task.error is None
     rows = assemble_results(plan, sinks).rows
-    return views, rows, task.stats, len(built)
+    return views, rows, task.stats, trace.lines
+
+
+#: Where chains stop mid-scan: sends refused by flow control (two contexts a
+#: batch, few buffers), local neighbors (two machines), the sanitizer's
+#: locality guard on every received context.
+STOP_CONFIGS = {
+    "tight": {"batch_size": 2, "buffers_per_machine": 12, "workers_per_machine": 2},
+    "m2": {"num_machines": 2},
+    "sanitize": {"sanitize": True},
+}
 
 
 class TestFusedChainEquivalence:
     """At every round boundary the fused run's stacks are the per-stage
-    run's: a committed chain leaves exactly the frames its steps would."""
+    run's: a chain leaves exactly the frames its steps would, wherever it
+    stops — mid-scan, between pops, after a receipt."""
 
     @pytest.mark.parametrize("quantum", [13, 48, 2000])
-    @pytest.mark.parametrize("name", ["Q09R", "K15x16"])
-    def test_stacks_equal_the_per_stage_run(self, ldbc_xs, monkeypatch, name, quantum):
+    @pytest.mark.parametrize("name", ["Q09R", "K15x16", "Q09*"])
+    def test_stacks_equal_the_per_stage_run(self, ldbc_xs, name, quantum):
+        self._check(ldbc_xs, name, quantum, {})
+
+    @pytest.mark.parametrize("config_name", sorted(STOP_CONFIGS))
+    @pytest.mark.parametrize("quantum", [13, 48, 2000])
+    @pytest.mark.parametrize("name", ["Q09R", "K15x16", "Q09*"])
+    def test_stacks_equal_where_chains_stop(self, ldbc_xs, name, quantum, config_name):
+        self._check(ldbc_xs, name, quantum, STOP_CONFIGS[config_name])
+
+    @staticmethod
+    def _check(ldbc_xs, name, quantum, overrides):
         graph, info = ldbc_xs
         query = _rpq_queries(info)[name]
-        config = EngineConfig(num_machines=4, quantum=quantum)
+        config = EngineConfig(**{"num_machines": 4, "quantum": quantum, **overrides})
         fused = _stacks_per_round(graph, query, config)
-        monkeypatch.setattr(
-            machine_module, "step_costs",
-            lambda cost: worker_module.step_costs(cost)[:-1] + (math.inf,),
-        )
-        reference = _stacks_per_round(graph, query, config)
+        with pytest.MonkeyPatch.context() as patch:
+            _unfused(patch)
+            reference = _stacks_per_round(graph, query, config)
         assert fused[0] == reference[0]  # stacks, round by round
         assert fused[1] == reference[1]  # rows
         summary = [dict(run[2].summary(), wall_seconds=0) for run in (fused, reference)]
         assert summary[0] == summary[1]
         assert fused[2].depth_table() == reference[2].depth_table()
         assert fused[2].cost_units_total() == reference[2].cost_units_total()
-        if quantum > 13:
-            # 12 and 500 units per worker hold a whole chain: it fused, and
-            # an emitting exit stage's frame was never built.
+        worst = worker_module.step_costs(config.cost)[-1]
+        if quantum / config.workers_per_machine > worst:
+            # A worker's share holds a whole chain: it fused, so the loop ran
+            # fewer lines than the one-step-per-iteration reference.
             assert fused[3] < reference[3]
         else:
-            assert fused[3] == reference[3]  # 3.25 units never fit a chain
+            assert fused[3] == reference[3]  # 3.25 or 6.5 units never fit a chain
