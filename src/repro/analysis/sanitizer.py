@@ -78,11 +78,6 @@ class RuntimeSanitizer:
                 args={"invariant": invariant, "detail": detail},
                 cat="sanitizer",
             )
-            self._obs.metrics.counter(
-                "repro_sanitizer_violations_total",
-                "runtime protocol-sanitizer violations",
-                ("invariant",),
-            ).labels(invariant).inc()
         raise SanitizerViolation(f"[sanitizer] {invariant}: {detail}")
 
     # ------------------------------------------------------------------

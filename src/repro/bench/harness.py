@@ -44,10 +44,6 @@ class BenchResult:
     complete: bool = True
     timed_out: bool = False
     down_machines: tuple = ()
-    # Metric-histogram summaries from the last observed run (repro.obs):
-    # {metric_name: {label_key: summary_dict}}.  Empty unless the executor
-    # attached a recorder (``rpqd_executor(observe=True)``).
-    metric_summaries: dict = field(default_factory=dict)
 
 
 class BenchHarness:
@@ -97,9 +93,6 @@ class BenchHarness:
                     down = getattr(result.stats, "down_machines", ())
                     if down:
                         cell.down_machines = tuple(down)
-                    recorder = getattr(result, "obs", None)
-                    if recorder is not None:
-                        cell.metric_summaries = recorder.metrics.summaries()
                     rows = result.rows
                     cell.value = rows[0] if rows else None
         for cell in cells.values():
@@ -108,17 +101,13 @@ class BenchHarness:
         return cells
 
 
-def rpqd_executor(graph, machines, quantum=400.0, observe=False,
-                  profile=False, **overrides):
+def rpqd_executor(graph, machines, quantum=400.0, profile=False, **overrides):
     """Executor factory for an RPQd configuration.
 
-    With ``observe=True`` every run attaches a fresh
-    :class:`repro.obs.Recorder`; the harness copies its histogram summaries
-    (batch sizes, flow-control waits, buffer occupancy, ...) onto
-    ``BenchResult.metric_summaries``.  With ``profile=True`` every run
-    carries a :class:`repro.obs.PhaseProfiler` and the harness copies the
-    phase breakdown onto ``BenchResult.profile``.  Virtual time is
-    unaffected either way — both only add wall-clock overhead.
+    With ``profile=True`` every run carries a
+    :class:`repro.obs.PhaseProfiler` and the harness copies the phase
+    breakdown onto ``BenchResult.profile``; virtual time is unaffected, it
+    only adds wall-clock overhead.
     """
     from ..config import EngineConfig
     from ..session import Session
@@ -126,12 +115,7 @@ def rpqd_executor(graph, machines, quantum=400.0, observe=False,
     config = EngineConfig(
         num_machines=machines, quantum=quantum, profile=profile, **overrides
     )
-    engine = Session(graph, config)
-
-    def execute(query_text):
-        return engine.execute(query_text, observe=True if observe else None)
-
-    return execute
+    return Session(graph, config).execute
 
 
 def baseline_executor(engine_cls, graph, quantum=400.0):

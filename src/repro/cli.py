@@ -6,8 +6,9 @@ described by ``<subcommand> --help``.
   engine (``rpqd``, ``bft``, ``recursive``) and, for rpqd, a chosen
   backend (deterministic simulator or real OS processes,
   :mod:`repro.runtime.backend`); ``--faults PLAN.json`` attaches a
-  :class:`repro.faults.FaultPlan`, ``--trace-out`` / ``--metrics-out`` /
-  ``--timeline`` export what :mod:`repro.obs` recorded, and
+  :class:`repro.faults.FaultPlan`, ``--trace-out`` / ``--timeline``
+  export what :mod:`repro.obs` recorded, ``--metrics-out`` the run's
+  counters as Prometheus text (either backend), and
   ``--explain-analyze`` prints actual cardinalities beside the planner's
   estimates with the wall-clock phase breakdown (:mod:`repro.obs.prof`);
 * ``explain`` — print the distributed plan for a query;
@@ -173,23 +174,25 @@ def cmd_query(args):
     query = args.query
     if query == "-":
         query = sys.stdin.read()
-    observe = bool(args.trace_out or args.metrics_out)
+    exports = bool(args.trace_out or args.metrics_out)
     explain_analyze = args.explain_analyze
-    if (observe or args.timeline or explain_analyze) and args.engine != "rpqd":
+    if (exports or args.timeline or explain_analyze) and args.engine != "rpqd":
         print(
             "error: --trace-out/--metrics-out/--timeline/--explain-analyze "
             "require --engine rpqd",
             file=sys.stderr,
         )
         return 2
-    if args.backend == "process" and (observe or args.timeline):
+    if args.backend == "process" and (args.trace_out or args.timeline):
         print(
-            "error: --trace-out/--metrics-out/--timeline require "
-            "--backend sim (the process backend has no virtual-time "
-            "trace recorder)",
+            "error: --trace-out/--timeline require --backend sim (the "
+            "process backend has no virtual-time trace recorder)",
             file=sys.stderr,
         )
         return 2
+    # On the simulator the metrics file also carries the histograms of
+    # sent batches, which are read from the recorder's events.
+    observe = bool(args.trace_out or (args.metrics_out and args.backend == "sim"))
     try:
         if args.engine == "rpqd":
             result = engine.execute(
@@ -208,8 +211,8 @@ def cmd_query(args):
         # EXPLAIN ANALYZE replaces the row output: the annotated plan with
         # actual cardinalities, timing, volume, and the phase breakdown.
         print(result.explain_analyze())
-        if observe:
-            _export_observed(result, engine, args.trace_out, args.metrics_out)
+        if exports:
+            _export(result, engine, args.trace_out, args.metrics_out)
         return 0
     if args.format == "csv":
         sys.stdout.write(result.result_set.to_csv())
@@ -241,13 +244,13 @@ def cmd_query(args):
             print(f"-- {result.stats.summary()}", file=sys.stderr)
     if args.timeline and getattr(result, "trace", None) is not None:
         print(result.trace.render_timeline(), file=sys.stderr)
-    if observe:
-        _export_observed(result, engine, args.trace_out, args.metrics_out)
+    if exports:
+        _export(result, engine, args.trace_out, args.metrics_out)
     return 0
 
 
-def _export_observed(result, engine, trace_out, metrics_out):
-    """Write the recorder's trace/metrics files for a ``query`` run."""
+def _export(result, engine, trace_out, metrics_out):
+    """Write the trace / metrics files a ``query`` run asked for."""
     from .obs import write_chrome_trace, write_jsonl, write_prometheus
 
     recorder = result.obs
@@ -261,7 +264,7 @@ def _export_observed(result, engine, trace_out, metrics_out):
             )
         print(f"-- trace written to {trace_out}", file=sys.stderr)
     if metrics_out:
-        write_prometheus(recorder, metrics_out)
+        write_prometheus(result, metrics_out)
         print(f"-- metrics written to {metrics_out}", file=sys.stderr)
 
 
@@ -731,7 +734,8 @@ def build_parser():
     p.add_argument(
         "--metrics-out",
         metavar="FILE",
-        help="write runtime metrics in Prometheus text format (rpqd only)",
+        help="write the run's counters in Prometheus text format (rpqd "
+        "only; on --backend sim also the batch-size histograms)",
     )
     p.add_argument(
         "--unreliable",

@@ -69,9 +69,6 @@ class EngineConfig:
             depths ``>= D`` (paper: 5).
         rpq_overflow_per_depth: extra overflow messages allowed per depth
             beyond ``D`` to prevent flow-control livelock (paper: 1).
-        context_prealloc_depth: depth up to which RPQ contexts are treated as
-            preallocated; deeper contexts count as dynamic allocations in the
-            statistics (paper: 3).
         quantum: cost units one machine may spend per scheduler round.
         net_delay_rounds: rounds between sending a message and it becoming
             deliverable at the destination.
@@ -85,9 +82,9 @@ class EngineConfig:
         observe: attach the observability recorder
             (:mod:`repro.obs`): a span-based distributed tracer (DFT job
             spans, batch send/receive with causal links, RPQ control
-            decisions, flow-control blocks, termination progress) plus a
-            metrics registry (buffer occupancy, flow waits, index probe
-            outcomes, batch size/bytes histograms).  Disabled, every hook
+            decisions, flow-control blocks, termination progress), whose
+            ``batch.send`` events also give the metrics export its batch
+            size / bytes / credit-wait histograms.  Disabled, every hook
             is a single ``obs is not None`` branch — the virtual-time
             results are bit-identical either way.
         sanitize: enable the runtime protocol sanitizer
@@ -190,7 +187,6 @@ class EngineConfig:
     rpq_flow_depth: int = 4
     rpq_shared_credits: int = 5
     rpq_overflow_per_depth: int = 1
-    context_prealloc_depth: int = 3
     quantum: float = 2000.0
     net_delay_rounds: int = 1
     use_reachability_index: bool = True

@@ -277,7 +277,7 @@ class QueryResult:
         self.plan = plan
         self.trace = trace
         # The observability recorder (repro.obs) when the run was observed:
-        # span events, metrics registry, exporter input.  None otherwise.
+        # span events, exporter input.  None otherwise.
         self.obs = obs
 
     # Convenience pass-throughs.

@@ -8,10 +8,10 @@ machine.  All probabilistic decisions come from one seeded RNG, and the
 simulation itself is deterministic, so the injected fault sequence is a
 pure function of ``(plan, graph, query, config)``.
 
-Every injected fault is counted (:attr:`counts`) and, when an
-observability recorder is attached, emitted on the cluster track as a
-``fault.*`` instant plus a ``repro_fault_injected_total{kind}`` counter —
-the chaos appears on the same Perfetto timeline as the runtime events it
+Every injected fault is counted (:attr:`counts`, exported as
+``repro_fault_injected_total{kind}``) and, when an observability recorder
+is attached, emitted on the cluster track as a ``fault.*`` instant — the
+chaos appears on the same Perfetto timeline as the runtime events it
 perturbs.
 """
 
@@ -153,11 +153,6 @@ class FaultInjector:
             if extra is not None:
                 args["rounds"] = extra
             obs.cluster_instant(f"fault.{fault}", args=args, cat="fault")
-            obs.metrics.counter(
-                "repro_fault_injected_total",
-                "faults injected into the simulated interconnect/cluster",
-                ("kind",),
-            ).labels(fault).inc()
 
     # ------------------------------------------------------------------
     # Machine-level faults (consulted by the scheduler each round)
@@ -192,11 +187,6 @@ class FaultInjector:
                         round_no=round_no,
                         cat="fault",
                     )
-                    self.obs.metrics.counter(
-                        "repro_fault_injected_total",
-                        "faults injected into the simulated interconnect/cluster",
-                        ("kind",),
-                    ).labels("partition").inc()
             elif was_active and not active and self.obs is not None:
                 self.obs.cluster_instant(
                     "fault.heal",
@@ -215,11 +205,6 @@ class FaultInjector:
                     round_no=round_no,
                     cat="fault",
                 )
-                self.obs.metrics.counter(
-                    "repro_fault_injected_total",
-                    "faults injected into the simulated interconnect/cluster",
-                    ("kind",),
-                ).labels("crash").inc()
         for machine in range(self.num_machines):
             down = not self.machine_up(machine, round_no)
             was_down = self._was_down[machine]

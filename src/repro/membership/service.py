@@ -59,9 +59,6 @@ CONFIRMED_DOWN = "confirmed-down"
 #: endpoint id is ``num_machines``, one past the last machine).
 WITNESS = "witness"
 
-#: Detection-latency histogram buckets, in rounds of virtual time.
-_LATENCY_BUCKETS = (4, 8, 16, 24, 32, 48, 64, 96, 128, 256)
-
 
 class MembershipService:
     """Cluster-level failure detector over per-observer hearing state."""
@@ -353,7 +350,6 @@ class MembershipService:
             "membership.clear", round_no,
             {"host": host, "round": round_no},
         )
-        self._count_outcome("cleared")
 
     def _confirm(self, host, votes, quorum, population, round_no, latency):
         if self.sanitizer is not None:
@@ -374,13 +370,6 @@ class MembershipService:
                 "latency_rounds": latency,
             },
         )
-        self._count_outcome("confirmed")
-        if self.obs is not None:
-            self.obs.metrics.histogram(
-                "repro_membership_detection_latency_rounds",
-                "rounds from last contact to the confirmed-down verdict",
-                buckets=_LATENCY_BUCKETS,
-            ).labels().observe(latency)
 
     def _rejoin(self, host, round_no):
         """A confirmed (but unfenced) host spoke again: revoke the
@@ -418,14 +407,6 @@ class MembershipService:
             self.obs.cluster_instant(
                 name, args=args, round_no=round_no, cat="membership"
             )
-
-    def _count_outcome(self, outcome):
-        if self.obs is not None:
-            self.obs.metrics.counter(
-                "repro_membership_suspicions_total",
-                "suspicion episodes by outcome",
-                ("outcome",),
-            ).labels(outcome).inc()
 
     def summary(self):
         """Detector counters for :class:`RunStats` and bench reports."""

@@ -4,7 +4,10 @@ The observability layer of the engine (see ``docs/observability.md``):
 
 * :class:`Recorder` — span event bus with a virtual-time clock and
   parent/child causal links across machine hops;
-* :class:`MetricsRegistry` — counters, gauges, histograms with labels;
+* :func:`render_prometheus` (:mod:`repro.obs.metrics`) — metrics as a view
+  of a finished run: every count lives once, in ``RunStats``, and is
+  rendered from there (plus the recorder's events when observed), so no
+  runtime component records metrics;
 * exporters — Chrome trace-event JSON (Perfetto-loadable), JSONL event
   log, Prometheus text format;
 * :func:`validate_chrome_trace` — the trace consistency checker used by
@@ -13,7 +16,8 @@ The observability layer of the engine (see ``docs/observability.md``):
   profiling and process memory (``docs/profiling.md``), orthogonal to the
   virtual-time tracer and gated by ``EngineConfig(profile=True)``.
 
-Enabled with ``EngineConfig(observe=True)``; when disabled every hook is
+The recorder is enabled with ``EngineConfig(observe=True)``; when disabled
+every hook is
 behind a single ``obs is not None`` branch (the sanitizer convention), so
 the instrumented hot paths stay unchanged.
 """
@@ -28,12 +32,11 @@ from .export import (
     write_jsonl,
     write_prometheus,
 )
-from .metrics import MetricsRegistry
+from .metrics import render_prometheus
 from .prof import PhaseProfiler, format_profile, peak_rss_bytes, profiled
 from .recorder import Recorder
 
 __all__ = [
-    "MetricsRegistry",
     "PhaseProfiler",
     "Recorder",
     "format_profile",
@@ -41,6 +44,7 @@ __all__ = [
     "profiled",
     "jsonl_lines",
     "load_trace_file",
+    "render_prometheus",
     "summarize_trace",
     "to_chrome_trace",
     "validate_chrome_trace",

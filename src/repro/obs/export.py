@@ -1,16 +1,17 @@
-"""Exporters and validators for recorded executions.
+"""Exporters and validators for executions.
 
-Three output formats, all derived from one :class:`~repro.obs.recorder.
-Recorder`:
+Three output formats:
 
-* **Chrome trace-event JSON** (:func:`to_chrome_trace`) — loads directly in
+* **Chrome trace-event JSON** (:func:`to_chrome_trace`) — a
+  :class:`~repro.obs.recorder.Recorder`'s events; loads directly in
   Perfetto / ``chrome://tracing``.  Timestamps are virtual time (1 cost
   unit = 1 µs), processes are simulated machines, threads are DFT workers.
-* **JSONL event log** (:func:`write_jsonl`) — one JSON object per line: a
-  ``meta`` header, every trace event, and a final ``metrics`` record with
-  histogram summaries.  Greppable, diff-able, streamable.
-* **Prometheus text** (:func:`write_prometheus`) — the metrics registry in
-  text exposition format, scrape-compatible.
+* **JSONL event log** (:func:`write_jsonl`) — the same events, one JSON
+  object per line after a ``meta`` header.  Greppable, diff-able,
+  streamable.
+* **Prometheus text** (:func:`write_prometheus`) — a finished run's
+  counters rendered from its ``RunStats`` (and its events, when observed)
+  by :mod:`repro.obs.metrics`; scrape-compatible, on either backend.
 
 :func:`validate_chrome_trace` is the consistency checker used by tests and
 the CI smoke step: monotone timestamps per track, matched B/E spans,
@@ -18,6 +19,8 @@ non-negative X durations, and resolvable flow bindings.
 """
 
 import json
+
+from .metrics import render_prometheus
 
 
 def _version():
@@ -76,7 +79,6 @@ def jsonl_lines(recorder):
     })
     for event in recorder.events:
         yield json.dumps({"type": "event", **event})
-    yield json.dumps({"type": "metrics", "metrics": recorder.metrics.summaries()})
 
 
 def write_jsonl(recorder, path):
@@ -85,22 +87,10 @@ def write_jsonl(recorder, path):
             fh.write(line + "\n")
 
 
-def write_prometheus(recorder, path):
-    from .prof import peak_rss_bytes
-
-    text = recorder.metrics.prometheus_text()
-    if text and not text.endswith("\n"):
-        text += "\n"
-    rss = peak_rss_bytes()
-    if rss is not None:
-        text += (
-            "# HELP repro_peak_rss_bytes Peak resident set size of the "
-            "simulating process (wall-side, not virtual).\n"
-            "# TYPE repro_peak_rss_bytes gauge\n"
-            f"repro_peak_rss_bytes {rss}\n"
-        )
+def write_prometheus(result, path):
+    """Write a finished ``QueryResult``'s metrics as Prometheus text."""
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(render_prometheus(result))
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +122,6 @@ def load_trace_file(path):
 def _load_jsonl(fh):
     events = []
     meta = {}
-    metrics = {}
     for line in fh:
         line = line.strip()
         if not line:
@@ -143,9 +132,7 @@ def _load_jsonl(fh):
             events.append(record)
         elif kind == "meta":
             meta = record
-        elif kind == "metrics":
-            metrics = record.get("metrics", {})
-    return {"traceEvents": events, "otherData": meta, "metrics": metrics}
+    return {"traceEvents": events, "otherData": meta}
 
 
 def validate_chrome_trace(trace):
@@ -265,9 +252,6 @@ def summarize_trace(trace):
         lines.append("rpq control entries by depth:")
         for depth, n in sorted(depth_counts.items(), key=lambda kv: (kv[0] is None, kv[0])):
             lines.append(f"  depth {depth}: {n}")
-    metrics = trace.get("metrics")
-    if metrics:
-        lines.append(f"metrics: {len(metrics)} families recorded")
     errors = validate_chrome_trace(trace)
     if errors:
         lines.append(f"VALIDATION: {len(errors)} error(s)")

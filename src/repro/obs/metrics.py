@@ -1,228 +1,209 @@
-"""Metrics registry: counters, gauges, and histograms with labels.
+"""Prometheus text rendered from a finished run.
 
-A :class:`MetricsRegistry` is the numeric half of the observability layer
-(:mod:`repro.obs`): instrumentation points record buffer-pool occupancy,
-flow-control wait durations, reachability-index probe outcomes, batch
-sizes/bytes, and termination-protocol progress into it, and exporters turn
-it into Prometheus text exposition format or plain dicts for benchmark
-reports.
-
-The design follows the Prometheus client-library data model (metric name +
-help text + label names, one child time series per label-value tuple) but
-is deliberately tiny: everything is synchronous, in-process, and keyed by
-plain tuples, because the instrumented "cluster" is a cooperative
-simulation inside one interpreter.
+A count has one home: :class:`~repro.runtime.stats.RunStats` (the
+per-machine counters, the per-depth control tables, and the transport,
+fault, recovery and membership epilogues).  Metrics are a view of it:
+:func:`metric_families` reads a finished
+:class:`~repro.engine.result.QueryResult` — its ``stats``, its ``plan``
+and, when the run was observed, its recorder's events — and
+:func:`render_prometheus` turns the families into text exposition format.
+Nothing in the runtime records into this module, so both backends export
+the same counter families; only the histograms of sent batches and the
+termination-candidate counter need the event stream of an observed
+(simulator) run.
 """
 
-import math
+from collections import namedtuple
 
-#: Default histogram bucket upper bounds: powers of two, wide enough for
-#: batch sizes, modelled bytes, and round counts at the simulated scales.
-DEFAULT_BUCKETS = tuple(float(2 ** i) for i in range(17))  # 1 .. 65536
+#: Histogram bucket upper bounds: powers of two, wide enough for batch
+#: sizes, modelled bytes, and round counts at the simulated scales.
+DEFAULT_BUCKETS = tuple(2 ** i for i in range(17))  # 1 .. 65536
 
+#: Detection-latency histogram buckets, in rounds of virtual time.
+LATENCY_BUCKETS = (4, 8, 16, 24, 32, 48, 64, 96, 128, 256)
 
-class _Child:
-    """One time series: a metric narrowed to a concrete label-value tuple."""
+#: Per-machine counters exported as ``repro_machine_stat{machine,stat}``.
+MACHINE_STATS = (
+    "batches_sent", "contexts_sent", "bytes_sent",
+    "flow_control_blocks", "overflow_grants",
+    "peak_inflight_buffers", "peak_absorbed_batches",
+    "edges_traversed", "outputs", "bootstrapped",
+    "done_messages", "status_messages", "index_entries",
+    "busy_rounds", "idle_rounds", "blocked_rounds",
+    "stalled_rounds",
+)
 
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def inc(self, amount=1.0):
-        self.value += amount
-
-    def dec(self, amount=1.0):
-        self.value -= amount
-
-    def set(self, value):
-        self.value = value
-
-
-class _HistogramChild:
-    """Bucketed observations plus exact count/sum/min/max."""
-
-    __slots__ = ("buckets", "bucket_counts", "count", "sum", "min", "max")
-
-    def __init__(self, buckets):
-        self.buckets = buckets
-        self.bucket_counts = [0] * (len(buckets) + 1)  # final = +Inf
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def observe(self, value):
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    def quantile(self, q):
-        """Approximate quantile from the bucket histogram (upper bound)."""
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for i, n in enumerate(self.bucket_counts):
-            seen += n
-            if seen >= target:
-                if i < len(self.buckets):
-                    return self.buckets[i]
-                return self.max
-        return self.max
-
-    def summary(self):
-        if self.count == 0:
-            return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.quantile(0.5),
-            "p95": self.quantile(0.95),
-        }
+#: One metric family.  ``samples`` maps a tuple of label values (strings,
+#: in ``labelnames`` order) to a number, or for a histogram to the list of
+#: observed values.
+Family = namedtuple(
+    "Family", "name kind help labelnames samples buckets",
+    defaults=(DEFAULT_BUCKETS,),
+)
 
 
-class Metric:
-    """A named family of children, one per label-value tuple."""
+def metric_families(result):
+    """``{name: Family}`` for a finished run; families without samples
+    (a feature that was off, an unobserved run) are left out."""
+    stats, plan = result.stats, result.plan
+    machines = list(enumerate(stats.per_machine))
+    families = {}
 
-    kind = "untyped"
-
-    def __init__(self, name, help_text, labelnames=()):
-        self.name = name
-        self.help = help_text
-        self.labelnames = tuple(labelnames)
-        self._children = {}
-
-    def _make_child(self):
-        return _Child()
-
-    def labels(self, *labelvalues):
-        if len(labelvalues) != len(self.labelnames):
-            raise ValueError(
-                f"metric {self.name} takes labels {self.labelnames}, "
-                f"got {labelvalues!r}"
+    def add(name, kind, help_text, labelnames, samples, buckets=DEFAULT_BUCKETS):
+        if samples:
+            families[name] = Family(
+                name, kind, help_text, labelnames,
+                {tuple(str(v) for v in k): v for k, v in samples.items()},
+                buckets,
             )
-        key = tuple(str(v) for v in labelvalues)
-        child = self._children.get(key)
-        if child is None:
-            child = self._make_child()
-            self._children[key] = child
-        return child
 
-    def items(self):
-        """Sorted ``(label_values, child)`` pairs."""
-        return sorted(self._children.items())
+    def per_machine(name, help_text, value):
+        add(name, "counter", help_text, ("machine",),
+            {(m,): value(s) for m, s in machines})
 
+    add("repro_machine_stat", "gauge",
+        "final per-machine counter snapshot (one series per stat)",
+        ("machine", "stat"),
+        {(m, stat): getattr(s, stat) for m, s in machines for stat in MACHINE_STATS})
+    per_machine("repro_batches_sent_total", "batches shipped to other machines",
+                lambda s: s.batches_sent)
+    per_machine("repro_flow_blocks_total",
+                "flow-control block episodes (send found its bucket empty)",
+                lambda s: s.flow_control_blocks)
+    per_machine("repro_flow_overflow_grants_total",
+                "sends that needed a per-depth overflow buffer",
+                lambda s: s.overflow_grants)
+    if stats.num_machines > 1:
+        per_machine("repro_status_broadcasts_total",
+                    "termination-protocol STATUS broadcast rounds",
+                    lambda s: s.status_messages // (stats.num_machines - 1))
 
-class CounterMetric(Metric):
-    kind = "counter"
-
-
-class GaugeMetric(Metric):
-    kind = "gauge"
-
-
-class HistogramMetric(Metric):
-    kind = "histogram"
-
-    def __init__(self, name, help_text, labelnames=(), buckets=DEFAULT_BUCKETS):
-        super().__init__(name, help_text, labelnames)
-        self.buckets = tuple(sorted(buckets))
-
-    def _make_child(self):
-        return _HistogramChild(self.buckets)
-
-
-class MetricsRegistry:
-    """All metrics of one observed query execution."""
-
-    def __init__(self):
-        self._metrics = {}
-
-    def _register(self, cls, name, help_text, labelnames, **kwargs):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name, help_text, labelnames, **kwargs)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls) or metric.labelnames != tuple(labelnames):
-            raise ValueError(f"metric {name} re-registered with a different shape")
-        return metric
-
-    def counter(self, name, help_text="", labelnames=()):
-        return self._register(CounterMetric, name, help_text, labelnames)
-
-    def gauge(self, name, help_text="", labelnames=()):
-        return self._register(GaugeMetric, name, help_text, labelnames)
-
-    def histogram(self, name, help_text="", labelnames=(), buckets=DEFAULT_BUCKETS):
-        return self._register(
-            HistogramMetric, name, help_text, labelnames, buckets=buckets
-        )
-
-    def get(self, name):
-        return self._metrics.get(name)
-
-    def __iter__(self):
-        return iter(sorted(self._metrics.values(), key=lambda m: m.name))
-
-    # -- export ----------------------------------------------------------
-    def prometheus_text(self):
-        """Render the registry in Prometheus text exposition format."""
-        lines = []
-        for metric in self:
-            lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            for labelvalues, child in metric.items():
-                base_labels = list(zip(metric.labelnames, labelvalues))
-                if metric.kind == "histogram":
-                    cumulative = 0
-                    for bound, n in zip(metric.buckets, child.bucket_counts):
-                        cumulative += n
-                        labels = _format_labels(base_labels + [("le", _fmt_bound(bound))])
-                        lines.append(f"{metric.name}_bucket{labels} {cumulative}")
-                    cumulative += child.bucket_counts[-1]
-                    labels = _format_labels(base_labels + [("le", "+Inf")])
-                    lines.append(f"{metric.name}_bucket{labels} {cumulative}")
-                    labels = _format_labels(base_labels)
-                    lines.append(f"{metric.name}_sum{labels} {_fmt_value(child.sum)}")
-                    lines.append(f"{metric.name}_count{labels} {child.count}")
-                else:
-                    labels = _format_labels(base_labels)
-                    lines.append(f"{metric.name}{labels} {_fmt_value(child.value)}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def summaries(self):
-        """{metric name: summary} for histograms, {name: {labels: value}}
-        for counters/gauges — the shape benchmark rows attach."""
-        out = {}
-        for metric in self:
-            if metric.kind == "histogram":
-                entries = {
-                    ",".join(lv) or "_": child.summary()
-                    for lv, child in metric.items()
-                }
+    specs = plan.rpq_specs()
+    if specs:
+        add("repro_index_probes_total", "counter",
+            "reachability-index check-and-update outcomes "
+            "(insert / hit-eliminated / overwrite-duplicated)",
+            ("machine", "outcome"),
+            {(m, outcome): n for m, s in machines for outcome, n in (
+                ("insert", s.index_inserts),
+                ("overwrite", s.index_updates),
+                ("eliminated", sum(sum(c.values()) for c in s.eliminated.values())),
+            )})
+    entries = {}
+    for spec in specs:
+        for depth, matches, eliminated, duplicated in stats.depth_table(spec.rpq_id):
+            if depth < spec.min_hops:
+                outcomes = (("below_min", matches),)
             else:
-                entries = {
-                    ",".join(lv) or "_": child.value for lv, child in metric.items()
-                }
-            out[metric.name] = entries
-        return out
+                outcomes = (("match", matches - eliminated - duplicated),
+                            ("eliminated", eliminated), ("duplicated", duplicated))
+            for outcome, n in outcomes:
+                if n:
+                    entries[(spec.rpq_id, depth, outcome)] = n
+    add("repro_control_entries_total", "counter",
+        "RPQ control-stage entries per (segment, depth, outcome)",
+        ("rpq", "depth", "outcome"), entries)
+
+    if stats.transport is not None:
+        for key, help_text in (
+            ("retransmits", "reliable-transport retransmissions"),
+            ("fenced", "stale-epoch message copies fenced after recovery"),
+            ("corrupt_dropped", "message copies discarded for checksum mismatch"),
+            ("retx_exhausted", "frames abandoned to confirmed-down peers"),
+        ):
+            add(f"repro_net_{key}_total", "counter", help_text, (),
+                {(): stats.transport[key]})
+    add("repro_fault_injected_total", "counter",
+        "faults injected into the simulated interconnect/cluster", ("kind",),
+        {(kind,): n for kind, n in (stats.fault_events or {}).items()})
+    if stats.recovery is not None:
+        add("repro_recovery_checkpoints_total", "counter",
+            "global recovery checkpoints taken", (),
+            {(): stats.recovery["checkpoints"]})
+        add("repro_recovery_failovers_total", "counter",
+            "permanent-crash failovers (epoch bumps)", (),
+            {(): stats.recovery["recoveries"]})
+    membership = stats.membership
+    if membership is not None:
+        add("repro_membership_suspicions_total", "counter",
+            "suspicion episodes by outcome", ("outcome",),
+            {("confirmed",): membership["confirmations"],
+             ("cleared",): membership["false_suspicions"]})
+        latencies = membership["detection_latencies"]
+        add("repro_membership_detection_latency_rounds", "histogram",
+            "rounds from last contact to the confirmed-down verdict", (),
+            {(): latencies} if latencies else {}, LATENCY_BUCKETS)
+
+    if result.obs is not None:
+        _event_families(result.obs.events, add)
+    return families
 
 
-def _fmt_bound(bound):
-    if bound == int(bound):
-        return str(int(bound))
-    return repr(bound)
+def _event_families(events, add):
+    """The families only an observed run's events carry: the size, byte
+    and credit-wait distributions of sent batches (``batch.send`` args)
+    and termination candidates (``term.candidate`` instants)."""
+    contexts, size, wait, candidates = {}, {}, {}, {}
+    for event in events:
+        name = event.get("name")
+        if name == "batch.send":
+            machine = (event["pid"],)
+            args = event["args"]
+            contexts.setdefault(machine, []).append(args["contexts"])
+            size.setdefault(machine, []).append(args["bytes"])
+            if "wait_rounds" in args:
+                wait.setdefault(machine, []).append(args["wait_rounds"])
+        elif name == "term.candidate":
+            machine = (event["pid"],)
+            candidates[machine] = candidates.get(machine, 0) + 1
+    add("repro_batch_contexts", "histogram", "contexts per sent batch",
+        ("machine",), contexts)
+    add("repro_batch_bytes", "histogram", "modelled bytes per sent batch",
+        ("machine",), size)
+    add("repro_flow_wait_rounds", "histogram",
+        "rounds a blocked batch waited for a flow-control credit",
+        ("machine",), wait)
+    add("repro_term_candidates_total", "counter",
+        "termination-confirmation candidates formed", ("machine",), candidates)
+
+
+def prometheus_text(families):
+    """Render families (sorted by name) in Prometheus text format."""
+    lines = []
+    for family in sorted(families, key=lambda f: f.name):
+        name = family.name
+        lines.append(f"# HELP {name} {family.help}")
+        lines.append(f"# TYPE {name} {family.kind}")
+        for labelvalues, value in sorted(family.samples.items()):
+            pairs = list(zip(family.labelnames, labelvalues))
+            if family.kind != "histogram":
+                lines.append(f"{name}{_format_labels(pairs)} {_fmt_value(value)}")
+                continue
+            for bound in family.buckets:
+                n = sum(1 for v in value if v <= bound)
+                labels = _format_labels(pairs + [("le", _fmt_value(bound))])
+                lines.append(f"{name}_bucket{labels} {n}")
+            labels = _format_labels(pairs + [("le", "+Inf")])
+            lines.append(f"{name}_bucket{labels} {len(value)}")
+            lines.append(f"{name}_sum{_format_labels(pairs)} {_fmt_value(sum(value))}")
+            lines.append(f"{name}_count{_format_labels(pairs)} {len(value)}")
+    return "".join(line + "\n" for line in lines)
+
+
+def render_prometheus(result):
+    """The Prometheus text of a finished run, plus the process's peak RSS."""
+    from .prof import peak_rss_bytes
+
+    text = prometheus_text(metric_families(result).values())
+    rss = peak_rss_bytes()
+    if rss is not None:
+        text += (
+            "# HELP repro_peak_rss_bytes Peak resident set size of the "
+            "exporting process (wall-side, not virtual).\n"
+            "# TYPE repro_peak_rss_bytes gauge\n"
+            f"repro_peak_rss_bytes {rss}\n"
+        )
+    return text
 
 
 def _fmt_value(value):

@@ -27,20 +27,20 @@ Causality
 
 Every component takes ``obs=None`` and guards each hook with a single
 ``is not None`` test (the same zero-overhead convention as the runtime
-sanitizer), so a disabled recorder costs one predictable branch.
+sanitizer), so a disabled recorder costs one predictable branch.  The
+recorder holds events only: counts live in ``RunStats``, and
+:mod:`repro.obs.metrics` renders metrics from them and from these events
+after the run.
 """
-
-from .metrics import MetricsRegistry
 
 #: Safety cap on buffered events; beyond it events are counted, not stored.
 MAX_EVENTS = 2_000_000
 
 
 class Recorder:
-    """Event bus + virtual clock + metrics registry for one execution."""
+    """Event bus + virtual clock for one execution."""
 
     def __init__(self, config=None):
-        self.metrics = MetricsRegistry()
         self.events = []
         self.dropped_events = 0
         self.quantum = 1.0

@@ -209,10 +209,6 @@ class RecoveryManager:
                 round_no=round_no,
                 cat="recovery",
             )
-            self.obs.metrics.counter(
-                "repro_recovery_checkpoints_total",
-                "global recovery checkpoints taken",
-            ).labels().inc()
         return snapshot
 
     def maybe_checkpoint(self, round_no):
@@ -279,10 +275,6 @@ class RecoveryManager:
                 round_no=round_no,
                 cat="recovery",
             )
-            self.obs.metrics.counter(
-                "repro_recovery_failovers_total",
-                "permanent-crash failovers (epoch bumps)",
-            ).labels().inc()
         return snapshot
 
     # ------------------------------------------------------------------

@@ -62,13 +62,6 @@ class RpqController:
         self.stage_index = stage_index
         self.obs = obs
         self._depths = {}  # entries per depth since the last flush()
-        self._entries = None
-        if obs is not None:
-            self._entries = obs.metrics.counter(
-                "repro_control_entries_total",
-                "RPQ control-stage entries per (segment, depth, outcome)",
-                ("rpq", "depth", "outcome"),
-            )
         self.use_index = use_index and index is not None
         insert = cost.index_insert if cost is not None else 1.4
         if self.use_index and index.preallocated:
@@ -163,4 +156,3 @@ class RpqController:
                   "stage": self.stage_index, "outcome": outcome},
             cat="rpq",
         )
-        self._entries.labels(self.spec.rpq_id, depth, outcome).inc()

@@ -55,7 +55,6 @@ class ReachabilityIndex:
         rpq_id,
         preallocate_size=None,
         sanitizer=None,
-        obs=None,
         query_id=0,
         prof=None,
     ):
@@ -66,14 +65,6 @@ class ReachabilityIndex:
         # one query's reachability facts never prune another's traversal.
         self.query_id = query_id
         self._san = sanitizer
-        self._probes = None
-        if obs is not None:
-            self._probes = obs.metrics.counter(
-                "repro_index_probes_total",
-                "reachability-index check-and-update outcomes "
-                "(insert / hit-eliminated / overwrite-duplicated)",
-                ("machine", "rpq", "outcome"),
-            )
         self._first_level = {}  # {dst vertex: {source path id: depth}}
         self.preallocated = preallocate_size is not None
         self.prealloc_bytes = (
@@ -121,28 +112,20 @@ class ReachabilityIndex:
             self._first_level[dst_vertex] = {source_path_id: depth}
             self.entries += 1
             self.inserts += 1
-            if self._probes is not None:
-                self._probes.labels(self.machine_id, self.rpq_id, "insert").inc()
             return IndexOutcome.INSERTED
         old = second_level.get(source_path_id)
         if old is None:
             second_level[source_path_id] = depth
             self.entries += 1
             self.inserts += 1
-            if self._probes is not None:
-                self._probes.labels(self.machine_id, self.rpq_id, "insert").inc()
             return IndexOutcome.INSERTED
         self.hits += 1
         if old <= depth:
-            if self._probes is not None:
-                self._probes.labels(self.machine_id, self.rpq_id, "eliminated").inc()
             return IndexOutcome.ELIMINATED
         if self._san is not None:
             self._san.on_index_overwrite(self, source_path_id, dst_vertex, old, depth)
         second_level[source_path_id] = depth
         self.updates += 1
-        if self._probes is not None:
-            self._probes.labels(self.machine_id, self.rpq_id, "overwrite").inc()
         return IndexOutcome.DUPLICATED
 
     # -- crash recovery (:mod:`repro.recovery`) -------------------------

@@ -27,9 +27,7 @@ def remote_target_stages(plan):
 class FlowControl:
     """Sender-side credit accounting for one machine."""
 
-    def __init__(
-        self, machine_id, plan, config, stats, sanitizer=None, obs=None, query_id=0
-    ):
+    def __init__(self, machine_id, plan, config, stats, sanitizer=None, query_id=0):
         self.machine_id = machine_id
         # Multi-query runtime: the credit partition this accountant manages
         # belongs to exactly one query — each query running on a machine
@@ -40,14 +38,6 @@ class FlowControl:
         self.config = config
         self.stats = stats
         self._san = sanitizer
-        self._obs = obs
-        self._occupancy = None
-        if obs is not None:
-            self._occupancy = obs.metrics.gauge(
-                "repro_flow_inflight_buffers",
-                "in-flight send credits per (machine, stage, depth bucket)",
-                ("machine", "stage", "depth"),
-            )
         self._in_flight = {}
         self._capacity = {}
         self._overflow_capacity = config.rpq_overflow_per_depth
@@ -97,16 +87,8 @@ class FlowControl:
                 self._total_in_flight += 1
                 if is_overflow:
                     self.stats.overflow_grants += 1
-                    if self._obs is not None:
-                        self._obs.metrics.counter(
-                            "repro_flow_overflow_grants_total",
-                            "sends that needed a per-depth overflow buffer",
-                            ("machine",),
-                        ).labels(self.machine_id).inc()
                 if self._total_in_flight > self.stats.peak_inflight_buffers:
                     self.stats.peak_inflight_buffers = self._total_in_flight
-                if self._occupancy is not None:
-                    self._occupancy.labels(*self._bucket_labels(key)).inc()
                 if self._san is not None:
                     self._san.on_credit_acquired(self, key, capacity)
                 return key
@@ -125,21 +107,8 @@ class FlowControl:
         else:
             self._in_flight[key] = used - 1
         self._total_in_flight -= 1
-        if self._occupancy is not None:
-            self._occupancy.labels(*self._bucket_labels(key)).dec()
         if self._san is not None:
             self._san.on_credit_released(self, key)
-
-    def _bucket_labels(self, key):
-        """(machine, stage, depth-bucket) labels for a credit bucket key."""
-        _dst, stage_idx, depth = key
-        if depth == SHARED:
-            bucket = "shared"
-        elif isinstance(depth, tuple):  # ("ovf", d) overflow bucket
-            bucket = f"ovf{depth[1]}"
-        else:
-            bucket = str(depth)
-        return (self.machine_id, stage_idx, bucket)
 
     # -- crash recovery (:mod:`repro.recovery`) -------------------------
     def checkpoint_state(self):

@@ -18,6 +18,10 @@ from .steptable import NBR_MANY, step_table
 from .termination import TerminationProtocol, TerminationTracker
 from .worker import Worker, step_costs
 
+#: Depth up to which shipped RPQ contexts count as preallocated; deeper ones
+#: are counted in ``MachineStats.dynamic_context_allocs`` (paper §4.1: 3).
+CONTEXT_PREALLOC_DEPTH = 3
+
 
 class Machine:
     """One machine of the simulated cluster."""
@@ -52,7 +56,7 @@ class Machine:
             sanitizer=sanitizer, obs=obs,
         )
         self.flow = FlowControl(
-            machine_id, plan, config, self.stats, sanitizer=sanitizer, obs=obs,
+            machine_id, plan, config, self.stats, sanitizer=sanitizer,
             query_id=query_id,
         )
         self.current_round = 0
@@ -65,7 +69,6 @@ class Machine:
         self._open = {}  # (dst, stage, depth) -> partially filled Batch
         # Read per shipped context.
         self.batch_size = config.batch_size
-        self.prealloc_depth = config.context_prealloc_depth
         self._blocked_flush_reported = set()
         self._blocked_since = {}  # key -> round the block started (obs only)
         self._path_stage_set = set()
@@ -89,7 +92,6 @@ class Machine:
                     stage.rpq.rpq_id,
                     preallocate_size=local_count,
                     sanitizer=sanitizer,
-                    obs=obs,
                     query_id=query_id,
                     prof=prof,
                 )
@@ -273,24 +275,12 @@ class Machine:
         self._absorbed += 1
         if self._absorbed > self.stats.peak_absorbed_batches:
             self.stats.peak_absorbed_batches = self._absorbed
-        if self.obs is not None:
-            self.obs.metrics.gauge(
-                "repro_absorbed_batches",
-                "batches absorbed into worker contexts, not yet explored",
-                ("machine",),
-            ).labels(self.id).set(self._absorbed)
         return batch
 
     def complete_batch(self, batch):
         """Account a fully-processed batch (termination protocol unit)."""
         self.tracker.record_processed(batch.target_stage, batch.depth)
         self._absorbed -= 1
-        if self.obs is not None:
-            self.obs.metrics.gauge(
-                "repro_absorbed_batches",
-                "batches absorbed into worker contexts, not yet explored",
-                ("machine",),
-            ).labels(self.id).set(self._absorbed)
 
     # ------------------------------------------------------------------
     # Outgoing batches under flow control
@@ -316,7 +306,7 @@ class Machine:
             if len(contexts) >= self.batch_size:
                 return False
         contexts.append((vertex, list(ctx)))  # Batch.add, without the calls
-        if depth > self.prealloc_depth and stage_idx in self._path_stage_set:
+        if depth > CONTEXT_PREALLOC_DEPTH and stage_idx in self._path_stage_set:
             self.stats.dynamic_context_allocs += 1
         if len(contexts) >= self.batch_size:
             self._flush(key)  # best effort; retried on next emit or idle
@@ -371,44 +361,22 @@ class Machine:
             args={"dst": dst, "stage": stage_idx, "depth": depth},
             cat="flow",
         )
-        obs.metrics.counter(
-            "repro_flow_blocks_total",
-            "flow-control block episodes (send found its bucket empty)",
-            ("machine", "stage"),
-        ).labels(self.id, stage_idx).inc()
 
     def _record_send(self, key, batch):
-        """A batch leaves this machine: span link, size/byte histograms."""
+        """A batch leaves this machine: span link and ``batch.send`` instant
+        (its args feed the size, byte and credit-wait histograms)."""
         obs = self.obs
         dst, stage_idx, depth = key
         flow_id = obs.next_flow_id()
         batch.flow_id = flow_id
         obs.flow_start(self.id, flow_id)
-        n = len(batch)
-        size = batch.modelled_bytes(self.plan.num_slots)
         args = {"dst": dst, "stage": stage_idx, "depth": depth,
-                "contexts": n, "bytes": size}
+                "contexts": len(batch),
+                "bytes": batch.modelled_bytes(self.plan.num_slots)}
         blocked_since = self._blocked_since.pop(key, None)
         if blocked_since is not None:
-            wait = self.current_round - blocked_since
-            args["wait_rounds"] = wait
-            obs.metrics.histogram(
-                "repro_flow_wait_rounds",
-                "rounds a blocked batch waited for a flow-control credit",
-                ("machine",),
-            ).labels(self.id).observe(wait)
+            args["wait_rounds"] = self.current_round - blocked_since
         obs.instant(self.id, "batch.send", args=args, cat="msg")
-        obs.metrics.histogram(
-            "repro_batch_contexts", "contexts per sent batch", ("machine",)
-        ).labels(self.id).observe(n)
-        obs.metrics.histogram(
-            "repro_batch_bytes", "modelled bytes per sent batch", ("machine",)
-        ).labels(self.id).observe(size)
-        obs.metrics.counter(
-            "repro_batches_sent_total",
-            "batches shipped to other machines",
-            ("machine", "stage"),
-        ).labels(self.id, stage_idx).inc()
 
     def flush_partials(self):
         """Flush all non-empty open batches (called when workers idle).
@@ -493,12 +461,6 @@ class Machine:
                 )
                 self.network.send(message, round_no)
                 self.stats.status_messages += 1
-        if self.obs is not None:
-            self.obs.metrics.counter(
-                "repro_status_broadcasts_total",
-                "termination-protocol STATUS broadcast rounds",
-                ("machine",),
-            ).labels(self.id).inc()
 
     def check_termination(self):
         return self.protocol.check()
@@ -519,19 +481,3 @@ class Machine:
             self.stats.index_updates += index.updates
             self.stats.index_entries += index.entries
             self.stats.index_prealloc_bytes += index.prealloc_bytes
-        if self.obs is not None:
-            gauge = self.obs.metrics.gauge(
-                "repro_machine_stat",
-                "final per-machine counter snapshot (one series per stat)",
-                ("machine", "stat"),
-            )
-            for stat in (
-                "batches_sent", "contexts_sent", "bytes_sent",
-                "flow_control_blocks", "overflow_grants",
-                "peak_inflight_buffers", "peak_absorbed_batches",
-                "edges_traversed", "outputs", "bootstrapped",
-                "done_messages", "status_messages", "index_entries",
-                "busy_rounds", "idle_rounds", "blocked_rounds",
-                "stalled_rounds",
-            ):
-                gauge.labels(self.id, stat).set(getattr(self.stats, stat))

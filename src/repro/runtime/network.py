@@ -261,10 +261,6 @@ class SimulatedNetwork:
                         round_no=now_round,
                         cat="net",
                     )
-                    self.obs.metrics.counter(
-                        "repro_net_corrupt_dropped_total",
-                        "message copies discarded for checksum mismatch",
-                    ).labels().inc()
                 continue
             if copy_epoch < self.epoch:
                 # Stale in-flight copy from before a recovery rollback:
@@ -282,10 +278,6 @@ class SimulatedNetwork:
                         round_no=now_round,
                         cat="net",
                     )
-                    self.obs.metrics.counter(
-                        "repro_net_fenced_total",
-                        "stale-epoch message copies fenced after recovery",
-                    ).labels().inc()
                 continue
             if isinstance(message, AckMessage):
                 self.acks_received += 1
@@ -374,10 +366,6 @@ class SimulatedNetwork:
                         round_no=now_round,
                         cat="net",
                     )
-                    self.obs.metrics.counter(
-                        "repro_net_retx_exhausted_total",
-                        "frames abandoned to confirmed-down peers",
-                    ).labels().inc()
                 if self.sanitizer is not None:
                     self.sanitizer.note(
                         "retx_exhausted",
@@ -403,10 +391,6 @@ class SimulatedNetwork:
                     round_no=now_round,
                     cat="net",
                 )
-                self.obs.metrics.counter(
-                    "repro_net_retransmits_total",
-                    "reliable-transport retransmissions",
-                ).labels().inc()
 
     # ------------------------------------------------------------------
     # Crash recovery (:mod:`repro.recovery`)

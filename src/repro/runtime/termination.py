@@ -261,20 +261,12 @@ class TerminationProtocol:
         self.last_terminated_keys = set(state["terminated"])
 
     def on_status(self, message):
+        # Keeping only the newest generation per machine is what makes the
+        # protocol tolerate lost/duplicated/reordered STATUS traffic: an
+        # older (or equal) generation arriving late is ignored.
         current = self.views.get(message.src_machine)
         if current is None or message.generation > current.generation:
             self.views[message.src_machine] = message
-        elif self._obs is not None:
-            # Reordered or retransmitted heartbeat: an older (or equal)
-            # generation arrived after a newer one was already adopted.
-            # Keeping only the newest view is what makes the protocol
-            # tolerate lost/duplicated/reordered STATUS traffic.
-            self._obs.metrics.counter(
-                "repro_term_stale_status_total",
-                "STATUS snapshots ignored because a newer generation "
-                "was already known (reordering/retransmission)",
-                ("machine",),
-            ).labels(self.machine_id).inc()
         # Consensus mechanics (paper Section 3.4): a machine adopts larger
         # maximum observed depths learned from other machines' termination
         # messages, so all machines converge on the global maximum and
@@ -296,13 +288,6 @@ class TerminationProtocol:
         signature = counter_totals(snapshots)
         terminated, all_done = self.evaluator.evaluate(snapshots, signature)
         self.last_terminated_keys = terminated
-        if self._obs is not None:
-            self._obs.metrics.gauge(
-                "repro_term_terminated_channels",
-                "(stage, depth) channels this machine currently evaluates "
-                "as globally terminated",
-                ("machine",),
-            ).labels(self.machine_id).set(len(terminated))
         if not all_done:
             self._candidate = None
             return False
@@ -332,11 +317,6 @@ class TerminationProtocol:
         self._candidate = (gen_vector, signature)
         if self._obs is not None:
             self._obs.instant(self.machine_id, "term.candidate", cat="protocol")
-            self._obs.metrics.counter(
-                "repro_term_candidates_total",
-                "termination-confirmation candidates formed",
-                ("machine",),
-            ).labels(self.machine_id).inc()
         if self._san is not None:
             self._san.on_candidate(self.machine_id, gen_vector)
 

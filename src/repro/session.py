@@ -241,11 +241,12 @@ class Session:
         (or an :class:`~repro.runtime.trace.ExecutionTrace` instance) the
         result carries a per-round activity timeline in ``result.trace``.
 
-        ``observe`` attaches the structured tracer/metrics recorder
+        ``observe`` attaches the structured trace recorder
         (:mod:`repro.obs`): ``True`` creates a fresh
         :class:`~repro.obs.Recorder`, an instance is used as-is, and
         ``None`` defers to ``config.observe``.  The recorder is returned on
-        ``result.obs`` for export (Perfetto / JSONL / Prometheus).
+        ``result.obs`` for export (Perfetto / JSONL); its ``batch.send``
+        events add histograms to a Prometheus export of the result.
 
         ``profile`` attaches the wall-clock phase profiler
         (:mod:`repro.obs.prof`) the same way: ``True`` creates a fresh

@@ -8,6 +8,7 @@ identical logical work no matter what the network underneath did.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.faults import (
     seeded_sweep,
 )
 from repro.graph.generators import random_graph, reply_forest
+from repro.obs import render_prometheus
 from repro.runtime.message import AckMessage, Batch, DoneMessage
 from repro.runtime.network import SimulatedNetwork
 from repro.sweep import Variant, run_sweep
@@ -440,12 +442,15 @@ class TestObsIntegration:
             graph, CONFIG.with_(faults=plan, observe=True)
         ).execute(QUERY)
         result.obs.finish()
-        names = {e.get("name") for e in result.obs.events}
+        names = Counter(e.get("name") for e in result.obs.events)
         assert "fault.drop" in names
         assert "net.retx" in names
-        summaries = result.obs.metrics.summaries()
-        assert "repro_fault_injected_total" in summaries
-        assert "repro_net_retransmits_total" in summaries
+        n_drops = result.stats.fault_events["drop"]
+        assert names["fault.drop"] == n_drops
+        text = render_prometheus(result)
+        assert "# TYPE repro_fault_injected_total counter" in text
+        assert "# TYPE repro_net_retransmits_total counter" in text
+        assert f'repro_fault_injected_total{{kind="drop"}} {n_drops}' in text
 
     def test_trace_summary_reports_faults(self, graph, tmp_path):
         from repro.obs import summarize_trace, to_chrome_trace, validate_chrome_trace

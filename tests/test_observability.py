@@ -1,13 +1,15 @@
 """Tests for the structured tracing + metrics subsystem (``repro.obs``).
 
-Covers the metrics registry, the recorder's virtual-time clock, the three
-exporters (Chrome trace / JSONL / Prometheus), trace validation, the
-zero-overhead guarantee when observation is disabled, and the reconciliation
-of span counts against ``RunStats`` — the paper's Table 2/3 numbers must be
-derivable from the trace alone.
+Covers the Prometheus text rendering, the recorder's virtual-time clock,
+the three exporters (Chrome trace / JSONL / Prometheus), trace validation,
+the zero-overhead guarantee when observation is disabled, the
+reconciliation of span counts against ``RunStats`` — the paper's Table 2/3
+numbers must be derivable from the trace alone — and that every exported
+counter family equals its one source in ``RunStats``, on both backends.
 """
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -16,8 +18,8 @@ import repro
 from repro.config import EngineConfig
 from repro.errors import SanitizerViolation
 from repro.graph.generators import chain_graph, random_graph
+from repro.faults import FaultPlan, MachineCrash
 from repro.obs import (
-    MetricsRegistry,
     Recorder,
     jsonl_lines,
     load_trace_file,
@@ -26,8 +28,10 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
+    render_prometheus,
     write_prometheus,
 )
+from repro.obs.metrics import MACHINE_STATS, Family, prometheus_text
 from repro.session import Session
 
 CYCLIC_UNBOUNDED = "SELECT COUNT(*) FROM MATCH (a)-/:LINK+/->(b)"
@@ -43,64 +47,196 @@ def observed_run():
     return result
 
 
+#: Families of an observed simulator run of ``CYCLIC_UNBOUNDED``.
+OBSERVED_SIM_FAMILIES = [
+    "repro_batch_bytes",
+    "repro_batch_contexts",
+    "repro_batches_sent_total",
+    "repro_control_entries_total",
+    "repro_flow_blocks_total",
+    "repro_flow_overflow_grants_total",
+    "repro_flow_wait_rounds",
+    "repro_index_probes_total",
+    "repro_machine_stat",
+    "repro_peak_rss_bytes",
+    "repro_status_broadcasts_total",
+    "repro_term_candidates_total",
+]
+#: The families only an observed run's events carry.
+EVENT_FAMILIES = {
+    "repro_batch_bytes",
+    "repro_batch_contexts",
+    "repro_flow_wait_rounds",
+    "repro_term_candidates_total",
+}
+
+_SAMPLE = re.compile(r"^(\w+?)(?:\{(.*)\})? (\S+)$")
+
+
+def parse_prometheus(text):
+    """``({series name: {((label, value), ...): value}}, family names)``."""
+    series = {}
+    families = set()
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            families.add(line.split()[2])
+            continue
+        if line.startswith("#"):
+            continue
+        name, labels, value = _SAMPLE.match(line).groups()
+        key = tuple(sorted(re.findall(r'(\w+)="([^"]*)"', labels or "")))
+        series.setdefault(name, {})[key] = float(value)
+    return series, families
+
+
+def assert_metrics_match_sources(result, text):
+    """Every counter family in ``text`` equals its source — ``RunStats``,
+    the plan's ``min_hops``, or the recorder's events; returns the names
+    of the families."""
+    series, families = parse_prometheus(text)
+    stats = result.stats
+    machines = list(enumerate(stats.per_machine))
+
+    def labelled(name, *labels):
+        return {
+            tuple(dict(key)[label] for label in labels): value
+            for key, value in series[name].items()
+        }
+
+    for name, attr in (
+        ("repro_batches_sent_total", "batches_sent"),
+        ("repro_flow_blocks_total", "flow_control_blocks"),
+        ("repro_flow_overflow_grants_total", "overflow_grants"),
+    ):
+        assert labelled(name, "machine") == {
+            (str(m),): getattr(s, attr) for m, s in machines
+        }, name
+    assert sum(series["repro_batches_sent_total"].values()) == stats.batches_sent
+    assert sum(series["repro_flow_blocks_total"].values()) == (
+        stats.flow_control_blocks
+    )
+    machine_stat = labelled("repro_machine_stat", "machine", "stat")
+    assert len(machine_stat) == len(machines) * len(MACHINE_STATS)
+    for (m, stat), value in machine_stat.items():
+        assert value == getattr(stats.per_machine[int(m)], stat), (m, stat)
+    peers = stats.num_machines - 1
+    assert {
+        m: value * peers
+        for (m,), value in labelled(
+            "repro_status_broadcasts_total", "machine"
+        ).items()
+    } == {str(m): s.status_messages for m, s in machines}
+
+    probes = labelled("repro_index_probes_total", "machine", "outcome")
+    for m, s in machines:
+        assert probes[(str(m), "insert")] == s.index_inserts
+        assert probes[(str(m), "overwrite")] == s.index_updates
+    assert sum(
+        v for (_m, outcome), v in probes.items() if outcome == "eliminated"
+    ) == sum(sum(c.values()) for c in stats.eliminated.values())
+
+    entries = labelled("repro_control_entries_total", "rpq", "depth", "outcome")
+    for spec in result.plan.rpq_specs():
+        for depth, matches, eliminated, duplicated in stats.depth_table(
+            spec.rpq_id
+        ):
+            row = {
+                outcome: entries.get((str(spec.rpq_id), str(depth), outcome), 0)
+                for outcome in ("below_min", "match", "eliminated", "duplicated")
+            }
+            assert sum(row.values()) == matches
+            assert row["eliminated"] == eliminated
+            assert row["duplicated"] == duplicated
+            assert (row["below_min"] > 0) == (
+                depth < spec.min_hops and matches > 0
+            )
+
+    transport = stats.transport
+    for key in ("retransmits", "fenced", "corrupt_dropped", "retx_exhausted"):
+        name = f"repro_net_{key}_total"
+        if transport is None:
+            assert name not in families
+        else:
+            assert series[name][()] == transport[key]
+    if stats.fault_events is None:
+        assert "repro_fault_injected_total" not in families
+    else:
+        assert labelled("repro_fault_injected_total", "kind") == {
+            (kind,): n for kind, n in stats.fault_events.items()
+        }
+    if stats.recovery is None:
+        assert "repro_recovery_checkpoints_total" not in families
+    else:
+        assert series["repro_recovery_checkpoints_total"][()] == (
+            stats.recovery["checkpoints"]
+        )
+        assert series["repro_recovery_failovers_total"][()] == (
+            stats.recovery["recoveries"]
+        )
+    membership = stats.membership
+    if membership is None:
+        assert "repro_membership_suspicions_total" not in families
+    else:
+        assert labelled("repro_membership_suspicions_total", "outcome") == {
+            ("confirmed",): membership["confirmations"],
+            ("cleared",): membership["false_suspicions"],
+        }
+        latencies = membership["detection_latencies"]
+        if latencies:
+            name = "repro_membership_detection_latency_rounds"
+            assert series[name + "_count"][()] == len(latencies)
+            assert series[name + "_sum"][()] == sum(latencies)
+
+    if result.obs is None:
+        assert not families & EVENT_FAMILIES
+    else:
+        candidates = Counter(
+            str(e["pid"]) for e in result.obs.events
+            if e["name"] == "term.candidate"
+        )
+        assert {
+            m: v for (m,), v in labelled(
+                "repro_term_candidates_total", "machine"
+            ).items()
+        } == candidates
+        sent = [
+            sum(series[name].values()) for name in (
+                "repro_batch_contexts_count",
+                "repro_batch_contexts_sum",
+                "repro_batch_bytes_sum",
+            )
+        ]
+        totals = [stats.batches_sent, stats.contexts_sent, stats.bytes_sent]
+        if stats.recovery is not None and stats.recovery["recoveries"]:
+            # A rollback restores the stats; the rolled-back epoch's
+            # batch.send events stay on the timeline.
+            assert all(a >= b for a, b in zip(sent, totals))
+        else:
+            assert sent == totals
+    return families
+
+
 class TestMetricsRegistry:
-    def test_counter_inc(self):
-        reg = MetricsRegistry()
-        c = reg.counter("hits_total", "hits", ("kind",))
-        c.labels("a").inc()
-        c.labels("a").inc(2)
-        c.labels("b").inc()
-        assert c.labels("a").value == 3
-        assert c.labels("b").value == 1
-
-    def test_gauge_set_and_dec(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("occupancy", "buffers", ("m",))
-        g.labels(0).set(5)
-        g.labels(0).dec()
-        assert g.labels(0).value == 4
-
-    def test_histogram_summary_and_quantile(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("sizes", "batch sizes", ())
-        for v in [1, 2, 4, 8, 100]:
-            h.labels().observe(v)
-        s = h.labels().summary()
-        assert s["count"] == 5
-        assert s["sum"] == 115
-        assert s["max"] == 100
-        assert h.labels().quantile(0.5) <= h.labels().quantile(0.99)
-
-    def test_registration_is_idempotent(self):
-        reg = MetricsRegistry()
-        a = reg.counter("x_total", "x", ("l",))
-        b = reg.counter("x_total", "x", ("l",))
-        assert a is b
-
-    def test_registration_shape_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x_total", "x", ("l",))
-        with pytest.raises(ValueError):
-            reg.counter("x_total", "x", ("l", "m"))
-        with pytest.raises(ValueError):
-            reg.gauge("x_total", "x", ("l",))
+    """The family table's Prometheus text rendering (``repro.obs.metrics``)."""
 
     def test_prometheus_text_format(self):
-        reg = MetricsRegistry()
-        reg.counter("c_total", "a counter", ("k",)).labels("v").inc(7)
-        reg.histogram("h", "a histogram", ()).labels().observe(3)
-        text = reg.prometheus_text()
+        text = prometheus_text([
+            Family("c_total", "counter", "a counter", ("k",), {("v",): 7}),
+            Family("h", "histogram", "a histogram", (), {(): [3]}),
+        ])
         assert "# HELP c_total a counter" in text
         assert "# TYPE c_total counter" in text
         assert 'c_total{k="v"} 7' in text
+        assert 'h_bucket{le="2"} 0' in text
+        assert 'h_bucket{le="4"} 1' in text
         assert 'h_bucket{le="+Inf"} 1' in text
         assert "h_count 1" in text
         assert "h_sum 3" in text
 
     def test_prometheus_label_escaping(self):
-        reg = MetricsRegistry()
-        reg.counter("e_total", "esc", ("k",)).labels('a"b\\c').inc()
-        text = reg.prometheus_text()
+        text = prometheus_text(
+            [Family("e_total", "counter", "esc", ("k",), {('a"b\\c',): 1})]
+        )
         assert 'k="a\\"b\\\\c"' in text
 
 
@@ -253,7 +389,7 @@ class TestTraceExportRoundTrip:
         write_jsonl(observed_run.obs, path)
         loaded = load_trace_file(str(path))
         assert len(loaded["traceEvents"]) == len(observed_run.obs.events)
-        assert loaded["metrics"]  # final metrics record survives the trip
+        assert loaded["otherData"]["events"] == len(observed_run.obs.events)
         assert validate_chrome_trace(loaded) == []
 
     def test_chrome_file_round_trip(self, observed_run, tmp_path):
@@ -269,25 +405,69 @@ class TestTraceExportRoundTrip:
         kinds = set()
         for line in jsonl_lines(observed_run.obs):
             kinds.add(json.loads(line)["type"])
-        assert kinds == {"meta", "event", "metrics"}
+        assert kinds == {"meta", "event"}
 
     def test_prometheus_export(self, observed_run, tmp_path):
         path = tmp_path / "metrics.prom"
-        write_prometheus(observed_run.obs, path)
+        write_prometheus(observed_run, path)
         text = path.read_text()
         assert "repro_batches_sent_total" in text
         assert "repro_control_entries_total" in text
         assert "repro_flow_wait_rounds_bucket" in text
 
-    def test_metrics_agree_with_stats(self, observed_run):
-        reg = observed_run.obs.metrics
-        counter = reg.counter(
-            "repro_batches_sent_total",
-            "batches shipped to other machines",
-            ("machine", "stage"),
+    def test_metrics_agree_with_stats(self, observed_run, tmp_path):
+        path = tmp_path / "metrics.prom"
+        write_prometheus(observed_run, path)
+        families = assert_metrics_match_sources(observed_run, path.read_text())
+        # Adding or dropping a family is a visible edit of this list.
+        assert sorted(families) == OBSERVED_SIM_FAMILIES
+
+
+class TestMetricsFromRunStats:
+    """``--metrics-out`` is a view of ``RunStats``: the same counter
+    families on the process backend, and the fault / transport / recovery /
+    membership families from the run's epilogues."""
+
+    def test_process_backend_metrics_agree_with_stats(self, tmp_path):
+        graph = random_graph(60, 200, seed=3)
+        with repro.connect(graph, num_machines=4, backend="process") as session:
+            result = session.execute(CYCLIC_UNBOUNDED)
+        path = tmp_path / "metrics.prom"
+        write_prometheus(result, path)
+        text = path.read_text()
+        families = assert_metrics_match_sources(result, text)
+        assert sorted(families) == sorted(
+            set(OBSERVED_SIM_FAMILIES) - EVENT_FAMILIES
         )
-        sent = sum(child.value for child in counter._children.values())
-        assert sent == observed_run.stats.batches_sent
+        series, _ = parse_prometheus(text)
+        assert sum(series["repro_batches_sent_total"].values()) == (
+            result.stats.batches_sent
+        )
+
+    def test_crash_recovery_metrics_agree_with_stats(self):
+        graph = random_graph(40, 120, seed=3)
+        plan = FaultPlan(
+            seed=3, drop_prob=0.05, crashes=(MachineCrash(machine=2, round=6),)
+        )
+        config = EngineConfig(
+            num_machines=4, recovery=True, stall_limit=500, faults=plan
+        )
+        result = Session(graph, config).execute(CYCLIC_UNBOUNDED, observe=True)
+        assert result.complete
+        stats = result.stats
+        assert stats.membership["confirmations"] >= 1
+        assert stats.recovery["recoveries"] >= 1
+        assert stats.transport["retransmits"] > 0
+        families = assert_metrics_match_sources(result, render_prometheus(result))
+        assert {
+            "repro_fault_injected_total",
+            "repro_net_retransmits_total",
+            "repro_net_fenced_total",
+            "repro_recovery_checkpoints_total",
+            "repro_recovery_failovers_total",
+            "repro_membership_suspicions_total",
+            "repro_membership_detection_latency_rounds",
+        } <= families
 
 
 class TestZeroOverhead:
@@ -400,10 +580,6 @@ class TestSanitizerOnEventBus:
         events = [e for e in rec.events if e["name"] == "sanitizer.violation"]
         assert len(events) == 1
         assert events[0]["args"]["invariant"] == "test invariant"
-        counter = rec.metrics.counter(
-            "repro_sanitizer_violations_total", "", ("invariant",)
-        )
-        assert counter.labels("test invariant").value == 1
 
     def test_sanitized_observed_run_is_clean(self):
         graph = chain_graph(12)
@@ -416,30 +592,6 @@ class TestSanitizerOnEventBus:
         names = {e["name"] for e in result.obs.events}
         assert "sanitizer.violation" not in names
         assert "query.end" in names
-
-
-class TestBenchHarnessRecorder:
-    def test_metric_summaries_attached(self):
-        from repro.bench.harness import BenchHarness, rpqd_executor
-
-        graph = chain_graph(14)
-        cells = BenchHarness(repetitions=1).run(
-            {"rpqd": rpqd_executor(graph, 2, observe=True)},
-            {"q": "SELECT COUNT(*) FROM MATCH (a)-/:NEXT{1,3}/->(b)"},
-        )
-        cell = cells[("rpqd", "q")]
-        assert cell.metric_summaries
-        assert "repro_control_entries_total" in cell.metric_summaries
-
-    def test_unobserved_executor_attaches_nothing(self):
-        from repro.bench.harness import BenchHarness, rpqd_executor
-
-        graph = chain_graph(14)
-        cells = BenchHarness(repetitions=1).run(
-            {"rpqd": rpqd_executor(graph, 2)},
-            {"q": "SELECT COUNT(*) FROM MATCH (a)-/:NEXT{1,3}/->(b)"},
-        )
-        assert cells[("rpqd", "q")].metric_summaries == {}
 
 
 class TestObservabilityCli:
@@ -469,6 +621,33 @@ class TestObservabilityCli:
         trace = json.loads(trace_path.read_text())
         assert validate_chrome_trace(trace) == []
         assert "repro_batches_sent_total" in metrics_path.read_text()
+
+    def test_process_backend_metrics_out(self, graph_file, tmp_path, capsys):
+        from repro.cli import main
+
+        metrics_path = tmp_path / "m.prom"
+        rc = main([
+            "query", str(graph_file),
+            "SELECT COUNT(*) FROM MATCH (a:Person)-/:KNOWS{1,2}/->(b:Person)",
+            "--backend", "process", "--metrics-out", str(metrics_path),
+        ])
+        assert rc == 0
+        assert "metrics written" in capsys.readouterr().err
+        _, families = parse_prometheus(metrics_path.read_text())
+        assert "repro_batches_sent_total" in families
+        assert not families & EVENT_FAMILIES
+
+    def test_process_backend_refuses_trace_out(self, graph_file, tmp_path,
+                                               capsys):
+        from repro.cli import main
+
+        rc = main([
+            "query", str(graph_file),
+            "SELECT COUNT(*) FROM MATCH (a:Person)",
+            "--backend", "process", "--trace-out", str(tmp_path / "t.json"),
+        ])
+        assert rc == 2
+        assert "require --backend sim" in capsys.readouterr().err
 
     def test_query_jsonl_extension_selects_jsonl(self, graph_file, tmp_path,
                                                  capsys):
