@@ -17,8 +17,8 @@ described by ``<subcommand> --help``.
   interleaved on one shared cluster and checked against solo execution;
 * ``trace`` — validate and pretty-print a trace file from ``query
   --trace-out``;
-* ``analyze`` — the protocol lint rules (RPQ001..RPQ006) plus ruff/mypy
-  when installed, ``--races N`` for the schedule race detector;
+* ``analyze`` — the schedule race detector: the benchmark queries under
+  ``--races N`` permuted scheduler interleavings;
 * ``chaos`` — benchmark queries under seeded fault plans, every run
   checked against its fault-free solo baseline; ``--concurrency N`` runs
   each plan against the whole batch on one shared cluster.
@@ -29,8 +29,8 @@ benchmarking is not a subcommand: ``benchmarks/perf/run.py`` is the perf
 gate (``BENCHMARK.json``), ``pytest benchmarks/`` reproduces the paper's
 figures.
 
-Exit codes: 0 ok, 1 a check failed (violations, result divergence, invalid
-trace), 2 usage, configuration or I/O error.
+Exit codes: 0 ok, 1 a check failed (result divergence, invalid trace), 2
+usage, configuration or I/O error.
 """
 
 import argparse
@@ -276,79 +276,37 @@ def cmd_explain(args):
 
 
 def cmd_analyze(args):
-    from .analysis import ALL_RULES, lint_package
-    from .analysis.external import run_external_linters
+    """``repro analyze``: the schedule race detector — the benchmark queries
+    under ``--races`` permuted scheduler interleavings, each diffed against
+    the canonical schedule; exit 1 on any result-set divergence."""
+    from .datagen import BENCHMARK_QUERIES, mini_ldbc
+    from .sweep import Variant, run_sweep
 
-    if args.list_rules:
-        for rule_cls in ALL_RULES:
-            print(f"{rule_cls.rule_id}  {rule_cls.title}")
-            print(f"        {rule_cls.rationale}")
-        return 0
-
-    rc = 0
-    try:
-        violations = lint_package(args.path)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}")
-        return 2
-    if args.json:
+    graph, info = mini_ldbc(args.scale, seed=args.seed)
+    report = run_sweep(
+        graph,
+        [build(info) for build in BENCHMARK_QUERIES.values()],
+        [Variant(s, {"schedule_seed": s}) for s in range(1, args.races + 1)],
+        config=EngineConfig(num_machines=args.machines),
+        baseline_overrides={"schedule_seed": None},
+    )
+    for index, query in enumerate(report.queries):
+        fingerprints = {
+            result.stats.schedule_fingerprint
+            for result in report.query_results(index)
+        }
+        # + 1: the baseline ran the canonical (unseeded) schedule.
         print(
-            json.dumps(
-                {
-                    "ok": not violations,
-                    "rules": [r.rule_id for r in ALL_RULES],
-                    "violations": [
-                        {"rule": v.rule_id, "path": v.path, "line": v.line,
-                         "message": v.message}
-                        for v in violations
-                    ],
-                },
-                indent=2,
-            )
+            f"-- races: {query!r}: {args.races} seeded schedules, "
+            f"{len(fingerprints) + 1} distinct interleavings, "
+            f"{_verdict(report.query_mismatches(index))}"
         )
-        return 0 if not violations else 1
-    for violation in violations:
-        print(violation.format())
-    if violations:
-        print(f"-- protocol lint: {len(violations)} violation(s)")
-        rc = 1
-    else:
-        print("-- protocol lint: ok "
-              f"({len(ALL_RULES)} rules: RPQ001..RPQ00{len(ALL_RULES)})")
-
-    if not args.no_external:
-        rc = max(rc, run_external_linters())
-
-    if args.races:
-        from .datagen import BENCHMARK_QUERIES, mini_ldbc
-        from .sweep import Variant, run_sweep
-
-        graph, info = mini_ldbc(args.scale, seed=args.seed)
-        report = run_sweep(
-            graph,
-            [build(info) for build in BENCHMARK_QUERIES.values()],
-            [Variant(s, {"schedule_seed": s}) for s in range(1, args.races + 1)],
-            config=EngineConfig(num_machines=args.machines),
-            baseline_overrides={"schedule_seed": None},
-        )
-        for index, query in enumerate(report.queries):
-            fingerprints = {
-                result.stats.schedule_fingerprint
-                for result in report.query_results(index)
-            }
-            # + 1: the baseline ran the canonical (unseeded) schedule.
-            print(
-                f"-- races: {query!r}: {args.races} seeded schedules, "
-                f"{len(fingerprints) + 1} distinct interleavings, "
-                f"{_verdict(report.query_mismatches(index))}"
-            )
-        if not report.ok:
-            print("-- race detector: RESULT-SET DIVERGENCE (order dependence)")
-            rc = 1
-        else:
-            print(f"-- race detector: ok ({len(report.queries)} queries x "
-                  f"{args.races} schedules)")
-    return rc
+    if not report.ok:
+        print("-- race detector: RESULT-SET DIVERGENCE (order dependence)")
+        return 1
+    print(f"-- race detector: ok ({len(report.queries)} queries x "
+          f"{args.races} schedules)")
+    return 0
 
 
 def _verdict(mismatches):
@@ -830,34 +788,15 @@ def build_parser():
 
     p = sub.add_parser(
         "analyze",
-        help="protocol lint rules + ruff/mypy + optional race detector",
-    )
-    p.add_argument(
-        "path",
-        nargs="?",
-        default=None,
-        help="package directory to lint (default: the installed repro package)",
-    )
-    p.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a machine-readable violation list (exit 1 iff "
-        "violations exist)",
-    )
-    p.add_argument(
-        "--no-external",
-        action="store_true",
-        help="skip ruff/mypy even when installed",
+        help="schedule race detector: the benchmark queries under permuted "
+        "scheduler interleavings, diffed against the canonical schedule",
     )
     p.add_argument(
         "--races",
         type=int,
-        default=0,
+        default=5,
         metavar="N",
-        help="also run the workload under N permuted scheduler interleavings",
+        help="number of seeded scheduler interleavings (default: 5)",
     )
     _add_graph_args(p, "xs")
     p.set_defaults(func=cmd_analyze)

@@ -64,7 +64,7 @@ class TerminationTracker:
         """Account ``count`` bootstrap roots as stage-0 work units.
 
         The only bulk entry point: all counter mutations go through the
-        tracker (lint rule RPQ004) so monotonicity holds by construction.
+        tracker so monotonicity holds by construction.
         """
         self.sent[(0, 0)] += count
 

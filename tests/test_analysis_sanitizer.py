@@ -309,20 +309,3 @@ class TestEndToEnd:
         engine = Session(graph, CONFIG.with_(sanitize=True))
         with pytest.raises(SanitizerViolation):
             engine.execute("SELECT COUNT(*) FROM MATCH (a)-/:E{1,3}/->(b)")
-
-    def test_rpq002_also_flags_the_broken_release(self):
-        """The same defect class is caught statically by lint rule RPQ002."""
-        from repro.analysis import Linter, ProjectSource
-        from repro.analysis.rules import CreditLeakRule
-
-        broken = (
-            "def flush(self, batch):\n"
-            "    credit = self.flow.try_acquire(1, 2, 0, True)\n"
-            "    if credit is None:\n"
-            "        return False\n"
-            "    return True\n"  # credit never attached to the batch
-        )
-        violations = Linter([CreditLeakRule()]).run(
-            ProjectSource.from_sources({"repro/runtime/machine.py": broken})
-        )
-        assert any("leaks" in v.message for v in violations)

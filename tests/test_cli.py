@@ -271,3 +271,10 @@ class TestChaosConcurrency:
             False, True,
         ]
         assert "RESULT DIVERGENCE" in captured.err
+
+
+class TestAnalyze:
+    def test_race_detector_runs_through_the_cli(self, capsys):
+        assert main(["analyze", "--races", "2", "--scale", "xs"]) == 0
+        out = capsys.readouterr().out
+        assert "-- race detector: ok (9 queries x 2 schedules)" in out
