@@ -215,7 +215,7 @@ class BaselineEngine:
             raise PlanningError(f"cannot execute {query!r}")
         started = time.perf_counter()
         stats = BaselineStats(self.quantum)
-        planner = Planner(query)
+        planner = Planner(query, graph=self.graph)
         ops = planner.plan().ops
 
         edge_vars = self._edge_vars(query, planner)

@@ -325,7 +325,7 @@ class PlanCompiler:
             from .scouting import Scout
 
             scout = Scout(graph, samples=scout_samples)
-        self.planner = Planner(query, scout=scout)
+        self.planner = Planner(query, scout=scout, graph=graph)
         self.logical = self.planner.plan()
         self.slots = SlotTable()
         self.stages = []

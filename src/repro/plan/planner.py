@@ -3,7 +3,10 @@
 Implements the paper's Section 3.1 heuristics:
 
 (i)   prefer single-match vertices (``ID(v) = <const>``) as starting points;
-(ii)  prioritize vertices with heavy filtering in the early stages;
+(ii)  prioritize vertices with heavy filtering in the early stages: a
+      vertex is priced at the fraction of the graph its labels cover (the
+      graph's cached label histogram, :attr:`PropertyGraph.statistics`)
+      times its filters' selectivities;
 (iii) prefer edge matches over neighbor matches (edge match cost is
       logarithmic);
 (iv)  prefer RPQ matches over neighbor matches so RPQs run early.
@@ -113,13 +116,41 @@ def conjunct_selectivity(conjunct):
     return 0.5
 
 
-def vertex_score(pv):
-    """Start-vertex score; lower is better (heuristics i and ii)."""
+#: Fraction priced per label group when the planner has no graph.
+DEFAULT_LABEL_FRACTION = 0.3
+
+
+def label_fractions(graph):
+    """``group -> fraction`` of ``graph``'s vertices carrying any label of
+    the OR-group, read off the cached label histogram (no graph scan).
+
+    The sum over the group's labels is capped at 1 and floored at
+    ``1/(2n)``: a label the graph lacks still prices above a single-match
+    vertex, so heuristic (i) keeps winning outright.
+    """
+    stats = graph.statistics
+    n = max(1, stats.num_vertices)
+    count = stats.vertices_per_label.get
+    id_of = graph.vertex_labels.id_of
+
+    def fraction(group):
+        matched = sum(count(id_of(name), 0) for name in group)
+        return max(min(1.0, matched / n), 0.5 / n)
+
+    return fraction
+
+
+def vertex_score(pv, label_fraction=None):
+    """Start-vertex score; lower is better (heuristics i and ii).
+
+    ``label_fraction`` prices one label group (see :func:`label_fractions`);
+    without one every group is priced at :data:`DEFAULT_LABEL_FRACTION`.
+    """
     if pv.single_match:
         return 0.0
     score = 1.0
-    for _ in pv.label_groups:
-        score *= 0.3
+    for group in pv.label_groups:
+        score *= DEFAULT_LABEL_FRACTION if label_fraction is None else label_fraction(group)
     for conjunct in pv.filters:
         score *= conjunct_selectivity(conjunct)
     return score
@@ -132,11 +163,14 @@ class Planner:
     and expansion-target choices use *measured* sampled selectivities
     instead of the static heuristics — the paper's scouting-queries
     direction.  Single-match vertices (heuristic i) still win outright.
+    Without a scout, ``graph`` (when given) prices label groups from its
+    label histogram (:func:`label_fractions`).
     """
 
-    def __init__(self, query, scout=None):
+    def __init__(self, query, scout=None, graph=None):
         self.query = query
         self.scout = scout
+        self._label_fraction = None if graph is None else label_fractions(graph)
         self.pattern_graph = build_pattern_graph(query)
         self.macro_vars = self._collect_macro_vars()
         self._classify_filters()
@@ -144,7 +178,7 @@ class Planner:
     def _score(self, pv):
         if self.scout is not None and not pv.single_match:
             return self.scout.selectivity(pv)
-        return vertex_score(pv)
+        return vertex_score(pv, self._label_fraction)
 
     # -- filter classification -----------------------------------------
     def _collect_macro_vars(self):

@@ -73,7 +73,6 @@ class ReachabilityIndex:
         self.entries = 0
         self.inserts = 0
         self.updates = 0
-        self.hits = 0
         # Wall-clock profiling (:mod:`repro.obs.prof`): probes are the
         # hottest index path, so instead of a per-call ``if prof`` branch
         # the *instance* method is shadowed with the timed variant — the
@@ -119,7 +118,6 @@ class ReachabilityIndex:
             self.entries += 1
             self.inserts += 1
             return IndexOutcome.INSERTED
-        self.hits += 1
         if old <= depth:
             return IndexOutcome.ELIMINATED
         if self._san is not None:
@@ -136,16 +134,14 @@ class ReachabilityIndex:
             self.entries,
             self.inserts,
             self.updates,
-            self.hits,
         )
 
     def restore_state(self, state):
-        first_level, entries, inserts, updates, hits = state
+        first_level, entries, inserts, updates = state
         self._first_level = {v: dict(s) for v, s in first_level.items()}
         self.entries = entries
         self.inserts = inserts
         self.updates = updates
-        self.hits = hits
 
     def depth_of(self, source_path_id, dst_vertex):
         second_level = self._first_level.get(dst_vertex)

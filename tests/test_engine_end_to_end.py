@@ -292,13 +292,21 @@ class TestStatsSurface:
     def test_depth_table_shape(self):
         g = reply_forest(30, 3, 5, seed=3)
         eng = Session(g, EngineConfig(num_machines=4))
-        r = eng.execute(
-            "SELECT COUNT(*) FROM MATCH (c:Comment)-/:REPLY_OF+/->(p:Post)"
-        )
-        table = r.stats.depth_table(0)
+        # Walking up from the comments (an unlabelled end prices at 1, so
+        # the planner starts at ``c``): every comment at depth 0, decaying
+        # toward the few deepest chains.
+        up = "SELECT COUNT(*) FROM MATCH (c:Comment)-/:REPLY_OF+/->(p)"
+        assert eng.compile(up).stages[0].var == "c"
+        table = eng.execute(up).stats.depth_table(0)
         assert table[0][0] == 0  # depth column starts at 0
         matches = [row[1] for row in table]
         assert matches[0] >= matches[-1]  # decay toward the deep end
+        # With the posts labelled the 30 posts are the rarer end: the walk
+        # fans out down the reply trees instead, growing with depth.
+        down = "SELECT COUNT(*) FROM MATCH (c:Comment)-/:REPLY_OF+/->(p:Post)"
+        assert eng.compile(down).stages[0].var == "p"
+        table = eng.execute(down).stats.depth_table(0)
+        assert (table[0][:2], table[-1][:2]) == ((0, 30), (5, 256))
 
     def test_machine_count_does_not_change_results(self):
         g = random_graph(40, 150, seed=21)

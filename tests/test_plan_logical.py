@@ -13,7 +13,17 @@ from repro.plan.logical import (
     RpqMatchOp,
     VertexMatchOp,
 )
-from repro.plan.planner import Planner, extract_single_match
+from repro import GraphBuilder
+from repro.datagen import BENCHMARK_QUERIES, mini_ldbc
+from repro.graph.graph import PropertyGraph
+from repro.plan.compiler import PlanCompiler
+from repro.plan.planner import (
+    Planner,
+    conjunct_selectivity,
+    extract_single_match,
+    label_fractions,
+    vertex_score,
+)
 from repro.pgql import parse_expression
 
 
@@ -136,3 +146,61 @@ class TestMacroShadowing:
         )
         with pytest.raises(PlanningError):
             Planner(q)
+
+
+class TestLabelHistogram:
+    """Heuristic (ii) prices a label group at the fraction of the graph's
+    vertices carrying it, read off the cached label histogram."""
+
+    Q09R = (
+        "SELECT COUNT(*) FROM MATCH (post:Post)<-/:REPLY_OF+/-(reply:Comment) "
+        "WHERE reply.creationDate >= {lo}"
+    )
+
+    @pytest.mark.parametrize(
+        "scale, posts, comments", [("xs", 51, 330), ("s", 200, 2062), ("m", 693, 6896)]
+    )
+    def test_q09r_starts_from_the_rarer_posts(self, scale, posts, comments):
+        graph, info = mini_ldbc(scale, 7)
+        counts = graph.statistics.vertices_per_label
+        assert counts[graph.vertex_labels.id_of("Post")] == posts
+        assert counts[graph.vertex_labels.id_of("Comment")] == comments
+        # 693 posts against 6,896 x 0.4 recent replies at ``m``: the flat
+        # 0.3 per label group priced the filtered replies cheaper.
+        assert posts < comments * conjunct_selectivity(parse_expression("a.x >= 1"))
+        compiler = PlanCompiler(parse(self.Q09R.format(lo=info.date_lo)), graph)
+        assert compiler.logical.ops[0].var == "post"
+        assert Planner(parse(self.Q09R.format(lo=info.date_lo))).plan().ops[0].var == "reply"
+
+    def test_an_absent_label_never_ties_a_single_match(self):
+        graph = mini_ldbc("xs", 7)[0]
+        fraction = label_fractions(graph)
+        assert fraction(("Ghost",)) == 0.5 / graph.num_vertices
+        text = "SELECT COUNT(*) FROM MATCH (g:Ghost)-[:KNOWS]->(a:Person) WHERE id(a) = 3"
+        planner = Planner(parse(text), graph=graph)
+        ghost, anchor = (planner.pattern_graph.vertices[v] for v in ("g", "a"))
+        assert vertex_score(ghost, fraction) > vertex_score(anchor, fraction) == 0.0
+        assert planner.plan().ops[0].var == "a"
+
+    def test_an_or_group_sums_its_labels_capped_at_one(self):
+        b = GraphBuilder()
+        for i in range(10):
+            b.add_vertex("A" if i < 3 else "B", extra_labels=("C",) if i < 8 else ())
+        fraction = label_fractions(b.build())
+        assert fraction(("A",)) == 0.3 and fraction(("B",)) == 0.7
+        assert fraction(("A", "Ghost")) == 0.3
+        assert fraction(("A", "C")) == 1.0  # 11 of 10 vertices: capped
+        assert fraction(("A", "B")) == 1.0
+
+    def test_compile_reads_only_the_cached_statistics(self, monkeypatch):
+        graph, info = mini_ldbc("xs", 7)
+        graph.statistics  # scanned once per graph, before any compile
+
+        def scan(*_args, **_kwargs):
+            raise AssertionError("a compile scanned the graph")
+
+        for name in ("vertices", "vertices_with_label", "vertex_has_label",
+                     "neighbors", "neighbor_runs", "degree", "label_histogram"):
+            monkeypatch.setattr(PropertyGraph, name, scan)
+        for build in BENCHMARK_QUERIES.values():
+            PlanCompiler(parse(build(info)), graph).compile()

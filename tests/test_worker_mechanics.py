@@ -400,9 +400,10 @@ class TestIdleSlice:
         assert not machine.inbox
 
 
-def _rpq_queries(info):
-    """Every RPQ template the benchmark runs: the nine paper queries, the two
-    cyclic ``KNOWS`` closures and the two RPQ point-query templates."""
+def _rpq_queries(graph, info):
+    """Every RPQ template the benchmark runs — the nine paper queries, the two
+    cyclic ``KNOWS`` closures and the two RPQ point-query templates — and the
+    comment-anchored up-walks no benchmark query takes any more."""
     lo, person = info.start_person, info.start_person
     queries = {name: build(info) for name, build in BENCHMARK_QUERIES.items()}
     for name, hops, sources in (("K15x16", 5, 16), ("K16x8", 6, 8)):
@@ -418,6 +419,7 @@ def _rpq_queries(info):
         "SELECT COUNT(*) FROM MATCH (a:Person)<-[:HAS_CREATOR]-(p:Post)"
         f"<-/:REPLY_OF{{1,2}}/-(c:Comment) WHERE id(a) = {person}"
     )
+    queries.update(golden.upwalk_queries(graph, info))
     return queries
 
 
@@ -444,7 +446,7 @@ class TestFusedChainMarking:
     def test_every_benchmark_rpq_fuses_both_transitions(self, ldbc_xs):
         graph, info = ldbc_xs
         with repro.connect(graph) as session:
-            for name, text in _rpq_queries(info).items():
+            for name, text in _rpq_queries(graph, info).items():
                 plan, marked = _chains(session, text)
                 assert marked, name
                 for control, transitions in marked.items():
@@ -455,7 +457,7 @@ class TestFusedChainMarking:
 
     def test_emitting_exits_run_inside_the_chain(self, ldbc_xs):
         graph, info = ldbc_xs
-        queries = _rpq_queries(info)
+        queries = _rpq_queries(graph, info)
         with repro.connect(graph) as session:
             for name, text in queries.items():
                 plan, _marked = _chains(session, text)
@@ -540,20 +542,20 @@ class TestFusedChainEquivalence:
     stops — mid-scan, between pops, after a receipt."""
 
     @pytest.mark.parametrize("quantum", [13, 48, 2000])
-    @pytest.mark.parametrize("name", ["Q09R", "K15x16", "Q09*"])
+    @pytest.mark.parametrize("name", ["Q09R", "K15x16", "Q09*", "Uwalk", "UwalkR"])
     def test_stacks_equal_the_per_stage_run(self, ldbc_xs, name, quantum):
         self._check(ldbc_xs, name, quantum, {})
 
     @pytest.mark.parametrize("config_name", sorted(STOP_CONFIGS))
     @pytest.mark.parametrize("quantum", [13, 48, 2000])
-    @pytest.mark.parametrize("name", ["Q09R", "K15x16", "Q09*"])
+    @pytest.mark.parametrize("name", ["Q09R", "K15x16", "Q09*", "Uwalk", "UwalkR"])
     def test_stacks_equal_where_chains_stop(self, ldbc_xs, name, quantum, config_name):
         self._check(ldbc_xs, name, quantum, STOP_CONFIGS[config_name])
 
     @staticmethod
     def _check(ldbc_xs, name, quantum, overrides):
         graph, info = ldbc_xs
-        query = _rpq_queries(info)[name]
+        query = _rpq_queries(graph, info)[name]
         config = EngineConfig(**{"num_machines": 4, "quantum": quantum, **overrides})
         fused = _stacks_per_round(graph, query, config)
         with pytest.MonkeyPatch.context() as patch:
