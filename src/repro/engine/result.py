@@ -118,12 +118,6 @@ class MachineSink:
         self.groups = {}  # group key -> (plain values, [accumulators])
         self.add = self._adder()
 
-    def _new_group(self):
-        projections = self.plan.projections
-        return ([None] * len(projections), [
-            _AggAccumulator(p.aggregate, p.distinct) if p.aggregate else None for p in projections
-        ])
-
     def _adder(self):
         """``add`` for this plan's shape, bound to this sink's current rows,
         groups and accumulators."""
@@ -141,7 +135,7 @@ class MachineSink:
         if not key_fns:
             # One group from the start: with no row at all it assembles the
             # same 0 / NULL row as no group would.
-            accumulators = groups.setdefault((), self._new_group())[1]
+            accumulators = groups.setdefault((), _new_group(projections))[1]
             if len(projections) == 1 and projections[0].compiled is None:  # COUNT(*)
                 counter = accumulators[0]
 
@@ -151,12 +145,13 @@ class MachineSink:
                 return count_row
         plain = tuple((i, p.compiled) for i, p in enumerate(projections) if not p.aggregate)
         aggregates = tuple((i, p.compiled) for i, p in enumerate(projections) if p.aggregate)
-        new_group = self._new_group
 
         def add_grouped(ctx):
             state.ctx = ctx
             key = tuple([fn(state) for fn in key_fns])
-            values, accumulators = groups.get(key) or groups.setdefault(key, new_group())
+            values, accumulators = groups.get(key) or groups.setdefault(
+                key, _new_group(projections)
+            )
             for i, fn in plain:
                 values[i] = fn(state)
             for i, fn in aggregates:
@@ -181,6 +176,15 @@ class MachineSink:
         self.groups.clear()
         self.groups.update(_copy_groups(state["groups"]))
         self.add = self._adder()  # bound to the restored accumulators
+
+
+def _new_group(projections):
+    """A group's fresh ``(plain values, [accumulators])``.  Not a sink method:
+    the sink's ``add`` closes over it, and a bound method there would tie
+    the sink into a reference cycle."""
+    return ([None] * len(projections), [
+        _AggAccumulator(p.aggregate, p.distinct) if p.aggregate else None for p in projections
+    ])
 
 
 def _copy_groups(groups):

@@ -194,6 +194,8 @@ class DistributedPlan:
     # Likewise the termination evaluator's view of the stages
     # (:func:`repro.runtime.termination.termination_table`).
     termination_table: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # And flow control's, for one config (:func:`repro.runtime.buffers.flow_table`).
+    flow_table: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def num_stages(self):

@@ -24,6 +24,31 @@ def remote_target_stages(plan):
     return sorted(targets)
 
 
+def flow_table(plan, config):
+    """What the machines of a run read of ``plan`` under ``config``, resolved
+    once and cached on the plan for that config: the RPQ path stages, and the
+    send-credit capacity of every remote target's buckets towards one peer as
+    ``{(stage, depth class): capacity}``."""
+    table = plan.flow_table
+    if table is None or table[0] is not config:
+        targets = remote_target_stages(plan)
+        peers = max(1, config.num_machines - 1)
+        share = max(2, config.buffers_per_machine // max(1, len(targets) * peers))
+        depth_d = config.rpq_flow_depth
+        buckets = {}
+        for stage_idx in targets:
+            if plan.stages[stage_idx].kind is StageKind.PATH:
+                per_depth = max(1, share // (depth_d + 1))
+                for d in range(depth_d):
+                    buckets[(stage_idx, d)] = per_depth
+                buckets[(stage_idx, SHARED)] = config.rpq_shared_credits
+            else:
+                buckets[(stage_idx, 0)] = share
+        path_stages = frozenset(i for spec in plan.rpq_specs() for i in spec.path_stages)
+        table = plan.flow_table = (config, path_stages, buckets)
+    return table
+
+
 class FlowControl:
     """Sender-side credit accounting for one machine."""
 
@@ -39,26 +64,14 @@ class FlowControl:
         self.stats = stats
         self._san = sanitizer
         self._in_flight = {}
-        self._capacity = {}
         self._overflow_capacity = config.rpq_overflow_per_depth
         self._total_in_flight = 0
-
-        targets = remote_target_stages(plan)
-        peers = max(1, config.num_machines - 1)
-        share = max(2, config.buffers_per_machine // max(1, len(targets) * peers))
-        depth_d = config.rpq_flow_depth
-        for dst in range(config.num_machines):
-            if dst == machine_id:
-                continue
-            for stage_idx in targets:
-                stage = plan.stages[stage_idx]
-                if stage.kind is StageKind.PATH:
-                    per_depth = max(1, share // (depth_d + 1))
-                    for d in range(depth_d):
-                        self._capacity[(dst, stage_idx, d)] = per_depth
-                    self._capacity[(dst, stage_idx, SHARED)] = config.rpq_shared_credits
-                else:
-                    self._capacity[(dst, stage_idx, 0)] = share
+        buckets = flow_table(plan, config)[2]
+        self._capacity = {
+            (dst, *bucket): capacity
+            for dst in range(config.num_machines) if dst != machine_id
+            for bucket, capacity in buckets.items()
+        }
 
     def _key_candidates(self, dst, stage_idx, depth, is_path_stage):
         if not is_path_stage:

@@ -11,7 +11,7 @@ from collections import deque
 
 from ..rpq.control import RpqController
 from ..rpq.reachability import ReachabilityIndex
-from .buffers import FlowControl
+from .buffers import FlowControl, flow_table
 from .message import Batch, DoneMessage, StatusMessage
 from .stats import MachineStats
 from .steptable import NBR_MANY, step_table
@@ -71,9 +71,7 @@ class Machine:
         self.batch_size = config.batch_size
         self._blocked_flush_reported = set()
         self._blocked_since = {}  # key -> round the block started (obs only)
-        self._path_stage_set = set()
-        for spec in plan.rpq_specs():
-            self._path_stage_set.update(spec.path_stages)
+        self._path_stage_set = flow_table(plan, config)[1]
 
         # Reachability index shards and control-stage drivers.
         self.indexes = {}
@@ -451,16 +449,17 @@ class Machine:
     # Termination protocol
     # ------------------------------------------------------------------
     def broadcast_status(self, round_no):
-        self.tracker.generation += 1
+        tracker, send = self.tracker, self.network.send
+        tracker.generation += 1
         message = None
         for dst in range(self.config.num_machines):
             if dst != self.id:
                 message = (
-                    self.tracker.snapshot(dst) if message is None
+                    tracker.snapshot(dst) if message is None
                     else message.readdressed(dst)
                 )
-                self.network.send(message, round_no)
-                self.stats.status_messages += 1
+                send(message, round_no)
+        self.stats.status_messages += self.config.num_machines - 1
 
     def check_termination(self):
         return self.protocol.check()

@@ -240,11 +240,13 @@ class SimulatedNetwork:
         data frames are acked (every copy — a re-ack refreshes a lost ACK)
         and handed up exactly once.
         """
+        queue = self._queues[machine_id]
+        out = []
+        if not queue or queue[0][0] > now_round:
+            return out  # nothing due: most rounds of a protocol tail
         prof = self.prof
         if prof is not None:
             prof.enter("net.deliver")
-        queue = self._queues[machine_id]
-        out = []
         while queue and queue[0][0] <= now_round:
             _, _, message, copy_epoch, checksum = heapq.heappop(queue)
             if checksum is not None and checksum != frame_checksum(message):

@@ -24,6 +24,13 @@ from ..plan.stages import HopKind, StageKind
 # to another machine) sort first: the loop tests for them with one
 # comparison.  A control stage has no hop of its own, only its actions.
 NBR_ONE, NBR_MANY, INSPECT, CONTROL_ACTIONS, TRANSITION, OUTPUT, EDGE = range(7)
+# What :class:`Step` reads of the plan's enums, looked up once; a neighbor
+# hop's opcode (``None`` here) depends on its runs, and it has no in-run
+# (index 1) when it goes out and no out-run (index 0) when it comes in.
+_VERTEX, _PATH, _CONTROL = StageKind.VERTEX, StageKind.PATH, StageKind.RPQ_CONTROL
+_OPS = {HopKind.NEIGHBOR: None, HopKind.EDGE: EDGE, HopKind.TRANSITION: TRANSITION,
+        HopKind.INSPECT: INSPECT, HopKind.OUTPUT: OUTPUT}
+_SKIPPED_RUN = {Direction.OUT: 1, Direction.IN: 0}
 
 
 class Step:
@@ -37,34 +44,34 @@ class Step:
     )
 
     def __init__(self, plan, stage):
+        kind = stage.kind
         # Only VERTEX / PATH stages test and capture anything: a NOOP re-match
         # and a control entry leave every match field empty.
-        matches = stage.kind in (StageKind.VERTEX, StageKind.PATH)
-        # AND of OR-groups as bitmasks (an absent label's negative id sets no
-        # bit): a vertex's label mask must meet ``label_mask`` and the rare rest.
-        masks = [
-            reduce(or_, (1 << l for l in group if l >= 0), 0)
-            for group in (stage.label_ids if matches else ())
-        ]
+        if kind is _VERTEX or kind is _PATH:
+            # AND of OR-groups as bitmasks (an absent label's negative id sets
+            # no bit): a vertex's label mask must meet ``label_mask`` and the
+            # rare rest.
+            masks = [reduce(or_, [1 << l for l in group if l >= 0], 0) for group in stage.label_ids]
+            captures = stage.captures
+            self.cap_vid = tuple([c.slot for c in captures if c.kind == "vid"])
+            self.cap_prop = tuple([(c.slot, c.prop) for c in captures if c.kind == "prop"])
+            self.cap_label = tuple([c.slot for c in captures if c.kind == "label"])
+            self.filter, self.acc_updates = stage.filter, stage.acc_updates
+        else:
+            masks = ()
+            self.cap_vid = self.cap_prop = self.cap_label = self.acc_updates = ()
+            self.filter = None
         self.label_mask = masks[0] if masks else None
         self.label_rest = tuple(masks[1:])
-        captures = stage.captures if matches else ()
-        self.cap_vid = tuple(c.slot for c in captures if c.kind == "vid")
-        self.cap_prop = tuple((c.slot, c.prop) for c in captures if c.kind == "prop")
-        self.cap_label = tuple(c.slot for c in captures if c.kind == "label")
-        self.filter = stage.filter if matches else None
-        self.acc_updates = stage.acc_updates if matches else ()
         # A bare stage's match is its vid captures: no label test, filter or
         # accumulator (a fused chain's path stages and advance transition).
-        self.bare = (
-            stage.kind is not StageKind.RPQ_CONTROL and self.label_mask is None and _bare(self)
-        )
+        self.bare = kind is not _CONTROL and self.label_mask is None and _bare(self)
         self.target = self.target_depth_slot = self.anchor_slot = -1
         self.exit_stage = self.path_entry = -1
         self.init = False
         self.runs = self.edge_labels = self.edge_captures = ()
         self.direction = self.edge_filter = self.chain = None
-        if stage.kind is StageKind.RPQ_CONTROL:
+        if kind is _CONTROL:
             self.op = CONTROL_ACTIONS
             self.exit_stage = stage.rpq.exit_stage
             self.path_entry = stage.rpq.path_entry
@@ -77,28 +84,21 @@ class Step:
         self.anchor_slot = hop.anchor_slot
         self.direction = hop.direction
         self.edge_filter = hop.edge_filter
-        self.edge_captures = tuple((ec.slot, ec.prop) for ec in hop.edge_captures)
+        if hop.edge_captures:
+            self.edge_captures = tuple([(ec.slot, ec.prop) for ec in hop.edge_captures])
         # No label constraint iterates the whole segment (label ``None``).
-        self.edge_labels = tuple(
+        self.edge_labels = tuple([
             l for l in (hop.edge_label_ids or (None,)) if l is None or l >= 0
-        )
-        if hop.kind is HopKind.NEIGHBOR:
+        ])
+        self.op = _OPS[hop.kind]
+        if self.op is None:
             # ``(csr index, label)`` in iteration order: per label the out-run
             # then the in-run (index 0 = out CSR, 1 = in CSR).
-            self.runs = tuple(
-                (d, label)
-                for label in self.edge_labels
-                for d in (0, 1)
-                if hop.direction is not (Direction.IN, Direction.OUT)[d]
-            )
+            skip = _SKIPPED_RUN.get(hop.direction)
+            self.runs = tuple([
+                (d, label) for label in self.edge_labels for d in (0, 1) if d != skip
+            ])
             self.op = NBR_ONE if len(self.runs) == 1 else NBR_MANY
-        else:
-            self.op = {
-                HopKind.EDGE: EDGE,
-                HopKind.TRANSITION: TRANSITION,
-                HopKind.INSPECT: INSPECT,
-                HopKind.OUTPUT: OUTPUT,
-            }[hop.kind]
 
 
 def _bare(step):

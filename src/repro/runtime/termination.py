@@ -113,10 +113,15 @@ def termination_table(plan):
     """What the evaluator reads of ``plan``, resolved once and cached on it
     (like the step table: every machine and execution of the plan shares it).
 
-    ``(rpq_ids, stages)``: the plan's RPQ segment ids, and per stage
-    ``(index, segment, producers)`` with each producer as ``(stage index,
-    relation, its segment)`` — a stage's *segment* is the rpq id of a
-    depth-tracked (control or path) stage and ``None`` for any other.
+    ``(rpq_ids, blocks)``: the plan's RPQ segment ids, and its stages in the
+    order one evaluation pass visits them — a block ``(segment, stages)`` per
+    non-RPQ stage (segment ``None``) and one per RPQ segment (its rpq id) in
+    place of its control stage, each stage as ``(index, producers)`` with a
+    producer as ``(stage index, relation, its segment)``.  A segment's block
+    is walked depth-major: its control stage at depth ``d + 1`` waits on a
+    path stage listed after it.  Every other producer precedes its consumer
+    (the compiler emits it first), so one pass reaches the fixpoint; a pass
+    in a wrong order could only terminate fewer channels, never more.
     """
     table = plan.termination_table
     if table is None:
@@ -125,22 +130,31 @@ def termination_table(plan):
             if stage.rpq is not None:
                 for index in (stage.index, *stage.rpq.path_stages):
                     segment[index] = stage.rpq.rpq_id
-        stages = tuple(
-            (stage.index, segment.get(stage.index), tuple(
+        blocks, segments = [], {}
+        for stage in plan.stages:
+            entry = (stage.index, tuple(
                 (producer, _RELATIONS.index(rel), segment.get(producer))
                 for producer, rel in stage.producers
             ))
-            for stage in plan.stages
-        )
+            rpq_id = segment.get(stage.index)
+            if rpq_id is None:
+                blocks.append((None, (entry,)))
+            elif rpq_id in segments:
+                segments[rpq_id].append(entry)
+            else:
+                segments[rpq_id] = [entry]
+                blocks.append((rpq_id, segments[rpq_id]))
+        blocks = tuple((rpq_id, tuple(members)) for rpq_id, members in blocks)
         rpq_ids = tuple(spec.rpq_id for spec in plan.rpq_specs())
-        table = plan.termination_table = (rpq_ids, stages)
+        table = plan.termination_table = (rpq_ids, blocks)
     return table
 
 
 def counter_totals(snapshots):
     """Global ``(sent, processed)`` per channel over ``snapshots``."""
-    sent, processed = {}, {}
-    for snap in snapshots:
+    first, *rest = snapshots
+    sent, processed = dict(first.sent), dict(first.processed)
+    for snap in rest:
         for key, count in snap.sent.items():
             sent[key] = sent.get(key, 0) + count
         for key, count in snap.processed.items():
@@ -154,7 +168,7 @@ class TerminationEvaluator:
     (:class:`StatusMessage`, or a live :class:`TerminationTracker`)."""
 
     def __init__(self, plan):
-        self.rpq_ids, self.stages = termination_table(plan)
+        self.rpq_ids, self.blocks = termination_table(plan)
 
     def evaluate(self, snapshots, totals=None):
         """Return ``(terminated_keys, all_done)``.
@@ -173,52 +187,42 @@ class TerminationEvaluator:
             if min(depths) == top:
                 consensus[rpq_id] = top
 
-        # Only a channel whose counts balance can terminate; whether it does
-        # is up to its producers.
-        waiting = []
-        for index, rpq_id, producers in self.stages:
-            for d in range(known[rpq_id] + 1) if rpq_id is not None else (0,):
-                key = (index, d)
-                if sent.get(key, 0) == processed.get(key, 0):
-                    waiting.append((key, d, producers))
-
-        # Fixpoint iteration: keys become terminated in dependency order.
+        # One pass in dependency order: a channel terminates when its counts
+        # balance and its producers have terminated.
         terminated = set()
-        changed = True
-        while changed and waiting:
-            changed = False
-            blocked = []
-            for item in waiting:
-                key, d, producers = item
-                for producer, rel, segment in producers:
-                    if rel == _SAME:
-                        ok = (producer, 0 if segment is None else d) in terminated
-                    elif rel == _ZERO:
-                        ok = d != 0 or (producer, 0) in terminated
-                    elif rel == _PLUS_ONE:
-                        ok = d == 0 or (producer, d - 1) in terminated
-                    else:  # _ANY: every depth up to the agreed maximum
-                        top = consensus.get(segment)
-                        ok = top is not None and all(
-                            (producer, dd) in terminated for dd in range(top + 1)
-                        )
-                    if not ok:
-                        blocked.append(item)
-                        break
-                else:
-                    terminated.add(key)
-                    changed = True
-            waiting = blocked
+        for rpq_id, stages in self.blocks:
+            for d in range(known[rpq_id] + 1) if rpq_id is not None else (0,):
+                for index, producers in stages:
+                    key = (index, d)
+                    if sent.get(key, 0) != processed.get(key, 0):
+                        continue
+                    for producer, rel, segment in producers:
+                        if rel == _SAME:
+                            ok = (producer, 0 if segment is None else d) in terminated
+                        elif rel == _ZERO:
+                            ok = d != 0 or (producer, 0) in terminated
+                        elif rel == _PLUS_ONE:
+                            ok = d == 0 or (producer, d - 1) in terminated
+                        else:  # _ANY: every depth up to the agreed maximum
+                            top = consensus.get(segment)
+                            ok = top is not None and all(
+                                (producer, dd) in terminated for dd in range(top + 1)
+                            )
+                        if not ok:
+                            break
+                    else:
+                        terminated.add(key)
 
-        for index, rpq_id, _producers in self.stages:
+        for rpq_id, stages in self.blocks:
             if rpq_id is None:
                 depths = (0,)
             elif rpq_id in consensus:
                 depths = range(consensus[rpq_id] + 1)
             else:
                 return terminated, False
-            if any((index, d) not in terminated for d in depths):
-                return terminated, False
+            for index, _producers in stages:
+                if any((index, d) not in terminated for d in depths):
+                    return terminated, False
         return terminated, True
 
 
@@ -236,6 +240,8 @@ class TerminationProtocol:
         self._candidate = None  # (gen_vector, sent_totals, processed_totals)
         self.concluded = False
         self.last_terminated_keys = set()
+        # The last evaluation: ``(totals, max depths per snapshot, result)``.
+        self._memo = None
 
     # -- crash recovery (:mod:`repro.recovery`) -------------------------
     def checkpoint_state(self):
@@ -259,6 +265,7 @@ class TerminationProtocol:
         self._candidate = candidate
         self.concluded = state["concluded"]
         self.last_terminated_keys = set(state["terminated"])
+        self._memo = None
 
     def on_status(self, message):
         # Keeping only the newest generation per machine is what makes the
@@ -286,7 +293,16 @@ class TerminationProtocol:
             self._san.on_snapshot(self.machine_id, own.sent, own.processed)
         snapshots = [own, *(s for m, s in self.views.items() if m != self.machine_id)]
         signature = counter_totals(snapshots)
-        terminated, all_done = self.evaluator.evaluate(snapshots, signature)
+        # The verdict is a function of the totals and the max depths alone:
+        # inputs equal to the last evaluation's get its result.
+        depths = [snap.max_depths for snap in snapshots]
+        memo = self._memo
+        if memo is not None and memo[0] == signature and memo[1] == depths:
+            terminated, all_done = memo[2]
+        else:
+            terminated, all_done = result = self.evaluator.evaluate(snapshots, signature)
+            depths[0] = dict(own.max_depths)  # the live dict moves on
+            self._memo = (signature, depths, result)
         self.last_terminated_keys = terminated
         if not all_done:
             self._candidate = None
