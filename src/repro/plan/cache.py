@@ -16,10 +16,16 @@ comment together with the newline that ends it — and there is no case
 folding (literals and property names are case-sensitive).  Two spellings
 that differ in anything else (a comment, ``a.x=1`` against ``a.x = 1``)
 compile separately; that costs a compile, never a wrong plan.
+
+The cache holds at most ``_MAX_PLANS`` plans and forgets the least recently
+used first: a session serving point queries with varying literals would
+otherwise keep every plan, with its step and termination tables, for ever.
 """
 
 import re
 
+#: Plans a cache keeps (least recently used evicted first).
+_MAX_PLANS = 256
 _WHITESPACE = re.compile(r"\s+")
 # What must survive verbatim, in the lexer's own terms — a quoted run
 # (``''`` escapes a quote: two adjacent runs), a line comment with its
@@ -57,15 +63,20 @@ class PlanCache:
 
     def lookup(self, text, scouting=False):
         """The cached plan for ``text``, or ``None`` (counts the outcome)."""
-        plan = self._plans.get(self._key(text, scouting))
+        key = self._key(text, scouting)
+        plan = self._plans.pop(key, None)
         if plan is None:
             self.misses += 1
         else:
             self.hits += 1
+            self._plans[key] = plan  # now the most recently used
         return plan
 
     def store(self, text, scouting, plan):
-        self._plans[self._key(text, scouting)] = plan
+        plans = self._plans
+        plans[self._key(text, scouting)] = plan
+        if len(plans) > _MAX_PLANS:
+            del plans[next(iter(plans))]
 
     def clear(self):
         self._plans.clear()

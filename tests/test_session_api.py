@@ -177,6 +177,32 @@ class TestPlanCache:
         assert (cache.hits, cache.misses) == (2, 1)
         assert len(cache) == 1
 
+    def test_size_is_bounded_and_least_recently_used_goes_first(self, monkeypatch):
+        from repro.plan import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "_MAX_PLANS", 4)
+        cache = PlanCache()
+        texts = [f"SELECT {i}" for i in range(7)]
+        for text in texts[:4]:
+            cache.store(text, False, text)
+        assert cache.lookup(texts[0]) == texts[0]  # used: no longer the oldest
+        for text in texts[4:]:
+            cache.store(text, False, text)
+            assert len(cache) == 4
+        assert [cache.lookup(t) for t in texts] == [
+            texts[0], None, None, None, texts[4], texts[5], texts[6],
+        ]
+
+    def test_a_session_of_one_off_queries_keeps_the_bound(self):
+        from repro.plan.cache import _MAX_PLANS
+
+        session = connect(chain_graph(8), num_machines=2)
+        for i in range(_MAX_PLANS + 20):
+            session.compile(f"SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b) WHERE id(a) = {i}")
+        assert len(session.plan_cache) == _MAX_PLANS
+        latest = f"SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b) WHERE id(a) = {_MAX_PLANS + 19}"
+        assert session.plan_cache.lookup(latest) is not None
+
     def test_session_shares_plans_across_execute_and_submit(self):
         session = connect(chain_graph(8), num_machines=2)
         p1 = session.compile(COUNT_Q)

@@ -12,6 +12,7 @@ from repro.runtime.termination import (
     TerminationEvaluator,
     TerminationProtocol,
     TerminationTracker,
+    counter_totals,
 )
 
 from .onetask import make_execution, run
@@ -291,12 +292,14 @@ GOLDEN_PLANS = _golden_plans()
 
 
 @st.composite
-def snapshot_sets(draw):
+def snapshot_sets(draw, disagree=False):
     """Counter states of 1-4 machines over one golden plan: units are sent
     by one machine and (mostly) processed by another, max depths (mostly)
-    agree — so terminated channels, candidates and near misses all occur."""
+    agree — so terminated channels, candidates and near misses all occur.
+    With ``disagree`` there are 2-4 machines and each draws its own max
+    depth."""
     plan = draw(st.sampled_from(GOLDEN_PLANS))
-    trackers = [TerminationTracker(m) for m in range(draw(st.integers(1, 4)))]
+    trackers = [TerminationTracker(m) for m in range(draw(st.integers(1 + disagree, 4)))]
     machine = st.sampled_from(trackers)
     top = draw(st.integers(0, 3))
     for stage in plan.stages:
@@ -308,7 +311,10 @@ def snapshot_sets(draw):
     for spec in plan.rpq_specs():
         agreed = draw(st.integers(-1, top))
         for tracker in trackers:
-            depth = agreed if draw(st.integers(0, 7)) else draw(st.integers(-1, top))
+            depth = (
+                agreed if not disagree and draw(st.integers(0, 7))
+                else draw(st.integers(-1, top))
+            )
             if depth >= 0:
                 tracker.observe_depth(spec.rpq_id, depth)
     return plan, snapshots(trackers)
@@ -375,3 +381,167 @@ class TestEvaluatorEquivalence:
             ("newer snapshots, same totals: confirmed", True, True, depth1),
             ("concluded stays concluded", True, True, depth1),
         ]
+
+
+# ---------------------------------------------------------------------------
+# The fixpoint evaluator the one-pass order replaced, kept as a reference,
+# and the memo of the last evaluation.
+# ---------------------------------------------------------------------------
+
+_RELATIONS = ("same", "zero", "plus_one", "any")
+
+
+def fixpoint_evaluate(plan, snaps):
+    """Pass over the blocked channels until a pass terminates none."""
+    segment = {}
+    for stage in plan.stages:
+        if stage.rpq is not None:
+            for index in (stage.index, *stage.rpq.path_stages):
+                segment[index] = stage.rpq.rpq_id
+    stages = [
+        (stage.index, segment.get(stage.index), [
+            (producer, _RELATIONS.index(rel), segment.get(producer))
+            for producer, rel in stage.producers
+        ])
+        for stage in plan.stages
+    ]
+    sent, processed = counter_totals(snaps)
+    consensus, known = {}, {}
+    for spec in plan.rpq_specs():
+        depths = [snap.max_depths.get(spec.rpq_id, -1) for snap in snaps]
+        known[spec.rpq_id] = top = max(depths)
+        if min(depths) == top:
+            consensus[spec.rpq_id] = top
+    waiting = []
+    for index, rpq_id, producers in stages:
+        for d in range(known[rpq_id] + 1) if rpq_id is not None else (0,):
+            key = (index, d)
+            if sent.get(key, 0) == processed.get(key, 0):
+                waiting.append((key, d, producers))
+    terminated = set()
+    changed = True
+    while changed and waiting:
+        changed = False
+        blocked = []
+        for item in waiting:
+            key, d, producers = item
+            for producer, rel, seg in producers:
+                if rel == 0:
+                    ok = (producer, 0 if seg is None else d) in terminated
+                elif rel == 1:
+                    ok = d != 0 or (producer, 0) in terminated
+                elif rel == 2:
+                    ok = d == 0 or (producer, d - 1) in terminated
+                else:
+                    top = consensus.get(seg)
+                    ok = top is not None and all(
+                        (producer, dd) in terminated for dd in range(top + 1)
+                    )
+                if not ok:
+                    blocked.append(item)
+                    break
+            else:
+                terminated.add(key)
+                changed = True
+        waiting = blocked
+    for index, rpq_id, _producers in stages:
+        if rpq_id is None:
+            depths = (0,)
+        elif rpq_id in consensus:
+            depths = range(consensus[rpq_id] + 1)
+        else:
+            return terminated, False
+        if any((index, d) not in terminated for d in depths):
+            return terminated, False
+    return terminated, True
+
+
+class TestOnePassEvaluator:
+    def test_golden_plans_cover_every_quantifier_shape(self):
+        specs = [spec for plan in GOLDEN_PLANS for spec in plan.rpq_specs()]
+        assert any(spec.min_hops == 0 for spec in specs)  # zero-hop ``*``
+        assert any(spec.max_hops is None and spec.min_hops == 1 for spec in specs)  # ``+``
+        assert any(spec.max_hops is not None and spec.min_hops > 1 for spec in specs)  # ``{n,m}``
+        assert any(len(plan.rpq_specs()) > 1 for plan in GOLDEN_PLANS)
+
+    @settings(max_examples=400, deadline=None)
+    @given(snapshot_sets())
+    def test_same_verdicts_as_the_fixpoint(self, case):
+        plan, snaps = case
+        assert TerminationEvaluator(plan).evaluate(snaps) == fixpoint_evaluate(plan, snaps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(snapshot_sets(disagree=True))
+    def test_same_verdicts_as_the_fixpoint_when_max_depths_disagree(self, case):
+        plan, snaps = case
+        assert TerminationEvaluator(plan).evaluate(snaps) == fixpoint_evaluate(plan, snaps)
+
+
+class _Recorder:
+    """The sanitizer hooks the protocol calls, recorded."""
+
+    def __init__(self):
+        self.snapshots = 0
+
+    def on_snapshot(self, machine_id, sent, processed):
+        self.snapshots += 1
+
+    def on_candidate(self, machine_id, gen_vector):
+        pass
+
+    def on_conclude(self, machine_id, gen_vector):
+        pass
+
+
+class TestEvaluationMemo:
+    def _protocol(self, monkeypatch):
+        plan = rpq_plan()
+        t0, t1 = TerminationTracker(0), TerminationTracker(1)
+        t0.record_bootstrap(1)
+        t0.record_processed(0, 0)
+        t0.record_sent(1, 0)  # in flight: nothing downstream terminates yet
+        t0.observe_depth(0, 0)
+        t1.observe_depth(0, 0)
+        recorder = _Recorder()
+        protocol = TerminationProtocol(0, plan, 2, t0, sanitizer=recorder)
+        protocol.on_status(t1.snapshot(0))
+        calls = []
+        evaluate = protocol.evaluator.evaluate
+        monkeypatch.setattr(
+            protocol.evaluator, "evaluate",
+            lambda snaps, totals=None: calls.append(1) or evaluate(snaps, totals),
+        )
+        return plan, protocol, t0, t1, recorder, calls
+
+    def test_unchanged_inputs_skip_the_evaluation_not_the_sanitizer(self, monkeypatch):
+        _plan, protocol, t0, _t1, recorder, calls = self._protocol(monkeypatch)
+        assert protocol.check() is False
+        assert protocol.check() is False
+        assert len(calls) == 1  # the second check reused the first result
+        assert recorder.snapshots == 2  # ... and still showed the sanitizer its counters
+        t0.observe_depth(0, 1)  # only a max depth moved: evaluate again
+        protocol.check()
+        assert len(calls) == 2
+        t0.record_processed(1, 0)  # the counters moved: evaluate again
+        protocol.check()
+        assert len(calls) == 3
+
+    def test_a_memo_hit_reports_what_a_fresh_evaluation_would(self, monkeypatch):
+        plan, protocol, t0, t1, _recorder, calls = self._protocol(monkeypatch)
+        protocol.check()
+        t0.generation += 1  # a newer snapshot with the same counters
+        t1.generation += 1
+        protocol.on_status(t1.snapshot(0))
+        protocol.check()
+        assert len(calls) == 1
+        fresh, _done = TerminationEvaluator(plan).evaluate([t0, protocol.views[1]])
+        assert protocol.last_terminated_keys == fresh
+
+    def test_restore_state_drops_the_memo(self, monkeypatch):
+        _plan, protocol, _t0, _t1, _recorder, calls = self._protocol(monkeypatch)
+        state = protocol.checkpoint_state()
+        protocol.check()
+        protocol.restore_state(state)
+        assert protocol._memo is None
+        protocol.check()
+        assert len(calls) == 2
