@@ -13,6 +13,7 @@ import pytest
 from repro import EngineConfig, Session
 from repro.bench import format_table
 from repro.datagen import BENCHMARK_QUERIES
+from repro.runtime.stats import BUFFER_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,7 @@ def test_memory_report(footprints, ldbc, report):
                 stats.index_bytes,
                 f"{stats.index_bytes / dataset_bytes:.4%}",
                 stats.messaging_bytes_peak,
-                config.buffers_per_machine * config.buffer_bytes,
+                config.buffers_per_machine * BUFFER_BYTES,
             ]
         )
     text = format_table(
@@ -79,7 +80,7 @@ def test_messaging_stays_under_budget(footprints):
     # messaging memory stays below the per-machine ceiling (paper: "with
     # eight machines the engine stayed below a total of 16GB").
     results, config = footprints
-    ceiling = config.buffers_per_machine * config.buffer_bytes
+    ceiling = config.buffers_per_machine * BUFFER_BYTES
     for result in results.values():
         assert result.stats.messaging_bytes_peak <= ceiling
         assert result.stats.flow_control_blocks == 0

@@ -202,8 +202,8 @@ def cmd_query(args):
         else:
             result = engine.execute(query)
     finally:
-        # Sessions may own process-backend resources (shared-memory CSR
-        # segments); baseline engines have no close().
+        # Sessions may own process-backend resources (the worker pool);
+        # baseline engines have no close().
         close = getattr(engine, "close", None)
         if close is not None:
             close()
@@ -355,8 +355,8 @@ def cmd_workload(args):
         return 2
     records = []
     timelines = []
-    # The rpqd session may own process-backend resources (worker pool,
-    # shared-memory CSR segments): released even when a query raises.
+    # The rpqd session may own process-backend resources (the worker
+    # pool): released even when a query raises.
     with Session(graph, _engine_config(args)) as session:
         engines = {
             "rpqd": session,

@@ -61,8 +61,6 @@ class EngineConfig:
         buffers_per_machine: flow-control credit budget per machine, i.e. the
             number of in-flight buffers a machine may address to the cluster
             (paper: 8192 buffers of 256 KB per machine).
-        buffer_bytes: modelled size of one message buffer, used only for the
-            memory accounting reports (paper: 256 KB).
         rpq_flow_depth: depth ``D`` up to which RPQ stages get dedicated
             per-depth buffer partitions (paper: 4).
         rpq_shared_credits: shared in-flight messages per path stage for all
@@ -155,27 +153,25 @@ class EngineConfig:
             quorum-confirmed verdicts — never the injector's ground
             truth — drive retransmit abandonment, the partial-results
             downgrade, and crash-recovery failover.
-        heartbeat_interval / suspect_after / confirm_after: detector
-            timing on the virtual clock — probe cadence, per-observer
-            silence before suspicion, and the additional silence before
-            a suspicion becomes confirm-eligible (full detection window
-            = ``suspect_after + confirm_after`` rounds).
+        suspect_after / confirm_after: detector timing on the virtual
+            clock — per-observer silence before suspicion, and the
+            additional silence before a suspicion becomes confirm-eligible
+            (full detection window = ``suspect_after + confirm_after``
+            rounds).  Probes go out every
+            :data:`~repro.membership.service.HEARTBEAT_INTERVAL` rounds.
         backend: execution substrate (:mod:`repro.runtime.backend`):
             ``"sim"`` (default) runs the deterministic discrete-time
             simulator — the verification oracle, and the only backend
             supporting faults, recovery, membership, tracing, and the
             race detector; ``"process"`` runs each partition's machine
-            loop in a persistent OS process with marshalled message
-            frames and a shared-memory CSR (``docs/backends.md``).
+            loop in a persistent forked OS process that inherits the
+            graph, with marshalled message frames (``docs/backends.md``).
             Result sets are bit-identical across backends.
         workers: worker *processes* for ``backend="process"`` (distinct
             from the simulated ``workers_per_machine`` DFT threads).
             ``None`` defaults to ``num_machines`` — one partition per
             process, the paper's deployment shape; fewer workers host
             several machines each.
-        shm_threshold_bytes: adjacency smaller than this skips the
-            shared-memory CSR export for ``backend="process"`` (fork
-            inheritance is cheaper than export+attach for tiny graphs).
         cost: the virtual-time cost model.
     """
 
@@ -183,7 +179,6 @@ class EngineConfig:
     workers_per_machine: int = 4
     batch_size: int = 32
     buffers_per_machine: int = 512
-    buffer_bytes: int = 256 * 1024
     rpq_flow_depth: int = 4
     rpq_shared_credits: int = 5
     rpq_overflow_per_depth: int = 1
@@ -216,8 +211,6 @@ class EngineConfig:
     # fail on a perfect cluster); ``False`` forces detection off even
     # under faults — confirmed outages then surface as stall errors.
     membership: Optional[bool] = None
-    # Rounds between heartbeat probe fan-outs.
-    heartbeat_interval: int = 2
     # Silence (rounds) before one observer suspects a peer.
     suspect_after: int = 6
     # Additional silence before a suspicion is confirm-eligible; the full
@@ -233,10 +226,9 @@ class EngineConfig:
     max_concurrent_queries: int = 4
     admission_queue_limit: int = 16
     # Execution backend (:mod:`repro.runtime.backend`): "sim" or "process",
-    # plus the process backend's worker-count and shared-memory knobs.
+    # plus the process backend's worker count.
     backend: str = "sim"
     workers: Optional[int] = None
-    shm_threshold_bytes: int = 64 * 1024
     max_rounds: int = 2_000_000
     cost: CostModel = field(default_factory=CostModel)
 
@@ -339,29 +331,28 @@ class EngineConfig:
                 "membership must be None, True, or False "
                 f"(got {self.membership!r})"
             )
-        if self.heartbeat_interval < 1:
+        # Imported here: at module level it would close an import cycle
+        # (repro.membership -> runtime -> repro.membership).
+        from .membership.service import HEARTBEAT_INTERVAL
+
+        if self.suspect_after < HEARTBEAT_INTERVAL:
             raise ConfigError(
-                "heartbeat_interval must be >= 1 "
-                f"(got {self.heartbeat_interval})"
-            )
-        if self.suspect_after < self.heartbeat_interval:
-            raise ConfigError(
-                "suspect_after must be >= heartbeat_interval "
-                f"(got {self.suspect_after} with heartbeat_interval="
-                f"{self.heartbeat_interval})"
+                "suspect_after must be >= HEARTBEAT_INTERVAL "
+                f"(got {self.suspect_after} with HEARTBEAT_INTERVAL="
+                f"{HEARTBEAT_INTERVAL})"
             )
         if (
             self.faults is not None
             and self.membership_enabled
-            and self.suspect_after < self.heartbeat_interval + self.net_delay_rounds
+            and self.suspect_after < HEARTBEAT_INTERVAL + self.net_delay_rounds
         ):
             # A threshold tighter than one probe round-trip would suspect
             # healthy peers every round.  Only enforced when the detector
             # will actually run — a fault-free config never builds one.
             raise ConfigError(
-                "suspect_after must be >= heartbeat_interval + "
+                "suspect_after must be >= HEARTBEAT_INTERVAL + "
                 f"net_delay_rounds (got {self.suspect_after} with "
-                f"heartbeat_interval={self.heartbeat_interval}, "
+                f"HEARTBEAT_INTERVAL={HEARTBEAT_INTERVAL}, "
                 f"net_delay_rounds={self.net_delay_rounds}); raise "
                 "suspect_after for this slow interconnect or set "
                 "membership=False"
@@ -380,11 +371,6 @@ class EngineConfig:
             raise ConfigError(
                 "workers must be None (one process per machine) or a "
                 f"positive int (got {self.workers!r})"
-            )
-        if self.shm_threshold_bytes < 0:
-            raise ConfigError(
-                "shm_threshold_bytes must be >= 0 "
-                f"(got {self.shm_threshold_bytes})"
             )
         if self.backend == "process":
             # The backend feature matrix (docs/backends.md): these options

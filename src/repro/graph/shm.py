@@ -1,36 +1,19 @@
-"""Shared-memory CSR lifecycle for the process-parallel backend.
+"""Shared-memory CSR export and attach, kept for one benchmark probe.
 
-The :class:`~repro.runtime.backend.ProcessBackend` runs each partition's
-machine loop in a real OS process that serves many queries.  The
-read-only CSR adjacency is the one piece of state every worker needs in
-full, so instead of shipping it through pickles the coordinator
-*exports* it once per graph into ``multiprocessing.shared_memory``
-segments and each worker *attaches* them once, when its generation of
-the pool is forked.
-
-Lifecycle (owner = the coordinator process that called :meth:`
-SharedGraphStore.export`):
+No runtime code calls this module: the process backend's workers use the
+CSR they inherit at fork (``docs/backends.md``).  The ``graph.shm.*``
+layer probe in ``benchmarks/perf/layers.py`` still times an export and an
+attach, so :class:`SharedGraphStore` (``export`` / ``spec`` / ``close``)
+and :func:`attach_csrs` stay until that probe is deleted, together with
+this module, in a change to the benchmark alone.
 
 1. **export** — one segment per CSR array (out/in x indptr/nbr/eid/elab),
    int64-packed.  The owner registers the segments with its
    ``resource_tracker`` (the stdlib does this on create).
-2. **attach** — a worker opens each segment by name, copies the values
-   out into process-local plain lists (hot traversal loops index Python
-   lists of Python ints several times faster than numpy scalar reads,
-   and plain ints keep result rows json-serializable — see
-   :meth:`repro.graph.csr.Csr.build`), then closes its mapping
-   immediately.  Forked workers share the owner's ``resource_tracker``
-   process, so the attach-side re-registration is an idempotent set-add
-   and cleanup responsibility stays with the owner alone.
-3. **close** — the owner unmaps and unlinks every segment exactly once.
-   ``close`` is idempotent and safe to call from ``finally`` blocks and
-   crash paths; after it, attaching any of the segments raises
-   ``FileNotFoundError``.
-
-The CSR *swap-in* (:func:`install_shared_csrs` rebinding
-``graph.out_csr`` / ``graph.in_csr``) lives here in the graph layer:
-runtime code never mutates graph state, and builders/installers in
-``repro/graph`` are the one place adjacency may be (re)bound.
+2. **attach** — open each segment by name, copy the values out into
+   process-local plain lists, and close the mapping immediately.
+3. **close** — the owner unmaps and unlinks every segment exactly once
+   (idempotent).
 """
 
 from multiprocessing import shared_memory
@@ -45,27 +28,12 @@ _CSR_FIELDS = ("indptr", "nbr", "eid", "elab")
 _ELEM_BYTES = 8
 
 
-def csr_nbytes(graph):
-    """Shared-memory footprint of ``graph``'s adjacency, in bytes.
-
-    Used against ``EngineConfig.shm_threshold_bytes``: below the
-    threshold the export overhead outweighs the copy it avoids and the
-    process backend relies on fork inheritance instead.
-    """
-    total = 0
-    for csr in (graph.out_csr, graph.in_csr):
-        for name in _CSR_FIELDS:
-            total += _ELEM_BYTES * len(getattr(csr, name))
-    return total
-
-
 class SharedGraphStore:
     """Owner-side handle on one graph's exported CSR segments.
 
     Create with :meth:`export`; hand :meth:`spec` (plain data) to
-    workers; call :meth:`close` exactly when no worker can still be
-    attaching — the process backend retires (kills and reaps) its
-    worker generation before it releases the store.
+    :func:`attach_csrs`; call :meth:`close` once nothing can still be
+    attaching.
     """
 
     def __init__(self):
@@ -99,11 +67,6 @@ class SharedGraphStore:
             np.ndarray(arr.shape, dtype=np.int64, buffer=seg.buf)[:] = arr
         self._spec[key] = (seg.name, len(arr))
 
-    @property
-    def segment_names(self):
-        """Names of every exported segment (tests scan these for leaks)."""
-        return [seg.name for seg in self._segments]
-
     def spec(self):
         """Plain-data attachment descriptor: ``{key: (name, length)}``."""
         return dict(self._spec)
@@ -122,23 +85,17 @@ class SharedGraphStore:
 
 
 def attach_csrs(spec):
-    """Worker-side attach: rebuild ``(out_csr, in_csr)`` from a store spec.
+    """Rebuild ``(out_csr, in_csr)`` from a store spec.
 
     Values are copied out into process-local lists and every mapping is
-    closed before returning, so the worker holds no shared-memory
-    references afterwards — the owner's :meth:`SharedGraphStore.close`
+    closed before returning, so the owner's :meth:`SharedGraphStore.close`
     is the only unlink.
     """
     arrays = {}
     for key, (name, length) in spec.items():
-        # Attaching re-registers the segment with the resource tracker.
-        # The process backend forks its workers, so owner and workers
-        # share one tracker process and registration is an idempotent
-        # set-add: the owner's single unlink/unregister (in
-        # :meth:`SharedGraphStore.close`) retires the entry exactly once.
-        # (Under a spawn start method each child would get its *own*
-        # tracker and unlink on exit — which is why the backend requires
-        # fork; see ProcessBackend.run.)
+        # Attaching in the owner's process (or a fork of it, which shares
+        # its resource tracker) re-registers the segment idempotently, so
+        # the owner's single unlink retires the entry exactly once.
         seg = shared_memory.SharedMemory(name=name)
         try:
             view = np.ndarray((length,), dtype=np.int64, buffer=seg.buf)
@@ -150,16 +107,3 @@ def attach_csrs(spec):
         Csr(*(arrays[f"in.{name}"] for name in _CSR_FIELDS)),
     )
 
-
-def install_shared_csrs(graph, spec):
-    """Attach a store spec and swap the CSRs onto ``graph`` (worker side).
-
-    Rebinding adjacency happens only here in the graph layer; a pool
-    worker calls this once, right after its generation is forked and
-    before it serves its first run, so no machine ever touches the
-    partition earlier.
-    """
-    out_csr, in_csr = attach_csrs(spec)
-    graph.out_csr = out_csr
-    graph.in_csr = in_csr
-    return graph

@@ -55,6 +55,9 @@ ALIVE = "alive"
 SUSPECT = "suspect"
 CONFIRMED_DOWN = "confirmed-down"
 
+#: Rounds between heartbeat probe fan-outs.
+HEARTBEAT_INTERVAL = 2
+
 #: Observer key for the coordination-service witness (its probe-plane
 #: endpoint id is ``num_machines``, one past the last machine).
 WITNESS = "witness"
@@ -66,7 +69,6 @@ class MembershipService:
     def __init__(
         self,
         num_machines,
-        heartbeat_interval=2,
         suspect_after=6,
         confirm_after=24,
         net_delay_rounds=1,
@@ -75,7 +77,6 @@ class MembershipService:
         sanitizer=None,
     ):
         self.num_machines = num_machines
-        self.heartbeat_interval = heartbeat_interval
         self.suspect_after = suspect_after
         self.confirm_after = confirm_after
         self.net_delay = net_delay_rounds
@@ -117,7 +118,6 @@ class MembershipService:
         """Build from an :class:`~repro.config.EngineConfig`."""
         return cls(
             config.num_machines,
-            heartbeat_interval=config.heartbeat_interval,
             suspect_after=config.suspect_after,
             confirm_after=config.confirm_after,
             net_delay_rounds=config.net_delay_rounds,
@@ -260,7 +260,7 @@ class MembershipService:
         Returns the hosts newly CONFIRMED-DOWN this round (sorted) — the
         schedulers' trigger for failover / partial-results handling.
         """
-        if round_no % self.heartbeat_interval == 0:
+        if round_no % HEARTBEAT_INTERVAL == 0:
             self._send_probes(round_no)
         self._deliver_probes(round_no)
 

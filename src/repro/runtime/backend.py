@@ -10,10 +10,9 @@ scheduler directly; it dispatches through an :class:`ExecutionBackend`:
   tracing, and the race detector all live here.
 * :class:`ProcessBackend` — real parallelism.  Each partition's
   :class:`~repro.runtime.machine.Machine` loop runs in a forked OS
-  process that outlives the query; the CSR adjacency is placed in
-  ``multiprocessing.shared_memory`` and attached once per worker
-  (:mod:`repro.graph.shm`); this coordinator process owns admission,
-  termination, and result assembly.
+  process that outlives the query; every worker inherits the graph,
+  CSR adjacency included, at fork and never copies it again; this
+  coordinator process owns admission, termination, and result assembly.
 
 Topology: ``workers`` processes (default ``num_machines``) each host the
 machines ``m`` with ``m % workers == worker_id``.  Every worker has one
@@ -81,7 +80,6 @@ from queue import Empty
 from ..analysis.sanitizer import sanitizer_from_config
 from ..engine.result import MachineSink
 from ..errors import ConfigError, ExecutionError
-from ..graph.shm import SharedGraphStore, csr_nbytes, install_shared_csrs
 from .machine import Machine
 from .message import WIRE_QUERY_ID, StatusMessage, from_wire, to_wire
 from .multi import ClusterScheduler
@@ -105,7 +103,7 @@ class ExecutionBackend:
     fills the caller's per-machine sinks; ``open_cluster`` returns the
     shared multi-query scheduler for ``Session.submit``; ``close``
     releases any resources the backend holds across runs (worker
-    processes, shared-memory segments).
+    processes).
     """
 
     name = "abstract"
@@ -331,7 +329,7 @@ def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
     }
 
 
-def _worker_main(worker_id, pipes, inboxes, dgraph, plans, config, shm_spec):
+def _worker_main(worker_id, pipes, inboxes, dgraph, plans, config):
     """One worker process: host machines ``m % len(pipes) == worker_id``.
 
     Runs under the fork start method — ``dgraph``/``plans``/``config``
@@ -351,8 +349,6 @@ def _worker_main(worker_id, pipes, inboxes, dgraph, plans, config, shm_spec):
         # let exit wait for a peer that may be gone to drain a queue.
         inbox.cancel_join_thread()
     try:
-        if shm_spec is not None:
-            install_shared_csrs(dgraph.graph, shm_spec)
         while True:
             run_id, plan_id = conn.recv()
             payload = _run_query(
@@ -381,7 +377,7 @@ class _Generation:
     a single-threaded process.
     """
 
-    def __init__(self, dgraph, config, num_workers, plans, shm_spec):
+    def __init__(self, dgraph, config, num_workers, plans):
         self.dgraph = dgraph
         self.config = config
         ctx = multiprocessing.get_context("fork")
@@ -393,7 +389,7 @@ class _Generation:
             for w in range(num_workers):
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(w, pipes, inboxes, dgraph, plans, config, shm_spec),
+                    args=(w, pipes, inboxes, dgraph, plans, config),
                     daemon=True,
                 )
                 proc.start()
@@ -416,9 +412,8 @@ class _Generation:
         """Stop every worker and reap it (idempotent)."""
         for conn in self.conns:
             conn.close()
-        # Workers hold nothing that needs an orderly exit (segments are
-        # the coordinator's; attach mappings are already closed), and one
-        # busy in a long slice would not see EOF for a while.
+        # Workers hold nothing that needs an orderly exit, and one busy
+        # in a long slice would not see EOF for a while.
         for proc in self.procs:
             proc.kill()
         for proc in self.procs:
@@ -491,10 +486,9 @@ class _Generation:
 class ProcessBackend(ExecutionBackend):
     """Real-parallel execution on a persistent pool of forked workers.
 
-    The backend caches the shared-memory CSR export across runs on the
-    same graph and keeps one generation of workers alive between runs
-    (see the module docstring); ``close`` — or the owning Session's
-    context-manager exit — retires the workers and unlinks the export.
+    The backend keeps one generation of workers alive between runs (see
+    the module docstring); ``close`` — or the owning Session's
+    context-manager exit — retires the workers.
     What persists pays off for executions whose plan the live generation
     already holds; the first execution of each plan forks.
     """
@@ -502,37 +496,10 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
 
     def __init__(self):
-        self._store = None
-        self._store_graph = None  # graph the cached export belongs to
         self._plans = OrderedDict()  # plan id -> plan, least recent first
         self._plan_ids = itertools.count()
         self._generation = None
         self._run_ids = itertools.count(1)
-
-    # -- shared-memory lifecycle ---------------------------------------
-    def _shm_spec(self, graph, config):
-        """The cached CSR export's attach spec, or ``None`` below threshold."""
-        if self._store is not None and self._store_graph is not graph:
-            self._release_store()
-        if self._store is None:
-            if csr_nbytes(graph) < config.shm_threshold_bytes:
-                # Small adjacency: fork inheritance is cheaper than an
-                # export+attach round trip.
-                return None
-            self._store = SharedGraphStore.export(graph)
-            self._store_graph = graph
-        return self._store.spec()
-
-    def _release_store(self):
-        if self._store is not None:
-            self._store.close()
-            self._store = None
-            self._store_graph = None
-
-    @property
-    def shm_segments(self):
-        """Live shared-memory segment names (leak-check surface for tests)."""
-        return [] if self._store is None else self._store.segment_names
 
     # -- worker lifecycle -----------------------------------------------
     @property
@@ -565,19 +532,15 @@ class ProcessBackend(ExecutionBackend):
         if generation is None or not generation.serves(
             dgraph, config, num_workers
         ):
-            # Retire first: workers attach the export asynchronously
-            # after fork, and a new graph unlinks the old one's segments.
             self._retire_generation()
-            shm_spec = self._shm_spec(dgraph.graph, config)
             _ = dgraph.graph.label_masks  # built before the fork: every worker inherits it
             self._generation = _Generation(
-                dgraph, config, num_workers, self._plans, shm_spec
+                dgraph, config, num_workers, self._plans
             )
         return self._generation, plan_id
 
     def close(self):
         self._retire_generation()
-        self._release_store()
 
     # -- execution ------------------------------------------------------
     def open_cluster(self, dgraph, config):

@@ -8,6 +8,10 @@ modelled memory, and busy/idle rounds for the virtual-time model.
 
 from collections import Counter
 
+#: Modelled size of one message buffer, for the memory accounting only
+#: (paper Section 4.1: 256 KB).
+BUFFER_BYTES = 256 * 1024
+
 
 class MachineStats:
     """Counters for one simulated machine."""
@@ -215,7 +219,7 @@ class RunStats:
     def messaging_bytes_peak(self):
         """Modelled peak messaging memory: in-flight buffers x buffer size."""
         peak = max((m.peak_inflight_buffers for m in self.per_machine), default=0)
-        return peak * self.config.buffer_bytes
+        return peak * BUFFER_BYTES
 
     @property
     def virtual_time(self):

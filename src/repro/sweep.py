@@ -99,7 +99,7 @@ def run_sweep(graph, queries, variants, config=None, baseline_overrides=None,
     ``complete``, and — with ``compare_depths``, which only holds on
     tree-shaped expansions — match ``stats.depth_table()`` exactly.  Every
     session is closed before this returns or raises, so a
-    ``backend="process"`` variant leaves no worker or segment behind.
+    ``backend="process"`` variant leaves no worker behind.
     """
     config = config or EngineConfig()
     rows_of = (lambda result: result.rows) if ordered else _canonical_rows

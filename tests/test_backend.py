@@ -2,8 +2,9 @@
 
 The headline contract: the process backend and the simulator return
 bit-identical result sets (the simulator is the verification oracle),
-and the shared-memory CSR export never leaks segments — not on clean
-close, not on cancel, not on a worker crash.
+workers take the graph by fork alone (no shared-memory segment is ever
+created), and no worker outlives ``close`` — not on a clean close, not on
+a worker crash.
 """
 
 import dataclasses
@@ -14,7 +15,6 @@ import random
 import signal
 import threading
 import time
-from multiprocessing import shared_memory
 
 import pytest
 
@@ -37,19 +37,14 @@ from repro.runtime.message import (
     to_wire,
 )
 
+from .test_sweep import _segments
+
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="process backend requires the fork start method",
 )
 
 COUNT_Q = "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,3}/->(b)"
-
-
-def _assert_unlinked(names):
-    """Every named segment must be gone from the OS."""
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +60,6 @@ class TestBackendFields:
     def test_invalid_workers_names_value(self):
         with pytest.raises(ConfigError, match=r"workers.*0"):
             EngineConfig(workers=0)
-
-    def test_negative_shm_threshold_rejected(self):
-        with pytest.raises(ConfigError, match=r"shm_threshold_bytes"):
-            EngineConfig(shm_threshold_bytes=-1)
 
     def test_connect_accepts_backend_kwarg(self):
         with connect(random_graph(30, 60), backend="process") as session:
@@ -179,49 +170,28 @@ class TestCrossBackendEquivalence:
         ) as proc:
             assert proc.execute(query).rows == sim.execute(query).rows
 
-    def test_below_shm_threshold_uses_fork_inheritance(self, workload):
-        graph, queries = workload
-        with connect(
-            graph, num_machines=4, backend="process",
-            shm_threshold_bytes=1 << 40,
-        ) as proc, connect(graph, num_machines=4) as sim:
-            result = proc.execute(queries["Q03"])
-            assert proc.backend.shm_segments == []
-            assert result.rows == sim.execute(queries["Q03"]).rows
-
 
 # ---------------------------------------------------------------------------
-# Shared-memory lifecycle: no leaked segments, ever
+# Pool lifecycle: the graph goes by fork, nothing outlives close
 # ---------------------------------------------------------------------------
 
 
 class TestShmLifecycle:
-    def test_segments_live_during_session_and_unlinked_on_close(self):
-        graph = random_graph(80, 200, seed=5)
-        session = connect(
-            graph, num_machines=4, backend="process", shm_threshold_bytes=0
-        )
-        try:
-            session.execute(COUNT_Q)
-            names = list(session.backend.shm_segments)
-            assert names, "export expected above threshold"
-            # Attachable while the session is open...
-            seg = shared_memory.SharedMemory(name=names[0])
-            seg.close()
-        finally:
-            session.close()
-        # ...and gone afterwards.
-        _assert_unlinked(names)
-
-    def test_export_cached_across_queries(self):
-        graph = random_graph(80, 200, seed=5)
-        with connect(
-            graph, num_machines=4, backend="process", shm_threshold_bytes=0
-        ) as session:
-            session.execute(COUNT_Q)
-            first = list(session.backend.shm_segments)
-            session.execute(COUNT_Q)
-            assert session.backend.shm_segments == first
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs a /dev/shm to list"
+    )
+    def test_session_creates_no_segment(self):
+        # The xs CSR is 91,568 B: above the 64 KB at which workers used to
+        # take an exported shared-memory copy instead of the forked one.
+        graph, info = mini_ldbc("xs")
+        query = BENCHMARK_QUERIES["Q09"](info)
+        with connect(graph, num_machines=4) as sim:
+            expected = sim.execute(query).rows
+        before = _segments()
+        with connect(graph, num_machines=4, backend="process") as proc:
+            assert proc.execute(query).rows == expected
+            assert len(proc.backend.worker_pids) == 4
+            assert _segments() == before
 
     def test_worker_crash_raises_and_close_unlinks(self, monkeypatch):
         import repro.runtime.backend as backend_mod
@@ -230,20 +200,17 @@ class TestShmLifecycle:
             os._exit(1)
 
         graph = random_graph(80, 200, seed=5)
-        session = connect(
-            graph, num_machines=4, backend="process", shm_threshold_bytes=0
-        )
+        session = connect(graph, num_machines=4, backend="process")
         try:
             # Fork inherits the patched module, so every worker dies on
             # entry; the coordinator must surface it as ExecutionError.
             monkeypatch.setattr(backend_mod, "_worker_main", crash)
             with pytest.raises(ExecutionError, match="worker"):
                 session.execute(COUNT_Q)
-            names = list(session.backend.shm_segments)
-            assert names
         finally:
             session.close()
-        _assert_unlinked(names)
+        assert session.backend.worker_pids == []
+        assert multiprocessing.active_children() == []
 
     def test_worker_exception_propagates_with_traceback(self, monkeypatch):
         import repro.runtime.backend as backend_mod
@@ -269,14 +236,12 @@ class TestShmLifecycle:
 
     def test_backend_close_is_idempotent(self):
         graph = random_graph(80, 200, seed=5)
-        session = connect(
-            graph, num_machines=2, backend="process", shm_threshold_bytes=0
-        )
+        session = connect(graph, num_machines=2, backend="process")
         session.execute(COUNT_Q)
-        names = list(session.backend.shm_segments)
+        assert len(session.backend.worker_pids) == 2
         session.close()
         session.backend.close()  # second close is a no-op
-        _assert_unlinked(names)
+        assert session.backend.worker_pids == []
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +331,7 @@ class TestRobustness:
         graph = random_graph(80, 200, seed=5)
         with connect(graph, num_machines=4) as sim:
             expected = sim.execute(COUNT_Q).rows
-        with connect(
-            graph, num_machines=4, backend="process", shm_threshold_bytes=0
-        ) as session:
+        with connect(graph, num_machines=4, backend="process") as session:
             # Inherited by the generation the first execute forks (before
             # this test starts a thread).
             monkeypatch.setattr(backend_mod, "_run_query", stalls_on_worker_1)

@@ -6,7 +6,7 @@ from repro import EngineConfig, GraphBuilder, Session
 from repro.config import EngineConfig as Config
 from repro.graph.generators import chain_graph, random_graph, two_label_graph
 from repro.plan import explain
-from repro.runtime.stats import MachineStats, RunStats
+from repro.runtime.stats import BUFFER_BYTES, MachineStats, RunStats
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +131,7 @@ class TestRunStats:
         machines[0].index_prealloc_bytes = 80
         machines[1].peak_inflight_buffers = 3
         assert stats.index_bytes == 120 + 80
-        assert stats.messaging_bytes_peak == 3 * stats.config.buffer_bytes
+        assert stats.messaging_bytes_peak == 3 * BUFFER_BYTES
 
     def test_summary_keys(self):
         _machines, stats = self.make()
