@@ -449,16 +449,8 @@ class Machine:
     # Termination protocol
     # ------------------------------------------------------------------
     def broadcast_status(self, round_no):
-        tracker, send = self.tracker, self.network.send
-        tracker.generation += 1
-        message = None
-        for dst in range(self.config.num_machines):
-            if dst != self.id:
-                message = (
-                    tracker.snapshot(dst) if message is None
-                    else message.readdressed(dst)
-                )
-                send(message, round_no)
+        self.tracker.generation += 1
+        self.network.broadcast(self.tracker.snapshot(), round_no)
         self.stats.status_messages += self.config.num_machines - 1
 
     def check_termination(self):
@@ -468,11 +460,13 @@ class Machine:
     # Ground truth (used by the scheduler's safety checks and tests)
     # ------------------------------------------------------------------
     def is_quiescent(self):
-        if self.inbox:
+        """No received batch, root, open batch or job: nothing to run."""
+        if self.inbox or self.bootstrap_roots or self._open:
             return False
-        if any(len(b) > 0 for b in self._open.values()):
-            return False
-        return all(not w.jobs and w.idle for w in self.workers)
+        for worker in self.workers:
+            if worker.jobs:
+                return False
+        return True
 
     def finalize_stats(self):
         for rpq_id, index in self.indexes.items():

@@ -826,6 +826,8 @@ class ClusterScheduler:
             spent_this_pass = 0.0
             still_hungry = []
             for task, s in hungry:
+                if rng is None and s.is_quiescent():
+                    continue  # idle: no call (a seeded schedule draws in it)
                 used = s.run_slice(round_no, share, rng=rng)
                 task.consumed[s.id] += used
                 spent_this_pass += used
