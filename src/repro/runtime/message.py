@@ -146,15 +146,23 @@ class StatusMessage:
         new.epoch = self.epoch
         return new
 
-    def readdressed(self, dst_machine):
-        """This snapshot for another destination of the same broadcast: own
-        ``seq``, shared counter dicts (receivers only read them, and
-        :meth:`clone` copies) — one broadcast copies the counters once."""
-        new = StatusMessage.__new__(StatusMessage)
-        new.__dict__.update(self.__dict__)
-        new.dst_machine = dst_machine
-        new.seq = next(_seq)
-        return new
+    def copies(self, num_machines):
+        """This broadcast's copy for every other machine: the snapshot
+        itself first, then one per further destination with its own
+        ``seq`` and the shared counter dicts (receivers only read them,
+        and :meth:`clone` copies) — one broadcast copies the counters once."""
+        message = None
+        for dst in range(num_machines):
+            if dst == self.src_machine:
+                continue
+            if message is None:
+                message = self
+            else:
+                message = StatusMessage.__new__(StatusMessage)
+                message.__dict__.update(self.__dict__)
+                message.seq = next(_seq)
+            message.dst_machine = dst
+            yield message
 
 
 # ----------------------------------------------------------------------
