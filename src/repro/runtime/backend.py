@@ -17,8 +17,9 @@ scheduler directly; it dispatches through an :class:`ExecutionBackend`:
 Topology: ``workers`` processes (default ``num_machines``) each host the
 machines ``m`` with ``m % workers == worker_id``.  Every worker has one
 duplex pipe to the coordinator (commands down, notices and the final
-payload up) and one inbound ``multiprocessing.Queue`` that only its peers
-write to.
+payload up) and one ``os.pipe`` to each peer and from each peer: one
+writer and one reader per pipe, so no lock.  The coordinator creates the
+peer pipes before the fork and closes its copies right after it.
 
 Generations: plans are closures and cannot be pickled, so a worker knows
 a plan because it was forked after the backend registered it.  The
@@ -37,11 +38,14 @@ STATUS) is dropped before it can reach ``Machine.deliver``.
 
 Frames: a machine's remote sends are collected per destination worker
 and leave once per loop iteration as one ``marshal`` blob of plain
-tuples (:func:`repro.runtime.message.to_wire`); the receiver rebuilds
-the dataclasses, which also draws their receive-priority ``seq`` from
-its own counter (raw sender seqs never order a remote inbox — see the
-note in :mod:`repro.runtime.message`), so every inbox heap stays
-totally ordered.
+tuples (:func:`repro.runtime.message.to_wire`), length-prefixed onto
+the peer's outbox, which lives as long as the worker; each iteration
+writes as much of it as the non-blocking pipe takes, so two workers that
+fill each other's pipes never deadlock.  The receiver rebuilds the
+dataclasses, which also draws their receive-priority ``seq`` from its
+own counter (raw sender seqs never order a remote inbox — see the note
+in :mod:`repro.runtime.message`), so every inbox heap stays totally
+ordered.
 
 Termination: each machine runs the paper's double-confirmation protocol
 (Section 3.4) exactly as under the simulator, but a loop iteration is
@@ -71,11 +75,13 @@ validation plus the explicit checks here — simulator-only options raise
 import itertools
 import marshal
 import multiprocessing
+import os
+import selectors
+import struct
 import time
 import traceback
 from collections import OrderedDict
 from multiprocessing.connection import wait
-from queue import Empty
 
 from ..analysis.sanitizer import sanitizer_from_config
 from ..engine.result import MachineSink
@@ -88,9 +94,13 @@ from .stats import RunStats
 #: Hard ceiling on one process-backend run; a healthy run signals long
 #: before this, so hitting it means workers live-locked or lost frames.
 _RUN_TIMEOUT_S = 600.0
-#: Idle worker block on its inbox and command pipe (seconds) before it
-#: looks at its machines again.
+#: Idle worker block on its peer pipes and command pipe (seconds) before
+#: it looks at its machines again.
 _IDLE_WAIT_S = 0.002
+#: A frame on a peer pipe: the blob's byte length, then the blob.
+_FRAME_HEADER = struct.Struct("<I")
+#: Bytes one read takes from a peer pipe (Linux's default pipe capacity).
+_READ_BYTES = 1 << 16
 #: Plans the backend keeps registered (least recently run evicted first),
 #: so a stream of one-off plans does not pin every plan for ever.
 _MAX_PLANS = 64
@@ -171,11 +181,11 @@ class _ProcessNetwork:
     wire records per owning worker until the loop's :meth:`flush`.
     """
 
-    def __init__(self, worker_id, num_workers, num_machines, inboxes):
+    def __init__(self, worker_id, num_workers, num_machines, peers):
         self._worker_id = worker_id
         self._num_workers = num_workers
         self._num_machines = num_machines
-        self._inboxes = inboxes
+        self._peers = peers
         self._local_pending = []
         self._outgoing = [[] for _ in range(num_workers)]
 
@@ -202,10 +212,84 @@ class _ProcessNetwork:
 
     def flush(self):
         """One blob per destination worker that has records waiting."""
+        blobs = []
         for owner, records in enumerate(self._outgoing):
             if records:
-                self._inboxes[owner].put(marshal.dumps(records))
+                blobs.append((owner, marshal.dumps(records)))
                 self._outgoing[owner] = []
+        self._peers.push(blobs)
+
+
+class _PeerLinks:
+    """One worker's ends of its peer pipes, for the worker's lifetime:
+    ``outbound`` maps a peer to the write end of the pipe to it, ``inbound``
+    lists the read ends from the peers; ``conn`` is only waited on.  A peer
+    whose pipe reports EOF or ``EPIPE`` is dropped with its outbox, raising
+    nothing: the coordinator's sentinel reports the lost worker."""
+
+    def __init__(self, outbound, inbound, conn=None):
+        self._outboxes = {peer: (fd, bytearray()) for peer, fd in outbound.items()}
+        self._buffers = {fd: bytearray() for fd in inbound}
+        self._selector = selectors.DefaultSelector()
+        for fd in [*outbound.values(), *inbound]:
+            os.set_blocking(fd, False)
+        for handle in inbound + ([conn] if conn is not None else []):
+            self._selector.register(handle, selectors.EVENT_READ)
+
+    def push(self, blobs):
+        """Frame each ``(peer, blob)`` onto the peer's outbox, then write
+        what each pipe takes; the rest waits for the next call."""
+        for peer, blob in blobs:
+            if peer in self._outboxes:  # else the peer is gone
+                self._outboxes[peer][1].extend(_FRAME_HEADER.pack(len(blob)) + blob)
+        for peer, (fd, outbox) in list(self._outboxes.items()):
+            try:
+                if outbox:
+                    del outbox[:os.write(fd, outbox)]
+            except BlockingIOError:
+                continue  # the pipe is full
+            except ConnectionError:  # EPIPE: the peer is gone
+                del self._outboxes[peer]
+                os.close(fd)
+
+    def receive(self):
+        """The records of each whole frame that arrived since the last
+        call, in arrival order per peer."""
+        received, head = [], _FRAME_HEADER.size
+        for fd, buffer in list(self._buffers.items()):
+            chunk = None
+            try:
+                while chunk is None or len(chunk) == _READ_BYTES:
+                    chunk = os.read(fd, _READ_BYTES)
+                    buffer += chunk
+            except BlockingIOError:
+                chunk = None  # drained
+            except ConnectionError:
+                chunk = b""  # as good as EOF
+            start = 0
+            while len(buffer) >= start + head:
+                end = start + head + _FRAME_HEADER.unpack_from(buffer, start)[0]
+                if end > len(buffer):
+                    break  # half a frame: a later read completes it
+                received.append(marshal.loads(buffer[start + head:end]))
+                start = end
+            del buffer[:start]
+            if chunk == b"":  # EOF: the peer is gone
+                del self._buffers[fd]
+                self._selector.unregister(fd)
+                os.close(fd)
+        return received
+
+    def wait(self, timeout):
+        """The pipes ready within ``timeout`` seconds: a frame, a command,
+        or room in a pipe that has outbox bytes pending."""
+        pending = [fd for fd, outbox in self._outboxes.values() if outbox]
+        for fd in pending:
+            self._selector.register(fd, selectors.EVENT_WRITE)
+        ready = [key.fileobj for key, _ in self._selector.select(timeout)]
+        for fd in pending:
+            self._selector.unregister(fd)
+        return ready
 
 
 def _fenced(records, run_id):
@@ -222,7 +306,7 @@ def _fenced(records, run_id):
 
 
 def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
-               inboxes):
+               peers):
     """One run in this worker: returns the payload for the coordinator.
 
     Leaves when the coordinator's stop for ``run_id`` arrives on ``conn``;
@@ -234,11 +318,7 @@ def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
 
         prof = PhaseProfiler()
     sanitizer = sanitizer_from_config(config)
-    network = _ProcessNetwork(worker_id, num_workers, config.num_machines, inboxes)
-    inbox = inboxes[worker_id]
-    # The queue's read end, to sleep on it and the command pipe together
-    # (the stdlib's own process pool waits on ``Queue._reader`` this way).
-    wakeups = [inbox._reader, conn]
+    network = _ProcessNetwork(worker_id, num_workers, config.num_machines, peers)
     sinks = {}
     machines = {}
     for m in range(worker_id, config.num_machines, num_workers):
@@ -255,13 +335,9 @@ def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
     loop_no = 0
     while True:
         frames = network.take_local()
-        while True:
-            try:
-                blob = inbox.get_nowait()
-            except Empty:
-                break
+        for records in peers.receive():
             heard = True
-            frames.extend(_fenced(marshal.loads(blob), run_id))
+            frames.extend(_fenced(records, run_id))
         data = 0  # batches and credit returns: STATUS is nothing to work on
         for frame in frames:
             machines[frame.dst_machine].deliver([frame])
@@ -301,7 +377,7 @@ def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
             # broadcast just addressed to co-hosted machines are handled
             # first.
             timeout = 0 if network.has_local else _IDLE_WAIT_S
-            ready = wait(wakeups, timeout)
+            ready = peers.wait(timeout)
             if conn in ready and conn.recv() == (run_id, None):
                 break
             if not ready and timeout:
@@ -326,31 +402,34 @@ def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
     }
 
 
-def _worker_main(worker_id, pipes, inboxes, dgraph, plans, config):
+def _worker_main(worker_id, pipes, links, dgraph, plans, config):
     """One worker process: host machines ``m % len(pipes) == worker_id``.
 
     Runs under the fork start method — ``dgraph``/``plans``/``config``
-    are inherited, never pickled.  Serves ``(run id, plan id)`` commands
-    until its command pipe reaches EOF, which is how a retired generation
-    and a coordinator that died both look from here.
+    are inherited, never pickled; ``links`` maps ``(src, dst)`` workers to
+    the ``(read, write)`` ends of their peer pipe.  Serves ``(run id, plan
+    id)`` commands until its command pipe reaches EOF, which is how a
+    retired generation and a coordinator that died both look from here.
     """
     conn = pipes[worker_id][1]
     # Drop every inherited pipe end but our own: EOF reaches a worker only
-    # when the coordinator holds the last open copy of the other end.
+    # when the coordinator holds the last open copy of the other end, and
+    # a peer pipe only when its one writer or its one reader is gone.
     for w, (coordinator_end, worker_end) in enumerate(pipes):
         coordinator_end.close()
         if w != worker_id:
             worker_end.close()
-    for inbox in inboxes:
-        # A worker exits only when nobody wants its frames any more; never
-        # let exit wait for a peer that may be gone to drain a queue.
-        inbox.cancel_join_thread()
+    outbound = {dst: ends[1] for (src, dst), ends in links.items() if src == worker_id}
+    inbound = [ends[0] for (src, dst), ends in links.items() if dst == worker_id]
+    for fd in set(itertools.chain(*links.values())) - {*outbound.values(), *inbound}:
+        os.close(fd)
+    peers = _PeerLinks(outbound, inbound, conn)
     try:
         while True:
             run_id, plan_id = conn.recv()
             payload = _run_query(
                 worker_id, len(pipes), dgraph, plans[plan_id], config,
-                run_id, conn, inboxes,
+                run_id, conn, peers,
             )
             conn.send(("result", payload))
     except (EOFError, ConnectionError):
@@ -367,11 +446,12 @@ def _worker_main(worker_id, pipes, inboxes, dgraph, plans, config):
 # Coordinator side
 # ----------------------------------------------------------------------
 class _Generation:
-    """One fork of the worker pool: processes, command pipes, inboxes.
+    """One fork of the worker pool: processes, command pipes, peer pipes.
 
-    The coordinator never writes to an inbox, so it never starts a
-    ``Queue`` feeder thread and the next generation is always forked from
-    a single-threaded process.
+    The coordinator creates one ``os.pipe`` per ordered pair of workers
+    before the fork and closes every end of them once all workers are
+    forked: it holds ``2·W·(W−1)`` peer descriptors only while it forks,
+    and never a frame.
     """
 
     def __init__(self, dgraph, config, num_workers, plans):
@@ -379,14 +459,16 @@ class _Generation:
         self.config = config
         ctx = multiprocessing.get_context("fork")
         pipes = [ctx.Pipe() for _ in range(num_workers)]
-        inboxes = [ctx.Queue() for _ in range(num_workers)]
+        links = {}
         self.conns = [coordinator_end for coordinator_end, _ in pipes]
         self.procs = []
         try:
+            pairs = itertools.permutations(range(num_workers), 2)
+            links.update((pair, os.pipe()) for pair in pairs)
             for w in range(num_workers):
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(w, pipes, inboxes, dgraph, plans, config),
+                    args=(w, pipes, links, dgraph, plans, config),
                     daemon=True,
                 )
                 proc.start()
@@ -397,6 +479,8 @@ class _Generation:
         finally:
             for _, worker_end in pipes:
                 worker_end.close()
+            for fd in itertools.chain(*links.values()):
+                os.close(fd)
 
     def serves(self, dgraph, config, num_workers):
         return (
