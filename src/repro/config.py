@@ -14,6 +14,11 @@ from typing import Optional
 
 from .errors import ConfigError
 
+#: Rounds between STATUS broadcasts (the termination protocol's heartbeat)
+#: on the simulator; ``backend="process"`` has no rounds and broadcasts
+#: when a worker goes idle.
+STATUS_INTERVAL = 4
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -108,9 +113,8 @@ class EngineConfig:
         faults: a :class:`repro.faults.FaultPlan` injecting seeded message
             loss / duplication / reordering / delay and machine stalls or
             crashes into the execution (:mod:`repro.faults`).  ``None``
-            (default) keeps the interconnect perfect; every hook is a
-            single ``is not None`` branch so fault-free runs are
-            bit-identical to a build without the subsystem.
+            (default) keeps the interconnect perfect, and the scheduler
+            builds none of the subsystem.
         reliable_transport: force the ack/retransmit transport layer on
             (``True``) or off (``False``).  ``None`` (default) enables it
             exactly when a fault plan is attached — the paper's perfect
@@ -119,9 +123,6 @@ class EngineConfig:
             reliable transport, in rounds.  ``None`` derives a generous
             default from ``net_delay_rounds`` (no spurious retransmits on
             a healthy link).
-        status_interval: rounds between STATUS broadcasts (termination
-            protocol heartbeat) on the simulator; ``backend="process"``
-            has no rounds and broadcasts when a worker goes idle.
         stall_limit: rounds of zero progress tolerated before the
             scheduler diagnoses a stall.  Fault runs with long machine
             outages legitimately need more headroom.
@@ -199,7 +200,6 @@ class EngineConfig:
     faults: Optional[object] = None
     reliable_transport: Optional[bool] = None
     retransmit_timeout_rounds: Optional[int] = None
-    status_interval: int = 4
     stall_limit: int = 400
     # Crash recovery (:mod:`repro.recovery`) and virtual-clock deadline.
     recovery: bool = False
@@ -287,17 +287,13 @@ class EngineConfig:
                 "schedule_seed must be None or a non-negative int "
                 f"(got {self.schedule_seed!r})"
             )
-        if self.status_interval < 1:
-            raise ConfigError(
-                f"status_interval must be >= 1 (got {self.status_interval})"
-            )
-        if self.stall_limit < 2 * self.status_interval:
+        if self.stall_limit < 2 * STATUS_INTERVAL:
             # The stall diagnosis must allow at least a couple of
             # heartbeat cycles before declaring the protocol stuck.
             raise ConfigError(
-                "stall_limit must be >= 2 * status_interval "
-                f"(got {self.stall_limit} with status_interval="
-                f"{self.status_interval})"
+                "stall_limit must be >= 2 * STATUS_INTERVAL "
+                f"(got {self.stall_limit} with STATUS_INTERVAL="
+                f"{STATUS_INTERVAL})"
             )
         if self.retransmit_timeout_rounds is not None and (
             type(self.retransmit_timeout_rounds) is not int

@@ -80,7 +80,7 @@ class FaultInjector:
         self._was_down = [False] * num_machines
 
     # ------------------------------------------------------------------
-    # Message-level faults (consulted by SimulatedNetwork._transmit)
+    # Message-level faults (consulted by LossyNetwork._transmit)
     # ------------------------------------------------------------------
     def on_transmit(self, message, now_round):
         """Fault verdict for one transmitted copy:
@@ -249,12 +249,6 @@ class FaultInjector:
             for m in self.down_machines(round_no)
             if m not in self._permanent
         )
-
-    @property
-    def permanent_machines(self):
-        """Ground truth: machines whose plan includes a permanent crash
-        (sorted tuple; test oracle only)."""
-        return self._permanent
 
     def permanent_down(self, round_no):
         """Ground truth: machines down now that never recover

@@ -14,11 +14,10 @@ partial-results downgrade, and crash-recovery failover.
   partition-minority view can never evict the majority (no split-brain
   double execution).
 
-* :class:`ProgressWatchdog` / :func:`resolve_stall` — the scheduler's
-  per-query progress clock and stall classification: unconfirmed suspicions
-  buy time, confirmed-down hosts resolve to failover or partial results,
-  quorum-blocked suspicions resolve to an honest "partition suspected"
-  error after a bounded wait.
+* :func:`resolve_stall` — stall classification for a query with no
+  progress: confirmed-down hosts resolve to failover or partial results,
+  quorum-blocked suspicions to an honest "partition suspected" error after
+  a bounded wait (unconfirmed suspicions reset the progress clock).
 
 The fault injector's ``permanent_down()``-style methods remain available
 to tests and sweep reports as the *oracle* the detector is judged
@@ -32,13 +31,12 @@ from .service import (
     WITNESS,
     MembershipService,
 )
-from .watchdog import ProgressWatchdog, quorum_lost_error, resolve_stall
+from .watchdog import quorum_lost_error, resolve_stall
 
 __all__ = [
     "ALIVE",
     "CONFIRMED_DOWN",
     "MembershipService",
-    "ProgressWatchdog",
     "SUSPECT",
     "WITNESS",
     "quorum_lost_error",

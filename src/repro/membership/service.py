@@ -150,8 +150,8 @@ class MembershipService:
     def quorum_blocked(self):
         """Hosts some connected observer reports confirm-level silence on,
         without the votes to confirm — the signature of sitting on the
-        wrong side of a partition.  These do *not* buy the progress
-        watchdog more time: a bounded wait, then an honest error."""
+        wrong side of a partition.  These do *not* buy a stalled query
+        more time: a bounded wait, then an honest error."""
         return tuple(sorted(self._quorum_blocked))
 
     def unconfirmed_suspects(self, round_no):

@@ -423,15 +423,6 @@ class Query:
                 return m
         return None
 
-    def outer_variables(self):
-        """All named vertex variables appearing in MATCH patterns."""
-        out = []
-        for pat in self.match_patterns:
-            for v in pat.vertices:
-                if v.var and v.var not in out:
-                    out.append(v.var)
-        return out
-
     def __str__(self):
         parts = [str(m) for m in self.path_macros]
         sel = "SELECT " + ("DISTINCT " if self.distinct else "")

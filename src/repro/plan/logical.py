@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 from ..errors import PlanningError
 from ..graph.types import Direction
-from ..pgql.ast import EdgePattern, Quantifier, RpqPattern
+from ..pgql.ast import Quantifier, RpqPattern
 
 
 @dataclass
@@ -171,13 +171,6 @@ class LogicalPlan:
             suffix = f"  WHERE {' AND '.join(map(str, filters))}" if filters else ""
             lines.append(f"{i}: {name}({detail}){suffix}")
         return "\n".join(lines)
-
-
-def edge_connector_cost(connector):
-    """Relative cost rank used by the greedy ordering (lower = earlier)."""
-    if isinstance(connector, EdgePattern):
-        return 1.0
-    return 2.0
 
 
 def validate_pattern_graph(pg):

@@ -76,7 +76,3 @@ class Scout:
         fraction = max(matches, 0.5) / len(self._sample)
         self._cache[pv.var] = fraction
         return fraction
-
-    def estimated_count(self, pv):
-        """Estimated number of matching vertices."""
-        return self.selectivity(pv) * self.graph.num_vertices

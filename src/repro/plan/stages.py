@@ -87,10 +87,6 @@ class Hop:
     # (returning from the last path stage: depth += 1).
     control_entry: Optional[str] = None
 
-    def moves_execution(self):
-        """Whether this hop can ship the context to another machine."""
-        return self.kind in (HopKind.NEIGHBOR, HopKind.INSPECT)
-
 
 @dataclass
 class RpqSpec:

@@ -131,13 +131,12 @@ class RecoveryManager:
     """
 
     def __init__(
-        self, machines, network, dgraph, injector, host_map, sanitizer=None,
+        self, machines, network, dgraph, host_map, sanitizer=None,
         obs=None, prof=None, query_id=0, membership=None,
     ):
         self.machines = machines
         self.network = network
         self.dgraph = dgraph
-        self.injector = injector
         self.membership = membership
         self.sanitizer = sanitizer
         self.obs = obs

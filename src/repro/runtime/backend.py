@@ -305,12 +305,25 @@ def _fenced(records, run_id):
     ]
 
 
+class _CoordinatorGone(Exception):
+    """The command pipe's EOF or broken pipe: the generation was retired
+    or the coordinator died, the one way a worker ends quietly."""
+
+
+def _command(op, *args):
+    """One operation on the command pipe: only its errors end a worker quietly."""
+    try:
+        return op(*args)
+    except (EOFError, ConnectionError):
+        raise _CoordinatorGone from None
+
+
 def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
                peers):
     """One run in this worker: returns the payload for the coordinator.
 
     Leaves when the coordinator's stop for ``run_id`` arrives on ``conn``;
-    raises ``EOFError`` if the coordinator went away instead.
+    raises :class:`_CoordinatorGone` if the coordinator went away instead.
     """
     prof = None
     if config.profile:
@@ -356,7 +369,7 @@ def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
                     machine.check_termination()
             if not reported and any(m.protocol.concluded for m in hosted):
                 reported = True
-                conn.send(("concluded", run_id))
+                _command(conn.send, ("concluded", run_id))
             # Going idle is when a broadcast can tell a peer something:
             # counters it has not seen, or — once an evaluation here found
             # everything terminated — the newer generation its second
@@ -378,7 +391,7 @@ def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
             # first.
             timeout = 0 if network.has_local else _IDLE_WAIT_S
             ready = peers.wait(timeout)
-            if conn in ready and conn.recv() == (run_id, None):
+            if conn in ready and _command(conn.recv) == (run_id, None):
                 break
             if not ready and timeout:
                 # A full wait of silence counts as having heard: a
@@ -426,13 +439,13 @@ def _worker_main(worker_id, pipes, links, dgraph, plans, config):
     peers = _PeerLinks(outbound, inbound, conn)
     try:
         while True:
-            run_id, plan_id = conn.recv()
+            run_id, plan_id = _command(conn.recv)
             payload = _run_query(
                 worker_id, len(pipes), dgraph, plans[plan_id], config,
                 run_id, conn, peers,
             )
-            conn.send(("result", payload))
-    except (EOFError, ConnectionError):
+            _command(conn.send, ("result", payload))
+    except _CoordinatorGone:
         return  # the coordinator closed the channel or is gone
     except BaseException:
         # Worker boundary: ship the traceback across the process gap so

@@ -235,10 +235,10 @@ def from_wire(record):
 class HeartbeatMessage:
     """Membership-detector probe: "machine ``src`` was alive this round".
 
-    Heartbeats ride the *probe plane* — a separate unreliable
-    :class:`~repro.runtime.network.SimulatedNetwork` owned by the
-    :class:`~repro.membership.MembershipService` — never
-    :meth:`Machine.deliver`.  ``dst_machine == num_machines`` addresses
+    Heartbeats ride the *probe plane* — the
+    :class:`~repro.membership.MembershipService`'s own in-flight heap,
+    drawing verdicts from the injector's probe stream — never a query
+    channel or :meth:`Machine.deliver`.  ``dst_machine == num_machines`` addresses
     the witness endpoint (the coordination service's own observer vote).
     Probes carry no protocol payload: a lost probe just delays hearing.
     """
@@ -264,7 +264,7 @@ class HeartbeatMessage:
 class AckMessage:
     """Transport-layer acknowledgement: ``acked_tseq`` arrived at ``src``.
 
-    ACKs exist only inside :class:`~repro.runtime.network.SimulatedNetwork`
+    ACKs exist only inside :class:`~repro.runtime.network.LossyNetwork`
     — the receiving network endpoint consumes them to retire retransmit
     state; they are never handed to :meth:`Machine.deliver`.
     """

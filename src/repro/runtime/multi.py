@@ -38,31 +38,12 @@ Admission control
     submissions beyond that are rejected with :class:`~repro.errors.
     AdmissionError` instead of growing an unbounded backlog.
 
-Chaos, reliability, and recovery (docs/faults.md, docs/recovery.md)
-    Faults are a property of the *cluster*, not of any one query: when the
-    scheduler's base config carries a :class:`~repro.faults.FaultPlan`,
-    one shared seeded :class:`~repro.faults.FaultInjector` perturbs every
-    query's traffic on the shared interconnect, and a machine outage takes
-    down every query slice it hosts.  Reliability and recovery stay *per
-    query*: each channel runs its own ARQ endpoints, and each
-    recovery-enabled query cuts epoch checkpoints at its own
-    termination-protocol boundaries.  Failure handling is
-    detection-driven: one cluster-level
-    :class:`~repro.membership.MembershipService` (failure is a property
-    of the machines, not of any one query) confirms crashes by quorum,
-    and only a confirmed verdict triggers the cluster-level partition
-    failover (the shared :class:`~repro.recovery.HostMap`), which then
-    rolls back **only the queries that lost state on that machine** —
-    co-resident queries without recovery degrade to partial results, and
-    queries admitted later simply inherit the new placement.  When a
-    query's :class:`~repro.membership.ProgressWatchdog` expires,
-    :func:`~repro.membership.resolve_stall` distinguishes a confirmed-down
-    peer (partial results), a suspected partition minority (quorum-lost
-    error), a flow-control deadlock, and a termination-protocol failure —
-    the last two would be bugs, and tests assert they never happen.
-    The invariant (asserted in tests/test_concurrency_chaos.py): every
-    admitted query's result set is bit-identical to its fault-free solo
-    run.
+Chaos at one seam (docs/faults.md, docs/recovery.md)
+    A fault-free round is the paper's deliver → compute → STATUS over
+    plain channels, with no fault, ARQ or failover branch per slice.  A
+    :class:`~repro.faults.FaultPlan` in the base config makes the
+    scheduler build one :class:`~repro.faults.cluster.ClusterChaos`, which
+    owns the cluster's fault state and does that part of each round.
 
 Determinism
     Admission order, the slice service order within a round, and every
@@ -80,15 +61,16 @@ import random
 import time
 
 from ..analysis.sanitizer import sanitizer_from_config
+from ..config import STATUS_INTERVAL
 from ..errors import (
     AdmissionError,
     ConfigError,
     ExecutionError,
     FlowControlDeadlock,
 )
-from ..membership import ProgressWatchdog, quorum_lost_error, resolve_stall
+from ..obs.prof import profiled
 from .machine import Machine
-from .network import SimulatedNetwork
+from .network import LossyNetwork, SimulatedNetwork
 from .stats import RunStats
 
 #: Budget below this fraction of a quantum is not worth another
@@ -168,12 +150,10 @@ class QueryTask:
         self.concluded = [False] * config.num_machines
         # Cost units each logical machine consumed in the current round.
         self.consumed = [0.0] * config.num_machines
-        # Progress clock: reset at admission and after every rollback.
-        self.watchdog = ProgressWatchdog(config.stall_limit)
+        # Progress clock: the last round with progress, reset at admission
+        # and after every rollback.
+        self.last_progress = 0
         self.quiescent_round = None  # local rounds (relative to admission)
-        # Per-query crash recovery (set by the scheduler at submit time
-        # when the query asked for it and the cluster can crash at all).
-        self.recovery = None
         self.down_machines = ()
         self.finished = False
         self.cancelled = False
@@ -186,27 +166,12 @@ class QueryTask:
         """Rounds of virtual time this query has been running."""
         return round_no - self.admitted_round + 1
 
-    def host_of(self, logical):
-        """Physical host running this query's logical machine ``logical``.
-
-        Identity unless the query is recovery-enabled and a failover moved
-        the logical machine: non-recovery queries keep addressing the dead
-        host (and degrade to partial results), which is exactly the
-        blast-radius boundary.
-        """
-        if self.recovery is None:
-            return logical
-        return self.recovery.hosts[logical]
+    def stalled(self, round_no):
+        """No progress for more than ``stall_limit`` rounds."""
+        return round_no - self.last_progress > self.config.stall_limit
 
     def is_quiescent(self):
-        """No query work anywhere (ignoring STATUS heartbeats).
-
-        Under reliable transport, *undelivered* Batch/Done frames count as
-        work (a dropped frame awaiting retransmission is nowhere in the
-        queues); delivered-but-unacked frames do not — which keeps the
-        quiescent round, and hence the virtual makespan, identical to an
-        unreliable run when no faults actually fire.
-        """
+        """No query work anywhere (ignoring STATUS heartbeats)."""
         if self.channel.has_protocol_work():
             return False
         return all(s.is_quiescent() for s in self.slices)
@@ -264,51 +229,16 @@ class QueryTask:
         )
 
     def settle_and_audit(self, round_no):
-        """Sanitizer epilogue on the query's *private* channel.
-
-        At the instant the termination protocol concludes, the last DONE
-        messages (credit returns) may still be in the network — that is
-        legal.  The channel carries no other query's traffic and is dropped
-        right after, so draining it ahead of the global clock is safe:
-        deliver them, then check credit conservation (every machine's
-        in-flight total back to zero) and that global sent == processed on
-        every channel.  Under reliable transport a dropped frame may be
-        nowhere in the queues yet (awaiting its retransmit timer):
-        settling mode bypasses fault verdicts and fast-retransmits so the
-        audit drains deterministically, then the transport itself is
-        audited.  Downtime windows are ignored — the settle phase is the
-        audit epilogue, not measured time.
-        """
-        channel = self.channel
-        settle_limit = round_no + 16 + 4 * self.config.net_delay_rounds
-        if channel.reliable:
-            channel.settling = True
-            settle_limit += 4 * self.config.net_delay_rounds + 8
-        while round_no < settle_limit:
-            if not channel.has_protocol_work():
-                break
-            round_no += 1
-            if channel.reliable:
-                channel.tick(round_no)
-            for s in self.slices:
-                s.deliver(channel.drain(s.id, round_no))
+        """Sanitizer epilogue: the last DONE messages (credit returns) may
+        still be in flight when the protocol concludes, and the private
+        channel is dropped right after, so it is drained ahead of the global
+        clock (:meth:`SimulatedNetwork.settle`); then credit conservation
+        and global sent == processed are checked on every channel."""
+        limit = round_no + 16 + 4 * self.config.net_delay_rounds
+        round_no = self.channel.settle(self.slices, round_no, limit)
         self.sanitizer.on_query_end([s.flow for s in self.slices])
         self.sanitizer.check_final_counts([s.tracker for s in self.slices])
-        if channel.reliable:
-            self.sanitizer.check_transport_settled(channel)
         return round_no
-
-    def release_resources(self):
-        """Free shared-cluster state this query pins.
-
-        Idempotent; called on finish, cancel, and deadline expiry —
-        including mid-rollback — so a departed query never holds
-        checkpoint storage.  The transport namespace (RX queues, ARQ
-        buffers, dedup ledger) lives on ``self.channel`` and goes with the
-        task; co-resident queries' channels are untouched.
-        """
-        if self.recovery is not None:
-            self.recovery.release()
 
 
 class ClusterScheduler:
@@ -323,7 +253,7 @@ class ClusterScheduler:
     tasks carry their :class:`RunStats` and filled sinks.
 
     ``prof`` overrides the profiler ``base_config.profile`` would create;
-    ``obs`` is the recorder the cluster-level injector and membership
+    ``obs`` is the recorder a fault plan's injector and membership
     detector stamp their events on (a solo run passes its query's own).
     """
 
@@ -342,33 +272,12 @@ class ClusterScheduler:
                 f"graph partitioned for {dgraph.num_machines} machines but "
                 f"config requests {base_config.num_machines}"
             )
-        # One shared seeded injector: all co-resident queries see the same
-        # lossy interconnect and the same machine outages.  Fault-plan
-        # crash/stall rounds are *global* cluster rounds.
-        if base_config.faults is not None:
-            from ..faults import FaultInjector  # deferred: avoids import cycle
-
-            self.injector = FaultInjector(
-                base_config.faults, base_config.num_machines, obs=obs
-            )
+        if base_config.faults is None:
+            self.chaos = None
         else:
-            self.injector = None
-        # One cluster-level failure detector (like the injector, failure
-        # is a property of the machines, not of any one query): every
-        # query's failover / partial / abandonment decisions ride the
-        # same quorum-confirmed verdicts.  Only meaningful under fault
-        # injection — on a perfect cluster nothing can fail, and skipping
-        # the detector keeps fault-free runs bit-identical to a build
-        # without the subsystem.
-        if self.injector is not None and base_config.membership_enabled:
-            from ..membership import MembershipService
+            from ..faults.cluster import ClusterChaos  # deferred: import cycle
 
-            self.membership = MembershipService.from_config(
-                base_config, injector=self.injector, obs=obs,
-                sanitizer=sanitizer_from_config(base_config, obs=obs),
-            )
-        else:
-            self.membership = None
+            self.chaos = ClusterChaos(base_config, dgraph, prof=prof, obs=obs)
         # Race-detector mode: one RNG permutes the host service order and
         # every slice's worker order; the fingerprint hashes the host
         # orders drawn so far.
@@ -378,15 +287,6 @@ class ClusterScheduler:
             else None
         )
         self.schedule_fingerprint = None
-        # Cluster-level failover state, created lazily with the first
-        # recovery-enabled query: logical->physical placement is shared
-        # (a machine moves for everyone consulting the map), rollback is
-        # per query.
-        self.host_map = None
-        # One entry per permanent crash: which queries actually rolled
-        # back — the blast radius the chaos tests and `repro chaos
-        # --concurrency` bound.
-        self.blast_radius = []
         self.round_no = 0
         self.active = []  # admission order
         self.pending = []  # bounded FIFO of not-yet-admitted QueryTasks
@@ -422,32 +322,7 @@ class ClusterScheduler:
         query_id = self._next_query_id
         self._next_query_id += 1
         sanitizer = sanitizer_from_config(config, obs=obs)
-        # Reliable transport resolves against the *cluster's* chaos, not
-        # the query's own (usually unset) fault field: explicit flag wins,
-        # else ARQ is armed exactly when something can be lost or the
-        # query wants the retransmit queue as its replay log.
-        if config.reliable_transport is not None:
-            reliable = config.reliable_transport
-        else:
-            reliable = self.injector is not None or config.recovery
-        # The query's private channel: its queues and ARQ state (sequence
-        # numbers, dedup ledger, retransmit queue) are its own, the
-        # injector and the membership detector are the cluster's.
-        retransmit_timeout_rounds = config.retransmit_timeout_rounds
-        if retransmit_timeout_rounds is None:
-            retransmit_timeout_rounds = self.config.retransmit_timeout_rounds
-        channel = SimulatedNetwork(
-            self.config.num_machines,
-            self.config.net_delay_rounds,
-            plan.num_slots,
-            reliable=reliable,
-            faults=self.injector,
-            retransmit_timeout_rounds=retransmit_timeout_rounds,
-            obs=obs,
-            sanitizer=sanitizer,
-            prof=self.prof,
-            membership=self.membership,
-        )
+        channel = self._channel(config, plan.num_slots, obs, sanitizer)
         if obs is not None:
             obs.configure(config.num_machines, config.quantum)
         if trace is not None:
@@ -456,44 +331,27 @@ class ClusterScheduler:
             query_id, self.dgraph, plan, config, sink_factory, channel,
             sanitizer=sanitizer, obs=obs, trace=trace, prof=self.prof,
         )
-        # Recovery is only meaningful when something can crash: without an
-        # injector the manager (and its checkpoints) is skipped.
-        if config.recovery and self.injector is not None:
-            from ..recovery import RecoveryManager  # deferred: import cycle
-
-            task.recovery = RecoveryManager(
-                task.slices, channel, self.dgraph, self.injector,
-                self._ensure_host_map(), sanitizer=sanitizer, obs=obs,
-                prof=self.prof, query_id=query_id,
-                membership=self.membership,
-            )
+        if self.chaos is not None:
+            self.chaos.attach(task, self.round_no)
         self.pending.append(task)
         self._admit()
         return task
 
-    def _ensure_host_map(self):
-        """Create the shared failover map with the first recovery query.
-
-        Seeded with any machines the membership detector has already
-        confirmed down: a query admitted after a confirmed crash must
-        never place state on the dead host.  (A crash not yet confirmed
-        is — correctly — not visible here; the detector will confirm it
-        and failover will fire then.)
-        """
-        if self.host_map is None:
-            from ..recovery import HostMap  # deferred: import cycle
-
-            self.host_map = HostMap(self.config.num_machines)
-            already_dead = (
-                self.membership.confirmed_down()
-                if self.membership is not None
-                else ()
-            )
-            if already_dead:
-                self.host_map.fail_over(already_dead)
-                for host in already_dead:
-                    self.membership.fence(host, self.round_no)
-        return self.host_map
+    def _channel(self, config, num_slots, obs, sanitizer):
+        """The query's private channel, its class picked here once.
+        Reliable transport resolves against the *cluster's* chaos: an
+        explicit flag wins, else ARQ is armed exactly when something can be
+        lost or the query wants the retransmit queue as its replay log."""
+        shape = (self.config.num_machines, self.config.net_delay_rounds, num_slots)
+        rto = config.retransmit_timeout_rounds or self.config.retransmit_timeout_rounds
+        link = dict(retransmit_timeout_rounds=rto, obs=obs, sanitizer=sanitizer, prof=self.prof)
+        if self.chaos is not None:
+            reliable = config.reliable_transport is not False  # unset: on
+            return self.chaos.channel(*shape, reliable=reliable, **link)
+        # (recovery=True with reliable_transport=False is a ConfigError)
+        if config.reliable_transport or config.recovery:
+            return LossyNetwork(*shape, reliable=True, **link)
+        return SimulatedNetwork(*shape, prof=self.prof)
 
     def _admit(self):
         """Move pending tasks onto the cluster up to the concurrency cap."""
@@ -503,12 +361,9 @@ class ClusterScheduler:
         ):
             task = self.pending.pop(0)
             task.admitted_round = self.round_no + 1
-            task.watchdog.reset(self.round_no)
-            if task.recovery is not None:
-                # Initial checkpoint before the query's first round: a
-                # crash during depth-0 bootstrap rolls back to the
-                # pristine pre-query state.
-                task.recovery.checkpoint(self.round_no, "initial")
+            task.last_progress = self.round_no
+            if self.chaos is not None:
+                self.chaos.admit(task, self.round_no)
             self.active.append(task)
             self.admitted += 1
             if task.obs is not None:
@@ -538,8 +393,13 @@ class ClusterScheduler:
         if task in self.active:
             self.active.remove(task)
             self._admit()
-        task.release_resources()
+        self._retire(task)
         return True
+
+    def _retire(self, task):
+        """Free the cluster state a departed query pins (its transport goes
+        with ``task.channel``); returns the RunStats fields chaos fills."""
+        return {} if self.chaos is None else self.chaos.retire(task)
 
     def _finish(self, task, round_no, error=None):
         """Retire ``task``: audit, build its :class:`RunStats`, free its slot.
@@ -559,7 +419,7 @@ class ClusterScheduler:
             local += task.settle_and_audit(round_no) - round_no
         for s in task.slices:
             s.finalize_stats()
-        channel = task.channel
+        chaos = self._retire(task)
         task.stats = RunStats(
             [s.stats for s in task.slices],
             local,
@@ -569,26 +429,13 @@ class ClusterScheduler:
             schedule_fingerprint=self.schedule_fingerprint,
             partial=task.partial,
             down_machines=task.down_machines,
-            transport=channel.transport_summary() if channel.reliable else None,
-            # Cluster-wide counts as of this query's finish: the injector,
-            # the detector and the round loop's phases are shared, not
-            # attributable per query.
-            fault_events=(
-                self.injector.summary() if self.injector is not None else None
-            ),
-            recovery=(
-                task.recovery.summary() if task.recovery is not None else None
-            ),
+            transport=task.channel.transport_summary(),
             timed_out=task.timed_out,
+            # The round loop's phases are shared, not attributable per query.
             profile=self.prof.summary() if self.prof is not None else None,
-            membership=(
-                self.membership.summary()
-                if self.membership is not None
-                else None
-            ),
+            **chaos,
         )
         task.finished = True
-        task.release_resources()
         self.active.remove(task)
         if task.obs is not None:
             task.obs.cluster_instant(
@@ -602,84 +449,12 @@ class ClusterScheduler:
             )
 
     # ------------------------------------------------------------------
-    # Fault handling (shared cluster clock)
-    # ------------------------------------------------------------------
-    def _slice_up(self, task, logical, round_no):
-        """Availability of the host running ``task``'s slice ``logical``."""
-        if self.injector is None:
-            return True
-        return self.injector.machine_up(task.host_of(logical), round_no)
-
-    def _hosted_logicals(self, task, host):
-        """``task``'s logical machines currently on physical ``host``."""
-        if task.recovery is not None:
-            return self.host_map.hosted_on(host)
-        return (host,)
-
-    def _apply_crashes(self, crashed):
-        """Crash instants: lose the crashed hosts' RX queues — nothing
-        else.
-
-        The RX loss hits *every* query with a logical machine on the
-        crashed host (durable machine state survives — fail-recover
-        model; reliable senders still hold the frames).  Nobody *knows*
-        about the crash yet: failover waits for the membership detector's
-        quorum-confirmed verdict (:meth:`_apply_confirmed`).
-        """
-        for host in crashed:
-            for task in self.active:
-                for logical in self._hosted_logicals(task, host):
-                    task.channel.lose_queue(logical)
-
-    def _apply_confirmed(self, confirmed, round_no):
-        """Detection-driven failover: the membership detector just
-        CONFIRMED ``confirmed`` down.
-
-        Triggers one cluster-level failover (when any recovery-enabled
-        query ever armed the shared host map), after which only the
-        recovery-enabled queries roll back to their own latest
-        checkpoints — that set is the confirmation's blast radius.
-        Queries without recovery keep addressing the dead host and
-        degrade to partial results via their watchdogs.
-        """
-        rolled = []
-        dead = list(confirmed)
-        if self.host_map is not None:
-            new_dead, orphaned = self.host_map.fail_over(confirmed)
-            if new_dead is None:
-                return  # already failed over (idempotent re-report)
-            dead = list(new_dead)
-            for task in self.active:
-                if task.recovery is None:
-                    continue
-                task.recovery.rollback(orphaned, round_no, dead=new_dead)
-                # The rollback may rewind conclusions: re-sync the
-                # scheduler's view and reset the progress clock for the
-                # replay.
-                for s in task.slices:
-                    task.concluded[s.id] = s.protocol.concluded
-                task.watchdog.reset(round_no)
-                task.quiescent_round = None
-                rolled.append(task.query_id)
-            # Failover executed: evict the dead hosts from the membership
-            # view for good.
-            for host in dead:
-                self.membership.fence(host, round_no)
-        self.blast_radius.append(
-            {"round": round_no, "dead": dead, "rolled_back": rolled}
-        )
-
-    # ------------------------------------------------------------------
     # The global round loop
     # ------------------------------------------------------------------
     def step(self):
         """Run one global round; returns the tasks that finished in it."""
         self.round_no += 1
         round_no = self.round_no
-        prof = self.prof
-        injector = self.injector
-        membership = self.membership
-        num_machines = self.config.num_machines
         running = list(self.active)
 
         # Per-query prologue, on the query's own clock (rounds since
@@ -687,86 +462,61 @@ class ClusterScheduler:
         # the round's work, then the recorder's clock moves to this round.
         for task in running:
             self._begin_round(task, round_no)
+        if self.chaos is None:
+            self._deliver(round_no)
+        else:
+            # Crashes and detector verdicts first, on the shared clock.
+            self.chaos.begin_round(self.active, round_no)
+            self.chaos.deliver(self.active, round_no)
+        self._compute(round_no)
+        # One global tick drives every channel's retransmit timer.
+        for task in self.active:
+            task.channel.tick(round_no)
+        for task, error in self._protocol(round_no):
+            self._finish(task, round_no, error)
+        finished = [task for task in running if task.finished]
+        if finished:
+            self._admit()
+        return finished
 
-        # Fault prologue: crashes fire on the shared cluster clock and
-        # hit every co-resident query at once.
-        if injector is not None:
-            crashed = injector.begin_round(round_no)
-            if crashed:
-                self._apply_crashes(crashed)
-
-        # Failure-detection phase: one detector round on the shared
-        # clock; newly confirmed hosts trigger the (cluster-level)
-        # failover for every recovery-enabled query.
-        if membership is not None:
-            confirmed = membership.tick(round_no)
-            if confirmed:
-                self._apply_confirmed(confirmed, round_no)
-
-        # Delivery phase: each slice drains its query's private channel;
-        # a down host receives nothing (messages wait in the network).
-        if prof is not None:
-            prof.enter("sched.deliver")
+    @profiled("sched.deliver")
+    def _deliver(self, round_no):
+        """Delivery phase: each slice drains its query's private channel."""
         for task in self.active:
             drain = task.channel.drain
             for s in task.slices:
-                if injector is not None and not self._slice_up(task, s.id, round_no):
-                    continue
                 delivered = drain(s.id, round_no)
-                if not delivered:
-                    continue
-                if membership is not None:
-                    # Piggybacked liveness: every delivered message is
-                    # evidence its sender's host was alive.
-                    observer = task.host_of(s.id)
-                    for msg in delivered:
-                        membership.heard(
-                            observer, task.host_of(msg.src_machine), round_no
-                        )
-                s.deliver(delivered)
-        if prof is not None:
-            prof.exit()
+                if delivered:
+                    s.deliver(delivered)
 
-        # Execution phase: every logical machine, in service order,
-        # splits its quantum fairly across the query slices it runs.  A
-        # host running ``k`` logical machines after a failover gives each
-        # ``1/k`` of its per-round quantum.
-        if prof is not None:
-            prof.enter("sched.compute")
+    @profiled("sched.compute")
+    def _compute(self, round_no):
+        """Execution phase: every logical machine, in service order,
+        splits its quantum fairly across the query slices it runs."""
+        num_machines = self.config.num_machines
         order = range(num_machines)
         if self._sched_rng is not None:
             order = self._sched_rng.sample(order, num_machines)
             self.schedule_fingerprint = hash(
                 (self.schedule_fingerprint, tuple(order))
             )
-        for task in self.active:
+        active = self.active
+        for task in active:
             task.consumed = [0.0] * num_machines
-        host_map = self.host_map
+        quantum = self.config.quantum
+        if self.chaos is None:
+            for logical in order:
+                slices = [(task, task.slices[logical]) for task in active]
+                self._run_machine_round(round_no, quantum, slices)
+            return
         for logical in order:
-            budget = self.config.quantum
-            if host_map is not None:
-                budget /= len(host_map.hosted_on(host_map.hosts[logical]))
-            runnable = []
-            for task in self.active:
-                s = task.slices[logical]
-                if injector is None or self._slice_up(task, logical, round_no):
-                    runnable.append((task, s))
-                else:
-                    s.stats.stalled_rounds += 1
-            self._run_machine_round(round_no, budget, runnable)
-        if prof is not None:
-            prof.exit()
+            budget, slices = self.chaos.share(logical, active, round_no, quantum)
+            self._run_machine_round(round_no, budget, slices)
 
-        # One global tick drives every reliable channel's retransmit
-        # timer (each query's ARQ state is private to its channel).
-        for task in self.active:
-            if task.channel.reliable:
-                task.channel.tick(round_no)
-
-        # Per-query protocol phase: round records, heartbeats,
-        # termination, watchdogs.
-        if prof is not None:
-            prof.enter("sched.protocol")
+    @profiled("sched.protocol")
+    def _protocol(self, round_no):
+        """Per-query protocol phase; returns ``(task, error)`` per task
+        that finished."""
         done = []
         for task in self.active:
             try:
@@ -774,15 +524,7 @@ class ClusterScheduler:
                     done.append((task, None))
             except ExecutionError as error:
                 done.append((task, error))
-        if prof is not None:
-            prof.exit()
-
-        for task, error in done:
-            self._finish(task, round_no, error)
-        finished = [task for task in running if task.finished]
-        if finished:
-            self._admit()
-        return finished
+        return done
 
     def _begin_round(self, task, round_no):
         """Round cap, deadline and recorder clock for one task's round."""
@@ -799,11 +541,8 @@ class ClusterScheduler:
             # machines produced so far, flagged incomplete + timed out.
             task.partial = True
             task.timed_out = True
-            if self.membership is not None:
-                # The *detected* dead, not ground truth: a crash the
-                # detector had not confirmed by the deadline is
-                # indistinguishable from slowness.
-                task.down_machines = self.membership.confirmed_down()
+            if self.chaos is not None:
+                task.down_machines = self.chaos.confirmed_down()
             task.instant("scheduler.deadline", local, deadline=config.deadline)
             self._finish(task, round_no)
         elif task.obs is not None:
@@ -842,50 +581,41 @@ class ClusterScheduler:
             s.account_round(task.consumed[s.id])
 
     def _drive_protocol(self, task, round_no):
-        """Round record / heartbeats / termination / watchdog for one task.
+        """Round record / heartbeats / termination / stall for one task.
 
         Returns True when the task finished this round (concluded, or
         degraded to partial results on a permanent unrecovered crash);
         raises on a stall nobody can explain.
         """
         local = task.local_round(round_no)
-        config = task.config
-        membership = self.membership
+        chaos = self.chaos
         if task.trace is not None:
             task.trace.record_round(local, task.consumed)
         if task.obs is not None:
             task.obs.record_round(local, task.consumed)
-        if local % config.status_interval == 0:
-            for s in task.slices:
-                if not self._slice_up(task, s.id, round_no):
-                    continue  # a down machine broadcasts nothing
+        if local % STATUS_INTERVAL == 0:
+            up = task.slices if chaos is None else chaos.up_slices(task, round_no)
+            for s in up:
                 s.broadcast_status(round_no)
             if task.sanitizer is not None:
                 task.sanitizer.check_global_counts(
                     [s.tracker for s in task.slices]
                 )
-            done = True
-            for s in task.slices:
-                if not self._slice_up(task, s.id, round_no):
-                    done = done and task.concluded[s.id]
-                    continue
-                if not task.concluded[s.id]:
-                    task.concluded[s.id] = s.check_termination()
-                done = done and task.concluded[s.id]
-            if done:
+            concluded = task.concluded
+            for s in up:
+                if not concluded[s.id]:
+                    concluded[s.id] = s.check_termination()
+            if all(concluded):
                 if task.trace is not None:
                     task.trace.record_event(
                         local, "termination protocol concluded"
                     )
                 task.instant("termination.concluded", local)
                 return True
-            if task.recovery is not None:
-                # Checkpoint cadence rides this query's own termination
-                # protocol: cut one whenever new channels terminated
-                # globally for *this* query.
-                task.recovery.maybe_checkpoint(round_no)
+            if chaos is not None:
+                chaos.status_round(task, round_no)
         if any(task.consumed):
-            task.watchdog.observe(round_no, True)
+            task.last_progress = round_no
             task.quiescent_round = None
             return False
         # Record when all query work (not protocol heartbeats) is done:
@@ -893,25 +623,9 @@ class ClusterScheduler:
         # decides when machines actually stop.
         if task.quiescent_round is None and task.is_quiescent():
             task.quiescent_round = local
-        # An outage under deliberation is not a stall: the detector's
-        # unconfirmed suspicions reset the progress clock (hosts may come
-        # back, retransmissions pending).
-        task.watchdog.observe(round_no, False, membership)
-        if task.watchdog.expired(round_no):
-            failed_over = (
-                task.recovery.failed_over if task.recovery is not None else ()
-            )
-            verdict, hosts = resolve_stall(membership, failed_over)
-            if verdict == "partial":
-                # Confirmed-down hosts this query did not recover from:
-                # give up on their share of the work and return what the
-                # survivors produced, flagged incomplete.
-                task.partial = True
-                task.down_machines = hosts
-                task.instant("scheduler.partial", local, down=list(hosts))
-                return True
-            if verdict == "quorum":
-                raise quorum_lost_error(hosts, round_no, config.stall_limit)
+        if chaos is not None:
+            return chaos.idle(task, round_no)
+        if task.stalled(round_no):
             task.diagnose_stall(round_no)
         return False
 

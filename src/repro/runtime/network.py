@@ -2,30 +2,32 @@
 
 Messages sent in round ``r`` become deliverable in round
 ``r + net_delay_rounds``.  Delivery order within a round is deterministic
-(by send sequence).  By default the network is reliable — the paper's
-messaging layer "handles any faults" — but two layers below that
-assumption live here too:
+(by send sequence).  :class:`SimulatedNetwork` is the paper's messaging
+layer, which "handles any faults": a plain store-and-forward channel with
+no fault, transport or recovery state.  Everything a lossy or sequenced
+link adds lives in one subclass, :class:`LossyNetwork`, which the
+scheduler builds instead when the cluster has a fault injector or the
+query asks for reliable transport:
 
 * **Fault injection** (``faults=``): a :class:`~repro.faults.injector.
   FaultInjector` gets a verdict on every transmitted copy — drop it,
-  delay it, duplicate it — turning the perfect interconnect into a lossy
-  one.  The legacy test hooks ``extra_delay_fn`` / ``duplicate_fn`` are
-  kept as thin deterministic front-ends to the same transmit path.
+  delay it, duplicate it, corrupt it.  The test hooks ``extra_delay_fn``
+  / ``duplicate_fn`` are thin deterministic front-ends to the same
+  transmit path (a plain channel has no slot for them).
 
 * **Reliable transport** (``reliable=True``): a classic ARQ layer that
-  restores exactly-once delivery over the lossy link.  Every data message
-  gets a per-``(src, dst)`` sequence number (``tseq``); the receiving
-  endpoint acks each frame and suppresses duplicates by ``(src, dst,
-  tseq)``; the sending endpoint retransmits unacked frames on a virtual-
-  clock timeout with exponential backoff.  ACKs are transport-internal —
-  they never reach :meth:`Machine.deliver` — and are themselves sent
-  unreliably (a lost ACK just causes a retransmit, which the receiver
-  dedups and re-acks).
+  restores exactly-once delivery.  Every data message gets a per-``(src,
+  dst)`` sequence number (``tseq``); the receiver acks each frame and
+  suppresses duplicates; the sender retransmits unacked frames on a
+  virtual-clock timeout with exponential backoff.  ACKs never reach
+  :meth:`Machine.deliver` and are themselves sent unreliably.
 
-Accounting counts every *transmitted copy* (first sends, hook and fault
-duplicates, retransmissions) in ``total_messages`` / ``total_bytes``;
-transport ACK traffic is tallied separately (``acks_sent`` /
-``transport_bytes``) so data-plane byte totals keep their meaning.
+* **Recovery**: epoch fencing, wire checksums, the ARQ state as the
+  replay log, and abandonment gated on the membership detector.
+
+Accounting counts every *transmitted copy* (first sends, duplicates,
+retransmissions) in ``total_messages`` / ``total_bytes``; ACK traffic is
+tallied apart (``acks_sent`` / ``transport_bytes``).
 """
 
 import heapq
@@ -61,33 +63,136 @@ def frame_checksum(message):
 
 
 class SimulatedNetwork:
-    """Deterministic store-and-forward network between machines."""
+    """Deterministic store-and-forward network between machines: one heap
+    of ``(round, seq, message)`` entries per receiver."""
 
-    def __init__(
-        self,
-        num_machines,
-        net_delay_rounds=1,
-        num_slots=0,
-        reliable=False,
-        faults=None,
-        retransmit_timeout_rounds=None,
-        obs=None,
-        sanitizer=None,
-        prof=None,
-        membership=None,
-    ):
+    __slots__ = (
+        "num_machines", "delay", "num_slots", "prof", "_queues", "_counter",
+        "total_messages", "total_bytes", "lost_in_crash",
+    )
+
+    def __init__(self, num_machines, net_delay_rounds=1, num_slots=0, prof=None):
         self.num_machines = num_machines
         self.delay = net_delay_rounds
-        self.prof = prof
         self.num_slots = num_slots
-        self.reliable = reliable
-        self.faults = faults
-        self.obs = obs
-        self.sanitizer = sanitizer
+        self.prof = prof
         self._queues = [[] for _ in range(num_machines)]  # heaps per dst
         self._counter = 0
         self.total_messages = 0
         self.total_bytes = 0
+        self.lost_in_crash = 0
+
+    def send(self, message, now_round):
+        """Enqueue ``message`` for delivery to ``message.dst_machine``."""
+        self.total_messages += 1
+        self.total_bytes += self._modelled_bytes(message)
+        self._push(message.dst_machine, now_round + self.delay, message)
+
+    def broadcast(self, snapshot, now_round):
+        """Send STATUS ``snapshot`` to every other machine: the one object
+        is queued for every receiver and the copies are charged in bulk,
+        since a STATUS is only read."""
+        n = self.num_machines
+        due = now_round + self.delay
+        for dst in range(n):
+            if dst != snapshot.src_machine:
+                self._push(dst, due, snapshot)
+        self.total_messages += n - 1
+        self.total_bytes += (n - 1) * CONTROL_BYTES
+
+    def _push(self, dst, round_, message):
+        self._counter += 1
+        heapq.heappush(self._queues[dst], (round_, self._counter, message))
+
+    def _modelled_bytes(self, message):
+        if isinstance(message, Batch):
+            return message.modelled_bytes(self.num_slots)
+        return CONTROL_BYTES
+
+    def drain(self, machine_id, now_round):
+        """Pop all messages deliverable to ``machine_id`` by ``now_round``."""
+        queue = self._queues[machine_id]
+        out = []
+        if not queue or queue[0][0] > now_round:
+            return out  # nothing due: most rounds of a protocol tail
+        prof = self.prof
+        if prof is not None:
+            prof.enter("net.deliver")
+        self._pop_due(queue, out, machine_id, now_round)
+        if prof is not None:
+            prof.exit()
+        return out
+
+    def _pop_due(self, queue, out, machine_id, now_round):
+        while queue and queue[0][0] <= now_round:
+            out.append(heapq.heappop(queue)[2])
+
+    def tick(self, now_round):
+        """The per-round retransmit timer: a plain channel has none."""
+
+    def settle(self, slices, round_no, limit):
+        """Deliver in-flight traffic ahead of the global clock (the
+        sanitizer's post-run audit) until no query work is left or
+        ``limit`` is reached; returns the round reached."""
+        while round_no < limit and self.has_protocol_work():
+            round_no += 1
+            self.tick(round_no)
+            for s in slices:
+                s.deliver(self.drain(s.id, round_no))
+        return round_no
+
+    def lose_queue(self, machine_id):
+        """A crash at ``machine_id`` loses everything in its RX buffers
+        (only a reliable :class:`LossyNetwork` sends a lost frame again)."""
+        lost = len(self._queues[machine_id])
+        self.lost_in_crash += lost
+        self._queues[machine_id] = []
+        return lost
+
+    def pending(self):
+        """Total undelivered messages (ground-truth check for tests)."""
+        return sum(len(q) for q in self._queues)
+
+    def pending_kinds(self):
+        counts = {"batch": 0, "done": 0, "status": 0}
+        for queue in self._queues:
+            for entry in queue:
+                message = entry[2]
+                if isinstance(message, Batch):
+                    counts["batch"] += 1
+                elif isinstance(message, DoneMessage):
+                    counts["done"] += 1
+                elif isinstance(message, StatusMessage):
+                    counts["status"] += 1
+        return counts
+
+    def has_protocol_work(self):
+        """True while undelivered Batch/Done traffic exists on this channel
+        (STATUS heartbeats carry no query work)."""
+        return any(
+            isinstance(entry[2], (Batch, DoneMessage))
+            for queue in self._queues for entry in queue
+        )
+
+    def transport_summary(self):
+        """Transport counters for :class:`RunStats`: a plain channel has none."""
+        return None
+
+
+class LossyNetwork(SimulatedNetwork):
+    """The channel a fault plan or reliable transport needs; its heap
+    entries also carry each copy's epoch and checksum."""
+
+    def __init__(
+        self, num_machines, net_delay_rounds=1, num_slots=0, reliable=False,
+        faults=None, retransmit_timeout_rounds=None, obs=None, sanitizer=None,
+        prof=None, membership=None,
+    ):
+        super().__init__(num_machines, net_delay_rounds, num_slots, prof)
+        self.reliable = reliable
+        self.faults = faults
+        self.obs = obs
+        self.sanitizer = sanitizer
         # Test hooks: fn(message) -> extra delay rounds; fn(message) -> bool
         # (duplicate delivery one round later).
         self.extra_delay_fn = None
@@ -139,7 +244,6 @@ class SimulatedNetwork:
         self.transport_bytes = 0
         self.dup_suppressed = 0
         self.dropped = 0
-        self.lost_in_crash = 0
         self.fenced = 0  # stale-epoch copies discarded at the receive path
         self.corrupt_dropped = 0  # copies failing the wire checksum
         self.retx_exhausted = 0  # frames abandoned to a confirmed-down peer
@@ -161,23 +265,9 @@ class SimulatedNetwork:
             self._transmit(message, now_round, delay + 1)
 
     def broadcast(self, snapshot, now_round):
-        """Send STATUS ``snapshot`` to every other machine.  A plain channel
-        (no injector, transport or hook) queues the one object for every
-        receiver and charges the copies in bulk: a STATUS is only read.
-        Otherwise each copy is a :meth:`send`."""
-        n = self.num_machines
-        if (
-            self.faults is None and not self.reliable
-            and self.extra_delay_fn is None and self.duplicate_fn is None
-        ):
-            due = now_round + self.delay
-            for dst in range(n):
-                if dst != snapshot.src_machine:
-                    self._push(dst, due, snapshot)
-            self.total_messages += n - 1
-            self.total_bytes += (n - 1) * CONTROL_BYTES
-            return
-        for message in snapshot.copies(n):
+        """Each copy is its own :meth:`send`, seen by the injector, the ARQ
+        layer and the hooks."""
+        for message in snapshot.copies(self.num_machines):
             self.send(message, now_round)
 
     def _register(self, message, now_round):
@@ -193,14 +283,17 @@ class SimulatedNetwork:
             now_round + self._base_rto,
         ]
 
-    def _transmit(self, message, now_round, delay):
-        """Put one copy on the wire: count it, maybe fault it, enqueue it."""
+    def _count(self, message):
         if isinstance(message, AckMessage):
             self.acks_sent += 1
             self.transport_bytes += ACK_BYTES
         else:
             self.total_messages += 1
             self.total_bytes += self._modelled_bytes(message)
+
+    def _transmit(self, message, now_round, delay):
+        """Put one copy on the wire: count it, maybe fault it, enqueue it."""
+        self._count(message)
         drop, extra, dup, corrupt = (False, 0, False, False)
         if self.faults is not None and not self.settling:
             drop, extra, dup, corrupt = self.faults.on_transmit(
@@ -217,12 +310,7 @@ class SimulatedNetwork:
             # The duplicated copy travels independently, one round later;
             # it is a transmitted copy too, but gets no second verdict
             # (and arrives uncorrupted even when the first copy did not).
-            if isinstance(message, AckMessage):
-                self.acks_sent += 1
-                self.transport_bytes += ACK_BYTES
-            else:
-                self.total_messages += 1
-                self.total_bytes += self._modelled_bytes(message)
+            self._count(message)
             self._push(message.dst_machine, now_round + delay + extra + 1, message)
 
     def _push(self, dst, round_, message, corrupt=False):
@@ -244,29 +332,15 @@ class SimulatedNetwork:
             (round_, self._counter, message, self.epoch, checksum),
         )
 
-    def _modelled_bytes(self, message):
-        if isinstance(message, Batch):
-            return message.modelled_bytes(self.num_slots)
-        return CONTROL_BYTES
-
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def drain(self, machine_id, now_round):
-        """Pop all messages deliverable to ``machine_id`` by ``now_round``.
-
-        Under reliable transport this is the receiving endpoint: ACK
-        frames retire retransmit state and are consumed here; sequenced
-        data frames are acked (every copy — a re-ack refreshes a lost ACK)
-        and handed up exactly once.
-        """
-        queue = self._queues[machine_id]
-        out = []
-        if not queue or queue[0][0] > now_round:
-            return out  # nothing due: most rounds of a protocol tail
-        prof = self.prof
-        if prof is not None:
-            prof.enter("net.deliver")
+    def _pop_due(self, queue, out, machine_id, now_round):
+        """The receiving endpoint: corrupted and stale-epoch copies are
+        discarded; under reliable transport ACK frames retire retransmit
+        state and are consumed here, and sequenced data frames are acked
+        (every copy — a re-ack refreshes a lost ACK) and handed up exactly
+        once."""
         while queue and queue[0][0] <= now_round:
             _, _, message, copy_epoch, checksum = heapq.heappop(queue)
             if checksum is not None and checksum != frame_checksum(message):
@@ -318,9 +392,6 @@ class SimulatedNetwork:
                 if self.sanitizer is not None:
                     self.sanitizer.on_transport_deliver(*key)
             out.append(message)
-        if prof is not None:
-            prof.exit()
-        return out
 
     def _send_ack(self, message, now_round):
         ack = AckMessage(
@@ -414,6 +485,17 @@ class SimulatedNetwork:
                     cat="net",
                 )
 
+    def settle(self, slices, round_no, limit):
+        """Under reliable transport a dropped frame may be nowhere in the
+        queues yet: settling bypasses fault verdicts and fast-retransmits
+        so the audit drains deterministically, then audits the transport."""
+        if not self.reliable:
+            return super().settle(slices, round_no, limit)
+        self.settling = True
+        round_no = super().settle(slices, round_no, limit + 4 * self.delay + 8)
+        self.sanitizer.check_transport_settled(self)
+        return round_no
+
     # ------------------------------------------------------------------
     # Crash recovery (:mod:`repro.recovery`)
     # ------------------------------------------------------------------
@@ -453,39 +535,8 @@ class SimulatedNetwork:
         self.frames_replayed += len(self._outstanding)
 
     # ------------------------------------------------------------------
-    # Machine-crash hook
-    # ------------------------------------------------------------------
-    def lose_queue(self, machine_id):
-        """A crash at ``machine_id`` loses everything in its RX buffers.
-
-        Sender-side retransmit state lives on *other* machines'
-        endpoints (``_outstanding``), so under reliable transport every
-        lost frame comes back; without it the loss is permanent.
-        """
-        lost = len(self._queues[machine_id])
-        self.lost_in_crash += lost
-        self._queues[machine_id] = []
-        return lost
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def pending(self):
-        """Total undelivered messages (ground-truth check for tests)."""
-        return sum(len(q) for q in self._queues)
-
-    def pending_kinds(self):
-        counts = {"batch": 0, "done": 0, "status": 0}
-        for queue in self._queues:
-            for _, _, message, _, _ in queue:
-                if isinstance(message, Batch):
-                    counts["batch"] += 1
-                elif isinstance(message, DoneMessage):
-                    counts["done"] += 1
-                elif isinstance(message, StatusMessage):
-                    counts["status"] += 1
-        return counts
-
     def undelivered_work(self):
         """Outstanding Batch/Done frames not yet accepted by a receiver.
 
@@ -502,18 +553,17 @@ class SimulatedNetwork:
         return count
 
     def has_protocol_work(self):
-        """True while undelivered Batch/Done traffic exists on this channel.
-
-        STATUS heartbeats are excluded: they carry no query work, so a
-        channel whose only pending messages are heartbeats is quiescent.
-        """
-        kinds = self.pending_kinds()
-        if kinds["batch"] or kinds["done"]:
+        """Also a frame awaiting retransmission, nowhere in the queues; not
+        a delivered but unacked one, which keeps the quiescent round equal
+        to an unreliable run's when no fault fires."""
+        if super().has_protocol_work():
             return True
         return bool(self.reliable and self.undelivered_work())
 
     def transport_summary(self):
-        """Transport/fault counters for :class:`RunStats` and reports."""
+        """Transport/fault counters (None without the ARQ layer)."""
+        if not self.reliable:
+            return None
         return {
             "reliable": self.reliable,
             "retransmits": self.retransmits,
@@ -529,4 +579,3 @@ class SimulatedNetwork:
             "retx_exhausted": self.retx_exhausted,
             "frames_replayed": self.frames_replayed,
         }
-

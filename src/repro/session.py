@@ -379,9 +379,10 @@ class Session:
         design guarantees (co-resident queries with no state on the dead
         machine do not appear).
         """
-        if self._scheduler is None:
-            return []
-        return [dict(entry) for entry in self._scheduler.blast_radius]
+        chaos = None if self._scheduler is None else self._scheduler.chaos
+        if chaos is None:
+            return []  # no shared cluster, or one with no fault plan
+        return [dict(entry) for entry in chaos.blast_radius]
 
     def _drive(self, task):
         while not task.finished:

@@ -239,6 +239,35 @@ class TestShmLifecycle:
         finally:
             session.close()
 
+    def test_a_connection_error_inside_a_run_is_a_worker_failure(self, monkeypatch):
+        """Only the command pipe's own EOF or broken pipe ends a worker
+        quietly: a ConnectionError raised by the run itself reaches the
+        coordinator with its traceback, not as an exit with code 0."""
+        from repro.runtime.machine import Machine
+
+        run_slice = Machine.run_slice
+        raised = []
+
+        def resets_once(self, *args, **kwargs):
+            if not raised:
+                raised.append(True)
+                raise ConnectionResetError("injected reset inside run_slice")
+            return run_slice(self, *args, **kwargs)
+
+        graph = random_graph(40, 80, seed=5)
+        session = connect(graph, num_machines=2, backend="process")
+        try:
+            # Patched before the pool forks: every worker inherits it.
+            monkeypatch.setattr(Machine, "run_slice", resets_once)
+            with pytest.raises(ExecutionError) as excinfo:
+                session.execute(COUNT_Q)
+        finally:
+            session.close()
+        message = str(excinfo.value)
+        assert "failed:" in message and "Traceback" in message
+        assert "ConnectionResetError: injected reset inside run_slice" in message
+        assert "before posting its result" not in message
+
     def test_backend_close_is_idempotent(self):
         graph = random_graph(80, 200, seed=5)
         session = connect(graph, num_machines=2, backend="process")

@@ -86,7 +86,7 @@ class TestConcurrentChaosInvariance:
         assert all(counts)
         assert all(sum(c.values()) > 0 for c in counts)
         assert finished[-1].stats.fault_events == dict(
-            session._scheduler.injector.counts
+            session._scheduler.chaos.injector.counts
         )
         assert "fault_events" in handles[0].result().stats.summary()
 
@@ -169,11 +169,12 @@ class TestBlastRadiusIsolation:
         for _ in range(3):
             session._scheduler.step()
         victim = handles[1]
-        task = victim._task
-        assert task.recovery is not None
-        assert len(task.recovery.store) > 0
+        recovery = session._scheduler.chaos.recovery
+        manager = recovery[victim._task]
+        assert len(manager.store) > 0
         assert victim.cancel()
-        assert len(task.recovery.store) == 0  # checkpoints released
+        assert len(manager.store) == 0  # checkpoints released
+        assert victim._task not in recovery
         session.drain()
         with pytest.raises(QueryCancelledError):
             victim.result()
@@ -190,10 +191,11 @@ class TestBlastRadiusIsolation:
         plan = FaultPlan(seed=5, drop_prob=0.05, dup_prob=0.05)
         session = connect(graph, CONFIG.with_(recovery=True, faults=plan))
         doomed = session.submit(QUERIES[1], deadline=2)
+        manager = session._scheduler.chaos.recovery[doomed._task]
         rest = [session.submit(q) for q in QUERIES]
         session.drain()
         assert doomed.result().timed_out
-        assert len(doomed._task.recovery.store) == 0  # resources released
+        assert len(manager.store) == 0  # resources released
         for handle, baseline in zip(rest, baselines):
             result = handle.result()
             assert result.complete

@@ -106,8 +106,9 @@ class TestValidationMessages:
             ),
             ({"deadline": 0}, "deadline must be None or a positive int"),
             (
-                {"status_interval": 0},
-                "status_interval must be >= 1 (got 0)",
+                {"stall_limit": 7},
+                "stall_limit must be >= 2 * STATUS_INTERVAL (got 7 with "
+                "STATUS_INTERVAL=4)",
             ),
         ],
     )
@@ -117,17 +118,17 @@ class TestValidationMessages:
         assert fragment in str(excinfo.value)
 
     def test_stall_limit_names_both_values(self):
-        with pytest.raises(ConfigError, match="stall_limit.*status_interval"):
-            EngineConfig(status_interval=10, stall_limit=5)
+        with pytest.raises(ConfigError, match="stall_limit.*STATUS_INTERVAL"):
+            EngineConfig(stall_limit=5)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"net_delay_rounds": 1.5},
-            {"status_interval": 2.5},
+            {"suspect_after": 2.5},
             {"max_rounds": 10.5},
             {"stall_limit": 99.5},
-            {"status_interval": True},
+            {"confirm_after": True},
             {"num_machines": 4.0},
             {"batch_size": "32"},
         ],

@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 from repro import EngineConfig, Session
+from repro.config import STATUS_INTERVAL
 from repro.errors import ConfigError, SanitizerViolation
 from repro.faults import (
     FaultInjector,
@@ -24,7 +25,7 @@ from repro.faults import (
 from repro.graph.generators import random_graph, reply_forest
 from repro.obs import render_prometheus
 from repro.runtime.message import AckMessage, Batch, DoneMessage
-from repro.runtime.network import SimulatedNetwork
+from repro.runtime.network import LossyNetwork, SimulatedNetwork
 from repro.sweep import Variant, run_sweep
 
 CONFIG = EngineConfig(num_machines=4, buffers_per_machine=2048)
@@ -107,7 +108,6 @@ class TestConfig:
         config = EngineConfig()
         assert config.faults is None
         assert config.reliable_transport is None
-        assert config.status_interval == 4
         assert config.stall_limit == 400
 
     def test_transport_auto_on_with_faults(self, graph):
@@ -130,11 +130,10 @@ class TestConfig:
             EngineConfig(num_machines=4, faults=plan)
 
     def test_status_interval_and_stall_limit_validated(self):
-        assert EngineConfig(status_interval=2, stall_limit=10).status_interval == 2
+        # The stall diagnosis waits at least two heartbeat cycles.
+        assert EngineConfig(stall_limit=2 * STATUS_INTERVAL).stall_limit == 8
         with pytest.raises(ConfigError):
-            EngineConfig(status_interval=0)
-        with pytest.raises(ConfigError):
-            EngineConfig(status_interval=8, stall_limit=10)
+            EngineConfig(stall_limit=2 * STATUS_INTERVAL - 1)
 
     def test_retransmit_timeout_validated(self):
         assert EngineConfig(retransmit_timeout_rounds=6).retransmit_timeout_rounds == 6
@@ -142,16 +141,8 @@ class TestConfig:
             EngineConfig(retransmit_timeout_rounds=0)
 
     def test_heartbeat_and_stall_defaults(self):
-        assert EngineConfig().status_interval == 4
+        assert STATUS_INTERVAL == 4
         assert EngineConfig().stall_limit == 400
-
-    def test_configurable_heartbeat_changes_behaviour(self, graph):
-        fast = Session(graph, CONFIG.with_(status_interval=2)).execute(QUERY)
-        slow = Session(graph, CONFIG.with_(status_interval=8)).execute(QUERY)
-        assert fast.scalar() == slow.scalar()
-        # More frequent heartbeats conclude sooner (rounds include the
-        # detection tail), never later.
-        assert fast.stats.rounds <= slow.stats.rounds
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +158,7 @@ def _batch(src=0, dst=1, n=1):
 class TestAccountingFix:
     def test_duplicate_fn_copies_are_counted(self):
         """The satellite bug: duplicate_fn deliveries missing from totals."""
-        net = SimulatedNetwork(2, net_delay_rounds=1)
+        net = LossyNetwork(2, net_delay_rounds=1)
         net.duplicate_fn = lambda m: True
         batch = _batch()
         net.send(batch, now_round=1)
@@ -184,7 +175,7 @@ class TestAccountingFix:
         assert net.total_bytes == batch.modelled_bytes(0)
 
     def test_retransmissions_are_counted(self):
-        net = SimulatedNetwork(2, net_delay_rounds=1, reliable=True)
+        net = LossyNetwork(2, net_delay_rounds=1, reliable=True)
         net.send(_batch(), now_round=1)
         before = net.total_messages
         net.tick(now_round=100)  # deadline long past
@@ -194,7 +185,7 @@ class TestAccountingFix:
 
 class TestReliableTransport:
     def test_sequenced_and_acked(self):
-        net = SimulatedNetwork(2, net_delay_rounds=1, reliable=True)
+        net = LossyNetwork(2, net_delay_rounds=1, reliable=True)
         b0, b1 = _batch(), _batch()
         net.send(b0, now_round=1)
         net.send(b1, now_round=1)
@@ -208,7 +199,7 @@ class TestReliableTransport:
         assert net._outstanding == {}
 
     def test_duplicate_frame_suppressed(self):
-        net = SimulatedNetwork(2, net_delay_rounds=1, reliable=True)
+        net = LossyNetwork(2, net_delay_rounds=1, reliable=True)
         net.duplicate_fn = lambda m: True
         net.send(_batch(), now_round=1)
         delivered = net.drain(1, now_round=3)
@@ -217,7 +208,7 @@ class TestReliableTransport:
         assert net.acks_sent == 2  # every copy re-acked (refreshes lost acks)
 
     def test_retransmit_recovers_lost_queue(self):
-        net = SimulatedNetwork(2, net_delay_rounds=1, reliable=True)
+        net = LossyNetwork(2, net_delay_rounds=1, reliable=True)
         net.send(_batch(), now_round=1)
         assert net.lose_queue(1) == 1  # crash: RX buffer wiped
         assert net.drain(1, now_round=2) == []
@@ -227,14 +218,14 @@ class TestReliableTransport:
         assert net.undelivered_work() == 0
 
     def test_pending_kinds_ignores_acks(self):
-        net = SimulatedNetwork(2, net_delay_rounds=1, reliable=True)
+        net = LossyNetwork(2, net_delay_rounds=1, reliable=True)
         net.send(_batch(), now_round=1)
         net.drain(1, now_round=2)  # queues the ack
         assert net.pending_kinds() == {"batch": 0, "done": 0, "status": 0}
         assert net.pending() == 1  # the ack itself is in flight
 
     def test_ack_messages_never_reach_machines(self):
-        net = SimulatedNetwork(2, net_delay_rounds=1, reliable=True)
+        net = LossyNetwork(2, net_delay_rounds=1, reliable=True)
         net.send(DoneMessage(src_machine=0, dst_machine=1), now_round=1)
         net.drain(1, now_round=2)
         for r in range(3, 8):

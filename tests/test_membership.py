@@ -13,6 +13,7 @@ import ast
 import json
 import pathlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,17 +27,18 @@ from repro.faults import (
     MachineStall,
     NetworkPartition,
 )
+from repro.faults.cluster import ClusterChaos
 from repro.graph.generators import random_graph
 from repro.membership import (
     ALIVE,
     CONFIRMED_DOWN,
     SUSPECT,
     MembershipService,
-    ProgressWatchdog,
     resolve_stall,
 )
+from repro.runtime.multi import QueryTask
 from repro.runtime.message import Batch
-from repro.runtime.network import SimulatedNetwork, frame_checksum
+from repro.runtime.network import LossyNetwork, frame_checksum
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -117,10 +119,18 @@ class TestStateTransitions:
         for round_no in range(1, 15):
             service.tick(round_no)
         assert service.unconfirmed_suspects(14) == (1,)
-        watchdog = ProgressWatchdog(stall_limit=3)
+        chaos = ClusterChaos(EngineConfig(num_machines=4, faults=plan), dgraph=None)
+        chaos.membership = service
+
+        class Idle:  # the progress clock of a QueryTask that does nothing
+            config = SimpleNamespace(stall_limit=3)
+            last_progress = 0
+            stalled = QueryTask.stalled
+
+        task = Idle()
         for round_no in range(1, 15):
-            watchdog.observe(round_no, False, service)
-        assert not watchdog.expired(14)
+            assert chaos.idle(task, round_no) is False
+        assert task.last_progress == 14 and not task.stalled(14)
 
     def test_confirmation_is_revocable_until_fenced(self):
         # Outage longer than the whole detection window: the verdict
@@ -330,7 +340,7 @@ class TestCorruption:
     def test_corrupted_frame_is_discarded_not_delivered(self):
         plan = FaultPlan(seed=1, corrupt_prob=1.0)
         injector = FaultInjector(plan, 2)
-        net = SimulatedNetwork(2, reliable=True, faults=injector)
+        net = LossyNetwork(2, reliable=True, faults=injector)
         batch = Batch(src_machine=0, dst_machine=1, target_stage=0, depth=0)
         batch.add(5, [5])
         net.send(batch, now_round=1)
@@ -514,12 +524,13 @@ ORACLE_ATTRS = {"permanent_down", "permanent_machines", "transient_down"}
 
 class TestOracleBan:
     def test_no_production_code_reads_the_injector_oracle(self):
-        """AST scan: outside repro.faults itself, no attribute access to
-        the injector's ground-truth oracle surface.  Docstrings and
-        comments are naturally exempt (they aren't Attribute nodes)."""
+        """AST scan: outside the injector itself, no attribute access to
+        its ground-truth oracle surface — not even from the cluster's
+        chaos seam in repro.faults.  Docstrings and comments are naturally
+        exempt (they aren't Attribute nodes)."""
         offenders = []
         for path in sorted(SRC.rglob("*.py")):
-            if "faults" in path.parts:
+            if path == SRC / "faults" / "injector.py":
                 continue
             tree = ast.parse(path.read_text(), filename=str(path))
             for node in ast.walk(tree):
@@ -531,7 +542,7 @@ class TestOracleBan:
                         f"{path.relative_to(SRC)}:{node.lineno} ({node.attr})"
                     )
         assert not offenders, (
-            "oracle state read outside repro.faults: " + ", ".join(offenders)
+            "oracle state read outside the injector: " + ", ".join(offenders)
         )
 
 

@@ -25,7 +25,7 @@ from repro.graph.generators import random_graph, reply_forest
 from repro.membership import MembershipService
 from repro.recovery import CheckpointStore, ClusterCheckpoint
 from repro.runtime.message import Batch
-from repro.runtime.network import MAX_RETX_ATTEMPTS, SimulatedNetwork
+from repro.runtime.network import MAX_RETX_ATTEMPTS, LossyNetwork
 from repro.sweep import Variant, run_sweep
 
 CONFIG = EngineConfig(num_machines=4, buffers_per_machine=2048, sanitize=True)
@@ -260,7 +260,7 @@ class TestRetxExhaustion:
         at the injector's permanent-crash ground truth)."""
         plan = FaultPlan(seed=1, crashes=(MachineCrash(machine=1, round=1),))
         injector = FaultInjector(plan, 2)
-        net = SimulatedNetwork(2, reliable=True, faults=injector)
+        net = LossyNetwork(2, reliable=True, faults=injector)
         membership = MembershipService(2, injector=injector)
         net.membership = membership
         batch = Batch(src_machine=0, dst_machine=1, target_stage=0, depth=0)

@@ -7,7 +7,7 @@ from repro.pgql import parse
 from repro.plan import compile_query
 from repro.runtime.buffers import FlowControl, SHARED, remote_target_stages
 from repro.runtime.message import Batch, DoneMessage, StatusMessage
-from repro.runtime.network import SimulatedNetwork
+from repro.runtime.network import LossyNetwork, SimulatedNetwork
 from repro.runtime.stats import MachineStats
 
 
@@ -128,7 +128,7 @@ class TestNetwork:
         assert net.drain(1, 1) == [a, b]
 
     def test_extra_delay_hook(self):
-        net = SimulatedNetwork(2, net_delay_rounds=1)
+        net = LossyNetwork(2, net_delay_rounds=1)
         net.extra_delay_fn = lambda m: 3
         msg = StatusMessage(src_machine=0, dst_machine=1)
         net.send(msg, 0)
@@ -136,7 +136,7 @@ class TestNetwork:
         assert net.drain(1, 4) == [msg]
 
     def test_duplicate_hook(self):
-        net = SimulatedNetwork(2, net_delay_rounds=0)
+        net = LossyNetwork(2, net_delay_rounds=0)
         net.duplicate_fn = lambda m: True
         msg = StatusMessage(src_machine=0, dst_machine=1)
         net.send(msg, 0)

@@ -51,12 +51,27 @@ class TestFailureInjection:
     def run_with_hooks(self, extra_delay_fn=None, duplicate_fn=None, machines=3):
         g = random_graph(25, 70, seed=9)
         config = EngineConfig(num_machines=machines)
-        cluster, task, sinks, plan = make_execution(g, self.QUERY, config)
-        task.channel.extra_delay_fn = extra_delay_fn
-        task.channel.duplicate_fn = duplicate_fn
+        cluster, task, sinks, plan = make_execution(g, self.QUERY, config, lossy=True)
+        fired = []  # messages a hook delayed or duplicated
+
+        def hooked(fn):
+            if fn is None:
+                return None
+
+            def hook(m):
+                out = fn(m)
+                if out:
+                    fired.append(m)
+                return out
+
+            return hook
+
+        task.channel.extra_delay_fn = hooked(extra_delay_fn)
+        task.channel.duplicate_fn = hooked(duplicate_fn)
         stats = run(cluster, task)
         from repro.engine.result import assemble_results
 
+        assert fired
         return assemble_results(plan, sinks).scalar(), stats
 
     def expected(self):

@@ -1,10 +1,10 @@
 """The cheap STATUS round: one snapshot per broadcast, counter dicts shared
 across unmoved generations, and the termination check memoised on them.
 
-On a plain channel a broadcast is one object queued for every receiver;
-with an injector, reliable transport or a test hook each copy is its own
-message.  Both paths must charge the same and decide the same, on every
-golden-oracle case.
+On a plain channel (:class:`SimulatedNetwork`) a broadcast is one object
+queued for every receiver; on a :class:`LossyNetwork` (injector, reliable
+transport or a test hook) each copy is its own message.  Both classes
+must charge the same and decide the same, on every golden-oracle case.
 """
 
 import pytest
@@ -14,8 +14,9 @@ import repro
 from repro import EngineConfig
 from repro.datagen import mini_ldbc
 from repro.faults import FaultPlan
+from repro.runtime import multi
 from repro.runtime.message import CONTROL_BYTES, Batch, StatusMessage
-from repro.runtime.network import SimulatedNetwork
+from repro.runtime.network import LossyNetwork, SimulatedNetwork
 from repro.runtime.termination import (
     TerminationEvaluator,
     TerminationProtocol,
@@ -29,35 +30,48 @@ from .test_termination import GOLDEN_PLANS, rpq_plan
 QUERY = "SELECT COUNT(*) FROM MATCH (a:Person)-/:KNOWS{1,2}/->(b:Person)"
 
 
-def _record_channels(monkeypatch, per_copy):
-    """Every channel built from now on, in order; with ``per_copy`` each
-    carries a zero delay hook, which takes a broadcast off the bulk path."""
-    channels = []
-    init = SimulatedNetwork.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        if per_copy:
-            self.extra_delay_fn = lambda message: 0
-        channels.append(self)
-
-    monkeypatch.setattr(SimulatedNetwork, "__init__", recording_init)
-    return channels
-
-
 def _golden_run(per_copy):
+    """Every golden case, recording each channel built and each broadcast
+    made per class; with ``per_copy`` the scheduler builds a
+    :class:`LossyNetwork` (no injector, no ARQ) where it would build a
+    plain channel."""
+    channels = []
+    broadcasts = {SimulatedNetwork: 0, LossyNetwork: 0}
     with pytest.MonkeyPatch.context() as monkeypatch:
-        channels = _record_channels(monkeypatch, per_copy)
+        init = SimulatedNetwork.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            channels.append(self)
+
+        monkeypatch.setattr(SimulatedNetwork, "__init__", recording_init)
+        for cls in broadcasts:
+            def counting(self, snapshot, now_round, cls=cls, real=cls.broadcast):
+                broadcasts[cls] += 1
+                real(self, snapshot, now_round)
+
+            monkeypatch.setattr(cls, "broadcast", counting)
+        if per_copy:
+            monkeypatch.setattr(multi, "SimulatedNetwork", LossyNetwork)
         out = cases.compute()
-    return out, [(c.total_messages, c.total_bytes) for c in channels]
+    totals = [(c.total_messages, c.total_bytes) for c in channels]
+    return out, totals, channels, broadcasts
 
 
 def test_bulk_and_per_copy_paths_agree_on_every_golden_case():
-    bulk, bulk_totals = _golden_run(per_copy=False)
-    per_copy, per_copy_totals = _golden_run(per_copy=True)
+    bulk, bulk_totals, bulk_channels, bulk_calls = _golden_run(per_copy=False)
+    per_copy, per_copy_totals, lossy_channels, lossy_calls = _golden_run(per_copy=True)
     assert sorted(bulk) == sorted(per_copy)
     assert any("/conc4/" in key for key in bulk)
     assert any("/seed5/" in key for key in bulk)
+    # The per-copy half provably ran the lossy class, every broadcast
+    # through its per-copy override; the bulk half ran the plain class
+    # wherever no fault plan asked for the lossy one.
+    assert all(type(c) is LossyNetwork for c in lossy_channels)
+    assert lossy_calls[SimulatedNetwork] == 0 and lossy_calls[LossyNetwork] > 0
+    plain = [c for c in bulk_channels if type(c) is SimulatedNetwork]
+    assert len(plain) > len(bulk_channels) // 2
+    assert bulk_calls[SimulatedNetwork] > lossy_calls[LossyNetwork] // 2
     # Rows, rounds, virtual time and every per-machine counter (status
     # messages, idle / busy rounds and cost units among them).
     diverged = [key for key in bulk if bulk[key] != per_copy[key]]
@@ -69,6 +83,7 @@ def test_bulk_and_per_copy_paths_agree_on_every_golden_case():
 def test_a_plain_channel_takes_the_bulk_path(monkeypatch):
     graph, _info = mini_ldbc("xs")
     cluster, task, _sinks, _plan = make_execution(graph, QUERY, EngineConfig(num_machines=3))
+    assert type(task.channel) is SimulatedNetwork
     copies = []
     send = SimulatedNetwork.send
 
@@ -133,7 +148,7 @@ class TestBulkQueue:
         assert net.pending() == 1  # machine 1's copy is untouched
 
     def test_a_hook_sends_every_copy_with_the_seqs_it_always_drew(self):
-        net = SimulatedNetwork(4, net_delay_rounds=1)
+        net = LossyNetwork(4, net_delay_rounds=1)
         seen = []
         net.extra_delay_fn = lambda message: seen.append(message) or 0
         snapshot = _snapshot(src=1)
@@ -145,7 +160,7 @@ class TestBulkQueue:
         assert [len(queue) for queue in net._queues] == [1, 0, 1, 1]
 
     def test_reliable_transport_registers_a_tseq_per_copy(self):
-        net = SimulatedNetwork(3, net_delay_rounds=1, reliable=True)
+        net = LossyNetwork(3, net_delay_rounds=1, reliable=True)
         net.broadcast(_snapshot(), 0)
         assert sorted(net._outstanding) == [(0, 1, 0), (0, 2, 0)]
         copies = [entry[0] for entry in net._outstanding.values()]

@@ -170,7 +170,7 @@ class TestSharedClusterFields:
             for text in texts:
                 session.submit(text)
             session.drain()
-            assert run.fault_counts == dict(session._scheduler.injector.counts)
+            assert run.fault_counts == dict(session._scheduler.chaos.injector.counts)
             assert run.cluster_rounds == session.cluster_rounds
         assert sum(run.fault_counts.values()) > 0
         assert run.blast_radius == []

@@ -201,12 +201,16 @@ class TestProtocolEndToEnd:
             chain_graph(12),
             "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)",
             EngineConfig(num_machines=3),
+            lossy=True,
         )
+        delayed = []
         task.channel.extra_delay_fn = (
-            lambda m: 7 if isinstance(m, StatusMessage) and m.seq % 3 == 0 else 0
+            lambda m: 7 if isinstance(m, StatusMessage) and m.seq % 3 == 0
+            and not delayed.append(m) else 0
         )
         stats = run(cluster, task)
         assert stats.outputs == 66  # 45 pairs... depends; see below
+        assert delayed  # the hook fired
 
     def test_duplicated_status_messages_are_harmless(self):
         from repro.runtime.message import StatusMessage
@@ -215,10 +219,16 @@ class TestProtocolEndToEnd:
             chain_graph(12),
             "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)",
             EngineConfig(num_machines=3),
+            lossy=True,
         )
         task.channel.duplicate_fn = lambda m: isinstance(m, StatusMessage)
         stats = run(cluster, task)
         assert stats.outputs == 66
+        # Every STATUS copy went out twice: the hook fired on each.
+        assert task.channel.total_messages == sum(
+            2 * m.status_messages + m.batches_sent + m.done_messages
+            for m in stats.per_machine
+        )
 
 
 # ---------------------------------------------------------------------------
