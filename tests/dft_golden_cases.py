@@ -26,7 +26,9 @@ then.  Every other entry is unchanged.  The point-query entries
 (:func:`point_queries`: ``Pknows``, ``Pfriends`` and ``Preplies`` at two
 person ids, solo variants only) were recorded before the termination
 protocol's evaluation and the per-query machine set-up were made cheap, and
-hold both to the decisions they made before.
+hold both to the decisions they made before.  The ``Ttag`` and ``TtagR``
+entries (:func:`tag_exit_queries`) keep covered an RPQ exit that inspects
+back to its post and hops on over ``HAS_TAG``, a many-valued label.
 Regenerate only for a deliberate cost-model or traversal-order change.
 """
 
@@ -174,6 +176,27 @@ def upwalk_queries(graph, info):
     }
 
 
+def tag_exit_queries(info):
+    """Post-anchored reply trees whose RPQ exit inspects back to the post
+    and hops on to its tags: ``HAS_TAG`` gives a post several tags, so the
+    hop stays after the RPQ (an unlabelled ``tag`` prices at 1, so the posts
+    are the start).  ``TtagR`` adds a selective filter at the exit."""
+    return {
+        "Ttag": (
+            "SELECT tag.name, COUNT(*) FROM MATCH "
+            "(tag)<-[:HAS_TAG]-(post:Post)<-/:REPLY_OF*/-(message:Message) "
+            f"WHERE post.creationDate >= {info.date_lo} "
+            f"AND post.creationDate <= {info.date_hi} "
+            "GROUP BY tag.name ORDER BY COUNT(*) DESC LIMIT 20"
+        ),
+        "TtagR": (
+            "SELECT COUNT(*) FROM MATCH "
+            "(tag)<-[:HAS_TAG]-(post:Post)<-/:REPLY_OF+/-(reply:Comment) "
+            f"WHERE reply.creationDate >= {info.date_hi}"
+        ),
+    }
+
+
 #: The benchmark's point-query templates (``{p}`` is a person id).
 POINT_TEMPLATES = {
     "Pknows": (
@@ -280,6 +303,7 @@ def compute():
         _concurrent(g, queries, out, prefix)
     # Solo only: a co-runner would move every conc4 entry's schedule.
     _solo(graph, upwalk_queries(graph, info), out, "ldbc_s", VARIANTS)
+    _solo(graph, tag_exit_queries(info), out, "ldbc_s", VARIANTS)
     _solo(graph, point_queries(graph, info), out, "ldbc_s", VARIANTS)
     _recovered(out)
     # Through JSON so tuples and int dict keys compare as the file stores them.
