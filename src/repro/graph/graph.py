@@ -159,7 +159,8 @@ class PropertyGraph:
     def statistics(self):
         """The graph's :class:`GraphStatistics`, scanned on first use."""
         return GraphStatistics(
-            self.vertex_label_ids, self._extra_label_ids, self.edge_label_ids
+            self.vertex_label_ids, self._extra_label_ids,
+            self.edge_src, self.edge_dst, self.edge_label_ids,
         )
 
     def label_histogram(self):

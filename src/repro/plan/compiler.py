@@ -507,12 +507,14 @@ class PlanCompiler:
             for prop in sorted(self.needed_props.get(op.edge_var, ())):
                 slot = self.slots.add(f"p:{op.edge_var}.{prop}")
                 edge_captures.append(EdgeCapture(slot=slot, prop=prop))
+        label_ids = self._edge_label_ids(op.edge_labels)
         return Hop(
             kind=HopKind.NEIGHBOR,
             direction=op.direction,
-            edge_label_ids=self._edge_label_ids(op.edge_labels),
+            edge_label_ids=label_ids,
             edge_filter=edge_filter,
             edge_captures=tuple(edge_captures),
+            functional=self.graph.statistics.functional(label_ids, op.direction),
         )
 
     def _bind_edge_var(self, edge_var, hop, stage):

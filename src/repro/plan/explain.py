@@ -74,6 +74,8 @@ def explain(plan, stats=None, profile=None):
                 extra = ""
                 if hop.kind is HopKind.NEIGHBOR:
                     extra = f" dir={hop.direction.value} labels={hop.edge_label_ids}"
+                    if hop.functional:
+                        extra += " functional"
                 elif hop.kind is HopKind.EDGE:
                     extra = f" dir={hop.direction.value} anchor_slot={hop.anchor_slot}"
                 elif hop.kind is HopKind.INSPECT:

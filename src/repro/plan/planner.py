@@ -8,7 +8,10 @@ Implements the paper's Section 3.1 heuristics:
       graph's cached label histogram, :attr:`PropertyGraph.statistics`)
       times its filters' selectivities;
 (iii) prefer edge matches over neighbor matches (edge match cost is
-      logarithmic);
+      logarithmic); a *functional* neighbor hop from the current vertex —
+      one label whose maximum fan-out in the walked direction is <= 1
+      (:meth:`GraphStatistics.functional`), so it never multiplies the
+      frontier — is priced the same and taken before any pending RPQ;
 (iv)  prefer RPQ matches over neighbor matches so RPQs run early.
 """
 
@@ -156,6 +159,16 @@ def vertex_score(pv, label_fraction=None):
     return score
 
 
+def functional_hops(graph):
+    """``(edge label names, direction) -> bool`` over ``graph``'s cached
+    fan-out statistic (:meth:`GraphStatistics.functional`; no graph scan)."""
+    stats = graph.statistics
+    id_of = graph.edge_labels.id_of
+    return lambda labels, direction: stats.functional(
+        tuple(map(id_of, labels)), direction
+    )
+
+
 class Planner:
     """Builds a :class:`LogicalPlan` from a parsed query.
 
@@ -171,6 +184,7 @@ class Planner:
         self.query = query
         self.scout = scout
         self._label_fraction = None if graph is None else label_fractions(graph)
+        self._functional = None if graph is None else functional_hops(graph)
         self.pattern_graph = build_pattern_graph(query)
         self.macro_vars = self._collect_macro_vars()
         self._classify_filters()
@@ -350,6 +364,13 @@ class Planner:
             edge_checks.sort(key=lambda p: (p[0].pattern_index,))
             c, source = edge_checks[0]
             return c, "edge_check", source
+        if self._functional is not None:
+            for c, source in neighbors:
+                if source == current and self._functional(
+                    c.connector.labels, c.oriented(source)
+                ):
+                    # Priced like (iii): at most one neighbor per context.
+                    return c, "neighbor", source
         if rpqs:
             # Heuristic (iv): run RPQ matches early.
             rpqs.sort(key=lambda p: (0 if p[1] == current else 1, p[0].pattern_index))

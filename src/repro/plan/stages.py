@@ -86,6 +86,9 @@ class Hop:
     # path: depth=0, allocate rpid, reset accumulators) or "advance"
     # (returning from the last path stage: depth += 1).
     control_entry: Optional[str] = None
+    # NEIGHBOR: at most one neighbor per vertex (GraphStatistics.functional);
+    # EXPLAIN prints it, the runtime ignores it.
+    functional: bool = False
 
 
 @dataclass

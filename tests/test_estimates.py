@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro import GraphBuilder
 from repro.graph.graph import PropertyGraph
+from repro.graph.types import Direction
 from repro.plan.stages import Hop, HopKind, Stage, StageKind
 from repro.runtime.steptable import Step
 
@@ -61,6 +62,40 @@ class TestGraphStatistics:
             scanned = sum(1 for l in graph.edge_label_ids if l == label_id)
             assert stats.edges_per_label.get(label_id, 0) == scanned
         assert sum(stats.edges_per_label.values()) == graph.num_edges
+
+    @settings(max_examples=60, deadline=None)
+    @given(labelled_graphs())
+    def test_max_fanout_equals_brute_force_scan(self, graph):
+        stats = graph.statistics
+        for direction in (Direction.OUT, Direction.IN):
+            for label_id in range(len(graph.edge_labels)):
+                # Every vertex counts, those without such an edge included.
+                scanned = max(
+                    sum(1 for _ in graph.neighbors(v, direction, label_id))
+                    for v in graph.vertices()
+                )
+                assert stats.max_fanout.get((label_id, direction), 0) == scanned
+                assert stats.functional((label_id,), direction) == (scanned <= 1)
+                assert not stats.functional((label_id,), Direction.BOTH)
+
+    def test_functional_needs_one_label_and_one_direction(self):
+        b = GraphBuilder()
+        for _ in range(3):
+            b.add_vertex("A", extra_labels=("B",))
+        b.add_edge(0, 1, "X")
+        b.add_edge(0, 2, "Y")
+        graph = b.build()
+        stats = graph.statistics
+        x, y = graph.edge_labels.id_of("X"), graph.edge_labels.id_of("Y")
+        assert stats.functional((x,), Direction.OUT)
+        assert stats.functional((y,), Direction.IN)
+        # Vertex 0 has one X and one Y out-edge: two neighbors through [:X|Y].
+        assert not stats.functional((x, y), Direction.OUT)
+        # A label no edge carries reaches nobody; BOTH is never functional.
+        assert stats.functional((None,), Direction.OUT)
+        assert not stats.functional((x,), Direction.BOTH)
+        assert not GraphBuilder().build().statistics.functional((x,), Direction.BOTH)
+        assert not stats.functional((), Direction.OUT)
 
     def test_extra_label_equal_to_primary_counts_once(self):
         b = GraphBuilder()

@@ -326,6 +326,47 @@ class TestSanitizerInvariants:
 
 
 # ----------------------------------------------------------------------
+# One injector verdict, two planes (docs/faults.md, "One verdict, two
+# planes"): the data plane loses the first copy and still delivers the
+# duplicate; the probe plane loses both.
+# ----------------------------------------------------------------------
+class TestVerdictPlanes:
+    PLAN = FaultPlan(seed=1, drop_prob=1.0, dup_prob=1.0)
+
+    def test_data_plane_drops_the_copy_and_delivers_its_duplicate(self):
+        injector = FaultInjector(self.PLAN, 2)
+        net = LossyNetwork(2, net_delay_rounds=1, faults=injector)
+        batch = Batch(src_machine=0, dst_machine=1, target_stage=0, depth=0)
+        batch.add(5, [5])
+        net.send(batch, now_round=1)
+        assert net.dropped == 1
+        assert (injector.counts["drop"], injector.counts["dup"]) == (1, 1)
+        assert net.drain(1, now_round=2) == []  # the first copy is gone
+        assert net.drain(1, now_round=3) == [batch]  # its duplicate arrives
+
+    def test_data_plane_corrupt_copy_is_discarded_and_its_duplicate_delivered(self):
+        injector = FaultInjector(FaultPlan(seed=1, corrupt_prob=1.0, dup_prob=1.0), 2)
+        net = LossyNetwork(2, net_delay_rounds=1, faults=injector)
+        batch = Batch(src_machine=0, dst_machine=1, target_stage=0, depth=0)
+        batch.add(5, [5])
+        net.send(batch, now_round=1)
+        assert net.drain(1, now_round=2) == []
+        assert (net.dropped, net.corrupt_dropped) == (0, 1)
+        assert net.drain(1, now_round=3) == [batch]  # no second verdict
+
+    @pytest.mark.parametrize("plan", [
+        PLAN, FaultPlan(seed=1, corrupt_prob=1.0, dup_prob=1.0),
+    ], ids=["drop_dup", "corrupt_dup"])
+    def test_probe_plane_loses_the_probe_and_its_duplicate(self, plan):
+        service = detector(plan, num_machines=2)
+        run_detector(service, 10)
+        assert service.probes_sent > 0
+        assert service.probes_lost == service.probes_sent
+        assert service.probes_delivered == 0
+        assert service.injector.counts["dup"] == service.probes_sent
+
+
+# ----------------------------------------------------------------------
 # Corruption: checksum catches it, ARQ recovers it as loss
 # ----------------------------------------------------------------------
 class TestCorruption:

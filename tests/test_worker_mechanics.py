@@ -403,7 +403,9 @@ class TestIdleSlice:
 def _rpq_queries(graph, info):
     """Every RPQ template the benchmark runs — the nine paper queries, the two
     cyclic ``KNOWS`` closures and the two RPQ point-query templates — and the
-    comment-anchored up-walks no benchmark query takes any more."""
+    comment-anchored up-walks no benchmark query takes any more, and the
+    tag walks whose exit inspects back and hops on (Q09*'s shape before its
+    creator hop moved ahead of the RPQ)."""
     lo, person = info.start_person, info.start_person
     queries = {name: build(info) for name, build in BENCHMARK_QUERIES.items()}
     for name, hops, sources in (("K15x16", 5, 16), ("K16x8", 6, 8)):
@@ -420,6 +422,7 @@ def _rpq_queries(graph, info):
         f"<-/:REPLY_OF{{1,2}}/-(c:Comment) WHERE id(a) = {person}"
     )
     queries.update(golden.upwalk_queries(graph, info))
+    queries.update(golden.tag_exit_queries(info))
     return queries
 
 
@@ -462,9 +465,11 @@ class TestFusedChainMarking:
             for name, text in queries.items():
                 plan, _marked = _chains(session, text)
                 exits = {step.chain[2] is not None for step in step_table(plan) if step.chain}
-                # Q09* inspects and Q10* hops on from the exit stage: their
-                # chains stop once the exit action is dispatched.
-                assert exits == {name not in ("Q09*", "Q10*")}, name
+                # Q10* hops on and the tag walks inspect from the exit stage:
+                # their chains stop once the exit action is dispatched.  Q09*
+                # takes its functional creator hop before the RPQ, so its
+                # exit emits the row.
+                assert exits == {name not in ("Q10*", "Ttag", "TtagR")}, name
 
     @pytest.mark.parametrize("name", ["cross_acc", "cross_inline", "edge_filter_macro"])
     def test_filtered_paths_keep_the_per_stage_chain(self, name):
@@ -542,13 +547,13 @@ class TestFusedChainEquivalence:
     stops — mid-scan, between pops, after a receipt."""
 
     @pytest.mark.parametrize("quantum", [13, 48, 2000])
-    @pytest.mark.parametrize("name", ["Q09R", "K15x16", "Q09*", "Uwalk", "UwalkR"])
+    @pytest.mark.parametrize("name", ["Q09R", "K15x16", "Q09*", "Uwalk", "UwalkR", "Ttag"])
     def test_stacks_equal_the_per_stage_run(self, ldbc_xs, name, quantum):
         self._check(ldbc_xs, name, quantum, {})
 
     @pytest.mark.parametrize("config_name", sorted(STOP_CONFIGS))
     @pytest.mark.parametrize("quantum", [13, 48, 2000])
-    @pytest.mark.parametrize("name", ["Q09R", "K15x16", "Q09*", "Uwalk", "UwalkR"])
+    @pytest.mark.parametrize("name", ["Q09R", "K15x16", "Q09*", "Uwalk", "UwalkR", "Ttag"])
     def test_stacks_equal_where_chains_stop(self, ldbc_xs, name, quantum, config_name):
         self._check(ldbc_xs, name, quantum, STOP_CONFIGS[config_name])
 
