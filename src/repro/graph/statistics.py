@@ -29,11 +29,14 @@ class GraphStatistics:
         self.num_vertices = len(vertex_label_ids)
         self.num_edges = len(edge_label_ids)
         vertices = Counter(vertex_label_ids)
-        for v, extra in extra_label_ids.items():
-            primary = vertex_label_ids[v]
+        # Extra-label sets repeat (every comment is also a Message): count
+        # each distinct (primary, extras) pair once.
+        shapes = Counter(zip(map(vertex_label_ids.__getitem__, extra_label_ids),
+                             extra_label_ids.values()))
+        for (primary, extra), count in shapes.items():
             for label_id in extra:
                 if label_id != primary:
-                    vertices[label_id] += 1
+                    vertices[label_id] += count
         self.vertices_per_label = dict(vertices)
         labels = np.fromiter(edge_label_ids, dtype=np.int64, count=self.num_edges)
         per_label = np.bincount(labels).tolist()
