@@ -164,9 +164,7 @@ def functional_hops(graph):
     fan-out statistic (:meth:`GraphStatistics.functional`; no graph scan)."""
     stats = graph.statistics
     id_of = graph.edge_labels.id_of
-    return lambda labels, direction: stats.functional(
-        tuple(map(id_of, labels)), direction
-    )
+    return lambda labels, direction: stats.functional(tuple(map(id_of, labels)), direction)
 
 
 class Planner:
@@ -177,7 +175,8 @@ class Planner:
     instead of the static heuristics — the paper's scouting-queries
     direction.  Single-match vertices (heuristic i) still win outright.
     Without a scout, ``graph`` (when given) prices label groups from its
-    label histogram (:func:`label_fractions`).
+    label histogram (:func:`label_fractions`); with or without one, it
+    marks functional hops (:func:`functional_hops`).
     """
 
     def __init__(self, query, scout=None, graph=None):
@@ -366,9 +365,7 @@ class Planner:
             return c, "edge_check", source
         if self._functional is not None:
             for c, source in neighbors:
-                if source == current and self._functional(
-                    c.connector.labels, c.oriented(source)
-                ):
+                if source == current and self._functional(c.connector.labels, c.oriented(source)):
                     # Priced like (iii): at most one neighbor per context.
                     return c, "neighbor", source
         if rpqs:
