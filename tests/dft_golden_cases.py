@@ -26,9 +26,16 @@ then.  Every other entry is unchanged.  The point-query entries
 (:func:`point_queries`: ``Pknows``, ``Pfriends`` and ``Preplies`` at two
 person ids, solo variants only) were recorded before the termination
 protocol's evaluation and the per-query machine set-up were made cheap, and
-hold both to the decisions they made before.  The ``Ttag`` and ``TtagR``
-entries (:func:`tag_exit_queries`) keep covered an RPQ exit that inspects
-back to its post and hops on over ``HAS_TAG``, a many-valued label.
+hold both to the decisions they made before.  The nine ``ldbc_s/*/Q09*``
+entries were re-recorded when the planner began taking a *functional* hop
+(one label with a maximum fan-out <= 1 in the walked direction) before a
+pending RPQ: Q09* now hops from each post to its one creator and back before
+it walks the reply trees, instead of from every matched message back to its
+post and on to the creator, so its rounds, costs, stage indexes and message
+counts moved while every row stayed the same.  The ``Ttag`` and ``TtagR``
+entries (:func:`tag_exit_queries`), recorded at the commit before, keep the
+old shape covered: an RPQ exit that inspects back to its post and hops on
+over ``HAS_TAG``, a many-valued label.
 Regenerate only for a deliberate cost-model or traversal-order change.
 """
 
