@@ -16,7 +16,7 @@ are directly comparable to RPQd's virtual makespan.
 import time
 
 from ..config import EngineConfig
-from ..engine.result import MachineSink, assemble_results
+from ..engine.result import MachineSink, QueryResult, assemble_results
 from ..errors import PlanningError
 from ..pgql.ast import Aggregate, Query
 from ..pgql.expressions import Binder, compile_expr
@@ -72,41 +72,6 @@ class BaselineStats:
             "peak_relation": self.peak_relation,
             "outputs": self.outputs,
         }
-
-
-class BaselineResult:
-    """Result set + stats, mirroring :class:`repro.engine.QueryResult`."""
-
-    def __init__(self, result_set, stats):
-        self.result_set = result_set
-        self.stats = stats
-
-    def __iter__(self):
-        return iter(self.result_set)
-
-    def __len__(self):
-        return len(self.result_set)
-
-    @property
-    def columns(self):
-        return self.result_set.columns
-
-    @property
-    def rows(self):
-        return self.result_set.rows
-
-    def scalar(self):
-        return self.result_set.scalar()
-
-    def column(self, name_or_index):
-        return self.result_set.column(name_or_index)
-
-    def to_dicts(self):
-        return self.result_set.to_dicts()
-
-    @property
-    def virtual_time(self):
-        return self.stats.virtual_time
 
 
 class BindingBinder(Binder):
@@ -288,7 +253,7 @@ class BaselineEngine:
             )
         result_set = assemble_results(spec, [sink])
         stats.wall_seconds = time.perf_counter() - started
-        return BaselineResult(result_set, stats)
+        return QueryResult(result_set, stats, plan=None)
 
     # ------------------------------------------------------------------
     @staticmethod

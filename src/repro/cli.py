@@ -142,6 +142,10 @@ def _make_engine(args, graph):
         args,
         use_reachability_index=not args.no_index,
         reliable_transport=False if args.unreliable else None,
+        # On the simulator the metrics file also carries the histograms of
+        # sent batches, which are read from the recorder's events.
+        observe=bool(args.trace_out or (args.metrics_out and args.backend == "sim")),
+        profile=args.explain_analyze,
     )
     plan = config.faults
     if args.unreliable and plan is not None and plan.drop_prob > 0.0:
@@ -169,11 +173,6 @@ def cmd_generate(args):
 
 
 def cmd_query(args):
-    graph = load_graph(args.graph)
-    engine = _make_engine(args, graph)
-    query = args.query
-    if query == "-":
-        query = sys.stdin.read()
     exports = bool(args.trace_out or args.metrics_out)
     explain_analyze = args.explain_analyze
     if (exports or args.timeline or explain_analyze) and args.engine != "rpqd":
@@ -186,21 +185,16 @@ def cmd_query(args):
     if args.backend == "process" and (args.trace_out or args.timeline):
         print(
             "error: --trace-out/--timeline require --backend sim (the "
-            "process backend has no virtual-time trace recorder)",
+            "process backend has no virtual clock to trace or rounds to draw)",
             file=sys.stderr,
         )
         return 2
-    # On the simulator the metrics file also carries the histograms of
-    # sent batches, which are read from the recorder's events.
-    observe = bool(args.trace_out or (args.metrics_out and args.backend == "sim"))
+    engine = _make_engine(args, load_graph(args.graph))
+    query = args.query
+    if query == "-":
+        query = sys.stdin.read()
     try:
-        if args.engine == "rpqd":
-            result = engine.execute(
-                query, trace=args.timeline, observe=observe or None,
-                profile=True if explain_analyze else None,
-            )
-        else:
-            result = engine.execute(query)
+        result = engine.execute(query)
     finally:
         # Sessions may own process-backend resources (the worker pool);
         # baseline engines have no close().
@@ -222,17 +216,17 @@ def cmd_query(args):
         print("\t".join(result.columns))
         for row in result:
             print("\t".join("NULL" if v is None else str(v) for v in row))
-    if getattr(result, "complete", True) is False:
-        if getattr(result, "timed_out", False):
+    if not result.complete:
+        if result.timed_out:
             print(
                 "-- WARNING: PARTIAL RESULTS (virtual-clock deadline hit); "
                 "rows are a lower bound",
                 file=sys.stderr,
             )
         else:
-            down = getattr(result.stats, "down_machines", ())
+            down = list(result.stats.down_machines)
             print(
-                f"-- WARNING: PARTIAL RESULTS (machine(s) {list(down)} stayed "
+                f"-- WARNING: PARTIAL RESULTS (machine(s) {down} stayed "
                 "down); rows are a lower bound",
                 file=sys.stderr,
             )
@@ -240,10 +234,9 @@ def cmd_query(args):
         print(
             f"-- virtual latency: {result.virtual_time} rounds", file=sys.stderr
         )
-        if hasattr(result.stats, "summary"):
-            print(f"-- {result.stats.summary()}", file=sys.stderr)
-    if args.timeline and getattr(result, "trace", None) is not None:
-        print(result.trace.render_timeline(), file=sys.stderr)
+        print(f"-- {result.stats.summary()}", file=sys.stderr)
+    if args.timeline:
+        print(result.stats.render_timeline(), file=sys.stderr)
     if exports:
         _export(result, engine, args.trace_out, args.metrics_out)
     return 0
@@ -336,12 +329,10 @@ def cmd_workload(args):
     graph, info = mini_ldbc(args.scale, seed=args.seed)
     queries = {name: build(info) for name, build in BENCHMARK_QUERIES.items()}
     if args.concurrency > 1:
-        if backend == "process" or args.timeline:
+        if backend == "process":
             print(
-                "error: --concurrency requires --backend sim and excludes "
-                "--timeline (the process backend has no multi-query "
-                "scheduler yet; the shared cluster has no per-query "
-                "ExecutionTrace)",
+                "error: --concurrency requires --backend sim (the process "
+                "backend has no multi-query scheduler yet)",
                 file=sys.stderr,
             )
             return 2
@@ -349,7 +340,7 @@ def cmd_workload(args):
     if backend == "process" and args.timeline:
         print(
             "error: --timeline requires --backend sim (the process backend "
-            "has no virtual-time trace recorder)",
+            "has no rounds to draw)",
             file=sys.stderr,
         )
         return 2
@@ -366,19 +357,14 @@ def cmd_workload(args):
         for name, query in queries.items():
             record = {"query": name}
             for ename, engine in engines.items():
+                result = engine.execute(query)
                 if engine is session:
-                    result = session.execute(query, trace=args.timeline)
                     record.update(_fate(result))
-                    if result.trace is not None:
-                        timelines.append((name, result.trace))
-                else:
-                    result = engine.execute(query)
+                    timelines.append((name, result.stats))
                 record[ename] = round(result.virtual_time, 1)
                 # Wall-clock is reporting-only (host-relative,
                 # nondeterministic): virtual rounds stay the latency metric.
-                record[f"{ename}_wall_seconds"] = getattr(
-                    result.stats, "wall_seconds", None
-                )
+                record[f"{ename}_wall_seconds"] = result.wall_seconds
             records.append(record)
     if args.json:
         print(json.dumps({
@@ -408,12 +394,17 @@ def cmd_workload(args):
         )
         if not all(r["complete"] for r in records):
             print("* PARTIAL results (incomplete run); latency is a lower bound")
-    # With --json the timelines go to stderr so stdout stays parseable.
-    out = sys.stderr if args.json else sys.stdout
-    for name, trace in timelines:
-        print(f"\n{name} timeline (rpqd, {args.machines} machines):", file=out)
-        print(trace.render_timeline(), file=out)
+    _print_timelines(args, timelines)
     return 0
+
+
+def _print_timelines(args, timelines):
+    """``workload --timeline``: each query's rpqd round timeline; with
+    ``--json`` on stderr, so stdout stays parseable."""
+    out = sys.stderr if args.json else sys.stdout
+    for name, stats in timelines if args.timeline else ():
+        print(f"\n{name} timeline (rpqd, {args.machines} machines):", file=out)
+        print(stats.render_timeline(), file=out)
 
 
 def _workload_concurrent(args, graph, queries):
@@ -489,6 +480,7 @@ def _workload_concurrent(args, graph, queries):
             f"-- makespan: {run.cluster_rounds} rounds concurrent vs "
             f"{sequential} sequential ({speedup:.2f}x)"
         )
+    _print_timelines(args, [(n, r.stats) for n, r in zip(queries, run.results)])
     if diverged:
         print(
             "-- CONCURRENCY DIVERGENCE: concurrent result sets differ from "

@@ -14,42 +14,8 @@ when the pair is not reachable within the bounds.
 """
 
 from ..errors import PlanningError
-from ..pgql.expressions import Binder, compile_expr
+from ..pgql.expressions import DictBinder, compile_expr
 from ..pgql.parser import _Parser
-
-
-class _WitnessBinder(Binder):
-    """Binder over ``{var: id}`` dicts where vars may be vertices or edges."""
-
-    def __init__(self, graph, edge_vars):
-        self.graph = graph
-        self.edge_vars = edge_vars
-
-    def vertex(self, var):
-        return lambda binding: binding.get(var)
-
-    def prop(self, var, prop):
-        graph = self.graph
-        if var in self.edge_vars:
-            return lambda binding: (
-                None
-                if binding.get(var) is None
-                else graph.eprops.get(prop, binding[var])
-            )
-        return lambda binding: (
-            None
-            if binding.get(var) is None
-            else graph.vprops.get(prop, binding[var])
-        )
-
-    def label(self, var):
-        graph = self.graph
-
-        def read(binding):
-            vid = binding.get(var)
-            return None if vid is None else graph.vertex_label_name(vid)
-
-        return read
 
 
 def _parse_pattern(text):
@@ -74,7 +40,7 @@ def _compile_steps(graph, pattern_text, where=None):
     if len(vertices) < 2:
         raise PlanningError("witness pattern needs at least one edge")
     edge_vars = {e.var for e in connectors if e.var}
-    binder = _WitnessBinder(graph, edge_vars)
+    binder = DictBinder(graph, edge_vars)
     where_fn = compile_expr(where, binder) if where is not None else None
 
     label_ids = []

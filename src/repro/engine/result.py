@@ -273,13 +273,16 @@ class ResultSet:
 
 
 class QueryResult:
-    """A merged result set plus the run's statistics and plan."""
+    """A merged result set plus the run's statistics and plan.
 
-    def __init__(self, result_set, stats, plan, trace=None, obs=None):
+    The baseline engines return one too, with their own stats and
+    ``plan=None``.
+    """
+
+    def __init__(self, result_set, stats, plan, obs=None):
         self.result_set = result_set
         self.stats = stats
         self.plan = plan
-        self.trace = trace
         # The observability recorder (repro.obs) when the run was observed:
         # span events, exporter input.  None otherwise.
         self.obs = obs

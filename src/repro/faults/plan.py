@@ -291,20 +291,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def has_message_faults(self):
-        return any(
-            p > 0.0
-            for p in (
-                self.drop_prob, self.dup_prob, self.delay_prob,
-                self.reorder_prob, self.corrupt_prob,
-            )
-        )
-
-    @property
-    def has_machine_faults(self):
-        return bool(self.stalls or self.crashes or self.partitions)
-
     def permanent_crashes(self):
         """Crashes that never recover (trigger the partial-results path)."""
         return tuple(c for c in self.crashes if c.recover_round is None)

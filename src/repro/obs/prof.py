@@ -33,30 +33,12 @@ from functools import wraps
 _NS_TO_S = 1e-9
 
 
-class _Phase:
-    """Reusable context manager binding one phase name to a profiler."""
-
-    __slots__ = ("_prof", "_name")
-
-    def __init__(self, prof, name):
-        self._prof = prof
-        self._name = name
-
-    def __enter__(self):
-        self._prof.enter(self._name)
-        return self._prof
-
-    def __exit__(self, exc_type, exc, tb):
-        self._prof.exit()
-        return False
-
-
 class PhaseProfiler:
     """Aggregating wall-clock profiler for named, nested runtime phases.
 
     ``enter``/``exit`` are the hot-path API (no allocation beyond one
-    3-element list per open phase); :meth:`phase` wraps them as a context
-    manager for coarse phases, and :func:`profiled` as a method decorator.
+    3-element list per open phase); :func:`profiled` wraps them as a
+    method decorator.
     """
 
     __slots__ = ("_agg", "_stack")
@@ -91,11 +73,6 @@ class PhaseProfiler:
             self._stack[-1][2] += elapsed
         return elapsed
 
-    # -- convenience API -------------------------------------------------
-    def phase(self, name):
-        """Context manager timing its body as one call of ``name``."""
-        return _Phase(self, name)
-
     @property
     def depth(self):
         """Number of currently open (unclosed) phases."""
@@ -126,6 +103,12 @@ class PhaseProfiler:
                 "max_s": mx * _NS_TO_S,
             }
         return out
+
+
+def profiler_from_config(config):
+    """A fresh :class:`PhaseProfiler` when ``config.profile`` is on, else
+    ``None``: the one place a run's profiler is built."""
+    return PhaseProfiler() if config.profile else None
 
 
 def merge_summaries(summaries):

@@ -258,26 +258,29 @@ def fold_constants(node):
 
 
 class DictBinder(Binder):
-    """Binder over a plain ``{var: vertex_id}`` mapping plus a graph.
+    """Binder over a plain ``{var: id}`` mapping plus a graph.
 
-    Used by the single-machine baselines and by tests.  ``state`` at
-    evaluation time is the binding dict itself.
+    Used by the planner's scouting, witness-path reconstruction and tests.
+    ``state`` at evaluation time is the binding dict itself; ``edge_vars``
+    names the variables bound to *edge ids*, whose property reads go to the
+    edge store instead of the vertex store.
     """
 
-    def __init__(self, graph):
+    def __init__(self, graph, edge_vars=frozenset()):
         self.graph = graph
+        self.edge_vars = edge_vars
 
     def vertex(self, var):
         return lambda binding: binding.get(var)
 
     def prop(self, var, prop):
-        vprops = self.graph.vprops
+        store = self.graph.eprops if var in self.edge_vars else self.graph.vprops
 
         def read(binding):
-            vid = binding.get(var)
-            if vid is None:
+            element = binding.get(var)
+            if element is None:
                 return None
-            return vprops.get(prop, vid)
+            return store.get(prop, element)
 
         return read
 

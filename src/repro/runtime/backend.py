@@ -7,7 +7,7 @@ scheduler directly; it dispatches through an :class:`ExecutionBackend`:
   :class:`~repro.runtime.multi.ClusterScheduler` round loop, private to
   the call for ``run`` and shared by the session for ``submit``.  It is
   the verification oracle: virtual rounds, faults, recovery, membership,
-  tracing, and the race detector all live here.
+  span tracing, round timelines and the race detector all live here.
 * :class:`ProcessBackend` — real parallelism.  Each partition's
   :class:`~repro.runtime.machine.Machine` loop runs in a forked OS
   process that outlives the query; every worker inherits the graph,
@@ -86,6 +86,7 @@ from multiprocessing.connection import wait
 from ..analysis.sanitizer import sanitizer_from_config
 from ..engine.result import MachineSink
 from ..errors import ConfigError, ExecutionError
+from ..obs.prof import merge_summaries, profiler_from_config
 from .machine import Machine
 from .message import WIRE_QUERY_ID, StatusMessage, from_wire, to_wire
 from .multi import ClusterScheduler
@@ -118,13 +119,13 @@ class ExecutionBackend:
 
     name = "abstract"
 
-    def run(self, dgraph, plan, config, sinks, trace=None, recorder=None,
-            prof=None):
+    def run(self, dgraph, plan, config, sinks, recorder=None, prof=None):
         """Execute ``plan`` and fill ``sinks``.
 
         Returns ``(stats, partial, timed_out)`` where ``stats`` is a
         :class:`~repro.runtime.stats.RunStats`; raises the query's own
-        error.  A caller-supplied ``prof`` is the profiler used.
+        error.  ``recorder`` is the run's :class:`~repro.obs.Recorder`
+        (``config.observe``); a caller's ``prof`` replaces ``config.profile``'s.
         """
         raise NotImplementedError
 
@@ -144,14 +145,11 @@ class SimBackend(ExecutionBackend):
 
     name = "sim"
 
-    def run(self, dgraph, plan, config, sinks, trace=None, recorder=None,
-            prof=None):
+    def run(self, dgraph, plan, config, sinks, recorder=None, prof=None):
         # Exclusive ownership is a private one-task cluster: the same
         # round loop ``submit`` shares, with nobody else admitted.
         cluster = ClusterScheduler(dgraph, config, prof=prof, obs=recorder)
-        task = cluster.submit(
-            plan, lambda m: sinks[m], obs=recorder, trace=trace
-        )
+        task = cluster.submit(plan, sinks.__getitem__, obs=recorder)
         cluster.run()
         if task.error is not None:
             raise task.error
@@ -325,11 +323,7 @@ def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
     Leaves when the coordinator's stop for ``run_id`` arrives on ``conn``;
     raises :class:`_CoordinatorGone` if the coordinator went away instead.
     """
-    prof = None
-    if config.profile:
-        from ..obs.prof import PhaseProfiler
-
-        prof = PhaseProfiler()
+    prof = profiler_from_config(config)
     sanitizer = sanitizer_from_config(config)
     network = _ProcessNetwork(worker_id, num_workers, config.num_machines, peers)
     sinks = {}
@@ -645,21 +639,8 @@ class ProcessBackend(ExecutionBackend):
             "solo process-parallel runs"
         )
 
-    def run(self, dgraph, plan, config, sinks, trace=None, recorder=None,
-            prof=None):
-        if trace is not None:
-            raise ConfigError(
-                "trace=True is simulator-only: the per-round activity "
-                "timeline is defined on the virtual clock, which "
-                "backend='process' does not have — run backend='sim'"
-            )
-        if recorder is not None:
-            raise ConfigError(
-                "observe is simulator-only for now: the span recorder "
-                "timestamps on the virtual clock, which backend='process' "
-                "does not have — run backend='sim' (wall-clock profiling "
-                "via profile=True is supported on both backends)"
-            )
+    def run(self, dgraph, plan, config, sinks, recorder=None, prof=None):
+        # (EngineConfig rejects ``observe`` here, so ``recorder`` is None.)
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ExecutionError(
                 "backend='process' requires the fork start method "
@@ -667,6 +648,8 @@ class ProcessBackend(ExecutionBackend):
                 "offers none — run backend='sim'"
             )
         started = time.perf_counter()
+        if prof is None:
+            prof = profiler_from_config(config)
         num_workers = config.workers or config.num_machines
         num_workers = min(num_workers, config.num_machines)
         try:
@@ -691,9 +674,7 @@ class ProcessBackend(ExecutionBackend):
                 prof.unwind()
         if prof is not None:
             prof.enter("backend.merge")
-        machine_stats, iterations, profile = self._merge(
-            payloads, sinks, config, prof
-        )
+        machine_stats, iterations, profile = self._merge(payloads, sinks, config)
         if prof is not None:
             prof.exit()
             profile = _merged_profile([profile, prof.summary()])
@@ -703,7 +684,7 @@ class ProcessBackend(ExecutionBackend):
         )
         return stats, False, False
 
-    def _merge(self, payloads, sinks, config, prof):
+    def _merge(self, payloads, sinks, config):
         """Fold worker payloads into the caller's sinks and stats."""
         machine_stats = [None] * config.num_machines
         iterations = 0
@@ -729,7 +710,5 @@ class ProcessBackend(ExecutionBackend):
 
 
 def _merged_profile(profiles):
-    from ..obs.prof import merge_summaries
-
     merged = merge_summaries([p for p in profiles if p])
     return merged or None

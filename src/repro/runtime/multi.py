@@ -59,6 +59,7 @@ Determinism
 
 import random
 import time
+from array import array
 
 from ..analysis.sanitizer import sanitizer_from_config
 from ..config import STATUS_INTERVAL
@@ -68,7 +69,7 @@ from ..errors import (
     ExecutionError,
     FlowControlDeadlock,
 )
-from ..obs.prof import profiled
+from ..obs.prof import profiled, profiler_from_config
 from .machine import Machine
 from .network import LossyNetwork, SimulatedNetwork
 from .stats import RunStats
@@ -128,7 +129,7 @@ class QueryTask:
 
     def __init__(
         self, query_id, dgraph, plan, config, sink_factory, channel,
-        sanitizer=None, obs=None, trace=None, prof=None,
+        sanitizer=None, obs=None, prof=None,
     ):
         self.query_id = query_id
         self.plan = plan
@@ -136,7 +137,6 @@ class QueryTask:
         self.channel = channel
         self.sanitizer = sanitizer
         self.obs = obs
-        self.trace = trace
         self.sinks = [sink_factory(m) for m in range(config.num_machines)]
         self.slices = [
             Machine(
@@ -148,8 +148,10 @@ class QueryTask:
         self.admitted_round = None  # global round of admission
         self.started = time.perf_counter()
         self.concluded = [False] * config.num_machines
-        # Cost units each logical machine consumed in the current round.
+        # Cost units each logical machine consumed in the current round,
+        # and every finished round's row of them (``RunStats.round_work``).
         self.consumed = [0.0] * config.num_machines
+        self.round_work = array("d")
         # Progress clock: the last round with progress, reset at admission
         # and after every rollback.
         self.last_progress = 0
@@ -262,10 +264,8 @@ class ClusterScheduler:
         self.config = base_config
         # The profiler only reads the wall clock, so virtual-time results
         # are bit-identical with or without it.
-        if prof is None and base_config.profile:
-            from ..obs.prof import PhaseProfiler  # deferred: obs is optional
-
-            prof = PhaseProfiler()
+        if prof is None:
+            prof = profiler_from_config(base_config)
         self.prof = prof
         if dgraph.num_machines != base_config.num_machines:
             raise ExecutionError(
@@ -297,14 +297,13 @@ class ClusterScheduler:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def submit(self, plan, sink_factory, config=None, obs=None, trace=None):
+    def submit(self, plan, sink_factory, config=None, obs=None):
         """Queue one query; returns its :class:`QueryTask`.
 
-        ``obs`` (a :class:`~repro.obs.Recorder`) and ``trace`` (an
-        :class:`~repro.runtime.trace.ExecutionTrace`) are driven on the
-        query's own clock — rounds since its admission.  Raises
-        :class:`AdmissionError` when the concurrency limit *and* the
-        pending queue are both full.
+        ``obs`` (a :class:`~repro.obs.Recorder` built with ``config``) and
+        the round timeline run on the query's own clock — rounds since its
+        admission.  Raises :class:`AdmissionError` when the concurrency
+        limit *and* the pending queue are both full.
         """
         config = self.config if config is None else config
         _check_query_config(config, self.config)
@@ -323,13 +322,9 @@ class ClusterScheduler:
         self._next_query_id += 1
         sanitizer = sanitizer_from_config(config, obs=obs)
         channel = self._channel(config, plan.num_slots, obs, sanitizer)
-        if obs is not None:
-            obs.configure(config.num_machines, config.quantum)
-        if trace is not None:
-            trace.configure(config.num_machines, config.quantum)
         task = QueryTask(
             query_id, self.dgraph, plan, config, sink_factory, channel,
-            sanitizer=sanitizer, obs=obs, trace=trace, prof=self.prof,
+            sanitizer=sanitizer, obs=obs, prof=self.prof,
         )
         if self.chaos is not None:
             self.chaos.attach(task, self.round_no)
@@ -433,6 +428,7 @@ class ClusterScheduler:
             timed_out=task.timed_out,
             # The round loop's phases are shared, not attributable per query.
             profile=self.prof.summary() if self.prof is not None else None,
+            round_work=task.round_work,
             **chaos,
         )
         task.finished = True
@@ -581,7 +577,7 @@ class ClusterScheduler:
             s.account_round(task.consumed[s.id])
 
     def _drive_protocol(self, task, round_no):
-        """Round record / heartbeats / termination / stall for one task.
+        """Round timeline / heartbeats / termination / stall for one task.
 
         Returns True when the task finished this round (concluded, or
         degraded to partial results on a permanent unrecovered crash);
@@ -589,8 +585,7 @@ class ClusterScheduler:
         """
         local = task.local_round(round_no)
         chaos = self.chaos
-        if task.trace is not None:
-            task.trace.record_round(local, task.consumed)
+        task.round_work.extend(task.consumed)
         if task.obs is not None:
             task.obs.record_round(local, task.consumed)
         if local % STATUS_INTERVAL == 0:
@@ -606,10 +601,6 @@ class ClusterScheduler:
                 if not concluded[s.id]:
                     concluded[s.id] = s.check_termination()
             if all(concluded):
-                if task.trace is not None:
-                    task.trace.record_event(
-                        local, "termination protocol concluded"
-                    )
                 task.instant("termination.concluded", local)
                 return True
             if chaos is not None:

@@ -3,7 +3,9 @@
 Every counter the paper reports lives here: per-depth RPQ control-stage
 matches (Tables 2/3), reachability-index eliminations/duplications
 (Table 3), flow-control block counts (Section 4.2), message/byte volumes,
-modelled memory, and busy/idle rounds for the virtual-time model.
+modelled memory, busy/idle rounds for the virtual-time model, and the
+round timeline whose rendering shows a narrow-start query's one busy
+machine (paper Section 4.3) as one dense row and N-1 sparse ones.
 """
 
 from collections import Counter
@@ -11,6 +13,8 @@ from collections import Counter
 #: Modelled size of one message buffer, for the memory accounting only
 #: (paper Section 4.1: 256 KB).
 BUFFER_BYTES = 256 * 1024
+#: Utilization glyphs of :meth:`RunStats.render_timeline`, idle to saturated.
+GLYPHS = " .:-=+*#%@"
 
 
 class MachineStats:
@@ -113,6 +117,7 @@ class RunStats:
         timed_out=False,
         profile=None,
         membership=None,
+        round_work=None,
     ):
         self.per_machine = machine_stats
         self.rounds = rounds
@@ -148,6 +153,10 @@ class RunStats:
         # on, else None.  Deliberately kept out of :meth:`summary` — wall
         # time is reporting-only, virtual rounds stay the primary metric.
         self.profile = profile
+        # The round timeline: a flat ``array('d')``, per round of the query's
+        # own clock one row of the cost units each machine spent.  None on
+        # the process backend, which has no rounds.
+        self.round_work = round_work
 
     # -- aggregation helpers ----------------------------------------------
     def _sum(self, attr):
@@ -252,6 +261,46 @@ class RunStats:
             (d, matches.get(d, 0), eliminated.get(d, 0), duplicated.get(d, 0))
             for d in depths
         ]
+
+    # -- the round timeline ------------------------------------------------
+    def utilization(self):
+        """Per-machine fraction of the work capacity (quantum x rounds) used."""
+        work, n = self.round_work, self.num_machines
+        if not work:
+            return [0.0] * n
+        capacity = self.config.quantum * (len(work) // n)
+        return [sum(work[m::n]) / capacity for m in range(n)]
+
+    def imbalance(self):
+        """Max/mean utilization ratio (1.0 = perfectly balanced)."""
+        utils = self.utilization()
+        mean = sum(utils) / len(utils)
+        return max(utils) / mean if mean else 1.0
+
+    def render_timeline(self, width=60):
+        """ASCII timeline, one row per machine and time left to right: a
+        cell's glyph is the mean utilization of its bucket of rounds."""
+        work, n = self.round_work, self.num_machines
+        if work is None:
+            return "(no round timeline: the process backend has no rounds)"
+        rounds = len(work) // n
+        if not rounds:
+            return "(no rounds recorded)"
+        buckets = min(width, rounds)
+        per_bucket = rounds / buckets
+        spans = [(int(b * per_bucket), int((b + 1) * per_bucket)) for b in range(buckets)]
+        top = len(GLYPHS) - 1
+        lines = []
+        for m in range(n):
+            cells = ""
+            for lo, hi in spans:
+                hi = max(lo + 1, hi)
+                frac = sum(work[lo * n + m:hi * n:n]) / (self.config.quantum * (hi - lo))
+                cells += GLYPHS[min(top, int(frac * top + 0.5))]
+            lines.append(f"M{m:<2} |{cells}|")
+        utils = ", ".join(f"M{m}={u:.0%}" for m, u in enumerate(self.utilization()))
+        lines += [f"    rounds 1..{rounds}, {buckets} buckets", "    utilization: " + utils]
+        return "\n".join(lines)
 
     def summary(self):
         out = {

@@ -49,7 +49,6 @@ from .plan.cache import PlanCache
 from .plan.compiler import compile_query
 from .plan.explain import explain as explain_plan
 from .runtime.backend import backend_from_config
-from .runtime.trace import ExecutionTrace
 
 
 def connect(graph, config=None, partitioner="hash", **overrides):
@@ -128,14 +127,9 @@ class QueryHandle:
         if task.error is not None:
             raise task.error
         result_set = assemble_results(
-            self._plan,
-            self._sinks,
-            complete=not task.partial,
-            timed_out=task.timed_out,
+            self._plan, self._sinks, complete=not task.partial, timed_out=task.timed_out
         )
-        self._result = QueryResult(
-            result_set, task.stats, self._plan, obs=task.obs
-        )
+        self._result = QueryResult(result_set, task.stats, self._plan, obs=task.obs)
         return self._result
 
 
@@ -231,59 +225,34 @@ class Session:
     # ------------------------------------------------------------------
     # Solo execution (exclusive cluster ownership)
     # ------------------------------------------------------------------
-    def execute(self, query, config=None, trace=False, observe=None, profile=None):
+    def _prepare(self, query, config):
+        """The config (``config`` or the session's), plan, per-machine sinks
+        and recorder of one run."""
+        self._check_open()
+        config = config or self.config
+        plan = self.compile(query)
+        sinks = [MachineSink(plan) for _ in range(config.num_machines)]
+        recorder = Recorder(config) if config.observe else None
+        return config, plan, sinks, recorder
+
+    def execute(self, query, config=None):
         """Execute one query to completion and return a :class:`QueryResult`.
 
         ``config`` overrides the session's configuration for this run (used
         by benchmarks to sweep machine counts etc.); a differing
         ``num_machines`` runs on the session's partitioning for that count
-        (built on first use, by the session's partitioner).  With ``trace=True``
-        (or an :class:`~repro.runtime.trace.ExecutionTrace` instance) the
-        result carries a per-round activity timeline in ``result.trace``.
+        (built on first use, by the session's partitioner).  A simulated
+        run's round timeline is ``result.stats.render_timeline()``.
 
-        ``observe`` attaches the structured trace recorder
-        (:mod:`repro.obs`): ``True`` creates a fresh
-        :class:`~repro.obs.Recorder`, an instance is used as-is, and
-        ``None`` defers to ``config.observe``.  The recorder is returned on
-        ``result.obs`` for export (Perfetto / JSONL); its ``batch.send``
-        events add histograms to a Prometheus export of the result.
-
-        ``profile`` attaches the wall-clock phase profiler
-        (:mod:`repro.obs.prof`) the same way: ``True`` creates a fresh
-        :class:`~repro.obs.PhaseProfiler`, an instance is used as-is
-        (aggregating across runs), ``None`` defers to ``config.profile``.
-        The breakdown lands on ``result.profile``.
+        ``config.observe`` attaches the structured trace recorder
+        (:mod:`repro.obs`), returned on ``result.obs`` for export (Perfetto
+        / JSONL); its ``batch.send`` events add histograms to a Prometheus
+        export of the result.  ``config.profile`` attaches the wall-clock
+        phase profiler (:mod:`repro.obs.prof`); the breakdown lands on
+        ``result.profile``.
         """
-        self._check_open()
-        run_config = config or self.config
+        run_config, plan, sinks, recorder = self._prepare(query, config)
         dgraph = self._dgraph_for(run_config.num_machines)
-        plan = self.compile(query)
-        sinks = [MachineSink(plan) for _ in range(run_config.num_machines)]
-        if trace is True:
-            trace = ExecutionTrace()
-        elif trace is False:
-            trace = None
-        if observe is None:
-            observe = run_config.observe
-        if observe is True:
-            recorder = Recorder(run_config)
-        elif observe:
-            recorder = observe  # caller-supplied Recorder instance
-        else:
-            recorder = None
-        if profile is None:
-            profile = run_config.profile
-        elif profile is False and run_config.profile:
-            # Explicit off overrides config.profile for this run.
-            run_config = run_config.with_(profile=False)
-        if profile is True:
-            from .obs.prof import PhaseProfiler
-
-            prof = PhaseProfiler()
-        elif profile:
-            prof = profile  # caller-supplied PhaseProfiler instance
-        else:
-            prof = None
         backend = self._backend
         if run_config.backend != backend.name:
             # A per-run config override switched backends for this query
@@ -292,52 +261,35 @@ class Session:
             backend = backend_from_config(run_config)
         try:
             stats, partial, timed_out = backend.run(
-                dgraph, plan, run_config, sinks,
-                trace=trace, recorder=recorder, prof=prof,
+                dgraph, plan, run_config, sinks, recorder=recorder
             )
         finally:
             if backend is not self._backend:
                 backend.close()
-        result_set = assemble_results(
-            plan,
-            sinks,
-            complete=not partial,
-            timed_out=timed_out,
-        )
-        return QueryResult(result_set, stats, plan, trace=trace, obs=recorder)
+        result_set = assemble_results(plan, sinks, complete=not partial, timed_out=timed_out)
+        return QueryResult(result_set, stats, plan, obs=recorder)
 
     # ------------------------------------------------------------------
     # Concurrent execution (shared cluster)
     # ------------------------------------------------------------------
-    def submit(self, query, config=None, deadline=None, observe=None):
+    def submit(self, query, config=None):
         """Queue a query on the shared cluster; returns a :class:`QueryHandle`.
 
-        ``deadline`` bounds the query's virtual runtime in scheduler rounds
-        (relative to its admission); past it the handle's result comes back
-        ``timed_out`` with whatever rows were produced.  Raises
+        ``config.deadline`` bounds the query's virtual runtime in scheduler
+        rounds (relative to its admission); past it the handle's result
+        comes back ``timed_out`` with whatever rows were produced.  Raises
         :class:`~repro.errors.AdmissionError` when both the concurrency
         limit and the bounded pending queue are full, and
         :class:`~repro.errors.ConfigError` for a per-query fault plan or
         ``schedule_seed`` differing from the session's (both are
         cluster-level: restate the session's value or leave it unset).
-        ``observe`` records the query on its own clock (rounds since
-        admission).  ``recovery=True`` in the query or session config
-        arms per-query checkpoints/rollback; cancelling or
-        deadline-expiring the handle releases them without perturbing
-        co-resident queries.
+        ``config.observe`` records the query, and its round timeline runs,
+        on its own clock (rounds since admission).  ``recovery=True`` in
+        the query or session config arms per-query checkpoints/rollback;
+        cancelling or deadline-expiring the handle releases them without
+        perturbing co-resident queries.
         """
-        self._check_open()
-        run_config = config or self.config
-        if deadline is not None:
-            run_config = run_config.with_(deadline=deadline)
-        if observe is None:
-            observe = run_config.observe
-        if observe is True:
-            recorder = Recorder(run_config)
-        elif observe:
-            recorder = observe
-        else:
-            recorder = None
+        run_config, plan, sinks, recorder = self._prepare(query, config)
         if self._scheduler is None:
             # Backend dispatch: the simulator returns a ClusterScheduler
             # for the session to share; the process backend rejects
@@ -345,10 +297,8 @@ class Session:
             self._scheduler = self._backend.open_cluster(
                 self.dgraph, self.config
             )
-        plan = self.compile(query)
-        sinks = [MachineSink(plan) for _ in range(run_config.num_machines)]
         task = self._scheduler.submit(
-            plan, lambda m: sinks[m], config=run_config, obs=recorder
+            plan, sinks.__getitem__, config=run_config, obs=recorder
         )
         handle = QueryHandle(
             self, task, plan, sinks,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EngineConfig, GraphBuilder, Session
+from repro import EngineConfig, GraphBuilder, QueryResult, Session
 from repro.baselines import (
     BftEngine,
     DistributedBftEngine,
@@ -110,6 +110,13 @@ class TestBaselineBasics:
         assert r.stats.cost_units > 0
         assert r.stats.virtual_time > 0
         assert r.stats.wall_seconds >= 0
+
+    def test_result_is_a_query_result(self, engine_cls):
+        r = engine_cls(chain_graph(6)).execute("SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)")
+        assert isinstance(r, QueryResult) and r.plan is None and r.obs is None
+        assert r.complete and not r.timed_out and r.profile is None
+        assert r.wall_seconds == r.stats.wall_seconds
+        assert r.virtual_time == r.stats.virtual_time and r.scalar() == 15
 
 
 class TestEngineEquivalence:

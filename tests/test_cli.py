@@ -235,14 +235,17 @@ class TestWorkloadConcurrency:
         assert captured.out == ""
         assert "--backend sim" in captured.err
 
-    def test_timeline_is_rejected_not_dropped(self, capsys):
-        rc = main(["workload", "--scale", "xs", "--concurrency", "2", "--timeline"])
+    def test_timeline_is_printed_not_dropped(self, capsys):
+        rc = main(
+            ["workload", "--scale", "xs", "--concurrency", "2", "--timeline", "--json"]
+        )
         captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("error: ")
-        assert "--concurrency" in line and "--timeline" in line
+        assert rc == 0
+        assert json.loads(captured.out)["identical"]  # timelines go to stderr
+        # One timeline per query, each on the query's own rounds.
+        assert captured.err.count("timeline (rpqd, 4 machines):") == 9
+        assert captured.err.count("\nM3  |") == 9
+        assert captured.err.count("    rounds 1..") == 9
 
 
 class TestChaosConcurrency:

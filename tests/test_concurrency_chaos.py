@@ -190,7 +190,7 @@ class TestBlastRadiusIsolation:
         baselines = _solo_baselines(graph, QUERIES)
         plan = FaultPlan(seed=5, drop_prob=0.05, dup_prob=0.05)
         session = connect(graph, CONFIG.with_(recovery=True, faults=plan))
-        doomed = session.submit(QUERIES[1], deadline=2)
+        doomed = session.submit(QUERIES[1], config=session.config.with_(deadline=2))
         manager = session._scheduler.chaos.recovery[doomed._task]
         rest = [session.submit(q) for q in QUERIES]
         session.drain()

@@ -43,8 +43,9 @@ def graph():
 class TestFaultPlan:
     def test_defaults_are_fault_free(self):
         plan = FaultPlan()
-        assert not plan.has_message_faults
-        assert not plan.has_machine_faults
+        assert plan.drop_prob == plan.dup_prob == plan.delay_prob == 0.0
+        assert plan.reorder_prob == plan.corrupt_prob == 0.0
+        assert plan.stalls == plan.crashes == plan.partitions == ()
 
     @pytest.mark.parametrize("field", ["drop_prob", "dup_prob", "delay_prob", "reorder_prob"])
     def test_rejects_bad_probability(self, field):

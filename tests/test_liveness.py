@@ -16,6 +16,8 @@ import repro
 from repro.datagen import mini_ldbc
 from repro.faults import FaultPlan
 
+from . import onetask
+
 QUERY = "SELECT COUNT(*) FROM MATCH (a)-/:KNOWS+/->(b)"
 #: ``QUERY``'s answer on ``mini_ldbc("xs", 7)``.
 EXPECTED = 12181
@@ -72,20 +74,26 @@ def test_lost_credits_are_diagnosed_as_a_flow_control_bug():
     # round on every run.
     from repro.errors import FlowControlDeadlock
     from repro.graph.generators import chain_graph
-    from repro.obs import Recorder
 
     plan = FaultPlan(seed=1, drop_prob=1.0, kinds=("done",))
+    config = repro.EngineConfig(
+        num_machines=2, faults=plan, reliable_transport=False, batch_size=1,
+        buffers_per_machine=4, stall_limit=200,
+    )
+    query = "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)"
     texts = []
-    for observe in (None, None, Recorder()):
-        with repro.connect(
-            chain_graph(30), num_machines=2, faults=plan,
-            reliable_transport=False, batch_size=1, buffers_per_machine=4,
-            stall_limit=200,
-        ) as session:
-            with pytest.raises(FlowControlDeadlock) as exc:
-                session.execute(
-                    "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", observe=observe
+    for observe in (False, False, True):
+        with pytest.raises(FlowControlDeadlock) as exc:
+            if observe:
+                # The one-query scheduler ``execute`` runs, held open so the
+                # recorder can be read after the run raised.
+                cluster, task, _sinks, _plan = onetask.make_execution(
+                    chain_graph(30), query, config.with_(observe=True)
                 )
+                onetask.run(cluster, task)
+            else:
+                with repro.connect(chain_graph(30), config) as session:
+                    session.execute(query)
         text = str(exc.value)
         texts.append(text)
         assert "made no progress for 200 rounds at round 231:" in text
@@ -97,7 +105,7 @@ def test_lost_credits_are_diagnosed_as_a_flow_control_bug():
         # waits on, whose one credit is the one that never came back.
         assert "machine 0 worker 0: 1 jobs, send refused to (dst 1, stage " in text
     assert texts[0] == texts[1] == texts[2]  # observing changes nothing
-    (event,) = [e for e in observe.events if e["name"] == "flow.deadlock"]
+    (event,) = [e for e in task.obs.events if e["name"] == "flow.deadlock"]
     payload = event["args"]
     assert payload["round"] == 231 and f"{payload['blocks']} flow-control blocks" in text
     for m in payload["machines"]:

@@ -42,9 +42,8 @@ def observed_run():
     """One observed execution of a cyclic unbounded RPQ (worst-case shape:
     revisits, eliminations, duplicates, deep depth mix)."""
     graph = random_graph(60, 200, seed=3)
-    engine = Session(graph, EngineConfig(num_machines=4))
-    result = engine.execute(CYCLIC_UNBOUNDED, observe=True)
-    return result
+    engine = Session(graph, EngineConfig(num_machines=4, observe=True))
+    return engine.execute(CYCLIC_UNBOUNDED)
 
 
 #: Families of an observed simulator run of ``CYCLIC_UNBOUNDED``.
@@ -298,9 +297,9 @@ class TestSubmittedTraceClock:
 
     def test_submitted_trace_matches_solo_trace(self):
         graph = random_graph(60, 200, seed=3)
-        with repro.connect(graph, num_machines=4) as session:
-            solo = session.execute(CYCLIC_UNBOUNDED, observe=True)
-            submitted = session.submit(CYCLIC_UNBOUNDED, observe=True).result()
+        with repro.connect(graph, num_machines=4, observe=True) as session:
+            solo = session.execute(CYCLIC_UNBOUNDED)
+            submitted = session.submit(CYCLIC_UNBOUNDED).result()
 
         def stamped(result):
             return Counter((e["name"], e["ts"]) for e in result.obs.events)
@@ -319,9 +318,9 @@ class TestSubmittedTraceClock:
             "SELECT COUNT(*) FROM MATCH (a)-/:LINK{2,4}/->(b)",
         ]
         with repro.connect(
-            graph, num_machines=4, max_concurrent_queries=4
+            graph, num_machines=4, max_concurrent_queries=4, observe=True
         ) as session:
-            handles = [session.submit(q, observe=True) for q in queries]
+            handles = [session.submit(q) for q in queries]
             session.drain()
             results = [h.result() for h in handles]
         for index, result in enumerate(results):
@@ -450,9 +449,10 @@ class TestMetricsFromRunStats:
             seed=3, drop_prob=0.05, crashes=(MachineCrash(machine=2, round=6),)
         )
         config = EngineConfig(
-            num_machines=4, recovery=True, stall_limit=500, faults=plan
+            num_machines=4, recovery=True, stall_limit=500, faults=plan,
+            observe=True,
         )
-        result = Session(graph, config).execute(CYCLIC_UNBOUNDED, observe=True)
+        result = Session(graph, config).execute(CYCLIC_UNBOUNDED)
         assert result.complete
         stats = result.stats
         assert stats.membership["confirmations"] >= 1
@@ -475,7 +475,9 @@ class TestZeroOverhead:
         graph = random_graph(40, 130, seed=5)
         engine = Session(graph, EngineConfig(num_machines=3))
         plain = engine.execute(CYCLIC_UNBOUNDED)
-        observed = engine.execute(CYCLIC_UNBOUNDED, observe=True)
+        observed = engine.execute(
+            CYCLIC_UNBOUNDED, config=engine.config.with_(observe=True)
+        )
         assert plain.virtual_time == observed.virtual_time
         assert plain.scalar() == observed.scalar()
         assert plain.stats.batches_sent == observed.stats.batches_sent
@@ -492,15 +494,6 @@ class TestZeroOverhead:
         )
         assert result.obs is not None
         assert result.obs.events
-
-    def test_caller_supplied_recorder(self):
-        graph = chain_graph(10)
-        engine = Session(graph, EngineConfig(num_machines=2))
-        rec = Recorder()
-        result = engine.execute(
-            "SELECT COUNT(*) FROM MATCH (a)-/:NEXT{1,2}/->(b)", observe=rec
-        )
-        assert result.obs is rec
 
 
 class TestMultiSegmentDepthTable:
@@ -554,8 +547,8 @@ class TestMultiSegmentDepthTable:
 
     def test_observed_two_segment_trace_reconciles(self):
         graph = chain_graph(16)
-        engine = Session(graph, EngineConfig(num_machines=4))
-        result = engine.execute(self.QUERY, observe=True)
+        engine = Session(graph, EngineConfig(num_machines=4, observe=True))
+        result = engine.execute(self.QUERY)
         per_rpq = {}
         for event in result.obs.events:
             if event["name"] == "rpq.control":
@@ -584,10 +577,10 @@ class TestSanitizerOnEventBus:
     def test_sanitized_observed_run_is_clean(self):
         graph = chain_graph(12)
         engine = Session(
-            graph, EngineConfig(num_machines=2, sanitize=True)
+            graph, EngineConfig(num_machines=2, sanitize=True, observe=True)
         )
         result = engine.execute(
-            "SELECT COUNT(*) FROM MATCH (a)-/:NEXT{1,4}/->(b)", observe=True
+            "SELECT COUNT(*) FROM MATCH (a)-/:NEXT{1,4}/->(b)"
         )
         names = {e["name"] for e in result.obs.events}
         assert "sanitizer.violation" not in names

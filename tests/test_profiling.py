@@ -38,14 +38,6 @@ class TestPhaseProfiler:
         assert outer["self_s"] <= outer["total_s"] - inner["total_s"] + 1e-9
         assert inner["self_s"] == pytest.approx(inner["total_s"])
 
-    def test_context_manager_balances(self):
-        prof = PhaseProfiler()
-        with prof.phase("p"):
-            with prof.phase("q"):
-                pass
-        assert prof.depth == 0
-        assert set(prof.summary()) == {"p", "q"}
-
     def test_unwind_closes_open_phases(self):
         prof = PhaseProfiler()
         prof.enter("a")
@@ -146,7 +138,7 @@ class TestEngineWiring:
 
     def test_per_run_profile_override(self):
         session = connect(chain_graph(8), num_machines=2)
-        result = session.execute(RPQ_QUERY, profile=True)
+        result = session.execute(RPQ_QUERY, config=session.config.with_(profile=True))
         assert result.profile
         assert session.execute(RPQ_QUERY).profile is None
 

@@ -1,6 +1,7 @@
 """Tests for the Session/QueryHandle API, the plan cache, and the public
 export surface."""
 
+import inspect
 import re
 import warnings
 from pathlib import Path
@@ -69,16 +70,13 @@ class TestExecute:
         """``execute`` never runs on (or advances) the session's shared
         scheduler, takes its own profiler, and raises its own error."""
         from repro.errors import ExecutionError
-        from repro.obs.prof import PhaseProfiler
 
         pending = session.submit(RPQ_Q)
         shared, rounds = session._scheduler, session.cluster_rounds
-        prof = PhaseProfiler()
-        result = session.execute(RPQ_Q, profile=prof)
+        result = session.execute(RPQ_Q, config=session.config.with_(profile=True))
         assert result.scalar() == 28
-        assert session._scheduler is shared
+        assert session._scheduler is shared and shared.prof is None
         assert session.cluster_rounds == rounds and not pending.done()
-        assert result.stats.profile == prof.summary()
         assert {"sched.deliver", "sched.compute", "sched.protocol"} <= set(
             result.stats.profile
         )
@@ -133,7 +131,7 @@ class TestSubmit:
         g = random_graph(60, 240, seed=3)
         session = connect(g, num_machines=3)
         q = "SELECT COUNT(*) FROM MATCH (a)-/:LINK+/->(b)"
-        handle = session.submit(q, deadline=2)
+        handle = session.submit(q, config=session.config.with_(deadline=2))
         result = handle.result()
         assert result.timed_out
         assert result.complete is False
@@ -341,6 +339,13 @@ class TestPublicSurface:
         ])
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_run_settings_are_config_fields(self):
+        # One way to configure a run: the run's EngineConfig.
+        for method in (Session.execute, Session.submit):
+            assert list(inspect.signature(method).parameters) == ["self", "query", "config"]
+        fields = set(EngineConfig.__dataclass_fields__)
+        assert {"observe", "profile", "deadline"} <= fields
 
     def test_version_matches_pyproject(self):
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"

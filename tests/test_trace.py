@@ -1,92 +1,124 @@
-"""Tests for the execution tracer and its timeline rendering."""
+"""Tests for the round timeline: ``RunStats.round_work`` and its views."""
 
-from repro import EngineConfig, Session
-from repro.datagen import mini_ldbc
+from array import array
+
+import pytest
+
+from repro import EngineConfig, Session, connect
 from repro.graph.generators import chain_graph, random_graph
-from repro.runtime.trace import ExecutionTrace
+from repro.runtime.stats import MachineStats, RunStats
+
+CHAIN_RPQ = "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)"
+LINK_RPQ = "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)"
+
+
+def synthetic(num_machines, quantum, rows):
+    """A RunStats whose timeline is ``rows`` (one list per round)."""
+    return RunStats(
+        [MachineStats() for _ in range(num_machines)],
+        len(rows),
+        0.0,
+        EngineConfig(num_machines=num_machines, quantum=quantum),
+        round_work=array("d", [units for row in rows for units in row]),
+    )
 
 
 class TestRecorder:
     def test_records_rounds(self):
-        g = chain_graph(10)
-        r = Session(g, EngineConfig(num_machines=2)).execute(
-            "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", trace=True
-        )
-        assert r.trace is not None
-        assert len(r.trace.rounds) == r.stats.rounds
-        assert r.trace.num_machines == 2
+        stats = Session(chain_graph(10), EngineConfig(num_machines=2)).execute(
+            CHAIN_RPQ
+        ).stats
+        assert len(stats.round_work) == 2 * stats.rounds
 
     def test_trace_off_by_default(self):
-        g = chain_graph(5)
-        r = Session(g, EngineConfig(num_machines=2)).execute(
+        # The span trace is opt-in (``config.observe``); the round timeline
+        # needs no flag.
+        result = Session(chain_graph(5), EngineConfig(num_machines=2)).execute(
             "SELECT COUNT(*) FROM MATCH (a)->(b)"
         )
-        assert r.trace is None
+        assert result.obs is None
+        assert len(result.stats.round_work) == 2 * result.stats.rounds
 
-    def test_pass_trace_instance(self):
-        g = chain_graph(5)
-        trace = ExecutionTrace()
-        r = Session(g, EngineConfig(num_machines=2)).execute(
-            "SELECT COUNT(*) FROM MATCH (a)->(b)", trace=trace
-        )
-        assert r.trace is trace
-        assert trace.rounds
+    def test_rows_sum_to_cost_units(self):
+        stats = Session(random_graph(40, 120, seed=3), EngineConfig(num_machines=4)).execute(
+            LINK_RPQ
+        ).stats
+        work = stats.round_work
+        for m, machine in enumerate(stats.per_machine):
+            assert sum(work[m::4]) == pytest.approx(machine.cost_units)
+            assert machine.busy_rounds == sum(1 for units in work[m::4] if units > 0)
 
     def test_termination_event_recorded(self):
-        g = chain_graph(5)
-        r = Session(g, EngineConfig(num_machines=2)).execute(
-            "SELECT COUNT(*) FROM MATCH (a)->(b)", trace=True
+        # The round the protocol concluded is the timeline's last row, and
+        # the recorder's ``termination.concluded`` instant when observed.
+        config = EngineConfig(num_machines=2, observe=True)
+        result = Session(chain_graph(5), config).execute(
+            "SELECT COUNT(*) FROM MATCH (a)->(b)"
         )
-        assert any("termination" in text for _r, text in r.trace.events)
+        (event,) = [
+            e for e in result.obs.events if e["name"] == "termination.concluded"
+        ]
+        assert event["args"]["round"] == result.stats.rounds
+        assert len(result.stats.round_work) == 2 * result.stats.rounds
+
+    def test_submitted_query_runs_on_its_own_rounds(self):
+        with connect(random_graph(40, 120, seed=3), num_machines=4) as session:
+            first = session.submit(LINK_RPQ)
+            session.drain()
+            late = session.submit(LINK_RPQ).result()
+            first = first.result()
+            # Admitted after the first one finished, the second query's
+            # timeline starts at its own round 1, not at the cluster's.
+            assert session.cluster_rounds == first.stats.rounds + late.stats.rounds
+        assert len(late.stats.round_work) == 4 * late.stats.rounds
+        assert late.stats.render_timeline() == first.stats.render_timeline()
+        assert f"rounds 1..{late.stats.rounds}," in late.stats.render_timeline()
 
 
 class TestAnalysis:
     def test_utilization_bounds(self):
-        g = random_graph(40, 120, seed=3)
-        r = Session(g, EngineConfig(num_machines=4)).execute(
-            "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)", trace=True
-        )
-        for u in r.trace.utilization():
+        stats = Session(random_graph(40, 120, seed=3), EngineConfig(num_machines=4)).execute(
+            LINK_RPQ
+        ).stats
+        for u in stats.utilization():
             assert 0.0 <= u <= 1.0
-        assert r.trace.imbalance() >= 1.0
+        assert stats.imbalance() >= 1.0
 
     def test_imbalance_metric_synthetic(self):
         # One machine doing all the work at 2 machines => max/mean = 2.0.
-        t = ExecutionTrace()
-        t.configure(2, quantum=100.0)
-        t.record_round(1, [100.0, 0.0])
-        t.record_round(2, [100.0, 0.0])
-        assert t.imbalance() == 2.0
-        assert t.utilization() == [1.0, 0.0]
-        assert t.busy_rounds(0) == 2
-        assert t.busy_rounds(1) == 0
+        stats = synthetic(2, 100.0, [[100.0, 0.0], [100.0, 0.0]])
+        assert stats.imbalance() == 2.0
+        assert stats.utilization() == [1.0, 0.0]
 
     def test_balanced_trace_has_unit_imbalance(self):
-        t = ExecutionTrace()
-        t.configure(3, quantum=10.0)
-        t.record_round(1, [5.0, 5.0, 5.0])
-        assert t.imbalance() == 1.0
-
-    def test_summary_shape(self):
-        g = chain_graph(6)
-        r = Session(g, EngineConfig(num_machines=2)).execute(
-            "SELECT COUNT(*) FROM MATCH (a)->(b)", trace=True
-        )
-        s = r.trace.summary()
-        assert set(s) == {"rounds", "utilization", "imbalance", "events"}
+        assert synthetic(3, 10.0, [[5.0, 5.0, 5.0]]).imbalance() == 1.0
 
 
 class TestRendering:
     def test_timeline_renders_one_row_per_machine(self):
-        g = random_graph(30, 90, seed=4)
-        r = Session(g, EngineConfig(num_machines=3)).execute(
-            "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)", trace=True
-        )
-        text = r.trace.render_timeline(width=40)
-        lines = text.splitlines()
+        stats = Session(random_graph(30, 90, seed=4), EngineConfig(num_machines=3)).execute(
+            LINK_RPQ
+        ).stats
+        lines = stats.render_timeline(width=40).splitlines()
         assert lines[0].startswith("M0 ")
         assert lines[2].startswith("M2 ")
         assert "utilization" in lines[-1]
 
+    def test_synthetic_timeline_glyphs(self):
+        text = synthetic(2, 100.0, [[100.0, 0.0], [50.0, 0.0]]).render_timeline()
+        assert text.splitlines() == [
+            "M0  |@+|",
+            "M1  |  |",
+            "    rounds 1..2, 2 buckets",
+            "    utilization: M0=75%, M1=0%",
+        ]
+
     def test_empty_trace_renders(self):
-        assert "no rounds" in ExecutionTrace().render_timeline()
+        assert "no rounds" in synthetic(2, 100.0, []).render_timeline()
+
+    def test_process_run_has_no_record(self):
+        with connect(chain_graph(10), num_machines=2, backend="process") as session:
+            stats = session.execute(CHAIN_RPQ).stats
+        assert stats.round_work is None
+        assert "no rounds" in stats.render_timeline()
+        assert stats.utilization() == [0.0, 0.0]
