@@ -34,6 +34,9 @@ class PlanningError(ReproError):
 class ExecutionError(ReproError):
     """Raised for failures during distributed query execution."""
 
+    #: The failed run's :class:`~repro.obs.Recorder` if ``config.observe``.
+    obs = None
+
 
 class FlowControlDeadlock(ExecutionError):
     """Raised when the simulated cluster makes no progress for too long.

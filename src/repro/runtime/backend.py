@@ -352,9 +352,8 @@ def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
                 data += 1
         worked = 0.0
         for machine in hosted:
-            consumed = machine.run_slice(loop_no, config.quantum)
-            machine.account_round(consumed)
-            worked += consumed
+            worked += machine.close_round(
+                machine.run_slice(loop_no, config.quantum))
         loop_no += 1
         idle = worked == 0.0 and data == 0
         if idle:

@@ -402,13 +402,14 @@ class Machine:
     def run_slice(self, round_no, budget, rng=None):
         """Spend up to ``budget`` cost units of worker time this round.
 
-        The scheduler (:mod:`repro.runtime.multi`) may call this several
-        times per round per query slice when redistributing quantum left
-        idle by other queries, so busy/idle round accounting is split out
-        into :meth:`account_round`, charged exactly once per round.  With
-        ``rng`` set (race-detector mode, ``config.schedule_seed``) the
-        worker service order is permuted — the cooperative-scheduler
-        analogue of thread-interleaving perturbation.
+        This only runs workers.  The scheduler (:mod:`repro.runtime.multi`)
+        may call it several times per round per query slice when
+        redistributing quantum left idle by other queries; the round's
+        epilogue — timeout flush, cost and busy/idle accounting — is
+        :meth:`close_round`, charged exactly once per round.  With ``rng``
+        set (race-detector mode, ``config.schedule_seed``) the worker
+        service order is permuted — the cooperative-scheduler analogue of
+        thread-interleaving perturbation.
         """
         self.current_round = round_no
         workers = self.workers
@@ -422,11 +423,18 @@ class Machine:
             # has nothing to do: it costs nothing, not a call.
             if worker.jobs or inbox or roots:
                 consumed += worker.run(budget_each)
+        return consumed
+
+    def close_round(self, consumed):
+        """End this slice's round, once, after every :meth:`run_slice` of it.
+
+        ``consumed`` is the workers' time over the round.  The round's end
+        is the send timeout (the real engine sends once full *or* on
+        timeout): buffers that did not fill go now, at ``message_fixed``
+        each.  Adds the total to ``cost_units`` in one addition, books the
+        round busy or idle, and returns the total.
+        """
         if self._open:
-            # End-of-round timeout flush: buffers that did not fill during
-            # the round are sent anyway so sparse stages are not
-            # latency-bound on idleness (the real engine sends
-            # asynchronously once full *or* on timeout).
             prof = self.prof
             if prof is not None:
                 prof.enter("machine.flush")
@@ -436,14 +444,11 @@ class Machine:
             if flushed:
                 consumed += self.config.cost.message_fixed * flushed
         self.stats.cost_units += consumed
-        return consumed
-
-    def account_round(self, consumed):
-        """Record one round as busy or idle (once per round per slice)."""
         if consumed > 0.0:
             self.stats.busy_rounds += 1
         else:
             self.stats.idle_rounds += 1
+        return consumed
 
     # ------------------------------------------------------------------
     # Termination protocol

@@ -30,7 +30,8 @@ Fair quantum sharing
     idle (message-latency bubbles, narrow frontiers) that other queries can
     soak up.  The unit is the *logical* machine: a host that took over a
     dead peer's partition gives each logical machine it now runs an equal
-    part of its quantum.
+    part of its quantum.  The send timeout stays the end of a round: each
+    slice's partial buffers are flushed once, after the passes.
 
 Admission control
     At most ``config.max_concurrent_queries`` queries run at once; up to
@@ -400,11 +401,12 @@ class ClusterScheduler:
         """Retire ``task``: audit, build its :class:`RunStats`, free its slot.
 
         Rounds are query-local.  An ``error`` belongs to one query, not
-        the cluster: it is parked on the task (re-raised by
-        ``QueryHandle.result`` / ``SimBackend.run``) and the other queries
-        keep running.
+        the cluster: it is parked on the task (re-raised, carrying the
+        task's recorder as ``error.obs``, by ``QueryHandle.result`` /
+        ``SimBackend.run``) and the other queries keep running.
         """
         if error is not None:
+            error.obs = task.obs  # an observed failure's events go with it
             task.error = error
             task.partial = True
         local = task.local_round(round_no)
@@ -549,8 +551,9 @@ class ClusterScheduler:
 
         Pass 1 offers every slice an equal share; slices that consume
         (almost) their whole share are *hungry* and split whatever the
-        others left idle in further passes.  Busy/idle round accounting is
-        charged once per slice at the end, on its total.
+        others left idle in further passes.  Each slice's round is then
+        closed once, on its total: one timeout flush, its cost and the
+        busy/idle booking (:meth:`Machine.close_round`).
         """
         rng = self._sched_rng
         remaining = budget
@@ -574,7 +577,7 @@ class ClusterScheduler:
             if passes >= _MAX_PASSES:
                 break
         for task, s in slices:
-            s.account_round(task.consumed[s.id])
+            task.consumed[s.id] = s.close_round(task.consumed[s.id])
 
     def _drive_protocol(self, task, round_no):
         """Round timeline / heartbeats / termination / stall for one task.

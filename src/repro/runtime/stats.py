@@ -83,7 +83,10 @@ class MachineStats:
     # -- helpers ---------------------------------------------------------
     def record_control_matches(self, rpq_id, depths):
         """Add ``{depth: entries}`` of one RPQ segment's control stage."""
-        self.control_matches.setdefault(rpq_id, Counter()).update(depths)
+        counter = self.control_matches.get(rpq_id)
+        if counter is None:
+            counter = self.control_matches[rpq_id] = Counter()
+        counter.update(depths)
 
     def record_eliminated(self, rpq_id, depth):
         counter = self.eliminated.get(rpq_id)

@@ -304,15 +304,21 @@ class Session:
             self, task, plan, sinks,
             query if isinstance(query, str) else None,
         )
+        # A finished handle is its caller's alone: holding only unfinished
+        # ones (close() cancels them) frees a finished task with its handle.
+        self._handles = [h for h in self._handles if not h.done()]
         self._handles.append(handle)
         return handle
 
     def drain(self):
-        """Run the shared cluster until every submitted query finished."""
+        """Run the shared cluster until every submitted query finished;
+        returns the handles this finished."""
         self._check_open()
+        unfinished = [h for h in self._handles if not h.done()]
         if self._scheduler is not None:
             self._scheduler.run()
-        return [h for h in self._handles if h.done()]
+        self._handles = []
+        return unfinished
 
     @property
     def cluster_rounds(self):

@@ -35,7 +35,15 @@ post and on to the creator, so its rounds, costs, stage indexes and message
 counts moved while every row stayed the same.  The ``Ttag`` and ``TtagR``
 entries (:func:`tag_exit_queries`), recorded at the commit before, keep the
 old shape covered: an RPQ exit that inspects back to its post and hops on
-over ``HAS_TAG``, a many-valued label.
+over ``HAS_TAG``, a many-valued label.  The ``ldbc_s/conc4`` entries
+``K14x8``, ``K15x4``, ``Q09``, ``Q09*`` and ``Q09R`` were re-recorded when
+a slice's timeout flush moved from the end of every ``run_slice`` call to
+the end of its round (``Machine.close_round``): on a shared machine the
+fair-share passes run a slice more than once a round, and each pass used to
+send its partial buffers, so these co-runners now send fewer, fuller
+batches (virtual time moves by one round either way) with every row and
+stage match the same.  A solo slice runs once a round, so no solo entry,
+``ldbc_s/conc4/cluster_rounds`` and no ``small/conc4`` entry moved.
 Regenerate only for a deliberate cost-model or traversal-order change.
 """
 

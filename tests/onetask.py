@@ -9,7 +9,6 @@ import pytest
 
 import repro
 from repro.engine.result import MachineSink
-from repro.obs import Recorder
 from repro.runtime import multi
 from repro.runtime.multi import ClusterScheduler
 from repro.runtime.network import LossyNetwork
@@ -21,18 +20,16 @@ def make_execution(graph, query, config, lossy=False):
     A fault-free, unreliable query runs on a plain channel, which has no
     ``extra_delay_fn`` / ``duplicate_fn`` hooks; ``lossy=True`` builds its
     channel as a :class:`LossyNetwork` (no injector, no ARQ) instead, so
-    a test can set them.  ``config.observe`` puts a recorder on
-    ``task.obs``, which outlives a run that raises.
+    a test can set them.
     """
     session = repro.connect(graph, config)
     plan = session.compile(query)
     sinks = [MachineSink(plan) for _ in range(config.num_machines)]
-    recorder = Recorder(config) if config.observe else None
-    cluster = ClusterScheduler(session.dgraph, config, obs=recorder)
+    cluster = ClusterScheduler(session.dgraph, config)
     with pytest.MonkeyPatch.context() as monkeypatch:
         if lossy:
             monkeypatch.setattr(multi, "SimulatedNetwork", LossyNetwork)
-        task = cluster.submit(plan, lambda m: sinks[m], obs=recorder)
+        task = cluster.submit(plan, lambda m: sinks[m])
     if lossy:
         assert type(task.channel) is LossyNetwork
     return cluster, task, sinks, plan

@@ -5,12 +5,15 @@ The load-bearing property: running queries concurrently perturbs only the
 bit-identical to the same query executed solo, sanitizers included.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import AdmissionError, EngineConfig, connect
 from repro.engine.result import MachineSink
 from repro.errors import ConfigError
 from repro.graph.generators import chain_graph, random_graph
+from repro.runtime.machine import Machine
 from repro.runtime.multi import ClusterScheduler
 
 QUERIES = [
@@ -81,6 +84,33 @@ class TestConcurrentEqualsSequential:
         # virtual time (within the settle tail).
         assert stats.rounds <= solo_rounds + 4
         assert first.result().rows == second.result().rows
+
+
+class TestRoundEpilogue:
+    def test_one_timeout_flush_per_slice_per_round(self, monkeypatch):
+        """Sharing a machine does not shorten a query's send timeout: the
+        fair-share passes run a hungry slice again on the quantum a query
+        that went idle mid-round left over, but its partial buffers go out
+        once, at the end of the round."""
+        runs, flushes = Counter(), Counter()
+        run_slice, flush_partials = Machine.run_slice, Machine.flush_partials
+
+        def counting_run(self, round_no, budget, rng=None):
+            runs[self.query_id, self.id, round_no] += 1
+            return run_slice(self, round_no, budget, rng=rng)
+
+        def counting_flush(self):
+            flushes[self.query_id, self.id, self.current_round] += 1
+            return flush_partials(self)
+
+        monkeypatch.setattr(Machine, "run_slice", counting_run)
+        monkeypatch.setattr(Machine, "flush_partials", counting_flush)
+        session = connect(_graph(), num_machines=3, max_concurrent_queries=4)
+        handles = [session.submit(q) for q in QUERIES]
+        session.drain()
+        assert all(h.result().complete for h in handles)
+        assert max(runs.values()) >= 2  # not vacuous: some slice was re-run
+        assert flushes and max(flushes.values()) == 1
 
 
 class TestAdmissionControl:

@@ -16,7 +16,6 @@ import repro
 from repro.datagen import mini_ldbc
 from repro.faults import FaultPlan
 
-from . import onetask
 
 QUERY = "SELECT COUNT(*) FROM MATCH (a)-/:KNOWS+/->(b)"
 #: ``QUERY``'s answer on ``mini_ldbc("xs", 7)``.
@@ -84,16 +83,8 @@ def test_lost_credits_are_diagnosed_as_a_flow_control_bug():
     texts = []
     for observe in (False, False, True):
         with pytest.raises(FlowControlDeadlock) as exc:
-            if observe:
-                # The one-query scheduler ``execute`` runs, held open so the
-                # recorder can be read after the run raised.
-                cluster, task, _sinks, _plan = onetask.make_execution(
-                    chain_graph(30), query, config.with_(observe=True)
-                )
-                onetask.run(cluster, task)
-            else:
-                with repro.connect(chain_graph(30), config) as session:
-                    session.execute(query)
+            with repro.connect(chain_graph(30), config, observe=observe) as session:
+                session.execute(query)
         text = str(exc.value)
         texts.append(text)
         assert "made no progress for 200 rounds at round 231:" in text
@@ -104,8 +95,10 @@ def test_lost_credits_are_diagnosed_as_a_flow_control_bug():
         # The wait-for graph: every worker names the bucket its refused send
         # waits on, whose one credit is the one that never came back.
         assert "machine 0 worker 0: 1 jobs, send refused to (dst 1, stage " in text
+        # An observed run's recorder goes with its error; nothing else has it.
+        assert (exc.value.obs is not None) == observe
     assert texts[0] == texts[1] == texts[2]  # observing changes nothing
-    (event,) = [e for e in task.obs.events if e["name"] == "flow.deadlock"]
+    (event,) = [e for e in exc.value.obs.events if e["name"] == "flow.deadlock"]
     payload = event["args"]
     assert payload["round"] == 231 and f"{payload['blocks']} flow-control blocks" in text
     for m in payload["machines"]:

@@ -1,9 +1,11 @@
 """Tests for the Session/QueryHandle API, the plan cache, and the public
 export surface."""
 
+import gc
 import inspect
 import re
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from repro import (
     SessionClosedError,
     connect,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ExecutionError
 from repro.faults import FaultPlan
 from repro.graph.generators import chain_graph, random_graph
 from repro.plan.cache import PlanCache, normalize_query_text
@@ -108,7 +110,7 @@ class TestSubmit:
         ]
         solo = [session.execute(q).rows for q in queries]
         handles = [session.submit(q) for q in queries]
-        session.drain()
+        assert session.drain() == handles  # the handles it finished
         assert all(h.done() for h in handles)
         for h, rows in zip(handles, solo):
             assert h.result().rows == rows
@@ -157,6 +159,29 @@ class TestSubmit:
         handle = session.submit(RPQ_Q)
         session.close()
         assert handle.cancelled()
+
+    def test_finished_submissions_are_freed_with_their_handles(self):
+        # The session holds only unfinished handles, so a finished query's
+        # task (slices, index shards, channel) dies with the caller's handle.
+        session = connect(chain_graph(8), num_machines=2)
+        handle = session.submit(RPQ_Q)
+        first = weakref.ref(handle._task)
+        handle.result()
+        del handle
+        for _ in range(49):
+            session.submit(RPQ_Q).result()
+        gc.collect()
+        assert first() is None
+        session.close()
+
+    def test_failed_submission_carries_its_recorder(self):
+        session = connect(chain_graph(8), num_machines=2)
+        handle = session.submit(
+            RPQ_Q, config=session.config.with_(max_rounds=2, observe=True)
+        )
+        with pytest.raises(ExecutionError, match="exceeded max_rounds=2") as exc:
+            handle.result()
+        assert exc.value.obs is handle._task.obs and exc.value.obs.events
 
 
 class TestPlanCache:
