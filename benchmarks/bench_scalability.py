@@ -20,7 +20,13 @@ MACHINES = [4, 8, 16]
 def scalability(ldbc):
     graph, info = ldbc
     queries = {name: fn(info) for name, fn in BENCHMARK_QUERIES.items()}
-    engines = {f"rpqd-{m}": rpqd_executor(graph, m) for m in MACHINES}
+    # The paper's RPQd: an index on every segment.  By default the reply
+    # walks of Q03* .. Q09R run without one (a forest), which leaves each
+    # machine less work to share (EXPERIMENTS.md, Section 4.3).
+    engines = {
+        f"rpqd-{m}": rpqd_executor(graph, m, use_reachability_index=True)
+        for m in MACHINES
+    }
     cells = BenchHarness(repetitions=3).run(engines, queries)
     return cells, queries
 

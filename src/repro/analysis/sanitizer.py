@@ -15,7 +15,9 @@ execution and its hooks fire from the hot paths of:
   *conclude* on a snapshot set strictly newer than its candidate's — the
   stale-snapshot confirmation rule;
 * **reachability index** (Section 3.5) — the stored depth for an rpid
-  strictly decreases on overwrite (smallest-depth monotonicity).
+  strictly decreases on overwrite (smallest-depth monotonicity), and a
+  forest segment run without an index reaches each ``(rpid, vertex)``
+  once.
 
 Every component takes ``sanitizer=None`` and guards each hook with a single
 ``is not None`` test, so a disabled sanitizer costs one predictable branch
@@ -60,6 +62,8 @@ class RuntimeSanitizer:
         # Recovery bookkeeping: per-epoch record of what each machine
         # checkpointed, verified again at restore time (repro.recovery).
         self._checkpoints = {}  # epoch -> {machine_id: (sent, processed, wm)}
+        # Control entries of forest segments run without an index.
+        self._forest_entries = set()  # (machine_id, rpq_id, rpid, vertex)
 
     def note(self, kind, detail):
         """Record a non-fatal observation for reports and tests."""
@@ -327,6 +331,8 @@ class RuntimeSanitizer:
             else:
                 self._candidates.pop(machine.id, None)
         self._delivered_frames = set(network._delivered)
+        # Replay enters rolled-back control entries once more.
+        self._forest_entries.clear()
 
     # ------------------------------------------------------------------
     # Failure detection (repro.membership / docs/faults.md)
@@ -380,3 +386,13 @@ class RuntimeSanitizer:
                 f"machine {index.machine_id} rpq {index.rpq_id} rpid "
                 f"({source_path_id}, {dst_vertex}): depth {old} -> {new}",
             )
+
+    def on_forest_entry(self, controller, rpid, vertex):
+        """A forest segment run without an index: each control entry is the
+        first for its ``(rpid, vertex)``, which makes the index a no-op."""
+        self.checks += 1
+        key = (controller.machine_id, controller.spec.rpq_id, rpid, vertex)
+        if key in self._forest_entries:
+            self._fail("forest segment reaches each (rpid, vertex) once",
+                       "machine {} rpq {} rpid ({}, {}) entered twice".format(*key))
+        self._forest_entries.add(key)

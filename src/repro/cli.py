@@ -58,7 +58,8 @@ def _add_engine_args(parser):
     parser.add_argument(
         "--no-index",
         action="store_true",
-        help="disable the reachability index (safe on acyclic expansions only)",
+        help="no reachability index on any RPQ segment (unsafe on cycles: "
+        "the default already skips it where the planner proves a forest)",
     )
     _add_backend_arg(parser)
 
@@ -140,7 +141,7 @@ def _make_engine(args, graph):
         return RecursiveEngine(graph)
     config = _engine_config(
         args,
-        use_reachability_index=not args.no_index,
+        use_reachability_index=False if args.no_index else None,
         reliable_transport=False if args.unreliable else None,
         # On the simulator the metrics file also carries the histograms of
         # sent batches, which are read from the recorder's events.

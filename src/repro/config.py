@@ -75,10 +75,15 @@ class EngineConfig:
         quantum: cost units one machine may spend per scheduler round.
         net_delay_rounds: rounds between sending a message and it becoming
             deliverable at the destination.
-        use_reachability_index: build/consult the reachability index
-            (Section 3.5).  Disabling it is only safe on acyclic expansions
-            (e.g. Reply trees) and is used for the Figure 3 / Section 4.4
-            ablations.
+        use_reachability_index: the reachability index (Section 3.5).
+            ``None`` (default): an index on every RPQ segment except one the
+            planner proves walks a forest (``RpqSpec.forest``: each
+            ``(source path, destination)`` pair is reached at most once, so
+            the index would never eliminate).  ``True``: the paper's RPQd,
+            an index on every segment (the Figure 3 / Section 4.4
+            reproductions).  ``False``: no index anywhere, the unsafe
+            ablation: without the cycle guard an unbounded RPQ over a cycle
+            never ends, and a pair reached twice is reported twice.
         receive_priority: ``"depth"`` (paper: deeper depths and later stages
             first) or ``"fifo"`` (arrival order) — ablation knob for the
             receive-priority design choice.
@@ -185,7 +190,7 @@ class EngineConfig:
     rpq_overflow_per_depth: int = 1
     quantum: float = 2000.0
     net_delay_rounds: int = 1
-    use_reachability_index: bool = True
+    use_reachability_index: Optional[bool] = None
     # Bulk-preallocate the index's first level over each machine's local
     # vertex range, trading memory for cheaper inserts (the paper's
     # Section 4.5 future-work option).
@@ -303,6 +308,9 @@ class EngineConfig:
                 "retransmit_timeout_rounds must be None or a positive int "
                 f"(got {self.retransmit_timeout_rounds!r})"
             )
+        if type(self.use_reachability_index) not in (type(None), bool):
+            raise ConfigError("use_reachability_index must be None, True, or False "
+                              f"(got {self.use_reachability_index!r})")
         if self.reliable_transport not in (None, True, False):
             raise ConfigError(
                 "reliable_transport must be None, True, or False "

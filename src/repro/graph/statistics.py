@@ -13,7 +13,8 @@ from .types import Direction
 class GraphStatistics:
     """Vertex/edge counts and per-label-id histograms of one graph —
     exactly what :func:`repro.plan.estimates.annotate_estimates` reads —
-    plus each edge label's maximum fan-out, which the planner reads.
+    plus each edge label's maximum fan-out and whether its edges form a
+    forest, which the planner reads.
 
     ``vertices_per_label[label_id]`` counts the vertices carrying the label
     as primary *or* extra label (once each: ``vertex_has_label``);
@@ -23,7 +24,8 @@ class GraphStatistics:
     label at any one vertex (``IN``: in-edges); an absent key means 0.
     """
 
-    __slots__ = ("num_vertices", "num_edges", "vertices_per_label", "edges_per_label", "max_fanout")
+    __slots__ = ("num_vertices", "num_edges", "vertices_per_label", "edges_per_label",
+                 "max_fanout", "_acyclic")
 
     def __init__(self, vertex_label_ids, extra_label_ids, edge_src, edge_dst, edge_label_ids):
         self.num_vertices = len(vertex_label_ids)
@@ -44,14 +46,26 @@ class GraphStatistics:
         # Fan-out: one numpy pass per direction over (endpoint, label) pairs.
         self.max_fanout = {}
         num_labels = len(per_label)
-        for direction, ends in ((Direction.OUT, edge_src), (Direction.IN, edge_dst)):
-            keys = np.fromiter(ends, dtype=np.int64, count=self.num_edges) * num_labels + labels
+        ends = []
+        for direction, endpoints in ((Direction.OUT, edge_src), (Direction.IN, edge_dst)):
+            ends.append(np.fromiter(endpoints, dtype=np.int64, count=self.num_edges))
+            keys = ends[-1] * num_labels + labels
             pairs, counts = np.unique(keys, return_counts=True)
             most = np.zeros(num_labels, dtype=np.int64)
             np.maximum.at(most, pairs % num_labels, counts)
             self.max_fanout.update(
                 ((label_id, direction), m) for label_id, m in enumerate(most.tolist()) if m
             )
+            del keys, pairs, counts  # before the next pass allocates its own
+        # Whether each label functional one way or the other is acyclic:
+        # every vertex points along its one edge of the label.
+        self._acyclic = {}
+        for label_id in self.edges_per_label:
+            out, into = [self.max_fanout[(label_id, d)] <= 1 for d in (Direction.OUT, Direction.IN)]
+            if out or into:
+                mine = labels == label_id
+                children, parents = ends if out else ends[::-1]
+                self._acyclic[label_id] = _acyclic(self.num_vertices, children[mine], parents[mine])
 
     def functional(self, label_ids, direction):
         """Whether a hop over ``label_ids`` walked in ``direction`` reaches at
@@ -61,3 +75,24 @@ class GraphStatistics:
         if direction is Direction.BOTH or len(label_ids) != 1:
             return False
         return self.max_fanout.get((label_ids[0], direction), 0) <= 1
+
+    def forest(self, label_ids, direction):
+        """Whether a walk over ``label_ids`` in ``direction`` reaches each
+        vertex at most once from any source: one label (one no edge carries
+        qualifies) with fan-out <= 1 one way or the other and no cycle.
+        Along the walk each walk is a chain; against it, two walks from one
+        source never merge.  ``BOTH`` and multi-label hops never qualify."""
+        if direction is Direction.BOTH or len(label_ids) != 1:
+            return False
+        return self._acyclic.get(label_ids[0], label_ids[0] not in self.edges_per_label)
+
+
+def _acyclic(n, children, parents):
+    """Pointer doubling over a parent array of ``n + 1`` ints, ``n`` the root:
+    squared ``n.bit_length()`` times, every pointer has taken more than ``n``
+    steps, so only one on a cycle is short of the root."""
+    pointer = np.full(n + 1, n, dtype=np.int64)
+    pointer[children] = parents
+    for _ in range(n.bit_length()):
+        pointer = pointer[pointer]
+    return bool((pointer == n).all())

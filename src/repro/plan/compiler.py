@@ -686,6 +686,7 @@ class PlanCompiler:
         self._add_producer(exit_stage, control.index, "any")
 
         quant = op.quantifier
+        walk = self.stages[path_stage_indexes[0]].hop
         control.rpq = RpqSpec(
             rpq_id=rpq_id,
             min_hops=quant.min,
@@ -696,6 +697,8 @@ class PlanCompiler:
             depth_slot=depth_slot,
             rpid_slot=rpid_slot,
             accumulator_inits=tuple(accumulator_inits),
+            forest=len(connectors) == 1
+            and self.graph.statistics.forest(walk.edge_label_ids, walk.direction),
         )
         return exit_stage
 

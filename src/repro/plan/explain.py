@@ -66,6 +66,8 @@ def explain(plan, stats=None, profile=None):
                 f"rpq#{spec.rpq_id}[{spec.min_hops},{bound}] "
                 f"path={list(spec.path_stages)} exit=S{spec.exit_stage}"
             )
+            if spec.forest:
+                parts.append("index: none (forest)")
         hop = stage.hop
         if hop is not None:
             if hop.kind is HopKind.OUTPUT:

@@ -107,6 +107,8 @@ class RpqSpec:
         rpid_slot: ctx slot holding the source-path id (rpid).
         accumulator_inits: ``(slot, kind)`` accumulators to reset when a new
             source path enters the control stage at depth 0.
+        forest: a one-hop path over a label that forms a forest
+            (:meth:`GraphStatistics.forest`): the index would never eliminate.
     """
 
     rpq_id: int
@@ -118,6 +120,7 @@ class RpqSpec:
     depth_slot: int
     rpid_slot: int
     accumulator_inits: Tuple[Tuple[int, str], ...] = ()
+    forest: bool = False
 
 
 @dataclass

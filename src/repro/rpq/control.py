@@ -49,8 +49,8 @@ ENTRY_COST = 0.2
 class RpqController:
     """Executes control-stage entries for one RPQ segment on one machine."""
 
-    def __init__(self, spec, index, stats, tracker, use_index=True, cost=None,
-                 machine_id=0, stage_index=-1, obs=None):
+    def __init__(self, spec, index, stats, tracker, cost=None,
+                 machine_id=0, stage_index=-1, obs=None, sanitizer=None):
         self.spec = spec
         # What every entry reads of the spec, as plain attributes.
         self.depth_slot, self.rpid_slot = spec.depth_slot, spec.rpid_slot
@@ -62,7 +62,10 @@ class RpqController:
         self.stage_index = stage_index
         self.obs = obs
         self._depths = {}  # entries per depth since the last flush()
-        self.use_index = use_index and index is not None
+        self.use_index = index is not None
+        if sanitizer is not None and index is None and spec.forest:
+            self._sanitizer = sanitizer  # checked at no cost, no branch when off
+            self.on_entry = self._on_entry_sanitized
         insert = cost.index_insert if cost is not None else 1.4
         if self.use_index and index.preallocated:
             # Bulk-preallocated first level: inserts skip the dynamic
@@ -129,6 +132,12 @@ class RpqController:
         if self.obs is not None:
             self._record_entry(depth, "match")
         return (EXIT_THEN_PATH if can_deepen else EXIT_ONLY), cost, undo
+
+    def _on_entry_sanitized(self, vertex, ctx, init, rpid_allocator):
+        """:meth:`on_entry`, then the sanitizer's forest-segment check."""
+        entry = RpqController.on_entry(self, vertex, ctx, init, rpid_allocator)
+        self._sanitizer.on_forest_entry(self, ctx[self.rpid_slot], vertex)
+        return entry
 
     def flush(self):
         """Hand the entries counted since the last flush to the per-depth

@@ -73,37 +73,40 @@ class Machine:
         self._blocked_since = {}  # key -> round the block started (obs only)
         self._path_stage_set = flow_table(plan, config)[1]
 
-        # Reachability index shards and control-stage drivers.
+        # Reachability index shards and control-stage drivers; a forest
+        # segment gets no shard unless the config pins the paper's index.
         self.indexes = {}
         self.controllers = {}
+        use_index = config.use_reachability_index
         local_count = None
         for stage in plan.stages:
             if stage.rpq is not None:
-                if config.index_preallocate and local_count is None:
-                    local = self.partition.local_vertices()
-                    local_count = (
-                        len(local) if hasattr(local, "__len__")
-                        else sum(1 for _ in local)
+                index = None
+                if use_index or (use_index is None and not stage.rpq.forest):
+                    if config.index_preallocate and local_count is None:
+                        local = self.partition.local_vertices()
+                        local_count = (
+                            len(local) if hasattr(local, "__len__")
+                            else sum(1 for _ in local)
+                        )
+                    index = self.indexes[stage.rpq.rpq_id] = ReachabilityIndex(
+                        machine_id,
+                        stage.rpq.rpq_id,
+                        preallocate_size=local_count,
+                        sanitizer=sanitizer,
+                        query_id=query_id,
+                        prof=prof,
                     )
-                index = ReachabilityIndex(
-                    machine_id,
-                    stage.rpq.rpq_id,
-                    preallocate_size=local_count,
-                    sanitizer=sanitizer,
-                    query_id=query_id,
-                    prof=prof,
-                )
-                self.indexes[stage.rpq.rpq_id] = index
                 self.controllers[stage.index] = RpqController(
                     stage.rpq,
                     index,
                     self.stats,
                     self.tracker,
-                    use_index=config.use_reachability_index,
                     cost=config.cost,
                     machine_id=machine_id,
                     stage_index=stage.index,
                     obs=obs,
+                    sanitizer=sanitizer,
                 )
 
         # What every worker's loop reads, built once per machine.

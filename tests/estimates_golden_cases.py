@@ -7,7 +7,11 @@ committed file was generated at the commit *before*
 graph scans in :func:`repro.plan.estimates.annotate_estimates`;
 ``tests/test_estimates.py`` asserts the cached statistics reproduce every
 ``Stage.estimated_matches`` float exactly and the EXPLAIN text byte for
-byte.  Regenerate only for a deliberate change of the estimate model.
+byte.  The EXPLAIN text of ``Preplies``, ``Q03``, ``Q03*``, ``Q03R``,
+``Q09``, ``Q09*`` and ``Q09R`` was re-recorded when the control stage of a
+segment proven to walk a forest began to print ``index: none (forest)``;
+no estimate moved.  Regenerate only for a deliberate change of the estimate
+model.
 """
 
 import json

@@ -334,8 +334,10 @@ class TestWorkerPool:
     def test_profile_is_per_run(self, workload):
         graph, queries, _tenth, _expected = workload
         query = queries[list(BENCHMARK_QUERIES).index("Q09")]
+        # Q09 walks the reply forest: pin the paper's index so it is probed.
         with connect(
-            graph, num_machines=4, backend="process", workers=2, profile=True
+            graph, num_machines=4, backend="process", workers=2, profile=True,
+            use_reachability_index=True,
         ) as proc:
             for _ in range(4):
                 result = proc.execute(query)

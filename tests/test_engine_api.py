@@ -58,9 +58,12 @@ class TestEngineFacade:
     def test_index_preallocate_flag(self):
         g = chain_graph(12)
         q = "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)"
-        dynamic = Session(g, EngineConfig(num_machines=2)).execute(q)
+        # A chain is a forest: pin the paper's index in both runs.
+        dynamic = Session(
+            g, EngineConfig(num_machines=2, use_reachability_index=True)
+        ).execute(q)
         prealloc = Session(
-            g, EngineConfig(num_machines=2, index_preallocate=True)
+            g, EngineConfig(num_machines=2, index_preallocate=True, use_reachability_index=True)
         ).execute(q)
         assert dynamic.scalar() == prealloc.scalar()
         assert prealloc.stats.index_bytes > dynamic.stats.index_bytes

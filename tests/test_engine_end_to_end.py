@@ -328,7 +328,8 @@ class TestStatsSurface:
 
     def test_index_entries_accounted(self):
         g = chain_graph(10)
-        eng = Session(g, EngineConfig(num_machines=2))
+        # A chain is a forest: pin the paper's index to account its entries.
+        eng = Session(g, EngineConfig(num_machines=2, use_reachability_index=True))
         r = eng.execute("SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)")
         assert r.stats.index_entries == 45
         assert r.stats.index_bytes == 45 * 12

@@ -128,8 +128,10 @@ class TestEngineWiring:
         assert prof.stats.batches_sent == plain.stats.batches_sent
 
     def test_expected_phases_recorded(self):
+        # A chain is a forest: pin the paper's index so it is probed.
         session = connect(
-            chain_graph(12), EngineConfig(num_machines=2, profile=True)
+            chain_graph(12),
+            EngineConfig(num_machines=2, profile=True, use_reachability_index=True),
         )
         result = session.execute(RPQ_QUERY)
         phases = set(result.profile)

@@ -91,7 +91,7 @@ def make_controller(min_hops, max_hops, use_index=True):
     stats = MachineStats()
     tracker = TerminationTracker(0)
     index = ReachabilityIndex(0, 0)
-    controller = RpqController(spec, index, stats, tracker, use_index=use_index)
+    controller = RpqController(spec, index if use_index else None, stats, tracker)
     return controller, stats, tracker, index
 
 
