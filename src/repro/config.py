@@ -311,7 +311,7 @@ class EngineConfig:
         if type(self.use_reachability_index) not in (type(None), bool):
             raise ConfigError("use_reachability_index must be None, True, or False "
                               f"(got {self.use_reachability_index!r})")
-        if self.reliable_transport not in (None, True, False):
+        if type(self.reliable_transport) not in (type(None), bool):
             raise ConfigError(
                 "reliable_transport must be None, True, or False "
                 f"(got {self.reliable_transport!r})"
@@ -333,7 +333,7 @@ class EngineConfig:
                 "deadline must be None or a positive int in rounds "
                 f"(got {self.deadline!r})"
             )
-        if self.membership not in (None, True, False):
+        if type(self.membership) not in (type(None), bool):
             raise ConfigError(
                 "membership must be None, True, or False "
                 f"(got {self.membership!r})"

@@ -343,7 +343,8 @@ class QueryResult:
         profiling was on — the wall-clock phase breakdown."""
         from ..plan.explain import explain as explain_plan
 
-        return explain_plan(self.plan, stats=self.stats)
+        use_index = self.stats.config.use_reachability_index
+        return explain_plan(self.plan, stats=self.stats, use_index=use_index)
 
 
 def _sort_key(value):

@@ -27,8 +27,10 @@ def _fmt_q(q):
     return f"{q:.1f}" if q < 1000 else f"{q:.1e}"
 
 
-def explain(plan, stats=None, profile=None):
-    """Return a multi-line string describing a :class:`DistributedPlan`.
+def explain(plan, stats=None, profile=None, use_index=None):
+    """Return a multi-line string describing a :class:`DistributedPlan`;
+    an RPQ segment run without an index under ``use_index`` (the run's
+    ``EngineConfig.use_reachability_index``) says why.
 
     With ``stats`` (a :class:`~repro.runtime.stats.RunStats` from an
     execution of this plan) this becomes an EXPLAIN ANALYZE: each stage
@@ -66,7 +68,9 @@ def explain(plan, stats=None, profile=None):
                 f"rpq#{spec.rpq_id}[{spec.min_hops},{bound}] "
                 f"path={list(spec.path_stages)} exit=S{spec.exit_stage}"
             )
-            if spec.forest:
+            if use_index is False:
+                parts.append("index: none (disabled)")
+            elif use_index is None and spec.forest:
                 parts.append("index: none (forest)")
         hop = stage.hop
         if hop is not None:

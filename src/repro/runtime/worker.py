@@ -618,11 +618,29 @@ class Worker:
                 p_vertex = roots.popleft()
                 bootstrapped += 1
                 cost = c_bootstrap
-                while root_mask is not None and not (
+                while p_vertex < 0 or root_mask is not None and not (
                     vmask[p_vertex] & root_mask
                     and (not root_rest or all(vmask[p_vertex] & m for m in root_rest))
                 ):
                     roots_done += 1
+                    if p_vertex < -1:
+                        # The rest of a run the first label group rejects
+                        # (DistributedGraph.root_table), eight additions per
+                        # test: the sums only grow, so if the eighth fits, all do.
+                        left = -1 - p_vertex
+                        while left >= 8 and (
+                            x := consumed + cost + cost + cost + cost + cost + cost + cost + cost
+                        ) < root_below:
+                            consumed = x
+                            left -= 8
+                        while left and consumed + cost < root_below:
+                            consumed += cost
+                            left -= 1
+                        bootstrapped += -1 - p_vertex - left
+                        roots_done += -1 - p_vertex - left
+                        if left:
+                            roots.appendleft(-left)
+                            break
                     if not roots or not consumed + cost < root_below:
                         break
                     consumed += cost

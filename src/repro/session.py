@@ -220,7 +220,7 @@ class Session:
         return query  # assume an already-compiled DistributedPlan
 
     def explain(self, query):
-        return explain_plan(self.compile(query))
+        return explain_plan(self.compile(query), use_index=self.config.use_reachability_index)
 
     # ------------------------------------------------------------------
     # Solo execution (exclusive cluster ownership)

@@ -118,6 +118,17 @@ class TestValidationMessages:
                 {"use_reachability_index": "no"},
                 "use_reachability_index must be None, True, or False (got 'no')",
             ),
+            # 1 == True and 0 == False: the type is checked, not the value.
+            (
+                {"reliable_transport": 1},
+                "reliable_transport must be None, True, or False (got 1)",
+            ),
+            (
+                {"reliable_transport": 0},
+                "reliable_transport must be None, True, or False (got 0)",
+            ),
+            ({"membership": 1}, "membership must be None, True, or False (got 1)"),
+            ({"membership": 1.0}, "membership must be None, True, or False (got 1.0)"),
         ],
     )
     def test_errors_name_field_and_value(self, kwargs, fragment):

@@ -126,6 +126,22 @@ class TestForestStatistic:
         (control,) = [line for line in text.splitlines() if "rpq_control" in line]
         assert control.endswith("index: none (forest)")
 
+    @pytest.mark.parametrize(
+        ("use_index", "note"),
+        [(None, "index: none (forest)"), (True, None), (False, "index: none (disabled)")],
+    )
+    def test_explain_names_the_index_the_run_builds(self, use_index, note):
+        # EXPLAIN and EXPLAIN ANALYZE both read the config the run used.
+        graph = build(4, [(1, 0, "R"), (2, 0, "R"), (3, 1, "R")])
+        query = "SELECT COUNT(*) FROM MATCH (a)<-/:R+/-(b)"
+        with repro.connect(graph, use_reachability_index=use_index) as session:
+            result = session.execute(query)
+            for text in (session.explain(query), result.explain_analyze()):
+                (control,) = [line for line in text.splitlines() if "rpq_control" in line]
+                assert control.count("index:") == (note is not None)
+                assert note is None or note in control
+        assert (result.stats.index_entries > 0) == (use_index is True)
+
 
 def reference_forest(graph, label):
     """The statistic by its definition, in plain loops: fan-out <= 1 one way
