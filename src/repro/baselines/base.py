@@ -1,11 +1,17 @@
 """Shared machinery for the single-machine baseline engines.
 
-Both baselines consume the same PGQL front end and the same logical
-operator order as RPQd (so comparisons isolate the *evaluation strategy*):
-bindings are dictionaries ``{var: vertex}`` expanded operator by operator.
-Only the variable-length (RPQ) expansion differs per engine — BFS frontier
-expansion for the Neo4j-like engine, semi-naive relational iteration for the
-PostgreSQL-like engine.
+The baselines share RPQd's front end: the PGQL parser, the planner (and
+with it the logical operator order), the expression compiler over a
+:class:`~repro.pgql.expressions.DictBinder`, and
+:func:`~repro.plan.compiler.result_shape` with the result sink behind it
+(projections, GROUP BY, HAVING, ORDER BY, LIMIT).  They share none of the
+evaluation: bindings are dictionaries ``{var: vertex}`` expanded operator
+by operator, and each engine expands variable-length (RPQ) segments its own
+way — BFS frontier expansion for the Neo4j-like engine, semi-naive
+relational iteration for the PostgreSQL-like engine, supersteps for the
+distributed BFT.  So a comparison isolates the *evaluation strategy*, and
+the baselines stay an independent check on pattern matching and RPQ
+expansion.
 
 Each engine accumulates abstract *cost units* comparable to the distributed
 engine's (edge traversals, tuple materializations, visited-set probes);
@@ -14,14 +20,15 @@ are directly comparable to RPQd's virtual makespan.
 """
 
 import time
+from types import SimpleNamespace
 
 from ..config import EngineConfig
 from ..engine.result import MachineSink, QueryResult, assemble_results
 from ..errors import PlanningError
-from ..pgql.ast import Aggregate, Query
-from ..pgql.expressions import Binder, compile_expr
+from ..pgql.ast import Query
+from ..pgql.expressions import DictBinder, EvalState, compile_expr
 from ..pgql.parser import parse
-from ..plan.compiler import compile_having, resolve_macro_elements, resolve_order_by
+from ..plan.compiler import resolve_macro_elements, result_shape
 from ..plan.logical import (
     EdgeMatchOp,
     InspectOp,
@@ -31,7 +38,6 @@ from ..plan.logical import (
     VertexMatchOp,
 )
 from ..plan.planner import Planner
-from ..plan.stages import ProjectionSpec
 
 
 class UnsupportedQueryError(PlanningError):
@@ -74,89 +80,6 @@ class BaselineStats:
         }
 
 
-class BindingBinder(Binder):
-    """Binder over binding dicts carried in ``state.ctx``.
-
-    ``edge_vars`` names the variables bound to *edge ids*; their property
-    reads go to the edge store instead of the vertex store.
-    """
-
-    def __init__(self, graph, edge_vars=frozenset()):
-        self.graph = graph
-        self.edge_vars = edge_vars
-
-    def vertex(self, var):
-        return lambda state: state.ctx.get(var)
-
-    def prop(self, var, prop):
-        store = self.graph.eprops if var in self.edge_vars else self.graph.vprops
-
-        def read(state):
-            element = state.ctx.get(var)
-            if element is None:
-                return None
-            return store.get(prop, element)
-
-        return read
-
-    def label(self, var):
-        graph = self.graph
-
-        def read(state):
-            vid = state.ctx.get(var)
-            if vid is None:
-                return None
-            return graph.vertex_label_name(vid)
-
-        return read
-
-
-class _ResultSpec:
-    """Duck-typed plan surrogate for :func:`assemble_results`."""
-
-    def __init__(self, query, graph, edge_vars=frozenset()):
-        binder = BindingBinder(graph, edge_vars)
-        self.projections = []
-        self.has_aggregates = False
-        for item in query.select:
-            name = item.alias or str(item.expr)
-            if isinstance(item.expr, Aggregate):
-                self.has_aggregates = True
-                arg_fn = (
-                    compile_expr(item.expr.arg, binder)
-                    if item.expr.arg is not None
-                    else None
-                )
-                self.projections.append(
-                    ProjectionSpec(
-                        name=name,
-                        compiled=arg_fn,
-                        aggregate=item.expr.func,
-                        distinct=item.expr.distinct,
-                    )
-                )
-            elif item.expr.contains_aggregate():
-                raise PlanningError("aggregates must be top-level SELECT items")
-            else:
-                self.projections.append(
-                    ProjectionSpec(name=name, compiled=compile_expr(item.expr, binder))
-                )
-        self.projections = tuple(self.projections)
-        if self.has_aggregates:
-            group_exprs = {str(e) for e in query.group_by}
-            for item in query.select:
-                if not isinstance(item.expr, Aggregate) and str(item.expr) not in group_exprs:
-                    raise PlanningError(
-                        f"non-aggregate SELECT item {item.expr} must appear in GROUP BY"
-                    )
-        self.group_by = tuple(compile_expr(e, binder) for e in query.group_by)
-        self.having = compile_having(query)
-        self.order_by = resolve_order_by(query)
-        self.limit = query.limit
-        self.offset = query.offset
-        self.distinct = query.distinct
-
-
 class BaselineEngine:
     """Common evaluator; subclasses provide :meth:`expand_rpq`."""
 
@@ -183,11 +106,10 @@ class BaselineEngine:
         planner = Planner(query, graph=self.graph)
         ops = planner.plan().ops
 
-        edge_vars = self._edge_vars(query, planner)
-        spec = _ResultSpec(query, self.graph, edge_vars=edge_vars)
+        binder = DictBinder(self.graph, planner.edge_vars)
+        spec = SimpleNamespace(**result_shape(query, binder))
         sink = MachineSink(spec)
 
-        binder = BindingBinder(self.graph, edge_vars)
         vertex_filters = {
             var: [compile_expr(c, binder) for c in pv.filters]
             for var, pv in planner.pattern_graph.vertices.items()
@@ -198,7 +120,7 @@ class BaselineEngine:
         ]
         cross_filters = list(planner.cross_filters)
 
-        state = _State()
+        state = EvalState()
         bound = set()
         bindings = [{}]
         for op in ops:
@@ -254,22 +176,6 @@ class BaselineEngine:
         result_set = assemble_results(spec, [sink])
         stats.wall_seconds = time.perf_counter() - started
         return QueryResult(result_set, stats, plan=None)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _edge_vars(query, planner):
-        """All edge-variable names in the MATCH patterns and PATH macros."""
-        from ..pgql.ast import EdgePattern
-
-        names = set()
-        for c in planner.pattern_graph.connectors:
-            if isinstance(c.connector, EdgePattern) and c.connector.var:
-                names.add(c.connector.var)
-        for macro in query.path_macros:
-            for e in macro.pattern.connectors:
-                if isinstance(e, EdgePattern) and e.var:
-                    names.add(e.var)
-        return frozenset(names)
 
     def _passes(self, var, vertex, planner, vertex_filters, state, stats, binding):
         graph = self.graph
@@ -364,17 +270,16 @@ class BaselineEngine:
     # ------------------------------------------------------------------
     # RPQ expansion
     # ------------------------------------------------------------------
-    def _expand_rpq_op(
-        self, op, query, planner, vertex_filters, cross_filters, state, stats,
-        bindings, bound,
-    ):
+    def _segment(self, op, query, cross_filters, bound):
+        """An RPQ segment's oriented macro elements, its per-repetition
+        filters (the macro's WHERE plus the cross filters it claims from
+        ``cross_filters``) and the outer variables those filters read."""
         elements, macro_where = resolve_macro_elements(query, op)
-        macro_vars = {vp.var for vp in elements[0::2] if vp.var}
-        macro_edge_vars = {e.var for e in elements[1::2] if e.var}
-        macro_vars |= macro_edge_vars
-
-        binder = BindingBinder(self.graph, frozenset(macro_edge_vars))
+        macro_edge_vars = frozenset(e.var for e in elements[1::2] if e.var)
+        macro_vars = {vp.var for vp in elements[0::2] if vp.var} | macro_edge_vars
+        binder = DictBinder(self.graph, macro_edge_vars)
         hop_filters = [compile_expr(c, binder) for c in macro_where]
+        outer_refs = set()
         for conjunct in list(cross_filters):
             variables = conjunct.variables()
             if not (variables & macro_vars):
@@ -384,9 +289,16 @@ class BaselineEngine:
                     f"cross filter {conjunct} references variables bound after "
                     f"the RPQ segment; only RPQd supports deferred cross filters"
                 )
+            outer_refs |= variables - macro_vars
             hop_filters.append(compile_expr(conjunct, binder))
             cross_filters.remove(conjunct)
+        return elements, hop_filters, outer_refs
 
+    def _expand_rpq_op(
+        self, op, query, planner, vertex_filters, cross_filters, state, stats,
+        bindings, bound,
+    ):
+        elements, hop_filters, _outer = self._segment(op, query, cross_filters, bound)
         quant = op.quantifier
         out = []
         already_bound = op.var in bound
@@ -477,14 +389,3 @@ class BaselineEngine:
     ):
         """Return destination vertices reachable within the quantifier."""
         raise NotImplementedError
-
-
-class _State:
-    """Evaluation state whose ``ctx`` is the binding dict."""
-
-    __slots__ = ("ctx", "edge", "partition")
-
-    def __init__(self):
-        self.ctx = {}
-        self.edge = -1
-        self.partition = None

@@ -40,31 +40,7 @@ class RecursiveEngine(BaselineEngine):
         self, op, query, planner, vertex_filters, cross_filters, state, stats,
         bindings, bound,
     ):
-        from ..plan.compiler import resolve_macro_elements
-        from ..pgql.expressions import compile_expr
-        from .base import BindingBinder, UnsupportedQueryError
-
-        elements, macro_where = resolve_macro_elements(query, op)
-        macro_vars = {vp.var for vp in elements[0::2] if vp.var}
-        macro_edge_vars = {e.var for e in elements[1::2] if e.var}
-        macro_vars |= macro_edge_vars
-
-        binder = BindingBinder(self.graph, frozenset(macro_edge_vars))
-        hop_filters = [compile_expr(c, binder) for c in macro_where]
-        outer_refs = set()
-        for conjunct in list(cross_filters):
-            variables = conjunct.variables()
-            if not (variables & macro_vars):
-                continue
-            unbound = variables - macro_vars - bound
-            if unbound:
-                raise UnsupportedQueryError(
-                    f"cross filter {conjunct} references variables bound after "
-                    "the RPQ segment; only RPQd supports deferred cross filters"
-                )
-            outer_refs |= variables - macro_vars
-            hop_filters.append(compile_expr(conjunct, binder))
-            cross_filters.remove(conjunct)
+        elements, hop_filters, outer_refs = self._segment(op, query, cross_filters, bound)
 
         # One recursive evaluation per distinct (source, correlated values)
         # group — the CTE is shared by all outer rows it serves.

@@ -14,7 +14,7 @@ when the pair is not reachable within the bounds.
 """
 
 from ..errors import PlanningError
-from ..pgql.expressions import DictBinder, compile_expr
+from ..pgql.expressions import DictBinder, EvalState, compile_expr
 from ..pgql.parser import _Parser
 
 
@@ -62,6 +62,7 @@ def _compile_steps(graph, pattern_text, where=None):
     def successors(frontier):
         results = []
         binding = {}
+        state = EvalState(ctx=binding)
 
         def walk(i, vertex, trail):
             if not vertex_ok(vertices[i], vertex):
@@ -69,7 +70,7 @@ def _compile_steps(graph, pattern_text, where=None):
             if vertices[i].var:
                 binding[vertices[i].var] = vertex
             if i == len(vertices) - 1:
-                if where_fn is None or where_fn(binding):
+                if where_fn is None or where_fn(state):
                     results.append((vertex, tuple(trail)))
                 return
             edge = connectors[i]

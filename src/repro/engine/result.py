@@ -2,17 +2,7 @@
 and final result assembly (DISTINCT / GROUP BY / ORDER BY / LIMIT)."""
 
 from ..errors import ExecutionError
-
-
-class _ProjState:
-    """Minimal evaluation state for projections (slot reads only)."""
-
-    __slots__ = ("ctx", "edge", "partition")
-
-    def __init__(self):
-        self.ctx = None
-        self.edge = -1
-        self.partition = None
+from ..pgql.expressions import EvalState
 
 
 class _AggAccumulator:
@@ -113,7 +103,7 @@ class MachineSink:
 
     def __init__(self, plan):
         self.plan = plan
-        self._state = _ProjState()
+        self._state = EvalState()
         self.rows = []
         self.groups = {}  # group key -> (plain values, [accumulators])
         self.add = self._adder()

@@ -18,10 +18,9 @@ from .ast import (
     Unary,
     VarRef,
     VertexPattern,
-    conjoin,
     split_conjuncts,
 )
-from .expressions import Binder, DictBinder, compile_expr, fold_constants
+from .expressions import Binder, DictBinder, EvalState, compile_expr
 from .lexer import Token, tokenize
 from .parser import parse, parse_expression
 
@@ -31,6 +30,7 @@ __all__ = [
     "Binder",
     "DictBinder",
     "EdgePattern",
+    "EvalState",
     "Expr",
     "FuncCall",
     "Literal",
@@ -47,8 +47,6 @@ __all__ = [
     "VarRef",
     "VertexPattern",
     "compile_expr",
-    "conjoin",
-    "fold_constants",
     "parse",
     "parse_expression",
     "split_conjuncts",

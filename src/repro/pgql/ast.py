@@ -260,14 +260,6 @@ def split_conjuncts(expr):
     return [expr]
 
 
-def conjoin(conjuncts):
-    """Rebuild a single expression from a conjunct list (or ``None``)."""
-    result = None
-    for c in conjuncts:
-        result = c if result is None else Binary("and", result, c)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Patterns
 # ---------------------------------------------------------------------------

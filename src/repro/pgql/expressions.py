@@ -4,7 +4,9 @@ Expressions are compiled once per plan into trees of closures.  The engine
 supplies a *binder* that resolves variable references to runtime accessors,
 so the same expression AST serves the distributed engine (values come from
 execution-context slots and local vertex reads) and the single-machine
-baselines (values come from a plain ``{var: vertex}`` dict).
+baselines (values come from a plain ``{var: vertex}`` dict).  Either way a
+compiled expression is called with an :class:`EvalState` whose ``ctx`` holds
+the context slots or the binding dict.
 
 ``None`` follows SQL ``NULL`` semantics for filters: any comparison against
 ``None`` is false, arithmetic propagates ``None``, and boolean connectives
@@ -23,6 +25,19 @@ from .ast import (
     Unary,
     VarRef,
 )
+
+
+class EvalState:
+    """What a compiled expression reads: ``ctx`` (the context slot list, or
+    a ``{var: id}`` binding), ``edge`` (the edge being scanned by a hop
+    filter) and ``partition`` (the machine-local graph view)."""
+
+    __slots__ = ("ctx", "edge", "partition")
+
+    def __init__(self, partition=None, ctx=None):
+        self.ctx = ctx
+        self.edge = -1
+        self.partition = partition
 
 
 class Binder:
@@ -102,15 +117,6 @@ def compare_values(op, a, b):
     """Apply comparison ``op`` with SQL NULL semantics (used by deferred
     cross-filter checks in the planner)."""
     return _BINARY_OPS[op](a, b)
-
-
-def binary_op_fn(op):
-    """Return the NULL-safe evaluator for a binary operator (or ``None``).
-
-    Used by the HAVING resolver, which evaluates expressions over result
-    rows instead of execution contexts.
-    """
-    return _BINARY_OPS.get(op) or _ARITH_OPS.get(op)
 
 
 def compile_expr(node, binder):
@@ -230,40 +236,13 @@ def compile_expr(node, binder):
     raise PlanningError(f"cannot compile expression node {node!r}")
 
 
-def fold_constants(node):
-    """Best-effort constant folding (literal-only subtrees collapse)."""
-    if isinstance(node, Unary):
-        inner = fold_constants(node.operand)
-        if isinstance(inner, Literal):
-            if node.op == "not":
-                return Literal(not inner.value)
-            if node.op == "-" and inner.value is not None:
-                return Literal(-inner.value)
-        return Unary(node.op, inner)
-    if isinstance(node, Binary):
-        left = fold_constants(node.left)
-        right = fold_constants(node.right)
-        if isinstance(left, Literal) and isinstance(right, Literal):
-            fn = _BINARY_OPS.get(node.op) or _ARITH_OPS.get(node.op)
-            if fn is not None:
-                return Literal(fn(left.value, right.value))
-            if node.op == "and":
-                return Literal(bool(left.value) and bool(right.value))
-            if node.op == "or":
-                return Literal(bool(left.value) or bool(right.value))
-        return Binary(node.op, left, right)
-    if isinstance(node, FuncCall):
-        return FuncCall(node.name, tuple(fold_constants(a) for a in node.args))
-    return node
-
-
 class DictBinder(Binder):
-    """Binder over a plain ``{var: id}`` mapping plus a graph.
+    """Binder over a ``{var: id}`` binding in ``state.ctx``, plus a graph.
 
-    Used by the planner's scouting, witness-path reconstruction and tests.
-    ``state`` at evaluation time is the binding dict itself; ``edge_vars``
-    names the variables bound to *edge ids*, whose property reads go to the
-    edge store instead of the vertex store.
+    Used by the single-machine baselines, the planner's scouting and
+    witness-path reconstruction.  ``edge_vars`` names the variables bound
+    to *edge ids*, whose property reads go to the edge store instead of the
+    vertex store.
     """
 
     def __init__(self, graph, edge_vars=frozenset()):
@@ -271,13 +250,13 @@ class DictBinder(Binder):
         self.edge_vars = edge_vars
 
     def vertex(self, var):
-        return lambda binding: binding.get(var)
+        return lambda state: state.ctx.get(var)
 
     def prop(self, var, prop):
         store = self.graph.eprops if var in self.edge_vars else self.graph.vprops
 
-        def read(binding):
-            element = binding.get(var)
+        def read(state):
+            element = state.ctx.get(var)
             if element is None:
                 return None
             return store.get(prop, element)
@@ -287,8 +266,8 @@ class DictBinder(Binder):
     def label(self, var):
         graph = self.graph
 
-        def read(binding):
-            vid = binding.get(var)
+        def read(state):
+            vid = state.ctx.get(var)
             if vid is None:
                 return None
             return graph.vertex_label_name(vid)

@@ -15,7 +15,10 @@ from ..pgql.ast import (
     Aggregate,
     Binary,
     EdgePattern,
-    FuncCall,
+    InList,
+    IsNull,
+    Literal,
+    Unary,
     VarRef,
     VertexPattern,
     rename_vars,
@@ -31,7 +34,7 @@ from .logical import (
     VertexMatchOp,
 )
 from .estimates import annotate_estimates
-from .planner import Planner, conjunct_selectivity
+from .planner import Planner, collect_label_refs, conjunct_selectivity, query_expressions
 from .stages import (
     Capture,
     DistributedPlan,
@@ -106,94 +109,109 @@ def resolve_macro_elements(query, op):
     return elements, where
 
 
-def compile_having(query):
-    """Compile ``HAVING`` into a predicate over *result rows*.
-
-    Sub-expressions that textually match a SELECT item (or reference its
-    alias) read that output column; the rest must be literals and operators.
-    This mirrors how ORDER BY resolves and covers the standard
-    ``HAVING COUNT(*) > n`` shapes without a second aggregation pass.
-    """
-    from ..pgql.ast import Binary, InList, IsNull, Literal, Unary, VarRef
-    from ..pgql.expressions import binary_op_fn
-
-    if query.having is None:
-        return None
-    by_text = {str(item.expr): i for i, item in enumerate(query.select)}
-    by_alias = {
-        item.alias: i
-        for i, item in enumerate(query.select)
-        if item.alias is not None
-    }
-
-    def compile_node(node):
-        text = str(node)
-        if text in by_text:
-            index = by_text[text]
-            return lambda row: row[index]
-        if isinstance(node, VarRef) and node.var in by_alias:
-            index = by_alias[node.var]
-            return lambda row: row[index]
-        if isinstance(node, Literal):
-            value = node.value
-            return lambda row: value
-        if isinstance(node, Unary):
-            inner = compile_node(node.operand)
-            if node.op == "not":
-                return lambda row: not inner(row)
-            return lambda row: None if inner(row) is None else -inner(row)
-        if isinstance(node, Binary):
-            left = compile_node(node.left)
-            right = compile_node(node.right)
-            if node.op == "and":
-                return lambda row: bool(left(row)) and bool(right(row))
-            if node.op == "or":
-                return lambda row: bool(left(row)) or bool(right(row))
-            fn = binary_op_fn(node.op)
-            if fn is None:
-                raise PlanningError(f"unsupported operator {node.op!r} in HAVING")
-            return lambda row: fn(left(row), right(row))
-        if isinstance(node, InList):
-            inner = compile_node(node.operand)
-            values = frozenset(v for v in node.values if v is not None)
-            if node.negated:
-                return lambda row: inner(row) is not None and inner(row) not in values
-            return lambda row: inner(row) is not None and inner(row) in values
-        if isinstance(node, IsNull):
-            inner = compile_node(node.operand)
-            if node.negated:
-                return lambda row: inner(row) is not None
-            return lambda row: inner(row) is None
-        raise PlanningError(
-            f"HAVING item {node} must match a SELECT item or alias"
-        )
-
-    return compile_node(query.having)
+def select_column(query, expr):
+    """Index of the first SELECT item that ``expr`` names — by its text, or a
+    bare name by the item's alias — or ``None``.  ORDER BY items and HAVING
+    subtrees resolve to columns through this one rule."""
+    text = str(expr)
+    alias = expr.var if isinstance(expr, VarRef) else None
+    for i, item in enumerate(query.select):
+        if str(item.expr) == text or (alias is not None and item.alias == alias):
+            return i
+    return None
 
 
 def resolve_order_by(query):
     """Map ORDER BY items onto SELECT column indexes: ``((idx, desc), ...)``."""
     resolved = []
     for item in query.order_by:
-        target = None
-        text = str(item.expr)
-        for i, sel in enumerate(query.select):
-            if str(sel.expr) == text:
-                target = i
-                break
-            if (
-                sel.alias is not None
-                and isinstance(item.expr, VarRef)
-                and item.expr.var == sel.alias
-            ):
-                target = i
-                break
+        target = select_column(query, item.expr)
         if target is None:
             raise PlanningError(
                 f"ORDER BY item {item.expr} must match a SELECT item or alias"
             )
         resolved.append((target, item.descending))
     return tuple(resolved)
+
+
+class _ColumnBinder(Binder):
+    """Binder over a result row, for HAVING: ``VarRef(i)`` reads column ``i``."""
+
+    def vertex(self, column):
+        return lambda row: row[column]
+
+
+def compile_having(query):
+    """Compile ``HAVING`` into a predicate over *result rows*.
+
+    Every subtree that names a SELECT column (:func:`select_column`) becomes
+    a read of that column; what is left must be literals and operators.  That
+    covers the standard ``HAVING COUNT(*) > n`` shapes without a second
+    aggregation pass, and the tree compiles like any other expression.
+    """
+    if query.having is None:
+        return None
+
+    def columns(node):
+        index = select_column(query, node)
+        if index is not None:
+            return VarRef(index)
+        if isinstance(node, Literal):
+            return node
+        if isinstance(node, Unary):
+            return Unary(node.op, columns(node.operand))
+        if isinstance(node, Binary):
+            return Binary(node.op, columns(node.left), columns(node.right))
+        if isinstance(node, InList):
+            return InList(columns(node.operand), node.values, node.negated)
+        if isinstance(node, IsNull):
+            return IsNull(columns(node.operand), node.negated)
+        raise PlanningError(f"HAVING item {node} must match a SELECT item or alias")
+
+    return compile_expr(columns(query.having), _ColumnBinder())
+
+
+def result_shape(query, binder):
+    """The result fields of a :class:`DistributedPlan` for ``query``:
+    projections, GROUP BY keys, HAVING, ORDER BY, LIMIT / OFFSET and
+    DISTINCT.  ``binder`` says what projections and keys read (context slots
+    on RPQd, a binding dict on the baselines); everything else is shared."""
+    projections = []
+    has_aggregates = False
+    for item in query.select:
+        name = item.alias or str(item.expr)
+        expr = item.expr
+        if isinstance(expr, Aggregate):
+            has_aggregates = True
+            projections.append(
+                ProjectionSpec(
+                    name=name,
+                    compiled=None if expr.arg is None else compile_expr(expr.arg, binder),
+                    aggregate=expr.func,
+                    distinct=expr.distinct,
+                )
+            )
+        elif expr.contains_aggregate():
+            raise PlanningError(f"aggregates must be top-level SELECT items (got {expr})")
+        else:
+            projections.append(ProjectionSpec(name=name, compiled=compile_expr(expr, binder)))
+    if has_aggregates:
+        group_exprs = {str(e) for e in query.group_by}
+        for item in query.select:
+            if not isinstance(item.expr, Aggregate) and str(item.expr) not in group_exprs:
+                raise PlanningError(
+                    f"non-aggregate SELECT item {item.expr} must appear in GROUP BY"
+                )
+    return dict(
+        projections=tuple(projections),
+        group_by=tuple(compile_expr(e, binder) for e in query.group_by),
+        order_by=resolve_order_by(query),
+        having=compile_having(query),
+        limit=query.limit,
+        offset=query.offset,
+        distinct=query.distinct,
+        has_aggregates=has_aggregates,
+    )
 
 
 class SlotTable:
@@ -264,14 +282,6 @@ class SlotBinder(Binder):
 
     def label(self, var):
         return self._slot_reader(f"l:{var}")
-
-
-def _collect_label_refs(expr, out):
-    if isinstance(expr, FuncCall) and expr.name in ("label", "labels"):
-        if expr.args and isinstance(expr.args[0], VarRef):
-            out.add(expr.args[0].var)
-    for child in expr.children():
-        _collect_label_refs(child, out)
 
 
 def _and_filters(fns):
@@ -394,27 +404,11 @@ class PlanCompiler:
     # ------------------------------------------------------------------
     # Value-requirement analysis
     # ------------------------------------------------------------------
-    def _all_expressions(self):
-        for item in self.query.select:
-            yield item.expr
-        for expr in self.query.group_by:
-            yield expr
-        for item in self.query.order_by:
-            yield item.expr
-        if self.query.where is not None:
-            yield self.query.where
-        for pv in self.planner.pattern_graph.vertices.values():
-            for f in pv.filters:
-                yield f
-        for macro in self.query.path_macros:
-            if macro.where is not None:
-                yield macro.where
-
     def _collect_needed_values(self):
-        for expr in self._all_expressions():
+        for expr in query_expressions(self.query):
             for var, prop in expr.prop_refs():
                 self.needed_props.setdefault(var, set()).add(prop)
-            _collect_label_refs(expr, self.needed_labels)
+            collect_label_refs(expr, self.needed_labels)
 
     def _seed_pending_filters(self):
         for conjunct in self.planner.multi_var_filters:
@@ -800,73 +794,21 @@ class PlanCompiler:
     # Finalization
     # ------------------------------------------------------------------
     def _finalize(self):
-        binder = SlotBinder(self.slots)
-        projections = []
-        has_aggregates = False
-        for i, item in enumerate(self.query.select):
-            name = item.alias or str(item.expr)
-            if isinstance(item.expr, Aggregate):
-                has_aggregates = True
-                arg_fn = (
-                    compile_expr(item.expr.arg, binder)
-                    if item.expr.arg is not None
-                    else None
-                )
-                projections.append(
-                    ProjectionSpec(
-                        name=name,
-                        compiled=arg_fn,
-                        aggregate=item.expr.func,
-                        distinct=item.expr.distinct,
-                    )
-                )
-            elif item.expr.contains_aggregate():
-                raise PlanningError(
-                    "aggregates must be top-level SELECT items "
-                    f"(got {item.expr})"
-                )
-            else:
-                projections.append(
-                    ProjectionSpec(name=name, compiled=compile_expr(item.expr, binder))
-                )
-
-        group_keys = []
-        if has_aggregates:
-            group_exprs = {str(e) for e in self.query.group_by}
-            for i, item in enumerate(self.query.select):
-                if not isinstance(item.expr, Aggregate):
-                    if str(item.expr) not in group_exprs:
-                        raise PlanningError(
-                            f"non-aggregate SELECT item {item.expr} must appear "
-                            "in GROUP BY"
-                        )
-        for expr in self.query.group_by:
-            group_keys.append(compile_expr(expr, binder))
-
-        order_by = resolve_order_by(self.query)
-        having = compile_having(self.query)
-
         start_var = self.logical.ops[0].var
         start_pv = self.planner.pattern_graph.vertices[start_var]
 
         return DistributedPlan(
             stages=self.stages,
             num_slots=len(self.slots),
-            projections=tuple(projections),
-            group_by=tuple(group_keys),
-            having=having,
-            order_by=order_by,
-            limit=self.query.limit,
-            offset=self.query.offset,
-            distinct=self.query.distinct,
-            has_aggregates=has_aggregates,
             rpq_count=self.rpq_counter,
             bootstrap_labels=self.stages[0].label_ids,
             bootstrap_single_vertex=start_pv.single_match_id
             if start_pv.single_match
             else None,
             slot_names=self.slots.names,
+            **result_shape(self.query, SlotBinder(self.slots)),
         )
+
 
 def compile_query(query, graph, scouting=False):
     """Convenience wrapper: parsed query + graph -> DistributedPlan."""

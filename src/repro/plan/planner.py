@@ -79,6 +79,32 @@ def build_pattern_graph(query):
     return pg
 
 
+def query_expressions(query):
+    """Every expression a query evaluates over matched elements: SELECT,
+    GROUP BY and ORDER BY items, WHERE and the PATH macros' WHERE.  (HAVING
+    reads result columns only.)"""
+    for item in query.select:
+        yield item.expr
+    yield from query.group_by
+    for item in query.order_by:
+        yield item.expr
+    if query.where is not None:
+        yield query.where
+    for macro in query.path_macros:
+        if macro.where is not None:
+            yield macro.where
+
+
+def collect_label_refs(expr, out):
+    """Add to ``out`` the variables whose ``LABEL()`` / ``LABELS()`` ``expr``
+    reads."""
+    if isinstance(expr, FuncCall) and expr.name in ("label", "labels"):
+        if expr.args and isinstance(expr.args[0], VarRef):
+            out.add(expr.args[0].var)
+    for child in expr.children():
+        collect_label_refs(child, out)
+
+
 def extract_single_match(conjunct):
     """Detect ``ID(v) = <int literal>``; return ``(var, vid)`` or ``None``."""
     if not isinstance(conjunct, Binary) or conjunct.op != "=":
@@ -186,6 +212,8 @@ class Planner:
         self._functional = None if graph is None else functional_hops(graph)
         self.pattern_graph = build_pattern_graph(query)
         self.macro_vars = self._collect_macro_vars()
+        self.edge_vars = self._collect_edge_vars()
+        self._reject_edge_labels()
         self._classify_filters()
 
     def _score(self, pv):
@@ -207,6 +235,34 @@ class Planner:
                     names.add(ep.var)
             macro_vars[macro.name.lower()] = names
         return macro_vars
+
+    def _collect_edge_vars(self):
+        """Edge-variable names of the MATCH patterns and the PATH macros."""
+        connectors = [c.connector for c in self.pattern_graph.connectors]
+        for macro in self.query.path_macros:
+            connectors.extend(macro.pattern.connectors)
+        return frozenset(
+            e.var for e in connectors if isinstance(e, EdgePattern) and e.var
+        )
+
+    def _reject_edge_labels(self):
+        """``LABEL()`` / ``LABELS()`` take a vertex variable: no engine
+        captures an edge's label, so an edge variable there is refused
+        instead of evaluating to NULL or to some vertex's label."""
+        names = set(self.pattern_graph.vertices)
+        for macro in self.query.path_macros:
+            names.update(vp.var for vp in macro.pattern.vertices if vp.var)
+        edges_only = self.edge_vars - names
+        if not edges_only:
+            return
+        refs = set()
+        for expr in query_expressions(self.query):
+            collect_label_refs(expr, refs)
+        if refs & edges_only:
+            raise PlanningError(
+                f"LABEL() takes a vertex variable; {min(refs & edges_only)} is "
+                "an edge variable"
+            )
 
     def _used_macros(self):
         used = set()

@@ -15,7 +15,7 @@ mislead.
 
 import random
 
-from ..pgql.expressions import DictBinder, compile_expr
+from ..pgql.expressions import DictBinder, EvalState, compile_expr
 
 
 class Scout:
@@ -66,9 +66,9 @@ class Scout:
                     ok = False
                     break
             if ok and filters:
-                binding = {pv.var: v}
+                state = EvalState(ctx={pv.var: v})
                 for fn in filters:
-                    if not fn(binding):
+                    if not fn(state):
                         ok = False
                         break
             if ok:

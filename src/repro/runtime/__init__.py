@@ -1,6 +1,7 @@
 """Distributed runtime: simulated machines, messaging, flow control,
 termination detection, and the cooperative scheduler."""
 
+from ..pgql.expressions import EvalState
 from .buffers import FlowControl, SHARED, remote_target_stages
 from .machine import Machine
 from .message import Batch, DoneMessage, StatusMessage
@@ -8,7 +9,7 @@ from .multi import ClusterScheduler, QueryTask
 from .network import SimulatedNetwork
 from .stats import MachineStats, RunStats
 from .termination import TerminationEvaluator, TerminationProtocol, TerminationTracker
-from .worker import EvalState, Job, Worker
+from .worker import Job, Worker
 
 __all__ = [
     "Batch",

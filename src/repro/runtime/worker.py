@@ -49,6 +49,7 @@ from bisect import bisect_left, bisect_right
 from math import inf
 
 from ..graph.types import NO_EDGE
+from ..pgql.expressions import EvalState
 from ..rpq.control import ACTION_EXIT, ACTION_PATH, ENTRY_COST
 from ..rpq.rpid import RpidAllocator
 from .steptable import (
@@ -57,17 +58,6 @@ from .steptable import (
 
 #: Cost charged for bookkeeping steps (frame pops, action dispatch).
 STEP_COST = 0.1
-
-
-class EvalState:
-    """Runtime state handed to compiled expressions."""
-
-    __slots__ = ("ctx", "edge", "partition")
-
-    def __init__(self, partition):
-        self.ctx = None
-        self.edge = -1
-        self.partition = partition
 
 
 class Job:

@@ -10,6 +10,7 @@ when the scheduler and each query's channel are built.
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -47,14 +48,30 @@ def identifiers(tree):
 
 
 def offenders(tree, banned):
+    """Names in which a banned word starts a ``_``-separated part: ``fault``
+    is found in ``fault_plan`` and ``_faults`` but not in ``default``, and
+    ``ack`` in ``acks`` but not in ``stack``.  A word with ``_`` in it, such
+    as ``extra_delay_fn``, is matched on the whole name the same way."""
+    found = re.compile("(?:^|_)(?:" + "|".join(map(re.escape, banned)) + ")")
     return sorted(
         f"{lineno}: {name}"
         for lineno, name in identifiers(tree)
-        if any(word in name.lower() for word in banned)
+        if found.search(name.lower())
     )
 
 
 class TestNames:
+    def test_a_banned_word_must_start_a_name_part(self):
+        tree = ast.parse(
+            "class Plain:\n"
+            "    def due(self, stack):\n"
+            "        self.fault_plan = min(stack, default=0)\n"
+            "        self._extra_delay_fn = self.tracks\n"
+        )
+        assert offenders(tree, ("fault", "ack", "extra_delay_fn")) == [
+            "3: fault_plan", "4: _extra_delay_fn",
+        ]
+
     def test_the_scheduler_names_no_chaos(self):
         tree = ast.parse((SRC / "runtime" / "multi.py").read_text())
         banned = (

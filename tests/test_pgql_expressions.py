@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import PlanningError
 from repro.graph import GraphBuilder
-from repro.pgql import DictBinder, Literal, compile_expr, fold_constants, parse_expression
+from repro.pgql import DictBinder, EvalState, compile_expr, parse_expression
 
 
 @pytest.fixture
@@ -18,7 +18,7 @@ def graph():
 
 def evaluate(graph, text, binding):
     fn = compile_expr(parse_expression(text), DictBinder(graph))
-    return fn(binding)
+    return fn(EvalState(ctx=binding))
 
 
 class TestEvaluation:
@@ -84,14 +84,3 @@ class TestCompileErrors:
         with pytest.raises(PlanningError):
             compile_expr(parse_expression("label(a.x)"), DictBinder(graph))
 
-
-class TestFolding:
-    def test_fold_arithmetic(self):
-        assert fold_constants(parse_expression("1 + 2 * 3")) == Literal(7)
-
-    def test_fold_boolean(self):
-        assert fold_constants(parse_expression("TRUE AND FALSE")) == Literal(False)
-
-    def test_fold_preserves_dynamic_parts(self):
-        e = fold_constants(parse_expression("a.x + (1 + 1)"))
-        assert str(e) == "(a.x + 2)"

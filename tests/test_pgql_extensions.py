@@ -3,10 +3,10 @@
 import pytest
 
 from repro import EngineConfig, GraphBuilder, PlanningError, Session
-from repro.baselines import BftEngine, RecursiveEngine
+from repro.baselines import BftEngine, DistributedBftEngine, RecursiveEngine
 from repro.pgql import parse, parse_expression
 from repro.pgql.ast import Binary, InList, IsNull, Unary
-from repro.pgql.expressions import compile_expr, DictBinder
+from repro.pgql.expressions import compile_expr, DictBinder, EvalState
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +94,8 @@ class TestIsNull:
 
     def test_evaluate(self, graph):
         fn = compile_expr(parse_expression("a.city IS NULL"), DictBinder(graph))
-        assert fn({"a": 3}) is True
-        assert fn({"a": 0}) is False
+        assert fn(EvalState(ctx={"a": 3})) is True
+        assert fn(EvalState(ctx={"a": 0})) is False
 
     def test_execute(self, engine):
         r = engine.execute("SELECT COUNT(*) FROM MATCH (a:Person) WHERE a.city IS NULL")
@@ -146,3 +146,93 @@ class TestHaving:
         q = parse(self.QUERY)
         assert "HAVING" in str(q)
         assert str(parse(str(q))) == str(q)
+
+    # Groups of ``GROUP BY a.city``: Oslo 3, Rome 2, Pisa 1, NULL 1.
+    GROUPED = "SELECT a.city, COUNT(*) FROM MATCH (a:Person) GROUP BY a.city HAVING "
+
+    @pytest.mark.parametrize(
+        "having, expected",
+        [
+            ("NOT COUNT(*) >= 2", {("Pisa", 1), (None, 1)}),
+            ("-COUNT(*) < -2", {("Oslo", 3)}),
+            ("COUNT(*) >= 2 AND a.city <> 'Oslo'", {("Rome", 2)}),
+            ("COUNT(*) = 3 OR a.city = 'Pisa'", {("Oslo", 3), ("Pisa", 1)}),
+            ("a.city IN ('Rome', 'Pisa')", {("Rome", 2), ("Pisa", 1)}),
+            ("a.city NOT IN ('Rome')", {("Oslo", 3), ("Pisa", 1)}),
+            ("a.city IS NULL", {(None, 1)}),
+            ("a.city IS NOT NULL AND COUNT(*) < 2", {("Pisa", 1)}),
+            ("COUNT(*) * 2 - 1 > 4", {("Oslo", 3)}),
+            ("COUNT(*) % 2 = 0", {("Rome", 2)}),
+        ],
+    )
+    def test_operators_on_every_engine(self, graph, engine, having, expected):
+        query = self.GROUPED + having
+        for runner in (engine, *baselines(graph)):
+            assert set(runner.execute(query).rows) == expected, runner
+
+    def test_aliases_on_every_engine(self, graph, engine):
+        query = (
+            "SELECT a.city AS c, COUNT(*) AS n FROM MATCH (a:Person) "
+            "GROUP BY a.city HAVING n > 1 AND c <> 'Rome'"
+        )
+        for runner in (engine, *baselines(graph)):
+            assert runner.execute(query).rows == [("Oslo", 3)], runner
+
+    def test_having_and_order_by_resolve_a_shared_alias_alike(self, graph, engine):
+        # Both resolve a name to the first SELECT item it names.
+        query = (
+            "SELECT a.city AS c, a.idx AS c FROM MATCH (a:Person) "
+            "HAVING c = 'Oslo' ORDER BY c"
+        )
+        for runner in (engine, *baselines(graph)):
+            assert set(runner.execute(query).rows) == {
+                ("Oslo", 0), ("Oslo", 2), ("Oslo", 6)
+            }, runner
+
+    @pytest.mark.parametrize(
+        "having",
+        ["a.idx > 3", "LOWER(a.city) = 'oslo'", "SUM(a.idx) > 3", "a IS NOT NULL"],
+        ids=["property", "function", "aggregate", "variable"],
+    )
+    def test_unmatched_items_rejected_on_every_engine(self, graph, engine, having):
+        for runner in (engine, *baselines(graph)):
+            with pytest.raises(PlanningError):
+                runner.execute(self.GROUPED + having)
+
+
+def baselines(graph):
+    return BftEngine(graph), RecursiveEngine(graph), DistributedBftEngine(graph)
+
+
+class TestLabelOfEdge:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        b = GraphBuilder()
+        a = b.add_vertex("Person")
+        c = b.add_vertex("City")
+        d = b.add_vertex("Person")
+        b.add_edge(a, c, "LIVES_IN")
+        b.add_edge(d, a, "KNOWS")
+        return b.build()
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT LABEL(e), id(x) FROM MATCH (x)-[e]->(y)",
+            "SELECT id(x) FROM MATCH (x)-[e]->(y) WHERE LABEL(e) = 'KNOWS'",
+            "SELECT LABELS(e), COUNT(*) FROM MATCH (x)-[e]->(y) GROUP BY LABELS(e)",
+            "PATH p AS (u)-[e]->(w) WHERE LABEL(e) = 'KNOWS' "
+            "SELECT COUNT(*) FROM MATCH (x)-/:p+/->(y)",
+        ],
+        ids=["select", "where", "labels", "macro"],
+    )
+    def test_is_a_planning_error_on_every_engine(self, graph, query):
+        for runner in (Session(graph, EngineConfig(num_machines=2)), *baselines(graph)):
+            with pytest.raises(PlanningError, match="edge variable"):
+                runner.execute(query)
+
+    def test_label_of_a_vertex_still_works(self, graph):
+        query = "SELECT LABEL(y), COUNT(*) FROM MATCH (x)-[e]->(y) GROUP BY LABEL(y)"
+        expected = [("City", 1), ("Person", 1)]
+        for runner in (Session(graph, EngineConfig(num_machines=2)), *baselines(graph)):
+            assert runner.execute(query).rows == expected, runner

@@ -9,10 +9,10 @@ from repro.engine.result import (
     MachineSink,
     ResultSet,
     _AggAccumulator,
-    _ProjState,
     assemble_results,
 )
 from repro.errors import ExecutionError
+from repro.pgql.expressions import EvalState
 from repro.plan.stages import ProjectionSpec
 
 
@@ -275,7 +275,7 @@ class _GenericSink:
 
     def add(self, ctx):
         plan = self.plan
-        state = _ProjState()
+        state = EvalState()
         state.ctx = ctx
         if not plan.has_aggregates:
             self.rows.append(tuple(p.compiled(state) for p in plan.projections))
