@@ -270,14 +270,17 @@ class BaselineEngine:
     # ------------------------------------------------------------------
     # RPQ expansion
     # ------------------------------------------------------------------
-    def _segment(self, op, query, cross_filters, bound):
+    def _segment(self, op, query, planner, cross_filters, bound):
         """An RPQ segment's oriented macro elements, its per-repetition
         filters (the macro's WHERE plus the cross filters it claims from
         ``cross_filters``) and the outer variables those filters read."""
         elements, macro_where = resolve_macro_elements(query, op)
         macro_edge_vars = frozenset(e.var for e in elements[1::2] if e.var)
-        macro_vars = {vp.var for vp in elements[0::2] if vp.var} | macro_edge_vars
-        binder = DictBinder(self.graph, macro_edge_vars)
+        macro_vertex_vars = {vp.var for vp in elements[0::2] if vp.var}
+        macro_vars = macro_vertex_vars | macro_edge_vars
+        # A filter may read the macro's edges and the outer MATCH edges
+        # alike; a macro vertex shadows an outer edge of the same name.
+        binder = DictBinder(self.graph, planner.edge_vars - macro_vertex_vars)
         hop_filters = [compile_expr(c, binder) for c in macro_where]
         outer_refs = set()
         for conjunct in list(cross_filters):
@@ -298,7 +301,7 @@ class BaselineEngine:
         self, op, query, planner, vertex_filters, cross_filters, state, stats,
         bindings, bound,
     ):
-        elements, hop_filters, _outer = self._segment(op, query, cross_filters, bound)
+        elements, hop_filters, _outer = self._segment(op, query, planner, cross_filters, bound)
         quant = op.quantifier
         out = []
         already_bound = op.var in bound

@@ -40,7 +40,9 @@ class RecursiveEngine(BaselineEngine):
         self, op, query, planner, vertex_filters, cross_filters, state, stats,
         bindings, bound,
     ):
-        elements, hop_filters, outer_refs = self._segment(op, query, cross_filters, bound)
+        elements, hop_filters, outer_refs = self._segment(
+            op, query, planner, cross_filters, bound
+        )
 
         # One recursive evaluation per distinct (source, correlated values)
         # group — the CTE is shared by all outer rows it serves.

@@ -14,11 +14,6 @@ from typing import Optional
 
 from .errors import ConfigError
 
-#: Rounds between STATUS broadcasts (the termination protocol's heartbeat)
-#: on the simulator; ``backend="process"`` has no rounds and broadcasts
-#: when a worker goes idle.
-STATUS_INTERVAL = 4
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -292,13 +287,15 @@ class EngineConfig:
                 "schedule_seed must be None or a non-negative int "
                 f"(got {self.schedule_seed!r})"
             )
-        if self.stall_limit < 2 * STATUS_INTERVAL:
-            # The stall diagnosis must allow at least a couple of
-            # heartbeat cycles before declaring the protocol stuck.
+        round_trip = 2 * self.net_delay_rounds + 1
+        if self.stall_limit < 2 * round_trip:
+            # The stall diagnosis must allow the protocol's two STATUS
+            # waves, a round trip each, before declaring it stuck.
             raise ConfigError(
-                "stall_limit must be >= 2 * STATUS_INTERVAL "
-                f"(got {self.stall_limit} with STATUS_INTERVAL="
-                f"{STATUS_INTERVAL})"
+                "stall_limit must be >= 2 STATUS round trips, "
+                f"2 * (2 * net_delay_rounds + 1) = {2 * round_trip} "
+                f"(got {self.stall_limit} with net_delay_rounds="
+                f"{self.net_delay_rounds})"
             )
         if self.retransmit_timeout_rounds is not None and (
             type(self.retransmit_timeout_rounds) is not int

@@ -188,10 +188,9 @@ class ClusterChaos:
                 s.stats.stalled_rounds += 1
         return budget, runnable
 
-    def status_round(self, task, round_no):
-        """A STATUS round that did not conclude ``task``: checkpoint
-        cadence rides the query's own termination protocol, cutting one
-        whenever new channels terminated globally for it."""
+    def end_round(self, task, round_no):
+        """A round that did not conclude ``task``: cut a checkpoint for it
+        whenever new channels terminated globally."""
         manager = self.recovery.get(task)
         if manager is not None:
             manager.maybe_checkpoint(round_no)
@@ -253,11 +252,7 @@ class ClusterChaos:
                 if manager is None:
                     continue
                 manager.rollback(orphaned, round_no, dead=new_dead)
-                # The rollback may rewind conclusions: re-sync the
-                # scheduler's view and reset the progress clock for the
-                # replay.
-                for s in task.slices:
-                    task.concluded[s.id] = s.protocol.concluded
+                # Reset the progress clock for the replay.
                 task.last_progress = round_no
                 task.quiescent_round = None
                 rolled.append(task.query_id)

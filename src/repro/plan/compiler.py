@@ -724,7 +724,7 @@ class PlanCompiler:
                 remaining.append(conjunct)
                 continue
             outer = variables - macro_var_set
-            unknown = outer - set(self.planner.pattern_graph.vertices)
+            unknown = outer - set(self.planner.pattern_graph.vertices) - self.planner.edge_vars
             if unknown:
                 raise PlanningError(
                     f"cross filter {conjunct} references unknown variables {sorted(unknown)}"

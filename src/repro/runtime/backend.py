@@ -48,17 +48,19 @@ in :mod:`repro.runtime.message`), so every inbox heap stays totally
 ordered.
 
 Termination: each machine runs the paper's double-confirmation protocol
-(Section 3.4) exactly as under the simulator, but a loop iteration is
-not a unit of time on real processes, so STATUS is not sent on an
-iteration count.  A worker broadcasts when it goes idle and has
-something to say: its counters moved since its last broadcast, or it
-holds a confirmation candidate and has heard from a peer since.  A
-machine may only conclude after confirming, twice, with strictly newer
-information, that global sent == processed on every channel; that
-property is schedule-independent, so any cadence is safe and the
-*first* conclusion anywhere proves all data-plane work is globally done
-and every sink is complete.  The coordinator then tells every worker to
-stop the run.
+(Section 3.4) exactly as under the simulator, and a worker sends STATUS
+by the simulator's rule (:meth:`~repro.runtime.termination.
+TerminationProtocol.idle_round`) with the worker as the host: in a loop
+iteration with nothing to run, it broadcasts for all its machines when
+their counters moved since its last broadcast, when one holds a
+confirmation candidate and a STATUS from another worker arrived since,
+or when a full idle wait (``_IDLE_WAIT_S``, its round trip) passed
+since its last broadcast.  A machine may only conclude after
+confirming, twice, with strictly newer information, that global sent ==
+processed on every channel; that property is schedule-independent, so
+the *first* conclusion anywhere proves all data-plane work is globally
+done and every sink is complete.  The coordinator then tells every
+worker to stop the run.
 
 Arrival interleaving varies run to run, so the backend relies on the
 engine's schedule-invariant result assembly (the property the race
@@ -91,12 +93,13 @@ from .machine import Machine
 from .message import WIRE_QUERY_ID, StatusMessage, from_wire, to_wire
 from .multi import ClusterScheduler
 from .stats import RunStats
+from .termination import TerminationProtocol
 
 #: Hard ceiling on one process-backend run; a healthy run signals long
 #: before this, so hitting it means workers live-locked or lost frames.
 _RUN_TIMEOUT_S = 600.0
 #: Idle worker block on its peer pipes and command pipe (seconds) before
-#: it looks at its machines again.
+#: it looks at its machines again: the STATUS rule's round trip.
 _IDLE_WAIT_S = 0.002
 #: A frame on a peer pipe: the blob's byte length, then the blob.
 _FRAME_HEADER = struct.Struct("<I")
@@ -328,22 +331,22 @@ def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
     network = _ProcessNetwork(worker_id, num_workers, config.num_machines, peers)
     sinks = {}
     machines = {}
-    for m in range(worker_id, config.num_machines, num_workers):
+    ids = tuple(range(worker_id, config.num_machines, num_workers))
+    for m in ids:
         sinks[m] = MachineSink(plan)
         machines[m] = Machine(
             m, dgraph, plan, config, network, sinks[m],
             sanitizer=sanitizer, query_id=run_id, prof=prof,
         )
+        machines[m].protocol.host = ids  # their STATUS is no news
     hosted = list(machines.values())
+    host = [machine.protocol for machine in hosted]
 
-    announced = None  # the hosted trackers' versions at the last broadcast
-    heard = False  # a peer's blob arrived since the last broadcast
     reported = False
     loop_no = 0
     while True:
         frames = network.take_local()
         for records in peers.receive():
-            heard = True
             frames.extend(_fenced(records, run_id))
         data = 0  # batches and credit returns: STATUS is nothing to work on
         for frame in frames:
@@ -357,26 +360,12 @@ def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
         loop_no += 1
         idle = worked == 0.0 and data == 0
         if idle:
-            for machine in hosted:
-                if not machine.protocol.concluded:
-                    machine.check_termination()
-            if not reported and any(m.protocol.concluded for m in hosted):
-                reported = True
-                _command(conn.send, ("concluded", run_id))
-            # Going idle is when a broadcast can tell a peer something:
-            # counters it has not seen, or — once an evaluation here found
-            # everything terminated — the newer generation its second
-            # confirmation needs.  A confirming worker answers only what
-            # it heard since it last spoke, so idle workers waiting on a
-            # busy one do not echo STATUS at each other.
-            versions = [machine.tracker.version for machine in hosted]
-            if versions != announced or (
-                heard and any(m.protocol.confirming for m in hosted)
-            ):
-                heard = False
-                announced = versions
+            if TerminationProtocol.idle_round(host, time.perf_counter(), _IDLE_WAIT_S):
                 for machine in hosted:
                     machine.broadcast_status(loop_no)
+            if not reported and any(protocol.concluded for protocol in host):
+                reported = True
+                _command(conn.send, ("concluded", run_id))
         network.flush()
         if idle:
             # Nothing to do until a frame or the stop arrives; frames a
@@ -386,11 +375,6 @@ def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
             ready = peers.wait(timeout)
             if conn in ready and _command(conn.recv) == (run_id, None):
                 break
-            if not ready and timeout:
-                # A full wait of silence counts as having heard: a
-                # confirming worker then speaks again, so termination
-                # never hangs on who answered whom.
-                heard = True
 
     for machine in hosted:
         machine.finalize_stats()

@@ -32,7 +32,6 @@ tallied apart (``acks_sent`` / ``transport_bytes``).
 
 import heapq
 import zlib
-from math import inf
 
 from .message import ACK_BYTES, AckMessage, Batch, CONTROL_BYTES, DoneMessage, StatusMessage
 
@@ -127,10 +126,6 @@ class SimulatedNetwork:
     def _pop_due(self, queue, out, machine_id, now_round):
         while queue and queue[0][0] <= now_round:
             out.append(heapq.heappop(queue)[2])
-
-    def next_due(self):
-        """The earliest round a queued message is due in, or ``inf``."""
-        return min([queue[0][0] for queue in self._queues if queue] or [inf])
 
     def tick(self, now_round):
         """The per-round retransmit timer: a plain channel has none."""

@@ -31,6 +31,31 @@ Confirmation
     and only concludes once a second evaluation succeeds with strictly newer
     snapshots from every machine and identical counter totals.  This closes
     the classic stale-snapshot race of counting-based detection.
+
+When to send STATUS (:meth:`TerminationProtocol.idle_round`)
+    One rule on both backends, per *host* (a machine on the simulator, a
+    worker process's machines on the process backend): in a round (a loop
+    iteration) in which it ran nothing, a host evaluates, then broadcasts
+    if (a) a counter moved since its last broadcast, (b) it holds a
+    candidate and heard a STATUS from another host since, or (c) a round
+    trip passed since: ``2 * net_delay_rounds + 1`` rounds, one idle wait
+    on the process backend.  (b) hands peers the newer generations their
+    confirmations need; (c) resends what the network may have lost.  The
+    first conclusion anywhere ends the query.
+
+Why no interval is needed
+    Safety reads generations and counters, never a clock.  Counters only
+    grow, so identical totals over strictly newer snapshots mean that no
+    machine's counters moved between its two snapshots; a unit counts as
+    ``processed`` only after every unit it created counts as ``sent``;
+    stage 0's units are counted before any work.  From these the
+    four-counter method (Mattern, "Algorithms for Distributed Termination
+    Detection", Distributed Computing 2(3), 1987) concludes termination
+    from two agreeing waves however close they are: the old 4-round
+    interval only set how long detection took.  The check also requires
+    the global sums to balance, which covers a unit in flight on a depth
+    no snapshot reports yet.  ``tests/test_termination.py`` catches a
+    protocol that concludes on its first all-done evaluation.
 """
 
 from collections import Counter
@@ -248,9 +273,16 @@ class TerminationProtocol:
         self.views = {}  # {machine_id: latest StatusMessage}
         self._candidate = None  # (gen_vector, sent_totals, processed_totals)
         self.concluded = False
-        self.last_terminated_keys = set()
-        # The last evaluation: ``(inputs, totals, result)``.
+        # The last evaluation: ``(own version, totals, all_done)``.
         self._memo = None
+        # The STATUS rule (:meth:`idle_round`): this machine's host, whose
+        # STATUS is no news; the tracker version at the host's last
+        # broadcast (0: nothing to tell) and its time, kept on the host's
+        # first machine; and whether another host's STATUS arrived since.
+        self.host = (machine_id,)
+        self._announced = 0
+        self._spoke = None
+        self._heard = False
 
     # -- crash recovery (:mod:`repro.recovery`) -------------------------
     def checkpoint_state(self):
@@ -262,7 +294,6 @@ class TerminationProtocol:
             "views": {mid: msg.clone() for mid, msg in self.views.items()},
             "candidate": candidate,
             "concluded": self.concluded,
-            "terminated": set(self.last_terminated_keys),
         }
 
     def restore_state(self, state):
@@ -273,7 +304,6 @@ class TerminationProtocol:
             candidate = (gen_vector, (dict(sent), dict(processed)))
         self._candidate = candidate
         self.concluded = state["concluded"]
-        self.last_terminated_keys = set(state["terminated"])
         self._memo = None
 
     def on_status(self, message):
@@ -283,6 +313,14 @@ class TerminationProtocol:
         current = self.views.get(message.src_machine)
         if current is None or message.generation > current.generation:
             self.views[message.src_machine] = message
+            # An unmoved machine ships the same counts again under a newer
+            # generation: the last evaluation's verdict still holds.
+            if current is None or (message.sent, message.processed, message.max_depths) != (
+                current.sent, current.processed, current.max_depths
+            ):
+                self._memo = None
+        if message.src_machine not in self.host:
+            self._heard = True
         # Consensus mechanics (paper Section 3.4): a machine adopts larger
         # maximum observed depths from other machines' STATUS (a dict shared
         # with the current view's was adopted with it), so all converge on
@@ -303,20 +341,20 @@ class TerminationProtocol:
             self._san.on_snapshot(self.machine_id, own.sent, own.processed)
         views = [s for m, s in self.views.items() if m != self.machine_id]
         # The verdict is a function of the counters and max depths alone:
-        # with our version and the views' dicts (an unmoved machine ships
-        # them again) as at the last evaluation, reuse it.
-        inputs = [own.version]
-        for snap in views:
-            inputs += (snap.sent, snap.processed, snap.max_depths)
+        # with our version as at the last evaluation and no view's counts
+        # moved since (:meth:`on_status` drops the memo), reuse it.
         memo = self._memo
-        if memo is None or memo[0] != inputs:
+        if memo is None or memo[0] != own.version:
             snapshots = [own, *views]
             signature = counter_totals(snapshots)
-            memo = self._memo = (
-                inputs, signature, self.evaluator.evaluate(snapshots, signature)
+            sent, processed = signature
+            # Every channel balances only if the sums do: a unit still in
+            # flight anywhere needs no evaluation.
+            all_done = sum(sent.values()) == sum(processed.values()) and (
+                self.evaluator.evaluate(snapshots, signature)[1]
             )
-        _, signature, (terminated, all_done) = memo
-        self.last_terminated_keys = terminated
+            memo = self._memo = (own.version, signature, all_done)
+        _, signature, all_done = memo
         if not all_done:
             self._candidate = None
             return False
@@ -334,6 +372,29 @@ class TerminationProtocol:
                 return True
             self._set_candidate(gen_vector, signature)
         return False
+
+    @staticmethod
+    def idle_round(host, now, round_trip):
+        """The STATUS rule (module docstring) for ``host``, the protocols
+        of one host's machines, in a round in which it ran nothing: they
+        check, then True, booked, if the host is to broadcast."""
+        moved = heard = confirming = False
+        for protocol in host:
+            if protocol.check():
+                return False  # the conclusion ends the query: nobody listens
+            moved = moved or protocol.tracker.version != protocol._announced
+            heard = heard or protocol._heard
+            confirming = confirming or protocol.confirming
+        first = host[0]
+        if first._spoke is None:  # its first idle round starts the clock
+            first._spoke = now
+        if not (moved or (heard and confirming) or now - first._spoke >= round_trip):
+            return False
+        first._spoke = now
+        for protocol in host:
+            protocol._announced = protocol.tracker.version
+            protocol._heard = False
+        return True
 
     @property
     def confirming(self):

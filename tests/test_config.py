@@ -106,9 +106,9 @@ class TestValidationMessages:
             ),
             ({"deadline": 0}, "deadline must be None or a positive int"),
             (
-                {"stall_limit": 7},
-                "stall_limit must be >= 2 * STATUS_INTERVAL (got 7 with "
-                "STATUS_INTERVAL=4)",
+                {"stall_limit": 5},
+                "stall_limit must be >= 2 STATUS round trips, 2 * (2 * "
+                "net_delay_rounds + 1) = 6 (got 5 with net_delay_rounds=1)",
             ),
             (
                 {"use_reachability_index": 1},
@@ -137,8 +137,8 @@ class TestValidationMessages:
         assert fragment in str(excinfo.value)
 
     def test_stall_limit_names_both_values(self):
-        with pytest.raises(ConfigError, match="stall_limit.*STATUS_INTERVAL"):
-            EngineConfig(stall_limit=5)
+        with pytest.raises(ConfigError, match="stall_limit.*net_delay_rounds=3"):
+            EngineConfig(stall_limit=13, net_delay_rounds=3)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,21 +1,15 @@
-"""The bulk paths over empty steps decide exactly what single steps decide.
+"""The bulk path over empty steps decides exactly what single steps decide.
 
-Two paths price work in bulk instead of executing it one step at a time:
+A machine's bootstrap queue holds each run of roots that stage 0's first
+label group rejects as one entry (:meth:`DistributedGraph.root_table`),
+and the worker takes such a run with the charges of taking its roots one
+by one.
 
-* **Folded roots.**  A machine's bootstrap queue holds each run of roots
-  that stage 0's first label group rejects as one entry
-  (:meth:`DistributedGraph.root_table`), and the worker takes such a run
-  with the charges of taking its roots one by one.
-* **Quiescent rounds.**  Once every query is quiescent on a plain channel,
-  :meth:`ClusterScheduler.step` jumps to the next round in which something
-  is due (:meth:`ClusterScheduler._next_due`), crediting the rounds between
-  as idle, and books that round's idle slices without the compute phase.
-
-Every case runs once with both paths forced off — the root table
-monkeypatched to the plain vertex list, the next-due computation to
-"nothing to skip" — and once with them on, and the two must agree on every
-decision: rows, rounds, virtual time, the round timeline, busy and idle
-rounds, STATUS messages, cost units and roots taken.
+Every case runs once with the path forced off — the root table
+monkeypatched to the plain vertex list — and once with it on, and the two
+must agree on every decision: rows, rounds, virtual time, the round
+timeline, busy and idle rounds, STATUS messages, cost units and roots
+taken.
 """
 
 from contextlib import contextmanager
@@ -55,9 +49,9 @@ def decisions(stats):
 
 @contextmanager
 def paths(on):
-    """Both paths forced off (``on=False``), or left on and counted: the
-    yielded dict holds the folded tables built and the rounds skipped."""
-    taken = {"folded": 0, "skipped": 0}
+    """The path forced off (``on=False``), or left on and counted: the
+    yielded dict holds the folded tables built."""
+    taken = {"folded": 0}
     with pytest.MonkeyPatch.context() as monkeypatch:
         if not on:
             def plain_table(self, machine, mask):
@@ -65,23 +59,15 @@ def paths(on):
                 return local, len(local)
 
             monkeypatch.setattr(DistributedGraph, "root_table", plain_table)
-            monkeypatch.setattr(ClusterScheduler, "_next_due", lambda self: None)
         else:
-            root_table, next_due = DistributedGraph.root_table, ClusterScheduler._next_due
+            root_table = DistributedGraph.root_table
 
             def counted_table(self, machine, mask):
                 table, count = root_table(self, machine, mask)
                 taken["folded"] += any(entry < 0 for entry in table)
                 return table, count
 
-            def counted_due(self):
-                due = next_due(self)
-                if due is not None:
-                    taken["skipped"] += due - self.round_no - 1
-                return due
-
             monkeypatch.setattr(DistributedGraph, "root_table", counted_table)
-            monkeypatch.setattr(ClusterScheduler, "_next_due", counted_due)
         yield taken
 
 
@@ -103,7 +89,7 @@ def test_every_golden_case_decides_the_same(monkeypatch):
     off, on, taken = both(cases.compute)
     assert sorted(off) == sorted(on)
     assert [key for key in off if off[key] != on[key]] == []
-    assert taken["folded"] > 0 and taken["skipped"] > 0
+    assert taken["folded"] > 0
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +127,6 @@ def test_label_edges_decide_the_same(query, overrides):
     assert taken["folded"] > 0
 
 
-# A message sent with no delay is due in the round that sent it and is
-# delivered in the next: the next due round is never the current one.
 @pytest.mark.parametrize("delay", [0, 3])
 def test_a_network_delay_decides_the_same(xs, delay):
     graph, info = xs
@@ -161,9 +145,8 @@ def test_a_network_delay_decides_the_same(xs, delay):
             out.append(session.cluster_rounds)
         return out
 
-    off, on, taken = both(run)
+    off, on, _taken = both(run)
     assert off == on
-    assert taken["skipped"] > 0
 
 
 def split_runs(cluster, task, plan):
@@ -203,8 +186,8 @@ def test_a_run_split_across_rounds_decides_the_same(xs, bootstrap):
 
 
 def _ends_inside_the_tail(graph, query, **limits):
-    """Run under a round cap, deadline or stall limit on a one-query
-    scheduler; returns the error parked on the task and the decisions."""
+    """Run under a stall limit on a one-query scheduler; returns the error
+    parked on the task and the decisions."""
     def run():
         cluster, task, _sinks, _plan = make_execution(
             graph, query, EngineConfig(num_machines=4, **limits)
@@ -214,36 +197,16 @@ def _ends_inside_the_tail(graph, query, **limits):
     return run
 
 
-@pytest.mark.parametrize("limit", ["deadline", "max_rounds"])
-def test_a_limit_inside_a_quiescent_stretch_ends_the_query_at_the_same_round(xs, limit):
-    graph, info = xs
-    query = BENCHMARK_QUERIES["Q09"](info)
-    with repro.connect(graph, num_machines=4) as session:
-        stats = session.execute(query).stats
-    quiescent, concluded = stats.quiescent_round, stats.rounds
-    at = quiescent + 5
-    assert at + 1 < concluded
-    off, on, taken = both(_ends_inside_the_tail(graph, query, **{limit: at}))
-    assert off == on
-    error, ended = on
-    assert ended["rounds"] == at + 1 and ended["partial"]
-    assert ended["timed_out"] == (limit == "deadline")
-    assert (error == "None") == (limit == "deadline")
-    assert taken["skipped"] > 0
-
-
-# Four limits: one of them puts the stall between two STATUS rounds.
 @pytest.mark.parametrize("stall_limit", [8, 9, 10, 11])
 def test_a_protocol_that_never_concludes_stalls_at_the_same_round(xs, monkeypatch, stall_limit):
     graph, info = xs
     monkeypatch.setattr(TerminationProtocol, "check", lambda self: False)
-    off, on, taken = both(
+    off, on, _taken = both(
         _ends_inside_the_tail(graph, BENCHMARK_QUERIES["Q03"](info), stall_limit=stall_limit)
     )
     assert off == on
     error, _decisions = on
     assert "failed to conclude" in error and "despite quiescence" in error
-    assert taken["skipped"] > 0
 
 
 def test_a_checkpoint_holding_a_half_taken_run_is_restored_the_same(xs):
@@ -320,7 +283,6 @@ def test_every_round_runs_under_chaos_seeds_transport_and_recorders(xs, override
     with paths(on=True) as taken:
         with repro.connect(graph, num_machines=4, **overrides) as session:
             result = session.execute(BENCHMARK_QUERIES["Q03"](info))
-    assert taken["skipped"] == 0
     assert computed == list(range(1, result.stats.rounds + 1))
     assert taken["folded"] == 4
 

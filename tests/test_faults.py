@@ -13,7 +13,6 @@ from collections import Counter
 import pytest
 
 from repro import EngineConfig, Session
-from repro.config import STATUS_INTERVAL
 from repro.errors import ConfigError, SanitizerViolation
 from repro.faults import (
     FaultInjector,
@@ -130,11 +129,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EngineConfig(num_machines=4, faults=plan)
 
-    def test_status_interval_and_stall_limit_validated(self):
-        # The stall diagnosis waits at least two heartbeat cycles.
-        assert EngineConfig(stall_limit=2 * STATUS_INTERVAL).stall_limit == 8
-        with pytest.raises(ConfigError):
-            EngineConfig(stall_limit=2 * STATUS_INTERVAL - 1)
+    def test_stall_limit_validated_against_the_round_trip(self):
+        # The stall diagnosis waits at least two STATUS round trips.
+        for delay in (0, 1, 3):
+            least = 2 * (2 * delay + 1)
+            assert EngineConfig(stall_limit=least, net_delay_rounds=delay).stall_limit == least
+            with pytest.raises(ConfigError):
+                EngineConfig(stall_limit=least - 1, net_delay_rounds=delay)
 
     def test_retransmit_timeout_validated(self):
         assert EngineConfig(retransmit_timeout_rounds=6).retransmit_timeout_rounds == 6
@@ -142,7 +143,6 @@ class TestConfig:
             EngineConfig(retransmit_timeout_rounds=0)
 
     def test_heartbeat_and_stall_defaults(self):
-        assert STATUS_INTERVAL == 4
         assert EngineConfig().stall_limit == 400
 
 

@@ -236,3 +236,38 @@ class TestLabelOfEdge:
         expected = [("City", 1), ("Person", 1)]
         for runner in (Session(graph, EngineConfig(num_machines=2)), *baselines(graph)):
             assert runner.execute(query).rows == expected, runner
+
+
+class TestCrossFilterOnAnOuterEdge:
+    """A cross filter of an RPQ segment reads a MATCH edge bound before it."""
+
+    @staticmethod
+    def chain(weight):
+        # 0 -R-> 1 -K-> 2 -K-> 3 -K-> 4: vertex i has w = i, the K edge
+        # leaving vertex i has w = i, the R edge has w = ``weight``.
+        b = GraphBuilder()
+        vs = [b.add_vertex("N", w=i) for i in range(5)]
+        b.add_edge(vs[0], vs[1], "R", w=weight)
+        for i in range(1, 4):
+            b.add_edge(vs[i], vs[i + 1], "K", w=i)
+        return b.build()
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "PATH p AS (x)-[e:K]->(y) WHERE e.w < r.w "
+            "SELECT id(a), id(c) FROM MATCH (a)-[r:R]->(bb)-/:p+/->(c)",
+            "PATH p AS (x)-[:K]->(y) "
+            "SELECT id(a), id(c) FROM MATCH (a)-[r:R]->(bb)-/:p+/->(c) WHERE x.w < r.w",
+        ],
+        ids=["macro_where", "outer_where"],
+    )
+    @pytest.mark.parametrize(
+        "weight, expected",
+        [(10, [(0, 2), (0, 3), (0, 4)]), (3, [(0, 2), (0, 3)])],
+        ids=["every_hop", "two_hops"],
+    )
+    def test_every_engine_returns_the_rows(self, query, weight, expected):
+        graph = self.chain(weight)
+        for runner in (Session(graph, EngineConfig(num_machines=2)), *baselines(graph)):
+            assert sorted(runner.execute(query).rows) == expected, runner

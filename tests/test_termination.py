@@ -8,6 +8,7 @@ from repro.graph import GraphBuilder
 from repro.graph.generators import chain_graph, random_graph
 from repro.pgql import parse
 from repro.plan import compile_query
+from repro.runtime import termination
 from repro.runtime.termination import (
     TerminationEvaluator,
     TerminationProtocol,
@@ -356,7 +357,7 @@ class TestEvaluatorEquivalence:
                 protocol.on_status(t1.snapshot(0))
             trace.append((
                 label, protocol.check(), protocol.confirming,
-                sorted(protocol.last_terminated_keys),
+                sorted(protocol.evaluator.evaluate([t0, protocol.views[1]])[0]),
             ))
 
         assert protocol.check() is False  # no view of machine 1 yet
@@ -515,11 +516,12 @@ class TestEvaluationMemo:
         recorder = _Recorder()
         protocol = TerminationProtocol(0, plan, 2, t0, sanitizer=recorder)
         protocol.on_status(t1.snapshot(0))
+        # Every evaluation that is not a memo hit sums the counters first.
         calls = []
-        evaluate = protocol.evaluator.evaluate
+        counter_totals = termination.counter_totals
         monkeypatch.setattr(
-            protocol.evaluator, "evaluate",
-            lambda snaps, totals=None: calls.append(1) or evaluate(snaps, totals),
+            termination, "counter_totals",
+            lambda snaps: calls.append(1) or counter_totals(snaps),
         )
         return plan, protocol, t0, t1, recorder, calls
 
@@ -544,8 +546,8 @@ class TestEvaluationMemo:
         protocol.on_status(t1.snapshot(0))
         protocol.check()
         assert len(calls) == 1
-        fresh, _done = TerminationEvaluator(plan).evaluate([t0, protocol.views[1]])
-        assert protocol.last_terminated_keys == fresh
+        _terminated, done = TerminationEvaluator(plan).evaluate([t0, protocol.views[1]])
+        assert protocol.confirming == done
 
     def test_restore_state_drops_the_memo(self, monkeypatch):
         _plan, protocol, _t0, _t1, _recorder, calls = self._protocol(monkeypatch)
@@ -555,3 +557,129 @@ class TestEvaluationMemo:
         assert protocol._memo is None
         protocol.check()
         assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# A planted defect: a protocol that concludes on its first all-done
+# evaluation.  The STATUS rule drives both through a stale-snapshot race.
+# ---------------------------------------------------------------------------
+
+
+class _ConcludesOnFirstEvaluation(TerminationProtocol):
+    """No confirmation: the first candidate is taken as the conclusion."""
+
+    def _set_candidate(self, gen_vector, signature):
+        super()._set_candidate(gen_vector, signature)
+        self._conclude(gen_vector)
+
+
+def _stale_snapshot_race(protocol_cls):
+    """Machine 0 of three under the STATUS rule while unit ``x`` (stage 1,
+    machine 0 -> machine 2) is in flight.  Machine 1's snapshot counts a
+    unit ``y`` processed whose send (by machine 2) machine 2's older
+    snapshot does not count yet, so the totals balance by accident.
+    Returns ``(step, units in flight)`` at the step machine 0 concluded."""
+    plan = two_stage_plan()
+    t0, t1, t2 = (TerminationTracker(m) for m in range(3))
+    protocol = protocol_cls(0, plan, 3, t0)
+    t0.record_bootstrap(1)
+    t0.record_sent(1, 0)  # x, to machine 2
+    t0.record_processed(0, 0)
+    t1.record_processed(1, 0)  # y, sent by machine 2 after its snapshot
+    stale = t2.snapshot()  # machine 2 has sent y and received x since
+    steps = [
+        ("stale views balance by accident", 1, [t1.snapshot(), stale]),
+        ("machine 2 sent y and processed x", 0, None),
+        ("nothing moved since", 0, None),
+    ]
+    for now, (step, in_flight, views) in enumerate(steps):
+        if views is None:
+            if now == 1:
+                t2.record_sent(1, 0)
+                t2.record_processed(1, 0)
+            for tracker in (t1, t2):
+                tracker.generation += 1
+            views = [t1.snapshot(), t2.snapshot()]
+        for view in views:
+            protocol.on_status(view)
+        if TerminationProtocol.idle_round((protocol,), now, 3):
+            t0.generation += 1
+        if protocol.concluded:
+            return step, in_flight
+    return None, 0
+
+
+class TestPlantedDefect:
+    def test_a_protocol_without_confirmation_concludes_with_a_unit_in_flight(self):
+        assert _stale_snapshot_race(_ConcludesOnFirstEvaluation) == (
+            "stale views balance by accident", 1
+        )
+
+    def test_the_protocol_concludes_once_nothing_is_in_flight(self):
+        assert _stale_snapshot_race(TerminationProtocol) == ("nothing moved since", 0)
+
+    def test_an_unbalanced_sum_skips_the_evaluation(self, monkeypatch):
+        calls = []
+        evaluate = TerminationEvaluator.evaluate
+        monkeypatch.setattr(
+            TerminationEvaluator, "evaluate",
+            lambda self, snaps, totals=None: calls.append(1) or evaluate(self, snaps, totals),
+        )
+        t0, t1 = TerminationTracker(0), TerminationTracker(1)
+        protocol = TerminationProtocol(0, two_stage_plan(), 2, t0)
+        t0.record_bootstrap(1)
+        protocol.on_status(t1.snapshot())
+        assert protocol.check() is False and calls == []
+        t0.record_processed(0, 0)
+        assert protocol.check() is False and calls == [1]  # balanced: a candidate
+        assert protocol.confirming
+
+
+class TestStatusRule:
+    """:meth:`TerminationProtocol.idle_round` on one host."""
+
+    def _host(self, machines=2, host=(0,)):
+        t0 = TerminationTracker(0)
+        protocols = [TerminationProtocol(m, two_stage_plan(), machines, t0) for m in host]
+        for protocol in protocols:
+            protocol.host = host
+        return t0, protocols
+
+    def test_nothing_counted_waits_a_round_trip_and_a_move_broadcasts_at_once(self):
+        t0, host = self._host()
+        assert not TerminationProtocol.idle_round(host, 0, 3)  # the clock starts
+        assert not TerminationProtocol.idle_round(host, 2, 3)
+        assert TerminationProtocol.idle_round(host, 3, 3)  # (c)
+        t0.record_bootstrap(1)
+        assert TerminationProtocol.idle_round(host, 4, 3)  # (a)
+        assert not TerminationProtocol.idle_round(host, 5, 3)
+
+    def test_a_round_trip_after_a_broadcast_broadcasts_again(self):
+        t0, host = self._host()
+        t0.record_bootstrap(1)
+        assert TerminationProtocol.idle_round(host, 0, 3)
+        assert not TerminationProtocol.idle_round(host, 2, 3)
+        assert TerminationProtocol.idle_round(host, 3, 3)
+
+    def test_only_a_candidate_answers_what_it_heard(self):
+        _t0, host = self._host()
+        (protocol,) = host
+        t1 = TerminationTracker(1)
+        t1.record_bootstrap(1)  # machine 1 has a root to run: no candidate
+        assert not TerminationProtocol.idle_round(host, 0, 3)
+        protocol.on_status(t1.snapshot())
+        assert not TerminationProtocol.idle_round(host, 1, 3)
+        assert not protocol.confirming
+        t1.record_processed(0, 0)
+        t1.generation += 1
+        protocol.on_status(t1.snapshot())
+        assert TerminationProtocol.idle_round(host, 2, 3)  # (b): a candidate heard
+        assert protocol.confirming
+        assert not TerminationProtocol.idle_round(host, 3, 3)  # nothing heard since
+
+    def test_a_co_hosted_machine_is_no_news(self):
+        _t0, host = self._host(machines=3, host=(0, 1))
+        host[0].on_status(TerminationTracker(1).snapshot())  # on this host
+        assert not any(protocol._heard for protocol in host)
+        host[0].on_status(TerminationTracker(2).snapshot())
+        assert host[0]._heard
