@@ -23,7 +23,7 @@ admitted, never the session's shared one), or real OS processes with
 ``repro.connect(graph, backend="process")`` (docs/backends.md).
 ``submit`` hands the query to the session's shared scheduler — the same
 round loop — where it interleaves with every other in-flight
-submission under fair per-machine quantum sharing; the returned
+submission under oldest-first per-machine quantum sharing; the returned
 :class:`QueryHandle` drives the cluster forward on demand.  Both paths
 support fault injection, reliable transport, crash recovery, span
 traces, and the race detector's ``schedule_seed``: on the shared

@@ -88,15 +88,15 @@ class TestConcurrentEqualsSequential:
 
 class TestRoundEpilogue:
     def test_one_timeout_flush_per_slice_per_round(self, monkeypatch):
-        """Sharing a machine does not shorten a query's send timeout: the
-        fair-share passes run a hungry slice again on the quantum a query
-        that went idle mid-round left over, but its partial buffers go out
-        once, at the end of the round."""
-        runs, flushes = Counter(), Counter()
+        """Sharing a machine does not shorten a query's send timeout: each
+        slice runs at most once a round, on what older slices left, and its
+        partial buffers go out once, when its round closes."""
+        runs, flushes, served = Counter(), Counter(), Counter()
         run_slice, flush_partials = Machine.run_slice, Machine.flush_partials
 
         def counting_run(self, round_no, budget, rng=None):
             runs[self.query_id, self.id, round_no] += 1
+            served[self.id, round_no] += 1
             return run_slice(self, round_no, budget, rng=rng)
 
         def counting_flush(self):
@@ -109,8 +109,68 @@ class TestRoundEpilogue:
         handles = [session.submit(q) for q in QUERIES]
         session.drain()
         assert all(h.result().complete for h in handles)
-        assert max(runs.values()) >= 2  # not vacuous: some slice was re-run
+        assert max(served.values()) >= 2  # not vacuous: slices shared a round
+        assert max(runs.values()) == 1
         assert flushes and max(flushes.values()) == 1
+
+
+class TestOldestFirstSharing:
+    def test_each_slice_is_offered_what_older_ones_left(self, monkeypatch):
+        offers = {}
+        run_slice = Machine.run_slice
+
+        def recording_run(self, round_no, budget, rng=None):
+            used = run_slice(self, round_no, budget, rng=rng)
+            offers.setdefault((self.id, round_no), []).append((self.query_id, budget, used))
+            return used
+
+        monkeypatch.setattr(Machine, "run_slice", recording_run)
+        session = connect(_graph(), num_machines=3, max_concurrent_queries=4)
+        handles = [session.submit(q) for q in QUERIES]
+        session.drain()
+        assert all(h.result().complete for h in handles)
+        shared = 0
+        for calls in offers.values():
+            ids = [query_id for query_id, _, _ in calls]
+            assert ids == sorted(ids)  # admission order
+            left = session.config.quantum
+            for _, budget, used in calls:
+                assert budget == pytest.approx(left)
+                left -= used
+            shared += len(calls) > 1
+        assert shared  # not vacuous: a younger slice ran on leftovers
+
+    def test_the_oldest_query_runs_as_it_would_alone(self):
+        """Co-runners take only the quantum it leaves idle, so the oldest
+        query's schedule, costs and messages are those of a solo run."""
+        session = connect(_graph(), num_machines=3, max_concurrent_queries=4)
+        unbounded = QUERIES[1]
+
+        def shape(stats):
+            return stats.rounds, stats.virtual_time, [
+                (m.cost_units, m.busy_rounds, m.batches_sent, m.status_messages)
+                for m in stats.per_machine
+            ]
+
+        solo = session.execute(unbounded)
+        handles = [session.submit(q) for q in (unbounded, *QUERIES)]
+        session.drain()
+        oldest = handles[0].result()
+        assert oldest.rows == solo.rows
+        assert shape(oldest.stats) == shape(solo.stats)
+
+    def test_waiting_behind_an_older_query_is_no_stall(self):
+        """A query with work and no quantum left over for more than
+        ``stall_limit`` rounds is waiting, not deadlocked."""
+        session = connect(
+            _graph(), num_machines=2, quantum=20, stall_limit=6,
+            max_concurrent_queries=2,
+        )
+        old = session.submit(QUERIES[1])
+        young = session.submit(QUERIES[0])
+        assert young.result().rows == session.execute(QUERIES[0]).rows
+        assert old.result().complete
+        assert young.result().stats.rounds > 6
 
 
 class TestAdmissionControl:
