@@ -183,10 +183,10 @@ def cmd_query(args):
             file=sys.stderr,
         )
         return 2
-    if args.backend == "process" and (args.trace_out or args.timeline):
+    if args.backend == "process" and args.trace_out:
         print(
-            "error: --trace-out/--timeline require --backend sim (the "
-            "process backend has no virtual clock to trace or rounds to draw)",
+            "error: --trace-out and its span recorder require --backend sim "
+            "(the recorder is simulator-only for now)",
             file=sys.stderr,
         )
         return 2
@@ -338,13 +338,6 @@ def cmd_workload(args):
             )
             return 2
         return _workload_concurrent(args, graph, queries)
-    if backend == "process" and args.timeline:
-        print(
-            "error: --timeline requires --backend sim (the process backend "
-            "has no rounds to draw)",
-            file=sys.stderr,
-        )
-        return 2
     records = []
     timelines = []
     # The rpqd session may own process-backend resources (the worker

@@ -166,8 +166,8 @@ class EngineConfig:
             supporting faults, recovery, membership, tracing, and the
             race detector; ``"process"`` runs each partition's machine
             loop in a persistent forked OS process that inherits the
-            graph, with marshalled message frames (``docs/backends.md``).
-            Result sets are bit-identical across backends.
+            graph, in lockstep rounds (``docs/backends.md``).  Result
+            sets and run statistics are identical across backends.
         workers: worker *processes* for ``backend="process"`` (distinct
             from the simulated ``workers_per_machine`` DFT threads).
             ``None`` defaults to ``num_machines`` — one partition per
@@ -378,44 +378,44 @@ class EngineConfig:
             )
         if self.backend == "process":
             # The backend feature matrix (docs/backends.md): these options
-            # are defined on the simulator's virtual clock or perturb its
-            # deterministic schedule, so the process backend rejects them
-            # loudly instead of silently ignoring them.
+            # live in simulator code the process workers do not run yet, so
+            # the process backend rejects them loudly instead of silently
+            # ignoring them.
             if self.faults is not None:
                 raise ConfigError(
                     "faults is simulator-only: the seeded injector "
-                    "schedules drops/crashes on virtual rounds, which "
-                    f"backend='process' does not have (got faults="
+                    "drops and crashes inside the simulator's channel, "
+                    f"which backend='process' does not run (got faults="
                     f"{self.faults!r}); run backend='sim' for chaos"
                 )
             if self.recovery:
                 raise ConfigError(
                     "recovery=True is simulator-only: epoch checkpoints "
-                    "are cut on termination-protocol boundaries of the "
-                    "virtual clock, which backend='process' does not have "
+                    "and failover need the simulator's cluster-wide "
+                    "state, which backend='process' workers do not share "
                     "— run backend='sim' for crash recovery"
                 )
             if self.membership:
                 raise ConfigError(
                     "membership=True is simulator-only: the heartbeat "
-                    "failure detector times out on virtual rounds, which "
-                    "backend='process' does not have — run backend='sim' "
-                    "for failure detection"
+                    "failure detector runs in the simulator's cluster, "
+                    "which backend='process' does not run — run "
+                    "backend='sim' for failure detection"
                 )
             if self.schedule_seed is not None:
                 raise ConfigError(
                     "schedule_seed (race-detector mode) is simulator-only: "
-                    "it permutes the deterministic round schedule, and "
-                    "backend='process' has no such schedule (got "
+                    "it permutes the service order of the simulator's "
+                    "rounds, which backend='process' does not permute (got "
                     f"schedule_seed={self.schedule_seed!r}); run "
                     "backend='sim' for race detection"
                 )
             if self.observe:
                 raise ConfigError(
                     "observe=True is simulator-only for now: the span "
-                    "recorder timestamps on the virtual clock, which "
-                    "backend='process' does not have — run backend='sim' "
-                    "(profile=True works on both backends)"
+                    "recorder is one object the whole cluster writes to, "
+                    "which backend='process' workers do not share — run "
+                    "backend='sim' (profile=True works on both backends)"
                 )
         if self.recovery and self.reliable_transport is False:
             raise ConfigError(

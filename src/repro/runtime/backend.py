@@ -12,14 +12,14 @@ scheduler directly; it dispatches through an :class:`ExecutionBackend`:
   :class:`~repro.runtime.machine.Machine` loop runs in a forked OS
   process that outlives the query; every worker inherits the graph,
   CSR adjacency included, at fork and never copies it again; this
-  coordinator process owns admission, termination, and result assembly.
+  coordinator process dispatches runs and assembles their results.
 
 Topology: ``workers`` processes (default ``num_machines``) each host the
 machines ``m`` with ``m % workers == worker_id``.  Every worker has one
-duplex pipe to the coordinator (commands down, notices and the final
-payload up) and one ``os.pipe`` to each peer and from each peer: one
-writer and one reader per pipe, so no lock.  The coordinator creates the
-peer pipes before the fork and closes its copies right after it.
+duplex pipe to the coordinator (commands down, its payload up) and one
+``os.pipe`` to each peer and from each peer: one writer and one reader
+per pipe, so no lock.  The coordinator creates the peer pipes before the
+fork and closes its copies right after it.
 
 Generations: plans are closures and cannot be pickled, so a worker knows
 a plan because it was forked after the backend registered it.  The
@@ -31,42 +31,22 @@ inherited.  A run whose plan the generation holds is the two integers
 generation and forks the next one.  A generation whose run did not end
 cleanly is never reused.
 
-Run fencing: channels outlive a run, so each run's machines are built
-with ``query_id = run id``; the id rides every frame, and a received
-frame that carries another run's id (a late credit return, a stale
-STATUS) is dropped before it can reach ``Machine.deliver``.
-
-Frames: a machine's remote sends are collected per destination worker
-and leave once per loop iteration as one ``marshal`` blob of plain
-tuples (:func:`repro.runtime.message.to_wire`), length-prefixed onto
-the peer's outbox, which lives as long as the worker; each iteration
-writes as much of it as the non-blocking pipe takes, so two workers that
-fill each other's pipes never deadlock.  The receiver rebuilds the
-dataclasses, which also draws their receive-priority ``seq`` from its
-own counter (raw sender seqs never order a remote inbox — see the note
-in :mod:`repro.runtime.message`), so every inbox heap stays totally
-ordered.
-
-Termination: each machine runs the paper's double-confirmation protocol
-(Section 3.4) exactly as under the simulator, and a worker sends STATUS
-by the simulator's rule (:meth:`~repro.runtime.termination.
-TerminationProtocol.idle_round`) with the worker as the host: in a loop
-iteration with nothing to run, it broadcasts for all its machines when
-their counters moved since its last broadcast, when one holds a
-confirmation candidate and a STATUS from another worker arrived since,
-or when a full idle wait (``_IDLE_WAIT_S``, its round trip) passed
-since its last broadcast.  A machine may only conclude after
-confirming, twice, with strictly newer information, that global sent ==
-processed on every channel; that property is schedule-independent, so
-the *first* conclusion anywhere proves all data-plane work is globally
-done and every sink is complete.  The coordinator then tells every
-worker to stop the run.
-
-Arrival interleaving varies run to run, so the backend relies on the
-engine's schedule-invariant result assembly (the property the race
-detector holds) — the cross-backend oracle in ``tests/test_backend.py``
-and the hash-seed differential in ``tests/test_hash_seed.py`` hold result
-sets bit-identical to the simulator's.
+Rounds: a worker runs the simulator's round (:mod:`repro.runtime.multi`)
+for its machines in lockstep with its peers (bulk-synchronous, one
+barrier per round: Valiant, CACM 1990).  Round ``r`` is deliver →
+compute → STATUS rule; then the worker sends every peer one blob, even an
+empty one, with a ``(run id, r, worker id)`` header, a summary (a machine
+concluded, a machine worked, nothing of ours is left to run or in
+flight) and the round's frames for that peer, a ``marshal`` dump
+length-prefixed onto a non-blocking pipe.  Round ``r + 1`` starts once
+every peer's round-``r`` blob is in.  Every worker applies the same
+:class:`~repro.runtime.multi.RoundRules` to the same summaries, so all
+end the run in the same round, and after that last barrier no frame of
+the run is left in any pipe.  A message carries the ``seq`` its machine
+stamped (``Machine.run_slice``), so a remote inbox breaks ties as the
+simulator's does: rows, rounds and every counter equal the simulator's.
+The coordinator only dispatches runs and merges payloads, raising a
+verdict's error (a stall, the round cap) with the simulator's text.
 
 The feature matrix (what each backend supports) is documented in
 ``docs/backends.md`` and enforced by :class:`~repro.config.EngineConfig`
@@ -82,6 +62,7 @@ import selectors
 import struct
 import time
 import traceback
+from array import array
 from collections import OrderedDict
 from multiprocessing.connection import wait
 
@@ -90,17 +71,16 @@ from ..engine.result import MachineSink
 from ..errors import ConfigError, ExecutionError
 from ..obs.prof import merge_summaries, profiler_from_config
 from .machine import Machine
-from .message import WIRE_QUERY_ID, StatusMessage, from_wire, to_wire
-from .multi import ClusterScheduler
+from .message import StatusMessage, from_wire, to_wire
+from .multi import ClusterScheduler, RoundRules, stall_error, stall_facts
 from .stats import RunStats
-from .termination import TerminationProtocol
 
-#: Hard ceiling on one process-backend run; a healthy run signals long
-#: before this, so hitting it means workers live-locked or lost frames.
+#: Hard ceiling on one process-backend run: the round rules end a healthy
+#: or wedged run, so hitting it means a worker hung inside a round.
 _RUN_TIMEOUT_S = 600.0
-#: Idle worker block on its peer pipes and command pipe (seconds) before
-#: it looks at its machines again: the STATUS rule's round trip.
-_IDLE_WAIT_S = 0.002
+#: The query id of a run's machines: a solo run's on the simulator, whose
+#: private cluster admits it first, so both backends name it alike.
+_QUERY_ID = 1
 #: A frame on a peer pipe: the blob's byte length, then the blob.
 _FRAME_HEADER = struct.Struct("<I")
 #: Bytes one read takes from a peer pipe (Linux's default pipe capacity).
@@ -172,55 +152,6 @@ def backend_from_config(config):
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-class _ProcessNetwork:
-    """Send-side channel fabric inside one worker process, for one run.
-
-    :class:`~repro.runtime.machine.Machine` talks to the network only
-    through ``send`` and ``broadcast`` (a frame per destination: routing
-    reads ``dst_machine``).  Frames for machines hosted by this worker
-    short-circuit through a local pending list; remote frames are kept as
-    wire records per owning worker until the loop's :meth:`flush`.
-    """
-
-    def __init__(self, worker_id, num_workers, num_machines, peers):
-        self._worker_id = worker_id
-        self._num_workers = num_workers
-        self._num_machines = num_machines
-        self._peers = peers
-        self._local_pending = []
-        self._outgoing = [[] for _ in range(num_workers)]
-
-    def send(self, message, now_round):
-        owner = message.dst_machine % self._num_workers
-        if owner == self._worker_id:
-            self._local_pending.append(message)
-        else:
-            self._outgoing[owner].append(to_wire(message))
-
-    def broadcast(self, snapshot, now_round):
-        for message in snapshot.copies(self._num_machines):
-            self.send(message, now_round)
-
-    def take_local(self):
-        """Drain frames addressed to this worker's own machines."""
-        pending = self._local_pending
-        self._local_pending = []
-        return pending
-
-    @property
-    def has_local(self):
-        return bool(self._local_pending)
-
-    def flush(self):
-        """One blob per destination worker that has records waiting."""
-        blobs = []
-        for owner, records in enumerate(self._outgoing):
-            if records:
-                blobs.append((owner, marshal.dumps(records)))
-                self._outgoing[owner] = []
-        self._peers.push(blobs)
-
-
 class _PeerLinks:
     """One worker's ends of its peer pipes, for the worker's lifetime:
     ``outbound`` maps a peer to the write end of the pipe to it, ``inbound``
@@ -236,6 +167,11 @@ class _PeerLinks:
             os.set_blocking(fd, False)
         for handle in inbound + ([conn] if conn is not None else []):
             self._selector.register(handle, selectors.EVENT_READ)
+
+    @property
+    def pending(self):
+        """True while an outbox holds bytes its pipe has not taken yet."""
+        return any(outbox for _, outbox in self._outboxes.values())
 
     def push(self, blobs):
         """Frame each ``(peer, blob)`` onto the peer's outbox, then write
@@ -282,8 +218,8 @@ class _PeerLinks:
         return received
 
     def wait(self, timeout):
-        """The pipes ready within ``timeout`` seconds: a frame, a command,
-        or room in a pipe that has outbox bytes pending."""
+        """The pipes ready within ``timeout`` seconds (None: no limit): a
+        frame, a command, or room in a pipe that has outbox bytes pending."""
         pending = [fd for fd, outbox in self._outboxes.values() if outbox]
         for fd in pending:
             self._selector.register(fd, selectors.EVENT_WRITE)
@@ -291,19 +227,6 @@ class _PeerLinks:
         for fd in pending:
             self._selector.unregister(fd)
         return ready
-
-
-def _fenced(records, run_id):
-    """The frames of one received blob that belong to run ``run_id``.
-
-    The run fence: a record stamped with another run's id is dropped here,
-    before it is rebuilt, so it can never reach ``Machine.deliver``.
-    """
-    return [
-        from_wire(record)
-        for record in records
-        if record[WIRE_QUERY_ID] == run_id
-    ]
 
 
 class _CoordinatorGone(Exception):
@@ -319,75 +242,153 @@ def _command(op, *args):
         raise _CoordinatorGone from None
 
 
+class _WorkerChannel:
+    """One worker's side of the network for one run (module docstring).
+
+    :class:`~repro.runtime.machine.Machine` sends through ``send`` and
+    ``broadcast`` (routing reads ``dst_machine``).  Frames for this
+    worker's machines stay here; the others wait as wire records until
+    :meth:`blobs` packs the round's blob per peer, ``(run id, round,
+    sender, *summary, records)``.  A frame sent in round ``s`` is due in
+    round ``s + lag``, ``lag = max(net_delay_rounds, 1)``: with no delay,
+    after the deliver phase of ``s``, as on the simulator.  A peer's
+    blobs arrive in round order, one of round ``r + 1`` perhaps while this
+    worker still waits for round ``r``; any other header is a bug.
+    """
+
+    def __init__(self, run_id, worker_id, num_workers, config):
+        self.run_id = run_id
+        self.worker_id = worker_id
+        self.num_workers = num_workers
+        self.num_machines = config.num_machines
+        self.lag = max(config.net_delay_rounds, 1)
+        self.peers = [w for w in range(num_workers) if w != worker_id]
+        self.heard = {}  # round -> the peers' summaries of it
+        self.data_round = float("-inf")  # the last round data left
+        self._outgoing = [[] for _ in range(num_workers)]
+        self._frames = {}  # round -> per sending worker, the frames due
+        self._expect = dict.fromkeys(self.peers, 1)  # each peer's next round
+
+    def send(self, message, now_round):
+        owner = message.dst_machine % self.num_workers
+        local = owner == self.worker_id
+        self._outgoing[owner].append(message if local else to_wire(message))
+        if not isinstance(message, StatusMessage):
+            self.data_round = now_round
+
+    def broadcast(self, snapshot, now_round):
+        for message in snapshot.copies(self.num_machines):
+            self.send(message, now_round)
+
+    def blobs(self, round_no, summary):
+        """End round ``round_no``: one ``(peer, blob)`` per peer."""
+        outgoing = self._outgoing
+        self._outgoing = [[] for _ in range(self.num_workers)]
+        self._keep(self.worker_id, round_no, outgoing[self.worker_id])
+        return [
+            (peer, marshal.dumps(
+                (self.run_id, round_no, self.worker_id, *summary, outgoing[peer])
+            ))
+            for peer in self.peers
+        ]
+
+    def absorb(self, blob):
+        """Take in one peer's blob; raises on a header out of order."""
+        run, sent_round, sender, *summary, records = blob
+        expected = self._expect.get(sender)
+        if (run, sent_round) != (self.run_id, expected):
+            raise ExecutionError(
+                f"process backend worker {self.worker_id} waits for run "
+                f"{self.run_id} round {expected} from worker {sender}, "
+                f"which sent run {run} round {sent_round}"
+            )
+        self._expect[sender] = sent_round + 1
+        self.heard.setdefault(sent_round, []).append(summary)
+        self._keep(sender, sent_round, [from_wire(record) for record in records])
+
+    def _keep(self, sender, sent_round, frames):
+        if frames:
+            due = self._frames.setdefault(sent_round + self.lag, [None] * self.num_workers)
+            due[sender] = frames
+
+    def due(self, round_no):
+        """The frames to deliver in ``round_no``, by sending worker."""
+        for frames in self._frames.pop(round_no, ()):
+            yield from frames or ()
+
+
 def _run_query(worker_id, num_workers, dgraph, plan, config, run_id, conn,
                peers):
-    """One run in this worker: returns the payload for the coordinator.
-
-    Leaves when the coordinator's stop for ``run_id`` arrives on ``conn``;
-    raises :class:`_CoordinatorGone` if the coordinator went away instead.
-    """
+    """One run in this worker, in lockstep with its peers (module
+    docstring): returns the payload for the coordinator.  Raises
+    :class:`_CoordinatorGone` if the coordinator went away."""
     prof = profiler_from_config(config)
     sanitizer = sanitizer_from_config(config)
-    network = _ProcessNetwork(worker_id, num_workers, config.num_machines, peers)
-    sinks = {}
-    machines = {}
-    ids = tuple(range(worker_id, config.num_machines, num_workers))
-    for m in ids:
-        sinks[m] = MachineSink(plan)
-        machines[m] = Machine(
-            m, dgraph, plan, config, network, sinks[m],
-            sanitizer=sanitizer, query_id=run_id, prof=prof,
+    channel = _WorkerChannel(run_id, worker_id, num_workers, config)
+    rules = RoundRules(_QUERY_ID, config)
+    machines = [
+        Machine(
+            m, dgraph, plan, config, channel, MachineSink(plan),
+            sanitizer=sanitizer, query_id=_QUERY_ID, prof=prof,
         )
-        machines[m].protocol.host = ids  # their STATUS is no news
-    hosted = list(machines.values())
-    host = [machine.protocol for machine in hosted]
-
-    reported = False
-    loop_no = 0
+        for m in range(worker_id, config.num_machines, num_workers)
+    ]
+    hosted = {s.id: s for s in machines}
+    consumed = [0.0] * config.num_machines
+    failure = stall = None
+    round_no = 0
     while True:
-        frames = network.take_local()
-        for records in peers.receive():
-            frames.extend(_fenced(records, run_id))
-        data = 0  # batches and credit returns: STATUS is nothing to work on
-        for frame in frames:
-            machines[frame.dst_machine].deliver([frame])
-            if not isinstance(frame, StatusMessage):
-                data += 1
-        worked = 0.0
-        for machine in hosted:
-            worked += machine.close_round(
-                machine.run_slice(loop_no, config.quantum))
-        loop_no += 1
-        idle = worked == 0.0 and data == 0
-        if idle:
-            if TerminationProtocol.idle_round(host, time.perf_counter(), _IDLE_WAIT_S):
-                for machine in hosted:
-                    machine.broadcast_status(loop_no)
-            if not reported and any(protocol.concluded for protocol in host):
-                reported = True
-                _command(conn.send, ("concluded", run_id))
-        network.flush()
-        if idle:
-            # Nothing to do until a frame or the stop arrives; frames a
-            # broadcast just addressed to co-hosted machines are handled
-            # first.
-            timeout = 0 if network.has_local else _IDLE_WAIT_S
-            ready = peers.wait(timeout)
-            if conn in ready and _command(conn.recv) == (run_id, None):
+        round_no += 1
+        try:
+            if rules.expired(round_no):
                 break
+        except ExecutionError as error:  # past max_rounds, on every worker
+            failure = str(error)
+            break
+        # The simulator's round for our machines: deliver, compute, STATUS.
+        for frame in channel.due(round_no):
+            hosted[frame.dst_machine].deliver([frame])
+        for s in machines:
+            used = 0.0 if s.is_quiescent() else s.run_slice(round_no, config.quantum)
+            consumed[s.id] = s.close_round(used)
+        rules.round_work.extend(consumed)
+        summary = (
+            rules.status_round(machines, consumed, round_no),
+            any(consumed),
+            # Quiet: nothing of ours left to run or in flight.
+            channel.data_round <= round_no - channel.lag
+            and all(s.is_quiescent() for s in machines),
+        )
+        # The barrier: our blobs out, every peer's blob of this round in.
+        peers.push(channel.blobs(round_no, summary))
+        while True:
+            for blob in peers.receive():
+                channel.absorb(blob)
+            if len(channel.heard.get(round_no, ())) == len(channel.peers) and not peers.pending:
+                break
+            if conn in peers.wait(None):
+                raise _CoordinatorGone  # nothing but its EOF comes mid-run
+            peers.push([])
+        # Every worker reads the same summaries: the same verdict everywhere.
+        concluded, worked, quiet = zip(summary, *channel.heard.pop(round_no, ()))
+        if any(concluded):
+            break
+        if not rules.progressed(round_no, any(worked), lambda: all(quiet)) and (
+            rules.stalled(round_no)
+        ):
+            stall = stall_facts(machines)
+            break
 
-    for machine in hosted:
-        machine.finalize_stats()
+    for s in machines:
+        s.finalize_stats()
     return {
         "machines": {
-            m: {
-                "rows": sinks[m].rows,
-                "groups": sinks[m].groups,
-                "stats": machines[m].stats,
-            }
-            for m in sorted(machines)
+            s.id: (s.output_sink.rows, s.output_sink.groups, s.stats) for s in machines
         },
-        "iterations": loop_no,
+        "round_work": rules.round_work,
+        "end": (round_no, rules.quiescent_round, rules.timed_out, failure,
+                stall is not None),
+        "stall": stall,
         "profile": None if prof is None else prof.summary(),
     }
 
@@ -508,14 +509,13 @@ class _Generation:
             raise self._lost(worker) from None
 
     def execute(self, run_id, plan_id, deadline):
-        """Drive one run: stop on first conclusion, collect all payloads."""
+        """Dispatch one run and collect every worker's payload."""
         workers = range(len(self.procs))
         for w in workers:
             self._tell(w, (run_id, plan_id))
         by_handle = {self.conns[w]: w for w in workers}
         by_handle.update((self.procs[w].sentinel, w) for w in workers)
         payloads = {}
-        stopped = False
         while len(payloads) < len(self.procs):
             ready = wait(list(by_handle), deadline - time.perf_counter())
             if not ready:
@@ -531,26 +531,16 @@ class _Generation:
                 if isinstance(handle, int):
                     raise self._lost(w)
                 try:
-                    msg = handle.recv()
+                    kind, body = handle.recv()
                 except (EOFError, OSError):
                     # EOF, or a reset when the worker died with a command
                     # still unread in its end of the pipe.
                     raise self._lost(w) from None
-                kind = msg[0]
-                if kind == "concluded":
-                    # Double-confirmation makes any machine's conclusion
-                    # a proof that global sent == processed: all sinks
-                    # are complete, so stop every worker.
-                    if msg[1] == run_id and not stopped:
-                        stopped = True
-                        for peer in workers:
-                            self._tell(peer, (run_id, None))
-                elif kind == "error":
+                if kind == "error":
                     raise ExecutionError(
-                        f"process backend worker {w} failed:\n{msg[1]}"
+                        f"process backend worker {w} failed:\n{body}"
                     )
-                else:  # ("result", payload)
-                    payloads[w] = msg[1]
+                payloads[w] = body  # ("result", payload)
         return payloads
 
 
@@ -655,43 +645,37 @@ class ProcessBackend(ExecutionBackend):
         finally:
             if prof is not None:
                 prof.unwind()
+        # The run ended at a barrier, with no frame left in any pipe: the
+        # generation serves the next run whatever the verdict, which every
+        # worker reached on the same summaries.
+        rounds, quiescent_round, timed_out, failure, stalled = payloads[0]["end"]
+        if failure is not None:
+            raise ExecutionError(failure)
+        if stalled:  # quiescent exactly when its round was stamped
+            raise stall_error(
+                _QUERY_ID, config, rounds, quiescent_round is not None,
+                [payload["stall"] for payload in payloads.values()],
+            )
         if prof is not None:
             prof.enter("backend.merge")
-        machine_stats, iterations, profile = self._merge(payloads, sinks, config)
+        machine_stats = [None] * config.num_machines
+        round_work = array("d", payloads[0]["round_work"])
+        for payload in payloads.values():
+            for m, (rows, groups, machine) in payload["machines"].items():
+                sinks[m].rows[:] = rows
+                sinks[m].groups.clear()
+                sinks[m].groups.update(groups)
+                machine_stats[m] = machine
+                # Each machine's column of the timeline, from its worker.
+                round_work[m::config.num_machines] = payload["round_work"][m::config.num_machines]
+        profiles = [payload["profile"] for payload in payloads.values()]
         if prof is not None:
             prof.exit()
-            profile = _merged_profile([profile, prof.summary()])
-        wall = time.perf_counter() - started
+            profiles.append(prof.summary())
         stats = RunStats(
-            machine_stats, iterations, wall, config, profile=profile,
+            machine_stats, rounds, time.perf_counter() - started, config,
+            quiescent_round=quiescent_round, partial=timed_out, timed_out=timed_out,
+            profile=merge_summaries([p for p in profiles if p]) or None,
+            round_work=round_work,
         )
-        return stats, False, False
-
-    def _merge(self, payloads, sinks, config):
-        """Fold worker payloads into the caller's sinks and stats."""
-        machine_stats = [None] * config.num_machines
-        iterations = 0
-        profiles = []
-        for w in sorted(payloads):
-            payload = payloads[w]
-            iterations = max(iterations, payload["iterations"])
-            if payload["profile"]:
-                profiles.append(payload["profile"])
-            for m in sorted(payload["machines"]):
-                data = payload["machines"][m]
-                sinks[m].rows[:] = data["rows"]
-                sinks[m].groups.clear()
-                sinks[m].groups.update(data["groups"])
-                machine_stats[m] = data["stats"]
-        missing = [m for m, s in enumerate(machine_stats) if s is None]
-        if missing:
-            raise ExecutionError(
-                f"process backend lost machines {missing}: no worker "
-                "posted their payloads"
-            )
-        return machine_stats, iterations, _merged_profile(profiles)
-
-
-def _merged_profile(profiles):
-    merged = merge_summaries([p for p in profiles if p])
-    return merged or None
+        return stats, timed_out, timed_out

@@ -44,8 +44,7 @@ class Machine:
         # machine hosts one such slice per active query, and every
         # namespaced structure below (flow-control credits, termination
         # counters, index shards) and every outgoing message carries this
-        # id.  The process backend builds each run's machines with its
-        # run id, which is what fences one run's frames from the next.
+        # id.
         self.query_id = query_id
         self.stats = MachineStats()
         self.tracker = TerminationTracker(
@@ -60,6 +59,10 @@ class Machine:
             query_id=query_id,
         )
         self.current_round = 0
+        # The place in a round's service order that numbers the batches it
+        # creates (:meth:`run_slice`); a seeded schedule permutes it.
+        self.rank = machine_id
+        self._seq = 0
 
         # Heap of (priority, Batch).  The worker loop tests it for pending
         # work directly (and pulls roots from ``bootstrap_roots``) rather
@@ -300,9 +303,10 @@ class Machine:
         key = (dst, stage_idx, depth)
         batch = self._open.get(key)
         if batch is None:
+            self._seq += 1
             batch = self._open[key] = Batch(
                 src_machine=self.id, dst_machine=dst, target_stage=stage_idx, depth=depth,
-                query_id=self.query_id,
+                query_id=self.query_id, seq=self._seq,
             )
             # Counted at creation so partially-filled buffers are visible to
             # the termination protocol.
@@ -389,9 +393,9 @@ class Machine:
         """Flush all non-empty open batches (called when workers idle).
 
         Keys are visited in sorted (dst, stage, depth) order so the
-        emission order of timeout-flushed batches is a function of their
-        addresses, not of dict insertion history — which under the
-        process-parallel backend varies with message arrival order.
+        emission order of timeout-flushed batches — which of them gets a
+        scarce credit first — is a function of their addresses, not of
+        dict insertion history.
         """
         flushed = 0
         for key in sorted(self._open.keys()):
@@ -419,8 +423,12 @@ class Machine:
         set (race-detector mode, ``config.schedule_seed``) the worker
         service order is permuted — the cooperative-scheduler analogue of
         thread-interleaving perturbation.
+
+        A batch created from here on gets ``seq`` ``(round_no * num_machines
+        + rank) << 32`` plus a count: seqs order as the batches were created.
         """
         self.current_round = round_no
+        self._seq = (round_no * self.config.num_machines + self.rank) << 32
         workers = self.workers
         if rng is not None:
             workers = rng.sample(workers, len(workers))

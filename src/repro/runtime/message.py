@@ -7,14 +7,7 @@ Section 3.3) and ``STATUS`` (termination-protocol snapshot broadcast, paper
 Section 3.4).
 """
 
-import itertools
 from dataclasses import dataclass, field
-
-# Process-wide monotonic tiebreaker for FIFO receive priority.  The
-# parallel backend does not ship seq values between processes: a frame
-# rebuilt from its wire record (``from_wire`` below) draws a fresh one
-# from the receiving process's counter.
-_seq = itertools.count()
 
 #: Modelled wire overhead per message, bytes.
 HEADER_BYTES = 64
@@ -39,12 +32,14 @@ class Batch:
     depth: int  # 0 for non-RPQ stages
     # The id of the query this batch belongs to (:mod:`repro.runtime.
     # multi`).  Message channels, flow-control credits, and termination
-    # counters are all namespaced by it; on the process backend it is the
-    # run id that fences one run's frames from the next.
+    # counters are all namespaced by it.
     query_id: int = 0
     credit_key: object = None  # flow-control bucket that backed this send
     contexts: list = field(default_factory=list)  # [(vertex, ctx_list)]
-    seq: int = field(default_factory=lambda: next(_seq))
+    # The receive tie-break, stamped by the sender from the batch's
+    # creation (:meth:`~repro.runtime.machine.Machine.run_slice`): it
+    # orders an inbox the same way on every backend.
+    seq: int = 0
     # Observability: the sender's flow id, carried with the serialized
     # payload so the receive span links causally to the send span across
     # machine tracks (:mod:`repro.obs`).  ``None`` when tracing is off.
@@ -99,7 +94,7 @@ class DoneMessage:
     dst_machine: int  # machine that sent the batch (credit owner)
     query_id: int = 0  # multi-query namespace (see Batch.query_id)
     credit_key: object = None
-    seq: int = field(default_factory=lambda: next(_seq))
+    seq: int = 0  # no tie-break: a credit return is never queued
     tseq: object = None  # reliable-transport sequence number
     epoch: int = 0  # recovery epoch (see Batch.epoch)
 
@@ -127,7 +122,7 @@ class StatusMessage:
     sent: dict = field(default_factory=dict)  # {(stage, depth): n}
     processed: dict = field(default_factory=dict)
     max_depths: dict = field(default_factory=dict)  # {rpq_id: max observed}
-    seq: int = field(default_factory=lambda: next(_seq))
+    seq: int = 0  # numbers a broadcast's copies (:meth:`copies`)
     tseq: object = None  # reliable-transport sequence number
     epoch: int = 0  # recovery epoch (see Batch.epoch)
 
@@ -148,9 +143,9 @@ class StatusMessage:
 
     def copies(self, num_machines):
         """This broadcast's copy for every other machine: the snapshot
-        itself first, then one per further destination with its own
-        ``seq`` and the shared counter dicts (receivers only read them,
-        and :meth:`clone` copies) — one broadcast copies the counters once."""
+        itself first, then one per further destination with the next
+        ``seq`` and the shared counter dicts (receivers only read them, and
+        :meth:`clone` copies) — one broadcast copies the counters once."""
         message = None
         for dst in range(num_machines):
             if dst == self.src_machine:
@@ -158,9 +153,10 @@ class StatusMessage:
             if message is None:
                 message = self
             else:
+                seq = message.seq + 1
                 message = StatusMessage.__new__(StatusMessage)
                 message.__dict__.update(self.__dict__)
-                message.seq = next(_seq)
+                message.seq = seq
             message.dst_machine = dst
             yield message
 
@@ -170,24 +166,21 @@ class StatusMessage:
 # ----------------------------------------------------------------------
 # Between worker processes a frame travels as a plain tuple
 # ``(kind, query_id, ...)`` so that a whole list of them is one
-# ``marshal`` blob.  Every payload value is a marshal primitive: contexts
-# hold ints, ``None`` and ``str``/``float`` property captures; credit
-# keys are (nested) tuples of ints and strings.  The query id sits at a
-# fixed index so the receiver can fence a record before rebuilding it.
-# ``seq`` does not travel: the rebuilt message draws a fresh one from the
-# receiving process's counter, which is what orders a remote inbox.
-# ``flow_id`` / ``tseq`` / ``epoch`` (tracing, ARQ, recovery) are
-# simulator-only and keep their defaults.
+# ``marshal`` blob (one per peer per round: ``runtime/backend.py``).
+# Every payload value is a marshal primitive: contexts hold ints, ``None``
+# and ``str``/``float`` property captures; credit keys are (nested)
+# tuples of ints and strings.  A batch's ``seq`` travels, so a remote
+# inbox breaks ties as the simulator's does.  ``flow_id`` / ``tseq`` /
+# ``epoch`` (tracing, ARQ, recovery) are simulator-only and keep their
+# defaults.
 WIRE_BATCH, WIRE_DONE, WIRE_STATUS = 0, 1, 2
-#: Index of the query id in every wire record.
-WIRE_QUERY_ID = 1
 
 
 def to_wire(message):
     """The wire record of a ``Batch`` / ``DoneMessage`` / ``StatusMessage``."""
     if isinstance(message, Batch):
         return (
-            WIRE_BATCH, message.query_id, message.src_machine,
+            WIRE_BATCH, message.query_id, message.seq, message.src_machine,
             message.dst_machine, message.target_stage, message.depth,
             message.credit_key, message.contexts,
         )
@@ -206,14 +199,14 @@ def to_wire(message):
 
 
 def from_wire(record):
-    """Rebuild the message a wire record stands for (fresh local ``seq``)."""
+    """Rebuild the message a wire record stands for."""
     kind = record[0]
     if kind == WIRE_BATCH:
-        _, query_id, src, dst, stage, depth, credit_key, contexts = record
+        _, query_id, seq, src, dst, stage, depth, credit_key, contexts = record
         return Batch(
             src_machine=src, dst_machine=dst, target_stage=stage,
             depth=depth, query_id=query_id, credit_key=credit_key,
-            contexts=list(contexts),
+            contexts=list(contexts), seq=seq,
         )
     if kind == WIRE_DONE:
         _, query_id, src, dst, credit_key = record
@@ -246,18 +239,8 @@ class HeartbeatMessage:
     src_machine: int
     dst_machine: int
     query_id: int = 0  # probes are cluster-level; kept for event shape
-    seq: int = field(default_factory=lambda: next(_seq))
     tseq: object = None  # probes are never reliably delivered
     epoch: int = 0
-
-    def clone(self):
-        new = HeartbeatMessage(
-            src_machine=self.src_machine,
-            dst_machine=self.dst_machine,
-            query_id=self.query_id,
-        )
-        new.seq = self.seq
-        return new
 
 
 @dataclass
@@ -272,6 +255,5 @@ class AckMessage:
     src_machine: int  # machine acknowledging receipt
     dst_machine: int  # original sender (owner of the retransmit timer)
     acked_tseq: int = 0
-    seq: int = field(default_factory=lambda: next(_seq))
     tseq: object = None  # ACKs themselves are never reliably delivered
     epoch: int = 0  # recovery epoch (see Batch.epoch)

@@ -63,6 +63,7 @@ Determinism
 import random
 import time
 from array import array
+from operator import itemgetter
 
 from ..analysis.sanitizer import sanitizer_from_config
 from ..errors import (
@@ -75,7 +76,6 @@ from ..obs.prof import profiled, profiler_from_config
 from .machine import Machine
 from .network import LossyNetwork, SimulatedNetwork
 from .stats import RunStats
-from .termination import TerminationProtocol
 
 #: Budget below this fraction of a quantum is not worth offering.
 _SHARE_EPSILON = 1e-6
@@ -123,16 +123,129 @@ def _check_query_config(config, cluster):
         )
 
 
-class QueryTask:
+class RoundRules:
+    """One query's round rules, applied at the same points of a round by
+    the simulator's :class:`QueryTask` and by a process worker
+    (:mod:`repro.runtime.backend`), each on the cluster-wide facts it has.
+    Rounds are the query's own, counted from its admission."""
+
+    def __init__(self, query_id, config):
+        self.query_id = query_id
+        self.config = config
+        self.admitted_round = 1
+        self.round_work = array("d")  # per round, each machine's cost units
+        self.last_progress = 0  # reset at admission and every rollback
+        self.quiescent_round = None  # local rounds (relative to admission)
+        self.timed_out = False
+        self.partial = False
+
+    def local_round(self, round_no):
+        """Rounds of virtual time this query has been running."""
+        return round_no - self.admitted_round + 1
+
+    def stalled(self, round_no):
+        """No progress for more than ``stall_limit`` rounds."""
+        return round_no - self.last_progress > self.config.stall_limit
+
+    def expired(self, round_no):
+        """Before round ``round_no``'s work: raises past ``max_rounds``;
+        True past the deadline (the query ends partial, timed out)."""
+        local = self.local_round(round_no)
+        config = self.config
+        if local > config.max_rounds:
+            raise ExecutionError(
+                f"query {self.query_id} exceeded max_rounds="
+                f"{config.max_rounds} (runaway query or configuration "
+                "too tight)"
+            )
+        if config.deadline is not None and local > config.deadline:
+            self.partial = self.timed_out = True
+            return True
+        return False
+
+    def status_round(self, machines, consumed, round_no):
+        """The STATUS rule for each of ``machines`` that consumed nothing;
+        True when one concluded, which proves every sink complete."""
+        round_trip = 2 * self.config.net_delay_rounds + 1
+        for s in machines:
+            if not consumed[s.id] and s.protocol.idle_round(round_no, round_trip):
+                s.broadcast_status(round_no)
+        return any(s.protocol.concluded for s in machines)
+
+    def progressed(self, round_no, worked, quiet):
+        """After a round that concluded nothing: True if some machine
+        ``worked``; else stamp ``quiescent_round`` (the latency metric)
+        the first round ``quiet()`` — no query work anywhere — holds."""
+        if worked:
+            self.last_progress = round_no
+            self.quiescent_round = None
+            return True
+        if self.quiescent_round is None and quiet():
+            self.quiescent_round = self.local_round(round_no)
+        return False
+
+
+def stall_facts(slices):
+    """``(flow-control blocks, per machine its inbox, absorbed batches and
+    credits in flight, per worker its jobs and the send it is stuck on)``."""
+    blocked = sum(s.stats.flow_control_blocks for s in slices)
+    machines = [
+        {"machine": s.id, "inbox": len(s.inbox), "absorbed": s.absorbed,
+         "in_flight": s.flow.in_flight}
+        for s in slices
+    ]
+    workers = [
+        {"machine": s.id, "worker": w.id, "jobs": len(w.jobs),
+         "waits_on": s.refused_send(w)}
+        for s in slices
+        for w in s.workers
+    ]
+    return blocked, machines, workers
+
+
+def stall_error(query_id, config, round_no, quiescent, parts):
+    """The error of a stall no detected failure explains: a protocol bug
+    when ``quiescent``, else lost credits, with the wait-for graph of
+    ``parts`` (:func:`stall_facts` of every machine, in any parts)."""
+    if quiescent:
+        return ExecutionError(
+            f"termination protocol for query {query_id} failed to "
+            f"conclude by round {round_no} despite quiescence "
+            "(protocol bug)"
+        )
+    blocked = sum(part[0] for part in parts)
+    machines = sorted((m for part in parts for m in part[1]), key=itemgetter("machine"))
+    workers = sorted((w for part in parts for w in part[2]), key=itemgetter("machine", "worker"))
+    lines = [
+        "machine {machine}: inbox {inbox}, absorbed {absorbed}, "
+        "in-flight credits {in_flight}".format(**m)
+        for m in machines
+    ]
+    for w in workers:
+        wait = w["waits_on"]
+        lines.append(f"machine {w['machine']} worker {w['worker']}: {w['jobs']} jobs" + (
+            "" if wait is None else ", send refused to (dst {dst}, stage {stage}, "
+            "depth {depth}): {in_flight} of {capacity} credits in flight".format(**wait)
+        ))
+    # A blocked worker always absorbs what it received, so a credit that
+    # never comes back was lost by the protocol, not by a small budget.
+    return FlowControlDeadlock(
+        f"query {query_id} made no progress for "
+        f"{config.stall_limit} rounds at round {round_no}: "
+        f"{blocked} flow-control blocks ({'; '.join(lines)}); credits in "
+        "flight that never return are a flow-control bug"
+    )
+
+
+class QueryTask(RoundRules):
     """One admitted query's execution state inside the cluster scheduler."""
 
     def __init__(
         self, query_id, dgraph, plan, config, sink_factory, channel,
         sanitizer=None, obs=None, prof=None,
     ):
-        self.query_id = query_id
+        super().__init__(query_id, config)
         self.plan = plan
-        self.config = config
         self.channel = channel
         self.sanitizer = sanitizer
         self.obs = obs
@@ -144,31 +257,14 @@ class QueryTask:
             )
             for m in range(config.num_machines)
         ]
-        self.admitted_round = None  # global round of admission
         self.started = time.perf_counter()
-        # Cost units each logical machine consumed in the current round,
-        # and every finished round's row of them (``RunStats.round_work``).
+        # Cost units each logical machine consumed in the current round.
         self.consumed = [0.0] * config.num_machines
-        self.round_work = array("d")
-        # Progress clock: the last round with progress, reset at admission
-        # and after every rollback.
-        self.last_progress = 0
-        self.quiescent_round = None  # local rounds (relative to admission)
         self.down_machines = ()
         self.finished = False
         self.cancelled = False
-        self.timed_out = False
-        self.partial = False
         self.error = None
         self.stats = None
-
-    def local_round(self, round_no):
-        """Rounds of virtual time this query has been running."""
-        return round_no - self.admitted_round + 1
-
-    def stalled(self, round_no):
-        """No progress for more than ``stall_limit`` rounds."""
-        return round_no - self.last_progress > self.config.stall_limit
 
     def is_quiescent(self):
         """No query work anywhere (ignoring STATUS heartbeats)."""
@@ -183,50 +279,15 @@ class QueryTask:
             self.obs.cluster_instant(name, args=args, round_no=local)
 
     def diagnose_stall(self, round_no):
-        """No detected failure explains the stall: name the bug, with the
-        wait-for graph (per machine its inbox, absorbed batches and credits
-        in flight; per worker its jobs and the send it is stuck on) in the
-        exception text and one ``flow.deadlock`` obs instant."""
+        """Raise :func:`stall_error`, stamping ``scheduler.stall`` and, for
+        lost credits, ``flow.deadlock`` with the wait-for graph."""
         local = self.local_round(round_no)
         self.instant("scheduler.stall", local)
-        if self.is_quiescent():
-            raise ExecutionError(
-                f"termination protocol for query {self.query_id} failed to "
-                f"conclude by round {round_no} despite quiescence "
-                "(protocol bug)"
-            )
-        blocked = sum(s.stats.flow_control_blocks for s in self.slices)
-        machines = [
-            {"machine": s.id, "inbox": len(s.inbox), "absorbed": s.absorbed,
-             "in_flight": s.flow.in_flight}
-            for s in self.slices
-        ]
-        workers = [
-            {"machine": s.id, "worker": w.id, "jobs": len(w.jobs),
-             "waits_on": s.refused_send(w)}
-            for s in self.slices
-            for w in s.workers
-        ]
-        self.instant("flow.deadlock", local, blocks=blocked, machines=machines, workers=workers)
-        lines = [
-            "machine {machine}: inbox {inbox}, absorbed {absorbed}, "
-            "in-flight credits {in_flight}".format(**m)
-            for m in machines
-        ]
-        for w in workers:
-            wait = w["waits_on"]
-            lines.append(f"machine {w['machine']} worker {w['worker']}: {w['jobs']} jobs" + (
-                "" if wait is None else ", send refused to (dst {dst}, stage {stage}, "
-                "depth {depth}): {in_flight} of {capacity} credits in flight".format(**wait)
-            ))
-        # A blocked worker always absorbs what it received, so a credit that
-        # never comes back was lost by the protocol, not by a small budget.
-        raise FlowControlDeadlock(
-            f"query {self.query_id} made no progress for "
-            f"{self.config.stall_limit} rounds at round {round_no}: "
-            f"{blocked} flow-control blocks ({'; '.join(lines)}); credits in "
-            "flight that never return are a flow-control bug"
-        )
+        quiescent = self.is_quiescent()
+        blocked, machines, workers = facts = stall_facts(self.slices)
+        if not quiescent:
+            self.instant("flow.deadlock", local, blocks=blocked, machines=machines, workers=workers)
+        raise stall_error(self.query_id, self.config, round_no, quiescent, [facts])
 
     def settle_and_audit(self, round_no):
         """Sanitizer epilogue: the last DONE messages (credit returns) may
@@ -490,12 +551,15 @@ class ClusterScheduler:
         splits its quantum across the query slices it runs."""
         num_machines = self.config.num_machines
         order = range(num_machines)
+        active = self.active
         if self._sched_rng is not None:
             order = self._sched_rng.sample(order, num_machines)
             self.schedule_fingerprint = hash(
                 (self.schedule_fingerprint, tuple(order))
             )
-        active = self.active
+            for rank, logical in enumerate(order):  # numbers this round's seqs
+                for task in active:
+                    task.slices[logical].rank = rank
         for task in active:
             task.consumed = [0.0] * num_machines
         quantum = self.config.quantum
@@ -524,21 +588,15 @@ class ClusterScheduler:
     def _begin_round(self, task, round_no):
         """Round cap, deadline and recorder clock for one task's round."""
         local = task.local_round(round_no)
-        config = task.config
-        if local > config.max_rounds:
-            self._finish(task, round_no, ExecutionError(
-                f"query {task.query_id} exceeded max_rounds="
-                f"{config.max_rounds} (runaway query or configuration "
-                "too tight)"
-            ))
-        elif config.deadline is not None and local > config.deadline:
-            # Virtual-clock deadline: abort cleanly with whatever the
-            # machines produced so far, flagged incomplete + timed out.
-            task.partial = True
-            task.timed_out = True
+        try:
+            expired = task.expired(round_no)
+        except ExecutionError as error:
+            self._finish(task, round_no, error)
+            return
+        if expired:
             if self.chaos is not None:
                 task.down_machines = self.chaos.confirmed_down()
-            task.instant("scheduler.deadline", local, deadline=config.deadline)
+            task.instant("scheduler.deadline", local, deadline=task.config.deadline)
             self._finish(task, round_no)
         elif task.obs is not None:
             task.obs.begin_round(local)
@@ -579,28 +637,13 @@ class ClusterScheduler:
         if task.sanitizer is not None:
             task.sanitizer.check_global_counts([s.tracker for s in task.slices])
         up = task.slices if chaos is None else chaos.up_slices(task, round_no)
-        round_trip = 2 * task.config.net_delay_rounds + 1
-        for s in up:
-            if not consumed[s.id] and TerminationProtocol.idle_round(
-                (s.protocol,), round_no, round_trip
-            ):
-                s.broadcast_status(round_no)
-        if any(s.protocol.concluded for s in up):
-            # One machine's conclusion proves the query done everywhere,
-            # as on the process backend.
+        if task.status_round(up, consumed, round_no):
             task.instant("termination.concluded", local)
             return True
         if chaos is not None:
             chaos.end_round(task, round_no)
-        if any(consumed):
-            task.last_progress = round_no
-            task.quiescent_round = None
+        if task.progressed(round_no, any(consumed), task.is_quiescent):
             return False
-        # Record when all query work (not protocol heartbeats) is done:
-        # this is the latency metric; the termination protocol still
-        # decides when machines actually stop.
-        if task.quiescent_round is None and task.is_quiescent():
-            task.quiescent_round = local
         if chaos is not None:
             return chaos.idle(task, round_no)
         if task.stalled(round_no):

@@ -56,7 +56,7 @@ def frame_checksum(message):
     return zlib.crc32(
         (
             f"{type(message).__name__}:{message.src_machine}:"
-            f"{message.dst_machine}:{message.seq}:{message.tseq}:"
+            f"{message.dst_machine}:{message.tseq}:"
             f"{message.epoch}"
         ).encode()
     )

@@ -8,6 +8,7 @@ round timeline whose rendering shows a narrow-start query's one busy
 machine (paper Section 4.3) as one dense row and N-1 sparse ones.
 """
 
+from array import array
 from collections import Counter
 
 #: Modelled size of one message buffer, for the memory accounting only
@@ -157,9 +158,8 @@ class RunStats:
         # time is reporting-only, virtual rounds stay the primary metric.
         self.profile = profile
         # The round timeline: a flat ``array('d')``, per round of the query's
-        # own clock one row of the cost units each machine spent.  None on
-        # the process backend, which has no rounds.
-        self.round_work = round_work
+        # own clock one row of the cost units each machine spent.
+        self.round_work = array("d") if round_work is None else round_work
 
     # -- aggregation helpers ----------------------------------------------
     def _sum(self, attr):
@@ -284,8 +284,6 @@ class RunStats:
         """ASCII timeline, one row per machine and time left to right: a
         cell's glyph is the mean utilization of its bucket of rounds."""
         work, n = self.round_work, self.num_machines
-        if work is None:
-            return "(no round timeline: the process backend has no rounds)"
         rounds = len(work) // n
         if not rounds:
             return "(no rounds recorded)"

@@ -33,15 +33,13 @@ Confirmation
     the classic stale-snapshot race of counting-based detection.
 
 When to send STATUS (:meth:`TerminationProtocol.idle_round`)
-    One rule on both backends, per *host* (a machine on the simulator, a
-    worker process's machines on the process backend): in a round (a loop
-    iteration) in which it ran nothing, a host evaluates, then broadcasts
-    if (a) a counter moved since its last broadcast, (b) it holds a
-    candidate and heard a STATUS from another host since, or (c) a round
-    trip passed since: ``2 * net_delay_rounds + 1`` rounds, one idle wait
-    on the process backend.  (b) hands peers the newer generations their
-    confirmations need; (c) resends what the network may have lost.  The
-    first conclusion anywhere ends the query.
+    One rule per machine, on the round clock both backends run: in a
+    round in which it ran nothing, a machine evaluates, then broadcasts if
+    (a) a counter moved since its last broadcast, (b) it holds a candidate
+    and heard a STATUS since, or (c) a round trip passed since:
+    ``2 * net_delay_rounds + 1`` rounds.  (b) hands peers the newer
+    generations their confirmations need; (c) resends what the network
+    may have lost.  The first conclusion anywhere ends the query.
 
 Why no interval is needed
     Safety reads generations and counters, never a clock.  Counters only
@@ -275,11 +273,9 @@ class TerminationProtocol:
         self.concluded = False
         # The last evaluation: ``(own version, totals, all_done)``.
         self._memo = None
-        # The STATUS rule (:meth:`idle_round`): this machine's host, whose
-        # STATUS is no news; the tracker version at the host's last
-        # broadcast (0: nothing to tell) and its time, kept on the host's
-        # first machine; and whether another host's STATUS arrived since.
-        self.host = (machine_id,)
+        # The STATUS rule (:meth:`idle_round`): the tracker version at the
+        # last broadcast (0: nothing to tell) and its round, and whether a
+        # STATUS arrived since.
         self._announced = 0
         self._spoke = None
         self._heard = False
@@ -319,8 +315,7 @@ class TerminationProtocol:
                 current.sent, current.processed, current.max_depths
             ):
                 self._memo = None
-        if message.src_machine not in self.host:
-            self._heard = True
+        self._heard = True
         # Consensus mechanics (paper Section 3.4): a machine adopts larger
         # maximum observed depths from other machines' STATUS (a dict shared
         # with the current view's was adopted with it), so all converge on
@@ -373,27 +368,18 @@ class TerminationProtocol:
             self._set_candidate(gen_vector, signature)
         return False
 
-    @staticmethod
-    def idle_round(host, now, round_trip):
-        """The STATUS rule (module docstring) for ``host``, the protocols
-        of one host's machines, in a round in which it ran nothing: they
-        check, then True, booked, if the host is to broadcast."""
-        moved = heard = confirming = False
-        for protocol in host:
-            if protocol.check():
-                return False  # the conclusion ends the query: nobody listens
-            moved = moved or protocol.tracker.version != protocol._announced
-            heard = heard or protocol._heard
-            confirming = confirming or protocol.confirming
-        first = host[0]
-        if first._spoke is None:  # its first idle round starts the clock
-            first._spoke = now
-        if not (moved or (heard and confirming) or now - first._spoke >= round_trip):
+    def idle_round(self, now, round_trip):
+        """The STATUS rule (module docstring) in round ``now``, one in which
+        this machine ran nothing: check, then True, booked, if it is to
+        broadcast."""
+        if self.check():
+            return False  # the conclusion ends the query: nobody listens
+        if self._spoke is None:  # its first idle round starts the clock
+            self._spoke = now
+        moved = self.tracker.version != self._announced
+        if not (moved or (self._heard and self.confirming) or now - self._spoke >= round_trip):
             return False
-        first._spoke = now
-        for protocol in host:
-            protocol._announced = protocol.tracker.version
-            protocol._heard = False
+        self._spoke, self._announced, self._heard = now, self.tracker.version, False
         return True
 
     @property

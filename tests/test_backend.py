@@ -7,7 +7,6 @@ created), and no worker outlives ``close`` — not on a clean close, not on
 a worker crash.
 """
 
-import dataclasses
 import fcntl
 import marshal
 import multiprocessing
@@ -30,8 +29,8 @@ from repro.runtime.backend import (
     _FRAME_HEADER,
     ProcessBackend,
     SimBackend,
-    _fenced,
     _PeerLinks,
+    _WorkerChannel,
     backend_from_config,
 )
 from repro.runtime.message import (
@@ -107,14 +106,17 @@ class TestFeatureMatrix:
             EngineConfig(backend="process", recovery=True)
 
     def test_trace_rejected_at_execute(self):
-        # The process backend has no rounds: a trace= argument fails loudly
-        # and the run's stats carry no round timeline.
-        with connect(random_graph(30, 60), backend="process") as session:
+        # A trace= argument fails loudly; the round timeline is in the
+        # run's stats, the simulator's to the last float.
+        graph = random_graph(30, 60)
+        with connect(graph, backend="process") as session:
             with pytest.raises(TypeError, match="trace"):
                 session.execute(COUNT_Q, trace=True)
             stats = session.execute(COUNT_Q).stats
-            assert stats.round_work is None
-            assert "process backend has no rounds" in stats.render_timeline()
+        with connect(graph) as sim:
+            expected = sim.execute(COUNT_Q).stats
+        assert stats.round_work == expected.round_work
+        assert stats.render_timeline() == expected.render_timeline()
 
     def test_observe_rejected_at_execute(self):
         with connect(random_graph(30, 60), backend="process") as session:
@@ -132,7 +134,31 @@ class TestFeatureMatrix:
 # ---------------------------------------------------------------------------
 
 
+def run_fields(stats):
+    """Everything a run's stats hold but wall time and the profile."""
+    return {
+        "rounds": stats.rounds,
+        "quiescent_round": stats.quiescent_round,
+        "partial": stats.partial,
+        "timed_out": stats.timed_out,
+        "round_work": stats.round_work,
+        "machines": [vars(m) for m in stats.per_machine],
+    }
+
+
+#: The cyclic cases beside the nine paper queries: bounded from eight
+#: sources, unbounded from two.
+KNOWS_CASES = {
+    "K1_4": "SELECT COUNT(*) FROM MATCH (a:Person)-/:KNOWS{1,4}/->(b:Person) WHERE id(a) < 8",
+    "Kplus": "SELECT COUNT(*) FROM MATCH (a:Person)-/:KNOWS+/->(b:Person) WHERE id(a) < 2",
+}
+
+
 class TestCrossBackendEquivalence:
+    """The process backend runs the simulator's rounds: rows, rounds,
+    ``quiescent_round``, the round timeline and every per-machine counter,
+    floats included, are the simulator's."""
+
     @pytest.fixture(scope="class")
     def workload(self):
         graph, info = mini_ldbc("xs", seed=7)
@@ -151,6 +177,54 @@ class TestCrossBackendEquivalence:
                 actual = proc.execute(query)
                 assert actual.rows == expected.rows, name
                 assert actual.columns == expected.columns, name
+                assert run_fields(actual.stats) == run_fields(expected.stats), name
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"workers": 2},
+            {"workers": 4, "net_delay_rounds": 0},
+            {"workers": 2, "net_delay_rounds": 3},
+            {"num_machines": 5, "workers": 3, "net_delay_rounds": 0},
+            {"num_machines": 3, "workers": 2, "batch_size": 2,
+             "buffers_per_machine": 12, "workers_per_machine": 2},
+        ],
+        ids=["w2", "w4-delay0", "w2-delay3", "m5-w3-delay0", "tight-flow"],
+    )
+    def test_run_stats_identical(self, workload, overrides):
+        graph, queries = workload
+        kwargs = {"num_machines": 4, **overrides}
+        with connect(graph, **kwargs) as sim, connect(
+            graph, backend="process", **kwargs
+        ) as proc:
+            for name, query in {**queries, **KNOWS_CASES}.items():
+                expected = sim.execute(query)
+                actual = proc.execute(query)
+                assert actual.rows == expected.rows, name
+                assert run_fields(actual.stats) == run_fields(expected.stats), name
+
+    def test_deadline_and_round_cap_end_both_backends_alike(self, workload):
+        graph, queries = workload
+        query = queries["Q09"]
+        ends = []
+        for backend in ("sim", "process"):
+            with connect(graph, num_machines=4, deadline=3, backend=backend) as session:
+                result = session.execute(query)
+            ends.append((result.rows, result.complete, result.timed_out,
+                         run_fields(result.stats)))
+        assert ends[0] == ends[1]
+        assert ends[0][1:3] == (False, True) and ends[0][3]["rounds"] == 4
+        errors, pids = [], []
+        for backend in ("sim", "process"):
+            with connect(graph, num_machines=4, max_rounds=3, backend=backend) as session:
+                for _ in range(2):
+                    with pytest.raises(ExecutionError, match="exceeded max_rounds=3") as raised:
+                        session.execute(query)
+                    errors.append(str(raised.value))
+                    pids.append(getattr(session.backend, "worker_pids", None))
+        assert len(set(errors)) == 1
+        # The round cap ends a run at a barrier too: the pool serves the next.
+        assert pids[2] == pids[3] and len(pids[2]) == 4
 
     def test_distinct_rows_identical(self):
         graph = random_graph(60, 150, seed=11)
@@ -421,7 +495,8 @@ class TestRobustness:
 
         def main_with_a_one_page_pipe_to_worker_1(worker_id, pipes, links, *args):
             if worker_id == 0:
-                # One page instead of 64 KB: the run's frames overfill it.
+                # One page instead of 64 KB: worker 0's round-1 blob to
+                # worker 1 (about 6 KB on this graph) overfills it.
                 fcntl.fcntl(links[0, 1][1], getattr(fcntl, "F_SETPIPE_SZ", 1031), 4096)
             return real_main(worker_id, pipes, links, *args)
 
@@ -437,7 +512,7 @@ class TestRobustness:
                 if 0 not in self._outboxes and self._outboxes.get(1, (0, b""))[1]:
                     pending.touch()
 
-        graph = random_graph(80, 200, seed=5)
+        graph = random_graph(400, 2000, seed=5)
         with connect(graph, num_machines=4) as sim:
             expected = sim.execute(COUNT_Q).rows
         with connect(graph, num_machines=4, backend="process") as session:
@@ -720,18 +795,6 @@ class TestPeerPipes:
         assert all(received == [marshal.loads(blob)] * sent
                    for received in done.values())
 
-    def test_a_late_frame_of_the_last_run_is_fenced_and_the_next_parses(
-        self, linked
-    ):
-        (zero, one), _ = linked
-        stale, fresh = _records(2, run_id=16), _records(3, run_id=17)
-        zero.push([(1, marshal.dumps(stale)), (1, marshal.dumps(fresh))])
-        frames = [_fenced(records, 17) for records in one.receive()]
-        assert frames[0] == []
-        assert [_fields(m) for m in frames[1]] == [
-            _fields(from_wire(r)) for r in fresh
-        ]
-
     def test_a_gone_peer_is_dropped_without_raising(self):
         to_1, to_0 = os.pipe(), os.pipe()
         zero = _PeerLinks({1: to_1[1]}, [to_0[0]])
@@ -747,15 +810,59 @@ class TestPeerPipes:
 
 
 # ---------------------------------------------------------------------------
-# The wire: tuple codec, coalesced blobs, run fencing
+# A worker's channel: one blob per peer per round, headers, due rounds
 # ---------------------------------------------------------------------------
 
 
-def _fields(message):
-    """Every dataclass field but ``seq``, which the receiver re-draws."""
-    values = dataclasses.asdict(message)
-    del values["seq"]
-    return values
+def _blob(run, round_no, sender, records=()):
+    """A peer's blob: header, summary (worked, nothing more), frames."""
+    return (run, round_no, sender, False, True, False, list(records))
+
+
+class TestWorkerChannel:
+    def test_a_blob_of_another_run_or_out_of_round_order_raises(self):
+        channel = _WorkerChannel(17, 0, 3, EngineConfig())
+        with pytest.raises(
+            ExecutionError,
+            match="run 17 round 1 from worker 1, which sent run 16 round 1",
+        ):
+            channel.absorb(_blob(16, 1, 1))
+        channel.absorb(_blob(17, 1, 1))
+        with pytest.raises(ExecutionError, match="round 2 from worker 1, which sent run 17 round 3"):
+            channel.absorb(_blob(17, 3, 1))
+        with pytest.raises(ExecutionError, match="round 1 from worker 2, which sent run 17 round 2"):
+            channel.absorb(_blob(17, 2, 2))
+
+    def test_a_round_ends_in_one_blob_per_peer_even_an_empty_one(self):
+        channel = _WorkerChannel(17, 0, 3, EngineConfig(num_machines=6))
+        done = DoneMessage(src_machine=0, dst_machine=4, query_id=1, credit_key=(0, 1, 0))
+        channel.send(done, 1)  # machine 4 is worker 1's
+        channel.send(DoneMessage(src_machine=0, dst_machine=3, query_id=1), 1)  # ours
+        blobs = dict(channel.blobs(1, (False, True, False)))
+        assert sorted(blobs) == [1, 2]
+        assert marshal.loads(blobs[1]) == (17, 1, 0, False, True, False, [to_wire(done)])
+        assert marshal.loads(blobs[2]) == (17, 1, 0, False, True, False, [])
+        assert channel.data_round == 1
+        assert [m.dst_machine for m in channel.due(2)] == [3]
+
+    @pytest.mark.parametrize("delay", [0, 1, 3])
+    def test_frames_are_due_a_delay_later_and_an_early_blob_waits(self, delay):
+        channel = _WorkerChannel(17, 0, 3, EngineConfig(net_delay_rounds=delay))
+        channel.absorb(_blob(17, 1, 2, _records(2)))
+        # Worker 1 ran ahead: its round-2 blob comes before worker 2's.
+        channel.absorb(_blob(17, 1, 1, _records(1)))
+        channel.absorb(_blob(17, 2, 1, _records(3)))
+        assert [len(channel.heard[r]) for r in (1, 2)] == [2, 1]
+        lag = max(delay, 1)  # no delay still drains a round later
+        assert all(list(channel.due(r)) == [] for r in range(1, lag + 1))
+        # By sending worker, whatever arrived first.
+        assert [m.contexts[0][0] for m in channel.due(1 + lag)] == [0, 0, 1]
+        assert len(list(channel.due(2 + lag))) == 3
+
+
+# ---------------------------------------------------------------------------
+# The wire: tuple codec, coalesced blobs
+# ---------------------------------------------------------------------------
 
 
 class TestWire:
@@ -764,9 +871,10 @@ class TestWire:
             src_machine=2, dst_machine=1, target_stage=3, depth=4,
             query_id=17, credit_key=(1, 3, ("ovf", 4)),
             contexts=[(5, [1, None, "Ann", 2.5]), (9, [None, None, "", 0.0])],
+            seq=(9 << 32) + 3,
         ),
         Batch(src_machine=0, dst_machine=3, target_stage=1, depth=0,
-              query_id=17, credit_key=(3, 1, "shared")),
+              query_id=17, credit_key=(3, 1, "shared"), seq=1),
         DoneMessage(src_machine=1, dst_machine=2, query_id=17,
                     credit_key=(1, 3, 0)),
         StatusMessage(src_machine=3, dst_machine=0, query_id=17),
@@ -782,34 +890,18 @@ class TestWire:
         record = marshal.loads(marshal.dumps(to_wire(message)))
         rebuilt = from_wire(record)
         assert type(rebuilt) is type(message)
-        assert _fields(rebuilt) == _fields(message)
-        assert rebuilt.seq != message.seq  # drawn from the local counter
+        assert rebuilt == message  # a batch's seq included: it orders the inbox
 
     def test_coalesced_blob_preserves_frame_order(self):
         blob = marshal.dumps([to_wire(m) for m in self.MESSAGES])
         rebuilt = [from_wire(record) for record in marshal.loads(blob)]
-        assert [_fields(m) for m in rebuilt] == [
-            _fields(m) for m in self.MESSAGES
-        ]
-        seqs = [m.seq for m in rebuilt]
-        assert seqs == sorted(seqs)
+        assert rebuilt == self.MESSAGES
 
     def test_unknown_record_kind_is_rejected(self):
         with pytest.raises(ValueError, match="kind 9"):
             from_wire((9, 17))
         with pytest.raises(TypeError):
             to_wire(object())
-
-    def test_frames_of_another_run_are_dropped_at_the_fence(self):
-        # Everything the worker loop delivers comes out of ``_fenced``.
-        records = [to_wire(m) for m in self.MESSAGES]
-        assert _fenced(records, 18) == []
-        mixed = records[:2] + [to_wire(DoneMessage(
-            src_machine=0, dst_machine=1, query_id=16, credit_key=(1, 0, 0),
-        ))] + records[2:]
-        assert [_fields(m) for m in _fenced(mixed, 17)] == [
-            _fields(m) for m in self.MESSAGES
-        ]
 
 
 # ---------------------------------------------------------------------------

@@ -116,3 +116,39 @@ def test_lost_credits_are_diagnosed_as_a_flow_control_bug():
             f"{wait['depth']}): {wait['in_flight']} of {wait['capacity']} credits "
             "in flight"
         ) in text
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="process backend requires the fork start method",
+)
+def test_lost_credits_stall_the_process_backend_as_they_stall_the_simulator(
+    monkeypatch,
+):
+    # No credit ever comes back (patched before the pool forks, so every
+    # worker inherits it): the process backend's round rules declare the
+    # stall in the simulator's round, with the simulator's wait-for graph,
+    # instead of running until the coordinator's run timeout.
+    import time
+
+    from repro.errors import FlowControlDeadlock
+    from repro.graph.generators import chain_graph
+    from repro.runtime.buffers import FlowControl
+
+    monkeypatch.setattr(FlowControl, "release", lambda self, key: None)
+    config = repro.EngineConfig(
+        num_machines=2, batch_size=1, buffers_per_machine=4, stall_limit=200,
+    )
+    texts, seconds = [], []
+    for backend in ("sim", "process"):
+        with repro.connect(chain_graph(30), config.with_(backend=backend)) as session:
+            started = time.perf_counter()
+            with pytest.raises(FlowControlDeadlock) as exc:
+                session.execute("SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)")
+            seconds.append(time.perf_counter() - started)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+    assert "made no progress for 200 rounds at round" in texts[1]
+    assert "machine 1 worker 3: " in texts[1] and "send refused to (dst" in texts[1]
+    assert seconds[1] < 2.0
+    assert multiprocessing.active_children() == []

@@ -602,7 +602,7 @@ def _stale_snapshot_race(protocol_cls):
             views = [t1.snapshot(), t2.snapshot()]
         for view in views:
             protocol.on_status(view)
-        if TerminationProtocol.idle_round((protocol,), now, 3):
+        if protocol.idle_round(now, 3):
             t0.generation += 1
         if protocol.concluded:
             return step, in_flight
@@ -636,50 +636,39 @@ class TestPlantedDefect:
 
 
 class TestStatusRule:
-    """:meth:`TerminationProtocol.idle_round` on one host."""
+    """:meth:`TerminationProtocol.idle_round` on one machine."""
 
-    def _host(self, machines=2, host=(0,)):
+    def _protocol(self):
         t0 = TerminationTracker(0)
-        protocols = [TerminationProtocol(m, two_stage_plan(), machines, t0) for m in host]
-        for protocol in protocols:
-            protocol.host = host
-        return t0, protocols
+        return t0, TerminationProtocol(0, two_stage_plan(), 2, t0)
 
     def test_nothing_counted_waits_a_round_trip_and_a_move_broadcasts_at_once(self):
-        t0, host = self._host()
-        assert not TerminationProtocol.idle_round(host, 0, 3)  # the clock starts
-        assert not TerminationProtocol.idle_round(host, 2, 3)
-        assert TerminationProtocol.idle_round(host, 3, 3)  # (c)
+        t0, protocol = self._protocol()
+        assert not protocol.idle_round(0, 3)  # the clock starts
+        assert not protocol.idle_round(2, 3)
+        assert protocol.idle_round(3, 3)  # (c)
         t0.record_bootstrap(1)
-        assert TerminationProtocol.idle_round(host, 4, 3)  # (a)
-        assert not TerminationProtocol.idle_round(host, 5, 3)
+        assert protocol.idle_round(4, 3)  # (a)
+        assert not protocol.idle_round(5, 3)
 
     def test_a_round_trip_after_a_broadcast_broadcasts_again(self):
-        t0, host = self._host()
+        t0, protocol = self._protocol()
         t0.record_bootstrap(1)
-        assert TerminationProtocol.idle_round(host, 0, 3)
-        assert not TerminationProtocol.idle_round(host, 2, 3)
-        assert TerminationProtocol.idle_round(host, 3, 3)
+        assert protocol.idle_round(0, 3)
+        assert not protocol.idle_round(2, 3)
+        assert protocol.idle_round(3, 3)
 
     def test_only_a_candidate_answers_what_it_heard(self):
-        _t0, host = self._host()
-        (protocol,) = host
+        _t0, protocol = self._protocol()
         t1 = TerminationTracker(1)
         t1.record_bootstrap(1)  # machine 1 has a root to run: no candidate
-        assert not TerminationProtocol.idle_round(host, 0, 3)
+        assert not protocol.idle_round(0, 3)
         protocol.on_status(t1.snapshot())
-        assert not TerminationProtocol.idle_round(host, 1, 3)
+        assert not protocol.idle_round(1, 3)
         assert not protocol.confirming
         t1.record_processed(0, 0)
         t1.generation += 1
         protocol.on_status(t1.snapshot())
-        assert TerminationProtocol.idle_round(host, 2, 3)  # (b): a candidate heard
+        assert protocol.idle_round(2, 3)  # (b): a candidate heard
         assert protocol.confirming
-        assert not TerminationProtocol.idle_round(host, 3, 3)  # nothing heard since
-
-    def test_a_co_hosted_machine_is_no_news(self):
-        _t0, host = self._host(machines=3, host=(0, 1))
-        host[0].on_status(TerminationTracker(1).snapshot())  # on this host
-        assert not any(protocol._heard for protocol in host)
-        host[0].on_status(TerminationTracker(2).snapshot())
-        assert host[0]._heard
+        assert not protocol.idle_round(3, 3)  # nothing heard since

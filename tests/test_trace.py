@@ -116,9 +116,11 @@ class TestRendering:
     def test_empty_trace_renders(self):
         assert "no rounds" in synthetic(2, 100.0, []).render_timeline()
 
-    def test_process_run_has_no_record(self):
+    def test_process_run_has_the_simulators_record(self):
         with connect(chain_graph(10), num_machines=2, backend="process") as session:
             stats = session.execute(CHAIN_RPQ).stats
-        assert stats.round_work is None
-        assert "no rounds" in stats.render_timeline()
-        assert stats.utilization() == [0.0, 0.0]
+        with connect(chain_graph(10), num_machines=2) as session:
+            expected = session.execute(CHAIN_RPQ).stats
+        assert len(stats.round_work) == 2 * stats.rounds
+        assert stats.round_work == expected.round_work
+        assert stats.render_timeline() == expected.render_timeline()
