@@ -630,6 +630,18 @@ class TestObservabilityCli:
         assert "repro_batches_sent_total" in families
         assert not families & EVENT_FAMILIES
 
+    def test_process_backend_prints_the_simulators_timeline(self, graph_file, capsys):
+        from repro.cli import main
+
+        query = "SELECT COUNT(*) FROM MATCH (a:Person)-/:KNOWS{1,2}/->(b:Person)"
+        timelines = []
+        for backend in ("sim", "process"):
+            assert main(["query", str(graph_file), query, "--backend", backend,
+                         "--timeline"]) == 0
+            timelines.append(capsys.readouterr().err)
+        assert timelines[0] == timelines[1]
+        assert timelines[1].count("|") == 2 * 4  # one row per machine
+
     def test_process_backend_refuses_trace_out(self, graph_file, tmp_path,
                                                capsys):
         from repro.cli import main
